@@ -185,7 +185,7 @@ def test_bench_streaming_sharded_process(benchmark, streaming_setup):
 
     def run():
         with ShardedStreamingScrubber(
-            n_shards=4, backend="process", **_STREAM_KWARGS
+            n_shards=4, backend="supervised", **_STREAM_KWARGS
         ) as engine:
             return _drive_stream(engine.warm_start(scrubber), workload)
 
@@ -210,7 +210,7 @@ def test_streaming_sharded_speedup_at_4_shards(streaming_setup):
     )
     n_sharded, t_sharded = _best_stream_time(
         lambda: ShardedStreamingScrubber(
-            n_shards=4, backend="process", **_STREAM_KWARGS
+            n_shards=4, backend="supervised", **_STREAM_KWARGS
         ).warm_start(scrubber),
         workload,
     )

@@ -4,9 +4,10 @@ Not a paper artifact — these guard the zero-copy shared-memory
 transport (``repro.core.parallel.shm``) against the pickled-pipe
 baseline it replaces. Two measurements:
 
-* **dispatch** — ``ProcessBackend.echo`` round-trips batches through
-  the transport with no classification compute, so the timing isolates
-  serialization + copy + wakeup. The shm ring must move dispatch bytes
+* **dispatch** — ``SupervisedProcessBackend.echo`` (inherited from
+  ``WorkerPool``) round-trips batches through the transport with no
+  classification compute, so the timing isolates serialization + copy
+  + wakeup. The shm ring must move dispatch bytes
   at least ``BENCH_IPC_MIN_SPEEDUP`` times the pipe rate (default 2.0)
   and clear an absolute floor (``BENCH_IPC_MIN_BYTES_PER_SEC``,
   default 50 MB/s — collapses only, not runner noise).
@@ -33,7 +34,7 @@ import pytest
 
 from repro.core.labeling.balancer import balance
 from repro.core.parallel import ShardPlan
-from repro.core.parallel.backends import ProcessBackend
+from repro.core.resilience import FaultPlan, SupervisedProcessBackend
 from repro.core.scrubber import IXPScrubber, ScrubberConfig
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -105,7 +106,7 @@ def fitted_scrubber():
 
 
 def _timed_backend(ipc, fn, *, scrubber=None, repeats=ECHO_REPEATS):
-    backend = ProcessBackend(N_SHARDS, ipc=ipc)
+    backend = SupervisedProcessBackend(N_SHARDS, ipc=ipc, fault_plan=FaultPlan())
     try:
         if scrubber is not None:
             backend.broadcast(scrubber)

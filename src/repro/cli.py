@@ -10,9 +10,8 @@
 * ``repro stream --shards N`` does the same through the sharded
   parallel engine (``repro.core.parallel``), printing the merged
   coordinator + per-shard snapshot; ``--check`` runs the serial
-  equivalence shadow alongside. ``--backend supervised`` (or any
-  fault/supervision flag, which upgrades ``process`` automatically)
-  runs workers under the fault-tolerant supervisor of
+  equivalence shadow alongside. ``--backend supervised`` runs worker
+  processes under the fault-tolerant supervisor of
   ``repro.core.resilience``; ``--faults`` / the ``REPRO_FAULTS``
   environment variable inject a deterministic chaos plan.
   ``--agg sketch`` switches the counting path to mergeable sketches
@@ -183,49 +182,34 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _resolve_stream_backend(args: argparse.Namespace) -> tuple[str, dict]:
     """Pick the backend + options for ``repro stream``.
 
-    Supervision knobs (``--faults``, ``--shard-timeout``,
-    ``--max-restarts``) and a ``REPRO_FAULTS`` environment plan only
-    make sense with worker supervision, so any of them upgrades
-    ``--backend process`` to ``supervised`` (with a stderr note); on
-    the serial backend they are rejected as a usage error.
+    Worker ``--faults``, ``--shard-timeout``, ``--max-restarts`` and
+    ``--ipc shm`` only make sense with worker processes to supervise
+    and share memory with, so on the serial backend they are rejected
+    as a usage error. A ``REPRO_FAULTS`` environment plan is not: CI
+    exports it globally, and the supervised backend reads it itself.
     """
-    from repro.core.resilience import FAULTS_ENV, FaultPlan
-
-    backend = args.backend
-    plan = args.faults if args.faults is not None else FaultPlan.from_env()
-    # Disk faults are the checkpoint store's business, not the workers':
-    # a plan with only disk specs must not force worker supervision.
-    worker_faults = bool(plan.worker_specs())
-    wants_supervision = worker_faults or args.shard_timeout is not None \
-        or args.max_restarts is not None
-    if backend == "serial":
+    if args.backend == "serial":
+        # Disk faults are the checkpoint store's business, not the
+        # workers': a plan with only disk specs is fine without workers.
         if (args.faults is not None and args.faults.worker_specs()) \
                 or args.shard_timeout is not None \
-                or args.max_restarts is not None:
+                or args.max_restarts is not None \
+                or args.ipc != "pipe":
             print(
-                "error: worker --faults/--shard-timeout/--max-restarts "
-                "require --backend process or supervised",
+                "error: worker --faults/--shard-timeout/--max-restarts and "
+                "--ipc shm require --backend supervised",
                 file=sys.stderr,
             )
             raise SystemExit(2)
-        return backend, {}
-    if backend == "process":
-        if not wants_supervision:
-            return backend, {}
-        source = "--faults" if args.faults is not None else (
-            f"{FAULTS_ENV} set" if worker_faults else "supervision flags given"
-        )
-        print(
-            f"[{source}: upgrading process backend to supervised]",
-            file=sys.stderr,
-        )
-        backend = "supervised"
-    options: dict = {"fault_plan": plan}
+        return args.backend, {}
+    options: dict = {"ipc": args.ipc}
+    if args.faults is not None:
+        options["fault_plan"] = args.faults  # replaces any $REPRO_FAULTS plan
     if args.shard_timeout is not None:
         options["shard_timeout"] = args.shard_timeout
     if args.max_restarts is not None:
         options["max_restarts"] = args.max_restarts
-    return backend, options
+    return args.backend, options
 
 
 def _resolve_stream_agg(args: argparse.Namespace):
@@ -234,13 +218,9 @@ def _resolve_stream_agg(args: argparse.Namespace):
     ``--sketch-eps`` / ``--sketch-delta`` only make sense with
     ``--agg sketch``, and the ``--check`` equivalence shadow only with
     exact aggregation (sketch verdicts are approximate by design), so
-    either combination is a usage error — including the shadow being
-    switched on implicitly through ``REPRO_ENGINE_EQUIVALENCE``.
+    either combination is a usage error.
     """
-    import os
-
     from repro.core.features.sketches import SketchParams
-    from repro.core.parallel.engine import EQUIVALENCE_ENV
 
     if args.agg != "sketch":
         if args.sketch_eps is not None or args.sketch_delta is not None:
@@ -250,10 +230,9 @@ def _resolve_stream_agg(args: argparse.Namespace):
             )
             raise SystemExit(2)
         return None
-    if args.check or os.environ.get(EQUIVALENCE_ENV, "") not in ("", "0"):
-        source = "--check" if args.check else f"{EQUIVALENCE_ENV}=1"
+    if args.check:
         print(
-            f"error: {source} requires exact aggregation; sketch-mode "
+            "error: --check requires exact aggregation; sketch-mode "
             "verdicts are approximate and cannot match the serial shadow",
             file=sys.stderr,
         )
@@ -266,17 +245,15 @@ def _resolve_stream_agg(args: argparse.Namespace):
     return SketchParams(**overrides)
 
 
-def _resolve_stream_recovery(args: argparse.Namespace, engine):
-    """Build the ``RecoverySession`` for ``repro stream``, if requested.
+def _resolve_stream_recovery(args: argparse.Namespace):
+    """``RecoverySession`` keyword arguments for ``repro stream``, or None.
 
     ``--checkpoint-every``/``--resume`` without ``--checkpoint-dir`` are
-    usage errors; recovery-layer failures (corrupt journal, refusing to
-    overwrite history, incompatible snapshot) exit 3 with the typed
-    error's message rather than a traceback.
+    usage errors. Needs no engine, so it runs before one (and its
+    worker processes) exists.
     """
     from pathlib import Path
 
-    from repro.core.recovery import RecoveryError, RecoverySession
     from repro.core.resilience import FaultPlan
 
     if args.checkpoint_dir is None:
@@ -288,52 +265,44 @@ def _resolve_stream_recovery(args: argparse.Namespace, engine):
             raise SystemExit(2)
         return None
     plan = args.faults if args.faults is not None else FaultPlan.from_env()
-    try:
-        return RecoverySession(
-            engine,
-            Path(args.checkpoint_dir),
-            every=8 if args.checkpoint_every is None else args.checkpoint_every,
-            resume=args.resume,
-            fault_specs=plan.disk_specs(),
-        )
-    except RecoveryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(3) from exc
+    return dict(
+        directory=Path(args.checkpoint_dir),
+        every=8 if args.checkpoint_every is None else args.checkpoint_every,
+        resume=args.resume,
+        fault_specs=plan.disk_specs(),
+    )
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     """Drive the sharded parallel engine; print the merged snapshot."""
     from repro.core.parallel import ShardedStreamingScrubber
-    from repro.core.recovery import RecoveryError
+    from repro.core.recovery import RecoveryError, RecoverySession
     from repro.core.scrubber import ScrubberConfig
 
     backend, backend_options = _resolve_stream_backend(args)
-    if args.ipc != "pipe":
-        # Shared-memory transport needs worker processes to share with.
-        if backend == "serial":
-            print(
-                "error: --ipc shm requires --backend process or supervised",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        backend_options["ipc"] = args.ipc
     sketch_params = _resolve_stream_agg(args)
+    recovery = _resolve_stream_recovery(args)
     profile, capture = _stream_workload(args.days, args.seed)
     engine = ShardedStreamingScrubber(
         config=ScrubberConfig(model="XGB", model_params={"n_estimators": 10}),
         n_shards=args.shards,
         backend=backend,
         backend_options=backend_options,
-        equivalence_check=True if args.check else None,
+        equivalence_check=args.check,
         agg=args.agg,
         sketch_params=sketch_params,
         window_days=2,
         bins_per_day=profile.bins_per_day,
         seed=1,
     )
-    session = _resolve_stream_recovery(args, engine)
+    session = None
     try:
+        # Recovery-layer failures (corrupt journal, refusing to overwrite
+        # history, incompatible snapshot, divergent replay) exit 3 with
+        # the typed error's message rather than a traceback.
         try:
+            if recovery is not None:
+                session = RecoverySession(engine, **recovery)
             n_verdicts, elapsed = _drive_engine(engine, capture, session=session)
         except RecoveryError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -344,9 +313,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             session.close()
         engine.close()
     rate = len(capture.flows) / elapsed if elapsed > 0 else float("inf")
+    counters = {c["name"]: int(c["value"]) for c in snap["counters"]}
     resilience_note = ""
     if backend == "supervised":
-        counters = {c["name"]: int(c["value"]) for c in snap["counters"]}
         resilience_note = (
             f"; resilience: {counters.get('resilience.worker_restarts', 0)} "
             f"restarts, {counters.get('resilience.batches_quarantined', 0)} "
@@ -364,7 +333,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         )
     ipc_note = ""
     if args.ipc == "shm":
-        counters = {c["name"]: int(c["value"]) for c in snap["counters"]}
         ipc_note = (
             f"; ipc: shm, {counters.get('parallel.ipc_ring_bytes', 0) / 1e6:.1f}"
             f" MB ring traffic, {counters.get('parallel.ipc_fallbacks', 0)} "
@@ -373,7 +341,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         )
     recovery_note = ""
     if session is not None:
-        counters = {c["name"]: int(c["value"]) for c in snap["counters"]}
         recovery_note = (
             f"; recovery: {counters.get('checkpoint.saves', 0)} snapshots, "
             f"{counters.get('checkpoint.failures', 0)} write failures, "
@@ -402,7 +369,6 @@ def _cmd_scenarios_list(_: argparse.Namespace) -> int:
 
 def _cmd_scenarios_run(args: argparse.Namespace) -> int:
     """Conduct one scenario; print its scorecard. Exit 1 on oracle fail."""
-    from repro.core.resilience import FaultPlan
     from repro.scenarios import get_scenario, run_scenario, scorecard_json
 
     try:
@@ -410,9 +376,6 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    backend_options: dict = {}
-    if args.backend == "supervised":
-        backend_options["fault_plan"] = FaultPlan.from_env()
     result = run_scenario(
         args.scenario,
         seed=args.seed,
@@ -420,7 +383,6 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
         shards=args.shards,
         backend=args.backend,
         agg=args.agg,
-        backend_options=backend_options,
     )
     scorecard = result.scorecard
     rendered = scorecard_json(scorecard)
@@ -579,15 +541,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     stream_parser.add_argument(
         "--backend",
-        choices=("serial", "process", "supervised"),
+        choices=("serial", "supervised"),
         default="serial",
-        help="shard execution backend (supervised = fault-tolerant workers)",
+        help="shard execution backend: in-process, or worker processes "
+        "under the fault-tolerant supervisor",
     )
     stream_parser.add_argument(
         "--ipc",
         choices=("pipe", "shm"),
         default="pipe",
-        help="worker transport for process backends: pickled pipe "
+        help="worker transport of the supervised backend: pickled pipe "
         "messages (default) or zero-copy shared-memory rings with a "
         "map-once model plane (docs/IPC.md)",
     )
@@ -701,7 +664,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     scen_run.add_argument(
         "--backend",
-        choices=("serial", "process", "supervised"),
+        choices=("serial", "supervised"),
         default="serial",
         help="shard execution backend (supervised reads $REPRO_FAULTS)",
     )

@@ -9,18 +9,15 @@ for the harness that enforces it).
 
 * :class:`ShardPlan` — target-prefix hash sharding with operator pins;
 * :class:`ShardedStreamingScrubber` — the coordinator engine;
-* :class:`SerialBackend` / :class:`ProcessBackend` — where shard work runs
-  (plus the fault-tolerant ``supervised`` backend from
+* :class:`SerialBackend` — where shard work runs in-process (the other
+  answer is the fault-tolerant ``supervised`` process backend from
   :mod:`repro.core.resilience`);
-* :class:`ShardFailure` — typed dead-worker error from the process backend;
 * :class:`EquivalenceError` — raised by the debug equivalence shadow.
 """
 
 from repro.core.parallel.backends import (
     BACKENDS,
-    ProcessBackend,
     SerialBackend,
-    ShardFailure,
     make_backend,
 )
 from repro.core.parallel.engine import EquivalenceError, ShardedStreamingScrubber
@@ -29,9 +26,7 @@ from repro.core.parallel.sharding import ShardPlan
 __all__ = [
     "BACKENDS",
     "EquivalenceError",
-    "ProcessBackend",
     "SerialBackend",
-    "ShardFailure",
     "ShardPlan",
     "ShardedStreamingScrubber",
     "make_backend",

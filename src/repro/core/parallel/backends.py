@@ -4,30 +4,27 @@ A backend owns the N per-shard classification contexts: the deployed
 model (re-broadcast after every retrain), a per-shard
 :class:`~repro.obs.MetricRegistry`, and the frozen-WoE
 :class:`~repro.core.encoding.matrix.MatrixAssembler` reused across bins
-of one retrain epoch. Three implementations:
+of one retrain epoch. Two implementations:
 
 * :class:`SerialBackend` — runs shards sequentially in-process. The
   default: zero IPC cost, same results, and on a single-core host the
   batched execution alone carries the speedup.
-* :class:`ProcessBackend` — persistent worker processes (``fork`` start
-  method when available, ``spawn`` otherwise). Control messages travel
-  over pipes; batch and model payloads travel either as pickled pipe
-  messages (``ipc="pipe"``, the default) or through per-shard
-  shared-memory rings and a map-once model plane (``ipc="shm"``, see
+* :class:`~repro.core.resilience.SupervisedProcessBackend` — persistent
+  worker processes under per-request deadlines, automatic restart with
+  model re-broadcast, poison-batch quarantine and graceful degradation
+  to serial execution (see :mod:`repro.core.resilience`). It drives the
+  :class:`WorkerPool` defined here: ``fork`` start method when
+  available, ``spawn`` otherwise; control messages travel over pipes;
+  batch and model payloads travel either as pickled pipe messages
+  (``ipc="pipe"``, the default) or through per-shard shared-memory
+  rings and a map-once model plane (``ipc="shm"``, see
   :mod:`repro.core.parallel.shm` and ``docs/IPC.md``) with the pipe
   demoted to a doorbell. Verdicts come back as plain dataclass lists
-  either way — the transport can never change results. A dead worker
-  raises a typed :class:`ShardFailure` instead of hanging or leaking a
-  raw pipe error.
-* :class:`~repro.core.resilience.SupervisedProcessBackend` — the
-  production wrapper: per-request deadlines, automatic restart with
-  model re-broadcast, poison-batch quarantine and graceful degradation
-  to serial execution (see :mod:`repro.core.resilience`).
+  either way — the transport can never change results.
 
-All of them produce verdicts through the same
-:meth:`~repro.core.scrubber.IXPScrubber.classify_flows_batch` call, so
-backend choice can never change results — only where the work runs and
-how failures are handled.
+Both produce verdicts through the one :func:`classify_shard` function,
+so backend choice can never change results — only where the work runs
+and how failures are handled.
 
 Sketch mode: when ``classify`` is called with ``agg`` (a
 :class:`~repro.core.features.sketches.SketchParams`), workers become
@@ -57,19 +54,18 @@ from repro.obs import names
 
 __all__ = [
     "SerialBackend",
-    "ProcessBackend",
-    "ShardFailure",
+    "WorkerPool",
+    "classify_shard",
     "make_backend",
     "BACKENDS",
     "IPC_MODES",
 ]
 
-#: Worker transports of the process backends (see docs/IPC.md).
+#: Worker transports of the process backend (see docs/IPC.md).
 IPC_MODES = ("pipe", "shm")
 
 #: Reply tag a worker sends when a shared-memory frame fails
-#: validation (crc/seqno/generation). The unsupervised backend turns it
-#: into a :class:`ShardFailure`; the supervisor restarts and retries.
+#: validation (crc/seqno/generation); the supervisor restarts and retries.
 _IPC_ERROR = "__ipc_error__"
 
 
@@ -79,19 +75,33 @@ def _is_ipc_error(reply) -> bool:
     )
 
 
-class ShardFailure(RuntimeError):
-    """A shard worker died or its pipe broke mid-operation.
+def classify_shard(
+    scrubber: Optional[IXPScrubber],
+    assembler,
+    registry: obs.MetricRegistry,
+    flows: FlowDataset,
+    min_flows: int,
+    agg: Optional[SketchParams],
+):
+    """Classify one shard's flow batch, recording into ``registry``.
 
-    Raised by :class:`ProcessBackend` when it detects a dead worker (the
-    unsupervised backend surfaces the failure to its caller); the
-    supervised backend catches the same conditions internally and
-    recovers instead.
+    The single code path every shard batch takes — in the serial
+    backend, in a worker process, and in the supervisor's in-process
+    fallback — which is why none of them can change a verdict. Exact
+    mode (``agg=None``) returns the verdict list; sketch mode returns
+    the shard's sketch state, a pure function of (batch, params): a
+    retried batch — even on a freshly restarted worker — reproduces the
+    bitwise-identical state, which is what keeps sketch-mode verdicts
+    stable under faults.
     """
-
-    def __init__(self, shard: int, reason: str):
-        super().__init__(f"shard {shard}: {reason}")
-        self.shard = shard
-        self.reason = reason
+    with obs.use_registry(registry):
+        with obs.span(names.SPAN_PARALLEL_SHARD_CLASSIFY):
+            obs.counter(names.C_PARALLEL_SHARD_FLOWS).inc(len(flows))
+            if agg is not None:
+                return SketchAggregator(agg).absorb(flows).to_state()
+            return scrubber.classify_flows_batch(
+                flows, min_flows=min_flows, assembler=assembler
+            )
 
 
 class SerialBackend:
@@ -132,17 +142,12 @@ class SerialBackend:
             if flows is None or len(flows) == 0:
                 out.append(None if agg is not None else [])
                 continue
-            with obs.use_registry(self.registries[shard]):
-                with obs.span(names.SPAN_PARALLEL_SHARD_CLASSIFY):
-                    obs.counter(names.C_PARALLEL_SHARD_FLOWS).inc(len(flows))
-                    if agg is not None:
-                        out.append(_sketch_shard_state(flows, agg))
-                    else:
-                        out.append(
-                            self._scrubber.classify_flows_batch(
-                                flows, min_flows=min_flows, assembler=self._assembler
-                            )
-                        )
+            out.append(
+                classify_shard(
+                    self._scrubber, self._assembler, self.registries[shard],
+                    flows, min_flows, agg,
+                )
+            )
         return out
 
     def snapshots(self) -> list[dict]:
@@ -151,16 +156,6 @@ class SerialBackend:
 
     def close(self) -> None:
         """Release backend resources (no-op for in-process shards)."""
-
-
-def _sketch_shard_state(flows: FlowDataset, agg: SketchParams) -> dict:
-    """Build one shard's sketch state from its flow batch.
-
-    A pure function of (batch, params): a retried batch — even on a
-    freshly restarted worker — reproduces the bitwise-identical state,
-    which is what keeps sketch-mode verdicts stable under faults.
-    """
-    return SketchAggregator(agg).absorb(flows).to_state()
 
 
 def _execute_fault(conn, directive) -> bool:
@@ -273,15 +268,9 @@ def _worker_main(conn, shard_index: int, ring_name: Optional[str] = None) -> Non
                     except shm.ShmProtocolError as exc:
                         conn.send((_IPC_ERROR, str(exc)))
                         continue
-                with obs.use_registry(registry):
-                    with obs.span(names.SPAN_PARALLEL_SHARD_CLASSIFY):
-                        obs.counter(names.C_PARALLEL_SHARD_FLOWS).inc(len(flows))
-                        if agg is not None:
-                            reply = _sketch_shard_state(flows, agg)
-                        else:
-                            reply = scrubber.classify_flows_batch(
-                                flows, min_flows=min_flows, assembler=assembler
-                            )
+                reply = classify_shard(
+                    scrubber, assembler, registry, flows, min_flows, agg
+                )
                 if seqno is not None:
                     # Verdicts/sketch states copy out of the batch, so the
                     # frame is dead; ack before replying — the coordinator
@@ -314,13 +303,17 @@ def _worker_main(conn, shard_index: int, ring_name: Optional[str] = None) -> Non
         conn.close()
 
 
-class ProcessBackend:
-    """Persistent worker processes, one per shard.
+class WorkerPool:
+    """Persistent worker processes, one per shard, and their transport.
+
+    The mechanism half of the process backend: spawn, pipes, rings,
+    model plane, dispatch framing and teardown. It has no ``classify``
+    or ``broadcast`` of its own — every pipe *read* belongs to
+    :class:`~repro.core.resilience.SupervisedProcessBackend`, which
+    bounds it with a deadline and recovers from a dead worker.
 
     Workers stay alive across bins so the model and its frozen-WoE
-    assembler are deserialised once per retrain, not once per bin. All
-    requests are answered in shard order, keeping the reduce step
-    deterministic regardless of worker scheduling.
+    assembler are deserialised once per retrain, not once per bin.
 
     ``ipc="pipe"`` (default) moves batches and models as pickled pipe
     messages. ``ipc="shm"`` moves batch bytes through a per-shard
@@ -331,14 +324,7 @@ class ProcessBackend:
     to the pipe automatically (``parallel.ipc_fallbacks``). The
     transport is invisible in the results: verdicts are bit-identical
     across modes.
-
-    Failure model: this backend does not *recover* — a worker found
-    dead raises :class:`ShardFailure` so the caller can decide. Use
-    :class:`~repro.core.resilience.SupervisedProcessBackend` for
-    deadlines, restarts and graceful degradation.
     """
-
-    name = "process"
 
     def __init__(
         self,
@@ -364,7 +350,6 @@ class ProcessBackend:
         self._rings: list = [None] * n_shards
         self._plane_box: list = [None]  # [ModelPlane] once shm is up
         self._ring_seq = [0] * n_shards
-        self._published_model: Optional[IXPScrubber] = None
         self._model_message: Optional[tuple] = None
         # Reap orphaned workers (and unlink their segments) if the
         # owner never calls close(). The finalizer captures the slot
@@ -424,34 +409,25 @@ class ProcessBackend:
         self._model_message = message
         return message
 
-    def broadcast(self, scrubber: IXPScrubber) -> None:
-        """Ship the model to every worker, serialising it exactly once.
+    def _write_frame(self, shard: int, flows: FlowDataset):
+        """Frame a batch into the shard's ring; ``(seqno, ref)`` or None.
 
-        An unchanged model (same object as the last broadcast — e.g. an
-        epoch that ended without a retrain) is not re-serialised or
-        re-sent: every live worker already holds it
-        (``parallel.broadcast_skipped``). Raises :class:`ShardFailure`
-        naming the dead shard if a worker exited (or its pipe broke)
-        before the model reached it.
+        None means the caller sends the batch over the pipe instead:
+        pipe mode, or the frame did not fit (oversized batch, or an
+        unacked frame from a just-crashed worker awaiting reclaim) —
+        the latter counted by ``parallel.ipc_fallbacks``.
         """
-        if scrubber is self._published_model:
-            for shard, proc in enumerate(self._procs):
-                if proc is None or not proc.is_alive():
-                    raise ShardFailure(
-                        shard, "worker process died before broadcast"
-                    )
-            obs.counter(names.C_PARALLEL_BROADCAST_SKIPPED).inc()
-            return
-        message = self._publish_model(scrubber)
-        for shard, conn in enumerate(self._conns):
-            proc = self._procs[shard]
-            if proc is None or not proc.is_alive():
-                raise ShardFailure(shard, "worker process died before broadcast")
-            try:
-                conn.send(message)
-            except (BrokenPipeError, OSError) as exc:
-                raise ShardFailure(shard, f"model broadcast failed: {exc}") from exc
-        self._published_model = scrubber
+        ring = self._rings[shard]
+        if ring is None:
+            return None
+        self._ring_seq[shard] += 1
+        seqno = self._ring_seq[shard]
+        ref = ring.write_flows(seqno, flows)
+        if ref is None:
+            obs.counter(names.C_PARALLEL_IPC_FALLBACKS).inc()
+            return None
+        obs.counter(names.C_PARALLEL_IPC_RING_BYTES).inc(ref.nbytes)
+        return seqno, ref
 
     def _send_classify(
         self,
@@ -463,65 +439,16 @@ class ProcessBackend:
     ) -> None:
         """Send one classify request: ring frame + doorbell, or pipe.
 
-        The shm path frames the batch into the shard's ring and sends
-        only a doorbell; when the frame does not fit (oversized batch,
-        or an unacked frame from a just-crashed worker awaiting
-        reclaim) it falls back to the legacy pickled message, counted
-        by ``parallel.ipc_fallbacks``. Either way the worker sees an
-        identical batch.
+        Either way the worker sees an identical batch.
         """
-        ring = self._rings[shard] if shard < len(self._rings) else None
-        if ring is not None and len(flows):
-            self._ring_seq[shard] += 1
-            seqno = self._ring_seq[shard]
-            ref = ring.write_flows(seqno, flows)
-            if ref is not None:
-                obs.counter(names.C_PARALLEL_IPC_RING_BYTES).inc(ref.nbytes)
-                self._conns[shard].send(
-                    ("classify_shm", seqno, ref.offset, ref.nbytes,
-                     min_flows, directive, agg)
-                )
-                return
-            obs.counter(names.C_PARALLEL_IPC_FALLBACKS).inc()
-        self._conns[shard].send(
-            ("classify", flows.to_columns(), min_flows, directive, agg)
-        )
-
-    def classify(
-        self,
-        shard_flows: Sequence[Optional[FlowDataset]],
-        min_flows: int,
-        agg: Optional[SketchParams] = None,
-    ) -> list:
-        """Dispatch per-shard batches, then collect in shard order.
-
-        Sketch mode (``agg`` given) collects per-shard sketch states
-        instead of verdict lists; empty shards reply ``None``.
-        """
-        active = []
-        for shard, flows in enumerate(shard_flows):
-            if flows is None or len(flows) == 0:
-                continue
-            try:
-                self._send_classify(shard, flows, min_flows, None, agg)
-            except (BrokenPipeError, OSError) as exc:
-                raise ShardFailure(shard, f"batch dispatch failed: {exc}") from exc
-            active.append(shard)
-        out: list = [None if agg is not None else [] for _ in shard_flows]
-        for shard in active:
-            try:
-                reply = self._conns[shard].recv()
-            except (EOFError, OSError, pickle.UnpicklingError) as exc:
-                raise ShardFailure(
-                    shard,
-                    f"worker died mid-batch: {exc if str(exc) else type(exc).__name__}",
-                ) from exc
-            if _is_ipc_error(reply):
-                raise ShardFailure(
-                    shard, f"shared-memory frame rejected: {reply[1]}"
-                )
-            out[shard] = reply
-        return out
+        frame = self._write_frame(shard, flows)
+        if frame is not None:
+            seqno, ref = frame
+            message = ("classify_shm", seqno, ref.offset, ref.nbytes,
+                       min_flows, directive, agg)
+        else:
+            message = ("classify", flows.to_columns(), min_flows, directive, agg)
+        self._conns[shard].send(message)
 
     def echo(
         self, shard_flows: Sequence[Optional[FlowDataset]]
@@ -531,44 +458,31 @@ class ProcessBackend:
         The dispatch path is byte-for-byte the classify path (ring
         frame + doorbell, or pickled pipe message) without the
         classification compute, which is what the IPC benchmark needs
-        to measure transport throughput in isolation.
+        to measure transport throughput in isolation. A benchmark aid,
+        not a supervised call: reads block, and a worker that rejects
+        its frame raises :class:`~repro.core.parallel.shm.ShmProtocolError`.
         """
         active = []
         for shard, flows in enumerate(shard_flows):
             if flows is None or len(flows) == 0:
                 continue
-            ring = self._rings[shard] if shard < len(self._rings) else None
-            sent = False
-            if ring is not None:
-                self._ring_seq[shard] += 1
-                seqno = self._ring_seq[shard]
-                ref = ring.write_flows(seqno, flows)
-                if ref is not None:
-                    obs.counter(names.C_PARALLEL_IPC_RING_BYTES).inc(ref.nbytes)
-                    self._conns[shard].send(
-                        ("echo_shm", seqno, ref.offset, ref.nbytes)
-                    )
-                    sent = True
-                else:
-                    obs.counter(names.C_PARALLEL_IPC_FALLBACKS).inc()
-            if not sent:
-                self._conns[shard].send(("echo", flows.to_columns()))
+            frame = self._write_frame(shard, flows)
+            if frame is not None:
+                seqno, ref = frame
+                message = ("echo_shm", seqno, ref.offset, ref.nbytes)
+            else:
+                message = ("echo", flows.to_columns())
+            self._conns[shard].send(message)
             active.append(shard)
         out: list = [None] * len(shard_flows)
         for shard in active:
             reply = self._conns[shard].recv()
             if _is_ipc_error(reply):
-                raise ShardFailure(
-                    shard, f"shared-memory frame rejected: {reply[1]}"
+                raise shm.ShmProtocolError(
+                    f"shard {shard}: shared-memory frame rejected: {reply[1]}"
                 )
             out[shard] = reply
         return out
-
-    def snapshots(self) -> list[dict]:
-        """One metrics snapshot per worker, fetched over the pipe."""
-        for conn in self._conns:
-            conn.send(("snapshot",))
-        return [conn.recv() for conn in self._conns]
 
     def close(self) -> None:
         """Stop all workers, reap them, unlink every shared segment.
@@ -674,7 +588,6 @@ def _supervised_backend(*args, **kwargs):
 
 BACKENDS = {
     SerialBackend.name: SerialBackend,
-    ProcessBackend.name: ProcessBackend,
     "supervised": _supervised_backend,
 }
 
@@ -682,11 +595,11 @@ BACKENDS = {
 def make_backend(name: str, n_shards: int, **kwargs):
     """Instantiate a backend by name, forwarding backend kwargs.
 
-    ``serial`` takes no extra options; ``process`` accepts
-    ``start_method`` (``"fork"``/``"spawn"``), ``ipc``
-    (``"pipe"``/``"shm"``) and ``ring_bytes``; ``supervised`` adds the
-    supervision knobs (``shard_timeout``, ``max_restarts``,
-    ``fault_plan``, ... — see
+    ``serial`` takes no extra options; ``supervised`` accepts the
+    worker-pool options ``start_method`` (``"fork"``/``"spawn"``),
+    ``ipc`` (``"pipe"``/``"shm"``) and ``ring_bytes`` plus the
+    supervision knobs ``shard_timeout``, ``max_restarts`` and
+    ``fault_plan`` (see
     :class:`~repro.core.resilience.SupervisedProcessBackend`).
     """
     try:

@@ -1,11 +1,11 @@
 """Sharded streaming coordinator: parallel classification, serial brain.
 
-:class:`ShardedStreamingScrubber` wraps a single
+:class:`ShardedStreamingScrubber` *is* a
 :class:`~repro.core.streaming.StreamingScrubber` — the *coordinator* —
-that keeps doing everything order-sensitive exactly as the serial
-engine does: bin bookkeeping, grace-period labeling, balancing (the only
-RNG consumer) and the daily retrain. Only the per-bin classification of
-closed bins fans out: flows are partitioned by hashed target prefix
+and inherits everything order-sensitive unchanged: bin bookkeeping,
+grace-period labeling, balancing (the only RNG consumer) and the daily
+retrain. Only the per-bin classification of closed bins is overridden
+to fan out: flows are partitioned by hashed target prefix
 (:class:`~repro.core.parallel.sharding.ShardPlan`), each shard batch is
 aggregated/encoded/scored independently, and the reducer merges the
 per-shard verdict lists by sorting on ``(bin, target_ip)``.
@@ -14,15 +14,13 @@ Because targets are disjoint across shards, per-shard aggregation is
 exactly the restriction of the global aggregation, WoE encoding and tree
 scoring are row-wise, and the reduce order equals the serial emission
 order — so verdicts are **bit-identical** for any shard count and either
-backend. ``equivalence_check=True`` (or ``REPRO_ENGINE_EQUIVALENCE=1``
-in the environment — the debug mode) verifies that claim on every
-ingest against a shadow serial engine and raises
-:class:`EquivalenceError` on the first divergence.
+backend. ``equivalence_check=True`` (the CLI's ``--check``, a debug
+mode) verifies that claim on every ingest against a shadow serial
+engine and raises :class:`EquivalenceError` on the first divergence.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional
 
 from repro import obs
@@ -31,7 +29,7 @@ from repro.core.features.sketches import SketchAggregator, SketchParams
 from repro.core.parallel.backends import make_backend
 from repro.core.parallel.sharding import ShardPlan
 from repro.core.scrubber import IXPScrubber, ScrubberConfig, TargetVerdict
-from repro.core.streaming import ShardableEngine, StreamingScrubber
+from repro.core.streaming import StreamingScrubber
 from repro.netflow.dataset import FlowDataset
 from repro.obs import names
 
@@ -39,9 +37,6 @@ from repro.obs import names
 AGG_MODES = ("exact", "sketch")
 
 __all__ = ["ShardedStreamingScrubber", "EquivalenceError", "AGG_MODES"]
-
-#: Environment switch that turns the equivalence shadow on by default.
-EQUIVALENCE_ENV = "REPRO_ENGINE_EQUIVALENCE"
 
 #: Metric-name prefix owned by the coordinator. Shard registries are
 #: stripped of any such entries before merging so stream-level counts
@@ -52,17 +47,6 @@ _COORDINATOR_PREFIX = "streaming."
 
 class EquivalenceError(AssertionError):
     """Sharded and serial execution disagreed on a verdict."""
-
-
-class _CoordinatorEngine(StreamingScrubber):
-    """The inner serial engine with classification delegated outward."""
-
-    def __init__(self, outer: "ShardedStreamingScrubber", **kwargs):
-        self._outer = outer
-        super().__init__(**kwargs)
-
-    def _classify_closed(self, closed) -> list[TargetVerdict]:
-        return self._outer._classify_closed_sharded(closed)
 
 
 def _strip_coordinator_names(snap: dict) -> dict:
@@ -77,7 +61,7 @@ def _strip_coordinator_names(snap: dict) -> dict:
     return out
 
 
-class ShardedStreamingScrubber(ShardableEngine):
+class ShardedStreamingScrubber(StreamingScrubber):
     """Sharded drop-in for :class:`StreamingScrubber`.
 
     Parameters beyond the coordinator's (which are forwarded verbatim):
@@ -85,22 +69,21 @@ class ShardedStreamingScrubber(ShardableEngine):
     n_shards / plan:
         Shard count, or a full :class:`ShardPlan` (pins, prefix bits).
     backend:
-        ``"serial"`` (in-process, the default), ``"process"``
-        (persistent worker processes) or ``"supervised"`` (worker
-        processes under the fault-tolerant supervisor of
-        :mod:`repro.core.resilience`). Verdicts do not depend on this.
+        ``"serial"`` (in-process, the default) or ``"supervised"``
+        (persistent worker processes under the fault-tolerant
+        supervisor of :mod:`repro.core.resilience`). Verdicts do not
+        depend on this.
     backend_options:
-        Extra keyword arguments forwarded to the backend constructor —
-        ``start_method``, ``ipc`` (``"pipe"``/``"shm"`` — shared-memory
-        rings plus the map-once model plane, see ``docs/IPC.md``) and
-        ``ring_bytes`` for the process backends; ``shard_timeout``,
-        ``max_restarts``, ``fault_plan``, ... for ``supervised``.
+        Extra keyword arguments forwarded to the ``supervised`` backend
+        constructor — ``start_method``, ``ipc`` (``"pipe"``/``"shm"`` —
+        shared-memory rings plus the map-once model plane, see
+        ``docs/IPC.md``), ``ring_bytes``, ``shard_timeout``,
+        ``max_restarts`` and ``fault_plan``.
     equivalence_check:
         Run a shadow serial engine on the same input and assert verdict
-        equality on every call. Defaults to the
-        ``REPRO_ENGINE_EQUIVALENCE`` environment switch. Debug aid —
-        it doubles the work. Exact mode only: sketch-mode verdicts are
-        approximate by design and would always diverge from the shadow.
+        equality on every call. Debug aid — it doubles the work. Exact
+        mode only: sketch-mode verdicts are approximate by design and
+        would always diverge from the shadow.
     agg / sketch_params:
         Aggregation mode of the counting path. ``"exact"`` (default)
         preserves today's outputs bit-for-bit; ``"sketch"`` turns the
@@ -116,7 +99,7 @@ class ShardedStreamingScrubber(ShardableEngine):
         n_shards: int = 2,
         backend: str = "serial",
         plan: Optional[ShardPlan] = None,
-        equivalence_check: Optional[bool] = None,
+        equivalence_check: bool = False,
         registry: Optional[obs.MetricRegistry] = None,
         backend_options: Optional[dict] = None,
         agg: str = "exact",
@@ -127,27 +110,18 @@ class ShardedStreamingScrubber(ShardableEngine):
             raise ValueError(f"unknown agg mode {agg!r}; expected one of {AGG_MODES}")
         if sketch_params is not None and agg != "sketch":
             raise ValueError("sketch_params requires agg='sketch'")
+        if equivalence_check and agg == "sketch":
+            raise ValueError(
+                "equivalence_check requires exact aggregation: sketch-mode "
+                "verdicts are approximate and cannot match the serial shadow"
+            )
+        super().__init__(config=config, registry=registry, **engine_kwargs)
         self._sketch_params = (
             (sketch_params or SketchParams()) if agg == "sketch" else None
         )
         self._coord_assembler = None
         self.plan = plan if plan is not None else ShardPlan(n_shards)
-        self._inner = _CoordinatorEngine(
-            self, config=config, registry=registry, **engine_kwargs
-        )
-        self.registry = self._inner.registry
-        self.stats = self._inner.stats
-        self._backend = make_backend(
-            backend, self.plan.n_shards, **(backend_options or {})
-        )
         self._broadcast_model: Optional[IXPScrubber] = None
-        if equivalence_check is None:
-            equivalence_check = os.environ.get(EQUIVALENCE_ENV, "") not in ("", "0")
-        if equivalence_check and self._sketch_params is not None:
-            raise ValueError(
-                "equivalence_check requires exact aggregation: sketch-mode "
-                "verdicts are approximate and cannot match the serial shadow"
-            )
         self._shadow = (
             StreamingScrubber(config=config, **engine_kwargs)
             if equivalence_check
@@ -155,8 +129,13 @@ class ShardedStreamingScrubber(ShardableEngine):
         )
         with obs.use_registry(self.registry):
             obs.gauge(names.G_PARALLEL_SHARDS).set(self.plan.n_shards)
+        # Last, once every argument is validated: the backend owns
+        # worker processes and shared segments, and an __init__ that
+        # raised after creating it would strand them until the GC.
+        self._backend = make_backend(
+            backend, self.plan.n_shards, **(backend_options or {})
+        )
 
-    # -- ShardableEngine -----------------------------------------------
     @property
     def n_shards(self) -> int:
         return self.plan.n_shards
@@ -169,23 +148,11 @@ class ShardedStreamingScrubber(ShardableEngine):
     def ipc_mode(self) -> str:
         return getattr(self._backend, "ipc", "inline")
 
-    @property
-    def is_ready(self) -> bool:
-        return self._inner.is_ready
-
-    @property
-    def model(self) -> Optional[IXPScrubber]:
-        return self._inner.model
-
     def warm_start(self, scrubber: IXPScrubber) -> "ShardedStreamingScrubber":
-        self._inner.warm_start(scrubber)
+        super().warm_start(scrubber)
         if self._shadow is not None:
             self._shadow.warm_start(scrubber)
         return self
-
-    @property
-    def drift_trips(self) -> int:
-        return self._inner.drift_trips
 
     def capture_state(self) -> dict:
         """JSON-safe snapshot of coordinator + shadow state."""
@@ -204,22 +171,22 @@ class ShardedStreamingScrubber(ShardableEngine):
         self, flows: FlowDataset, updates: Iterable[Update] = ()
     ) -> list[TargetVerdict]:
         updates = list(updates)
-        verdicts = self._inner.ingest(flows, updates)
+        verdicts = super().ingest(flows, updates)
         if self._shadow is not None:
             self._assert_equivalent(self._shadow.ingest(flows, updates), verdicts)
         return verdicts
 
     def flush(self) -> list[TargetVerdict]:
-        verdicts = self._inner.flush()
+        verdicts = super().flush()
         if self._shadow is not None:
             self._assert_equivalent(self._shadow.flush(), verdicts)
         return verdicts
 
     # -- sharded classification ----------------------------------------
-    def _classify_closed_sharded(
+    def _classify_closed(
         self, closed: list[tuple[int, FlowDataset]]
     ) -> list[TargetVerdict]:
-        scrubber = self._inner.model
+        scrubber = self._scrubber
         nonempty = [(b, flows) for b, flows in closed if len(flows)]
         if scrubber is None or not nonempty:
             return []
@@ -245,7 +212,7 @@ class ShardedStreamingScrubber(ShardableEngine):
                     self._coord_assembler = scrubber.make_assembler()
             results = self._backend.classify(
                 shard_flows,
-                self._inner.min_flows_per_verdict,
+                self.min_flows_per_verdict,
                 agg=self._sketch_params,
             )
             with obs.span(names.SPAN_PARALLEL_MERGE):
@@ -254,7 +221,7 @@ class ShardedStreamingScrubber(ShardableEngine):
                 else:
                     merged = [v for shard_verdicts in results for v in shard_verdicts]
                     merged.sort(key=lambda v: (v.bin, v.target_ip))
-            self._inner._count_verdicts(merged)
+            self._count_verdicts(merged)
         return merged
 
     def _merge_sketch_states(
@@ -273,7 +240,7 @@ class ShardedStreamingScrubber(ShardableEngine):
             if not state:
                 continue
             merged.merge(SketchAggregator.from_state(state))
-        data = merged.build_records(min_flows=self._inner.min_flows_per_verdict)
+        data = merged.build_records(min_flows=self.min_flows_per_verdict)
         verdicts = scrubber.classify_aggregated(
             data, assembler=self._coord_assembler
         )

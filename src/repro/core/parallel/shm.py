@@ -1,6 +1,6 @@
 """Zero-copy shard IPC: shared-memory rings and the map-once model plane.
 
-The process backends move two kinds of payload across the
+The process backend moves two kinds of payload across the
 coordinator→worker boundary, and before this module both crossed it as
 pickled pipe messages: every closed-bin :class:`~repro.netflow.dataset.
 FlowDataset` batch, and — once per retrain — the whole kernel-format
@@ -143,10 +143,8 @@ class ShmProtocolError(RuntimeError):
 
     Raised on magic/seqno/generation mismatches and crc32 failures —
     the shm analogue of a corrupted pipe message. The worker reports it
-    over the doorbell pipe; the unsupervised backend surfaces it as a
-    :class:`~repro.core.parallel.backends.ShardFailure`, the supervisor
-    treats it like any other worker failure (restart, retry,
-    quarantine).
+    over the doorbell pipe; the supervisor treats it like any other
+    worker failure (restart, retry, quarantine).
     """
 
 

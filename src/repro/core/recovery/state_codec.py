@@ -299,7 +299,7 @@ def capture_sharded_state(engine) -> dict:
         # with (restore does not validate it).
         "ipc": engine.ipc_mode,
         "plan": _plan_params(engine.plan),
-        "coordinator": capture_engine_state(engine._inner),
+        "coordinator": capture_engine_state(engine),
         "shadow": (
             None if engine._shadow is None else capture_engine_state(engine._shadow)
         ),
@@ -329,7 +329,7 @@ def restore_sharded_state(engine, state: dict) -> None:
             "snapshot shard plan does not match the engine: "
             f"snapshot={state['plan']!r} engine={_plan_params(engine.plan)!r}"
         )
-    restore_engine_state(engine._inner, state["coordinator"])
+    restore_engine_state(engine, state["coordinator"])
     if engine._shadow is not None:
         if state["shadow"] is None:
             raise CheckpointConfigError(

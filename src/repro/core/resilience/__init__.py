@@ -13,14 +13,9 @@ verdict. See ``docs/ARCHITECTURE.md`` §5.5 for the failure model and
   execution after a restart budget is exhausted;
 * :class:`FaultPlan` / :class:`FaultSpec` — deterministic, seeded fault
   injection (crash-on-nth-batch, hang, slow shard, pipe corruption),
-  parseable from the ``REPRO_FAULTS`` environment variable;
-* :class:`ShardFailure` — the typed error the *unsupervised*
-  :class:`~repro.core.parallel.backends.ProcessBackend` raises when it
-  detects a dead worker (re-exported here; the supervised backend
-  recovers from the same conditions instead).
+  parseable from the ``REPRO_FAULTS`` environment variable.
 """
 
-from repro.core.parallel.backends import ShardFailure
 from repro.core.resilience.faults import (
     DISK_FAULT_KINDS,
     FAULT_KINDS,
@@ -38,6 +33,5 @@ __all__ = [
     "WORKER_FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
-    "ShardFailure",
     "SupervisedProcessBackend",
 ]

@@ -1,8 +1,8 @@
 """Supervised shard execution: deadlines, restarts, quarantine, degradation.
 
-:class:`SupervisedProcessBackend` wraps the persistent-worker execution
-of :class:`~repro.core.parallel.backends.ProcessBackend` in a
-supervision loop with a *tested failure model*:
+:class:`SupervisedProcessBackend` drives the persistent workers of a
+:class:`~repro.core.parallel.backends.WorkerPool` from a supervision
+loop with a *tested failure model*:
 
 * **Deadlines** — every pipe read goes through ``poll(timeout)``; no
   blocking call in this backend waits longer than ``shard_timeout``.
@@ -13,18 +13,18 @@ supervision loop with a *tested failure model*:
   model blob is re-sent, and the in-flight batch is retried with a
   small backoff (``resilience.batch_retries``).
 * **Poison-batch quarantine** — a batch whose attempts kill workers
-  ``batch_attempts`` times (default twice) is classified in-process by
-  the coordinator (``resilience.batches_quarantined``) so one bad bin
-  can never wedge the stream.
+  twice (:data:`BATCH_ATTEMPTS`) is classified in-process by the
+  coordinator (``resilience.batches_quarantined``) so one bad bin can
+  never wedge the stream.
 * **Graceful degradation** — more than ``max_restarts`` restarts of one
-  shard within a window of ``restart_window`` classify calls stops the
-  respawn loop: the shard permanently falls back to serial in-process
+  shard within a window of :data:`RESTART_WINDOW` classify calls stops
+  the respawn loop: the shard permanently falls back to serial in-process
   execution (``resilience.degraded_shards`` gauge, a clear log line),
   and the run completes correctly instead of thrashing.
 
 Every fallback path classifies through the same
-:meth:`~repro.core.scrubber.IXPScrubber.classify_flows_batch` call the
-workers use, so verdicts stay **bit-identical** to the serial engine no
+:func:`~repro.core.parallel.backends.classify_shard` call the workers
+use, so verdicts stay **bit-identical** to the serial engine no
 matter which failures occurred — the property the chaos tests assert.
 
 Failures can be injected deterministically with a
@@ -46,9 +46,9 @@ from repro import obs
 from repro.core.features.sketches import SketchParams
 from repro.core.parallel import shm
 from repro.core.parallel.backends import (
-    ProcessBackend,
+    WorkerPool,
     _is_ipc_error,
-    _sketch_shard_state,
+    classify_shard,
 )
 from repro.core.resilience.faults import FaultPlan
 from repro.core.scrubber import IXPScrubber, TargetVerdict
@@ -65,14 +65,26 @@ _FAILED = object()
 #: Exceptions that mean "this worker (or its pipe) is gone/garbled".
 _PIPE_ERRORS = (EOFError, OSError, pickle.UnpicklingError)
 
+#: Width of the restart-budget window, measured in classify calls
+#: (deterministic — no wall clock in the failure model).
+RESTART_WINDOW = 64
 
-class SupervisedProcessBackend(ProcessBackend):
-    """A :class:`ProcessBackend` that survives its workers.
+#: Total attempts a batch gets before quarantine: the original dispatch
+#: plus one retry — "killed a worker twice".
+BATCH_ATTEMPTS = 2
+
+#: Seconds slept before retry ``n`` (scaled by ``n``); purely pacing,
+#: it never affects verdicts.
+RETRY_BACKOFF = 0.01
+
+
+class SupervisedProcessBackend(WorkerPool):
+    """The process backend: a worker pool that survives its workers.
 
     Parameters
     ----------
     n_shards, start_method, ipc, ring_bytes:
-        As for :class:`~repro.core.parallel.backends.ProcessBackend`.
+        As for :class:`~repro.core.parallel.backends.WorkerPool`.
         With ``ipc="shm"`` a restarted worker re-attaches its shard's
         ring (reclaimed first, so a frame orphaned by the crash can
         never wedge it) and re-maps the current model-plane segment by
@@ -82,17 +94,8 @@ class SupervisedProcessBackend(ProcessBackend):
         does not answer within it is killed and restarted.
     max_restarts:
         Restart budget per shard: more than this many restarts within
-        ``restart_window`` classify calls degrades the shard to serial
-        in-process execution for the rest of the run.
-    restart_window:
-        Width of the restart-budget window, measured in classify calls
-        (deterministic — no wall clock in the failure model).
-    batch_attempts:
-        Total attempts a batch gets before quarantine (default 2: the
-        original dispatch plus one retry — "killed a worker twice").
-    retry_backoff:
-        Seconds slept before retry ``n`` (scaled by ``n``); purely a
-        pacing knob, it never affects verdicts.
+        :data:`RESTART_WINDOW` classify calls degrades the shard to
+        serial in-process execution for the rest of the run.
     fault_plan:
         Deterministic fault injection plan. Defaults to parsing the
         ``REPRO_FAULTS`` environment variable; pass ``FaultPlan()`` to
@@ -111,9 +114,6 @@ class SupervisedProcessBackend(ProcessBackend):
         start_method: Optional[str] = None,
         shard_timeout: float = 30.0,
         max_restarts: int = 3,
-        restart_window: int = 64,
-        batch_attempts: int = 2,
-        retry_backoff: float = 0.01,
         fault_plan: Optional[FaultPlan] = None,
         ipc: str = "pipe",
         ring_bytes: int = shm.DEFAULT_RING_BYTES,
@@ -122,15 +122,8 @@ class SupervisedProcessBackend(ProcessBackend):
             raise ValueError("shard_timeout must be > 0 seconds")
         if max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if restart_window < 1:
-            raise ValueError("restart_window must be >= 1 classify calls")
-        if batch_attempts < 1:
-            raise ValueError("batch_attempts must be >= 1")
         self.shard_timeout = float(shard_timeout)
         self.max_restarts = int(max_restarts)
-        self.restart_window = int(restart_window)
-        self.batch_attempts = int(batch_attempts)
-        self.retry_backoff = float(retry_backoff)
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
         self._scrubber: Optional[IXPScrubber] = None
         self._tick = 0  # classify-call counter; the restart-window clock
@@ -152,28 +145,18 @@ class SupervisedProcessBackend(ProcessBackend):
     def broadcast(self, scrubber: IXPScrubber) -> None:
         """Ship the model to every live shard, restarting dead ones.
 
-        Unlike the unsupervised backend this never raises on a dead
-        worker — the restart path re-sends the model, and a shard past
-        its restart budget degrades instead. An unchanged model (same
+        Never raises on a dead worker — the restart path re-sends the
+        model, and a shard past its restart budget degrades instead. The
+        model is serialised exactly once. An unchanged model (same
         object as the last broadcast) is not re-serialised: dead
         workers are still resurrected — and re-receive the current
         model through the restart path — but live ones already hold it
         (``parallel.broadcast_skipped``).
         """
         self._epoch_seq = [0] * self.n_shards
-        if scrubber is self._published_model and scrubber is self._scrubber:
-            for shard in range(self.n_shards):
-                if self._degraded[shard]:
-                    continue
-                proc = self._procs[shard]
-                if proc is None or not proc.is_alive():
-                    self._restart_worker(
-                        shard, "worker found dead at model broadcast"
-                    )
-            obs.counter(names.C_PARALLEL_BROADCAST_SKIPPED).inc()
-            return
-        self._scrubber = scrubber
-        message = self._publish_model(scrubber)
+        message = (
+            None if scrubber is self._scrubber else self._publish_model(scrubber)
+        )
         for shard in range(self.n_shards):
             if self._degraded[shard]:
                 continue
@@ -181,12 +164,14 @@ class SupervisedProcessBackend(ProcessBackend):
             if proc is None or not proc.is_alive():
                 # _restart_worker re-sends the model message itself.
                 self._restart_worker(shard, "worker found dead at model broadcast")
-                continue
-            try:
-                self._conns[shard].send(message)
-            except (BrokenPipeError, OSError):
-                self._restart_worker(shard, "pipe broke during model broadcast")
-        self._published_model = scrubber
+            elif message is not None:
+                try:
+                    self._conns[shard].send(message)
+                except (BrokenPipeError, OSError):
+                    self._restart_worker(shard, "pipe broke during model broadcast")
+        if message is None:
+            obs.counter(names.C_PARALLEL_BROADCAST_SKIPPED).inc()
+        self._scrubber = scrubber
 
     # -- classification -------------------------------------------------
     def classify(
@@ -277,11 +262,10 @@ class SupervisedProcessBackend(ProcessBackend):
             attempt += 1
             if self._degraded[shard]:
                 return self._classify_fallback(shard, flows, min_flows, agg)
-            if attempt >= self.batch_attempts:
+            if attempt >= BATCH_ATTEMPTS:
                 return self._quarantine(shard, flows, min_flows, agg)
             obs.counter(names.C_RESILIENCE_BATCH_RETRIES).inc()
-            if self.retry_backoff > 0:
-                time.sleep(self.retry_backoff * attempt)
+            time.sleep(RETRY_BACKOFF * attempt)
             if not self._dispatch(
                 shard, flows, min_flows, run_seq, epoch_seq, attempt, agg
             ):
@@ -319,7 +303,7 @@ class SupervisedProcessBackend(ProcessBackend):
         """Reap and respawn one worker; False if the shard degraded.
 
         The restart budget is checked first: more than ``max_restarts``
-        restarts within the trailing ``restart_window`` classify calls
+        restarts within the trailing :data:`RESTART_WINDOW` classify calls
         degrades the shard instead of spawning another doomed worker.
         A fresh worker immediately receives the current model message —
         the pickled blob in pipe mode, the (name, version) doorbell of
@@ -330,12 +314,12 @@ class SupervisedProcessBackend(ProcessBackend):
         never deadlock the next dispatch.
         """
         self._reap(shard)
-        ring = self._rings[shard] if shard < len(self._rings) else None
+        ring = self._rings[shard]
         if ring is not None:
             ring.reclaim()
         ticks = self._restart_ticks[shard]
         ticks.append(self._tick)
-        while ticks and ticks[0] <= self._tick - self.restart_window:
+        while ticks and ticks[0] <= self._tick - RESTART_WINDOW:
             ticks.popleft()
         if len(ticks) > self.max_restarts:
             self._degrade(shard, reason)
@@ -383,7 +367,7 @@ class SupervisedProcessBackend(ProcessBackend):
             "shard %d: degraded to serial in-process execution after "
             "%d restarts within %d classify calls (%s); verdicts are "
             "unaffected, throughput is",
-            shard, len(self._restart_ticks[shard]), self.restart_window, reason,
+            shard, len(self._restart_ticks[shard]), RESTART_WINDOW, reason,
         )
 
     # -- in-process fallback --------------------------------------------
@@ -396,23 +380,18 @@ class SupervisedProcessBackend(ProcessBackend):
     ):
         """Handle a shard batch in the coordinator process.
 
-        Identical code path to the workers (and the serial engine):
-        ``classify_flows_batch`` with a frozen-WoE assembler in exact
-        mode, the shared sketch-state builder in sketch mode — which is
-        why degraded and quarantined batches keep verdicts bit-identical.
+        The same :func:`~repro.core.parallel.backends.classify_shard`
+        the workers (and the serial backend) run — which is why degraded
+        and quarantined batches keep verdicts bit-identical.
         """
         scrubber = self._scrubber
         if scrubber is not self._fallback_model:
             self._fallback_assembler = scrubber.make_assembler()
             self._fallback_model = scrubber
-        with obs.use_registry(self._fallback_registries[shard]):
-            with obs.span(names.SPAN_PARALLEL_SHARD_CLASSIFY):
-                obs.counter(names.C_PARALLEL_SHARD_FLOWS).inc(len(flows))
-                if agg is not None:
-                    return _sketch_shard_state(flows, agg)
-                return scrubber.classify_flows_batch(
-                    flows, min_flows=min_flows, assembler=self._fallback_assembler
-                )
+        return classify_shard(
+            scrubber, self._fallback_assembler,
+            self._fallback_registries[shard], flows, min_flows, agg,
+        )
 
     def _quarantine(
         self,
@@ -426,7 +405,7 @@ class SupervisedProcessBackend(ProcessBackend):
         log.error(
             "shard %d: batch of %d flows killed its worker %d time(s); "
             "quarantining — classifying in the coordinator process",
-            shard, len(flows), self.batch_attempts,
+            shard, len(flows), BATCH_ATTEMPTS,
         )
         return self._classify_fallback(shard, flows, min_flows, agg)
 

@@ -19,7 +19,6 @@ The engine is deterministic given its seed and the input streams.
 
 from __future__ import annotations
 
-import abc
 from collections import OrderedDict
 from typing import Iterable, Optional
 
@@ -82,70 +81,14 @@ class StreamingStats:
         return f"StreamingStats({body})"
 
 
-class ShardableEngine(abc.ABC):
-    """The contract a streaming detection engine exposes to callers.
+class StreamingScrubber:
+    """Continuously learning, per-bin detecting scrubber.
 
-    Both the single-threaded :class:`StreamingScrubber` and the sharded
-    coordinator in :mod:`repro.core.parallel` implement it, so drivers
-    (CLI, benchmarks, tests) can swap execution strategies without
-    caring which one they hold. Implementations also expose ``stats``
-    (a :class:`StreamingStats` view) and ``registry``.
+    The sharded coordinator in :mod:`repro.core.parallel` subclasses it
+    and overrides only how closed bins are classified, so drivers (CLI,
+    benchmarks, tests) hold either with the same calls and the same
+    ``with`` block.
     """
-
-    registry: obs.MetricRegistry
-    stats: StreamingStats
-
-    @abc.abstractmethod
-    def ingest(
-        self, flows: FlowDataset, updates: Iterable[Update] = ()
-    ) -> list[TargetVerdict]:
-        """Feed a chunk of flows + BGP updates; return closed-bin verdicts."""
-
-    @abc.abstractmethod
-    def flush(self) -> list[TargetVerdict]:
-        """Close all open bins (end of stream); return their verdicts."""
-
-    @property
-    @abc.abstractmethod
-    def is_ready(self) -> bool:
-        """True once a model is available for classification."""
-
-    @property
-    @abc.abstractmethod
-    def model(self) -> Optional[IXPScrubber]:
-        """The currently deployed scrubber, if any."""
-
-    @abc.abstractmethod
-    def warm_start(self, scrubber: IXPScrubber) -> "ShardableEngine":
-        """Deploy a pre-fitted scrubber as the current model."""
-
-    @property
-    def ipc_mode(self) -> str:
-        """Transport moving shard batches: ``"inline"`` when in-process.
-
-        The sharded coordinator reports its backend's transport
-        (``"pipe"`` or ``"shm"`` — see ``docs/IPC.md``); engines that
-        never cross a process boundary report ``"inline"``.
-        """
-        return "inline"
-
-    def close(self) -> None:
-        """Release execution resources (idempotent).
-
-        No-op for in-process engines; the sharded coordinator overrides
-        it to stop its worker processes. Part of the interface so
-        drivers can manage any engine with the same ``with`` block.
-        """
-
-    def __enter__(self) -> "ShardableEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class StreamingScrubber(ShardableEngine):
-    """Continuously learning, per-bin detecting scrubber."""
 
     def __init__(
         self,
@@ -234,6 +177,28 @@ class StreamingScrubber(ShardableEngine):
         scrubber._require_fitted()
         self._scrubber = scrubber
         return self
+
+    @property
+    def ipc_mode(self) -> str:
+        """Transport moving shard batches: ``"inline"`` when in-process.
+
+        The sharded coordinator reports its backend's transport
+        (``"pipe"`` or ``"shm"`` — see ``docs/IPC.md``).
+        """
+        return "inline"
+
+    def close(self) -> None:
+        """Release execution resources (idempotent).
+
+        No-op here; the sharded coordinator overrides it to stop its
+        worker processes.
+        """
+
+    def __enter__(self) -> "StreamingScrubber":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     def capture_state(self) -> dict:

@@ -286,7 +286,6 @@ def run_scenario(
             n_shards=shards,
             backend=backend,
             backend_options=dict(backend_options or {}),
-            equivalence_check=False,
             agg=agg,
             sketch_params=sketch_params,
             registry=registry,

@@ -110,18 +110,18 @@ class TestStream:
         with pytest.raises(SystemExit) as exc:
             main(["stream", "--days", "1", "--faults", "crash@0"])
         assert exc.value.code == 2
-        assert "--backend process or supervised" in capsys.readouterr().err
+        assert "require --backend supervised" in capsys.readouterr().err
 
     def test_serial_backend_rejects_shm_ipc(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["stream", "--days", "1", "--ipc", "shm"])
         assert exc.value.code == 2
-        assert "--backend process or supervised" in capsys.readouterr().err
+        assert "require --backend supervised" in capsys.readouterr().err
 
     def test_shm_ipc_streams_checked_and_reports(self, capsys):
         assert main(
             ["stream", "--days", "1", "--shards", "2", "--backend",
-             "process", "--ipc", "shm", "--check"]
+             "supervised", "--ipc", "shm", "--check"]
         ) == 0
         out = capsys.readouterr().out
         assert "ipc: shm" in out
@@ -151,19 +151,18 @@ class TestStream:
         assert "sketch: eps=0.01 delta=0.02" in out
         assert "MB state" in out
 
-    def test_faults_upgrade_process_to_supervised_chaos_run(self, capsys):
+    def test_faults_supervised_chaos_run(self, capsys):
         """The acceptance scenario: seeded crash per epoch, zero drift.
 
         ``--check`` runs the serial equivalence shadow on every chunk,
         so a clean exit *is* the bit-identical-verdicts assertion.
         """
         assert main(
-            ["stream", "--days", "1", "--shards", "2", "--backend", "process",
-             "--check", "--shard-timeout", "60",
+            ["stream", "--days", "1", "--shards", "2", "--backend",
+             "supervised", "--check", "--shard-timeout", "60",
              "--faults", "crash@0:batch=0:scope=epoch"]
         ) == 0
         captured = capsys.readouterr()
-        assert "upgrading process backend to supervised" in captured.err
         assert "supervised shard(s)" in captured.out
         assert "equivalence checked" in captured.out
         assert "resilience:" in captured.out
@@ -173,6 +172,48 @@ class TestStream:
             if "resilience.worker_restarts" in line
         ]
         assert restarts, "supervised run printed no restart counter"
+
+
+class TestStreamFailedStartLeavesNoWorkers:
+    """Exits that happen around engine construction must not strand workers.
+
+    The regression: ``_cmd_stream`` built the engine (worker processes,
+    shm rings) and only then validated the recovery flags and opened
+    the session, outside its ``try/finally`` — so both exits below left
+    the workers running until the interpreter's exit hooks.
+    """
+
+    ARGV = ["stream", "--days", "1", "--shards", "2",
+            "--backend", "supervised", "--ipc", "shm"]
+
+    def _exit_code_and_stranded(self, argv):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, set(multiprocessing.active_children()) - before
+
+    def test_resume_without_checkpoint_dir_exits_2(self, capsys):
+        code, stranded = self._exit_code_and_stranded(self.ARGV + ["--resume"])
+        assert code == 2
+        assert "require --checkpoint-dir" in capsys.readouterr().err
+        assert not stranded
+
+    def test_corrupt_journal_exits_3(self, capsys, tmp_path):
+        from repro.core.recovery import VerdictJournal
+
+        # A bad checksum *before* the final line is corruption, not a
+        # torn tail, so the session refuses to open.
+        (tmp_path / VerdictJournal.FILENAME).write_bytes(
+            b"deadbeef not-a-journal-entry\n00000000 {}\n"
+        )
+        code, stranded = self._exit_code_and_stranded(
+            self.ARGV + ["--checkpoint-dir", str(tmp_path), "--resume"]
+        )
+        assert code == 3
+        assert "corrupt" in capsys.readouterr().err
+        assert not stranded
 
 
 class TestAbbreviationRejection:
@@ -199,23 +240,6 @@ class TestAbbreviationRejection:
     def test_exact_mode_footer_never_mentions_sketch(self, capsys):
         assert main(["stream", "--days", "1", "--shards", "2"]) == 0
         assert "sketch:" not in capsys.readouterr().out
-
-    def test_env_equivalence_rejects_sketch_mode(self, capsys, monkeypatch):
-        from repro.core.parallel.engine import EQUIVALENCE_ENV
-
-        monkeypatch.setenv(EQUIVALENCE_ENV, "1")
-        with pytest.raises(SystemExit) as exc:
-            main(["stream", "--days", "1", "--agg", "sketch"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert EQUIVALENCE_ENV in err and "exact aggregation" in err
-
-    def test_env_equivalence_zero_means_off(self, capsys, monkeypatch):
-        from repro.core.parallel.engine import EQUIVALENCE_ENV
-
-        monkeypatch.setenv(EQUIVALENCE_ENV, "0")
-        assert main(["stream", "--days", "1", "--agg", "sketch"]) == 0
-        capsys.readouterr()
 
 
 class TestScenarios:
@@ -386,7 +410,7 @@ class TestStreamBackendResolution:
     def _args(self, **overrides):
         import argparse
 
-        defaults = dict(backend="serial", faults=None,
+        defaults = dict(backend="serial", faults=None, ipc="pipe",
                         shard_timeout=None, max_restarts=None)
         defaults.update(overrides)
         return argparse.Namespace(**defaults)
@@ -397,19 +421,11 @@ class TestStreamBackendResolution:
 
         monkeypatch.delenv(FAULTS_ENV, raising=False)
         assert _resolve_stream_backend(self._args()) == ("serial", {})
+        # No fault_plan forwarded: the supervised backend reads
+        # $REPRO_FAULTS itself.
         assert _resolve_stream_backend(
-            self._args(backend="process")
-        ) == ("process", {})
-
-    def test_env_plan_upgrades_process(self, monkeypatch, capsys):
-        from repro.cli import _resolve_stream_backend
-        from repro.core.resilience import FAULTS_ENV
-
-        monkeypatch.setenv(FAULTS_ENV, "crash@0:batch=1")
-        backend, options = _resolve_stream_backend(self._args(backend="process"))
-        assert backend == "supervised"
-        assert options["fault_plan"]
-        assert "upgrading process backend to supervised" in capsys.readouterr().err
+            self._args(backend="supervised", ipc="shm")
+        ) == ("supervised", {"ipc": "shm"})
 
     def test_env_plan_is_ignored_on_serial(self, monkeypatch):
         # CI exports REPRO_FAULTS globally; a serial run has no workers
@@ -430,4 +446,15 @@ class TestStreamBackendResolution:
         )
         assert backend == "supervised"
         assert options["shard_timeout"] == 5.0 and options["max_restarts"] == 1
-        assert not options["fault_plan"]
+        assert "fault_plan" not in options
+
+    def test_explicit_faults_replace_env_plan(self, monkeypatch):
+        from repro.cli import _resolve_stream_backend
+        from repro.core.resilience import FAULTS_ENV, FaultPlan
+
+        monkeypatch.setenv(FAULTS_ENV, "crash@0:batch=1")
+        plan = FaultPlan.parse("enospc@1")  # disk-only, still explicit
+        _, options = _resolve_stream_backend(
+            self._args(backend="supervised", faults=plan)
+        )
+        assert options["fault_plan"] is plan

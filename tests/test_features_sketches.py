@@ -380,7 +380,7 @@ class TestSketchEngine:
     def test_process_backend_matches_serial(self, fitted_scrubber, workload):
         serial, _ = _run_engine(fitted_scrubber, workload, n_shards=2, agg="sketch")
         process, _ = _run_engine(
-            fitted_scrubber, workload, n_shards=2, agg="sketch", backend="process"
+            fitted_scrubber, workload, n_shards=2, agg="sketch", backend="supervised"
         )
         assert process == serial
 
@@ -397,7 +397,6 @@ class TestSketchEngine:
             backend_options={
                 "fault_plan": FaultPlan.parse("crash@0:batch=1:count=1"),
                 "shard_timeout": 30.0,
-                "retry_backoff": 0.0,
             },
         )
         assert chaos == serial

@@ -37,7 +37,7 @@ ENGINES = {
         n_shards=2, backend="serial", **gen_golden.ENGINE_KWARGS
     ),
     "shards4": lambda: ShardedStreamingScrubber(
-        n_shards=4, backend="process", **gen_golden.ENGINE_KWARGS
+        n_shards=4, backend="supervised", **gen_golden.ENGINE_KWARGS
     ),
 }
 

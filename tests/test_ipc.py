@@ -23,6 +23,7 @@ import pytest
 
 from tests import strategies
 from repro.core.parallel import shm
+from repro.core.resilience import SupervisedProcessBackend
 from repro.core.parallel.shm import (
     FrameRef,
     ModelPlane,
@@ -275,7 +276,7 @@ class TestLeakDiscipline:
             import numpy as np
             from tests import strategies
             from repro.core.parallel import ShardPlan
-            from repro.core.parallel.backends import ProcessBackend
+            from repro.core.resilience import SupervisedProcessBackend
             from repro.core.labeling.balancer import balance
             from repro.core.scrubber import IXPScrubber, ScrubberConfig
 
@@ -287,7 +288,7 @@ class TestLeakDiscipline:
             scrubber = IXPScrubber(
                 ScrubberConfig(model="XGB", model_params={"n_estimators": 4})
             ).fit(balanced)
-            backend = ProcessBackend(2, ipc="shm")
+            backend = SupervisedProcessBackend(2, ipc="shm")
             names = [r.name for r in backend._rings]
             backend.broadcast(scrubber)
             names.append(backend._plane_box[0].ref().name)
@@ -314,9 +315,9 @@ class TestLeakDiscipline:
         # unlink rings + plane at interpreter exit, silently.
         result = _run_python(
             """
-            from repro.core.parallel.backends import ProcessBackend
+            from repro.core.resilience import SupervisedProcessBackend
 
-            backend = ProcessBackend(2, ipc="shm")
+            backend = SupervisedProcessBackend(2, ipc="shm")
             names = [r.name for r in backend._rings]
             print("SPAWNED", *names)
             """
@@ -346,11 +347,9 @@ class TestLeakDiscipline:
         def boom(self, shard):
             raise RuntimeError("spawn failed")
 
-        monkeypatch.setattr(
-            backends_mod.ProcessBackend, "_start_worker", boom
-        )
+        monkeypatch.setattr(backends_mod.WorkerPool, "_start_worker", boom)
         with pytest.raises(RuntimeError, match="spawn failed"):
-            backends_mod.ProcessBackend(2, ipc="shm")
+            SupervisedProcessBackend(2, ipc="shm")
         assert len(created) == 2
         for name in created:
             with pytest.raises(FileNotFoundError):

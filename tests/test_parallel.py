@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import os
+
 import numpy as np
 import pytest
 
@@ -12,13 +16,13 @@ from repro.core.labeling.balancer import balance
 from repro.core.parallel import (
     BACKENDS,
     EquivalenceError,
-    ProcessBackend,
     SerialBackend,
     ShardPlan,
     ShardedStreamingScrubber,
     make_backend,
 )
-from repro.core.parallel.engine import EQUIVALENCE_ENV
+from repro.core.parallel.backends import WorkerPool
+from repro.core.resilience import FaultPlan, SupervisedProcessBackend
 from repro.core.scrubber import IXPScrubber, ScrubberConfig
 from repro.obs import names
 
@@ -102,12 +106,131 @@ class TestShardPlan:
                 assert (plan.assign(part.dst_ip) == shard).all()
 
 
+def _supervised(n_shards=2, **kwargs):
+    """The process backend with faults forced off, whatever the env says."""
+    return SupervisedProcessBackend(n_shards, fault_plan=FaultPlan(), **kwargs)
+
+
+#: Every way shard work can run. The conformance suite below holds
+#: each to the same contract, with SerialBackend the oracle.
+BACKEND_CONFIGS = ["serial", "supervised-pipe", "supervised-shm"]
+
+
+def _make(config: str):
+    if config == "serial":
+        return make_backend("serial", 2)
+    return _supervised(ipc=config.split("-")[1])
+
+
+def _segment_names(backend) -> list[str]:
+    """Names of every shared segment a backend currently owns."""
+    names_ = [ring.name for ring in getattr(backend, "_rings", []) if ring]
+    plane = getattr(backend, "_plane_box", [None])[0]
+    if plane is not None and plane.ref() is not None:
+        names_.append(plane.ref().name)
+    return names_
+
+
+def _assert_matches_serial(backend, fitted_scrubber, workload):
+    shard_flows = ShardPlan(2).split(workload)
+    serial = make_backend("serial", 2)
+    serial.broadcast(fitted_scrubber)
+    expected = serial.classify(shard_flows, min_flows=3)
+    try:
+        backend.broadcast(fitted_scrubber)
+        actual = backend.classify(shard_flows, min_flows=3)
+    finally:
+        backend.close()
+    assert actual == expected
+    assert any(len(v) for v in expected)
+
+
+def _assert_unchanged_broadcast_skipped(backend, fitted_scrubber):
+    registry = obs.MetricRegistry()
+    with obs.use_registry(registry):
+        try:
+            backend.broadcast(fitted_scrubber)
+            sent = registry.get(names.C_PARALLEL_BROADCAST_BYTES)
+            first = None if sent is None else sent.value
+            backend.broadcast(fitted_scrubber)  # same object: skip
+        finally:
+            backend.close()
+    if first is not None:  # process backend: nothing was re-serialised
+        assert registry.get(names.C_PARALLEL_BROADCAST_BYTES).value == first
+    assert registry.get(names.C_PARALLEL_BROADCAST_SKIPPED).value == 1
+
+
+@pytest.mark.parametrize("config", BACKEND_CONFIGS)
+class TestBackendConformance:
+    """One contract for every backend configuration."""
+
+    def test_matches_serial_backend(self, config, fitted_scrubber, workload):
+        _assert_matches_serial(_make(config), fitted_scrubber, workload)
+
+    def test_unchanged_model_broadcast_is_skipped(self, config, fitted_scrubber):
+        _assert_unchanged_broadcast_skipped(_make(config), fitted_scrubber)
+
+    def test_close_is_idempotent_and_unlinks_segments(
+        self, config, fitted_scrubber
+    ):
+        backend = _make(config)
+        backend.broadcast(fitted_scrubber)
+        segments = _segment_names(backend)
+        procs = list(getattr(backend, "_procs", []))
+        backend.close()
+        backend.close()
+        for proc in procs:
+            assert not proc.is_alive()
+        for name in segments:
+            assert not os.path.exists(f"/dev/shm/{name}")
+
+    def test_close_safe_after_partial_init(self, config, monkeypatch):
+        started, rings = [], []
+        original = WorkerPool._start_worker
+
+        def flaky_start(self, shard):
+            if shard == 1:
+                raise RuntimeError("injected constructor failure")
+            original(self, shard)
+            started.append(self._procs[shard])
+            rings.extend(_segment_names(self))
+
+        monkeypatch.setattr(WorkerPool, "_start_worker", flaky_start)
+        if config == "serial":  # no pool: nothing can half-start
+            _make(config).close()
+            return
+        with pytest.raises(RuntimeError, match="injected"):
+            _make(config)
+        # The worker that did start was stopped and reaped, and the
+        # rings created before the failure unlinked, not leaked.
+        assert len(started) == 1 and not started[0].is_alive()
+        for name in rings:
+            assert not os.path.exists(f"/dev/shm/{name}")
+
+    def test_finalizer_reaps_unclosed_pool(self, config):
+        backend = _make(config)
+        procs = list(getattr(backend, "_procs", []))
+        segments = _segment_names(backend)
+        finalizer = getattr(backend, "_finalizer", None)
+        del backend
+        gc.collect()
+        assert finalizer is None or not finalizer.alive
+        for proc in procs:
+            proc.join(timeout=10)
+            assert not proc.is_alive()
+        for name in segments:
+            assert not os.path.exists(f"/dev/shm/{name}")
+
+
 class TestBackends:
     def test_make_backend_names_and_unknown(self):
-        assert set(BACKENDS) == {"serial", "process", "supervised"}
+        assert set(BACKENDS) == {"serial", "supervised"}
         assert isinstance(make_backend("serial", 2), SerialBackend)
         with pytest.raises(ValueError, match="thread"):
             make_backend("thread", 2)
+        # The retired unsupervised backend is just another unknown name.
+        with pytest.raises(ValueError, match="unknown backend 'process'"):
+            make_backend("process", 2)
 
     def test_classify_before_broadcast_raises(self, workload):
         backend = make_backend("serial", 2)
@@ -115,93 +238,74 @@ class TestBackends:
             backend.classify(ShardPlan(2).split(workload), min_flows=1)
 
     def test_process_matches_serial_backend(self, fitted_scrubber, workload):
-        shard_flows = ShardPlan(2).split(workload)
-        serial = make_backend("serial", 2)
-        serial.broadcast(fitted_scrubber)
-        expected = serial.classify(shard_flows, min_flows=3)
-        process = ProcessBackend(2)
-        try:
-            process.broadcast(fitted_scrubber)
-            actual = process.classify(shard_flows, min_flows=3)
-        finally:
-            process.close()
-        assert actual == expected
-        assert any(len(v) for v in expected)
+        # The default construction path (make_backend, ipc default).
+        _assert_matches_serial(
+            make_backend("supervised", 2, fault_plan=FaultPlan()),
+            fitted_scrubber, workload,
+        )
 
     def test_process_close_is_idempotent(self):
-        backend = ProcessBackend(2)
+        # Closing a pool that never received a model.
+        backend = _supervised()
         backend.close()
         backend.close()
 
 
 class TestShmBackend:
-    """The shm transport: identical verdicts, fallbacks, broadcast skip."""
+    """The shm transport: ring traffic, fallbacks, remaps."""
 
     def test_shm_matches_serial_backend(self, fitted_scrubber, workload):
-        shard_flows = ShardPlan(2).split(workload)
-        serial = make_backend("serial", 2)
-        serial.broadcast(fitted_scrubber)
-        expected = serial.classify(shard_flows, min_flows=3)
         registry = obs.MetricRegistry()
         with obs.use_registry(registry):
-            backend = make_backend("process", 2, ipc="shm")
-            try:
-                backend.broadcast(fitted_scrubber)
-                actual = backend.classify(shard_flows, min_flows=3)
-            finally:
-                backend.close()
-        assert actual == expected
-        assert any(len(v) for v in expected)
+            _assert_matches_serial(
+                make_backend("supervised", 2, ipc="shm", fault_plan=FaultPlan()),
+                fitted_scrubber, workload,
+            )
         # Both batches travelled the ring, not the pipe.
         ring_bytes = registry.get(names.C_PARALLEL_IPC_RING_BYTES)
         assert ring_bytes is not None and ring_bytes.value > 0
         assert registry.get(names.C_PARALLEL_IPC_FALLBACKS) is None
 
     def test_tiny_ring_falls_back_to_pipe(self, fitted_scrubber, workload):
-        shard_flows = ShardPlan(2).split(workload)
-        serial = make_backend("serial", 2)
-        serial.broadcast(fitted_scrubber)
-        expected = serial.classify(shard_flows, min_flows=3)
         registry = obs.MetricRegistry()
         with obs.use_registry(registry):
             # 1 KiB rings: every batch is oversized -> pickled pipe.
-            backend = ProcessBackend(2, ipc="shm", ring_bytes=1024)
-            try:
-                backend.broadcast(fitted_scrubber)
-                actual = backend.classify(shard_flows, min_flows=3)
-            finally:
-                backend.close()
-        assert actual == expected
+            _assert_matches_serial(
+                _supervised(ipc="shm", ring_bytes=1024), fitted_scrubber, workload
+            )
         fallbacks = registry.get(names.C_PARALLEL_IPC_FALLBACKS)
         assert fallbacks is not None and fallbacks.value == 2
 
     def test_unchanged_model_broadcast_is_skipped(self, fitted_scrubber):
-        for ipc in ("pipe", "shm"):
-            registry = obs.MetricRegistry()
-            with obs.use_registry(registry):
-                backend = ProcessBackend(2, ipc=ipc)
-                try:
-                    backend.broadcast(fitted_scrubber)
-                    first = registry.get(names.C_PARALLEL_BROADCAST_BYTES).value
-                    backend.broadcast(fitted_scrubber)  # same object: skip
-                finally:
-                    backend.close()
-            assert registry.get(names.C_PARALLEL_BROADCAST_BYTES).value == first
-            assert registry.get(names.C_PARALLEL_BROADCAST_SKIPPED).value == 1
-
-    def test_serial_backend_also_skips_unchanged_model(self, fitted_scrubber):
+        # A dead worker does not defeat the skip: it is resurrected and
+        # re-receives the model through the restart path, live workers
+        # are not re-sent anything.
         registry = obs.MetricRegistry()
         with obs.use_registry(registry):
-            backend = make_backend("serial", 2)
-            backend.broadcast(fitted_scrubber)
-            backend.broadcast(fitted_scrubber)
+            backend = _supervised(ipc="shm")
+            try:
+                backend.broadcast(fitted_scrubber)
+                first = registry.get(names.C_PARALLEL_BROADCAST_BYTES).value
+                backend._procs[1].terminate()
+                backend._procs[1].join(timeout=5)
+                backend.broadcast(fitted_scrubber)
+                assert all(p.is_alive() for p in backend._procs)
+            finally:
+                backend.close()
+        assert registry.get(names.C_PARALLEL_BROADCAST_BYTES).value == first
         assert registry.get(names.C_PARALLEL_BROADCAST_SKIPPED).value == 1
+        assert registry.get(names.C_RESILIENCE_WORKER_RESTARTS).value == 1
+
+    def test_serial_backend_also_skips_unchanged_model(self, fitted_scrubber):
+        _assert_unchanged_broadcast_skipped(
+            make_backend("serial", 2), fitted_scrubber
+        )
 
     def test_workers_remap_each_published_model(
         self, fitted_scrubber, workload
     ):
         shard_flows = ShardPlan(2).split(workload)
-        backend = ProcessBackend(2, ipc="shm")
+        backend = _supervised(ipc="shm")
         try:
             backend.broadcast(fitted_scrubber)
             backend.classify(shard_flows, min_flows=3)
@@ -217,21 +321,22 @@ class TestShmBackend:
         assert remaps == [1, 1]
 
     def test_close_unlinks_all_segments(self, fitted_scrubber):
-        import os
-
-        backend = ProcessBackend(2, ipc="shm")
+        # Two published models: the superseded plane segment must be
+        # gone as well as the live one and the rings.
+        backend = _supervised(ipc="shm")
         backend.broadcast(fitted_scrubber)
-        segments = [ring.name for ring in backend._rings]
-        segments.append(backend._plane_box[0].ref().name)
+        segments = _segment_names(backend)
+        backend.broadcast(copy.copy(fitted_scrubber))  # republish: version 2
+        segments += _segment_names(backend)
         backend.close()
-        for name in segments:
+        for name in set(segments):
             assert not os.path.exists(f"/dev/shm/{name}")
 
     def test_invalid_ipc_mode_raises(self):
         with pytest.raises(ValueError, match="ipc mode"):
-            ProcessBackend(2, ipc="carrier-pigeon")
+            SupervisedProcessBackend(2, ipc="carrier-pigeon")
         with pytest.raises(ValueError, match="ipc mode"):
-            make_backend("process", 2, ipc="tcp")
+            make_backend("supervised", 2, ipc="tcp")
 
 
 class TestShardedEngine:
@@ -265,13 +370,27 @@ class TestShardedEngine:
         with pytest.raises(EquivalenceError):
             engine.ingest(workload)
 
-    def test_equivalence_env_var_default(self, monkeypatch):
-        monkeypatch.setenv(EQUIVALENCE_ENV, "1")
-        assert ShardedStreamingScrubber(**ENGINE_KWARGS)._shadow is not None
-        monkeypatch.setenv(EQUIVALENCE_ENV, "0")
-        assert ShardedStreamingScrubber(**ENGINE_KWARGS)._shadow is None
-        monkeypatch.delenv(EQUIVALENCE_ENV)
-        assert ShardedStreamingScrubber(**ENGINE_KWARGS)._shadow is None
+    def test_rejected_arguments_spawn_nothing(self):
+        """Regression: arguments are validated before the backend exists.
+
+        The shadow/sketch conflict used to be detected after the
+        backend was built, so the ValueError left live workers and
+        /dev/shm segments to the GC finalizer.
+        """
+        import glob
+        import multiprocessing
+
+        mine = f"/dev/shm/repro-*-{os.getpid()}-*"
+        children = set(multiprocessing.active_children())
+        segments = set(glob.glob(mine))
+        with pytest.raises(ValueError, match="exact aggregation"):
+            ShardedStreamingScrubber(
+                n_shards=2, backend="supervised",
+                backend_options={"ipc": "shm"},
+                equivalence_check=True, agg="sketch", **ENGINE_KWARGS
+            )
+        assert set(multiprocessing.active_children()) == children
+        assert set(glob.glob(mine)) == segments
 
     def test_merged_snapshot_counts_stream_totals_once(
         self, fitted_scrubber, workload

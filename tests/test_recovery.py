@@ -9,11 +9,10 @@ Three layers, matching ``src/repro/core/recovery``:
    tick, resume, and require the concatenated verdict stream to be
    bit-identical to an uninterrupted run (exactly once, no loss).
 
-Process/supervised-backend and sketch-mode crash matrices are
+Supervised-backend and sketch-mode crash matrices are
 ``slow``-marked; tier-1 covers the serial engine at 1 and 2 shards.
 """
 
-import gc
 import json
 import zlib
 from pathlib import Path
@@ -25,7 +24,6 @@ from hypothesis import strategies as st
 
 from tests import strategies as local
 from repro.core.labeling.balancer import balance
-from repro.core.parallel.backends import ProcessBackend
 from repro.core.parallel.engine import ShardedStreamingScrubber
 from repro.core.recovery import (
     CheckpointConfigError,
@@ -44,7 +42,7 @@ from repro.core.recovery import (
     iter_chunks,
 )
 from repro.core.recovery.journal import canonical_entry
-from repro.core.resilience import FaultPlan
+from repro.core.resilience import FaultPlan, SupervisedProcessBackend
 from repro.core.scrubber import IXPScrubber, ScrubberConfig, TargetVerdict
 from repro.core.streaming import StreamingScrubber
 
@@ -86,7 +84,7 @@ def make_sharded(scrubber, n_shards=2, **overrides):
     kwargs = {**ENGINE_KWARGS, **overrides}
     engine = ShardedStreamingScrubber(
         n_shards=n_shards, backend=kwargs.pop("backend", "serial"),
-        equivalence_check=False, agg=kwargs.pop("agg", "exact"),
+        agg=kwargs.pop("agg", "exact"),
         backend_options=kwargs.pop("backend_options", {}), **kwargs,
     )
     engine.warm_start(scrubber)
@@ -468,10 +466,9 @@ class TestCrashResume:
 
 @pytest.mark.slow
 class TestCrashResumeMatrix:
-    @pytest.mark.parametrize("backend", ["process", "supervised"])
-    def test_process_backends(self, scrubber, workload, tmp_path, backend):
+    def test_supervised_backend(self, scrubber, workload, tmp_path):
         def factory():
-            return make_sharded(scrubber, n_shards=2, backend=backend)
+            return make_sharded(scrubber, n_shards=2, backend="supervised")
 
         ref = factory()
         try:
@@ -593,19 +590,9 @@ class TestIterChunks:
 
 @pytest.mark.slow
 class TestOrphanReaper:
-    def test_unclosed_backend_reaps_workers_on_gc(self, scrubber):
-        backend = ProcessBackend(n_shards=2)
-        procs = list(backend._procs)
-        assert all(p.is_alive() for p in procs)
-        finalizer = backend._finalizer
-        del backend
-        gc.collect()
-        assert not finalizer.alive  # ran via weakref.finalize
-        for proc in procs:
-            proc.join(timeout=10)
-            assert not proc.is_alive()
-
+    # Reaping an unclosed pool on GC is tier-1 now: test_parallel's
+    # TestBackendConformance::test_finalizer_reaps_unclosed_pool.
     def test_close_detaches_finalizer(self, scrubber):
-        backend = ProcessBackend(n_shards=1)
+        backend = SupervisedProcessBackend(n_shards=1)
         backend.close()
         assert not backend._finalizer.alive

@@ -18,12 +18,11 @@ from repro import obs
 from repro.core.labeling.balancer import balance
 from repro.core.parallel import (
     BACKENDS,
-    ProcessBackend,
-    ShardFailure,
     ShardPlan,
     ShardedStreamingScrubber,
     make_backend,
 )
+from repro.core.parallel.backends import WorkerPool
 from repro.core.resilience import (
     FAULTS_ENV,
     FaultPlan,
@@ -86,7 +85,6 @@ def expected(fitted_scrubber, workload):
 
 def _supervised(plan=None, **kwargs):
     kwargs.setdefault("shard_timeout", SAFE_TIMEOUT)
-    kwargs.setdefault("retry_backoff", 0.0)
     return SupervisedProcessBackend(
         2, fault_plan=plan if plan is not None else FaultPlan(), **kwargs
     )
@@ -164,34 +162,12 @@ class TestFaultPlanParsing:
 
 
 class TestProcessBackendHardening:
-    """The satellite fixes on the unsupervised process backend."""
-
-    def test_broadcast_to_dead_worker_raises_shard_failure(self, fitted_scrubber):
-        backend = ProcessBackend(2)
-        try:
-            backend._procs[1].terminate()
-            backend._procs[1].join(timeout=5)
-            with pytest.raises(ShardFailure) as exc:
-                backend.broadcast(fitted_scrubber)
-            assert exc.value.shard == 1
-        finally:
-            backend.close()
-
-    def test_classify_on_dead_worker_raises_shard_failure(
-        self, fitted_scrubber, workload
-    ):
-        backend = ProcessBackend(2)
-        try:
-            backend.broadcast(fitted_scrubber)
-            backend._procs[0].terminate()
-            backend._procs[0].join(timeout=5)
-            with pytest.raises(ShardFailure):
-                backend.classify(ShardPlan(2).split(workload), min_flows=3)
-        finally:
-            backend.close()
+    """Construction and teardown hardening of the process backend."""
 
     def test_make_backend_forwards_start_method(self):
-        backend = make_backend("process", 1, start_method="spawn")
+        backend = make_backend(
+            "supervised", 1, start_method="spawn", fault_plan=FaultPlan()
+        )
         try:
             spawn_cls = multiprocessing.get_context("spawn").Process
             assert isinstance(backend._procs[0], spawn_cls)
@@ -199,7 +175,7 @@ class TestProcessBackendHardening:
             backend.close()
 
     def test_make_backend_knows_supervised(self):
-        assert set(BACKENDS) == {"serial", "process", "supervised"}
+        assert set(BACKENDS) == {"serial", "supervised"}
         backend = make_backend(
             "supervised", 1, shard_timeout=5.0, fault_plan=FaultPlan()
         )
@@ -210,31 +186,30 @@ class TestProcessBackendHardening:
             backend.close()
 
     def test_close_idempotent_after_partial_init(self, monkeypatch):
-        started = []
-        original = ProcessBackend._start_worker
+        # (The reaping itself is in test_parallel's conformance suite.)
+        # __init__ already closed the half-built pool on its way out;
+        # an owner's finally-block close() on top must be harmless.
+        pools = []
+        original = WorkerPool._start_worker
 
         def flaky_start(self, shard):
+            pools.append(self)
             if shard == 1:
                 raise RuntimeError("injected constructor failure")
             original(self, shard)
-            started.append(self._procs[shard])
 
-        monkeypatch.setattr(ProcessBackend, "_start_worker", flaky_start)
+        monkeypatch.setattr(WorkerPool, "_start_worker", flaky_start)
         with pytest.raises(RuntimeError, match="injected"):
-            ProcessBackend(2)
-        # The worker that did start was stopped and reaped, not leaked.
-        assert len(started) == 1
-        assert not started[0].is_alive()
+            _supervised()
+        pools[0].close()
+        pools[0].close()
+        assert not pools[0]._finalizer.alive
 
     def test_supervised_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             _supervised(shard_timeout=0)
         with pytest.raises(ValueError):
             _supervised(max_restarts=-1)
-        with pytest.raises(ValueError):
-            _supervised(batch_attempts=0)
-        with pytest.raises(ValueError):
-            _supervised(restart_window=0)
 
 
 class TestSupervisedBackend:
@@ -402,7 +377,7 @@ class TestSupervisedEngine:
             n_shards=2,
             backend="supervised",
             backend_options=dict(
-                shard_timeout=SAFE_TIMEOUT, retry_backoff=0.0, fault_plan=plan
+                shard_timeout=SAFE_TIMEOUT, fault_plan=plan
             ),
             **ENGINE_KWARGS,
         ) as engine:
@@ -430,7 +405,6 @@ class TestSupervisedEngine:
             backend="supervised",
             backend_options=dict(
                 shard_timeout=SAFE_TIMEOUT,
-                retry_backoff=0.0,
                 max_restarts=1,
                 fault_plan=plan,
             ),
@@ -454,7 +428,7 @@ class TestSupervisedEngine:
             backend="supervised",
             equivalence_check=True,
             backend_options=dict(
-                shard_timeout=SAFE_TIMEOUT, retry_backoff=0.0, fault_plan=plan
+                shard_timeout=SAFE_TIMEOUT, fault_plan=plan
             ),
             **ENGINE_KWARGS,
         ) as engine:
@@ -570,7 +544,6 @@ class TestShmResilience:
             backend="supervised",
             backend_options=dict(
                 shard_timeout=SAFE_TIMEOUT,
-                retry_backoff=0.0,
                 fault_plan=plan,
                 ipc="shm",
             ),

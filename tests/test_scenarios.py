@@ -278,16 +278,15 @@ def test_scorecard_invariant_across_reruns_and_shards():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("shards,backend", [(2, "process"), (2, "supervised")])
-def test_scorecard_invariant_across_backends(shards, backend):
+def test_scorecard_invariant_across_backends():
     base = scorecard_json(
         run_scenario("carpet_bombing", seed=7, scale=0.25).scorecard
     )
     other = scorecard_json(
         run_scenario("carpet_bombing", seed=7, scale=0.25,
-                     shards=shards, backend=backend).scorecard
+                     shards=2, backend="supervised").scorecard
     )
-    assert other == base, f"scorecard drifted on {backend} x{shards}"
+    assert other == base, "scorecard drifted on supervised x2"
 
 
 @pytest.mark.slow
