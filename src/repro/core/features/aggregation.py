@@ -19,7 +19,7 @@ import numpy as np
 from repro import obs
 from repro.core.features import schema
 from repro.obs import names as metric_names
-from repro.core.rules.matcher import match_matrix
+from repro.core.rules.matcher import CompiledMatcher
 from repro.core.rules.model import TaggingRule
 from repro.netflow.dataset import BIN_SECONDS, FlowDataset
 
@@ -117,51 +117,15 @@ class AggregatedDataset:
         return float(self.labels.mean())
 
 
-def _rank_group(
-    keys: np.ndarray,
-    bytes_: np.ndarray,
-    packets: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Aggregate one categorical within one record.
-
-    Returns (unique keys, per-key bytes, per-key packets, per-key mean
-    packet size). The mean packet size per key is byte-weighted
-    (total bytes / total packets), which is what a flow exporter's
-    counters support.
-    """
-    unique, inverse = np.unique(keys, return_inverse=True)
-    key_bytes = np.bincount(inverse, weights=bytes_)
-    key_packets = np.bincount(inverse, weights=packets)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        key_size = np.where(key_packets > 0, key_bytes / key_packets, 0.0)
-    return unique, key_bytes, key_packets, key_size
-
-
 def aggregate(
     flows: FlowDataset,
-    rules: Sequence[TaggingRule] = (),
+    rules: Sequence[TaggingRule] | CompiledMatcher = (),
     bin_seconds: int = BIN_SECONDS,
 ) -> AggregatedDataset:
-    """Aggregate labeled flows into per-(bin, target) rank features."""
-    with obs.span(metric_names.SPAN_FEATURES_AGGREGATE):
-        data = _aggregate(flows, rules, bin_seconds)
-    obs.counter(metric_names.C_FEATURES_RECORDS_AGGREGATED).inc(len(data))
-    return data
+    """Aggregate labeled flows into per-(bin, target) rank features.
 
-
-def aggregate_batch(
-    flows: FlowDataset,
-    rules: Sequence[TaggingRule] = (),
-    bin_seconds: int = BIN_SECONDS,
-) -> AggregatedDataset:
-    """Vectorised batch equivalent of :func:`aggregate`.
-
-    Produces bit-identical output to :func:`aggregate` (asserted by
-    ``tests/test_property_invariants.py``) but replaces the per-group
-    Python loop with a handful of global sorts and segment reductions,
-    which is what makes the sharded streaming path
-    (:mod:`repro.core.parallel`) fast. Kept separate so the serial
-    engine's behaviour — and its benchmark baseline — stays unchanged.
+    ``rules`` may be an already compiled matcher: a caller with batch
+    after batch under one rule set (the scrubber) compiles it once.
     """
     with obs.span(metric_names.SPAN_FEATURES_AGGREGATE):
         data = _aggregate_batch(flows, rules, bin_seconds)
@@ -169,113 +133,61 @@ def aggregate_batch(
     return data
 
 
-def _aggregate(
-    flows: FlowDataset,
-    rules: Sequence[TaggingRule],
-    bin_seconds: int,
-) -> AggregatedDataset:
-    n = len(flows)
-    if n == 0:
-        raise ValueError("cannot aggregate an empty flow dataset")
+#: The name the batch/shard classification path looks the kernel up by.
+aggregate_batch = aggregate
 
-    bins = flows.time_bin(bin_seconds)
-    dst = flows.dst_ip
 
-    # Group by (bin, target): sort once, then slice per group.
-    order = np.lexsort((dst, bins))
-    bins_s = bins[order]
-    dst_s = dst[order]
-    boundaries = np.flatnonzero((np.diff(bins_s) != 0) | (np.diff(dst_s) != 0)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [n]])
-    n_groups = starts.shape[0]
+_SIGN_BIT = np.int64(-1 << 63)
 
-    cat_values = {
-        "src_ip": flows.src_ip[order].astype(np.int64),
-        "src_port": flows.src_port[order].astype(np.int64),
-        "dst_port": flows.dst_port[order].astype(np.int64),
-        "src_mac": flows.src_mac[order].astype(np.int64),
-        "protocol": flows.protocol[order].astype(np.int64),
-    }
-    f_bytes = flows.bytes[order].astype(np.float64)
-    f_packets = flows.packets[order].astype(np.float64)
-    labels_s = flows.blackhole[order]
 
-    rule_matrix = None
-    rule_ids: list[str] = []
-    if rules:
-        rule_matrix = match_matrix(rules, flows)[order]
-        rule_ids = [r.rule_id for r in rules]
+def _ordinals(values: np.ndarray) -> np.ndarray:
+    """uint64 keys that sort like ``values``: integers as the int64 they
+    cast to, float64 as numbers (NaN-free; -0.0 equals 0.0)."""
+    if values.dtype.kind == "f":
+        bits = (values + 0.0).view(np.int64)
+        return (bits ^ ((bits >> 63) | _SIGN_BIT)).view(np.uint64)
+    return (values.astype(np.int64) ^ _SIGN_BIT).view(np.uint64)
 
-    r = schema.RANKS
-    categorical = {
-        name: np.full(n_groups, schema.MISSING_KEY, dtype=np.int64)
-        for name in schema.key_columns()
-    }
-    metrics = {
-        name: np.full(n_groups, np.nan, dtype=np.float64)
-        for name in schema.value_columns()
-    }
-    out_bins = np.empty(n_groups, dtype=np.int64)
-    out_targets = np.empty(n_groups, dtype=np.uint32)
-    out_labels = np.empty(n_groups, dtype=bool)
-    out_nflows = np.empty(n_groups, dtype=np.int64)
-    out_tags: Optional[list[tuple[str, ...]]] = [] if rules else None
 
-    metric_arrays = {}
-    for g in range(n_groups):
-        lo, hi = int(starts[g]), int(ends[g])
-        out_bins[g] = bins_s[lo]
-        out_targets[g] = dst_s[lo]
-        out_labels[g] = bool(labels_s[lo:hi].any())
-        out_nflows[g] = hi - lo
-        if out_tags is not None:
-            hit = rule_matrix[lo:hi].any(axis=0)
-            out_tags.append(tuple(rule_ids[k] for k in np.flatnonzero(hit)))
+def _stable_argsort(*columns: np.ndarray) -> np.ndarray:
+    """Stable argsort by ``columns``, the last the most significant.
 
-        g_bytes = f_bytes[lo:hi]
-        g_packets = f_packets[lo:hi]
-        for cat in schema.CATEGORICALS:
-            unique, key_bytes, key_packets, key_size = _rank_group(
-                cat_values[cat][lo:hi], g_bytes, g_packets
-            )
-            metric_arrays["bytes"] = key_bytes
-            metric_arrays["packets"] = key_packets
-            metric_arrays["packet_size"] = key_size
-            for metric in schema.METRICS:
-                values = metric_arrays[metric]
-                top = np.argsort(values, kind="stable")[::-1][:r]
-                for rank, idx in enumerate(top):
-                    categorical[schema.key_column(cat, metric, rank)][g] = unique[idx]
-                    metrics[schema.value_column(cat, metric, rank)][g] = values[idx]
-
-    return AggregatedDataset(
-        bins=out_bins,
-        targets=out_targets,
-        labels=out_labels,
-        categorical=categorical,
-        metrics=metrics,
-        n_flows=out_nflows,
-        rule_tags=out_tags,
-    )
+    ``np.lexsort`` without its merge sorts: numpy's stable sort of
+    16-bit integers is a radix sort (25 µs for 5000 keys; a merge sort
+    of float64 takes 300), so sort digit by digit, least significant
+    first, skipping digits equal in every key (a port has one that
+    varies, the bin of a one-bin batch none).
+    """
+    order = None
+    for key in map(_ordinals, columns):
+        varying = int(np.bitwise_or.reduce(key) ^ np.bitwise_and.reduce(key))
+        digits = key.astype("<u8", copy=False).view("<u2").reshape(-1, 4)
+        for d in range(4):
+            if (varying >> 16 * d) & 0xFFFF:
+                if order is None:
+                    order = np.argsort(digits[:, d], kind="stable")
+                else:
+                    order = order.take(np.argsort(digits[:, d].take(order), kind="stable"))
+    return np.arange(columns[0].shape[0]) if order is None else order
 
 
 def _aggregate_batch(
     flows: FlowDataset,
-    rules: Sequence[TaggingRule],
+    rules: Sequence[TaggingRule] | CompiledMatcher,
     bin_seconds: int,
 ) -> AggregatedDataset:
-    """Global-sort implementation of the (bin, target) aggregation.
+    """The aggregation kernel: global sorts and segment reductions.
 
-    Bit-equality with ``_aggregate`` rests on two invariants:
+    Bit-equal to the per-record loop in ``tests/reference_aggregate.py``
+    on two invariants:
 
-    * per-(group, key) byte/packet sums go through ``np.bincount``, whose
-      strictly sequential accumulation matches the loop path's
-      ``bincount(inverse, weights)`` as long as equal-key flows keep
-      their relative order (all sorts below are stable);
-    * ranking reproduces ``argsort(values, kind="stable")[::-1][:r]``,
-      i.e. metric descending with ties broken by *descending* key value
-      (keys are unique per group, so that order is total).
+    * per-(record, key) byte/packet sums go through ``np.bincount``,
+      whose sequential accumulation matches the loop's as long as
+      equal-key flows keep their order (every sort here is stable);
+    * ranking reproduces ``argsort(values, kind="stable")[::-1][:r]``
+      over a record's ascending keys: the (record, key) segments sorted
+      stably by (record, value) and read from each record's end, so
+      ties go to the *larger* key.
     """
     n = len(flows)
     if n == 0:
@@ -284,110 +196,75 @@ def _aggregate_batch(
     bins = flows.time_bin(bin_seconds)
     dst = flows.dst_ip
 
-    order = np.lexsort((dst, bins))
-    bins_s = bins[order]
-    dst_s = dst[order]
-    boundaries = np.flatnonzero((np.diff(bins_s) != 0) | (np.diff(dst_s) != 0)) + 1
-    starts = np.concatenate([[0], boundaries])
+    order = _stable_argsort(dst, bins)
+    bins_s = bins.take(order)
+    dst_s = dst.take(order)
+    group_new = np.empty(n, dtype=bool)
+    group_new[0] = True
+    group_new[1:] = (bins_s[1:] != bins_s[:-1]) | (dst_s[1:] != dst_s[:-1])
+    starts = np.flatnonzero(group_new)
     n_groups = starts.shape[0]
-    group_sizes = np.diff(np.concatenate([starts, [n]]))
+    group_sizes = np.diff(starts, append=n)
     group_ids = np.repeat(np.arange(n_groups), group_sizes)
 
-    f_bytes = flows.bytes[order].astype(np.float64)
-    f_packets = flows.packets[order].astype(np.float64)
-    labels_s = flows.blackhole[order]
-
-    out_bins = bins_s[starts].astype(np.int64)
-    out_targets = dst_s[starts].astype(np.uint32)
-    out_labels = np.logical_or.reduceat(labels_s, starts)
-    out_nflows = group_sizes.astype(np.int64)
+    f_bytes = flows.bytes.take(order).astype(np.float64)
+    f_packets = flows.packets.take(order).astype(np.float64)
 
     out_tags: Optional[list[tuple[str, ...]]] = None
     if rules:
-        rule_matrix = match_matrix(rules, flows)[order]
-        rule_ids = [r.rule_id for r in rules]
-        hits = np.logical_or.reduceat(rule_matrix, starts, axis=0)
-        out_tags = [()] * n_groups
-        for g in np.flatnonzero(hits.any(axis=1)):
-            out_tags[g] = tuple(rule_ids[k] for k in np.flatnonzero(hits[g]))
+        matcher = rules if isinstance(rules, CompiledMatcher) else CompiledMatcher(rules)
+        words = matcher.flow_words(flows).take(order, axis=1)
+        out_tags = matcher.tags(np.bitwise_or.reduceat(words, starts, axis=1))
 
-    r = schema.RANKS
-    categorical = {
-        name: np.full(n_groups, schema.MISSING_KEY, dtype=np.int64)
-        for name in schema.key_columns()
-    }
-    metrics = {
-        name: np.full(n_groups, np.nan, dtype=np.float64)
-        for name in schema.value_columns()
-    }
-
-    cat_values = {
-        "src_ip": flows.src_ip[order].astype(np.int64),
-        "src_port": flows.src_port[order].astype(np.int64),
-        "dst_port": flows.dst_port[order].astype(np.int64),
-        "src_mac": flows.src_mac[order].astype(np.int64),
-        "protocol": flows.protocol[order].astype(np.int64),
-    }
+    # Row (categorical, metric, rank) of each block is that cell's column.
+    ranks = np.arange(schema.RANKS)[:, None]
+    key_block = np.empty((len(schema.key_columns()), n_groups), dtype=np.int64)
+    value_block = np.empty((len(schema.value_columns()), n_groups), dtype=np.float64)
+    row = 0
 
     for cat in schema.CATEGORICALS:
-        keys = cat_values[cat]
-        # Segment the batch by (group, key); stable sort keeps equal
-        # (group, key) flows in their original relative order.
-        order2 = np.lexsort((keys, group_ids))
-        g2 = group_ids[order2]
-        k2 = keys[order2]
-        seg_new = np.empty(n, dtype=bool)
-        seg_new[0] = True
-        seg_new[1:] = (np.diff(g2) != 0) | (np.diff(k2) != 0)
+        # Segment the batch by (record, key), keys ascending.
+        keys = flows.column(cat).take(order).astype(np.int64)
+        order2 = _stable_argsort(keys, group_ids)
+        keys = keys.take(order2)
+        seg_new = group_new.copy()
+        seg_new[1:] |= keys[1:] != keys[:-1]
+        seg_starts = np.flatnonzero(seg_new)
         seg_id = np.cumsum(seg_new) - 1
-        n_seg = int(seg_id[-1]) + 1
+        n_seg = seg_starts.shape[0]
 
-        seg_bytes = np.bincount(seg_id, weights=f_bytes[order2], minlength=n_seg)
-        seg_packets = np.bincount(seg_id, weights=f_packets[order2], minlength=n_seg)
+        seg_bytes = np.bincount(seg_id, weights=f_bytes.take(order2), minlength=n_seg)
+        seg_packets = np.bincount(seg_id, weights=f_packets.take(order2), minlength=n_seg)
         with np.errstate(divide="ignore", invalid="ignore"):
             seg_size = np.where(seg_packets > 0, seg_bytes / seg_packets, 0.0)
+        by_metric = {"bytes": seg_bytes, "packets": seg_packets, "packet_size": seg_size}
 
-        seg_starts = np.flatnonzero(seg_new)
-        seg_group = g2[seg_starts]
-        seg_key = k2[seg_starts]
-
-        # Flip each group's segments to key-descending so a later stable
-        # sort on the metric alone breaks ties exactly like the loop
-        # path's reversed stable argsort.
+        seg_key = keys.take(seg_starts)
+        seg_group = group_ids.take(seg_starts)
         seg_counts = np.bincount(seg_group, minlength=n_groups)
-        # Exclusive prefix sum, without rebuilding an array per category.
-        seg_gstart = np.cumsum(seg_counts) - seg_counts
-        idx = np.arange(n_seg)
-        rev = seg_gstart[seg_group] + seg_counts[seg_group] - 1 - (idx - seg_gstart[seg_group])
-        key_d = seg_key[rev]
-        values_d = {
-            "bytes": seg_bytes[rev],
-            "packets": seg_packets[rev],
-            "packet_size": seg_size[rev],
-        }
+        absent = ranks >= seg_counts
+        # Where rank k of each record sits once its segments are sorted
+        # ascending by value (slot 0 stands in for an absent rank).
+        slots = np.cumsum(seg_counts) - 1 - ranks
+        slots[absent] = 0
 
         for metric in schema.METRICS:
-            vals = values_d[metric]
-            ranked = np.lexsort((-vals, seg_group))
-            rank_within = idx - seg_gstart[seg_group[ranked]]
-            take = rank_within < r
-            g_sel = seg_group[ranked][take]
-            r_sel = rank_within[take]
-            key_sel = key_d[ranked][take]
-            val_sel = vals[ranked][take]
-            for rank in range(r):
-                at = r_sel == rank
-                if not at.any():
-                    continue
-                categorical[schema.key_column(cat, metric, rank)][g_sel[at]] = key_sel[at]
-                metrics[schema.value_column(cat, metric, rank)][g_sel[at]] = val_sel[at]
+            values = by_metric[metric]
+            ranked = _stable_argsort(values, seg_group)
+            top = ranked.take(slots)
+            rows = slice(row, row + schema.RANKS)
+            seg_key.take(top, out=key_block[rows])
+            values.take(top, out=value_block[rows])
+            key_block[rows][absent] = schema.MISSING_KEY
+            value_block[rows][absent] = np.nan
+            row += schema.RANKS
 
     return AggregatedDataset(
-        bins=out_bins,
-        targets=out_targets,
-        labels=out_labels,
-        categorical=categorical,
-        metrics=metrics,
-        n_flows=out_nflows,
+        bins=bins_s[starts].astype(np.int64),
+        targets=dst_s[starts].astype(np.uint32),
+        labels=np.logical_or.reduceat(flows.blackhole.take(order), starts),
+        categorical=dict(zip(schema.key_columns(), key_block)),
+        metrics=dict(zip(schema.value_columns(), value_block)),
+        n_flows=group_sizes.astype(np.int64),
         rule_tags=out_tags,
     )

@@ -199,8 +199,14 @@ def _close_retired_segments(retired: list) -> list:
     return still_pinned
 
 
-def _worker_main(conn, shard_index: int, ring_name: Optional[str] = None) -> None:
+def _worker_main(
+    conn, shard_index: int, ring_name: Optional[str] = None, inherited: Sequence = ()
+) -> None:
     """Worker loop: react to model / classify / snapshot / stop messages.
+
+    ``inherited`` is the coordinator's end of every worker pipe a
+    ``fork`` copied into this process, closed first: while a worker
+    holds one, no ``recv`` reads EOF once the coordinator is killed.
 
     A classify message may carry an optional fault directive — evaluated
     by the supervisor's deterministic
@@ -216,6 +222,8 @@ def _worker_main(conn, shard_index: int, ring_name: Optional[str] = None) -> Non
     tuple instead of verdicts — and *not* acked, so the supervisor's
     reclaim owns the cleanup.
     """
+    for parent_end in inherited:
+        parent_end.close()
     registry = obs.MetricRegistry()
     scrubber: Optional[IXPScrubber] = None
     assembler = None
@@ -226,8 +234,8 @@ def _worker_main(conn, shard_index: int, ring_name: Optional[str] = None) -> Non
         while True:
             try:
                 message = conn.recv()
-            except EOFError:
-                break
+            except (EOFError, ConnectionResetError):
+                break  # the coordinator is gone, closed or killed
             kind = message[0]
             if kind == "stop":
                 break
@@ -374,11 +382,16 @@ class WorkerPool:
         """(Re)spawn the worker process serving one shard slot."""
         parent_conn, child_conn = self._ctx.Pipe()
         ring = self._rings[shard]
+        # Only fork copies the parent's pipe ends into the child; any
+        # other start method would pickle (duplicate) what is listed.
+        inherited = [parent_conn, *filter(None, self._conns)]
+        if self._ctx.get_start_method() != "fork":
+            inherited = []
         # repro: lint-ignore[RS602] a Process that never start()ed holds
         # no OS resources to release; terminate() on it would be a no-op
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, shard, None if ring is None else ring.name),
+            args=(child_conn, shard, None if ring is None else ring.name, inherited),
             daemon=True,
         )
         proc.start()

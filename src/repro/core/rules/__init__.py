@@ -26,6 +26,7 @@ from repro.core.rules.items import (
 )
 from repro.core.rules.itemsets import fp_growth, total_weight
 from repro.core.rules.matcher import (
+    CompiledMatcher,
     coverage,
     match_any,
     match_matrix,
@@ -62,6 +63,7 @@ __all__ = [
     "to_acl_line",
     "to_flowspec",
     "AssociationRule",
+    "CompiledMatcher",
     "DEFAULT_COHORT",
     "ItemEncoder",
     "LABEL_BENIGN",

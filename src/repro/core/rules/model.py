@@ -15,8 +15,6 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
 from repro.core.rules.items import (
     ATTRIBUTES,
     Item,
@@ -58,20 +56,6 @@ class PortMatch:
     def matches(self, port: int) -> bool:
         inside = port in self.values
         return not inside if self.negated else inside
-
-    def values_array(self) -> np.ndarray:
-        """Sorted port values as a cached uint32 array.
-
-        The vectorised matcher probes this set against whole flow
-        columns; building the array once per rule instead of per
-        ``rule_mask`` call keeps repeated matching allocation-free.
-        """
-        cached = self.__dict__.get("_values_array")
-        if cached is None:
-            cached = np.fromiter(sorted(self.values), dtype=np.uint32)
-            # Frozen dataclass: bypass the frozen setattr for the cache.
-            object.__setattr__(self, "_values_array", cached)
-        return cached
 
     def render(self) -> str:
         body = "{" + ",".join(str(v) for v in sorted(self.values)) + "}"

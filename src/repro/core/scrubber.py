@@ -21,6 +21,7 @@ from repro.obs import names as metric_names
 from repro.core.features.aggregation import AggregatedDataset, aggregate, aggregate_batch
 from repro.core.models.pipeline import ModelPipeline, make_pipeline
 from repro.core.rules.items import ItemEncoder
+from repro.core.rules.matcher import CompiledMatcher
 from repro.core.rules.minimize import minimize_rules
 from repro.core.rules.mining import mine_rules
 from repro.core.rules.model import RuleSet, RuleStatus, TaggingRule
@@ -88,6 +89,12 @@ class IXPScrubber:
         self.item_encoder: Optional[ItemEncoder] = None
         self.woe = WoEEncoder()
         self.pipeline: Optional[ModelPipeline] = None
+        self._matcher: Optional[CompiledMatcher] = None
+
+    def __getstate__(self) -> dict[str, object]:
+        # Derived state stays out of pickles (pipe broadcasts, the shm
+        # model plane); the receiving process rebuilds it on first use.
+        return {**self.__dict__, "_matcher": None}
 
     # ------------------------------------------------------------------
     # Step 1
@@ -121,13 +128,21 @@ class IXPScrubber:
     def accepted_rules(self) -> list[TaggingRule]:
         return self.rule_set.accepted()
 
+    def _compiled_rules(self) -> CompiledMatcher:
+        """The accepted rules compiled for tagging: one build per model
+        epoch, like the assembler's frozen WoE, or per curation change."""
+        rules = self.accepted_rules
+        if self._matcher is None or self._matcher.is_stale(rules):
+            self._matcher = CompiledMatcher(rules)
+        return self._matcher
+
     # ------------------------------------------------------------------
     # Step 2
     # ------------------------------------------------------------------
     def aggregate_flows(self, flows: FlowDataset) -> AggregatedDataset:
         """Aggregate flows to per-target records, annotating rule tags."""
         return aggregate(
-            flows, rules=self.accepted_rules, bin_seconds=self.config.bin_seconds
+            flows, rules=self._compiled_rules(), bin_seconds=self.config.bin_seconds
         )
 
     def fit_aggregated(self, data: AggregatedDataset) -> "IXPScrubber":
@@ -195,17 +210,18 @@ class IXPScrubber:
     ) -> list[TargetVerdict]:
         """Classify a multi-bin batch of flows into per-target verdicts.
 
-        The batch path of the sharded streaming engine: aggregation uses
-        the vectorised :func:`aggregate_batch`, and when ``assembler``
-        is given the WoE encode reuses its frozen tables and row buffer
-        instead of rebuilding per call. Verdicts are bit-identical to
+        The batch path of the sharded streaming engine (it looks the
+        aggregation kernel up as ``aggregate_batch``, :meth:`fit` as
+        ``aggregate``: one function, two names for the benchmark's span
+        table): when ``assembler`` is given the WoE encode reuses its
+        frozen tables and row buffer. Verdicts are bit-identical to
         aggregating and scoring each bin separately (records of distinct
         bins never merge), ordered by (bin, target).
         """
         if len(flows) == 0:
             return []
         data = aggregate_batch(
-            flows, rules=self.accepted_rules, bin_seconds=self.config.bin_seconds
+            flows, rules=self._compiled_rules(), bin_seconds=self.config.bin_seconds
         )
         if min_flows > 1:
             data = data.select(data.n_flows >= min_flows)

@@ -191,8 +191,10 @@ class FlowDataset:
 
     @property
     def packet_size(self) -> np.ndarray:
-        """Mean packet size per flow (float64)."""
-        return self._columns["bytes"] / self._columns["packets"]
+        """Mean packet size per flow (float64); 0.0 for a flow without packets."""
+        packets = self._columns["packets"]
+        size = np.zeros(packets.shape[0], dtype=np.float64)
+        return np.divide(self._columns["bytes"], packets, out=size, where=packets > 0)
 
     def time_bin(self, bin_seconds: int = BIN_SECONDS) -> np.ndarray:
         """Return the integer time-bin index of each flow."""

@@ -188,3 +188,38 @@ def tagging_rules(
             )
         )
     return out
+
+
+def header_rules(rng: np.random.Generator, n_rules: int) -> list[TaggingRule]:
+    """Random rules over all four header fields.
+
+    Every field is a wildcard about half the time (never all four), port
+    sets are negated a third of the time, and size bins are the mined
+    ``(100 k, 100 (k + 1)]`` shape — so what :func:`flows` generates hits
+    bin edges exactly (its packet sizes are integers).
+    """
+    ports = (*ATTACK_PORTS, 0, 80, 443, 65535)
+    out = []
+    for i in range(n_rules):
+        wild = rng.random(4) < 0.5
+        if wild.all():
+            wild[rng.integers(4)] = False
+
+        def port_match() -> PortMatch:
+            values = rng.choice(ports, size=int(rng.integers(1, 4)), replace=False)
+            return PortMatch(frozenset(int(v) for v in values), bool(rng.random() < 0.33))
+
+        low = 100 * int(rng.integers(0, 15))
+        out.append(
+            TaggingRule(
+                rule_id=f"hdr-{i}",
+                confidence=0.9,
+                support=0.01,
+                protocol=None if wild[0] else int(rng.choice((0, 6, 17, 255))),
+                port_src=None if wild[1] else port_match(),
+                port_dst=None if wild[2] else port_match(),
+                packet_size=None if wild[3] else (low, low + 100 * int(rng.integers(1, 4))),
+                status=RuleStatus.ACCEPT,
+            )
+        )
+    return out

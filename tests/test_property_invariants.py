@@ -4,8 +4,8 @@ Each test draws many random cases from ``tests/strategies.py`` (plain
 seeded numpy generators — no third-party property-testing dependency)
 and asserts an invariant the pipeline's correctness argument rests on:
 
-* the vectorised batch aggregation path is bit-identical to the
-  per-bin path;
+* the aggregation kernel is bit-identical to the per-record loop it
+  replaced (``tests/reference_aggregate.py``, the oracle);
 * WoE encoding is order-consistent with the empirical class odds, and
   the frozen (cached) encoder matches the live one bitwise;
 * the §3 balancer keeps every blackholed flow and never lets benign
@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from tests import strategies
+from tests.reference_aggregate import reference_aggregate
 from repro.core.encoding.woe import UNKNOWN_WOE, WoEEncoder
 from repro.core.features import schema
 from repro.core.features.aggregation import aggregate, aggregate_batch
@@ -42,6 +43,7 @@ from repro.core.parallel import ShardedStreamingScrubber
 from repro.core.rules.matcher import match_matrix, matched_rule_ids, rule_mask
 from repro.core.scrubber import IXPScrubber, ScrubberConfig
 from repro.core.streaming import StreamingScrubber
+from repro.netflow.dataset import FlowDataset
 
 
 @pytest.fixture(scope="module")
@@ -55,38 +57,121 @@ def fitted_scrubber() -> IXPScrubber:
 
 
 def _assert_aggregates_equal(a, b, seed):
-    assert np.array_equal(a.bins, b.bins), f"seed {seed}: bins differ"
-    assert np.array_equal(a.targets, b.targets), f"seed {seed}: targets differ"
-    assert np.array_equal(a.labels, b.labels), f"seed {seed}: labels differ"
-    assert np.array_equal(a.n_flows, b.n_flows), f"seed {seed}: n_flows differ"
+    """Bit equality: same dtypes, same bytes (so NaN == NaN, 0.0 != -0.0)."""
+    for name in ("bins", "targets", "labels", "n_flows"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), f"seed {seed}: {name} differ"
     assert a.rule_tags == b.rule_tags, f"seed {seed}: rule tags differ"
-    for name in a.categorical:
-        assert np.array_equal(a.categorical[name], b.categorical[name]), (
-            f"seed {seed}: categorical {name} differs"
-        )
-    for name in a.metrics:
-        assert np.array_equal(
-            a.metrics[name], b.metrics[name], equal_nan=True
-        ), f"seed {seed}: metric {name} differs"
+    assert list(a.categorical) == list(b.categorical) == schema.key_columns()
+    assert list(a.metrics) == list(b.metrics) == schema.value_columns()
+    for mapping_a, mapping_b in ((a.categorical, b.categorical), (a.metrics, b.metrics)):
+        for name, x in mapping_a.items():
+            y = mapping_b[name]
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (
+                f"seed {seed}: column {name} differs"
+            )
+
+
+def _with_columns(flows: FlowDataset, **columns) -> FlowDataset:
+    return FlowDataset({**flows.to_columns(), **columns})
 
 
 class TestBatchAggregation:
+    """The kernel against the per-record loop it replaced, bit for bit."""
+
     def test_batch_path_bit_identical(self):
         for seed in range(8):
             rng = strategies.rng_for(seed)
             flows = strategies.labeled_flows(rng, n_flows=500, n_bins=4)
-            rules = strategies.tagging_rules(rng) if seed % 2 else ()
-            _assert_aggregates_equal(
-                aggregate(flows, rules=rules),
-                aggregate_batch(flows, rules=rules),
-                seed,
+            rules = (
+                strategies.tagging_rules(rng) if seed % 2
+                else strategies.header_rules(rng, 70) if seed % 4
+                else ()
             )
+            expected = reference_aggregate(flows, rules=rules)
+            _assert_aggregates_equal(aggregate(flows, rules=rules), expected, seed)
+            _assert_aggregates_equal(aggregate_batch(flows, rules=rules), expected, seed)
 
     def test_batch_rejects_empty_like_loop_path(self):
-        from repro.netflow.dataset import FlowDataset
-
         with pytest.raises(ValueError):
             aggregate_batch(FlowDataset.empty())
+        with pytest.raises(ValueError):
+            reference_aggregate(FlowDataset.empty())
+
+    def test_ties_go_to_the_larger_key(self):
+        """Equal metric values everywhere: rank order is key order, descending."""
+        rng = strategies.rng_for(100)
+        flows = strategies.flows(rng, n_flows=300, n_targets=3, n_bins=2)
+        ones = np.ones(len(flows), dtype=np.int64)
+        flows = _with_columns(flows, packets=ones, bytes=100 * ones)
+        data = aggregate(flows)
+        _assert_aggregates_equal(data, reference_aggregate(flows), 100)
+        first, second = (
+            data.categorical[schema.key_column("src_ip", "packet_size", rank)]
+            for rank in (0, 1)
+        )
+        assert (first > second).all()
+
+    @pytest.mark.parametrize("distinct", [1, schema.RANKS - 1, schema.RANKS, schema.RANKS + 1, 40])
+    def test_fewer_and_more_keys_than_ranks(self, distinct):
+        rng = strategies.rng_for(200 + distinct)
+        flows = strategies.flows(rng, n_flows=240, n_targets=2, n_bins=1)
+        keys = rng.integers(0, distinct, size=len(flows))
+        flows = _with_columns(
+            flows,
+            src_ip=keys + 7, src_port=keys, dst_port=65535 - keys,
+            src_mac=keys + 1, protocol=keys % 256,
+        )
+        data = aggregate(flows)
+        _assert_aggregates_equal(data, reference_aggregate(flows), distinct)
+        last = data.categorical[schema.key_column("src_port", "bytes", schema.RANKS - 1)]
+        assert (last == schema.MISSING_KEY).all() == (distinct < schema.RANKS)
+
+    def test_edge_header_values(self):
+        """Protocol 0/255, port 0/65535, MACs beyond 2^48 and beyond int64."""
+        rng = strategies.rng_for(300)
+        flows = strategies.flows(rng, n_flows=400, n_targets=4, n_bins=3)
+        n = len(flows)
+        flows = _with_columns(
+            flows,
+            protocol=rng.choice((0, 6, 17, 255), size=n),
+            src_port=rng.choice((0, 123, 65535), size=n),
+            dst_port=rng.choice((0, 80, 65535), size=n),
+            src_mac=rng.choice(
+                np.array([1, 2**48 - 1, 2**48, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64),
+                size=n,
+            ),
+        )
+        rules = strategies.header_rules(rng, 20)
+        _assert_aggregates_equal(
+            aggregate(flows, rules=rules), reference_aggregate(flows, rules=rules), 300
+        )
+
+    def test_more_than_2_16_records_with_wide_macs(self):
+        """Record ids past one 16-bit sort digit, keys past 48 bits, 3 bins.
+
+        The loop would take ten seconds here; records are independent,
+        so the batch must equal its bins aggregated one by one (sizes
+        the oracle covers above), and a slice of targets the oracle.
+        """
+        rng = strategies.rng_for(400)
+        flows = strategies.wide_flows(rng, n_targets=33000, flows_per_target=3)
+        n = len(flows)
+        flows = _with_columns(
+            flows,
+            time=rng.integers(0, 180, size=n),
+            src_mac=rng.integers(2**48, 2**62, size=n, dtype=np.uint64),
+        )
+        rules = strategies.header_rules(rng, 65)
+        data = aggregate(flows, rules=rules)
+        assert len(data) > 2**16
+        bins = flows.time_bin()
+        per_bin = [aggregate(flows.select(bins == b), rules=rules) for b in range(3)]
+        _assert_aggregates_equal(data, type(data).concat(per_bin), 400)
+        some = flows.select(flows.dst_ip < np.sort(flows.dst_ip)[3000])
+        _assert_aggregates_equal(
+            aggregate(some, rules=rules), reference_aggregate(some, rules=rules), 400
+        )
 
 
 class TestWoEInvariants:

@@ -14,6 +14,12 @@ Supervised-backend and sketch-mode crash matrices are
 """
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 import zlib
 from pathlib import Path
 
@@ -596,3 +602,48 @@ class TestOrphanReaper:
         backend = SupervisedProcessBackend(n_shards=1)
         backend.close()
         assert not backend._finalizer.alive
+
+    def test_workers_exit_when_coordinator_is_killed(self):
+        """kill -9 runs no finalizer: only EOF on its pipe tells a worker.
+
+        Under fork every worker inherits the coordinator's end of its
+        own and of every earlier worker's pipe; unless it closes them,
+        no pipe ever reads EOF and both workers live on under pid 1.
+        """
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the inherited pipe ends are a fork matter")
+        script = (
+            "import os, sys, time\n"
+            "from repro.core.parallel.backends import WorkerPool\n"
+            "pool = WorkerPool(2, start_method='fork')\n"
+            "print(*(p.pid for p in pool._procs), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            workers = [int(pid) for pid in coordinator.stdout.readline().split()]
+            assert len(workers) == 2 and all(_alive(pid) for pid in workers)
+            coordinator.kill()
+            coordinator.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(_alive(pid) for pid in workers)
+        finally:
+            coordinator.kill()
+            coordinator.stdout.close()
+            for pid in locals().get("workers", ()):
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _alive(pid: int) -> bool:
+    """Is ``pid`` running (a zombie waiting for pid 1 to reap it is not)?"""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False

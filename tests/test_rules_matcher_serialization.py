@@ -1,9 +1,15 @@
 """Tests for vectorised rule matching and JSON serialisation."""
 
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.core.features.aggregation import aggregate
+from repro.core.rules import matcher
 from repro.core.rules.matcher import (
+    CompiledMatcher,
     coverage,
     match_any,
     match_matrix,
@@ -18,7 +24,9 @@ from repro.core.rules.serialization import (
     rule_to_dict,
 )
 from repro.netflow.dataset import FlowDataset
+from tests import strategies
 from tests.conftest import make_flow
+from tests.reference_aggregate import reference_aggregate
 
 
 @pytest.fixture
@@ -90,6 +98,133 @@ class TestMatching:
         assert 0.0 <= scores["attack_dropped"] <= 1.0
         assert scores["benign_dropped"] == 0.0
         assert scores["attack_dropped"] > 0.0
+
+
+def _unpacked(compiled: CompiledMatcher, flows: FlowDataset) -> np.ndarray:
+    """``flow_words`` back as an (n_flows, n_rules) boolean matrix."""
+    words = np.ascontiguousarray(compiled.flow_words(flows).T)
+    bits = np.unpackbits(
+        words.view(np.uint8), axis=1, count=len(compiled), bitorder="little"
+    )
+    return bits.astype(bool)
+
+
+class TestCompiledMatcher:
+    @pytest.mark.parametrize("n_rules", [0, 1, 63, 64, 65, 130])
+    def test_bit_equal_to_match_matrix(self, n_rules):
+        """Wildcards, negated sets, sizes on bin edges; every word boundary."""
+        for seed in range(3):
+            rng = strategies.rng_for(1000 * n_rules + seed)
+            rules = strategies.header_rules(rng, n_rules)
+            flows = strategies.flows(rng, n_flows=600)
+            n = len(flows)
+            # Mean sizes exactly on every edge a rule can have, and
+            # header values at both ends of their ranges.
+            packets = rng.integers(1, 9, size=n)
+            flows = FlowDataset({
+                **flows.to_columns(),
+                "packets": packets,
+                "bytes": packets * rng.choice(np.arange(0, 1900, 50), size=n),
+                "protocol": rng.choice((0, 6, 17, 255), size=n),
+                "src_port": rng.choice((0, 19, 53, 123, 4242, 65535), size=n),
+                "dst_port": rng.choice((0, 80, 443, 161, 4242, 65535), size=n),
+            })
+            compiled = CompiledMatcher(rules)
+            expected = match_matrix(rules, flows)
+            assert expected.any() or n_rules == 0
+            np.testing.assert_array_equal(_unpacked(compiled, flows), expected)
+            ids = [rule.rule_id for rule in rules]
+            tags = compiled.tags(compiled.flow_words(flows))
+            assert tags == [tuple(ids[k] for k in np.flatnonzero(row)) for row in expected]
+
+    def test_size_equal_to_low_and_high(self):
+        rule = TaggingRule(rule_id="bin", confidence=0.9, support=0.1, packet_size=(400, 500))
+        flows = FlowDataset.from_records([
+            make_flow(time=0, packets=2, bytes_=800),   # == low: outside
+            make_flow(time=0, packets=2, bytes_=801),
+            make_flow(time=0, packets=2, bytes_=1000),  # == high: inside
+            make_flow(time=0, packets=2, bytes_=1001),
+        ])
+        expected = [[False], [True], [True], [False]]
+        assert match_matrix([rule], flows).tolist() == expected
+        assert _unpacked(CompiledMatcher([rule]), flows).tolist() == expected
+
+    def test_tagging_evaluates_no_rule_on_flows(self, monkeypatch):
+        """Rule-count independence as a count, not a timing.
+
+        Compiling evaluates each rule on one value per header class;
+        tagging a 5000-flow chunk then evaluates nothing, the first time
+        or the second, for 40 rules or for 130.
+        """
+        rows: list[int] = []
+        field_masks = matcher._field_masks
+
+        def counting(rule, columns):
+            rows.append(sum(len(column) for column in columns))
+            return field_masks(rule, columns)
+
+        monkeypatch.setattr(matcher, "_field_masks", counting)
+        rng = strategies.rng_for(5000)
+        flows = strategies.flows(rng, n_flows=5000, n_targets=40)
+        for n_rules in (40, 130):
+            rules = strategies.header_rules(rng, n_rules)
+            named = [
+                {r.protocol for r in rules if r.protocol is not None},
+                {v for r in rules if r.port_src for v in r.port_src.values},
+                {v for r in rules if r.port_dst for v in r.port_dst.values},
+                {e for r in rules if r.packet_size for e in r.packet_size},
+            ]
+            rows.clear()
+            compiled = CompiledMatcher(rules)
+            # Per field: one class per named value and one for the rest.
+            assert rows == [sum(len(values) + 1 for values in named)] * n_rules
+            rows.clear()
+            first = compiled.tags(compiled.flow_words(flows))
+            second = compiled.tags(compiled.flow_words(flows))
+            assert rows == [] and first == second
+            assert any(first)
+
+    def test_flows_without_packets_match_no_size_rule(self):
+        """Zero packets used to mean 0/0: a RuntimeWarning, an error under -W error."""
+        sized = TaggingRule(rule_id="sized", confidence=0.9, support=0.1, packet_size=(-100, 100))
+        plain = TaggingRule(rule_id="plain", confidence=0.9, support=0.1, protocol=17)
+        columns = FlowDataset.from_records([
+            make_flow(time=0, dst_ip=1, packets=1, bytes_=50),
+            make_flow(time=1, dst_ip=1, packets=1, bytes_=50),
+            make_flow(time=2, dst_ip=2, packets=1, bytes_=50),
+        ]).to_columns()
+        columns["packets"] = np.array([1, 0, 0])
+        columns["bytes"] = np.array([50, 0, 700])  # 50.0, 0/0, 700/0
+        flows = FlowDataset(columns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert flows.packet_size.tolist() == [50.0, 0.0, 0.0]
+            assert rule_mask(sized, flows).tolist() == [True, False, False]
+            assert rule_mask(plain, flows).tolist() == [True, True, True]
+            compiled = CompiledMatcher([sized, plain])
+            np.testing.assert_array_equal(
+                _unpacked(compiled, flows), match_matrix([sized, plain], flows)
+            )
+            data = aggregate(flows, rules=[sized, plain])
+        assert data.rule_tags == [("sized", "plain"), ("plain",)]
+        expected = reference_aggregate(flows, rules=[sized, plain])
+        assert data.rule_tags == expected.rule_tags
+        for name, column in data.metrics.items():
+            assert column.tobytes() == expected.metrics[name].tobytes()
+
+    def test_is_stale_follows_the_rule_set(self, ntp_rule, fragment_rule):
+        compiled = CompiledMatcher([ntp_rule, fragment_rule])
+        assert not compiled.is_stale([ntp_rule, fragment_rule])
+        assert compiled.is_stale([ntp_rule])
+        assert compiled.is_stale([fragment_rule, ntp_rule])
+        assert compiled.is_stale([ntp_rule, fragment_rule.with_status(RuleStatus.DECLINE)])
+
+    def test_port_match_pickles_without_derived_state(self, handmade_flows, ntp_rule):
+        before = len(pickle.dumps(ntp_rule))
+        rule_mask(ntp_rule, handmade_flows)
+        CompiledMatcher([ntp_rule]).flow_words(handmade_flows)
+        assert len(pickle.dumps(ntp_rule)) == before
+        assert set(vars(ntp_rule.port_src)) == {"values", "negated"}
 
 
 class TestSerialization:

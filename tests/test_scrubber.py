@@ -107,6 +107,86 @@ class TestCuration:
         assert len(scrubber.rule_set.staged()) > 0
 
 
+class TestCompiledRules:
+    """The per-epoch compiled matcher: current, and never serialised."""
+
+    def test_curation_on_a_live_scrubber_retags(self, fitted_scrubber_and_flows):
+        from repro.core.rules.matcher import match_matrix
+        from repro.core.rules.model import PortMatch, TaggingRule
+
+        scrubber, flows = fitted_scrubber_and_flows
+
+        def tagged() -> set[str]:
+            tags = scrubber.aggregate_flows(flows).rule_tags
+            return {rule_id for record in tags for rule_id in record}
+
+        rules = scrubber.accepted_rules
+        hits = match_matrix(rules, flows).any(axis=0)
+        rule = rules[int(np.flatnonzero(hits)[0])]
+        assert rule.rule_id in tagged()
+        compiled = scrubber._compiled_rules()
+        assert scrubber._compiled_rules() is compiled  # one build per rule set
+        scrubber.rule_set.set_status(rule.rule_id, RuleStatus.DECLINE)
+        try:
+            assert compiled.is_stale(scrubber.accepted_rules)
+            assert rule.rule_id not in tagged()
+        finally:
+            scrubber.rule_set.set_status(rule.rule_id, RuleStatus.ACCEPT)
+        assert rule.rule_id in tagged()
+        extra = TaggingRule(
+            rule_id="added-live", confidence=0.9, support=0.1,
+            port_dst=PortMatch(frozenset({0}), negated=True), status=RuleStatus.ACCEPT,
+        )
+        scrubber.rule_set.add(extra)
+        try:
+            assert "added-live" in tagged()
+        finally:
+            del scrubber.rule_set._rules["added-live"]
+        assert "added-live" not in tagged()
+
+    def test_classifying_leaves_every_serialised_form_alone(
+        self, fitted_scrubber_and_flows
+    ):
+        import json
+        import pickle
+
+        from repro.core.parallel.shm import ModelPlane, load_model
+        from repro.core.persistence import scrubber_from_dict, scrubber_to_dict
+
+        scrubber, flows = fitted_scrubber_and_flows
+        plane = ModelPlane()
+        try:
+            scrubber._matcher = None
+            before = (
+                len(pickle.dumps(scrubber)),
+                json.dumps(scrubber_to_dict(scrubber)),
+                plane.publish(scrubber).nbytes,
+            )
+            verdicts = scrubber.classify_flows_batch(flows)
+            assert scrubber._matcher is not None
+            ref = plane.publish(scrubber)
+            assert before == (
+                len(pickle.dumps(scrubber)),
+                json.dumps(scrubber_to_dict(scrubber)),
+                ref.nbytes,
+            )
+            copies = [
+                pickle.loads(pickle.dumps(scrubber)),
+                scrubber_from_dict(json.loads(before[1])),
+            ]
+            attached, segment = load_model(ref.name, ref.version)
+            try:
+                copies.append(attached)
+                for copy in copies:
+                    assert copy._matcher is None  # rebuilt on first use
+                    assert copy.classify_flows_batch(flows) == verdicts
+            finally:
+                del attached, copy, copies
+                segment.close()
+        finally:
+            plane.destroy()
+
+
 class TestTransfer:
     def test_transfer_keeps_local_woe(self, fitted_scrubber_and_flows):
         scrubber, flows = fitted_scrubber_and_flows
