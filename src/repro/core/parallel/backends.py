@@ -382,11 +382,10 @@ class WorkerPool:
         """(Re)spawn the worker process serving one shard slot."""
         parent_conn, child_conn = self._ctx.Pipe()
         ring = self._rings[shard]
-        # Only fork copies the parent's pipe ends into the child; any
-        # other start method would pickle (duplicate) what is listed.
-        inherited = [parent_conn, *filter(None, self._conns)]
-        if self._ctx.get_start_method() != "fork":
-            inherited = []
+        # Parent-side pipe ends a fork copies into the child, for it to
+        # close; no other start method copies any.
+        forked = self._ctx.get_start_method() == "fork"
+        inherited = [parent_conn, *filter(None, self._conns)] if forked else []
         # repro: lint-ignore[RS602] a Process that never start()ed holds
         # no OS resources to release; terminate() on it would be a no-op
         proc = self._ctx.Process(

@@ -159,9 +159,6 @@ class CompiledMatcher:
         ]
         self._tags: dict[bytes, tuple[str, ...]] = {}
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
     def is_stale(self, rules: Sequence[TaggingRule]) -> bool:
         """True when ``rules`` is no longer the rule set compiled here."""
         return self.rules != tuple(rules)
@@ -171,7 +168,7 @@ class CompiledMatcher:
         transposed :func:`match_matrix` through ``packbits(bitorder="little")``."""
         *integers, sizes = _match_columns(flows)
         classes = [lookup.take(column) for lookup, column in zip(self._lookups, integers)]
-        classes.append(np.count_nonzero(self._size_edges[:, None] < sizes, axis=0))
+        classes.append(self._size_edges.searchsorted(sizes, side="left"))
         words = self._words[0].take(classes[0], axis=1)
         for field, field_classes in zip(self._words[1:], classes[1:]):
             words &= field.take(field_classes, axis=1)

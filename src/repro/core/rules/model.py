@@ -90,6 +90,8 @@ class TaggingRule:
     def __post_init__(self) -> None:
         if self.protocol is None and self.port_src is None and self.port_dst is None and self.packet_size is None:
             raise ValueError("rule must constrain at least one header field")
+        if self.protocol is not None and not 0 <= self.protocol <= 0xFF:
+            raise ValueError(f"protocol out of range: {self.protocol}")
 
     def with_status(self, status: RuleStatus, notes: Optional[str] = None) -> "TaggingRule":
         """Return a copy with a new curation status (and optional notes)."""

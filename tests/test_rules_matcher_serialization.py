@@ -104,7 +104,7 @@ def _unpacked(compiled: CompiledMatcher, flows: FlowDataset) -> np.ndarray:
     """``flow_words`` back as an (n_flows, n_rules) boolean matrix."""
     words = np.ascontiguousarray(compiled.flow_words(flows).T)
     bits = np.unpackbits(
-        words.view(np.uint8), axis=1, count=len(compiled), bitorder="little"
+        words.view(np.uint8), axis=1, count=len(compiled.rules), bitorder="little"
     )
     return bits.astype(bool)
 
@@ -263,6 +263,17 @@ class TestSerialization:
         path.write_text('{"id": "x"}')
         with pytest.raises(ValueError):
             load_rules(path)
+
+    @pytest.mark.parametrize("protocol", [-1, 256, 300])
+    def test_rejects_protocol_out_of_range(self, tmp_path, ntp_rule, protocol):
+        """The compiled matcher indexes a 256-entry table by protocol."""
+        path = tmp_path / "rules.json"
+        dump_rules([ntp_rule], path)
+        path.write_text(path.read_text().replace('"protocol": 17', f'"protocol": {protocol}'))
+        with pytest.raises(ValueError, match="protocol out of range"):
+            load_rules(path)
+        with pytest.raises(ValueError, match="protocol out of range"):
+            TaggingRule(rule_id="p", confidence=0.9, support=0.1, protocol=protocol)
 
     def test_accepts_integer_port(self):
         rule = rule_from_dict(
