@@ -1,7 +1,8 @@
 """Project-aware static analysis for the scrubber codebase.
 
-``repro.analysis`` turns the repository's implicit contracts into
-machine-checked ones. Four passes run over the AST of ``src/``:
+``repro.analysis`` machine-checks the invariants the runtime's "same
+seed, same journal bytes" claim rests on. Six passes run over the AST
+of ``src/``:
 
 * **determinism** (RS101–RS104) — no wall-clock reads outside
   ``repro.obs``, no process-global RNG, no salted ``hash()``, no
@@ -18,41 +19,35 @@ machine-checked ones. Four passes run over the AST of ``src/``:
   triangle stays closed in both directions.
 * **durability** (RS501–RS502) — recovery-critical files go through the
   one sanctioned temp+fsync+rename writer.
-* **resource lifecycle** (RS601–RS604) — CFG dataflow proof that every
-  acquired OS resource (shm segments, rings, journals, file handles)
-  reaches a release on every path out of the function, including the
-  exception edges.
-* **hot-path discipline** (RS701–RS703) — no per-flow Python loops or
-  loop-level numpy reallocation in the modules declared hot.
+* **resource lifecycle** (RS601–RS603) — CFG dataflow proof that every
+  acquired OS resource (shm segments, rings, journals, file handles,
+  worker pools) reaches a release on every path out of the function,
+  including the exception edges; it runs on the intraprocedural CFG
+  and worklist solver in :mod:`repro.analysis.cfg`.
 
-The RS6xx/RS7xx families run on the shared intraprocedural CFG and
-worklist dataflow solver in :mod:`repro.analysis.cfg`.
-
-Violations can be suppressed inline with a reason
-(``# repro: lint-ignore[RS101] why``) or grandfathered in the
-checked-in baseline (``lint-baseline.json``); unexplained ignores are
-themselves findings. Entry points: ``repro lint`` (CLI) and
-:func:`run_lint` (used by the test suite). Repeat runs go through the
-content-hash-keyed incremental cache (:mod:`repro.analysis.cache`);
-``repro lint --changed`` scopes the report to the git diff. The rule
-catalogue is documented in ``docs/ANALYSIS.md``.
+The one escape hatch is the inline suppression with a reason
+(``# repro: lint-ignore[RS101] why``); unexplained or unused ignores
+are themselves findings. Entry points: ``repro lint`` (CLI) and
+:func:`run_lint` (used by the test suite). An unchanged tree replays
+its last report from the fingerprint-keyed cache
+(:mod:`repro.analysis.cache`). Each contract lives as a module constant
+beside the pass that reads it; ``docs/ANALYSIS.md`` lists, per family,
+the invariant, the evidence and the runtime test behind it.
 
 The package deliberately depends on nothing but the stdlib — it sits
 at the bottom of the layer DAG it enforces.
 """
 
-from repro.analysis.baseline import Baseline, load_baseline, write_baseline
 from repro.analysis.cache import (
     CACHE_VERSION,
-    analyzer_fingerprint,
     load_cache,
+    report_fingerprint,
     save_cache,
 )
 from repro.analysis.cfg import CFG, DataflowAnalysis, solve
-from repro.analysis.changed import changed_paths, git_changed_files
 from repro.analysis.config import LintConfig, default_config
 from repro.analysis.findings import RULES, Finding, rule_exists
-from repro.analysis.passes import ALL_PASSES, MODULE_PASSES, PROJECT_PASSES
+from repro.analysis.passes import ALL_PASSES
 from repro.analysis.project import Module, Project
 from repro.analysis.runner import (
     LintResult,
@@ -64,31 +59,24 @@ from repro.analysis.suppressions import Suppression, scan_suppressions
 
 __all__ = [
     "ALL_PASSES",
-    "Baseline",
     "CACHE_VERSION",
     "CFG",
     "DataflowAnalysis",
     "Finding",
     "LintConfig",
     "LintResult",
-    "MODULE_PASSES",
     "Module",
-    "PROJECT_PASSES",
     "Project",
     "RULES",
     "Suppression",
-    "analyzer_fingerprint",
-    "changed_paths",
     "default_config",
     "format_human",
     "format_json",
-    "git_changed_files",
-    "load_baseline",
     "load_cache",
+    "report_fingerprint",
     "rule_exists",
     "run_lint",
     "save_cache",
     "scan_suppressions",
     "solve",
-    "write_baseline",
 ]

@@ -1,236 +1,124 @@
-"""Incremental lint cache: content-hash-keyed reuse of pass results.
+"""Lint result cache: one fingerprint, one record.
 
-The cache file (``.repro-lint-cache.json`` at the repo root) stores,
-per module, the sha256 of the file's bytes plus everything a rerun
-would recompute from that file alone: the module-scoped pass findings
-and the parsed suppressions. Whole-project passes (shard safety, obs
-names) are keyed on a single *project fingerprint* — the sorted
-``(rel, sha)`` pairs of every module plus the metrics doc and the
-analyzer fingerprint — because their output can change when *any* file
-does.
+The cache file (``.repro-lint-cache.json`` at the repo root) stores the
+whole raw report of the last run — every pass finding, every parsed
+suppression and the module count — under a single *fingerprint* of
+everything that report can depend on: the source of the analyzer
+itself (passes, rule messages and the contract constants beside them),
+the path and sha256 of every module under the source root, and the
+metrics doc. Same fingerprint, same report: a warm run hashes file
+bytes, replays the record and never calls ``ast.parse``; any edit
+anywhere is a miss and a cold run. ``paths`` / ``rules`` filters are
+applied by the runner after replay, exactly as after a cold run.
 
-Soundness rests on two invariants:
-
-* module-scoped passes (``scope == "module"``) read nothing but the one
-  module and the config, so ``same bytes + same analyzer`` implies the
-  same findings;
-* the *analyzer fingerprint* hashes every source file of the analysis
-  package **and** a canonical rendering of the config, so editing a
-  pass, a rule message, or the configured contracts invalidates
-  everything at once.
-
-A fully warm run therefore never calls ``ast.parse``: it hashes file
-bytes, compares, and deserializes. Corrupt, missing, or
-version-mismatched cache files degrade silently to a cold run — the
-cache is an accelerator, never a source of truth.
+Corrupt, missing, or version-mismatched cache files degrade silently
+to a cold run — the cache is an accelerator, never a source of truth.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 from repro.analysis.config import LintConfig
 from repro.analysis.findings import Finding
+from repro.analysis.project import iter_source_files
 from repro.analysis.suppressions import Suppression
 
-__all__ = [
-    "CACHE_VERSION",
-    "analyzer_fingerprint",
-    "file_sha",
-    "load_cache",
-    "module_record",
-    "project_fingerprint",
-    "restore_findings",
-    "restore_suppressions",
-    "save_cache",
-]
+__all__ = ["CACHE_VERSION", "load_cache", "report_fingerprint", "save_cache"]
 
 #: Bump on any change to the cache file shape; a mismatched version is
 #: treated exactly like a missing cache.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 _ANALYSIS_DIR = Path(__file__).resolve().parent
 
 
-def file_sha(path: Path) -> str:
-    """sha256 hexdigest of a file's raw bytes (not its decoded text)."""
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def report_fingerprint(config: LintConfig) -> str:
+    """Hash of every input a lint report can depend on.
 
-
-def _canonical(value: Any) -> Any:
-    """A JSON-stable rendering of one config value.
-
-    ``frozenset`` repr order is salted per process, so every unordered
-    container must be sorted before it participates in a fingerprint.
-    """
-    if isinstance(value, (frozenset, set)):
-        return sorted(str(v) for v in value)
-    if isinstance(value, Mapping):
-        return {str(k): _canonical(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, Path):
-        return str(value)
-    return value
-
-
-def analyzer_fingerprint(config: LintConfig) -> str:
-    """Hash of the analyzer's own code plus the effective config.
-
-    Any edit to a file under ``repro/analysis/`` (a new rule, a changed
-    message, a fixed pass) or to the configured contracts produces a
-    new fingerprint and therefore a cold run.
+    Raw bytes, not decoded text; where the cache file lives is not an
+    input.
     """
     digest = hashlib.sha256()
+
+    def absorb(label: str, path: Path) -> None:
+        sha = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest.update(f"{label}\0{sha}\0".encode())
+
     for path in sorted(_ANALYSIS_DIR.rglob("*.py")):
-        digest.update(path.relative_to(_ANALYSIS_DIR).as_posix().encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    cfg = {
-        f.name: _canonical(getattr(config, f.name))
-        for f in dataclass_fields(config)
-        if f.name not in ("cache_path", "baseline_path")
-    }
-    digest.update(json.dumps(cfg, sort_keys=True).encode("utf-8"))
+        absorb(path.relative_to(_ANALYSIS_DIR).as_posix(), path)
+    digest.update(b"<modules>")
+    for path, _, rel in iter_source_files(config.src_root, config.rel_to):
+        absorb(rel, path)
+    if config.metrics_doc is not None and config.metrics_doc.exists():
+        absorb("<metrics-doc>", config.metrics_doc)
     return digest.hexdigest()
 
 
-def project_fingerprint(
-    analyzer: str,
-    module_shas: Mapping[str, str],
-    metrics_doc: Optional[Path],
-) -> str:
-    """Key for the whole-project passes: every input they can read."""
-    digest = hashlib.sha256(analyzer.encode())
-    for rel, sha in sorted(module_shas.items()):
-        digest.update(f"{rel}\0{sha}\0".encode())
-    if metrics_doc is not None and metrics_doc.exists():
-        digest.update(metrics_doc.read_bytes())
-    else:
-        digest.update(b"<no-metrics-doc>")
-    return digest.hexdigest()
+def load_cache(
+    path: Path, fingerprint: str
+) -> Optional[tuple[list[Finding], list[Suppression], int]]:
+    """``(raw findings, suppressions, modules_scanned)`` or None.
 
-
-# -- (de)serialization ----------------------------------------------------
-
-def _finding_dict(finding: Finding) -> dict:
-    # ``key`` must round-trip (as_dict drops it for fingerprints);
-    # reconstruction has to be byte-identical to a cold run.
-    return {
-        "rule": finding.rule,
-        "path": finding.path,
-        "line": finding.line,
-        "col": finding.col,
-        "message": finding.message,
-        "symbol": finding.symbol,
-        "key": finding.key,
-    }
-
-
-def restore_findings(records: list[dict]) -> list[Finding]:
-    return [
-        Finding(
-            rule=r["rule"],
-            path=r["path"],
-            line=r["line"],
-            col=r["col"],
-            message=r["message"],
-            symbol=r.get("symbol", ""),
-            key=r.get("key", ""),
-        )
-        for r in records
-    ]
-
-
-def _suppression_dict(sup: Suppression) -> dict:
-    return {
-        "line": sup.line,
-        "target_line": sup.target_line,
-        "rules": list(sup.rules),
-        "reason": sup.reason,
-    }
-
-
-def restore_suppressions(rel: str, records: list[dict]) -> list[Suppression]:
-    return [
-        Suppression(
-            path=rel,
-            line=r["line"],
-            target_line=r["target_line"],
-            rules=tuple(r["rules"]),
-            reason=r["reason"],
-        )
-        for r in records
-    ]
-
-
-def module_record(
-    name: str,
-    sha: str,
-    findings: list[Finding],
-    suppressions: list[Suppression],
-    imports: list[str],
-) -> dict:
-    """The cache entry for one module."""
-    return {
-        "name": name,
-        "sha256": sha,
-        "findings": [_finding_dict(f) for f in findings],
-        "suppressions": [_suppression_dict(s) for s in suppressions],
-        "imports": sorted(set(imports)),
-    }
-
-
-# -- cache file I/O -------------------------------------------------------
-
-def load_cache(path: Path, analyzer: str) -> Optional[dict]:
-    """The parsed cache, or None when absent/corrupt/stale.
-
-    ``analyzer`` mismatches invalidate the whole file: a changed pass
-    may emit different findings for identical module bytes.
+    None when the file is absent, unreadable, of another version, or
+    was recorded for different inputs.
     """
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+        if (
+            data["version"] != CACHE_VERSION
+            or data["fingerprint"] != fingerprint
+        ):
+            return None
+        findings = [Finding(**r) for r in data["findings"]]
+        suppressions = [
+            Suppression(
+                path=r["path"],
+                line=r["line"],
+                target_line=r["target_line"],
+                rules=tuple(r["rules"]),
+                reason=r["reason"],
+            )
+            for r in data["suppressions"]
+        ]
+        return findings, suppressions, int(data["modules_scanned"])
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    if not isinstance(data, dict):
-        return None
-    if data.get("version") != CACHE_VERSION:
-        return None
-    if data.get("analyzer") != analyzer:
-        return None
-    modules = data.get("modules")
-    project = data.get("project")
-    if not isinstance(modules, dict) or not isinstance(project, dict):
-        return None
-    return data
 
 
 def save_cache(
     path: Path,
-    analyzer: str,
-    modules: Mapping[str, dict],
     fingerprint: str,
-    project_findings: list[Finding],
+    findings: list[Finding],
+    suppressions: list[Suppression],
+    modules_scanned: int,
 ) -> None:
-    """Persist one run's results; failures are non-fatal by design."""
+    """Persist one run's raw report; failures are non-fatal by design."""
     payload = {
         "version": CACHE_VERSION,
-        "analyzer": analyzer,
-        "modules": dict(modules),
-        "project": {
-            "fingerprint": fingerprint,
-            "findings": [_finding_dict(f) for f in project_findings],
-        },
+        "fingerprint": fingerprint,
+        "modules_scanned": modules_scanned,
+        # Every dataclass field, ``key`` included (``Finding.as_dict``
+        # drops it): the JSON fingerprints of a replayed report have to
+        # be byte-identical to a cold run's.
+        "findings": [dataclasses.asdict(f) for f in findings],
+        # Not ``used``: that is per-run matching state.
+        "suppressions": [
+            {
+                "path": s.path,
+                "line": s.line,
+                "target_line": s.target_line,
+                "rules": list(s.rules),
+                "reason": s.reason,
+            }
+            for s in suppressions
+        ],
     }
     try:
-        path.write_text(
-            json.dumps(payload, sort_keys=True), encoding="utf-8"
-        )
+        path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
     except OSError:
         pass

@@ -1,7 +1,7 @@
 """Intraprocedural control-flow graphs and a worklist dataflow solver.
 
 This module graduates the analyzer from AST pattern-matching to
-path-sensitive reasoning: the resource-lifecycle pass (RS601–RS604)
+path-sensitive reasoning: the resource-lifecycle pass (RS601–RS603)
 needs to prove "every acquired segment is released on *every* path out
 of the function, including the exception edges", which is a dataflow
 property, not a syntactic one.

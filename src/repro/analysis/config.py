@@ -1,172 +1,36 @@
-"""Lint configuration: the project contracts the passes enforce.
+"""Lint configuration: where one project's inputs and outputs live.
 
-:func:`default_config` encodes **this repository's** contracts — the
-layer DAG from ``docs/ARCHITECTURE.md``, the shard-worker entry points
-from ``core/parallel``/``core/resilience``, the obs name catalogue and
-its documentation page. Tests build custom configs over fixture trees,
-so every pass stays reusable against any source root.
+The contracts themselves — the layer DAG, the shard-worker entry
+points, the resource constructor table — are module constants beside
+the pass that reads each one. :class:`LintConfig` carries only what
+differs between the real tree and a fixture tree: locations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Optional
 
-__all__ = [
-    "LintConfig",
-    "default_config",
-    "REPO_ROOT",
-    "DEFAULT_LAYERS",
-    "DEFAULT_RESOURCE_CONSTRUCTORS",
-]
+__all__ = ["LintConfig", "default_config", "REPO_ROOT"]
 
 #: The repository root, derived from this file's location under
 #: ``src/repro/analysis/`` (parents: analysis, repro, src, root).
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
-#: The ARCHITECTURE.md import DAG: each top-level subpackage of
-#: ``repro`` maps to the set of sibling subpackages it may import at
-#: runtime. ``repro.obs`` (and the analyzer itself) sit at the bottom:
-#: stdlib/numpy only. A subpackage missing from this table fails the
-#: layering pass until the contract (here + ARCHITECTURE.md) names it.
-DEFAULT_LAYERS: Mapping[str, frozenset[str]] = {
-    "obs": frozenset(),
-    "analysis": frozenset(),
-    "netflow": frozenset({"obs"}),
-    "bgp": frozenset({"netflow", "obs"}),
-    "traffic": frozenset({"netflow", "bgp", "obs"}),
-    "ixp": frozenset({"netflow", "bgp", "traffic", "obs"}),
-    "core": frozenset({"netflow", "bgp", "traffic", "obs"}),
-    "experiments": frozenset(
-        {"core", "ixp", "netflow", "bgp", "traffic", "obs"}
-    ),
-    "scenarios": frozenset({"core", "netflow", "bgp", "traffic", "obs"}),
-    "cli": frozenset(
-        {"core", "experiments", "ixp", "netflow", "bgp", "traffic", "obs",
-         "analysis", "scenarios"}
-    ),
-}
-
-
-#: The OS-level resources this repository acquires, by constructor.
-#: Labels show up in RS6xx messages. ``open`` (the builtin) is listed
-#: for completeness; it is matched by bare name when unshadowed.
-DEFAULT_RESOURCE_CONSTRUCTORS: Mapping[str, str] = {
-    "open": "file handle",
-    "os.open": "file descriptor",
-    "os.fdopen": "file handle",
-    "multiprocessing.shared_memory.SharedMemory": "shared-memory segment",
-    "repro.core.parallel.shm.attach_segment": "shared-memory segment",
-    "repro.core.parallel.shm.ShmRing": "shm ring",
-    "repro.core.parallel.shm.ShmRing.attach": "shm ring",
-    "repro.core.parallel.shm.ModelPlane": "model plane",
-    "repro.core.parallel.shm.ModelPlane.attach": "model plane",
-    "repro.core.recovery.journal.VerdictJournal": "verdict journal",
-    "repro.core.recovery.journal.VerdictJournal.open": "verdict journal",
-    "repro.core.recovery.snapshot.CheckpointStore": "checkpoint store",
-}
-
 
 @dataclass(frozen=True)
 class LintConfig:
-    """Everything the passes need to know about one project."""
+    """The files one lint run reads and writes."""
 
     #: Directory containing the top-level package(s) (the repo's src/).
     src_root: Path
-    #: The top-level package the contracts speak about.
-    package: str = "repro"
     #: Paths in findings are rendered relative to this directory.
     rel_to: Optional[Path] = None
-    #: Layer DAG: subpackage -> allowed sibling subpackages.
-    layers: Mapping[str, frozenset[str]] = field(
-        default_factory=lambda: dict(DEFAULT_LAYERS)
-    )
-    #: External top-level imports allowed anywhere in the package.
-    external_allow: frozenset[str] = frozenset({"numpy", "scipy"})
-    #: Module prefixes where wall-clock reads are legitimate (the obs
-    #: layer owns the injectable clock).
-    clock_exempt: tuple[str, ...] = ("repro.obs",)
-    #: Module prefixes where set-iteration order matters (RS103 scope):
-    #: layers whose outputs feed serialization, hashing, or verdicts.
-    set_iter_scopes: tuple[str, ...] = (
-        "repro.core", "repro.netflow", "repro.scenarios"
-    )
-    #: Qualified names of the functions that run inside shard workers;
-    #: the race detector's call-graph roots.
-    worker_entry_points: tuple[str, ...] = (
-        "repro.core.parallel.backends._worker_main",
-        "repro.core.parallel.backends._execute_fault",
-    )
-    #: Module prefixes allowed to write raw shared-memory segment bytes
-    #: (RS204 scope): the ring/model-plane protocol implementation owns
-    #: every frame and control-block layout; a ``.buf`` write anywhere
-    #: else bypasses the seqno/generation/crc discipline documented in
-    #: ``docs/IPC.md``.
-    shm_protocol_modules: tuple[str, ...] = ("repro.core.parallel.shm",)
-    #: The obs name catalogue module and the page documenting it.
-    names_module: str = "repro.obs.names"
+    #: The page documenting the obs name catalogue (RS403's input).
     metrics_doc: Optional[Path] = None
-    #: Module prefixes exempt from the obs-names emission scan (the obs
-    #: layer handles caller-supplied names, it never emits its own).
-    obs_exempt: tuple[str, ...] = ("repro.obs",)
-    #: Module prefixes whose files must survive a crash (RS501/RS502
-    #: scope): everything they write must go through the sanctioned
-    #: durable-write idiom.
-    durable_modules: tuple[str, ...] = (
-        "repro.core.recovery", "repro.core.persistence"
-    )
-    #: The sanctioned writer modules, exempt from RS501/RS502: the
-    #: temp+fsync+rename implementation itself, and the append-only
-    #: journal with its own fsync-per-append discipline.
-    durable_writers: tuple[str, ...] = (
-        "repro.core.recovery.durable",
-        "repro.core.recovery.journal",
-    )
-    #: Resource constructors the lifecycle pass (RS601–RS604) tracks:
-    #: resolved dotted call path -> human label. Acquiring one of these
-    #: binds a resource that must reach a release method, a ``with``
-    #: block, an ownership transfer, or an escape on every path out of
-    #: the function — including the exception edges. The builtin
-    #: ``open`` is matched by name when not shadowed.
-    resource_constructors: Mapping[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_RESOURCE_CONSTRUCTORS)
-    )
-    #: Method names that count as releasing the receiver.
-    resource_release_methods: frozenset[str] = frozenset(
-        {
-            "close", "destroy", "unlink", "release", "terminate", "kill",
-            "join", "shutdown", "stop", "finalize", "detach",
-        }
-    )
-    #: Trailing attribute names that mark a process spawn even when the
-    #: receiver cannot be resolved (``self._ctx.Process(...)``).
-    resource_spawn_attrs: frozenset[str] = frozenset({"Process", "Popen"})
-    #: Modules under the hot-path discipline (RS701–RS703): the
-    #: line-rate counting paths where per-flow Python loops and
-    #: loop-level numpy reallocation are throughput bugs.
-    hot_modules: tuple[str, ...] = (
-        "repro.core.features.sketches",
-        "repro.core.features.aggregation",
-        "repro.core.models.kernels",
-        "repro.core.parallel.shm",
-    )
-    #: Loop-target names that mark a per-flow/per-row loop (RS701).
-    flow_loop_targets: frozenset[str] = frozenset(
-        {
-            "flow", "row", "record", "pkt", "packet", "event", "sample",
-            "datapoint",
-        }
-    )
-    #: Iterable names that mark a per-flow loop regardless of target.
-    flow_loop_iterables: frozenset[str] = frozenset(
-        {"dataset", "flows", "batch", "batches", "records", "packets",
-         "rows", "samples"}
-    )
-    #: Incremental result cache (sha256-keyed); None disables caching.
+    #: Whole-report result cache (fingerprint-keyed); None disables it.
     cache_path: Optional[Path] = None
-    #: Default baseline file.
-    baseline_path: Optional[Path] = None
 
 
 def default_config(root: Optional[Path] = None) -> LintConfig:
@@ -176,6 +40,5 @@ def default_config(root: Optional[Path] = None) -> LintConfig:
         src_root=root / "src",
         rel_to=root,
         metrics_doc=root / "docs" / "METRICS.md",
-        baseline_path=root / "lint-baseline.json",
         cache_path=root / ".repro-lint-cache.json",
     )

@@ -7,8 +7,9 @@ below. Two identities matter:
 * the *location* (``path:line:col``) — what the human reads; it moves
   freely as code is edited;
 * the *fingerprint* — a content hash of ``(rule, path, symbol, key)``
-  deliberately **excluding** the line number, so a baseline entry keeps
-  matching while unrelated edits shift the file around it.
+  deliberately **excluding** the line number, so a consumer of the
+  JSON report can track one violation while unrelated edits shift the
+  file around it.
 
 ``key`` is a short pass-chosen slug naming the violating construct
 (e.g. ``"clock:time.perf_counter"``); it defaults to the message.
@@ -29,7 +30,6 @@ RULES: dict[str, str] = {
     # framework
     "RS001": "malformed suppression (missing reason or unknown rule id)",
     "RS002": "unused suppression (no finding on the suppressed line)",
-    "RS003": "baseline entry without a justification",
     # determinism
     "RS101": "wall-clock read outside repro.obs (time.time, datetime.now, perf_counter, ...)",
     "RS102": "unseeded / legacy global RNG (random.* module functions, np.random legacy API)",
@@ -39,7 +39,6 @@ RULES: dict[str, str] = {
     "RS201": "module-global write reachable from shard-worker code",
     "RS202": "class-level attribute write reachable from shard-worker code",
     "RS203": "closure (nonlocal) write reachable from shard-worker code",
-    "RS204": "raw shared-memory buffer write outside the IPC protocol modules",
     # layering
     "RS301": "import violates the ARCHITECTURE.md layer contract",
     "RS302": "third-party import outside the dependency allowlist",
@@ -55,11 +54,6 @@ RULES: dict[str, str] = {
     "RS601": "acquired resource may leak on a normal path out of the function",
     "RS602": "acquired resource leaks on an exception path (no cleanup handler)",
     "RS603": "partial __init__: a raise after acquisition strands the resource on self",
-    "RS604": "resource ownership transferred to a class that defines no release method",
-    # hot-path discipline
-    "RS701": "per-flow/per-row Python loop in a module declared hot",
-    "RS702": "list-append accumulation feeding a numpy conversion — preallocate or vectorise",
-    "RS703": "np.concatenate/append/stack inside a loop — quadratic copying; batch instead",
 }
 
 

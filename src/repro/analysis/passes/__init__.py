@@ -4,22 +4,17 @@ from __future__ import annotations
 
 from repro.analysis.passes.determinism import DeterminismPass
 from repro.analysis.passes.durability import DurabilityPass
-from repro.analysis.passes.hot_path import HotPathPass
 from repro.analysis.passes.layering import LayeringPass
 from repro.analysis.passes.obs_names import ObsNamesPass
 from repro.analysis.passes.resource_lifecycle import ResourceLifecyclePass
 from repro.analysis.passes.shard_safety import ShardSafetyPass
 
-__all__ = ["ALL_PASSES", "MODULE_PASSES", "PROJECT_PASSES",
-           "DeterminismPass", "DurabilityPass", "HotPathPass",
+__all__ = ["ALL_PASSES", "DeterminismPass", "DurabilityPass",
            "LayeringPass", "ObsNamesPass", "ResourceLifecyclePass",
            "ShardSafetyPass"]
 
 #: Instantiable passes in execution order. Each exposes ``name``,
-#: ``rule_ids``, ``scope`` and ``run(project, config) -> list[Finding]``.
-#: Passes with ``scope == "module"`` additionally expose
-#: ``run_module(module, config)`` — their findings depend on one file's
-#: content only, which is what makes the incremental cache sound.
+#: ``rule_ids`` and ``run(project, config) -> list[Finding]``.
 ALL_PASSES = (
     DeterminismPass,
     ShardSafetyPass,
@@ -27,11 +22,4 @@ ALL_PASSES = (
     ObsNamesPass,
     DurabilityPass,
     ResourceLifecyclePass,
-    HotPathPass,
 )
-
-#: The per-module passes (cacheable per file sha).
-MODULE_PASSES = tuple(p for p in ALL_PASSES if p.scope == "module")
-
-#: The whole-project passes (cacheable on the project fingerprint).
-PROJECT_PASSES = tuple(p for p in ALL_PASSES if p.scope == "project")

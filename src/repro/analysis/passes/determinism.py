@@ -18,7 +18,7 @@ historically crept into ML pipelines:
   generator is part of a function's arguments, global state is not.
 * **RS103** — iterating a ``set`` (display, call, or comprehension) in
   the layers whose outputs feed serialization, hashing or verdicts
-  (``core``/``netflow`` by default). Set order is salted per process;
+  (:data:`SET_ITER_SCOPES`). Set order is salted per process;
   wrap in ``sorted(...)`` or suppress with the reason the order
   provably cannot escape.
 * **RS104** — builtin ``hash()``: salted per process for ``str`` and
@@ -29,7 +29,6 @@ historically crept into ML pipelines:
 from __future__ import annotations
 
 import ast
-from typing import Optional
 
 from repro.analysis.config import LintConfig
 from repro.analysis.findings import Finding
@@ -39,10 +38,19 @@ from repro.analysis.project import (
     ScopeStack,
     collect_bindings,
     import_table,
+    in_scope,
     resolve_dotted,
 )
 
 __all__ = ["DeterminismPass"]
+
+#: Module prefixes where wall-clock reads are legitimate (the obs
+#: layer owns the injectable clock).
+CLOCK_EXEMPT = ("repro.obs",)
+
+#: Module prefixes where set-iteration order matters (RS103 scope):
+#: layers whose outputs feed serialization, hashing, or verdicts.
+SET_ITER_SCOPES = ("repro.core", "repro.netflow", "repro.scenarios")
 
 #: Functions that read the ambient clock. ``time.sleep`` is absent on
 #: purpose: sleeping paces execution but returns no nondeterminism.
@@ -101,26 +109,14 @@ def _is_set_expr(node: ast.AST, scopes: ScopeStack) -> bool:
 class _ModuleVisitor(ast.NodeVisitor):
     """Scope-aware walk of one module for the RS10x rules."""
 
-    def __init__(
-        self,
-        module: Module,
-        config: LintConfig,
-        findings: list[Finding],
-    ):
+    def __init__(self, module: Module, findings: list[Finding]):
         self.module = module
-        self.config = config
         self.findings = findings
         self.imports = import_table(module)
         self.scopes = ScopeStack(collect_bindings(module.tree))
         self.symbols: list[str] = []
-        self.clock_exempt = any(
-            module.name == p or module.name.startswith(p + ".")
-            for p in config.clock_exempt
-        )
-        self.set_scope = any(
-            module.name == p or module.name.startswith(p + ".")
-            for p in config.set_iter_scopes
-        )
+        self.clock_exempt = in_scope(module.name, CLOCK_EXEMPT)
+        self.set_scope = in_scope(module.name, SET_ITER_SCOPES)
 
     # -- bookkeeping ----------------------------------------------------
     def _report(self, rule: str, node: ast.AST, message: str, key: str) -> None:
@@ -262,18 +258,10 @@ class DeterminismPass:
     """RS101/RS102/RS103/RS104 over every module of the package."""
 
     name = "determinism"
-    scope = "module"
     rule_ids = ("RS101", "RS102", "RS103", "RS104")
 
     def run(self, project: Project, config: LintConfig) -> list[Finding]:
         findings: list[Finding] = []
-        for module in project.modules:
-            findings.extend(self.run_module(module, config))
-        return findings
-
-    def run_module(self, module: Module, config: LintConfig) -> list[Finding]:
-        if module.name.split(".")[0] != config.package:
-            return []
-        findings: list[Finding] = []
-        _ModuleVisitor(module, config, findings).visit(module.tree)
+        for module in project.package_modules:
+            _ModuleVisitor(module, findings).visit(module.tree)
         return findings

@@ -13,8 +13,8 @@ detect it. This pass makes the discipline machine-checked:
 * **RS501** — a write-capable file open (``open`` with a mode
   containing ``w``/``a``/``x``/``+``) or a ``write_text`` /
   ``write_bytes`` call inside a *durable module*
-  (``config.durable_modules``) that is not one of the sanctioned
-  writer modules (``config.durable_writers``).
+  (:data:`DURABLE_MODULES`) that is not one of the sanctioned
+  writer modules (:data:`DURABLE_WRITERS`).
 * **RS502** — a direct ``os.rename`` / ``os.replace`` in a durable
   module outside the sanctioned writers: half the idiom — rename
   without the fd fsync before and the directory fsync after — is
@@ -38,10 +38,24 @@ from repro.analysis.project import (
     ScopeStack,
     collect_bindings,
     import_table,
+    in_scope,
     resolve_dotted,
 )
 
 __all__ = ["DurabilityPass"]
+
+#: Module prefixes whose files must survive a crash (RS501/RS502
+#: scope): everything they write must go through the sanctioned
+#: durable-write idiom.
+DURABLE_MODULES = ("repro.core.recovery", "repro.core.persistence")
+
+#: The sanctioned writer modules, exempt from RS501/RS502: the
+#: temp+fsync+rename implementation itself, and the append-only
+#: journal with its own fsync-per-append discipline.
+DURABLE_WRITERS = (
+    "repro.core.recovery.durable",
+    "repro.core.recovery.journal",
+)
 
 #: Attribute calls that write a whole file in one go.
 _WRITE_METHODS = frozenset({"write_text", "write_bytes"})
@@ -72,9 +86,8 @@ def _literal_mode(node: ast.Call) -> str | None:
 class _ModuleVisitor(ast.NodeVisitor):
     """Scope-aware walk of one durable module for the RS50x rules."""
 
-    def __init__(self, module: Module, config: LintConfig, findings: list[Finding]):
+    def __init__(self, module: Module, findings: list[Finding]):
         self.module = module
-        self.config = config
         self.findings = findings
         self.imports = import_table(module)
         self.scopes = ScopeStack(collect_bindings(module.tree))
@@ -167,30 +180,17 @@ class _ModuleVisitor(ast.NodeVisitor):
         )
 
 
-def _in_prefixes(name: str, prefixes: tuple[str, ...]) -> bool:
-    return any(name == p or name.startswith(p + ".") for p in prefixes)
-
-
 class DurabilityPass:
     """RS501/RS502 over the recovery-critical modules."""
 
     name = "durability"
-    scope = "module"
     rule_ids = ("RS501", "RS502")
 
     def run(self, project: Project, config: LintConfig) -> list[Finding]:
         findings: list[Finding] = []
-        for module in project.modules:
-            findings.extend(self.run_module(module, config))
-        return findings
-
-    def run_module(self, module: Module, config: LintConfig) -> list[Finding]:
-        if module.name.split(".")[0] != config.package:
-            return []
-        if not _in_prefixes(module.name, config.durable_modules):
-            return []
-        if _in_prefixes(module.name, config.durable_writers):
-            return []
-        findings: list[Finding] = []
-        _ModuleVisitor(module, config, findings).visit(module.tree)
+        for module in project.package_modules:
+            if in_scope(module.name, DURABLE_MODULES) and not in_scope(
+                module.name, DURABLE_WRITERS
+            ):
+                _ModuleVisitor(module, findings).visit(module.tree)
         return findings

@@ -10,7 +10,7 @@ DAG only lived in prose; this pass turns it into a checked contract.
   imports layer B with B not in A's allowed set. Imports under
   ``if TYPE_CHECKING:`` are exempt (annotation-only coupling). A
   subpackage absent from the contract table is flagged too — adding a
-  layer means *declaring* it, in ``analysis/config.py`` and
+  layer means *declaring* it, in :data:`LAYERS` below and
   ARCHITECTURE.md.
 * **RS302** — an import of a third-party distribution outside the
   allowlist (numpy, scipy). The repo runs on a frozen toolchain; a new
@@ -21,13 +21,39 @@ DAG only lived in prose; this pass turns it into a checked contract.
 from __future__ import annotations
 
 import sys
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.analysis.config import LintConfig
 from repro.analysis.findings import Finding
-from repro.analysis.project import Module, Project, runtime_imports
+from repro.analysis.project import PACKAGE, Module, Project, runtime_imports
 
-__all__ = ["LayeringPass"]
+__all__ = ["LayeringPass", "LAYERS"]
+
+#: The ARCHITECTURE.md import DAG: each top-level subpackage of
+#: ``repro`` maps to the set of sibling subpackages it may import at
+#: runtime. ``repro.obs`` (and the analyzer itself) sit at the bottom:
+#: stdlib/numpy only. A subpackage missing from this table fails the
+#: layering pass until the contract (here + ARCHITECTURE.md) names it.
+LAYERS: Mapping[str, frozenset[str]] = {
+    "obs": frozenset(),
+    "analysis": frozenset(),
+    "netflow": frozenset({"obs"}),
+    "bgp": frozenset({"netflow", "obs"}),
+    "traffic": frozenset({"netflow", "bgp", "obs"}),
+    "ixp": frozenset({"netflow", "bgp", "traffic", "obs"}),
+    "core": frozenset({"netflow", "bgp", "traffic", "obs"}),
+    "experiments": frozenset(
+        {"core", "ixp", "netflow", "bgp", "traffic", "obs"}
+    ),
+    "scenarios": frozenset({"core", "netflow", "bgp", "traffic", "obs"}),
+    "cli": frozenset(
+        {"core", "experiments", "ixp", "netflow", "bgp", "traffic", "obs",
+         "analysis", "scenarios"}
+    ),
+}
+
+#: External top-level imports allowed anywhere in the package.
+EXTERNAL_ALLOW = frozenset({"numpy", "scipy"})
 
 _STDLIB = frozenset(getattr(sys, "stdlib_module_names", ())) | {
     "__future__",
@@ -36,31 +62,23 @@ _STDLIB = frozenset(getattr(sys, "stdlib_module_names", ())) | {
 
 class LayeringPass:
     name = "layering"
-    scope = "module"
     rule_ids = ("RS301", "RS302")
 
     def run(self, project: Project, config: LintConfig) -> list[Finding]:
         findings: list[Finding] = []
-        for module in project.modules:
-            findings.extend(self.run_module(module, config))
-        return findings
-
-    def run_module(self, module: Module, config: LintConfig) -> list[Finding]:
-        if module.name.split(".")[0] != config.package:
-            return []
-        findings: list[Finding] = []
-        own_layer = self._layer_of(module.name, config)
-        for node, target in runtime_imports(module):
-            finding = self._check(module, node, target, own_layer, config)
-            if finding is not None:
-                findings.append(finding)
+        for module in project.package_modules:
+            own_layer = self._layer_of(module.name)
+            for node, target in runtime_imports(module):
+                finding = self._check(module, node, target, own_layer)
+                if finding is not None:
+                    findings.append(finding)
         return findings
 
     @staticmethod
-    def _layer_of(dotted: str, config: LintConfig) -> Optional[str]:
+    def _layer_of(dotted: str) -> Optional[str]:
         """Layer name of a project module; None for the package root."""
         parts = dotted.split(".")
-        if parts[0] != config.package or len(parts) < 2:
+        if parts[0] != PACKAGE or len(parts) < 2:
             return None
         head = parts[1]
         if head in ("__init__", "__main__"):
@@ -73,18 +91,17 @@ class LayeringPass:
         node,
         target: str,
         own_layer: Optional[str],
-        config: LintConfig,
     ) -> Optional[Finding]:
         top = target.split(".")[0]
-        if top == config.package:
-            target_layer = self._layer_of(target, config)
+        if top == PACKAGE:
+            target_layer = self._layer_of(target)
             if target_layer is None or target_layer == own_layer:
                 return None
             if own_layer is None:
                 # The package root (__init__, __main__) re-exports the
                 # public API; it may import anything.
                 return None
-            allowed = config.layers.get(own_layer)
+            allowed = LAYERS.get(own_layer)
             if allowed is None:
                 return Finding(
                     rule="RS301",
@@ -93,8 +110,9 @@ class LayeringPass:
                     col=node.col_offset + 1,
                     message=(
                         f"layer {own_layer!r} is not declared in the layer "
-                        "contract — register it in repro/analysis/config.py "
-                        "and docs/ARCHITECTURE.md before importing "
+                        "contract — register it in LAYERS "
+                        "(repro/analysis/passes/layering.py) and "
+                        "docs/ARCHITECTURE.md before importing "
                         f"{target!r}"
                     ),
                     key=f"undeclared-layer:{own_layer}",
@@ -113,7 +131,7 @@ class LayeringPass:
                     key=f"layer:{own_layer}->{target_layer}",
                 )
             return None
-        if top in _STDLIB or top in config.external_allow:
+        if top in _STDLIB or top in EXTERNAL_ALLOW:
             return None
         return Finding(
             rule="RS302",
@@ -122,7 +140,7 @@ class LayeringPass:
             col=node.col_offset + 1,
             message=(
                 f"third-party import {top!r} outside the dependency "
-                f"allowlist ({', '.join(sorted(config.external_allow))}) — "
+                f"allowlist ({', '.join(sorted(EXTERNAL_ALLOW))}) — "
                 "the toolchain is frozen by design; gate or stub it"
             ),
             key=f"external:{top}",

@@ -36,9 +36,17 @@ from repro.analysis.project import (
     attr_chain,
     collect_bindings,
     import_table,
+    in_scope,
 )
 
 __all__ = ["ObsNamesPass"]
+
+#: The obs name catalogue module.
+NAMES_MODULE = "repro.obs.names"
+
+#: Module prefixes exempt from the emission scan (the obs layer
+#: handles caller-supplied names, it never emits its own).
+OBS_EXEMPT = ("repro.obs",)
 
 #: Instrument factory attribute names and the name-prefix each accepts.
 _KIND_PREFIXES = {
@@ -85,14 +93,12 @@ class _EmissionScanner(ast.NodeVisitor):
         self,
         module: Module,
         catalogue: _Catalogue,
-        config: LintConfig,
         referenced: set[str],
         findings: list[Finding],
         emitted_values: set[str],
     ):
         self.module = module
         self.catalogue = catalogue
-        self.config = config
         self.referenced = referenced
         self.findings = findings
         self.emitted_values = emitted_values
@@ -102,9 +108,8 @@ class _EmissionScanner(ast.NodeVisitor):
 
     def _names_aliases(self) -> set[str]:
         """Dotted prefixes that denote the names module in this file."""
-        target = self.config.names_module
-        package = target.rsplit(".", 1)[0]  # repro.obs
-        out = {target}
+        package = NAMES_MODULE.rsplit(".", 1)[0]  # repro.obs
+        out = {NAMES_MODULE}
         # `from repro import obs` -> obs.names.C_X
         for local, dotted in self.imports.items():
             if dotted == package:
@@ -121,7 +126,7 @@ class _EmissionScanner(ast.NodeVisitor):
             return None
         dotted = ".".join([resolved] + parts[1:])
         # Direct constant import: from repro.obs.names import C_X
-        if dotted.rsplit(".", 1)[0] == self.config.names_module:
+        if dotted.rsplit(".", 1)[0] == NAMES_MODULE:
             const = dotted.rsplit(".", 1)[1]
             return const if const in self.catalogue.by_const else None
         return None
@@ -212,7 +217,7 @@ class _EmissionScanner(ast.NodeVisitor):
             resolved = self.imports.get(node.id)
             if resolved is not None:
                 prefix, _, last = resolved.rpartition(".")
-                if prefix == self.config.names_module and last in (
+                if prefix == NAMES_MODULE and last in (
                     self.catalogue.by_const
                 ):
                     self.referenced.add(last)
@@ -220,28 +225,21 @@ class _EmissionScanner(ast.NodeVisitor):
 
 class ObsNamesPass:
     name = "obs-names"
-    scope = "project"
     rule_ids = ("RS401", "RS402", "RS403", "RS404")
 
     def run(self, project: Project, config: LintConfig) -> list[Finding]:
-        names_module = project.by_name.get(config.names_module)
+        names_module = project.by_name.get(NAMES_MODULE)
         if names_module is None:
             return []  # nothing to check against (fixture trees)
         catalogue = _Catalogue.parse(names_module)
         findings: list[Finding] = []
         referenced: set[str] = set()
         emitted_values: set[str] = set()
-        for module in project.modules:
-            if module.name.split(".")[0] != config.package:
-                continue
-            if any(
-                module.name == p or module.name.startswith(p + ".")
-                for p in config.obs_exempt
-            ):
+        for module in project.package_modules:
+            if in_scope(module.name, OBS_EXEMPT):
                 continue
             _EmissionScanner(
-                module, catalogue, config, referenced, findings,
-                emitted_values,
+                module, catalogue, referenced, findings, emitted_values
             ).visit(module.tree)
 
         for const, value in sorted(catalogue.by_const.items()):

@@ -1,4 +1,4 @@
-"""Resource-lifecycle pass: RS601–RS604 over the CFG dataflow engine.
+"""Resource-lifecycle pass: RS601–RS603 over the CFG dataflow engine.
 
 The engine owns OS-level resources — shared-memory segments, the model
 plane, journal file handles, worker processes — whose leaks only show
@@ -19,11 +19,6 @@ contract, using :mod:`repro.analysis.cfg`:
   to ``self``, but a later statement of ``__init__`` can raise, so the
   half-built object (which the caller never receives) strands the
   resource. The fix is a handler that releases and re-raises.
-* **RS604** — ownership was transferred to an attribute of a class
-  that defines no release method (``close``/``destroy``/... /
-  ``__del__``/``__exit__``): the resource has an owner that cannot
-  ever let it go. Classes with base classes are exempt — the parent
-  may provide the release.
 
 What counts as settling a resource's fate:
 
@@ -34,7 +29,7 @@ What counts as settling a resource's fate:
   ``_destroy_segment(segment)``) or returned: ownership moved to code
   this intraprocedural analysis cannot see, so it stops tracking;
 * a **transfer to self** — ``self._shm = seg``: the object now owns
-  it (subject to RS603/RS604);
+  it (subject to RS603);
 * a **``with`` block** — ``with open(p) as f:`` is managed by the
   context manager and never tracked;
 * an **alias** — ``y = x`` stops tracking (either name may release).
@@ -49,14 +44,17 @@ would flag its own failure edge). Branch refinements kill facts on
 Only *directly assigned* acquisitions are tracked; a constructor call
 buried in a larger expression (``json.load(open(p))``) escapes into
 that expression unseen. That trade keeps the pass quiet enough to gate
-CI; the corpus pins the supported shapes.
+CI; the corpus pins the supported shapes. The analysis is
+intraprocedural, so a resource that reaches a function through a
+helper's return value is only seen when the helper itself is listed in
+:data:`RESOURCE_CONSTRUCTORS`.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.analysis import cfg as cfglib
 from repro.analysis.cfg import CFG, Block, DataflowAnalysis
@@ -71,10 +69,51 @@ from repro.analysis.project import (
     import_table,
 )
 
-__all__ = ["ResourceLifecyclePass"]
+__all__ = ["ResourceLifecyclePass", "RESOURCE_CONSTRUCTORS"]
 
-#: Methods whose *presence on a class* makes it a valid resource owner.
-_OWNER_METHODS_EXTRA = frozenset({"__del__", "__exit__"})
+#: The OS-level resources this repository acquires: resolved dotted
+#: call path -> human label (shown in RS6xx messages). Acquiring one
+#: binds a resource that must reach a release method, a ``with`` block,
+#: an ownership transfer, or an escape on every path out of the
+#: function — including the exception edges. The builtin ``open`` is
+#: matched by bare name when unshadowed. The objects that own worker
+#: processes are listed under their defining module and their package
+#: re-export, since call sites import them either way.
+RESOURCE_CONSTRUCTORS: Mapping[str, str] = {
+    "open": "file handle",
+    "os.open": "file descriptor",
+    "os.fdopen": "file handle",
+    "multiprocessing.shared_memory.SharedMemory": "shared-memory segment",
+    "repro.core.parallel.shm.attach_segment": "shared-memory segment",
+    "repro.core.parallel.shm.ShmRing": "shm ring",
+    "repro.core.parallel.shm.ShmRing.attach": "shm ring",
+    "repro.core.parallel.shm.ModelPlane": "model plane",
+    "repro.core.parallel.shm.ModelPlane.attach": "model plane",
+    "repro.core.recovery.journal.VerdictJournal": "verdict journal",
+    "repro.core.recovery.journal.VerdictJournal.open": "verdict journal",
+    "repro.core.recovery.snapshot.CheckpointStore": "checkpoint store",
+    "repro.core.parallel.backends.make_backend": "shard backend",
+    "repro.core.parallel.make_backend": "shard backend",
+    "repro.core.parallel.backends.WorkerPool": "worker pool",
+    "repro.core.resilience.supervisor.SupervisedProcessBackend": "worker pool",
+    "repro.core.resilience.SupervisedProcessBackend": "worker pool",
+    "repro.core.parallel.engine.ShardedStreamingScrubber": "sharded engine",
+    "repro.core.parallel.ShardedStreamingScrubber": "sharded engine",
+    "repro.core.recovery.session.RecoverySession": "recovery session",
+    "repro.core.recovery.RecoverySession": "recovery session",
+}
+
+#: Method names that count as releasing the receiver.
+RELEASE_METHODS = frozenset(
+    {
+        "close", "destroy", "unlink", "release", "terminate", "kill",
+        "join", "shutdown", "stop", "finalize", "detach",
+    }
+)
+
+#: Trailing attribute names that mark a process spawn even when the
+#: receiver cannot be resolved (``self._ctx.Process(...)``).
+SPAWN_ATTRS = frozenset({"Process", "Popen"})
 
 
 @dataclass(frozen=True)
@@ -149,33 +188,23 @@ class _ResourceFlow(DataflowAnalysis):
 
 
 class _FunctionCheck:
-    """RS601–RS604 for one function of one module."""
+    """RS601–RS603 for one function of one module."""
 
     def __init__(
         self,
         module: Module,
-        config: LintConfig,
         resolve_table: dict[str, str],
         qualname: str,
         func: ast.AST,
-        cls: Optional[ast.ClassDef],
     ):
         self.module = module
-        self.config = config
         self.table = resolve_table
         self.qualname = qualname
         self.func = func
-        self.cls = cls
         self.scopes = ScopeStack(collect_bindings(module.tree))
         self.scopes.push(collect_bindings(func))
         self.sites: list[_Site] = []
         self.findings: list[Finding] = []
-        self.rs604_seen: set[str] = set()
-        #: (block_index, stmt, src_name, self_key) for every
-        #: ``self.attr = name`` — whether it moves a *resource* is only
-        #: known after the dataflow solve, so RS604 checks are deferred.
-        self.pending_transfers: list[tuple[int, ast.stmt, str, str]] = []
-        self._block_index = -1
 
     # -- resolution -----------------------------------------------------
     def _resolve(self, node: ast.AST) -> Optional[str]:
@@ -194,14 +223,14 @@ class _FunctionCheck:
         func = call.func
         if isinstance(func, ast.Name) and func.id == "open":
             if not self.scopes.is_bound("open"):
-                return self.config.resource_constructors.get("open")
+                return RESOURCE_CONSTRUCTORS["open"]
         dotted = self._resolve(func)
         if dotted is not None:
-            label = self.config.resource_constructors.get(dotted)
+            label = RESOURCE_CONSTRUCTORS.get(dotted)
             if label is not None:
                 return label
         parts = attr_chain(func)
-        if parts and parts[-1] in self.config.resource_spawn_attrs:
+        if parts and parts[-1] in SPAWN_ATTRS:
             return "worker process"
         return None
 
@@ -262,7 +291,7 @@ class _FunctionCheck:
             func = n.func
             if (
                 isinstance(func, ast.Attribute)
-                and func.attr in self.config.resource_release_methods
+                and func.attr in RELEASE_METHODS
             ):
                 base = _var_key(func.value)
                 if base == "self":
@@ -318,12 +347,8 @@ class _FunctionCheck:
                 actions.rebind_keys.add(self_key)
                 if acquired is not None:
                     self._gen(actions, acquired[0], acquired[1], self_key, "self")
-                    self._check_rs604(stmt, self_key, acquired[1])
                 elif isinstance(value, ast.Name):
                     actions.transfers.append((value.id, self_key))
-                    self.pending_transfers.append(
-                        (self._block_index, stmt, value.id, self_key)
-                    )
         elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
             label = self._constructor_label(stmt.value)
             if label is not None:
@@ -368,67 +393,17 @@ class _FunctionCheck:
                 for name in collect_bindings(item.optional_vars):
                     actions.rebind_keys.add(name)
 
-    # -- RS604 ----------------------------------------------------------
-    def _class_can_release(self) -> bool:
-        if self.cls is None:
-            return True
-        if self.cls.bases:
-            return True  # a parent class may provide the release
-        release = self.config.resource_release_methods | _OWNER_METHODS_EXTRA
-        for node in self.cls.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name in release:
-                    return True
-        return False
-
-    def _check_rs604(
-        self, stmt: ast.stmt, self_key: str, label: Optional[str]
-    ) -> None:
-        if self.cls is None or self._class_can_release():
-            return
-        dedupe = f"{self.cls.name}:{self_key}"
-        if dedupe in self.rs604_seen:
-            return
-        self.rs604_seen.add(dedupe)
-        what = label or "a tracked resource"
-        self.findings.append(
-            Finding(
-                rule="RS604",
-                path=self.module.rel,
-                line=stmt.lineno,
-                col=stmt.col_offset + 1,
-                message=(
-                    f"{what} stored on {self_key} but class "
-                    f"{self.cls.name} defines no release method "
-                    "(close/destroy/unlink/...) — the owner can never "
-                    "let it go"
-                ),
-                symbol=self.qualname,
-                key=f"resource-owner:{dedupe}",
-            )
-        )
-
     # -- driver ---------------------------------------------------------
     def analyze(self) -> list[Finding]:
         graph = CFG.build(self.func)
         actions: dict[int, _Actions] = {}
         for block in graph.blocks:
-            self._block_index = block.index
             a = self._actions_for(block)
             if a is not None:
                 actions[block.index] = a
         if not self.sites:
             return self.findings
         facts = cfglib.solve(graph, _ResourceFlow(actions))
-        # RS604: a transfer only matters when the transferred name holds
-        # a live resource at that statement.
-        for bindex, stmt, src, self_key in self.pending_transfers:
-            live = [
-                f for f in facts[bindex] if f[1] == src and f[2] == "local"
-            ]
-            if live:
-                label = self.sites[live[0][0]].label
-                self._check_rs604(stmt, self_key, label)
         exit_fact = facts[CFG.EXIT]
         raise_fact = facts[CFG.RAISE]
         is_init = getattr(self.func, "name", "") == "__init__"
@@ -483,32 +458,24 @@ class _FunctionCheck:
 
 
 class ResourceLifecyclePass:
-    """RS601/RS602/RS603/RS604 over every function of the package."""
+    """RS601/RS602/RS603 over every function of the package."""
 
     name = "resource_lifecycle"
-    scope = "module"
-    rule_ids = ("RS601", "RS602", "RS603", "RS604")
+    rule_ids = ("RS601", "RS602", "RS603")
 
     def run(self, project: Project, config: LintConfig) -> list[Finding]:
         findings: list[Finding] = []
-        for module in project.modules:
-            findings.extend(self.run_module(module, config))
-        return findings
-
-    def run_module(self, module: Module, config: LintConfig) -> list[Finding]:
-        if module.name.split(".")[0] != config.package:
-            return []
-        table = dict(import_table(module))
-        for node in module.tree.body:
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                # Module-local constructors resolve like imports do:
-                # `attach_segment(...)` inside shm.py is
-                # `repro.core.parallel.shm.attach_segment`.
-                table.setdefault(node.name, f"{module.name}.{node.name}")
-        findings: list[Finding] = []
-        for qualname, func, cls in cfglib.iter_functions(module.tree):
-            check = _FunctionCheck(module, config, table, qualname, func, cls)
-            findings.extend(check.analyze())
+        for module in project.package_modules:
+            table = dict(import_table(module))
+            for node in module.tree.body:
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    # Module-local constructors resolve like imports do:
+                    # `attach_segment(...)` inside shm.py is
+                    # `repro.core.parallel.shm.attach_segment`.
+                    table.setdefault(node.name, f"{module.name}.{node.name}")
+            for qualname, func, _cls in cfglib.iter_functions(module.tree):
+                check = _FunctionCheck(module, table, qualname, func)
+                findings.extend(check.analyze())
         return findings

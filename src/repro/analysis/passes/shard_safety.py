@@ -14,7 +14,7 @@ This pass makes the assumption machine-checked:
 1. index every function/method in the project, recording the calls it
    makes and the writes it performs (scope-aware — locals, parameters
    and instance attributes are fine);
-2. build a call graph from the configured worker entry points
+2. build a call graph from :data:`WORKER_ENTRY_POINTS`
    (``_worker_main`` and the fault directive executor in
    ``core/parallel/backends.py``). Attribute calls on objects of
    unknown type over-approximate: they link to *every* project method
@@ -28,15 +28,6 @@ This pass makes the assumption machine-checked:
 
 Messages carry the call chain from the entry point so the finding is
 reviewable without re-deriving reachability by hand.
-
-RS204 rides along with a different scope rule: raw writes into a
-shared-memory mapping (subscript stores or ``pack_into`` through a
-``.buf`` attribute) are flagged in *every* project module outside
-``config.shm_protocol_modules`` — reachability does not matter,
-because a segment poked from coordinator-side code corrupts frames a
-worker will read later. The protocol modules own every byte of ring
-and model-plane layout (see ``docs/IPC.md``); nothing else may write
-segment memory directly.
 """
 
 from __future__ import annotations
@@ -50,13 +41,20 @@ from repro.analysis.findings import Finding
 from repro.analysis.project import (
     Module,
     Project,
-    ScopeStack,
     attr_chain,
     collect_bindings,
     import_table,
 )
 
 __all__ = ["ShardSafetyPass"]
+
+#: Qualified names of the functions that run inside shard workers: the
+#: race detector's call-graph roots. Entries absent from the linted
+#: tree are skipped.
+WORKER_ENTRY_POINTS = (
+    "repro.core.parallel.backends._worker_main",
+    "repro.core.parallel.backends._execute_fault",
+)
 
 #: Method names never used for name-based call-graph fallback: they are
 #: overwhelmingly builtin-collection / numpy / pipe operations, and
@@ -373,116 +371,17 @@ class _BodyAnalyzer(ast.NodeVisitor):
             self._check_target(target, node)
         self.generic_visit(node)
 
-def _touches_shm_buf(node: ast.AST) -> bool:
-    """Does this expression read through a ``.buf`` attribute?
-
-    ``SharedMemory`` exposes its mapping as ``.buf``; any expression
-    built on one (``seg.buf``, ``self._shm.buf[64:]``,
-    ``memoryview(ring.buf)``) is segment memory.
-    """
-    return any(
-        isinstance(sub, ast.Attribute) and sub.attr == "buf"
-        for sub in ast.walk(node)
-    )
-
-
-class _ShmWriteScanner(ast.NodeVisitor):
-    """RS204: raw segment-byte writes in a non-protocol module.
-
-    Flags subscript stores whose base touches ``.buf`` (plain,
-    augmented and annotated assignment) and ``pack_into`` calls given a
-    ``.buf``-derived buffer argument. Reads are fine — consumers are
-    expected to build ``np.frombuffer`` views — only stores bypass the
-    seqno/generation/crc discipline.
-    """
-
-    def __init__(self, module: Module):
-        self.module = module
-        self.findings: list[Finding] = []
-        self._symbol: list[str] = []
-
-    def _visit_scope(self, node) -> None:
-        self._symbol.append(node.name)
-        self.generic_visit(node)
-        self._symbol.pop()
-
-    visit_FunctionDef = _visit_scope
-    visit_AsyncFunctionDef = _visit_scope
-    visit_ClassDef = _visit_scope
-
-    def _record(self, node: ast.AST, detail: str, key: str) -> None:
-        self.findings.append(
-            Finding(
-                rule="RS204",
-                path=self.module.rel,
-                line=node.lineno,
-                col=node.col_offset + 1,
-                message=(
-                    f"{detail} — shared-memory frame/control layout is "
-                    "owned by the IPC protocol modules (docs/IPC.md); "
-                    "raw segment writes elsewhere bypass the "
-                    "seqno/generation/crc discipline"
-                ),
-                symbol=".".join(self._symbol),
-                key=key,
-            )
-        )
-
-    def _check_store(self, target: ast.AST, node: ast.stmt) -> None:
-        if isinstance(target, ast.Subscript) and _touches_shm_buf(
-            target.value
-        ):
-            self._record(
-                node,
-                "subscript write into a shared-memory buffer (.buf)",
-                key="shm-write:subscript",
-            )
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._check_store(elt, node)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_store(target, node)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_store(node.target, node)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._check_store(node.target, node)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "pack_into"
-            and any(_touches_shm_buf(arg) for arg in node.args)
-        ):
-            self._record(
-                node,
-                "struct pack_into a shared-memory buffer (.buf)",
-                key="shm-write:pack_into",
-            )
-        self.generic_visit(node)
-
 
 class ShardSafetyPass:
-    """RS201-RS203 over worker-reachable code; RS204 everywhere else."""
+    """RS201-RS203 over worker-reachable code."""
 
     name = "shard-safety"
-    scope = "project"
-    rule_ids = ("RS201", "RS202", "RS203", "RS204")
+    rule_ids = ("RS201", "RS202", "RS203")
 
     def run(self, project: Project, config: LintConfig) -> list[Finding]:
         funcs: dict[str, _FuncInfo] = {}
         classes: dict[str, ast.ClassDef] = {}
-        for module in project.modules:
-            if module.name.split(".")[0] != config.package:
-                continue
+        for module in project.package_modules:
             _Indexer(module, funcs, classes).visit(module.tree)
 
         methods_by_name: dict[str, list[str]] = {}
@@ -492,9 +391,7 @@ class ShardSafetyPass:
                     qual.rsplit(".", 1)[1], []
                 ).append(qual)
 
-        for module in project.modules:
-            if module.name.split(".")[0] != config.package:
-                continue
+        for module in project.package_modules:
             imports = import_table(module)
             module_bindings = collect_bindings(module.tree)
             module_classes = {
@@ -511,7 +408,7 @@ class ShardSafetyPass:
                     ).run()
 
         edges = self._build_edges(funcs, classes, methods_by_name)
-        reachable, via = self._reach(config.worker_entry_points, edges)
+        reachable, via = self._reach(WORKER_ENTRY_POINTS, edges)
 
         findings: list[Finding] = []
         for qual in sorted(reachable):
@@ -537,19 +434,6 @@ class ShardSafetyPass:
                         key=write.key,
                     )
                 )
-
-        protocol = tuple(config.shm_protocol_modules)
-        for module in project.modules:
-            if module.name.split(".")[0] != config.package:
-                continue
-            if any(
-                module.name == p or module.name.startswith(p + ".")
-                for p in protocol
-            ):
-                continue
-            scanner = _ShmWriteScanner(module)
-            scanner.visit(module.tree)
-            findings.extend(scanner.findings)
         return findings
 
     def _build_edges(

@@ -27,15 +27,25 @@ from typing import Iterator, Optional, Sequence
 
 __all__ = [
     "Module",
+    "PACKAGE",
     "Project",
     "ScopeStack",
     "attr_chain",
     "collect_bindings",
     "import_table",
+    "in_scope",
     "iter_source_files",
     "resolve_dotted",
     "runtime_imports",
 ]
+
+#: The top-level package the contracts speak about.
+PACKAGE = "repro"
+
+
+def in_scope(name: str, prefixes: Sequence[str]) -> bool:
+    """Is the dotted module ``name`` one of ``prefixes`` or inside one?"""
+    return any(name == p or name.startswith(p + ".") for p in prefixes)
 
 
 def iter_source_files(
@@ -89,6 +99,11 @@ class Project:
             sorted(modules, key=lambda m: m.name)
         )
         self.by_name: dict[str, Module] = {m.name: m for m in self.modules}
+        #: What the passes check: a stray top-level script beside the
+        #: package is parsed and counted, but no contract covers it.
+        self.package_modules: tuple[Module, ...] = tuple(
+            m for m in self.modules if m.name.split(".")[0] == PACKAGE
+        )
 
     @classmethod
     def load(cls, src_root: Path, rel_to: Optional[Path] = None) -> "Project":

@@ -1,64 +1,41 @@
-"""Lint runner: passes -> suppressions -> baseline -> report.
+"""Lint runner: passes -> suppressions -> report.
 
 :func:`run_lint` is the one entry point the CLI, CI and the test suite
-share. The filtering order matters and is part of the contract:
+share. The order is part of the contract:
 
 1. every pass runs over the whole project (contracts like layering and
    obs-names need the global view even when only a few paths are
-   reported);
+   reported) — or, with ``config.cache_path`` set and nothing changed
+   since the last run, the raw result is replayed from the cache
+   (:mod:`repro.analysis.cache`) without parsing a file;
 2. inline suppressions are applied; malformed ones (RS001) and unused
    ones (RS002) are *added* as findings, so an ignore comment can never
    rot silently;
-3. the baseline absorbs known fingerprints; entries without a
-   justification surface as RS003 and stale entries are reported so the
-   file shrinks back toward empty.
+3. the ``paths`` / ``rules`` filters scope what is reported.
 
-Exit semantics (used by ``repro lint`` and CI): findings outside the
-baseline -> 1, otherwise 0.
-
-With ``cache_path`` set, results are reused through the incremental
-cache (:mod:`repro.analysis.cache`): a fully warm run hashes file bytes
-and never parses; a partially warm run reruns the module-scoped passes
-on changed files only. The reported findings are identical either way —
-the JSON report of a warm run is byte-for-byte the cold report, which
-CI asserts.
+The reported findings are identical cold or warm — the JSON report of a
+warm run is byte-for-byte the cold report, which CI asserts. Exit
+semantics (used by ``repro lint`` and CI): any finding -> 1, else 0.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.baseline import Baseline, load_baseline
-from repro.analysis.cache import (
-    analyzer_fingerprint,
-    file_sha,
-    load_cache,
-    module_record,
-    project_fingerprint,
-    restore_findings,
-    restore_suppressions,
-    save_cache,
-)
-from repro.analysis.changed import changed_paths
+from repro.analysis.cache import load_cache, report_fingerprint, save_cache
 from repro.analysis.config import LintConfig
 from repro.analysis.findings import RULES, Finding
-from repro.analysis.passes import MODULE_PASSES, PROJECT_PASSES
-from repro.analysis.project import (
-    Module,
-    Project,
-    iter_source_files,
-    runtime_imports,
-)
+from repro.analysis.passes import ALL_PASSES
+from repro.analysis.project import Project, iter_source_files
 from repro.analysis.suppressions import Suppression, scan_suppressions
 
 __all__ = ["LintResult", "run_lint", "format_human", "format_json"]
 
 #: Schema version of the ``--format json`` payload; bump on breaking
 #: changes (tests/test_cli.py pins the shape).
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -67,8 +44,6 @@ class LintResult:
 
     findings: list[Finding] = field(default_factory=list)  # actionable
     suppressed: list[tuple[Finding, Suppression]] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale_baseline: list = field(default_factory=list)
     modules_scanned: int = 0
 
     @property
@@ -76,155 +51,84 @@ class LintResult:
         return 1 if self.findings else 0
 
 
-def _under(finding: Finding, paths: Sequence[str]) -> bool:
-    if not paths:
+def _under(path: str, prefixes: Sequence[str]) -> bool:
+    """Is ``path`` one of ``prefixes`` or inside one? (no prefixes: yes)"""
+    if not prefixes:
         return True
     return any(
-        finding.path == p or finding.path.startswith(p.rstrip("/") + "/")
-        for p in paths
+        path == p.rstrip("/") or path.startswith(p.rstrip("/") + "/")
+        for p in prefixes
     )
 
 
-def _module_results(
-    module: Module, config: LintConfig
-) -> tuple[list[Finding], list[Suppression], list[str]]:
-    """Everything derivable from one module's content alone."""
-    findings: list[Finding] = []
-    for pass_cls in MODULE_PASSES:
-        findings.extend(pass_cls().run_module(module, config))
-    suppressions: list[Suppression] = []
-    if module.name.split(".")[0] == config.package:
-        suppressions, malformed = scan_suppressions(module.rel, module.source)
-        findings.extend(malformed)
-    imports = sorted({target for _, target in runtime_imports(module)})
-    return findings, suppressions, imports
-
-
 def _analyze(
-    config: LintConfig, cache_path: Optional[Path]
-) -> tuple[list[Finding], list[Suppression], int, dict]:
-    """All raw findings + suppressions, through the cache when enabled.
-
-    Returns ``(raw_findings, suppressions, modules_scanned,
-    module_meta)`` where ``module_meta`` maps each rel path to
-    ``(dotted_name, import_targets)`` for ``--changed`` scoping.
-    """
-    entries = iter_source_files(config.src_root, rel_to=config.rel_to)
-
-    if cache_path is None:
-        # No caching: parse and run everything, skip all hashing.
-        project = Project.load(config.src_root, rel_to=config.rel_to)
-        raw: list[Finding] = []
-        suppressions: list[Suppression] = []
-        meta: dict = {}
-        for module in project.modules:
-            findings, sups, imports = _module_results(module, config)
-            raw.extend(findings)
-            suppressions.extend(sups)
-            meta[module.rel] = (module.name, imports)
-        for pass_cls in PROJECT_PASSES:
-            raw.extend(pass_cls().run(project, config))
-        return raw, suppressions, len(project.modules), meta
-
-    analyzer = analyzer_fingerprint(config)
-    cache = load_cache(cache_path, analyzer)
-    shas = {rel: file_sha(path) for path, _, rel in entries}
-    fingerprint = project_fingerprint(analyzer, shas, config.metrics_doc)
-
-    if (
-        cache is not None
-        and set(cache["modules"]) == set(shas)
-        and all(cache["modules"][rel]["sha256"] == shas[rel] for rel in shas)
-        and cache["project"]["fingerprint"] == fingerprint
-    ):
-        # Fully warm: reconstruct without parsing a single file.
-        raw = []
-        suppressions = []
-        meta = {}
-        for _, _, rel in entries:
-            record = cache["modules"][rel]
-            raw.extend(restore_findings(record["findings"]))
-            suppressions.extend(restore_suppressions(rel, record["suppressions"]))
-            meta[rel] = (record["name"], record["imports"])
-        raw.extend(restore_findings(cache["project"]["findings"]))
-        return raw, suppressions, len(entries), meta
-
-    # Cold or partially warm: parse everything, rerun module passes on
-    # changed files only, reuse the rest from the cache.
+    config: LintConfig,
+) -> tuple[list[Finding], list[Suppression], int]:
+    """``(raw findings, suppressions, modules_scanned)``, cached or cold."""
+    fingerprint = None
+    if config.cache_path is not None:
+        fingerprint = report_fingerprint(config)
+        cached = load_cache(config.cache_path, fingerprint)
+        if cached is not None:
+            return cached
     project = Project.load(config.src_root, rel_to=config.rel_to)
-    raw = []
-    suppressions = []
-    meta = {}
-    records: dict[str, dict] = {}
-    cached_modules = cache["modules"] if cache is not None else {}
-    for module in project.modules:
-        sha = shas[module.rel]
-        record = cached_modules.get(module.rel)
-        if record is not None and record["sha256"] == sha:
-            findings = restore_findings(record["findings"])
-            sups = restore_suppressions(module.rel, record["suppressions"])
-            imports = list(record["imports"])
-        else:
-            findings, sups, imports = _module_results(module, config)
-        raw.extend(findings)
-        suppressions.extend(sups)
-        meta[module.rel] = (module.name, imports)
-        records[module.rel] = module_record(
-            module.name, sha, findings, sups, imports
+    raw: list[Finding] = []
+    for pass_cls in ALL_PASSES:
+        raw.extend(pass_cls().run(project, config))
+    suppressions: list[Suppression] = []
+    for module in project.package_modules:
+        found, malformed = scan_suppressions(module.rel, module.source)
+        suppressions.extend(found)
+        raw.extend(malformed)
+    if fingerprint is not None:
+        save_cache(
+            config.cache_path, fingerprint, raw, suppressions,
+            len(project.modules),
         )
-    if cache is not None and cache["project"]["fingerprint"] == fingerprint:
-        project_findings = restore_findings(cache["project"]["findings"])
-    else:
-        project_findings = []
-        for pass_cls in PROJECT_PASSES:
-            project_findings.extend(pass_cls().run(project, config))
-    raw.extend(project_findings)
-    save_cache(cache_path, analyzer, records, fingerprint, project_findings)
-    return raw, suppressions, len(project.modules), meta
+    return raw, suppressions, len(project.modules)
 
 
 def run_lint(
     config: LintConfig,
     paths: Sequence[str] = (),
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
-    cache_path: Optional[Path] = None,
-    changed_only: bool = False,
 ) -> LintResult:
-    """Run every pass and fold in suppressions and the baseline.
+    """Run every pass, fold in suppressions, scope the report.
 
-    ``paths`` restricts which findings are *reported* (posix paths
+    ``paths`` restricts what is *reported* — findings and the
+    suppressed tally alike — to these files or directories (posix,
     relative to the lint root); the analysis itself always sees the
-    whole project. ``rules`` restricts to a subset of rule ids.
-    ``baseline=None`` loads ``config.baseline_path``; pass an empty
-    :class:`Baseline` to lint without one. ``cache_path`` enables the
-    incremental cache (None keeps the runner stateless).
-    ``changed_only`` further scopes the report to modules reachable
-    from the git diff; outside a git checkout it degrades to a full
-    report.
+    whole project. A path matching no scanned module is a
+    :class:`ValueError`: a typo must not read as a clean report.
+    ``rules`` restricts the report to a subset of rule ids.
     """
-    raw, suppressions, modules_scanned, module_meta = _analyze(
-        config, cache_path
-    )
+    if paths:
+        scanned = [
+            rel for _, _, rel in iter_source_files(config.src_root, config.rel_to)
+        ]
+        for path in paths:
+            if not any(_under(rel, (path,)) for rel in scanned):
+                raise ValueError(f"path {path!r} matches no scanned module")
+    raw, suppressions, modules_scanned = _analyze(config)
     result = LintResult(modules_scanned=modules_scanned)
+    wanted = set(rules) if rules else None
 
-    scope: Optional[frozenset] = None
-    if changed_only:
-        root = config.rel_to if config.rel_to else config.src_root.parent
-        scoped = changed_paths(root, module_meta)
-        if scoped is not None:
-            scope = frozenset(scoped)
+    def reported(finding: Finding) -> bool:
+        return (wanted is None or finding.rule in wanted) and _under(
+            finding.path, paths
+        )
 
     kept: list[Finding] = []
     for finding in raw:
         match = next(
             (s for s in suppressions if s.matches(finding)), None
         )
-        if match is not None:
-            match.used = True
-            result.suppressed.append((finding, match))
-        else:
+        if match is None:
             kept.append(finding)
+        else:
+            match.used = True
+            if reported(finding):
+                result.suppressed.append((finding, match))
 
     for suppression in suppressions:
         if not suppression.used:
@@ -243,61 +147,20 @@ def run_lint(
                 )
             )
 
-    if baseline is None:
-        baseline = (
-            load_baseline(config.baseline_path)
-            if config.baseline_path is not None
-            else Baseline()
-        )
-    for entry in baseline.unjustified():
-        kept.append(
-            Finding(
-                rule="RS003",
-                path=str(baseline.path) if baseline.path else "baseline",
-                line=1,
-                col=1,
-                message=(
-                    f"baseline entry {entry.fingerprint} ({entry.rule} in "
-                    f"{entry.path}) has no justification — explain why it "
-                    "is accepted or fix it"
-                ),
-                key=f"unjustified:{entry.fingerprint}",
-            )
-        )
-    result.stale_baseline = baseline.stale(kept)
-
-    if rules:
-        wanted = set(rules)
-        kept = [f for f in kept if f.rule in wanted]
-
-    for finding in sorted(kept, key=lambda f: f.sort_key):
-        if not _under(finding, paths):
-            continue
-        if scope is not None and finding.path not in scope:
-            continue
-        if finding in baseline:
-            result.baselined.append(finding)
-        else:
-            result.findings.append(finding)
+    result.findings = sorted(
+        (f for f in kept if reported(f)), key=lambda f: f.sort_key
+    )
     return result
 
 
 def format_human(result: LintResult) -> str:
     """The terminal report."""
     lines = [f.render() for f in result.findings]
-    summary = (
+    lines.append(
         f"{len(result.findings)} finding(s), "
         f"{len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined, "
         f"{result.modules_scanned} module(s) scanned"
     )
-    if result.stale_baseline:
-        summary += (
-            f"; {len(result.stale_baseline)} stale baseline entr"
-            f"{'y' if len(result.stale_baseline) == 1 else 'ies'} "
-            "(safe to delete)"
-        )
-    lines.append(summary)
     return "\n".join(lines)
 
 
@@ -309,8 +172,6 @@ def format_json(result: LintResult) -> str:
         "counts": {
             "findings": len(result.findings),
             "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
-            "stale_baseline": len(result.stale_baseline),
         },
         "modules_scanned": result.modules_scanned,
         "rules": RULES,

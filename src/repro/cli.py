@@ -427,13 +427,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.analysis import (
-        Baseline,
         default_config,
         format_human,
         format_json,
         rule_exists,
         run_lint,
-        write_baseline,
     )
 
     rules = None
@@ -445,27 +443,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 2
     root = Path(__file__).resolve().parents[2]
     config = default_config(root)
-    if args.baseline is not None:
-        config = dataclasses.replace(
-            config, baseline_path=Path(args.baseline)
-        )
-    baseline = Baseline() if args.no_baseline else None
-    result = run_lint(
-        config,
-        paths=tuple(args.paths),
-        rules=rules,
-        baseline=baseline,
-        cache_path=None if args.no_cache else config.cache_path,
-        changed_only=args.changed,
-    )
-    if args.write_baseline:
-        write_baseline(config.baseline_path, result.findings)
-        print(
-            f"wrote {len(result.findings)} entry(ies) to "
-            f"{config.baseline_path} — fill in each justification or the "
-            "next run reports RS003"
-        )
-        return 0
+    if args.no_cache:
+        config = dataclasses.replace(config, cache_path=None)
+    try:
+        result = run_lint(config, paths=tuple(args.paths), rules=rules)
+    except ValueError as exc:  # a PATH that matches no scanned module
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(format_json(result) if args.format == "json" else format_human(result))
     return result.exit_code
 
@@ -694,8 +678,9 @@ def main(argv: list[str] | None = None) -> int:
         "paths",
         nargs="*",
         metavar="PATH",
-        help="restrict the report to these repo-relative paths "
-        "(analysis always sees the whole tree)",
+        help="restrict the report to these repo-relative files or "
+        "directories (analysis always sees the whole tree; a path "
+        "matching no scanned module is a usage error)",
     )
     lint_parser.add_argument(
         "--format",
@@ -709,31 +694,10 @@ def main(argv: list[str] | None = None) -> int:
         help="restrict the report to these rule ids",
     )
     lint_parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline file (default: lint-baseline.json at the repo root)",
-    )
-    lint_parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report baselined findings too",
-    )
-    lint_parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="grandfather the current findings into the baseline file",
-    )
-    lint_parser.add_argument(
         "--no-cache",
         action="store_true",
         help="ignore and do not write .repro-lint-cache.json (CI runs "
         "cold; results are identical either way)",
-    )
-    lint_parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="report only modules reachable from the git diff "
-        "(falls back to a full report outside a git checkout)",
     )
     lint_parser.set_defaults(func=_cmd_lint)
     args = parser.parse_args(argv)

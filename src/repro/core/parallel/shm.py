@@ -47,10 +47,10 @@ unregisters the mapping from ``resource_tracker``; without that, a
 worker killed mid-batch would let its tracker unlink segments the
 coordinator still uses (bpo-39959) and spew leak warnings at exit.
 
-Writes into segment buffers are confined to this module by the RS204
-shard-safety lint rule (see ``docs/ANALYSIS.md``): the frame and
-header layout here *is* the protocol, and an out-of-band write would
-corrupt it invisibly.
+Writes into segment buffers are confined to this module: the frame
+and header layout here *is* the protocol, and an out-of-band write is
+caught at the reader by the seqno/generation/crc checks
+(:class:`ShmProtocolError`).
 """
 
 from __future__ import annotations

@@ -293,7 +293,13 @@ def run_scenario(
             seed=derive_seed(seed, 20),
             **dict(spec.engine),
         )
-        engine.warm_start(warm)
+        try:
+            engine.warm_start(warm)
+        except BaseException:
+            # The engine already owns its workers and rings; the caller
+            # never receives it, so nobody else can close it.
+            engine.close()
+            raise
         return engine
 
     conduct = scenario.conduct or _conduct_plain

@@ -7,31 +7,34 @@ id at least one positive and one negative case**. Tests assert on
 ``(rule, path, line)`` triples located by searching the fixture source
 for the violating text, so they stay robust against fixture edits.
 
-Framework behaviour (suppression grammar, baseline round-trip,
-fingerprint stability, path/rule filters) is covered on top, and the
-last test runs the analyzer over the *real* tree: the repository must
-lint clean — that is the PR's acceptance criterion, kept green by CI.
+Framework behaviour (suppression grammar, fingerprint stability,
+path/rule filters, the result cache) is covered on top; one test runs
+the analyzer over the *real* tree — the repository must lint clean,
+kept green by CI — and the mutation tests at the end re-introduce, on
+copies of real source, the regressions each rule family exists to
+catch.
 """
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import json
+import re
 import textwrap
 
 import pytest
 
 from repro.analysis import (
     RULES,
-    Baseline,
     Finding,
     LintConfig,
     default_config,
     format_human,
     format_json,
-    load_baseline,
+    report_fingerprint,
     run_lint,
     scan_suppressions,
-    write_baseline,
 )
 
 # --------------------------------------------------------------------------
@@ -217,19 +220,6 @@ CORPUS = {
 
                 return dec
 
-
-            def rogue_ring_poke(seg, header):
-                seg.buf[0:4] = b"FAKE"
-                header.pack_into(seg.buf, 64, 1)
-                peek = seg.buf[4:8]
-                return peek
-            """,
-        # RS204 negative: the protocol module itself owns segment
-        # layout, so its raw writes are sanctioned.
-        "repro/core/parallel/shm.py": """\
-            def write_frame(shm, payload):
-                shm.buf[64 : 64 + len(payload)] = payload
-                return len(payload)
             """,
         # Suppression grammar: one used, one missing its reason, one
         # naming an unknown rule, one matching nothing.
@@ -301,7 +291,7 @@ CORPUS = {
                 with open(path, "w") as handle:
                     handle.write(text)
             """,
-        # The resource-lifecycle (RS601–RS604) showcase: every function
+        # The resource-lifecycle (RS601–RS603) showcase: every function
         # exercises one path shape the CFG dataflow must get right.
         "repro/core/parallel/lifecycle.py": """\
             from repro.core.parallel.shm import ShmRing
@@ -399,46 +389,6 @@ CORPUS = {
                 def __init__(self):
                     loot = ShmRing()
                     self._plunder = loot
-
-
-            class DerivedOwner(RingOwner):
-                def __init__(self):
-                    self._inherited = ShmRing()
-            """,
-        # The hot-path (RS701–RS703) showcase: aggregation is a hot
-        # module by default config.
-        "repro/core/features/aggregation.py": """\
-            import numpy as np
-
-
-            def per_flow_fold(dataset, batches):
-                out = []
-                for flow in dataset:
-                    out.append(flow)
-                total = np.zeros(1)
-                for chunk in batches:
-                    total = np.concatenate([total, chunk])
-                return np.asarray(out), total
-
-
-            def vectorised_fold(columns):
-                parts = [np.asarray(column) for column in columns]
-                return np.concatenate(parts)
-
-
-            def bounded_loop(depths):
-                acc = []
-                for depth in depths:
-                    acc.append(depth)
-                return acc
-            """,
-        # RS701 negative: the same per-flow loop outside a hot module.
-        "repro/core/pipeline_glue.py": """\
-            def per_flow_glue(dataset):
-                total = 0
-                for flow in dataset:
-                    total += 1
-                return total
             """,
     }.items()
 }
@@ -474,22 +424,14 @@ def build_project(tmp_path, files, metrics=None):
         doc = tmp_path / "docs" / "METRICS.md"
         doc.parent.mkdir(exist_ok=True)
         doc.write_text(metrics, encoding="utf-8")
-    return LintConfig(
-        src_root=src,
-        rel_to=tmp_path,
-        metrics_doc=doc,
-        worker_entry_points=(
-            "repro.core.parallel.backends._worker_main",
-        ),
-        baseline_path=tmp_path / "lint-baseline.json",
-    )
+    return LintConfig(src_root=src, rel_to=tmp_path, metrics_doc=doc)
 
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("corpus")
     config = build_project(tmp, CORPUS, metrics=METRICS_DOC)
-    return config, run_lint(config, baseline=Baseline())
+    return config, run_lint(config)
 
 
 def line_of(rel, needle, occurrence=1):
@@ -518,9 +460,8 @@ def src(rel):
 
 def test_every_rule_id_fires_on_the_corpus(corpus):
     _, result = corpus
-    fired = {f.rule for f in result.findings}
-    expected = set(RULES) - {"RS003"}  # RS003 needs a baseline: below
-    assert fired == expected
+    assert {f.rule for f in result.findings} == set(RULES)
+    assert len(RULES) == 20
 
 
 def test_rs101_wall_clock(corpus):
@@ -648,32 +589,6 @@ def test_rs203_closure_writes(corpus):
     ) not in hits(result, "RS203")
 
 
-def test_rs204_shm_buffer_writes(corpus):
-    _, result = corpus
-    backends = "repro/core/parallel/backends.py"
-    assert hits(result, "RS204") == {
-        (src(backends), line_of(backends, 'seg.buf[0:4] = b"FAKE"')),
-        (src(backends), line_of(backends, "header.pack_into(seg.buf")),
-    }
-    # Negatives: reads through .buf are fine, and the protocol module
-    # itself is exempt even though it stores into segment memory.
-    assert (
-        src(backends),
-        line_of(backends, "peek = seg.buf[4:8]"),
-    ) not in hits(result, "RS204")
-    assert src("repro/core/parallel/shm.py") not in {
-        f.path for f in result.findings if f.rule == "RS204"
-    }
-    # Reachability is irrelevant: rogue_ring_poke is never called from
-    # the worker entry point yet both writes are still flagged.
-    poke = [
-        f for f in result.findings
-        if f.rule == "RS204" and f.symbol == "rogue_ring_poke"
-    ]
-    assert len(poke) == 2
-    assert all("docs/IPC.md" in f.message for f in poke)
-
-
 def test_rs203_chain_names_the_route(corpus):
     _, result = corpus
     (finding,) = [f for f in result.findings if f.rule == "RS203"]
@@ -773,7 +688,6 @@ def test_rs502_bare_rename_in_durable_modules(corpus):
 
 
 LIFE = "repro/core/parallel/lifecycle.py"
-AGG = "repro/core/features/aggregation.py"
 
 
 def test_rs601_normal_path_leak(corpus):
@@ -784,13 +698,14 @@ def test_rs601_normal_path_leak(corpus):
         # The return value of a constructor dropped on the floor.
         (src(LIFE), line_of(LIFE, 'ShmRing.attach("stale")')),
     }
-    # Negatives: try/finally, with-managed, refinement-guarded and
-    # aliased acquisitions are all settled.
+    # Negatives: try/finally, with-managed, refinement-guarded,
+    # aliased and transferred-to-self acquisitions are all settled.
     clean = {
         line_of(LIFE, "guarded = ShmRing()"),
         line_of(LIFE, "with open(path) as handle"),
         line_of(LIFE, "optional = ShmRing() if cond else None"),
         line_of(LIFE, "source = ShmRing()"),
+        line_of(LIFE, "loot = ShmRing()"),
     }
     assert not {f.line for f in result.findings if f.path == src(LIFE)} & clean
 
@@ -821,59 +736,6 @@ def test_rs603_init_strands_resource(corpus):
         src(LIFE),
         line_of(LIFE, "self._careful = ShmRing()"),
     ) not in hits(result, "RS603")
-
-
-def test_rs604_owner_cannot_release(corpus):
-    _, result = corpus
-    assert hits(result, "RS604") == {
-        # RingHoarder takes ownership but defines no release method.
-        (src(LIFE), line_of(LIFE, "self._plunder = loot")),
-    }
-    # Negatives: a class with close(), and a derived class whose base
-    # may provide the release.
-    for needle in ("self._careful = ShmRing()", "self._inherited = ShmRing()"):
-        assert (src(LIFE), line_of(LIFE, needle)) not in hits(result, "RS604")
-
-
-def test_rs701_per_flow_loop_in_hot_module(corpus):
-    _, result = corpus
-    assert hits(result, "RS701") == {
-        (src(AGG), line_of(AGG, "for flow in dataset")),
-        (src(AGG), line_of(AGG, "for chunk in batches")),
-    }
-    # Negatives: a neutral loop in the hot module; the same per-flow
-    # loop outside a hot module.
-    assert (src(AGG), line_of(AGG, "for depth in depths")) not in hits(
-        result, "RS701"
-    )
-    glue = "repro/core/pipeline_glue.py"
-    assert src(glue) not in {f.path for f in result.findings}
-
-
-def test_rs702_list_append_feeds_numpy(corpus):
-    _, result = corpus
-    assert hits(result, "RS702") == {
-        (src(AGG), line_of(AGG, "out.append(flow)")),
-    }
-    (finding,) = [f for f in result.findings if f.rule == "RS702"]
-    # The message names the conversion sink that makes the list hot.
-    assert str(line_of(AGG, "np.asarray(out)")) in finding.message
-    # Negative: a loop-built list never handed to numpy is fine.
-    assert (src(AGG), line_of(AGG, "acc.append(depth)")) not in hits(
-        result, "RS702"
-    )
-
-
-def test_rs703_numpy_growth_in_loop(corpus):
-    _, result = corpus
-    assert hits(result, "RS703") == {
-        (src(AGG), line_of(AGG, "np.concatenate([total, chunk])")),
-    }
-    # Negative: one concatenate over comprehension parts, outside any
-    # loop, is the recommended shape.
-    assert (src(AGG), line_of(AGG, "np.concatenate(parts)")) not in hits(
-        result, "RS703"
-    )
 
 
 # --------------------------------------------------------------------------
@@ -934,65 +796,6 @@ def test_standalone_suppression_targets_next_code_line():
     assert sup.line == 1 and sup.target_line == 4
 
 
-# --------------------------------------------------------------------------
-# Baseline round-trip (RS003 positive + negative)
-# --------------------------------------------------------------------------
-
-VIOLATING = {
-    "repro/__init__.py": "",
-    "repro/core/__init__.py": "",
-    "repro/core/clocky.py": textwrap.dedent(
-        """\
-        import time
-
-
-        def now():
-            return time.time()
-        """
-    ),
-}
-
-
-def test_baseline_round_trip(tmp_path):
-    config = build_project(tmp_path, VIOLATING)
-    first = run_lint(config)
-    assert [f.rule for f in first.findings] == ["RS101"]
-
-    # Grandfather it; justifications are written empty on purpose, so
-    # the next run trades RS101 for RS003 — the ledger can't go green
-    # without a human writing down *why*.
-    write_baseline(config.baseline_path, first.findings)
-    second = run_lint(config)
-    assert [f.rule for f in second.findings] == ["RS003"]
-    assert [f.rule for f in second.baselined] == ["RS101"]
-    assert second.exit_code == 1
-
-    # Fill in the justification: clean.
-    data = json.loads(config.baseline_path.read_text())
-    data["entries"][0]["justification"] = "legacy timing; tracked in #42"
-    config.baseline_path.write_text(json.dumps(data))
-    third = run_lint(config)
-    assert third.findings == [] and third.exit_code == 0
-    assert [f.rule for f in third.baselined] == ["RS101"]
-    assert third.stale_baseline == []
-
-    # Fix the violation: the entry goes stale and is reported as such.
-    (tmp_path / "src/repro/core/clocky.py").write_text(
-        "def now():\n    return 0.0\n"
-    )
-    fourth = run_lint(config)
-    assert fourth.findings == [] and fourth.baselined == []
-    assert len(fourth.stale_baseline) == 1
-    assert "stale baseline" in format_human(fourth)
-
-
-def test_baseline_rejects_unknown_version(tmp_path):
-    path = tmp_path / "bl.json"
-    path.write_text('{"version": 99, "entries": []}')
-    with pytest.raises(ValueError, match="version"):
-        load_baseline(path)
-
-
 def test_fingerprint_is_line_independent():
     a = Finding(rule="RS101", path="a.py", line=3, col=1,
                 message="m", symbol="f", key="clock:time.time")
@@ -1011,29 +814,36 @@ def test_fingerprint_is_line_independent():
 
 def test_rules_filter(corpus):
     config, _ = corpus
-    result = run_lint(config, rules=["RS302"], baseline=Baseline())
+    result = run_lint(config, rules=["RS302"])
     assert {f.rule for f in result.findings} == {"RS302"}
 
 
 def test_paths_filter(corpus):
     config, _ = corpus
-    result = run_lint(
-        config, paths=("src/repro/experiments",), baseline=Baseline()
-    )
+    result = run_lint(config, paths=("src/repro/experiments",))
     assert result.findings, "path filter dropped everything"
     assert all(
         f.path.startswith("src/repro/experiments/")
         for f in result.findings
     )
+    # The suppressed tally follows the same scope: the corpus's one
+    # live suppression sits in core/suppressed.py.
+    assert result.suppressed == []
+    scoped = run_lint(config, paths=("src/repro/core/suppressed.py",))
+    assert len(scoped.suppressed) == 1
+
+
+def test_path_matching_no_module_is_an_error(corpus):
+    config, _ = corpus
+    with pytest.raises(ValueError, match="src/repro/coer"):
+        run_lint(config, paths=("src/repro/coer",))
 
 
 def test_json_format_is_stable(corpus):
     _, result = corpus
     payload = json.loads(format_json(result))
-    assert payload["version"] == 1
-    assert set(payload["counts"]) == {
-        "findings", "suppressed", "baselined", "stale_baseline",
-    }
+    assert payload["version"] == 2
+    assert set(payload["counts"]) == {"findings", "suppressed"}
     assert payload["counts"]["findings"] == len(payload["findings"])
     for row in payload["findings"]:
         assert set(row) >= {"rule", "path", "line", "col", "message",
@@ -1058,10 +868,9 @@ def test_real_repository_lints_clean():
     """The acceptance criterion: ``repro lint`` is green on src/.
 
     Every violation in the tree has either been fixed or carries an
-    inline suppression with a reason; the shipped baseline is empty.
+    inline suppression with a reason.
     """
-    config = default_config()
-    result = run_lint(config)
+    result = run_lint(dataclasses.replace(default_config(), cache_path=None))
     assert result.findings == [], format_human(result)
     assert result.modules_scanned > 100
     # The justified debt is visible, not hidden: the suppressions the
@@ -1070,7 +879,7 @@ def test_real_repository_lints_clean():
 
 
 # --------------------------------------------------------------------------
-# The incremental cache
+# The result cache
 # --------------------------------------------------------------------------
 
 
@@ -1084,22 +893,53 @@ def _report_key(result):
     )
 
 
+def _cached_corpus(tmp_path):
+    """The corpus with the cache enabled, and the same config without."""
+    plain = build_project(tmp_path, CORPUS, metrics=METRICS_DOC)
+    cached = dataclasses.replace(
+        plain, cache_path=tmp_path / "lint-cache.json"
+    )
+    return cached, plain
+
+
 def test_cache_warm_run_is_byte_identical(tmp_path):
-    config = build_project(tmp_path, CORPUS, metrics=METRICS_DOC)
-    cache = tmp_path / "lint-cache.json"
-    cold = run_lint(config, baseline=Baseline(), cache_path=cache)
-    assert cache.exists()
-    warm = run_lint(config, baseline=Baseline(), cache_path=cache)
+    config, plain = _cached_corpus(tmp_path)
+    cold = run_lint(config)
+    assert config.cache_path.exists()
+    warm = run_lint(config)
     assert _report_key(warm) == _report_key(cold)
     # And both match the cache-less run.
-    plain = run_lint(config, baseline=Baseline())
-    assert _report_key(plain) == _report_key(cold)
+    assert _report_key(run_lint(plain)) == _report_key(cold)
+    # Filters apply after replay exactly as after a cold run.
+    scope = dict(paths=("src/repro/core",), rules=["RS102", "RS002"])
+    assert _report_key(run_lint(config, **scope)) == _report_key(
+        run_lint(plain, **scope)
+    )
+
+
+def test_cache_warm_run_never_parses(tmp_path, monkeypatch):
+    """The gate that fails if the cache stops caching: an unchanged
+    tree is replayed with zero ``ast.parse`` calls."""
+    config, _ = _cached_corpus(tmp_path)
+    parses = []
+    real_parse = ast.parse
+
+    def counting_parse(*args, **kwargs):
+        parses.append(args)
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    cold = run_lint(config)
+    assert len(parses) == cold.modules_scanned > 0
+    del parses[:]
+    warm = run_lint(config)
+    assert parses == []
+    assert format_json(warm) == format_json(cold)
 
 
 def test_cache_invalidates_on_edit(tmp_path):
-    config = build_project(tmp_path, CORPUS, metrics=METRICS_DOC)
-    cache = tmp_path / "lint-cache.json"
-    cold = run_lint(config, baseline=Baseline(), cache_path=cache)
+    config, _ = _cached_corpus(tmp_path)
+    cold = run_lint(config)
     engine = src("repro/core/engine.py")
     clock_line = (engine, line_of("repro/core/engine.py", "time.time()"))
     assert clock_line in hits(cold, "RS101")
@@ -1108,156 +948,192 @@ def test_cache_invalidates_on_edit(tmp_path):
         path.read_text(encoding="utf-8").replace("t = time.time()", "t = 0.0"),
         encoding="utf-8",
     )
-    warm = run_lint(config, baseline=Baseline(), cache_path=cache)
+    warm = run_lint(config)
     assert hits(warm, "RS101") == set()
     # Untouched modules keep their findings.
     assert hits(warm, "RS501") == hits(cold, "RS501")
 
 
 def test_cache_corrupt_file_degrades_to_cold(tmp_path):
-    config = build_project(tmp_path, CORPUS, metrics=METRICS_DOC)
-    cache = tmp_path / "lint-cache.json"
-    cache.write_text("{not json", encoding="utf-8")
-    result = run_lint(config, baseline=Baseline(), cache_path=cache)
-    plain = run_lint(config, baseline=Baseline())
-    assert _report_key(result) == _report_key(plain)
-    # The bad cache was replaced with a valid one.
-    json.loads(cache.read_text(encoding="utf-8"))
+    config, plain = _cached_corpus(tmp_path)
+    expected = _report_key(run_lint(plain))
+    for garbage in ("{not json", "[]", '{"version": 1, "modules": {}}'):
+        config.cache_path.write_text(garbage, encoding="utf-8")
+        assert _report_key(run_lint(config)) == expected
+        # The bad cache was replaced with a valid one.
+        assert json.loads(config.cache_path.read_text(encoding="utf-8"))[
+            "fingerprint"
+        ] == report_fingerprint(config)
 
 
-def test_cache_analyzer_fingerprint_tracks_config(tmp_path):
-    import dataclasses
+def test_cache_analyzer_fingerprint_tracks_config(tmp_path, monkeypatch):
+    """The fingerprint covers every input of a report — the analyzer's
+    own sources, each module, the metrics doc — and nothing else."""
+    from repro.analysis import cache as cache_module
 
-    from repro.analysis import analyzer_fingerprint
+    analyzer = tmp_path / "analyzer"
+    analyzer.mkdir()
+    (analyzer / "rule.py").write_text("MESSAGE = 'old'\n", encoding="utf-8")
+    monkeypatch.setattr(cache_module, "_ANALYSIS_DIR", analyzer)
+    config, _ = _cached_corpus(tmp_path)
+    seen = {report_fingerprint(config)}
 
-    config = build_project(tmp_path, CORPUS, metrics=METRICS_DOC)
-    base = analyzer_fingerprint(config)
-    retuned = dataclasses.replace(config, hot_modules=())
-    assert analyzer_fingerprint(retuned) != base
-    # Cache location is not part of the analyzer identity.
+    def edit(path):
+        path.write_text(
+            path.read_text(encoding="utf-8") + "\n# touched\n",
+            encoding="utf-8",
+        )
+        seen.add(report_fingerprint(config))
+
+    edit(analyzer / "rule.py")
+    edit(tmp_path / src("repro/bgp/feed.py"))
+    edit(config.metrics_doc)
+    (tmp_path / src("repro/bgp/extra.py")).write_text("", encoding="utf-8")
+    seen.add(report_fingerprint(config))
+    assert len(seen) == 5, "an input changed but the fingerprint did not"
+    # Cache location is not part of the report's identity.
     moved = dataclasses.replace(config, cache_path=tmp_path / "elsewhere.json")
-    assert analyzer_fingerprint(moved) == base
+    assert report_fingerprint(moved) in seen
 
 
 # --------------------------------------------------------------------------
-# --changed scoping
+# Mutation acceptance: each surviving family catches, on a copy of real
+# source, the regression it exists for — and is silent on the pristine copy
 # --------------------------------------------------------------------------
-
-
-def _git(root, *argv):
-    import subprocess
-
-    return subprocess.run(
-        ["git", "-c", "user.email=t@example.com", "-c", "user.name=t", *argv],
-        cwd=root,
-        check=True,
-        capture_output=True,
-    )
-
-
-def _git_fixture(tmp_path):
-    import shutil
-
-    if shutil.which("git") is None:
-        pytest.skip("git not available")
-    config = build_project(tmp_path, CORPUS, metrics=METRICS_DOC)
-    try:
-        _git(tmp_path, "init", "-q")
-        _git(tmp_path, "add", "-A")
-        _git(tmp_path, "commit", "-qm", "seed")
-    except Exception:
-        pytest.skip("git unusable in this environment")
-    return config
-
-
-def test_changed_paths_reverse_closure():
-    from pathlib import Path
-
-    from repro.analysis import changed_paths
-
-    modules = {
-        "src/repro/a.py": ("repro.a", ["repro.b.helper"]),
-        "src/repro/b.py": ("repro.b", []),
-        "src/repro/c.py": ("repro.c", ["repro.a"]),
-        "src/repro/d.py": ("repro.d", []),
-    }
-    scope = changed_paths(
-        Path("/nonexistent"), modules, changed=["src/repro/b.py"]
-    )
-    # b changed; a imports (a member of) b; c imports a; d is untouched.
-    assert scope == ("src/repro/a.py", "src/repro/b.py", "src/repro/c.py")
-
-
-def test_changed_only_scopes_and_follows_importers(tmp_path):
-    config = _git_fixture(tmp_path)
-    names_rel = "src/repro/obs/names.py"
-    path = tmp_path / names_rel
-    path.write_text(
-        path.read_text(encoding="utf-8") + "# touched\n", encoding="utf-8"
-    )
-    scoped = run_lint(config, baseline=Baseline(), changed_only=True)
-    full = run_lint(config, baseline=Baseline())
-    paths = {f.path for f in scoped.findings}
-    # The edited module and its importers are in scope...
-    assert src("repro/core/engine.py") in paths
-    # ...modules that never (transitively) import it are not.
-    assert src("repro/core/recovery/snapshot.py") not in paths
-    # Scoping only filters — every scoped finding is a full-run finding.
-    assert set(scoped.findings) <= set(full.findings)
-
-
-def test_changed_only_with_clean_tree_reports_nothing(tmp_path):
-    config = _git_fixture(tmp_path)
-    result = run_lint(config, baseline=Baseline(), changed_only=True)
-    assert result.findings == []
-
-
-def test_changed_only_outside_git_falls_back_to_full(tmp_path):
-    config = build_project(tmp_path, CORPUS, metrics=METRICS_DOC)
-    scoped = run_lint(config, baseline=Baseline(), changed_only=True)
-    full = run_lint(config, baseline=Baseline())
-    assert scoped.findings == full.findings
-
-
-# --------------------------------------------------------------------------
-# Mutation acceptance: the rules catch the regressions they were built for
-# --------------------------------------------------------------------------
-
-_LIFECYCLE_RULES = ("RS601", "RS602", "RS603", "RS604")
-_HOT_RULES = ("RS701", "RS702", "RS703")
 
 
 def _real_source(rel):
     return (default_config().src_root / rel).read_text(encoding="utf-8")
 
 
-def test_mutation_dropped_close_in_shmring_init(tmp_path):
-    """Deleting the attach-path close() in ShmRing.__init__ is caught."""
-    rel = "repro/core/parallel/shm.py"
+def _mutation_findings(tmp_path, rel, old, new, rules, metrics=None):
+    """Findings of ``rules`` on a one-file copy with ``old`` -> ``new``.
+
+    Asserts the pristine copy is clean first, so exactly the mutation
+    is what fires.
+    """
     source = _real_source(rel)
-    handler = "                self._shm.close()\n                raise\n"
-    assert handler in source  # the attach-branch error path
-    config = build_project(tmp_path, {rel: source.replace(handler, "                raise\n")})
-    result = run_lint(config, rules=_LIFECYCLE_RULES, baseline=Baseline())
-    (finding,) = result.findings
+    assert source.count(old) == 1, f"{old!r} is not unique in {rel}"
+    pristine = build_project(tmp_path / "pristine", {rel: source}, metrics)
+    assert run_lint(pristine, rules=rules).findings == []
+    mutated = build_project(
+        tmp_path / "mutated", {rel: source.replace(old, new)}, metrics
+    )
+    return run_lint(mutated, rules=rules).findings
+
+
+_LIFECYCLE_RULES = ("RS601", "RS602", "RS603")
+
+
+def test_mutation_dropped_close_in_shmring_init(tmp_path):
+    """Lifecycle: deleting the attach-path close() in ShmRing.__init__."""
+    (finding,) = _mutation_findings(
+        tmp_path,
+        "repro/core/parallel/shm.py",
+        "                self._shm.close()\n                raise\n",
+        "                raise\n",
+        _LIFECYCLE_RULES,
+    )
     assert finding.rule == "RS603"
     assert finding.symbol.endswith("ShmRing.__init__")
-    # The pristine copy is clean: exactly the deletion is what fires.
-    pristine = build_project(tmp_path / "pristine", {rel: source})
-    clean = run_lint(pristine, rules=_LIFECYCLE_RULES, baseline=Baseline())
-    assert clean.findings == []
 
 
-def test_mutation_per_flow_loop_in_sketches(tmp_path):
-    """Adding a per-flow Python loop to the sketch hot path is caught."""
-    rel = "repro/core/features/sketches.py"
+def test_mutation_backend_before_validation_in_engine_init(tmp_path):
+    """Lifecycle: PR 15's start-up leak — the backend (workers, rings)
+    created before the arguments that can still be rejected."""
+    acquire = (
+        "        self._backend = make_backend(\n"
+        "            backend, self.plan.n_shards, **(backend_options or {})\n"
+        "        )\n"
+    )
+    validate = "        if agg not in AGG_MODES:\n"
+    rel = "repro/core/parallel/engine.py"
     source = _real_source(rel)
-    probe = "\n\ndef _probe(dataset):\n    for flow in dataset:\n        pass\n"
-    config = build_project(tmp_path, {rel: source + probe})
-    result = run_lint(config, rules=_HOT_RULES, baseline=Baseline())
-    (finding,) = result.findings
-    assert finding.rule == "RS701"
-    assert finding.symbol.endswith("_probe")
-    pristine = build_project(tmp_path / "pristine", {rel: source})
-    clean = run_lint(pristine, rules=_HOT_RULES, baseline=Baseline())
-    assert clean.findings == []
+    checks = source[source.index(validate): source.index(acquire)]
+    (finding,) = _mutation_findings(
+        tmp_path,
+        rel,
+        checks + acquire,
+        acquire.replace("self.plan.n_shards", "n_shards") + checks,
+        _LIFECYCLE_RULES,
+    )
+    assert finding.rule == "RS603"
+    assert finding.symbol == "ShardedStreamingScrubber.__init__"
+    assert "shard backend" in finding.message
+
+
+def test_mutation_salted_hash_seed_in_reflectors(tmp_path):
+    """Determinism: the historical bug — reflector churn seeded with
+    ``hash(name)``, a different workload per interpreter launch."""
+    (finding,) = _mutation_findings(
+        tmp_path,
+        "repro/traffic/reflectors.py",
+        "zlib.crc32(name.encode()) & 0xFFFF",
+        "hash(name) & 0xFFFF",
+        ("RS101", "RS102", "RS103", "RS104"),
+    )
+    assert finding.rule == "RS104"
+    assert finding.symbol.endswith("pool_at_epoch")
+
+
+def test_mutation_module_dict_write_in_classify_shard(tmp_path):
+    """Shard safety: module state mutated on the path every worker runs."""
+    span = "    with obs.use_registry(registry):\n        with obs.span(names.SPAN_PARALLEL_SHARD_CLASSIFY):\n"
+    (finding,) = _mutation_findings(
+        tmp_path,
+        "repro/core/parallel/backends.py",
+        span,
+        '    BACKENDS["last"] = flows\n' + span,
+        ("RS201", "RS202", "RS203"),
+    )
+    assert finding.rule == "RS201"
+    assert finding.symbol == "classify_shard"
+    assert "via _worker_main -> classify_shard" in finding.message
+
+
+def test_mutation_bare_open_in_snapshot_store(tmp_path):
+    """Durability: a checkpoint manifest written around durable_write."""
+    (finding,) = _mutation_findings(
+        tmp_path,
+        "repro/core/recovery/snapshot.py",
+        "durable_write(manifest_path, _canonical_json(manifest))",
+        'open(manifest_path, "wb").write(_canonical_json(manifest))',
+        ("RS501", "RS502"),
+    )
+    assert finding.rule == "RS501"
+    assert finding.symbol == "CheckpointStore.save"
+
+
+def test_mutation_layer_inversion_in_netflow(tmp_path):
+    """Layering: the substrate reaching up into ``core``."""
+    (finding,) = _mutation_findings(
+        tmp_path,
+        "repro/netflow/sflow.py",
+        "from repro.netflow.dataset import FlowDataset\n",
+        "from repro.core.scrubber import IXPScrubber\n"
+        "from repro.netflow.dataset import FlowDataset\n",
+        ("RS301", "RS302"),
+    )
+    assert finding.rule == "RS301"
+    assert "'netflow' must not import layer 'core'" in finding.message
+
+
+def test_mutation_deleted_metrics_row(tmp_path):
+    """Obs names: a catalogued metric whose METRICS.md row is deleted."""
+    doc = default_config().metrics_doc.read_text(encoding="utf-8")
+    catalogue = _real_source("repro/obs/names.py")
+    # A catalogued name whose table row is its only mention in the doc.
+    name, row = next(
+        (match.group(1), match.group(0))
+        for match in re.finditer(r"^\| `([\w.]+)` \|.*\n", doc, flags=re.M)
+        if doc.count(f"`{match.group(1)}`") == 1
+        and f'"{match.group(1)}"' in catalogue
+    )
+    names = {"repro/obs/names.py": catalogue}
+    pristine = build_project(tmp_path / "pristine", names, metrics=doc)
+    assert run_lint(pristine, rules=["RS403"]).findings == []
+    mutated = build_project(
+        tmp_path / "mutated", names, metrics=doc.replace(row, "")
+    )
+    (finding,) = run_lint(mutated, rules=["RS403"]).findings
+    assert repr(name) in finding.message

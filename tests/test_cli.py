@@ -330,6 +330,27 @@ class TestScenarios:
 class TestLint:
     """``repro lint`` — the static-analysis front door."""
 
+    @pytest.fixture(scope="class")
+    def lint_cache(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("lint") / "lint-cache.json"
+
+    @pytest.fixture(autouse=True)
+    def cache_outside_the_checkout(self, monkeypatch, lint_cache):
+        """A test run must leave no ``.repro-lint-cache.json`` behind in
+        the working tree; one file for the class keeps reruns warm."""
+        import dataclasses
+
+        import repro.analysis
+
+        real = repro.analysis.default_config
+        monkeypatch.setattr(
+            repro.analysis,
+            "default_config",
+            lambda root=None: dataclasses.replace(
+                real(root), cache_path=lint_cache
+            ),
+        )
+
     def test_clean_tree_exits_zero_human(self, capsys):
         assert main(["lint"]) == 0
         out = capsys.readouterr().out
@@ -339,24 +360,38 @@ class TestLint:
     def test_json_schema(self, capsys):
         assert main(["lint", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["findings"] == []
-        assert set(payload["counts"]) == {
-            "findings", "suppressed", "baselined", "stale_baseline",
-        }
+        assert set(payload["counts"]) == {"findings", "suppressed"}
         assert payload["modules_scanned"] > 100
         assert "RS101" in payload["rules"]
 
     def test_rule_and_path_filters(self, capsys):
         assert main(
-            ["lint", "--rules", "RS301,RS302", "--no-baseline",
-             "src/repro/core"]
+            ["lint", "--rules", "RS301,RS302", "src/repro/core"]
         ) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_unknown_rule_exits_2(self, capsys):
         assert main(["lint", "--rules", "RS999"]) == 2
         assert "unknown rule id" in capsys.readouterr().err
+
+    def test_unknown_path_exits_2(self, capsys):
+        """Regression: a typo'd PATH used to print a clean report."""
+        assert main(["lint", "src/repro/coer"]) == 2
+        captured = capsys.readouterr()
+        assert "src/repro/coer" in captured.err
+        assert "finding(s)" not in captured.out
+
+    def test_suppressed_count_follows_the_path_filter(self, capsys):
+        assert main(["lint"]) == 0
+        whole = capsys.readouterr().out
+        assert main(["lint", "src/repro/core/rules/"]) == 0
+        scoped = capsys.readouterr().out
+        # The two RS103 suppressions in core/rules/itemsets.py, not the
+        # whole tree's tally.
+        assert " 2 suppressed" in scoped
+        assert " 2 suppressed" not in whole
 
     def test_findings_exit_nonzero(self, capsys, monkeypatch):
         import repro.analysis
@@ -377,31 +412,18 @@ class TestLint:
         assert "src/x.py:3:1 RS101" in out
         assert "1 finding(s)" in out
 
-    def test_write_baseline_to_custom_path(self, capsys, tmp_path):
-        path = tmp_path / "bl.json"
-        assert main(
-            ["lint", "--baseline", str(path), "--write-baseline"]
-        ) == 0
-        assert "wrote 0" in capsys.readouterr().out
-        assert json.loads(path.read_text()) == {
-            "version": 1, "entries": [],
-        }
-
-    def test_warm_cache_json_matches_cold(self, capsys):
+    def test_warm_cache_json_matches_cold(self, capsys, lint_cache):
         """The CI gate: cached rerun output is byte-identical."""
+        lint_cache.unlink(missing_ok=True)
         assert main(["lint", "--format", "json", "--no-cache"]) == 0
         cold = capsys.readouterr().out
+        assert not lint_cache.exists()
         assert main(["lint", "--format", "json"]) == 0  # fills the cache
         filled = capsys.readouterr().out
-        assert main(["lint", "--format", "json"]) == 0  # fully warm
+        assert lint_cache.exists()
+        assert main(["lint", "--format", "json"]) == 0  # replayed
         warm = capsys.readouterr().out
         assert cold == filled == warm
-
-    def test_changed_scope_exits_zero(self, capsys):
-        # Scoping only filters a clean report; whatever the working
-        # tree's diff is, the scoped run stays clean too.
-        assert main(["lint", "--changed"]) == 0
-        assert "0 finding(s)" in capsys.readouterr().out
 
 
 class TestStreamBackendResolution:

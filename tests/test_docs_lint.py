@@ -13,12 +13,13 @@ Two contracts are enforced:
    the regex used to match.
 """
 
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, default_config, format_human, run_lint
+from repro.analysis import default_config, format_human, run_lint
 from repro.obs import names
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -74,14 +75,10 @@ def test_metric_names_emissions_and_docs_agree():
     Catalogued names are all emitted somewhere, no call site bypasses
     the catalogue with a string literal, every emitted name has a
     METRICS.md row, and every instrument kind matches its constant's
-    prefix. Running without the baseline keeps this test independent
-    of lint-baseline.json: metric-name drift can never be grandfathered.
+    prefix.
     """
-    result = run_lint(
-        default_config(REPO_ROOT),
-        rules=["RS401", "RS402", "RS403", "RS404"],
-        baseline=Baseline(),
-    )
+    config = dataclasses.replace(default_config(REPO_ROOT), cache_path=None)
+    result = run_lint(config, rules=["RS401", "RS402", "RS403", "RS404"])
     assert result.findings == [], format_human(result)
 
 

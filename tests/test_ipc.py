@@ -108,7 +108,7 @@ class TestShmRing:
         try:
             ref = ring.write_flows(1, batch)
             # Flip one payload byte through the protocol module's own
-            # segment handle (writes outside it are linted: RS204).
+            # segment handle.
             position = shm._CTRL_BYTES + ref.offset + shm._FRAME_HEADER_BYTES
             ring._shm.buf[position] ^= 0xFF
             with pytest.raises(ShmProtocolError, match="crc"):

@@ -331,3 +331,36 @@ def test_scorecard_is_json_safe_and_versioned():
     # NaN/Infinity never reach the scorecard (allow_nan=False would
     # already have thrown while rendering).
     assert "NaN" not in rendered and "Infinity" not in rendered
+
+
+def test_failed_warm_start_strands_no_workers(monkeypatch):
+    """Regression: ``make_engine`` closes an engine it cannot hand over.
+
+    ``warm_start`` rejects an unfitted scrubber *after* the supervised
+    engine has spawned its workers and rings; the caller never receives
+    that engine, so ``make_engine`` itself has to close it (RS602 found
+    this once the lifecycle pass learned what a sharded engine is).
+    """
+    import glob
+    import multiprocessing
+    import os
+
+    from repro.core.scrubber import IXPScrubber
+    from repro.scenarios import conductor
+
+    monkeypatch.setattr(
+        conductor, "bootstrap_scrubber", lambda seed, **kwargs: IXPScrubber()
+    )
+    mine = f"/dev/shm/repro-*-{os.getpid()}-*"
+    children = set(multiprocessing.active_children())
+    segments = set(glob.glob(mine))
+    # Holding the exception keeps the failed frame — and, unclosed, the
+    # engine in it — alive, so the GC finalizer cannot mask a leak.
+    with pytest.raises(RuntimeError, match="not fitted") as stranded:
+        run_scenario(
+            "volumetric_flood", seed=11, scale=0.25, shards=2,
+            backend="supervised", backend_options={"ipc": "shm"},
+        )
+    assert set(multiprocessing.active_children()) == children
+    assert set(glob.glob(mine)) == segments
+    del stranded
