@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.encoding.woe import FrozenWoE, WoEEncoder
+from repro.core.encoding.woe import WoEEncoder
 from repro.core.features import schema
 from repro.core.features.aggregation import AggregatedDataset
 from repro.obs import names as metric_names
@@ -46,57 +46,49 @@ def feature_columns() -> tuple[str, ...]:
     return tuple(schema.key_columns() + schema.value_columns())
 
 
+_COLUMNS = feature_columns()
+
+
 def assemble(data: AggregatedDataset, woe: WoEEncoder) -> FeatureMatrix:
     """Build the 150-column feature matrix for aggregated records."""
+    return _assemble_into(np.empty((len(data), len(_COLUMNS))), data, woe)
+
+
+def _assemble_into(
+    X: np.ndarray, data: AggregatedDataset, woe: WoEEncoder
+) -> FeatureMatrix:
     if not woe.is_fitted:
         raise RuntimeError("WoE encoder must be fitted before assembling")
     with obs.span(metric_names.SPAN_ENCODING_ASSEMBLE):
-        columns = feature_columns()
-        n = len(data)
-        X = np.empty((n, len(columns)), dtype=np.float64)
-        encoded = woe.transform(data)
-        for j, name in enumerate(columns):
+        for j, name in enumerate(_COLUMNS):
             if name in data.categorical:
-                X[:, j] = encoded[name]
+                X[:, j] = woe.encode_column(name, data.categorical[name])
             else:
                 X[:, j] = data.metrics[name]
-    obs.counter(metric_names.C_ENCODING_ROWS_ASSEMBLED).inc(n)
-    return FeatureMatrix(X=X, y=data.labels.astype(np.int64), columns=columns)
+    obs.counter(metric_names.C_ENCODING_ROWS_ASSEMBLED).inc(len(data))
+    return FeatureMatrix(X=X, y=data.labels.astype(np.int64), columns=_COLUMNS)
 
 
 class MatrixAssembler:
-    """Reusable, allocation-light matrix assembler for streaming shards.
+    """:func:`assemble` into a grow-only row buffer, for per-bin scoring.
 
-    Holds a :class:`~repro.core.encoding.woe.FrozenWoE` snapshot and a
-    grow-only row buffer so that per-bin assembly costs one WoE lookup
-    pass and zero table rebuilds. Output is bit-identical to
-    :func:`assemble` with the live encoder the snapshot was frozen from.
+    One per model epoch (:class:`~repro.core.scrubber.IXPScrubber` keeps
+    it beside its compiled rules), so assembling a bin allocates
+    nothing. The encoder is read at call time: a refit table or an
+    operator override shows in the next matrix.
 
     The returned :class:`FeatureMatrix` *views* the internal buffer and
     is only valid until the next :meth:`assemble` call — score it
     immediately (model pipelines copy during their transforms).
     """
 
-    def __init__(self, woe: WoEEncoder | FrozenWoE):
-        self._frozen = woe.freeze() if isinstance(woe, WoEEncoder) else woe
-        self._columns = feature_columns()
+    def __init__(self, woe: WoEEncoder):
+        self.woe = woe
         self._buffer: np.ndarray | None = None
-
-    @property
-    def frozen(self) -> FrozenWoE:
-        return self._frozen
 
     def assemble(self, data: AggregatedDataset) -> FeatureMatrix:
         """Build the feature matrix into the reusable buffer."""
-        with obs.span(metric_names.SPAN_ENCODING_ASSEMBLE):
-            n = len(data)
-            if self._buffer is None or self._buffer.shape[0] < n:
-                self._buffer = np.empty((n, len(self._columns)), dtype=np.float64)
-            X = self._buffer[:n]
-            for j, name in enumerate(self._columns):
-                if name in data.categorical:
-                    X[:, j] = self._frozen.encode_column(name, data.categorical[name])
-                else:
-                    X[:, j] = data.metrics[name]
-        obs.counter(metric_names.C_ENCODING_ROWS_ASSEMBLED).inc(n)
-        return FeatureMatrix(X=X, y=data.labels.astype(np.int64), columns=self._columns)
+        n = len(data)
+        if self._buffer is None or self._buffer.shape[0] < n:
+            self._buffer = np.empty((n, len(_COLUMNS)), dtype=np.float64)
+        return _assemble_into(self._buffer[:n], data, self.woe)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -40,20 +41,39 @@ class WoETable:
 
     domain: str
     mapping: dict[int, float] = field(default_factory=dict)
+    #: ``mapping`` as sorted key / WoE arrays, what :meth:`encode`
+    #: searches: built on first use, dropped by :meth:`set_override`,
+    #: never pickled.
+    _lookup: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_lookup", None)
+        return state
 
     def encode_value(self, value: int) -> float:
         """WoE of one value; unknown values are neutral (0.0)."""
         return self.mapping.get(int(value), UNKNOWN_WOE)
 
     def encode(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised encoding of an int64 value array."""
-        unique, inverse = np.unique(values, return_inverse=True)
-        encoded = np.fromiter(
-            (self.mapping.get(int(v), UNKNOWN_WOE) for v in unique),
-            dtype=np.float64,
-            count=unique.shape[0],
-        )
-        return encoded[inverse]
+        """Vectorised :meth:`encode_value` over an integer value array."""
+        if self._lookup is None:
+            items = sorted(self.mapping.items())
+            self._lookup = (
+                np.fromiter((k for k, _ in items), dtype=np.int64, count=len(items)),
+                np.fromiter((w for _, w in items), dtype=np.float64, count=len(items)),
+            )
+        keys, woes = self._lookup
+        values = np.asarray(values).astype(np.int64, copy=False)
+        out = np.full(values.shape, UNKNOWN_WOE, dtype=np.float64)
+        if keys.size == 0:
+            return out
+        idx = np.minimum(np.searchsorted(keys, values), keys.size - 1)
+        known = keys[idx] == values
+        out[known] = woes[idx[known]]
+        return out
 
     def high_evidence_values(self, threshold: float = 1.0) -> set[int]:
         """Values with WoE above ``threshold`` (e.g. likely reflectors)."""
@@ -62,6 +82,7 @@ class WoETable:
     def set_override(self, value: int, woe: float) -> None:
         """Pin one value's WoE (operator white-/blacklisting, §6.6)."""
         self.mapping[int(value)] = float(woe)
+        self._lookup = None
 
 
 class WoEEncoder:
@@ -87,22 +108,17 @@ class WoEEncoder:
         self._n_pos = 0.0
         self._n_neg = 0.0
         self._fitted = False
-        self._epoch = 0
 
     @property
     def is_fitted(self) -> bool:
         return self._fitted
-
-    @property
-    def epoch(self) -> int:
-        """Monotonic table version; bumps on every fit/update."""
-        return self._epoch
 
     def fit(self, data: AggregatedDataset) -> "WoEEncoder":
         """Build WoE tables from labeled aggregated records."""
         self._counts = {}
         self._n_pos = 0.0
         self._n_neg = 0.0
+        self._fitted = False
         with obs.span(metric_names.SPAN_ENCODING_WOE_FIT):
             return self.update(data)
 
@@ -117,9 +133,19 @@ class WoEEncoder:
         Operator overrides (:meth:`WoETable.set_override`) are replayed
         only within the table they were set on and are lost on update;
         re-apply them after updating.
+
+        An encoder restored from a persisted scrubber carries its tables
+        but not the evidence counts behind them, so it cannot be
+        updated: :meth:`fit` it instead.
         """
         if not 0.0 < decay <= 1.0:
             raise ValueError("decay must be in (0, 1]")
+        if self._fitted and not self._counts:
+            raise RuntimeError(
+                "this WoEEncoder was restored from its tables only (the "
+                "persisted format keeps no evidence counts), so update() "
+                "would rebuild them from the new batch alone; refit with fit()"
+            )
         labels = data.labels
         if decay < 1.0:
             self._n_pos *= decay
@@ -157,7 +183,6 @@ class WoEEncoder:
                 p_neg = (neg + 1.0) / (denom_neg + 1.0)
                 table.mapping[value] = math.log(p_pos / p_neg)
             self.tables[domain] = table
-        self._epoch += 1
 
     def table(self, domain: str) -> WoETable:
         if not self._fitted:
@@ -170,79 +195,6 @@ class WoEEncoder:
         if is_value:
             raise ValueError(f"{column_name} is a metric column, not categorical")
         return self.table(domain).encode(values)
-
-    def transform(self, data: AggregatedDataset) -> dict[str, np.ndarray]:
-        """Encode all categorical columns of ``data``."""
-        return {
-            name: self.encode_column(name, values)
-            for name, values in data.categorical.items()
-        }
-
-    def freeze(self) -> "FrozenWoE":
-        """Snapshot the fitted tables into a :class:`FrozenWoE` view.
-
-        The frozen view trades mutability for speed: per-domain sorted
-        key/WoE arrays answer lookups via ``searchsorted`` instead of a
-        per-value dict probe, which is what the sharded streaming path
-        reuses across every bin of a retrain epoch. Later ``update``
-        calls or operator overrides are *not* reflected — re-freeze
-        after each retrain (``FrozenWoE.is_stale`` tells you when).
-        """
-        if not self._fitted:
-            raise RuntimeError("WoEEncoder is not fitted")
-        return FrozenWoE(self)
-
-
-class FrozenWoE:
-    """Immutable, vectorised lookup view over a fitted :class:`WoEEncoder`.
-
-    Encodes exactly like the live encoder (same float64 WoE values,
-    unknown values map to :data:`UNKNOWN_WOE`) but with O(log n) array
-    lookups and no per-call table construction. Built once per retrain
-    epoch via :meth:`WoEEncoder.freeze`.
-    """
-
-    def __init__(self, encoder: WoEEncoder):
-        self._epoch = encoder.epoch
-        self._source = encoder
-        self._keys: dict[str, np.ndarray] = {}
-        self._woes: dict[str, np.ndarray] = {}
-        for domain, table in encoder.tables.items():
-            items = sorted(table.mapping.items())
-            self._keys[domain] = np.fromiter(
-                (k for k, _ in items), dtype=np.int64, count=len(items)
-            )
-            self._woes[domain] = np.fromiter(
-                (w for _, w in items), dtype=np.float64, count=len(items)
-            )
-
-    @property
-    def epoch(self) -> int:
-        """The encoder epoch this view was frozen at."""
-        return self._epoch
-
-    def is_stale(self) -> bool:
-        """True once the source encoder has been refit/updated since."""
-        return self._source.epoch != self._epoch
-
-    def encode_domain(self, domain: str, values: np.ndarray) -> np.ndarray:
-        """Vectorised WoE lookup for one domain's value array."""
-        keys = self._keys[domain]
-        out = np.full(values.shape[0], UNKNOWN_WOE, dtype=np.float64)
-        if keys.size == 0:
-            return out
-        v = values.astype(np.int64, copy=False)
-        idx = np.minimum(np.searchsorted(keys, v), keys.size - 1)
-        known = keys[idx] == v
-        out[known] = self._woes[domain][idx[known]]
-        return out
-
-    def encode_column(self, column_name: str, values: np.ndarray) -> np.ndarray:
-        """Encode one key column through its domain's frozen table."""
-        domain, _, _, is_value = schema.parse_column(column_name)
-        if is_value:
-            raise ValueError(f"{column_name} is a metric column, not categorical")
-        return self.encode_domain(domain, values)
 
     def transform(self, data: AggregatedDataset) -> dict[str, np.ndarray]:
         """Encode all categorical columns of ``data``."""

@@ -680,14 +680,6 @@ class SketchAggregator:
         return self
 
     # -- queries --------------------------------------------------------
-    def bins(self) -> list[int]:
-        return sorted(self._bins)
-
-    def total_flows(self, b: int) -> int:
-        """Exact number of flows absorbed into one bin."""
-        sketch = self._bins.get(b)
-        return 0 if sketch is None else sketch.flows.total
-
     def target_cardinality(self, b: int, targets: np.ndarray) -> np.ndarray:
         """Estimated distinct source IPs per target in one bin."""
         sketch = self._bins.get(b)

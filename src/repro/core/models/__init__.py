@@ -10,13 +10,7 @@ from repro.core.models.bayes import (
 )
 from repro.core.models.binning import QuantileBinner
 from repro.core.models.boosting import GradientBoostedTrees
-from repro.core.models.kernels import (
-    ForestKernel,
-    HistogramScratch,
-    TreeKernel,
-    reference_cart_values,
-    reference_forest_margin,
-)
+from repro.core.models.kernels import ForestKernel, HistogramScratch, TreeKernel
 from repro.core.models.linear import LinearSVM
 from repro.core.models.metrics import (
     DEFAULT_BETA,
@@ -68,8 +62,6 @@ __all__ = [
     "TABLE5_MODELS",
     "TreeKernel",
     "check_fit_inputs",
-    "reference_cart_values",
-    "reference_forest_margin",
     "f1_score",
     "fbeta_score",
     "grid_search",

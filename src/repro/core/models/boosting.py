@@ -13,15 +13,12 @@ per-(node, feature, bin) gradient/hessian histograms built with one
 combined-key ``bincount`` per level, sibling histograms come from the
 parent − child subtraction trick, and each round's margin update is a
 single gather through the per-sample node-membership array — no
-recursive traversal anywhere in the hot path. The pre-kernel recursive
-trainer survives as :meth:`GradientBoostedTrees.fit_reference`, the
-benchmark baseline and equivalence oracle.
+recursive traversal anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -32,25 +29,12 @@ from repro.core.models.kernels import (
     LEAF,
     ForestKernel,
     HistogramScratch,
-    _apply_recursive,
+    TreeKernel,
 )
 from repro.obs import names
 
 #: Minimum split gain (the gamma pruning threshold).
 _MIN_SPLIT_GAIN = 1e-9
-
-
-@dataclass
-class _BoostNode:
-    feature: Optional[int] = None
-    threshold: float = 0.0
-    left: Optional["_BoostNode"] = None
-    right: Optional["_BoostNode"] = None
-    weight: float = 0.0  # leaf output
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -86,9 +70,8 @@ class GradientBoostedTrees(Classifier):
         self.min_child_weight = min_child_weight
         self.max_bins = max_bins
         self._binner = QuantileBinner(max_bins)
-        #: Compiled flat-array ensemble — the primary fitted state.
+        #: Compiled flat-array ensemble — the fitted state.
         self.forest_: Optional[ForestKernel] = None
-        self._trees_cache: Optional[list[_BoostNode]] = None
         self.base_score_ = 0.0
         #: Per-feature accumulated split gain and split count (Fig. 10).
         self.feature_gain_: Optional[np.ndarray] = None
@@ -101,36 +84,6 @@ class GradientBoostedTrees(Classifier):
             "learning_rate": self.learning_rate,
             "reg_lambda": self.reg_lambda,
         }
-
-    # ------------------------------------------------------------------
-    # Fitted-tree views
-    # ------------------------------------------------------------------
-    @property
-    def trees_(self) -> list[_BoostNode]:
-        """Node-graph view of the ensemble (rebuilt from the kernel).
-
-        Kept for tooling and the legacy persistence path; prediction
-        never touches it. Assigning a list of roots recompiles the flat
-        :attr:`forest_` kernel.
-        """
-        if self._trees_cache is None:
-            if self.forest_ is None:
-                return []
-            self._trees_cache = self.forest_.to_boost_nodes()
-        return self._trees_cache
-
-    @trees_.setter
-    def trees_(self, roots: Sequence[_BoostNode]) -> None:
-        roots = list(roots)
-        self._trees_cache = roots or None
-        self.forest_ = ForestKernel.from_boost_nodes(roots) if roots else None
-
-    def __getstate__(self) -> dict:
-        # Ship only the compact arrays: the node-graph cache is derived
-        # state and would dominate the broadcast payload.
-        state = dict(self.__dict__)
-        state["_trees_cache"] = None
-        return state
 
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
@@ -148,7 +101,6 @@ class GradientBoostedTrees(Classifier):
         n, n_features = X.shape
         self.feature_gain_ = np.zeros(n_features, dtype=np.float64)
         self.feature_splits_ = np.zeros(n_features, dtype=np.int64)
-        self._trees_cache = None
 
         pos_rate = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
         self.base_score_ = float(np.log(pos_rate / (1.0 - pos_rate)))
@@ -345,8 +297,6 @@ class GradientBoostedTrees(Classifier):
 
         g_arr = np.asarray(g_l)
         h_arr = np.asarray(h_l)
-        from repro.core.models.kernels import TreeKernel
-
         kernel = TreeKernel(
             feature=np.asarray(feat_l, dtype=np.int32),
             threshold=np.asarray(thr_l, dtype=np.float64),
@@ -356,98 +306,6 @@ class GradientBoostedTrees(Classifier):
             value=-g_arr / (h_arr + lam),
         )
         return kernel, node_of
-
-    # ------------------------------------------------------------------
-    # Pre-kernel reference trainer (benchmark baseline + oracle)
-    # ------------------------------------------------------------------
-    def fit_reference(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
-        """The original recursive trainer, kept verbatim.
-
-        Grows node graphs one node at a time and re-traverses the tree
-        for every margin update. Exists so benchmarks and equivalence
-        tests can compare the compiled hot path against the original.
-        """
-        X, y = check_fit_inputs(X, y)
-        binned = self._binner.fit_transform(X)
-        n, n_features = X.shape
-        self.feature_gain_ = np.zeros(n_features, dtype=np.float64)
-        self.feature_splits_ = np.zeros(n_features, dtype=np.int64)
-
-        pos_rate = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
-        self.base_score_ = float(np.log(pos_rate / (1.0 - pos_rate)))
-        margin = np.full(n, self.base_score_, dtype=np.float64)
-
-        yf = y.astype(np.float64)
-        roots = []
-        for _ in range(self.n_estimators):
-            p = _sigmoid(margin)
-            grad = p - yf
-            hess = np.maximum(p * (1.0 - p), 1e-12)
-            tree = self._build_tree_reference(binned, grad, hess, np.arange(n), 0)
-            roots.append(tree)
-            out = np.empty(n, dtype=np.float64)
-            _apply_recursive(tree, X, np.arange(n), out, "weight")
-            margin += self.learning_rate * out
-        self.trees_ = roots
-        return self
-
-    def _build_tree_reference(
-        self,
-        binned: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        index: np.ndarray,
-        depth: int,
-    ) -> _BoostNode:
-        g_sum = float(grad[index].sum())
-        h_sum = float(hess[index].sum())
-        node = _BoostNode(weight=-g_sum / (h_sum + self.reg_lambda))
-        if depth >= self.max_depth or index.shape[0] < 2:
-            return node
-
-        parent_score = g_sum * g_sum / (h_sum + self.reg_lambda)
-        sub = binned[index]
-        g_sub = grad[index]
-        h_sub = hess[index]
-        best_gain = _MIN_SPLIT_GAIN
-        best: Optional[tuple[int, int]] = None
-        for j in range(binned.shape[1]):
-            n_bins = self._binner.n_bins(j)
-            if n_bins < 2:
-                continue
-            bins = sub[:, j]
-            g_hist = np.bincount(bins, weights=g_sub, minlength=n_bins)
-            h_hist = np.bincount(bins, weights=h_sub, minlength=n_bins)
-            g_left = np.cumsum(g_hist)[:-1]
-            h_left = np.cumsum(h_hist)[:-1]
-            g_right = g_sum - g_left
-            h_right = h_sum - h_left
-            valid = (h_left >= self.min_child_weight) & (h_right >= self.min_child_weight)
-            if not valid.any():
-                continue
-            gain = 0.5 * (
-                g_left**2 / (h_left + self.reg_lambda)
-                + g_right**2 / (h_right + self.reg_lambda)
-                - parent_score
-            )
-            gain[~valid] = -np.inf
-            k = int(np.argmax(gain))
-            if gain[k] > best_gain:
-                best_gain = float(gain[k])
-                best = (j, k)
-
-        if best is None:
-            return node
-        feature, split_bin = best
-        assert self.feature_gain_ is not None and self.feature_splits_ is not None
-        self.feature_gain_[feature] += best_gain
-        self.feature_splits_[feature] += 1
-        go_left = sub[:, feature] <= split_bin
-        node.feature = feature
-        node.threshold = self._binner.threshold(feature, split_bin)
-        node.left = self._build_tree_reference(binned, grad, hess, index[go_left], depth + 1)
-        node.right = self._build_tree_reference(binned, grad, hess, index[~go_left], depth + 1)
-        return node
 
     # ------------------------------------------------------------------
     def decision_function(self, X: np.ndarray) -> np.ndarray:

@@ -1,16 +1,14 @@
 """Flat-array tree kernels: compiled forest inference and histogram growing.
 
-Fitted trees in this repository used to live as Python object graphs
-(``_Node`` / ``_BoostNode``) walked node-by-node with recursive
-``_apply`` calls — O(nodes) Python frames per batch. This module is the
-struct-of-arrays replacement, the layout histogram GBDT implementations
-(XGBoost [23], LightGBM) use for speed:
+Fitted trees live as struct-of-arrays, the layout histogram GBDT
+implementations (XGBoost [23], LightGBM) use for speed, instead of
+Python node graphs walked one recursive call per node:
 
 * :class:`TreeKernel` — one tree as parallel arrays ``feature[]``,
   ``threshold[]``/``split_bin[]``, ``left[]``, ``right[]``, ``value[]``
-  (plus ``n[]``/``impurity[]`` for CART trees, so the node graph is
-  fully reconstructible). Prediction is iterative node-index
-  propagation: O(depth) vectorised numpy ops per batch, no recursion.
+  (plus the per-node sample count ``n[]`` and gini ``impurity[]`` for
+  CART trees). Prediction is iterative node-index propagation:
+  O(depth) vectorised numpy ops per batch, no recursion.
 * :class:`ForestKernel` — an ensemble as the same arrays stacked with a
   per-tree ``offsets`` table. Stacking renumbers every tree level-order
   so each split's children are adjacent (``right == left + 1``) and
@@ -20,8 +18,9 @@ struct-of-arrays replacement, the layout histogram GBDT implementations
   every sample in every tree simultaneously through one
   (samples × trees) node-state matrix, processed in row blocks sized to
   stay cache-resident. The margin is accumulated tree-by-tree in
-  ensemble order afterwards, so results stay bit-identical to the
-  sequential recursive reference.
+  ensemble order afterwards, so results stay bit-identical to a
+  sequential per-tree traversal (``tests/reference_trees.py``, the
+  recursive oracle the property suite pins both kernels to).
 * :class:`HistogramScratch` — the shared histogram machinery of the
   training hot paths: per-(node, feature, bin) histograms from the
   *transposed* bin-code matrix (one contiguous ``bincount`` per
@@ -30,10 +29,6 @@ struct-of-arrays replacement, the layout histogram GBDT implementations
   node, level and boosting round. Sibling histograms are derived by
   subtraction (``child = parent − other child``), so only the smaller
   child of every split is ever scanned.
-* :func:`reference_cart_values` / :func:`reference_forest_margin` — the
-  recursive traversals kept as the *verification oracle*: the property
-  suite asserts the compiled kernels reproduce them bit-for-bit, and
-  the model-kernel benchmark uses them as the pre-compilation baseline.
 
 Compiled kernels are also the wire format: pickling a fitted tree model
 ships these compact arrays (a few contiguous numpy buffers) instead of
@@ -49,15 +44,12 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.core.models.boosting import _BoostNode
     from repro.core.models.tree import _Node
 
 __all__ = [
     "TreeKernel",
     "ForestKernel",
     "HistogramScratch",
-    "reference_cart_values",
-    "reference_forest_margin",
 ]
 
 #: Sentinel in ``feature[]`` / ``split_bin[]`` marking a leaf node.
@@ -79,8 +71,9 @@ class TreeKernel:
     output (P(y=1) for CART, the additive leaf weight for boosting).
     Internal nodes route ``x[feature] <= threshold`` to ``left`` and the
     rest to ``right``; ``split_bin`` carries the equivalent binned-code
-    threshold (``bin <= split_bin``) when the tree was grown on binned
-    data, or ``LEAF`` when unknown (e.g. compiled from a node graph).
+    threshold (``bin <= split_bin``) when the tree was grown level-wise
+    on binned codes, or ``LEAF`` when unknown (CART, compiled from its
+    node graph).
     Children always carry larger indices than their parent.
     """
 
@@ -91,7 +84,7 @@ class TreeKernel:
     right: np.ndarray  # int32 child index, LEAF for leaves
     value: np.ndarray  # float64 node output
     #: CART bookkeeping (None for boosting trees): per-node sample count
-    #: and gini impurity, enough to rebuild the full ``_Node`` graph.
+    #: and gini impurity.
     n: Optional[np.ndarray] = None
     impurity: Optional[np.ndarray] = None
 
@@ -179,73 +172,6 @@ class TreeKernel:
             impurity=np.asarray(impurity, dtype=np.float64),
         )
 
-    def to_cart_nodes(self) -> "_Node":
-        """Rebuild the ``_Node`` graph (for pruning walks and tooling)."""
-        from repro.core.models.tree import _Node
-
-        if self.n is None or self.impurity is None:
-            raise ValueError("kernel carries no CART node statistics")
-
-        def build(idx: int) -> "_Node":
-            node = _Node(
-                n=int(self.n[idx]),
-                value=float(self.value[idx]),
-                impurity=float(self.impurity[idx]),
-            )
-            if self.feature[idx] != LEAF:
-                node.feature = int(self.feature[idx])
-                node.threshold = float(self.threshold[idx])
-                node.left = build(int(self.left[idx]))
-                node.right = build(int(self.right[idx]))
-            return node
-
-        return build(0)
-
-    @classmethod
-    def from_boost_node(cls, root: "_BoostNode") -> "TreeKernel":
-        """Flatten one boosting tree's node graph."""
-        feature, threshold, split_bin = [], [], []
-        left, right, value = [], [], []
-
-        def visit(node: "_BoostNode") -> int:
-            idx = len(feature)
-            is_leaf = node.is_leaf
-            feature.append(LEAF if is_leaf else int(node.feature))
-            threshold.append(0.0 if is_leaf else float(node.threshold))
-            split_bin.append(LEAF)
-            left.append(LEAF)
-            right.append(LEAF)
-            value.append(float(node.weight))
-            if not is_leaf:
-                left[idx] = visit(node.left)
-                right[idx] = visit(node.right)
-            return idx
-
-        visit(root)
-        return cls(
-            feature=np.asarray(feature, dtype=np.int32),
-            threshold=np.asarray(threshold, dtype=np.float64),
-            split_bin=np.asarray(split_bin, dtype=np.int32),
-            left=np.asarray(left, dtype=np.int32),
-            right=np.asarray(right, dtype=np.int32),
-            value=np.asarray(value, dtype=np.float64),
-        )
-
-    def to_boost_node(self) -> "_BoostNode":
-        """Rebuild the ``_BoostNode`` graph of one boosting tree."""
-        from repro.core.models.boosting import _BoostNode
-
-        def build(idx: int) -> "_BoostNode":
-            node = _BoostNode(weight=float(self.value[idx]))
-            if self.feature[idx] != LEAF:
-                node.feature = int(self.feature[idx])
-                node.threshold = float(self.threshold[idx])
-                node.left = build(int(self.left[idx]))
-                node.right = build(int(self.right[idx]))
-            return node
-
-        return build(0)
-
     def level_order(self) -> "TreeKernel":
         """Renumber nodes breadth-first so split children are adjacent.
 
@@ -322,19 +248,6 @@ class ForestKernel:
             self._depth = int(depth.max()) if self.n_nodes else 0
         return self._depth
 
-    def tree(self, index: int) -> TreeKernel:
-        """Re-based copy of one tree (self-loops back to LEAF sentinels)."""
-        lo, hi = int(self.offsets[index]), int(self.offsets[index + 1])
-        is_leaf = self.feature[lo:hi] == LEAF
-        return TreeKernel(
-            feature=self.feature[lo:hi].copy(),
-            threshold=self.threshold[lo:hi].copy(),
-            split_bin=self.split_bin[lo:hi].copy(),
-            left=np.where(is_leaf, LEAF, self.left[lo:hi] - lo).astype(np.int32),
-            right=np.where(is_leaf, LEAF, self.right[lo:hi] - lo).astype(np.int32),
-            value=self.value[lo:hi].copy(),
-        )
-
     # ------------------------------------------------------------------
     @classmethod
     def from_trees(cls, trees: Sequence[TreeKernel]) -> "ForestKernel":
@@ -366,13 +279,6 @@ class ForestKernel:
             value=stacked([t.value for t in trees], np.float64),
             offsets=offsets,
         )
-
-    @classmethod
-    def from_boost_nodes(cls, roots: Sequence["_BoostNode"]) -> "ForestKernel":
-        return cls.from_trees([TreeKernel.from_boost_node(r) for r in roots])
-
-    def to_boost_nodes(self) -> list["_BoostNode"]:
-        return [self.tree(t).to_boost_node() for t in range(self.n_trees)]
 
     # ------------------------------------------------------------------
     def _routing(self) -> tuple:
@@ -516,41 +422,3 @@ class HistogramScratch:
                 n_slots, B
             )
         return h1, h2
-
-
-# ----------------------------------------------------------------------
-# Recursive reference traversals (verification oracle + benchmarks)
-# ----------------------------------------------------------------------
-def _apply_recursive(node, X, index, out, leaf_attr: str) -> None:
-    if index.shape[0] == 0:
-        return
-    if node.is_leaf:
-        out[index] = getattr(node, leaf_attr)
-        return
-    go_left = X[index, node.feature] <= node.threshold
-    _apply_recursive(node.left, X, index[go_left], out, leaf_attr)
-    _apply_recursive(node.right, X, index[~go_left], out, leaf_attr)
-
-
-def reference_cart_values(root: "_Node", X: np.ndarray) -> np.ndarray:
-    """Pre-kernel recursive CART traversal (the verification oracle)."""
-    X = np.asarray(X, dtype=np.float64)
-    out = np.empty(X.shape[0], dtype=np.float64)
-    _apply_recursive(root, X, np.arange(X.shape[0]), out, "value")
-    return out
-
-
-def reference_forest_margin(
-    trees: Sequence["_BoostNode"],
-    base_score: float,
-    learning_rate: float,
-    X: np.ndarray,
-) -> np.ndarray:
-    """Pre-kernel recursive boosting margin (the verification oracle)."""
-    X = np.asarray(X, dtype=np.float64)
-    margin = np.full(X.shape[0], base_score, dtype=np.float64)
-    for tree in trees:
-        out = np.empty(X.shape[0], dtype=np.float64)
-        _apply_recursive(tree, X, np.arange(X.shape[0]), out, "weight")
-        margin += learning_rate * out
-    return margin

@@ -10,11 +10,10 @@ a single vectorised pass; at each split only the smaller child is
 re-scanned, the sibling's histograms being the parent's minus the small
 child's — exact for CART, whose histograms hold integer counts, so the
 fitted tree is bit-identical to the original per-feature scan. The
-fitted tree is compiled to a flat-array
-:class:`~repro.core.models.kernels.TreeKernel`, which handles all
-prediction (iterative node-index propagation) and is the only state
-that pickling ships — the ``_Node`` graph is a derived view, rebuilt on
-demand for pruning walks and tooling.
+tree grows and prunes as a ``_Node`` graph and is compiled once to a
+flat-array :class:`~repro.core.models.kernels.TreeKernel`, which handles
+all prediction (iterative node-index propagation) and is the fitted
+state; the graph does not outlive ``fit``.
 """
 
 from __future__ import annotations
@@ -44,12 +43,6 @@ class _Node:
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    def leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        assert self.left is not None and self.right is not None
-        return self.left.leaves() + self.right.leaves()
 
 
 def _gini(pos: float, total: float) -> float:
@@ -88,9 +81,8 @@ class DecisionTree(Classifier):
         self.ccp_alpha = ccp_alpha
         self.max_bins = max_bins
         self._binner = QuantileBinner(max_bins)
-        #: Compiled flat-array tree — the primary fitted state.
+        #: Compiled flat-array tree — the fitted state.
         self.kernel_: Optional[TreeKernel] = None
-        self._root_cache: Optional[_Node] = None
         self._n_train = 0
 
     def get_params(self) -> dict[str, object]:
@@ -103,31 +95,6 @@ class DecisionTree(Classifier):
         }
 
     # ------------------------------------------------------------------
-    # Fitted-tree views
-    # ------------------------------------------------------------------
-    @property
-    def root_(self) -> Optional[_Node]:
-        """Node-graph view of the tree (rebuilt from the kernel).
-
-        Kept for pruning walks, tests and tooling; prediction never
-        touches it. Assigning a root node recompiles :attr:`kernel_`.
-        """
-        if self._root_cache is None and self.kernel_ is not None:
-            self._root_cache = self.kernel_.to_cart_nodes()
-        return self._root_cache
-
-    @root_.setter
-    def root_(self, node: Optional[_Node]) -> None:
-        self._root_cache = node
-        self.kernel_ = None if node is None else TreeKernel.from_cart_root(node)
-
-    def __getstate__(self) -> dict:
-        # Ship the compact arrays only; the node graph is derived state.
-        state = dict(self.__dict__)
-        state["_root_cache"] = None
-        return state
-
-    # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
         X, y = check_fit_inputs(X, y)
         with obs.span(names.SPAN_MODELS_FIT):
@@ -138,7 +105,7 @@ class DecisionTree(Classifier):
             root = self._build(binned, y.astype(np.float64), index, 0, scratch, None)
             if self.ccp_alpha > 0:
                 self._prune(root)
-            self.root_ = root
+            self.kernel_ = TreeKernel.from_cart_root(root)
         obs.counter(names.C_MODELS_TREES_BUILT).inc()
         obs.counter(names.C_MODELS_KERNEL_COMPILES).inc()
         assert self.kernel_ is not None

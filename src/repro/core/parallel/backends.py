@@ -1,10 +1,9 @@
 """Execution backends for shard classification.
 
 A backend owns the N per-shard classification contexts: the deployed
-model (re-broadcast after every retrain), a per-shard
-:class:`~repro.obs.MetricRegistry`, and the frozen-WoE
-:class:`~repro.core.encoding.matrix.MatrixAssembler` reused across bins
-of one retrain epoch. Two implementations:
+model (re-broadcast after every retrain; its compiled rules and matrix
+assembler are the model's own, rebuilt wherever it lands) and a
+per-shard :class:`~repro.obs.MetricRegistry`. Two implementations:
 
 * :class:`SerialBackend` — runs shards sequentially in-process. The
   default: zero IPC cost, same results, and on a single-core host the
@@ -77,7 +76,6 @@ def _is_ipc_error(reply) -> bool:
 
 def classify_shard(
     scrubber: Optional[IXPScrubber],
-    assembler,
     registry: obs.MetricRegistry,
     flows: FlowDataset,
     min_flows: int,
@@ -99,9 +97,7 @@ def classify_shard(
             obs.counter(names.C_PARALLEL_SHARD_FLOWS).inc(len(flows))
             if agg is not None:
                 return SketchAggregator(agg).absorb(flows).to_state()
-            return scrubber.classify_flows_batch(
-                flows, min_flows=min_flows, assembler=assembler
-            )
+            return scrubber.classify_flows_batch(flows, min_flows=min_flows)
 
 
 class SerialBackend:
@@ -113,7 +109,6 @@ class SerialBackend:
         self.n_shards = n_shards
         self.registries = [obs.MetricRegistry() for _ in range(n_shards)]
         self._scrubber: Optional[IXPScrubber] = None
-        self._assembler = None
 
     def broadcast(self, scrubber: IXPScrubber) -> None:
         """Deploy a newly trained model to all shards."""
@@ -121,7 +116,6 @@ class SerialBackend:
             obs.counter(names.C_PARALLEL_BROADCAST_SKIPPED).inc()
             return
         self._scrubber = scrubber
-        self._assembler = scrubber.make_assembler()
 
     def classify(
         self,
@@ -144,8 +138,7 @@ class SerialBackend:
                 continue
             out.append(
                 classify_shard(
-                    self._scrubber, self._assembler, self.registries[shard],
-                    flows, min_flows, agg,
+                    self._scrubber, self.registries[shard], flows, min_flows, agg
                 )
             )
         return out
@@ -226,7 +219,6 @@ def _worker_main(
         parent_end.close()
     registry = obs.MetricRegistry()
     scrubber: Optional[IXPScrubber] = None
-    assembler = None
     ring = shm.ShmRing.attach(ring_name) if ring_name is not None else None
     model_segment = None
     retired_segments: list = []
@@ -241,14 +233,12 @@ def _worker_main(
                 break
             if kind == "model":
                 scrubber = pickle.loads(message[1])
-                assembler = scrubber.make_assembler()
             elif kind == "model_shm":
                 segment_name, version = message[1], message[2]
                 # Drop references into the previous segment before loading,
                 # so its buffers can actually be released.
-                scrubber = assembler = None
+                scrubber = None
                 scrubber, segment = shm.load_model(segment_name, version)
-                assembler = scrubber.make_assembler()
                 if model_segment is not None:
                     retired_segments.append(model_segment)
                 model_segment = segment
@@ -276,9 +266,7 @@ def _worker_main(
                     except shm.ShmProtocolError as exc:
                         conn.send((_IPC_ERROR, str(exc)))
                         continue
-                reply = classify_shard(
-                    scrubber, assembler, registry, flows, min_flows, agg
-                )
+                reply = classify_shard(scrubber, registry, flows, min_flows, agg)
                 if seqno is not None:
                     # Verdicts/sketch states copy out of the batch, so the
                     # frame is dead; ack before replying — the coordinator
@@ -287,8 +275,8 @@ def _worker_main(
                     ring.ack(seqno)
                 conn.send(reply)
             elif kind in ("echo", "echo_shm"):
-                # Transport self-test for the IPC benchmark: rebuild the
-                # batch exactly as classify would, reply with the row count.
+                # Transport self-test (WorkerPool.echo): rebuild the batch
+                # exactly as classify would, reply with the row count.
                 if kind == "echo":
                     flows = FlowDataset(message[1])
                     conn.send(len(flows))
@@ -320,8 +308,8 @@ class WorkerPool:
     :class:`~repro.core.resilience.SupervisedProcessBackend`, which
     bounds it with a deadline and recovers from a dead worker.
 
-    Workers stay alive across bins so the model and its frozen-WoE
-    assembler are deserialised once per retrain, not once per bin.
+    Workers stay alive across bins so the model is deserialised once
+    per retrain, not once per bin.
 
     ``ipc="pipe"`` (default) moves batches and models as pickled pipe
     messages. ``ipc="shm"`` moves batch bytes through a per-shard
@@ -469,10 +457,14 @@ class WorkerPool:
 
         The dispatch path is byte-for-byte the classify path (ring
         frame + doorbell, or pickled pipe message) without the
-        classification compute, which is what the IPC benchmark needs
-        to measure transport throughput in isolation. A benchmark aid,
-        not a supervised call: reads block, and a worker that rejects
-        its frame raises :class:`~repro.core.parallel.shm.ShmProtocolError`.
+        classification compute: a transport self-test. Its benchmark is
+        gone (``parallel.ring_bytes`` and ``parallel.classify_wait_ms``
+        of ``benchmarks/e2e`` read the transport now); the method stays
+        until a benchmark-only PR stops
+        ``benchmarks/e2e/test_harness.py`` naming it as its inherited
+        attribute. Not a supervised call: reads block, and a worker that
+        rejects its frame raises
+        :class:`~repro.core.parallel.shm.ShmProtocolError`.
         """
         active = []
         for shard, flows in enumerate(shard_flows):

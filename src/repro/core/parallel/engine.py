@@ -119,7 +119,6 @@ class ShardedStreamingScrubber(StreamingScrubber):
         self._sketch_params = (
             (sketch_params or SketchParams()) if agg == "sketch" else None
         )
-        self._coord_assembler = None
         self.plan = plan if plan is not None else ShardPlan(n_shards)
         self._broadcast_model: Optional[IXPScrubber] = None
         self._shadow = (
@@ -208,8 +207,6 @@ class ShardedStreamingScrubber(StreamingScrubber):
                 self._backend.broadcast(scrubber)
                 self._broadcast_model = scrubber
                 obs.counter(names.C_PARALLEL_MODEL_BROADCASTS).inc()
-                if self._sketch_params is not None:
-                    self._coord_assembler = scrubber.make_assembler()
             results = self._backend.classify(
                 shard_flows,
                 self.min_flows_per_verdict,
@@ -241,9 +238,7 @@ class ShardedStreamingScrubber(StreamingScrubber):
                 continue
             merged.merge(SketchAggregator.from_state(state))
         data = merged.build_records(min_flows=self.min_flows_per_verdict)
-        verdicts = scrubber.classify_aggregated(
-            data, assembler=self._coord_assembler
-        )
+        verdicts = scrubber.classify_aggregated(data)
         verdicts.sort(key=lambda v: (v.bin, v.target_ip))
         return verdicts
 

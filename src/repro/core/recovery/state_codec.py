@@ -312,8 +312,7 @@ def restore_sharded_state(engine, state: dict) -> None:
     Aggregation mode, sketch parameters, and shard plan must match the
     live engine — they shape the verdict stream. The restored model is
     *not* pushed to workers here; clearing ``_broadcast_model`` makes
-    the next classify re-broadcast it through the normal path (which
-    also rebuilds the sketch-mode coordinator assembler).
+    the next classify re-broadcast it through the normal path.
     """
     params = engine._sketch_params
     agg = "exact" if params is None else "sketch"
@@ -338,4 +337,3 @@ def restore_sharded_state(engine, state: dict) -> None:
             )
         restore_engine_state(engine._shadow, state["shadow"])
     engine._broadcast_model = None
-    engine._coord_assembler = None

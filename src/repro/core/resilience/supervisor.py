@@ -135,8 +135,6 @@ class SupervisedProcessBackend(WorkerPool):
         # worker's registry would have seen (shard_classify span,
         # shard_flows counter), and is merged into snapshots().
         self._fallback_registries = [obs.MetricRegistry() for _ in range(n_shards)]
-        self._fallback_assembler = None
-        self._fallback_model: Optional[IXPScrubber] = None
         super().__init__(
             n_shards, start_method=start_method, ipc=ipc, ring_bytes=ring_bytes
         )
@@ -384,13 +382,8 @@ class SupervisedProcessBackend(WorkerPool):
         the workers (and the serial backend) run — which is why degraded
         and quarantined batches keep verdicts bit-identical.
         """
-        scrubber = self._scrubber
-        if scrubber is not self._fallback_model:
-            self._fallback_assembler = scrubber.make_assembler()
-            self._fallback_model = scrubber
         return classify_shard(
-            scrubber, self._fallback_assembler,
-            self._fallback_registries[shard], flows, min_flows, agg,
+            self._scrubber, self._fallback_registries[shard], flows, min_flows, agg
         )
 
     def _quarantine(

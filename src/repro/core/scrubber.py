@@ -90,11 +90,12 @@ class IXPScrubber:
         self.woe = WoEEncoder()
         self.pipeline: Optional[ModelPipeline] = None
         self._matcher: Optional[CompiledMatcher] = None
+        self._assembler: Optional[MatrixAssembler] = None
 
     def __getstate__(self) -> dict[str, object]:
         # Derived state stays out of pickles (pipe broadcasts, the shm
         # model plane); the receiving process rebuilds it on first use.
-        return {**self.__dict__, "_matcher": None}
+        return {**self.__dict__, "_matcher": None, "_assembler": None}
 
     # ------------------------------------------------------------------
     # Step 1
@@ -130,7 +131,7 @@ class IXPScrubber:
 
     def _compiled_rules(self) -> CompiledMatcher:
         """The accepted rules compiled for tagging: one build per model
-        epoch, like the assembler's frozen WoE, or per curation change."""
+        epoch or per curation change."""
         rules = self.accepted_rules
         if self._matcher is None or self._matcher.is_stale(rules):
             self._matcher = CompiledMatcher(rules)
@@ -178,45 +179,39 @@ class IXPScrubber:
         return pipeline.predict(self.feature_matrix(data).X)
 
     def score_aggregated(self, data: AggregatedDataset) -> np.ndarray:
-        """P(DDoS) per aggregated record."""
+        """P(DDoS) per aggregated record.
+
+        The one encode/score step of every classification path. It
+        assembles into a row buffer kept for as long as :attr:`woe` is
+        the same encoder (one model epoch), so scoring a bin allocates
+        no matrix.
+        """
         pipeline = self._require_fitted()
+        if self._assembler is None or self._assembler.woe is not self.woe:
+            self._assembler = MatrixAssembler(self.woe)
         with obs.span(metric_names.SPAN_SCRUBBER_SCORE):
-            scores = pipeline.predict_proba(self.feature_matrix(data).X)
+            scores = pipeline.predict_proba(self._assembler.assemble(data).X)
         obs.counter(metric_names.C_SCRUBBER_RECORDS_SCORED).inc(len(data))
         return scores
 
     def predict_flows(self, flows: FlowDataset) -> list[TargetVerdict]:
         """Classify raw flows end-to-end into per-target verdicts."""
-        data = self.aggregate_flows(flows)
-        scores = self.score_aggregated(data)
-        return build_verdicts(data, scores)
-
-    def make_assembler(self) -> MatrixAssembler:
-        """Freeze the fitted WoE tables into a reusable assembler.
-
-        The assembler is valid for the current retrain epoch; build a
-        fresh one after :meth:`fit` / :meth:`fit_aggregated` re-fit the
-        encoder (``assembler.frozen.is_stale()`` flags this).
-        """
-        self._require_fitted()
-        return MatrixAssembler(self.woe)
+        return self.classify_flows_batch(flows)
 
     def classify_flows_batch(
         self,
         flows: FlowDataset,
         min_flows: int = 1,
         threshold: float = 0.5,
-        assembler: MatrixAssembler | None = None,
     ) -> list[TargetVerdict]:
-        """Classify a multi-bin batch of flows into per-target verdicts.
+        """Classify a batch of flows, of one bin or many, into verdicts.
 
-        The batch path of the sharded streaming engine (it looks the
+        What both streaming engines run on closed bins (it looks the
         aggregation kernel up as ``aggregate_batch``, :meth:`fit` as
         ``aggregate``: one function, two names for the benchmark's span
-        table): when ``assembler`` is given the WoE encode reuses its
-        frozen tables and row buffer. Verdicts are bit-identical to
-        aggregating and scoring each bin separately (records of distinct
-        bins never merge), ordered by (bin, target).
+        table). Records of distinct bins never merge, so the verdicts of
+        a multi-bin batch are those of its bins one by one, ordered by
+        (bin, target); aggregates below ``min_flows`` flows get none.
         """
         if len(flows) == 0:
             return []
@@ -225,13 +220,10 @@ class IXPScrubber:
         )
         if min_flows > 1:
             data = data.select(data.n_flows >= min_flows)
-        return self.classify_aggregated(data, threshold=threshold, assembler=assembler)
+        return self.classify_aggregated(data, threshold=threshold)
 
     def classify_aggregated(
-        self,
-        data: AggregatedDataset,
-        threshold: float = 0.5,
-        assembler: MatrixAssembler | None = None,
+        self, data: AggregatedDataset, threshold: float = 0.5
     ) -> list[TargetVerdict]:
         """Score already-aggregated records into per-target verdicts.
 
@@ -242,14 +234,7 @@ class IXPScrubber:
         """
         if len(data) == 0:
             return []
-        if assembler is None:
-            scores = self.score_aggregated(data)
-        else:
-            pipeline = self._require_fitted()
-            with obs.span(metric_names.SPAN_SCRUBBER_SCORE):
-                scores = pipeline.predict_proba(assembler.assemble(data).X)
-            obs.counter(metric_names.C_SCRUBBER_RECORDS_SCORED).inc(len(data))
-        return build_verdicts(data, scores, threshold)
+        return build_verdicts(data, self.score_aggregated(data), threshold)
 
     def generate_acls(self, verdicts: Sequence[TargetVerdict]) -> list[TaggingRule]:
         """ACLs to install for positive verdicts (matched accepted rules).

@@ -29,12 +29,7 @@ from repro.bgp.blackhole import BlackholeRegistry
 from repro.bgp.messages import Update
 from repro.core.drift import DriftTracker
 from repro.core.labeling.balancer import balance
-from repro.core.scrubber import (
-    IXPScrubber,
-    ScrubberConfig,
-    TargetVerdict,
-    build_verdicts,
-)
+from repro.core.scrubber import IXPScrubber, ScrubberConfig, TargetVerdict
 from repro.netflow.dataset import BIN_SECONDS, FlowDataset
 from repro.obs import names
 
@@ -320,14 +315,9 @@ class StreamingScrubber:
         if self._scrubber is None or len(bin_flows) == 0:
             return []
         with obs.span(names.SPAN_STREAMING_CLASSIFY_BIN):
-            records = self._scrubber.aggregate_flows(bin_flows)
-            significant = records.select(
-                records.n_flows >= self.min_flows_per_verdict
+            out = self._scrubber.classify_flows_batch(
+                bin_flows, min_flows=self.min_flows_per_verdict
             )
-            if len(significant) == 0:
-                return []
-            scores = self._scrubber.score_aggregated(significant)
-            out = build_verdicts(significant, scores)
             self._count_verdicts(out)
         return out
 

@@ -75,20 +75,6 @@ class FlowDataset:
         """Create a dataset with zero flows."""
         return cls({name: np.empty(0, dtype=dtype) for name, dtype in SCHEMA.items()})
 
-    #: Record attribute backing each schema column.
-    _RECORD_FIELDS: dict[str, str] = {
-        "time": "time",
-        "src_ip": "src_ip",
-        "dst_ip": "dst_ip",
-        "src_port": "src_port",
-        "dst_port": "dst_port",
-        "protocol": "protocol",
-        "packets": "packets",
-        "bytes": "bytes_",
-        "src_mac": "src_mac",
-        "blackhole": "blackhole",
-    }
-
     #: Row dtype for the single-pass ``from_records`` fill.
     _ROW_DTYPE = np.dtype([(name, dtype) for name, dtype in SCHEMA.items()])
 

@@ -42,9 +42,13 @@ class TestWoETable:
         assert table.high_evidence_values(1.0) == {1, 3}
 
     def test_override(self):
-        table = WoETable(domain="src_port", mapping={})
+        table = WoETable(domain="src_port", mapping={80: 1.0})
+        ports = np.array([80, 81], dtype=np.int64)
+        np.testing.assert_array_equal(table.encode(ports), [1.0, 0.0])
         table.set_override(80, -5.0)
+        table.set_override(81, 2.0)
         assert table.encode_value(80) == -5.0
+        np.testing.assert_array_equal(table.encode(ports), [-5.0, 2.0])
 
 
 class TestWoEEncoder:

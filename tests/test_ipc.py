@@ -267,6 +267,19 @@ def _segment_linked(name: str) -> bool:
     return os.path.exists(f"/dev/shm/{name}")
 
 
+class TestEcho:
+    @pytest.mark.parametrize("ipc", ["pipe", "shm"])
+    def test_echo_round_trips_row_counts(self, batch, ipc):
+        """The transport self-test outlived its benchmark (the e2e
+        harness's own tests name it), so it is checked here."""
+        backend = SupervisedProcessBackend(2, ipc=ipc)
+        try:
+            assert backend.echo([batch, None]) == [len(batch), None]
+            assert backend.echo([batch, batch]) == [len(batch)] * 2
+        finally:
+            backend.close()
+
+
 class TestLeakDiscipline:
     """Tracker warnings surface at interpreter exit: use subprocesses."""
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.models.boosting import GradientBoostedTrees
+from repro.core.models.kernels import LEAF
 from repro.core.models.tree import DecisionTree
 
 
@@ -46,13 +47,8 @@ class TestDecisionTree:
     def test_min_samples_leaf(self):
         X, y = linear_data(n=200)
         model = DecisionTree(min_samples_leaf=50).fit(X, y)
-
-        def leaf_sizes(node):
-            if node.is_leaf:
-                return [node.n]
-            return leaf_sizes(node.left) + leaf_sizes(node.right)
-
-        assert min(leaf_sizes(model.root_)) >= 50
+        kernel = model.kernel_
+        assert kernel.n[kernel.feature == LEAF].min() >= 50
 
     def test_pure_node_stops(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)

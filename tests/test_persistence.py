@@ -130,6 +130,21 @@ class TestScrubberRoundtrip:
         for domain, table in scrubber.woe.tables.items():
             assert restored.woe.tables[domain].mapping == table.mapping
 
+    def test_restored_woe_refuses_update_and_refits(self, fitted):
+        """The format keeps the tables, not the evidence counts behind
+        them: ``update`` would rebuild every table from the new batch
+        alone, dropping what the first window taught it."""
+        scrubber, flows = fitted
+        restored = scrubber_from_dict(scrubber_to_dict(scrubber))
+        data = scrubber.aggregate_flows(flows)
+        before = {d: dict(t.mapping) for d, t in restored.woe.tables.items()}
+        with pytest.raises(RuntimeError, match="refit"):
+            restored.woe.update(data)
+        assert {d: t.mapping for d, t in restored.woe.tables.items()} == before
+        restored.woe.fit(data)  # the way out, and updatable again after it
+        restored.woe.update(data, decay=0.5)
+        assert restored.woe.tables.keys() == before.keys()
+
     def test_file_roundtrip(self, fitted, tmp_path):
         scrubber, flows = fitted
         path = tmp_path / "scrubber.json"

@@ -7,13 +7,13 @@ and asserts an invariant the pipeline's correctness argument rests on:
 * the aggregation kernel is bit-identical to the per-record loop it
   replaced (``tests/reference_aggregate.py``, the oracle);
 * WoE encoding is order-consistent with the empirical class odds, and
-  the frozen (cached) encoder matches the live one bitwise;
+  the table's array lookup matches the scalar dict probe bitwise;
 * the §3 balancer keeps every blackholed flow and never lets benign
   traffic outnumber blackholed traffic in any bin;
 * rule matching is deterministic, subset-consistent and idempotent;
 * compiled flat-array tree kernels predict bit-identically to the
-  recursive reference traversals for DT and GBT, including empty and
-  single-row inputs;
+  recursive traversals of ``tests/reference_trees.py`` for DT and GBT,
+  including empty and single-row inputs;
 * sharded execution merges to exactly the serial verdict stream for
   shards ∈ {1, 2, 4} across 50 seeded workloads.
 
@@ -28,16 +28,12 @@ import pytest
 
 from tests import strategies
 from tests.reference_aggregate import reference_aggregate
+from tests.reference_trees import reference_cart_values, reference_forest_margin
 from repro.core.encoding.woe import UNKNOWN_WOE, WoEEncoder
 from repro.core.features import schema
 from repro.core.features.aggregation import aggregate, aggregate_batch
 from repro.core.labeling.balancer import balance
 from repro.core.models.boosting import GradientBoostedTrees
-from repro.core.models.kernels import (
-    ForestKernel,
-    reference_cart_values,
-    reference_forest_margin,
-)
 from repro.core.models.tree import DecisionTree
 from repro.core.parallel import ShardedStreamingScrubber
 from repro.core.rules.matcher import match_matrix, matched_rule_ids, rule_mask
@@ -206,37 +202,30 @@ class TestWoEInvariants:
                         odds[u] > odds[v]
                     ), f"seed {seed}: WoE not monotone in odds for {domain}"
 
-    def test_scalar_vector_and_frozen_encodes_agree(self):
+    def test_scalar_and_vector_encodes_agree(self):
+        """``encode_value`` (the dict probe) is the array lookup's oracle,
+        before and after an update replaces the tables."""
         for seed in range(5):
             rng = strategies.rng_for(seed)
             data = aggregate(strategies.labeled_flows(rng, n_flows=600))
             encoder = WoEEncoder().fit(data)
-            frozen = encoder.freeze()
-            live = encoder.transform(data)
-            cold = frozen.transform(data)
-            for name, values in data.categorical.items():
-                scalar = np.array(
-                    [
-                        encoder.table(schema.parse_column(name)[0]).encode_value(v)
-                        for v in values
-                    ]
-                )
-                assert np.array_equal(live[name], scalar)
-                assert np.array_equal(cold[name], live[name]), (
-                    f"seed {seed}: frozen encode differs on {name}"
-                )
+            for _ in range(2):
+                encoded = encoder.transform(data)
+                for name, values in data.categorical.items():
+                    table = encoder.table(schema.parse_column(name)[0])
+                    scalar = np.array([table.encode_value(v) for v in values])
+                    assert np.array_equal(encoded[name], scalar), (
+                        f"seed {seed}: array lookup differs on {name}"
+                    )
+                encoder.update(data, decay=0.5)
 
-    def test_frozen_unknowns_and_staleness(self):
+    def test_lookup_unknowns(self):
         rng = strategies.rng_for(0)
         data = aggregate(strategies.labeled_flows(rng, n_flows=400))
         encoder = WoEEncoder().fit(data)
-        frozen = encoder.freeze()
         unseen = np.array([-(10**9)], dtype=np.int64)
         for domain in schema.CATEGORICALS:
-            assert frozen.encode_domain(domain, unseen)[0] == UNKNOWN_WOE
-        assert not frozen.is_stale()
-        encoder.update(data)
-        assert frozen.is_stale()
+            assert encoder.table(domain).encode(unseen)[0] == UNKNOWN_WOE
 
 
 class TestBalancerBounds:
@@ -359,25 +348,11 @@ class TestKernelEquivalence:
                 Xt = rng.normal(size=(n_test, n_features))
                 kernel = model.decision_function(Xt)
                 recursive = reference_forest_margin(
-                    model.trees_, model.base_score_, model.learning_rate, Xt
+                    model.forest_, model.base_score_, model.learning_rate, Xt
                 )
                 assert np.array_equal(kernel, recursive), (
                     f"seed {seed}: GBT kernel drifted on n_test={n_test}"
                 )
-
-    def test_gbt_forest_recompiles_identically_from_node_graphs(self):
-        """trees_ -> from_boost_nodes round-trips the BFS stacking."""
-        for seed in range(5):
-            rng = strategies.rng_for(seed)
-            X, y = self._dataset(rng, 200, 5)
-            model = GradientBoostedTrees(n_estimators=6, max_depth=4).fit(X, y)
-            recompiled = ForestKernel.from_boost_nodes(model.trees_)
-            Xt = rng.normal(size=(100, 5))
-            assert model.forest_ is not None
-            assert np.array_equal(
-                recompiled.margin(Xt, model.base_score_, model.learning_rate),
-                model.forest_.margin(Xt, model.base_score_, model.learning_rate),
-            ), f"seed {seed}: recompiled forest diverged"
 
     def test_cart_kernel_matches_recursive_reference(self):
         for seed in range(10):
@@ -391,11 +366,11 @@ class TestKernelEquivalence:
                 min_samples_split=int(rng.integers(2, 10)),
                 ccp_alpha=float(rng.choice([0.0, 0.001, 0.01])),
             ).fit(X, y)
-            assert model.root_ is not None
+            assert model.kernel_ is not None
             for n_test in (0, 1, int(rng.integers(2, 200))):
                 Xt = rng.normal(size=(n_test, n_features))
                 kernel = model.predict_proba(Xt)
-                recursive = reference_cart_values(model.root_, Xt)
+                recursive = reference_cart_values(model.kernel_, Xt)
                 assert np.array_equal(kernel, recursive), (
                     f"seed {seed}: CART kernel drifted on n_test={n_test}"
                 )

@@ -9,6 +9,8 @@ breaks only for the one user who needed X.
 
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +67,36 @@ def test_obs_symbols_reachable_from_package_root():
     assert "obs" in repro.__all__
     assert "StreamingStats" in repro.__all__
     assert repro.StreamingStats is not None
+
+
+def test_names_the_e2e_benchmark_pins_resolve(monkeypatch):
+    """``benchmarks/e2e`` wraps callables of ``src/`` by import path and
+    reads three engine attributes. A rename fails here in seconds, not
+    only in the two-minute ``e2e-harness`` CI job. The benchmark is only
+    read: its table is imported, nothing in it runs.
+    """
+    e2e = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+    monkeypatch.syspath_prepend(str(e2e))
+    try:
+        targets = importlib.import_module("layers").TARGETS
+    finally:
+        for name in ("layers", "spans"):
+            sys.modules.pop(name, None)
+    assert len(targets) > 20
+    for target in targets:
+        owner = importlib.import_module(target.module)
+        for part in target.attr.split("."):
+            assert hasattr(owner, part), f"{target.module}: no {target.attr}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"{target.module}: {target.attr} is not callable"
+
+    from repro.core.parallel import ShardedStreamingScrubber
+    from repro.core.resilience import SupervisedProcessBackend
+
+    # test_harness.py's example of an attribute a class only inherits.
+    assert callable(SupervisedProcessBackend.echo)
+    assert "echo" not in vars(SupervisedProcessBackend)
+    with ShardedStreamingScrubber(n_shards=1, backend="serial") as engine:
+        assert engine.stats.retrainings == 0
+        assert callable(engine.merged_snapshot)
+        assert callable(engine.capture_state)

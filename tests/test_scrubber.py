@@ -1,5 +1,7 @@
 """End-to-end tests for the two-step IXP Scrubber."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -156,7 +158,9 @@ class TestCompiledRules:
         scrubber, flows = fitted_scrubber_and_flows
         plane = ModelPlane()
         try:
-            scrubber._matcher = None
+            scrubber._matcher = scrubber._assembler = None
+            for table in scrubber.woe.tables.values():
+                table._lookup = None
             before = (
                 len(pickle.dumps(scrubber)),
                 json.dumps(scrubber_to_dict(scrubber)),
@@ -164,6 +168,8 @@ class TestCompiledRules:
             )
             verdicts = scrubber.classify_flows_batch(flows)
             assert scrubber._matcher is not None
+            assert scrubber._assembler is not None
+            assert all(t._lookup is not None for t in scrubber.woe.tables.values())
             ref = plane.publish(scrubber)
             assert before == (
                 len(pickle.dumps(scrubber)),
@@ -178,13 +184,93 @@ class TestCompiledRules:
             try:
                 copies.append(attached)
                 for copy in copies:
-                    assert copy._matcher is None  # rebuilt on first use
+                    # all rebuilt on first use
+                    assert copy._matcher is None and copy._assembler is None
+                    assert all(t._lookup is None for t in copy.woe.tables.values())
                     assert copy.classify_flows_batch(flows) == verdicts
             finally:
                 del attached, copy, copies
                 segment.close()
         finally:
             plane.destroy()
+
+
+class _RecordingPipeline:
+    """A fitted pipeline that keeps a copy of every matrix it scores."""
+
+    def __init__(self, pipeline):
+        self._pipeline = pipeline
+        self.scored = []
+
+    def predict_proba(self, X):
+        self.scored.append(np.array(X))
+        return self._pipeline.predict_proba(X)
+
+
+class TestOperatorOverride:
+    """§6.6: a WoE pinned with ``set_override`` on a live scrubber is
+    what every encode path uses from the next matrix on, whatever was
+    cached before — both streaming engines included (the sharded one
+    used to keep scoring with the tables it froze at broadcast)."""
+
+    PINNED = 7.5  # no fitted WoE (a log of count ratios) equals it
+
+    def test_every_encode_path_sees_the_override(self, fitted_scrubber_and_flows):
+        from repro.core.encoding.matrix import feature_columns
+        from repro.core.parallel import ShardedStreamingScrubber
+        from repro.core.streaming import StreamingScrubber
+        from repro.netflow.dataset import BIN_SECONDS
+
+        fitted, flows = fitted_scrubber_and_flows
+        scrubber = pickle.loads(pickle.dumps(fitted))  # the override stays local
+        recorder = _RecordingPipeline(scrubber.pipeline)
+        scrubber.pipeline = recorder
+        column = "protocol/bytes/0"
+        j = feature_columns().index(column)
+        data = scrubber.aggregate_flows(flows)
+        values, counts = np.unique(data.categorical[column], return_counts=True)
+        value = int(values[np.argmax(counts)])
+        pinned_rows = data.categorical[column] == value
+
+        def scored_column():
+            scored = np.concatenate(recorder.scored)[:, j]
+            recorder.scored.clear()
+            return scored
+
+        bins = flows.time // BIN_SECONDS
+        split = int(np.median(bins))
+        engine_kwargs = dict(
+            config=scrubber.config, min_flows_per_verdict=1, label_grace_bins=10**6
+        )
+        engines = [
+            StreamingScrubber(**engine_kwargs),
+            ShardedStreamingScrubber(n_shards=2, backend="serial", **engine_kwargs),
+        ]
+        # Warm every cache there is before the operator steps in.
+        scrubber.feature_matrix(data)
+        scrubber.classify_flows_batch(flows)
+        for engine in engines:
+            engine.warm_start(scrubber).ingest(flows.select(bins < split))
+        assert not (scored_column() == self.PINNED).any()
+
+        scrubber.woe.table("protocol").set_override(value, self.PINNED)
+
+        matrix = scrubber.feature_matrix(data)
+        assert np.array_equal(matrix.X[:, j] == self.PINNED, pinned_rows)
+        scrubber.score_aggregated(data)
+        assert np.array_equal(scored_column() == self.PINNED, pinned_rows)
+        scrubber.classify_flows_batch(flows)
+        assert np.array_equal(scored_column() == self.PINNED, pinned_rows)
+        # ingest() left the last bin below the split open: it closes now.
+        still_to_close = data.bins >= bins[bins < split].max()
+        expected = int((pinned_rows & still_to_close).sum())
+        assert expected > 0
+        for engine in engines:
+            engine.ingest(flows.select(bins >= split))
+            engine.flush()
+            assert int((scored_column() == self.PINNED).sum()) == expected, (
+                f"{type(engine).__name__} encoded with a stale table"
+            )
 
 
 class TestTransfer:
