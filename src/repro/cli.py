@@ -324,12 +324,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         )
     sketch_note = ""
     if sketch_params is not None:
-        gauges = {g["name"]: g["value"] for g in snap["gauges"]}
+        # The coordinator's own gauge is the merged state; the merged
+        # snapshot adds every shard's share of it on top.
+        gauge = engine.registry.gauge
         sketch_note = (
             f"; sketch: eps={sketch_params.epsilon:g} "
             f"delta={sketch_params.delta:g}, "
-            f"{gauges.get('sketch.memory_bytes', 0) / 1e6:.1f} MB state, "
-            f"flow overcount <= {gauges.get('sketch.error_bound', 0):,.0f}"
+            f"{gauge('sketch.memory_bytes').value / 1e6:.1f} MB state, "
+            f"flow overcount <= {gauge('sketch.error_bound').value:,.0f}"
         )
     ipc_note = ""
     if args.ipc == "shm":

@@ -2,7 +2,6 @@
 
 from repro.core.features.aggregation import AggregatedDataset, aggregate
 from repro.core.features.sketches import (
-    CardinalitySketch,
     CountMinSketch,
     SketchAggregator,
     SketchParams,
@@ -27,7 +26,6 @@ __all__ = [
     "METRICS",
     "MISSING_KEY",
     "RANKS",
-    "CardinalitySketch",
     "CountMinSketch",
     "SketchAggregator",
     "SketchParams",

@@ -171,6 +171,50 @@ def _stable_argsort(*columns: np.ndarray) -> np.ndarray:
     return np.arange(columns[0].shape[0]) if order is None else order
 
 
+def rank_segments(
+    seg_group: np.ndarray,
+    seg_key: np.ndarray,
+    seg_bytes: np.ndarray,
+    seg_packets: np.ndarray,
+    key_block: np.ndarray,
+    value_block: np.ndarray,
+) -> None:
+    """Rank one categorical's keys per record by every metric.
+
+    The ranking rule of both aggregation kernels. Segment ``j`` says
+    that key ``seg_key[j]`` of record ``seg_group[j]`` carries
+    ``seg_bytes[j]`` bytes in ``seg_packets[j]`` packets; segments come
+    sorted by (record, key), every record with at least one. Row
+    (metric, rank) of the two ``(len(METRICS) * RANKS, n_records)``
+    output blocks receives the key and the value at that rank:
+    ``argsort(values, kind="stable")[::-1][:RANKS]`` over a record's
+    ascending keys (ties go to the *larger* key), absent ranks filled
+    with ``MISSING_KEY`` / NaN.
+    """
+    n_groups = key_block.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seg_size = np.where(seg_packets > 0, seg_bytes / seg_packets, 0.0)
+    by_metric = {"bytes": seg_bytes, "packets": seg_packets, "packet_size": seg_size}
+
+    ranks = np.arange(schema.RANKS)[:, None]
+    seg_counts = np.bincount(seg_group, minlength=n_groups)
+    absent = ranks >= seg_counts
+    # Where rank k of each record sits once its segments are sorted
+    # ascending by value (slot 0 stands in for an absent rank).
+    slots = np.cumsum(seg_counts) - 1 - ranks
+    slots[absent] = 0
+
+    for i, metric in enumerate(schema.METRICS):
+        values = by_metric[metric]
+        ranked = _stable_argsort(values, seg_group)
+        top = ranked.take(slots)
+        rows = slice(i * schema.RANKS, (i + 1) * schema.RANKS)
+        seg_key.take(top, out=key_block[rows])
+        values.take(top, out=value_block[rows])
+        key_block[rows][absent] = schema.MISSING_KEY
+        value_block[rows][absent] = np.nan
+
+
 def _aggregate_batch(
     flows: FlowDataset,
     rules: Sequence[TaggingRule] | CompiledMatcher,
@@ -184,10 +228,11 @@ def _aggregate_batch(
     * per-(record, key) byte/packet sums go through ``np.bincount``,
       whose sequential accumulation matches the loop's as long as
       equal-key flows keep their order (every sort here is stable);
-    * ranking reproduces ``argsort(values, kind="stable")[::-1][:r]``
-      over a record's ascending keys: the (record, key) segments sorted
-      stably by (record, value) and read from each record's end, so
-      ties go to the *larger* key.
+    * ranking (:func:`rank_segments`) reproduces
+      ``argsort(values, kind="stable")[::-1][:r]`` over a record's
+      ascending keys: the (record, key) segments sorted stably by
+      (record, value) and read from each record's end, so ties go to
+      the *larger* key.
     """
     n = len(flows)
     if n == 0:
@@ -217,12 +262,11 @@ def _aggregate_batch(
         out_tags = matcher.tags(np.bitwise_or.reduceat(words, starts, axis=1))
 
     # Row (categorical, metric, rank) of each block is that cell's column.
-    ranks = np.arange(schema.RANKS)[:, None]
     key_block = np.empty((len(schema.key_columns()), n_groups), dtype=np.int64)
     value_block = np.empty((len(schema.value_columns()), n_groups), dtype=np.float64)
-    row = 0
+    per_cat = len(schema.METRICS) * schema.RANKS
 
-    for cat in schema.CATEGORICALS:
+    for i, cat in enumerate(schema.CATEGORICALS):
         # Segment the batch by (record, key), keys ascending.
         keys = flows.column(cat).take(order).astype(np.int64)
         order2 = _stable_argsort(keys, group_ids)
@@ -235,29 +279,11 @@ def _aggregate_batch(
 
         seg_bytes = np.bincount(seg_id, weights=f_bytes.take(order2), minlength=n_seg)
         seg_packets = np.bincount(seg_id, weights=f_packets.take(order2), minlength=n_seg)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            seg_size = np.where(seg_packets > 0, seg_bytes / seg_packets, 0.0)
-        by_metric = {"bytes": seg_bytes, "packets": seg_packets, "packet_size": seg_size}
-
-        seg_key = keys.take(seg_starts)
-        seg_group = group_ids.take(seg_starts)
-        seg_counts = np.bincount(seg_group, minlength=n_groups)
-        absent = ranks >= seg_counts
-        # Where rank k of each record sits once its segments are sorted
-        # ascending by value (slot 0 stands in for an absent rank).
-        slots = np.cumsum(seg_counts) - 1 - ranks
-        slots[absent] = 0
-
-        for metric in schema.METRICS:
-            values = by_metric[metric]
-            ranked = _stable_argsort(values, seg_group)
-            top = ranked.take(slots)
-            rows = slice(row, row + schema.RANKS)
-            seg_key.take(top, out=key_block[rows])
-            values.take(top, out=value_block[rows])
-            key_block[rows][absent] = schema.MISSING_KEY
-            value_block[rows][absent] = np.nan
-            row += schema.RANKS
+        rows = slice(i * per_cat, (i + 1) * per_cat)
+        rank_segments(
+            group_ids.take(seg_starts), keys.take(seg_starts),
+            seg_bytes, seg_packets, key_block[rows], value_block[rows],
+        )
 
     return AggregatedDataset(
         bins=bins_s[starts].astype(np.int64),

@@ -226,11 +226,12 @@ class ShardedStreamingScrubber(StreamingScrubber):
     ) -> list[TargetVerdict]:
         """Fold per-shard sketch states, build records once, score them.
 
-        The merge is elementwise integer addition (and register max)
-        over identically-seeded tables, so the folded state — and every
-        verdict derived from it — is bitwise independent of shard count
-        and merge order. Records come out ordered by (bin, target), the
-        same emission order the exact reducer sorts into.
+        The merge is elementwise integer addition over identically-
+        seeded tables, so the folded state — and every verdict derived
+        from it — is bitwise independent of shard count and merge
+        order. Records come out ordered by (bin, target), the same
+        emission order the exact reducer sorts into. Each state's
+        arrays are adopted, not copied: ``states`` is spent afterwards.
         """
         merged = SketchAggregator(self._sketch_params)
         for state in states:

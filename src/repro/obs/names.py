@@ -65,6 +65,7 @@ C_RESILIENCE_FAULTS_INJECTED = "resilience.faults_injected"
 C_SKETCH_FLOWS_ABSORBED = "sketch.flows_absorbed"
 C_SKETCH_MERGES = "sketch.merges"
 C_SKETCH_RECORDS_BUILT = "sketch.records_built"
+C_SKETCH_TARGETS_UNTRACKED = "sketch.targets_untracked"
 C_SCENARIO_RUNS = "scenario.runs"
 C_SCENARIO_WORKLOAD_FLOWS = "scenario.workload_flows"
 C_SCENARIO_ATTACK_FLOWS = "scenario.attack_flows"

@@ -9,6 +9,7 @@ debuggable; stdout/stderr are captured with pytest's ``capsys``.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -149,7 +150,14 @@ class TestStream:
         assert "sketch.flows_absorbed" in out
         assert "sketch.merges" in out
         assert "sketch: eps=0.01 delta=0.02" in out
-        assert "MB state" in out
+        state = re.search(r"[\d.]+ MB state", out).group()
+        # The footer reports the merged state, not one more copy of it
+        # per shard registry: the same stream, the same figure.
+        assert main(
+            ["stream", "--days", "1", "--shards", "1", "--agg", "sketch",
+             "--sketch-eps", "0.01", "--sketch-delta", "0.02"]
+        ) == 0
+        assert state in capsys.readouterr().out
 
     def test_faults_supervised_chaos_run(self, capsys):
         """The acceptance scenario: seeded crash per epoch, zero drift.

@@ -4,9 +4,8 @@ Three layers of guarantees, each asserted over seeded strategy draws:
 
 * **Accuracy contract** — count-min estimates are one-sided
   (``est >= true`` always) and the overshoot exceeds
-  ``epsilon * N`` with empirical frequency at most ``delta``; the
-  cardinality estimator lands within HLL tolerance. These are the
-  formulas ``docs/SKETCHES.md`` documents.
+  ``epsilon * N`` with empirical frequency at most ``delta``. These
+  are the formulas ``docs/SKETCHES.md`` documents.
 * **Merge algebra** — merges are associative, commutative and *bitwise*
   partition-independent: any target-disjoint sharding of a stream folds
   back to the identical tables, candidate sets and built records.
@@ -24,8 +23,8 @@ import pytest
 
 from tests import strategies
 from repro.core.features.aggregation import aggregate_batch
+from repro import obs
 from repro.core.features.sketches import (
-    CardinalitySketch,
     CountMinSketch,
     SketchAggregator,
     SketchParams,
@@ -85,9 +84,6 @@ class TestSketchParams:
             {"delta": 1.5},
             {"hh_capacity": 0},
             {"key_capacity": schema.RANKS - 1},
-            {"cardinality_registers": 48},
-            {"cardinality_registers": 8},
-            {"cardinality_depth": 0},
         ],
     )
     def test_validation_rejects(self, kwargs):
@@ -171,48 +167,38 @@ class TestCountMinSketch:
         )
 
 
-class TestCardinalitySketch:
-    def test_estimates_track_distinct_counts(self):
-        rng = strategies.rng_for(21)
-        sketch = CardinalitySketch(width=256, depth=2, registers=256, seed=4)
-        truths = {1: 2000, 2: 400, 3: 50}
-        for key, n in truths.items():
-            items = rng.choice(2**48, size=n, replace=False).astype(np.uint64)
-            sketch.update(np.full(n, key, dtype=np.uint64), items)
-        keys = np.array(sorted(truths), dtype=np.uint64)
-        est = sketch.query(keys)
-        for value, true in zip(est, (truths[k] for k in sorted(truths))):
-            assert value == pytest.approx(true, rel=0.3)
-
-    def test_merge_is_register_max_and_commutative(self):
-        rng = strategies.rng_for(22)
-        items = rng.choice(2**48, size=1500, replace=False).astype(np.uint64)
-        key = np.full(1000, 7, dtype=np.uint64)
-
-        def build(chunk):
-            s = CardinalitySketch(width=64, depth=2, registers=128, seed=4)
-            s.update(key, chunk)
-            return s
-
-        a, b = build(items[:1000]), build(items[500:])  # overlapping halves
-        ab = build(items[:1000]).merge(b)
-        ba = build(items[500:]).merge(a)
-        assert np.array_equal(ab.table, ba.table)
-        assert np.array_equal(ab.table, np.maximum(a.table, b.table))
-        # The union (1500 distinct) dominates either half's estimate.
-        est = ab.query(np.array([7], dtype=np.uint64))[0]
-        assert est == pytest.approx(1500, rel=0.3)
-
-    def test_merge_rejects_mismatch(self):
-        base = CardinalitySketch(64, 2, 64, seed=1)
-        with pytest.raises(ValueError):
-            base.merge(CardinalitySketch(64, 2, 128, seed=1))
-        with pytest.raises(ValueError):
-            base.merge(CardinalitySketch(64, 2, 64, seed=2))
+def _array_bytes(state) -> int:
+    """Summed ``nbytes`` of every array in a (nested) sketch state."""
+    if isinstance(state, np.ndarray):
+        return state.nbytes
+    if isinstance(state, dict):
+        return sum(_array_bytes(v) for v in state.values())
+    if isinstance(state, tuple):
+        return sum(_array_bytes(v) for v in state)
+    return 0
 
 
 class TestSketchAggregator:
     PARAMS = SketchParams(epsilon=0.002)
+    #: First-arrival admission where it binds: as many candidate keys as
+    #: ranks (every strategy target sees more source IPs and ports).
+    TIGHT_KEYS = SketchParams(epsilon=0.002, key_capacity=schema.RANKS)
+    #: ... and fewer slots than targets per bin (not partition-
+    #: invariant: each shard fills its own slots, see SKETCHES.md §3).
+    TIGHT = SketchParams(epsilon=0.002, key_capacity=schema.RANKS, hh_capacity=8)
+
+    def test_collision_free_sketch_equals_exact_aggregation(self):
+        """Both kernels rank through ``rank_segments``: with tables wide
+        enough that no key collides and no cap binding, every column of
+        the sketch records is the exact kernel's, bit for bit."""
+        params = SketchParams(epsilon=0.0003, key_capacity=400)
+        for seed in range(3):
+            flows = strategies.flows(
+                strategies.rng_for(50 + seed), n_flows=400, n_targets=8, n_bins=2
+            )
+            assert_records_equal(
+                sketch_aggregate(flows, params), aggregate_batch(flows)
+            )
 
     def test_build_matches_exact_aggregation_schema(self):
         for seed in range(3):
@@ -246,43 +232,48 @@ class TestSketchAggregator:
         flows = strategies.flows(
             strategies.rng_for(40), n_flows=2500, n_targets=24, n_bins=3
         )
-        whole = SketchAggregator(self.PARAMS).absorb(flows).build_records()
-        for n_shards in (2, 3, 5):
-            parts = ShardPlan(n_shards).split(flows)
-            shards = [
-                SketchAggregator(self.PARAMS).absorb(p) for p in parts if len(p)
-            ]
-            folded = SketchAggregator(self.PARAMS)
-            for s in shards:
-                folded.merge(s)
-            assert_records_equal(folded.build_records(), whole)
-            reverse = SketchAggregator(self.PARAMS)
-            for s in [
-                SketchAggregator(self.PARAMS).absorb(p)
-                for p in reversed(ShardPlan(n_shards).split(flows))
-                if len(p)
-            ]:
-                reverse.merge(s)
-            assert_records_equal(reverse.build_records(), whole)
+        for params in (self.PARAMS, self.TIGHT_KEYS):
+            whole = SketchAggregator(params).absorb(flows).build_records()
+            for n_shards in (2, 3, 5):
+                parts = ShardPlan(n_shards).split(flows)
+                shards = [
+                    SketchAggregator(params).absorb(p) for p in parts if len(p)
+                ]
+                folded = SketchAggregator(params)
+                for s in shards:
+                    folded.merge(s)
+                assert_records_equal(folded.build_records(), whole)
+                reverse = SketchAggregator(params)
+                for s in [
+                    SketchAggregator(params).absorb(p)
+                    for p in reversed(ShardPlan(n_shards).split(flows))
+                    if len(p)
+                ]:
+                    reverse.merge(s)
+                assert_records_equal(reverse.build_records(), whole)
 
     def test_chunked_ingest_equals_one_shot(self):
         flows = strategies.flows(
             strategies.rng_for(41), n_flows=1800, n_targets=20, n_bins=2
         )
-        whole = SketchAggregator(self.PARAMS).absorb(flows).build_records()
-        chunked = SketchAggregator(self.PARAMS)
-        idx = np.arange(len(flows))
-        for lo in range(0, len(flows), 257):
-            chunked.absorb(flows.select((idx >= lo) & (idx < lo + 257)))
-        assert_records_equal(chunked.build_records(), whole)
+        for params in (self.PARAMS, self.TIGHT):
+            whole = SketchAggregator(params).absorb(flows).build_records()
+            chunked = SketchAggregator(params)
+            idx = np.arange(len(flows))
+            for lo in range(0, len(flows), 257):
+                chunked.absorb(flows.select((idx >= lo) & (idx < lo + 257)))
+            assert_records_equal(chunked.build_records(), whole)
 
     def test_state_round_trip_preserves_records(self):
         flows = strategies.flows(
             strategies.rng_for(42), n_flows=1200, n_targets=10, n_bins=2
         )
-        agg = SketchAggregator(self.PARAMS).absorb(flows)
-        clone = SketchAggregator.from_state(pickle.loads(pickle.dumps(agg.to_state())))
-        assert_records_equal(clone.build_records(), agg.build_records())
+        for params in (self.PARAMS, self.TIGHT):
+            agg = SketchAggregator(params).absorb(flows)
+            clone = SketchAggregator.from_state(
+                pickle.loads(pickle.dumps(agg.to_state()))
+            )
+            assert_records_equal(clone.build_records(), agg.build_records())
 
     def test_min_flows_filters_records(self):
         flows = strategies.flows(
@@ -297,8 +288,12 @@ class TestSketchAggregator:
             strategies.rng_for(44), n_targets=200, flows_per_target=3
         )
         capped = SketchParams(hh_capacity=50)
-        data = SketchAggregator(capped).absorb(flows).build_records()
+        registry = obs.MetricRegistry()
+        with obs.use_registry(registry):
+            data = SketchAggregator(capped).absorb(flows).build_records()
         assert len(data) <= 50
+        # One bin, one batch: every target past the cap is counted once.
+        assert registry.counter("sketch.targets_untracked").value == 150
 
     def test_merge_rejects_parameter_mismatch(self):
         with pytest.raises(ValueError):
@@ -318,6 +313,17 @@ class TestSketchAggregator:
         mem_small = SketchAggregator(params).absorb(small).memory_bytes()
         mem_large = SketchAggregator(params).absorb(large).memory_bytes()
         assert mem_large < 2 * mem_small
+
+    def test_memory_bytes_is_the_arrays_held(self):
+        """No estimate: the gauge is the ``nbytes`` of the arrays the
+        aggregator holds, which are the ones its state ships."""
+        flows = strategies.flows(
+            strategies.rng_for(47), n_flows=900, n_targets=12, n_bins=2
+        )
+        agg = SketchAggregator(self.PARAMS).absorb(flows)
+        assert agg.memory_bytes() == _array_bytes(agg.to_state())
+        tables = 13 * self.PARAMS.depth * self.PARAMS.width * 8
+        assert agg.memory_bytes() > 2 * tables  # two bins, plus candidates
 
 
 @pytest.fixture(scope="module")
