@@ -14,7 +14,7 @@ from repro.core.encoding.woe import WoEEncoder
 from repro.core.features.aggregation import aggregate
 from repro.core.labeling.balancer import balance
 from repro.core.models.boosting import GradientBoostedTrees
-from repro.core.rules.items import ItemEncoder, deduplicate
+from repro.core.rules.items import ItemEncoder
 from repro.core.rules.itemsets import fp_growth
 from repro.ixp.fabric import IXPFabric
 from repro.ixp.profiles import IXP_SE
@@ -100,7 +100,7 @@ def test_bench_gbt_predict(benchmark, corpus):
 def test_bench_fp_growth(benchmark, corpus):
     _, _, balanced, *_ = corpus
     encoder = ItemEncoder.fit(balanced)
-    transactions = deduplicate(encoder.encode_labeled(balanced))
+    transactions = encoder.transactions(balanced)
     itemsets = benchmark(fp_growth, transactions, 0.001)
     assert itemsets
 

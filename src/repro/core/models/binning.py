@@ -14,6 +14,28 @@ import numpy as np
 DEFAULT_MAX_BINS = 128
 
 
+def _interpolate(ordered: np.ndarray, quantiles: np.ndarray) -> np.ndarray:
+    """Quantiles of every column of a column-sorted matrix, one row each.
+
+    ``np.quantile(column, quantiles)`` with its default ``"linear"``
+    method, bit for bit (the tests pin it): the quantile sits at virtual
+    index ``q * (n - 1)`` and is interpolated between the two samples
+    around it from the lower one, or from the upper one when nearer to
+    it, which keeps the result monotone in ``q``.
+    """
+    last = ordered.shape[0] - 1
+    virtual = last * quantiles
+    below = np.floor(virtual)
+    weight = (virtual - below)[:, None]
+    index = below.astype(np.intp)
+    lower = ordered[index]
+    upper = ordered[np.minimum(index + 1, last)]
+    span = upper - lower
+    edges = lower + span * weight
+    np.subtract(upper, span * (1 - weight), out=edges, where=weight >= 0.5)
+    return edges
+
+
 class QuantileBinner:
     """Maps float features to small integer bin indices."""
 
@@ -30,17 +52,21 @@ class QuantileBinner:
         return self.edges_ is not None
 
     def fit(self, X: np.ndarray) -> "QuantileBinner":
-        X = np.asarray(X, dtype=np.float64)
-        edges = []
+        # One sort of the matrix serves every quantile of every column.
+        ordered = np.array(X, dtype=np.float64)
+        ordered.sort(axis=0)
         quantiles = np.linspace(0.0, 1.0, self.max_bins + 1)[1:-1]
-        for j in range(X.shape[1]):
-            column_edges = np.unique(np.quantile(X[:, j], quantiles))
-            # An edge at (or above) the column maximum can never separate
-            # samples; dropping it also collapses constant columns to a
-            # single bin.
-            column_max = X[:, j].max()
-            edges.append(column_edges[column_edges < column_max])
-        self.edges_ = edges
+        edges = _interpolate(ordered, quantiles)
+        # Kept per column: the distinct edges (they ascend, interpolation
+        # being monotone) below the column maximum. An edge at or above
+        # it can never separate samples; dropping it also collapses
+        # constant columns to a single bin. NaN sorts last and compares
+        # false, so a column with a NaN keeps no edge, and neither does
+        # an interpolation between two infinities.
+        keep = edges < ordered[-1]
+        keep[1:] &= edges[1:] != edges[:-1]
+        ends = np.cumsum(keep.sum(axis=0))
+        self.edges_ = np.split(edges.T[keep.T], ends)[:-1]
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:

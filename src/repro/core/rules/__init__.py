@@ -20,7 +20,6 @@ from repro.core.rules.items import (
     LABEL_BLACKHOLE,
     OTHER,
     ItemEncoder,
-    deduplicate,
     packet_size_bin_label,
     parse_packet_size_bin,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "TaggingRule",
     "coverage",
     "curate",
-    "deduplicate",
     "dump_rules",
     "filter_blackhole_rules",
     "fp_growth",

@@ -14,11 +14,21 @@ the ``~{0,17,19,21,...}`` notation of the paper's released rules
 (Fig. 6, Appendix F).
 
 Packet sizes are binned into 100-byte intervals, rendered ``(400,500]``.
+
+The encoding is columnar: every attribute of a flow batch becomes an
+array of small integer codes plus the table of items the codes stand
+for. Mining needs only the *distinct* transactions and their weights
+(:meth:`ItemEncoder.transactions`), which one ``np.unique`` over the
+combined codes finds without building a tuple per flow; the per-flow
+lists of :meth:`ItemEncoder.encode` are a view of the same codes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from repro.netflow.dataset import FlowDataset
@@ -42,12 +52,28 @@ PACKET_SIZE_BIN = 100
 Item = tuple[str, object]
 
 
+def canonical_antecedent(
+    antecedent: Iterable[Item], item_repr: Callable[[Item], str] = repr
+) -> str:
+    """The one spelling of an antecedent, ``repr(sorted(antecedent, key=repr))``:
+    what breaks ties in rule order and what a rule id is the hash of.
+
+    Assembled from the items' own reprs, so a mining run that passes a
+    memoising ``item_repr`` spells each item once, not once per rule.
+    """
+    return "[" + ", ".join(sorted(map(item_repr, antecedent))) + "]"
+
+
+def _size_bin_label(index: int) -> str:
+    upper = index * PACKET_SIZE_BIN
+    return f"({upper - PACKET_SIZE_BIN},{upper}]"
+
+
 def packet_size_bin_label(size: float) -> str:
     """Map a mean packet size to its bin label, e.g. ``"(400,500]"``."""
     if size <= 0:
         raise ValueError("packet size must be positive")
-    upper = int(np.ceil(size / PACKET_SIZE_BIN)) * PACKET_SIZE_BIN
-    return f"({upper - PACKET_SIZE_BIN},{upper}]"
+    return _size_bin_label(int(np.ceil(size / PACKET_SIZE_BIN)))
 
 
 def parse_packet_size_bin(label: str) -> tuple[int, int]:
@@ -56,6 +82,36 @@ def parse_packet_size_bin(label: str) -> tuple[int, int]:
         raise ValueError(f"malformed packet size bin: {label!r}")
     low_text, _, high_text = label[1:-1].partition(",")
     return int(low_text), int(high_text)
+
+
+@dataclass(frozen=True)
+class _ItemColumn:
+    """One attribute of a flow batch: a small integer code per flow and
+    the item each code stands for (``None``: no item of this attribute)."""
+
+    codes: np.ndarray
+    items: list[Optional[Item]]
+
+
+def _port_column(attribute: str, ports: np.ndarray, popular: frozenset[int]) -> _ItemColumn:
+    """Popular ports keep their identity, the last code is ``OTHER``."""
+    known = sorted(popular)
+    classes = np.full(0x10000, len(known), dtype=np.int64)
+    classes[known] = np.arange(len(known))
+    return _ItemColumn(
+        classes[ports], [(attribute, port) for port in known] + [(attribute, OTHER)]
+    )
+
+
+def _rows(
+    columns: list[_ItemColumn], rows: np.ndarray | slice = slice(None)
+) -> list[tuple[Item, ...]]:
+    """The transactions of the selected flows (all of them by default),
+    items in column order."""
+    per_column = [
+        [column.items[code] for code in column.codes[rows].tolist()] for column in columns
+    ]
+    return [tuple(item for item in row if item is not None) for row in zip(*per_column)]
 
 
 @dataclass(frozen=True)
@@ -94,46 +150,65 @@ class ItemEncoder:
 
         return cls(popular(flows.src_port), popular(flows.dst_port))
 
+    def _columns(self, flows: FlowDataset, labeled: bool) -> list[_ItemColumn]:
+        """The flows' items column by column, in :data:`ATTRIBUTES` order
+        (then the class item): the one place that says which port
+        collapses into ``OTHER`` and which size falls into which bin."""
+        # Sizes are unbounded, so their codes are made dense; a flow
+        # without packets (size 0.0) lands in bin 0, which carries no
+        # item: like the matcher, where no size bin contains it.
+        bins, size_codes = np.unique(
+            np.ceil(np.maximum(flows.packet_size, 0.0) / PACKET_SIZE_BIN),
+            return_inverse=True,
+        )
+        columns = [
+            _ItemColumn(
+                flows.protocol.astype(np.int64),
+                [("protocol", value) for value in range(256)],
+            ),
+            _port_column("port_src", flows.src_port, self.src_ports),
+            _port_column("port_dst", flows.dst_port, self.dst_ports),
+            _ItemColumn(
+                size_codes,
+                [
+                    ("packet_size", _size_bin_label(int(b))) if b > 0 else None
+                    for b in bins.tolist()
+                ],
+            ),
+        ]
+        if labeled:
+            columns.append(
+                _ItemColumn(flows.blackhole.astype(np.int64), [LABEL_BENIGN, LABEL_BLACKHOLE])
+            )
+        return columns
+
     def encode(self, flows: FlowDataset) -> list[tuple[Item, ...]]:
         """Encode each flow as a transaction (without the class item)."""
-        protocols = flows.protocol
-        src_ports = flows.src_port
-        dst_ports = flows.dst_port
-        sizes = flows.packet_size
-        out: list[tuple[Item, ...]] = []
-        for i in range(len(flows)):
-            src: object = int(src_ports[i]) if int(src_ports[i]) in self.src_ports else OTHER
-            dst: object = int(dst_ports[i]) if int(dst_ports[i]) in self.dst_ports else OTHER
-            out.append(
-                (
-                    ("protocol", int(protocols[i])),
-                    ("port_src", src),
-                    ("port_dst", dst),
-                    ("packet_size", packet_size_bin_label(float(sizes[i]))),
-                )
-            )
-        return out
+        return _rows(self._columns(flows, labeled=False))
 
     def encode_labeled(self, flows: FlowDataset) -> list[tuple[Item, ...]]:
         """Encode flows including the class item from the blackhole label."""
-        transactions = self.encode(flows)
-        labels = flows.blackhole
+        return _rows(self._columns(flows, labeled=True))
+
+    def transactions(self, flows: FlowDataset) -> list[tuple[tuple[Item, ...], int]]:
+        """The distinct labeled transactions of ``flows`` as (sorted
+        transaction, weight) pairs, in order of first occurrence.
+
+        Flow header combinations repeat massively; weighting makes
+        FP-Growth run on the distinct combinations only, and finding
+        them on integer codes means that only those few hundred are ever
+        built as tuples.
+        """
+        columns = self._columns(flows, labeled=True)
+        # Mixed radix over the columns' code ranges: 256 protocols, two
+        # port vocabularies (at most 65 537 classes each), the distinct
+        # size bins, two classes; int64 has room for millions of bins.
+        key = np.zeros(len(flows), dtype=np.int64)
+        for column in columns:
+            key = key * len(column.items) + column.codes
+        _, first, weights = np.unique(key, return_index=True, return_counts=True)
+        order = np.argsort(first)
         return [
-            t + (LABEL_BLACKHOLE if labels[i] else LABEL_BENIGN,)
-            for i, t in enumerate(transactions)
+            (tuple(sorted(row)), weight)
+            for row, weight in zip(_rows(columns, first[order]), weights[order].tolist())
         ]
-
-
-def deduplicate(
-    transactions: list[tuple[Item, ...]],
-) -> list[tuple[tuple[Item, ...], int]]:
-    """Collapse identical transactions into (transaction, weight) pairs.
-
-    Flow header combinations repeat massively; weighting makes FP-Growth
-    run on the distinct combinations only.
-    """
-    counts: dict[tuple[Item, ...], int] = {}
-    for t in transactions:
-        key = tuple(sorted(t))
-        counts[key] = counts.get(key, 0) + 1
-    return list(counts.items())

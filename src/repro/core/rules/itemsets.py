@@ -130,7 +130,7 @@ def fp_growth(
     ----------
     transactions:
         (transaction, weight) pairs; see
-        :func:`repro.core.rules.items.deduplicate`.
+        :meth:`repro.core.rules.items.ItemEncoder.transactions`.
     min_support:
         Minimum support as a fraction of the total transaction weight.
     max_len:

@@ -15,6 +15,7 @@ reproducing the paper's 7859 -> 1469 -> 367 funnel shape.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro import obs
@@ -23,7 +24,7 @@ from repro.core.rules.items import (
     Item,
     ItemEncoder,
     LABEL_BLACKHOLE,
-    deduplicate,
+    canonical_antecedent,
 )
 from repro.core.rules.itemsets import fp_growth, total_weight
 from repro.netflow.dataset import FlowDataset
@@ -94,7 +95,10 @@ def generate_rules(
                         joint_support=joint_count / total,
                     )
                 )
-    rules.sort(key=lambda r: (-r.confidence, -r.support, repr(sorted(r.antecedent, key=repr))))
+    item_repr = functools.cache(repr)  # each item spelled once per run, not once per rule
+    rules.sort(
+        key=lambda r: (-r.confidence, -r.support, canonical_antecedent(r.antecedent, item_repr))
+    )
     return rules
 
 
@@ -124,7 +128,7 @@ def mine_rules(
     with obs.span(metric_names.SPAN_RULES_MINE):
         if encoder is None:
             encoder = ItemEncoder.fit(flows)
-        transactions = deduplicate(encoder.encode_labeled(flows))
+        transactions = encoder.transactions(flows)
         total = total_weight(transactions)
         itemsets = fp_growth(transactions, min_support=min_support)
         rules = generate_rules(itemsets, total, min_confidence=min_confidence)
@@ -136,6 +140,7 @@ def mine_rules(
             n_frequent_itemsets=len(itemsets),
         )
     obs.counter(metric_names.C_RULES_TRANSACTIONS).inc(total)
+    obs.counter(metric_names.C_RULES_DISTINCT_TRANSACTIONS).inc(len(transactions))
     obs.counter(metric_names.C_RULES_FREQUENT_ITEMSETS).inc(len(itemsets))
     obs.counter(metric_names.C_RULES_GENERATED).inc(len(rules))
     obs.counter(metric_names.C_RULES_BLACKHOLE).inc(len(result.blackhole_rules))

@@ -20,6 +20,7 @@ from repro.core.rules.items import (
     Item,
     ItemEncoder,
     OTHER,
+    canonical_antecedent,
     parse_packet_size_bin,
 )
 from repro.core.rules.mining import AssociationRule
@@ -161,9 +162,8 @@ def tagging_rule_from_association(
             packet_size = parse_packet_size_bin(str(value))
         else:
             raise ValueError(f"unknown antecedent attribute: {attribute!r}")
-    antecedent_repr = repr(sorted(rule.antecedent, key=repr))
     return TaggingRule(
-        rule_id=_rule_id(antecedent_repr),
+        rule_id=_rule_id(canonical_antecedent(rule.antecedent)),
         confidence=rule.confidence,
         support=rule.support,
         protocol=protocol,

@@ -35,6 +35,7 @@ C_CHECKPOINT_RESUMES = "checkpoint.resumes"
 C_LABELING_FLOWS_IN = "labeling.flows_in"
 C_LABELING_FLOWS_KEPT = "labeling.flows_kept"
 C_RULES_TRANSACTIONS = "rules.transactions"
+C_RULES_DISTINCT_TRANSACTIONS = "rules.distinct_transactions"
 C_RULES_FREQUENT_ITEMSETS = "rules.frequent_itemsets"
 C_RULES_GENERATED = "rules.rules_generated"
 C_RULES_BLACKHOLE = "rules.blackhole_rules"

@@ -37,6 +37,7 @@ from tests import strategies
 from repro.core.labeling.balancer import balance
 from repro.core.scrubber import IXPScrubber, ScrubberConfig
 from repro.core.streaming import StreamingScrubber
+from repro.netflow.dataset import FlowDataset
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCENARIO_GOLDEN_DIR = GOLDEN_DIR / "scenarios"
@@ -63,13 +64,17 @@ ENGINE_KWARGS = dict(
 )
 
 
-def build_scrubber() -> IXPScrubber:
-    """The frozen model all golden traces are scored with."""
+def training_flows() -> FlowDataset:
+    """The balanced flows the frozen model is fitted on."""
     rng = strategies.rng_for(999)
     labeled = strategies.labeled_flows(rng, n_flows=6000, n_targets=12, n_bins=20)
-    balanced = balance(labeled, np.random.default_rng(7)).flows
+    return balance(labeled, np.random.default_rng(7)).flows
+
+
+def build_scrubber() -> IXPScrubber:
+    """The frozen model all golden traces are scored with."""
     config = ScrubberConfig(model="XGB", model_params={"n_estimators": 10})
-    return IXPScrubber(config).fit(balanced)
+    return IXPScrubber(config).fit(training_flows())
 
 
 def build_workload(seed: int):

@@ -116,6 +116,16 @@ def labeled_flows(
     return data
 
 
+def without_packets(flows: FlowDataset, rows) -> FlowDataset:
+    """``flows`` with the packet and byte counters of ``rows`` zeroed: what
+    an exporter sends for a flow it saw no sampled packet of."""
+    columns = flows.to_columns()
+    for name in ("packets", "bytes"):
+        columns[name] = np.array(columns[name])
+        columns[name][rows] = 0
+    return FlowDataset(columns)
+
+
 def wide_flows(
     rng: np.random.Generator,
     n_targets: int = 5000,

@@ -72,3 +72,62 @@ class TestQuantileBinner:
         b = binner.transform(X)
         np.testing.assert_array_equal(a, b)
         assert a.max() < 16
+
+
+def quantile_edges(X: np.ndarray, max_bins: int) -> list[np.ndarray]:
+    """The definition `QuantileBinner.fit` must equal: `np.quantile` per
+    column (the first implementation: 150 calls per fit)."""
+    X = np.asarray(X, dtype=np.float64)
+    quantiles = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    edges = []
+    for j in range(X.shape[1]):
+        column_edges = np.unique(np.quantile(X[:, j], quantiles))
+        edges.append(column_edges[column_edges < X[:, j].max()])
+    return edges
+
+
+class TestAgainstNumpyQuantile:
+    @staticmethod
+    def _columns(rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.column_stack([
+            rng.normal(size=n),
+            np.full(n, 3.0),  # constant
+            rng.integers(0, 2, size=n),  # two-valued
+            rng.integers(0, 5, size=n) * 1.5,  # heavy ties
+            np.round(rng.normal(size=n), 1) + 0.0,
+            -rng.random(n),  # negative
+            rng.random(n) * 1e-300,  # tiny
+            rng.normal(size=n) * 1e300,  # huge
+            rng.normal(size=n) * 1e-5 - 7.0,  # narrow, off zero
+            np.sort(rng.lognormal(size=n)),
+            np.where(rng.random(n) < 0.2, np.inf, rng.normal(size=n)),
+            np.where(rng.random(n) < 0.2, -np.inf, rng.normal(size=n)),
+            np.where(rng.random(n) < 0.1, np.nan, rng.normal(size=n)),
+        ])
+
+    def test_edges_equal_per_column_quantiles(self):
+        compared = 0
+        for n in (1, 2, 3, 127, 128, 129, 487):
+            X = self._columns(np.random.default_rng(n), n)
+            for max_bins in (2, 3, 16, 100, 128, 256):
+                with np.errstate(invalid="ignore"):  # inf - inf between infinite samples
+                    edges = QuantileBinner(max_bins).fit(X).edges_
+                    expected = quantile_edges(X, max_bins)
+                assert len(edges) == len(expected) == X.shape[1]
+                for j, (got, want) in enumerate(zip(edges, expected)):
+                    assert got.dtype == want.dtype and got.shape == want.shape, (n, max_bins, j)
+                    np.testing.assert_array_equal(got, want, err_msg=f"{(n, max_bins, j)}")
+                    compared += len(want)
+        assert compared > 5000
+
+    def test_accepts_integers_and_leaves_the_input_alone(self):
+        X = np.random.default_rng(0).integers(0, 50, size=(200, 3))
+        before = X.copy()
+        edges = QuantileBinner(16).fit(X).edges_
+        np.testing.assert_array_equal(X, before)
+        for got, want in zip(edges, quantile_edges(X, 16)):
+            np.testing.assert_array_equal(got, want)
+        floats = X.astype(np.float64)
+        QuantileBinner(16).fit(floats)
+        np.testing.assert_array_equal(floats, before)
+        assert QuantileBinner(16).fit(np.empty((5, 0))).edges_ == []

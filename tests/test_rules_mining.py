@@ -1,8 +1,11 @@
 """Tests for association-rule generation and the mining pipeline."""
 
+import warnings
+
+import numpy as np
 import pytest
 
-from repro.core.rules.items import LABEL_BLACKHOLE
+from repro.core.rules.items import LABEL_BLACKHOLE, canonical_antecedent
 from repro.core.rules.mining import (
     AssociationRule,
     filter_blackhole_rules,
@@ -10,6 +13,7 @@ from repro.core.rules.mining import (
     mine_rules,
 )
 from repro.netflow.dataset import FlowDataset
+from tests import strategies
 from tests.conftest import make_flow
 
 
@@ -106,3 +110,64 @@ class TestMineRules:
         records = [make_flow(time=i, src_port=443) for i in range(50)]
         result = mine_rules(FlowDataset.from_records(records), min_support=0.01)
         assert result.blackhole_rules == []
+
+    def test_flow_without_packets_carries_no_size_item(self):
+        """Its mean packet size is undefined (0.0 by convention): it used
+        to take the whole mining run down with "packet size must be
+        positive"; now it supports protocol and port rules and no size rule."""
+        records = [
+            make_flow(time=i, src_port=123, dst_port=10000 + i, blackhole=True)
+            for i in range(200)
+        ] + [
+            make_flow(time=i, src_port=443, dst_port=20000 + i, bytes_=12000, blackhole=False)
+            for i in range(200)
+        ]
+        flows = strategies.without_packets(FlowDataset.from_records(records), slice(50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = mine_rules(flows, min_support=0.01)
+        assert result.n_transactions == 400
+        support = {
+            r.antecedent: r.support for r in result.blackhole_rules if len(r.antecedent) == 1
+        }
+        assert support[frozenset({("port_src", 123)})] == 200 / 400
+        assert support[frozenset({("packet_size", "(400,500]")})] == 150 / 400
+
+
+class TestCanonicalAntecedent:
+    def test_is_the_spelled_out_repr(self):
+        antecedent = frozenset({
+            ("protocol", 17), ("port_src", "OTHER"), ("port_dst", 0), ("packet_size", "(400,500]"),
+        })
+        assert canonical_antecedent(antecedent) == repr(sorted(antecedent, key=repr))
+        assert canonical_antecedent(antecedent, item_repr=repr) == (
+            "[('packet_size', '(400,500]'), ('port_dst', 0), ('port_src', 'OTHER'), ('protocol', 17)]"
+        )
+
+    def test_golden_rule_order_and_ids(self):
+        """Rule order and rule ids of the model behind the golden traces
+        are what the spelled-out expression gives."""
+        import hashlib
+        import json
+
+        from repro.core.rules.minimize import minimize_rules
+        from repro.core.rules.model import RuleSet
+        from tests import gen_golden
+
+        result = mine_rules(gen_golden.training_flows())
+
+        def spelled_out(rule):
+            return repr(sorted(rule.antecedent, key=repr))
+
+        assert len(result.all_rules) > 100
+        assert result.all_rules == sorted(
+            result.all_rules, key=lambda r: (-r.confidence, -r.support, spelled_out(r))
+        )
+        minimized = minimize_rules(result.blackhole_rules)
+        ids = [rule.rule_id for rule in RuleSet.from_mining(minimized, result.encoder)]
+        assert ids == [
+            hashlib.sha1(spelled_out(rule).encode()).hexdigest()[:8] for rule in minimized
+        ]
+        for seed in gen_golden.WORKLOAD_SEEDS:
+            trace = json.loads(gen_golden.trace_path(seed).read_text(encoding="utf-8"))
+            assert {i for v in trace["verdicts"] for i in v["matched_rules"]} <= set(ids)

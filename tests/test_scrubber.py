@@ -74,6 +74,24 @@ class TestFit:
         assert ((scores >= 0) & (scores <= 1)).all()
 
 
+    def test_fit_with_a_flow_without_packets(self, fitted_scrubber_and_flows):
+        """One such flow in the training window used to raise out of
+        rule mining ("packet size must be positive")."""
+        import warnings
+
+        from tests import strategies
+
+        _, flows = fitted_scrubber_and_flows
+        flows = strategies.without_packets(flows, np.arange(0, len(flows), 50))
+        scrubber = IXPScrubber(ScrubberConfig(model="XGB", model_params={"n_estimators": 5}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scrubber.fit(flows)
+            verdicts = scrubber.predict_flows(flows)
+        assert scrubber.accepted_rules
+        assert any(v.is_ddos for v in verdicts)
+
+
 class TestUnfitted:
     def test_predict_requires_fit(self, handmade_flows):
         with pytest.raises(RuntimeError):

@@ -85,6 +85,30 @@ class TestStreamingScrubber:
         false_alarms = detected - victims
         assert len(false_alarms) <= len(detected & victims)
 
+    def test_retrains_over_flows_without_packets(self, stream_capture):
+        """A flow without packets in the training window used to raise out
+        of the retrain, and so out of the `ingest` call of that tick."""
+        import warnings
+        from dataclasses import replace
+
+        from tests import strategies
+
+        profile, capture = stream_capture
+        day = profile.seconds_per_day
+        flows = capture.flows.time_slice(0, day + 10 * 60)
+        flows = strategies.without_packets(flows, np.arange(0, len(flows), 25))
+        engine = StreamingScrubber(
+            config=ScrubberConfig(model="XGB", model_params={"n_estimators": 5}),
+            window_days=2,
+            bins_per_day=profile.bins_per_day,
+            seed=1,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = drive(engine, replace(capture, flows=flows))
+        assert engine.stats.retrainings >= 1
+        assert verdicts
+
     def test_no_verdicts_before_first_model(self, stream_capture):
         profile, capture = stream_capture
         engine = StreamingScrubber(bins_per_day=profile.bins_per_day)
