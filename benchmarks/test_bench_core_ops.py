@@ -3,7 +3,7 @@
 Not a paper artifact — these track the throughput of the operations
 that dominate experiment wall-clock: workload generation, blackhole
 matching, balancing, aggregation, WoE fitting/encoding, GBT training
-and prediction, and FP-Growth mining.
+and prediction, and frequent-itemset mining.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from repro.core.features.aggregation import aggregate
 from repro.core.labeling.balancer import balance
 from repro.core.models.boosting import GradientBoostedTrees
 from repro.core.rules.items import ItemEncoder
-from repro.core.rules.itemsets import fp_growth
+from repro.core.rules.itemsets import itemset_cube
 from repro.ixp.fabric import IXPFabric
 from repro.ixp.profiles import IXP_SE
 from repro.traffic.workload import WorkloadGenerator
@@ -100,9 +100,9 @@ def test_bench_gbt_predict(benchmark, corpus):
 def test_bench_fp_growth(benchmark, corpus):
     _, _, balanced, *_ = corpus
     encoder = ItemEncoder.fit(balanced)
-    transactions = encoder.transactions(balanced)
-    itemsets = benchmark(fp_growth, transactions, 0.001)
-    assert itemsets
+    columns, weights = encoder.distinct(balanced)
+    cube = benchmark(itemset_cube, columns, weights)
+    assert cube[1].count.sum() == len(balanced)  # every flow carries a protocol item
 
 
 # ---------------------------------------------------------------------------

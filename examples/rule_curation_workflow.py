@@ -58,7 +58,7 @@ def main() -> None:
     balanced = balance(capture.labeled_flows(), np.random.default_rng(1))
 
     mining = mine_rules(balanced.flows, min_confidence=0.8)
-    print(f"association rules (c >= 0.8):   {len(mining.all_rules)}")
+    print(f"association rules (c >= 0.8):   {mining.n_rules}")
     print(f"with blackhole consequent:      {len(mining.blackhole_rules)}")
     minimized = minimize_rules(mining.blackhole_rules)
     print(f"after Algorithm 1 (Lc=Ls=0.01): {len(minimized)}")

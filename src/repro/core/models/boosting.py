@@ -37,6 +37,19 @@ from repro.obs import names
 _MIN_SPLIT_GAIN = 1e-9
 
 
+def _can_split(n_rows: int, hsum: float, min_child_weight: float) -> bool:
+    """The frontier's admission test: could any cell of this node be valid?
+
+    A valid cell needs ``HL >= mcw`` and ``fl(hsum - HL) >= mcw``. With
+    ``hsum < 2 * mcw`` none has both: if ``mcw <= HL <= hsum`` then
+    ``HL <= hsum <= 2 * HL``, the subtraction is exact (Sterbenz) and its
+    result below ``mcw``; if ``HL > hsum`` the right side is negative
+    and ``mcw >= 0``. So the test is exact, not a heuristic: a node it
+    turns away would have searched every cell and stayed a leaf.
+    """
+    return n_rows >= 2 and hsum >= 2.0 * min_child_weight
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
 
@@ -63,6 +76,8 @@ class GradientBoostedTrees(Classifier):
             raise ValueError("learning_rate must be in (0, 1]")
         if reg_lambda < 0:
             raise ValueError("reg_lambda must be non-negative")
+        if not min_child_weight >= 0:  # the frontier test assumes it (and NaN is not a weight)
+            raise ValueError("min_child_weight must be non-negative")
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.learning_rate = learning_rate
@@ -124,6 +139,7 @@ class GradientBoostedTrees(Classifier):
             # margin update one gather — no re-traversal of the tree.
             margin += self.learning_rate * kernel.value[node_of]
         self.forest_ = ForestKernel.from_trees(kernels)
+        obs.counter(names.C_MODELS_HISTOGRAM_ROWS).inc(scratch.rows_scanned)
 
     # ------------------------------------------------------------------
     def _grow_tree(
@@ -135,12 +151,16 @@ class GradientBoostedTrees(Classifier):
     ):
         """Grow one tree level-wise; returns (kernel, leaf id per sample).
 
-        Per level, every active node's (feature × bin) gradient/hessian
+        Per level, every frontier node's (feature × bin) gradient/hessian
         histograms sit in one stacked (nodes, features, bins) block and
         the best split of *all* nodes is found with one vectorised
-        cumsum + argmax pass. Only the smaller child of each split is
-        re-scanned (one slotted histogram pass over the level's rows);
-        the sibling histogram is written by parent − small subtraction
+        cumsum + argmax pass. The frontier holds only nodes that can
+        split: the root and both children of every split pass
+        :func:`_can_split` or stay leaves unsearched, so a split whose
+        children both fail builds no histogram and a root that fails
+        builds none at all. Only the smaller child of each split is
+        scanned (one slotted histogram pass over the level's rows); the
+        sibling histogram is written by parent − small subtraction
         straight into the next level's preallocated block. Children are
         materialised at consecutive ids (right == left + 1), so routing
         a level down is the same branchless ``left + (code > bin)`` step
@@ -150,91 +170,79 @@ class GradientBoostedTrees(Classifier):
         B = scratch.max_bins
         lam = self.reg_lambda
         mcw = self.min_child_weight
+        assert self.feature_gain_ is not None and self.feature_splits_ is not None
         # Per-node flat arrays, grown as the tree does (node 0 = root).
         feat_l = [LEAF]
         thr_l = [0.0]
         sbin_l = [LEAF]
         left_l = [LEAF]
-        right_l = [LEAF]
         g_l = [float(grad.sum())]
         h_l = [float(hess.sum())]
         node_of = np.zeros(n, dtype=np.int32)
 
-        ids: list[int] = []
-        HG = HH = None  # (K, F, B) histograms of the frontier nodes
-        if n_features > 0 and n >= 2:
+        ids: list[int] = []  # the frontier
+        HG = HH = None  # its (K, F, B) histograms
+        if n_features > 0 and _can_split(n, h_l[0], mcw):
             HG, HH = scratch.pair(None, grad, hess)
             ids = [0]
 
         for depth in range(self.max_depth):
             if not ids:
                 break
-            K = len(ids)
             assert HG is not None and HH is not None
-            gsum = np.array([g_l[i] for i in ids])[:, None, None]
-            hsum = np.array([h_l[i] for i in ids])[:, None, None]
+            gsum = np.array([g_l[i] for i in ids])
+            hsum = np.array([h_l[i] for i in ids])
             GL = np.cumsum(HG, axis=2)[:, :, :-1]
             HL = np.cumsum(HH, axis=2)[:, :, :-1]
-            HR = hsum - HL
-            valid = (HL >= mcw) & (HR >= mcw)
-            # gain = 0.5 * (GL²/(HL+λ) + GR²/(HR+λ) − gsum²/(hsum+λ)),
-            # evaluated with in-place ops to keep temporaries to two
-            # (K, F, B-1) buffers. Same operation order as the naive
-            # expression, so results are unchanged bit-for-bit.
+            HR = hsum[:, None, None] - HL
+            # gain = 0.5 * (GL²/(HL+λ) + GR²/(HR+λ) − gsum²/(hsum+λ)) on
+            # the valid cells only, gathered in (node, feature, bin)
+            # order: per cell the same operations in the same order as
+            # over the whole block, so bit-identical, and a node's first
+            # maximum is the first (feature, bin) to reach it.
+            k, f, b = np.nonzero((HL >= mcw) & (HR >= mcw))
+            gl, hl, hr = GL[k, f, b], HL[k, f, b], HR[k, f, b]
             with np.errstate(divide="ignore", invalid="ignore"):
-                gain = GL * GL
-                den = HL + lam
-                gain /= den
-                GR = np.subtract(gsum, GL, out=den)
-                np.multiply(GR, GR, out=GR)
-                HR += lam  # validity already checked above
-                GR /= HR
-                gain += GR
-                gain -= gsum * gsum / (hsum + lam)
+                gr = gsum[k] - gl
+                gain = gl * gl / (hl + lam) + gr * gr / (hr + lam)
+                gain -= (gsum * gsum / (hsum + lam))[k]
                 gain *= 0.5
             if lam == 0.0:
-                # 0/0 only possible with no L2 term (hessians are >= 0).
-                gain[np.isnan(gain)] = -np.inf
-            np.copyto(gain, -np.inf, where=~valid)
-            flat = gain.reshape(K, -1)
-            best_pos = np.argmax(flat, axis=1)
-            best_gain = flat[np.arange(K), best_pos]
-            do_split = best_gain > _MIN_SPLIT_GAIN
+                # Only with no L2 term can a side without hessian divide
+                # by zero (0/0, or x/0 when rounding left it a gradient):
+                # a cell that does is no candidate.
+                gain[~np.isfinite(gain)] = -np.inf
+            bounds = np.searchsorted(k, np.arange(len(ids) + 1)).tolist()
 
             # Materialise the level's splits: routing tables + children.
-            assert self.feature_gain_ is not None and self.feature_splits_ is not None
             route_feat = np.full(len(feat_l), -1, dtype=np.int64)
             route_bin = np.zeros(len(feat_l), dtype=np.int64)
             route_left = np.zeros(len(feat_l), dtype=np.int32)
-            splits: list[tuple[int, int, int, int]] = []  # (i, nid, lid, rid)
-            for i in range(K):
-                if not do_split[i]:
+            splits: list[tuple[int, int]] = []  # (frontier idx, left child id)
+            for i, nid in enumerate(ids):
+                lo, hi = bounds[i], bounds[i + 1]
+                if lo == hi:
                     continue
-                nid = ids[i]
-                f, kbin = divmod(int(best_pos[i]), B - 1)
-                gl = float(GL[i, f, kbin])
-                hl = float(HL[i, f, kbin])
-                self.feature_gain_[f] += float(best_gain[i])
-                self.feature_splits_[f] += 1
+                best = lo + int(np.argmax(gain[lo:hi]))
+                if not gain[best] > _MIN_SPLIT_GAIN:
+                    continue
+                feature, kbin = int(f[best]), int(b[best])
+                self.feature_gain_[feature] += float(gain[best])
+                self.feature_splits_[feature] += 1
                 lid = len(feat_l)
-                rid = lid + 1
-                feat_l[nid] = f
-                sbin_l[nid] = kbin
-                thr_l[nid] = self._binner.threshold(f, kbin)
-                left_l[nid] = lid
-                right_l[nid] = rid
-                for child_g, child_h in ((gl, hl), (g_l[nid] - gl, h_l[nid] - hl)):
+                feat_l[nid] = route_feat[nid] = feature
+                sbin_l[nid] = route_bin[nid] = kbin
+                thr_l[nid] = self._binner.threshold(feature, kbin)
+                left_l[nid] = route_left[nid] = lid
+                left_g, left_h = float(gl[best]), float(hl[best])
+                for child_g, child_h in ((left_g, left_h), (g_l[nid] - left_g, h_l[nid] - left_h)):
                     feat_l.append(LEAF)
                     thr_l.append(0.0)
                     sbin_l.append(LEAF)
                     left_l.append(LEAF)
-                    right_l.append(LEAF)
                     g_l.append(child_g)
                     h_l.append(child_h)
-                route_feat[nid] = f
-                route_bin[nid] = kbin
-                route_left[nid] = lid
-                splits.append((i, nid, lid, rid))
+                splits.append((i, lid))
 
             if not splits:
                 break
@@ -246,47 +254,36 @@ class GradientBoostedTrees(Classifier):
             codes_r = binned.ravel().take(rows * n_features + route_feat[nid_r])
             child = route_left[nid_r] + (codes_r > route_bin[nid_r])
             node_of[rows] = child
-
             if depth + 1 >= self.max_depth:
-                ids = []
                 break
-            counts = np.bincount(child, minlength=len(feat_l))
 
-            # Histogram the smaller child of every split in one slotted
-            # pass; siblings come from parent − small subtraction.
+            # The next frontier: of every split, the children that can
+            # split again. The smaller child is scanned, all of a level
+            # in one slotted pass; its sibling is parent − small.
+            counts = np.bincount(child, minlength=len(feat_l)).tolist()
             slot_of = np.full(len(feat_l), -1, dtype=np.int64)
-            pairs = []  # (parent frontier idx, small id, big id)
-            for i, nid, lid, rid in splits:
-                if counts[lid] < 2 and counts[rid] < 2:
-                    continue  # both children terminal: no hists needed
-                small, big = (lid, rid) if counts[lid] <= counts[rid] else (rid, lid)
-                slot_of[small] = len(pairs)
-                pairs.append((i, small, big))
-            ids = []
-            if not pairs:
-                HG = HH = None
-                continue
-            n_small = len(pairs)
+            sources = []  # (node id, parent frontier idx, scanned slot, is_sibling)
+            n_slots = 0
+            for i, lid in splits:
+                small, big = (lid, lid + 1) if counts[lid] <= counts[lid + 1] else (lid + 1, lid)
+                admitted = [c for c in (small, big) if _can_split(counts[c], h_l[c], mcw)]
+                if not admitted:
+                    continue  # both children stay leaves: no histogram
+                slot_of[small] = n_slots
+                sources += [(c, i, n_slots, c == big) for c in admitted]
+                n_slots += 1
+            ids = [source[0] for source in sources]
+            if not ids:
+                break
             slot_r = slot_of[child]
-            keep = slot_r >= 0
-            srows = rows[keep]
-            slots = slot_r[keep]
+            scanned = slot_r >= 0
+            srows = rows[scanned]
             HG_small, HH_small = scratch.pair(
-                srows, grad.take(srows), hess.take(srows), slots, n_small
+                srows, grad.take(srows), hess.take(srows), slot_r[scanned], n_slots
             )
-            # Assemble the next frontier directly into fresh stacked
-            # blocks: small children copy in, siblings subtract in.
-            sources = []  # (is_sibling, slot, parent frontier idx)
-            for slot, (i, small, big) in enumerate(pairs):
-                if counts[small] >= 2:
-                    ids.append(small)
-                    sources.append((False, slot, i))
-                if counts[big] >= 2:
-                    ids.append(big)
-                    sources.append((True, slot, i))
             HG_next = np.empty((len(ids), n_features, B))
             HH_next = np.empty((len(ids), n_features, B))
-            for pos, (is_sibling, slot, i) in enumerate(sources):
+            for pos, (_, i, slot, is_sibling) in enumerate(sources):
                 if is_sibling:
                     np.subtract(HG[i], HG_small[slot], out=HG_next[pos])
                     np.subtract(HH[i], HH_small[slot], out=HH_next[pos])
@@ -295,15 +292,14 @@ class GradientBoostedTrees(Classifier):
                     HH_next[pos] = HH_small[slot]
             HG, HH = HG_next, HH_next
 
-        g_arr = np.asarray(g_l)
-        h_arr = np.asarray(h_l)
+        left = np.asarray(left_l, dtype=np.int32)
         kernel = TreeKernel(
             feature=np.asarray(feat_l, dtype=np.int32),
             threshold=np.asarray(thr_l, dtype=np.float64),
             split_bin=np.asarray(sbin_l, dtype=np.int32),
-            left=np.asarray(left_l, dtype=np.int32),
-            right=np.asarray(right_l, dtype=np.int32),
-            value=-g_arr / (h_arr + lam),
+            left=left,
+            right=np.where(left == LEAF, LEAF, left + 1).astype(np.int32),
+            value=-np.asarray(g_l) / (np.asarray(h_l) + lam),
         )
         return kernel, node_of
 

@@ -22,13 +22,13 @@ Python node graphs walked one recursive call per node:
   sequential per-tree traversal (``tests/reference_trees.py``, the
   recursive oracle the property suite pins both kernels to).
 * :class:`HistogramScratch` — the shared histogram machinery of the
-  training hot paths: per-(node, feature, bin) histograms from the
-  *transposed* bin-code matrix (one contiguous ``bincount`` per
-  feature, accumulating rows in ascending order exactly like the
-  original per-node scan), staged once per fit and reused across every
-  node, level and boosting round. Sibling histograms are derived by
-  subtraction (``child = parent − other child``), so only the smaller
-  child of every split is ever scanned.
+  training hot paths: per-(node, feature, bin) histograms from a flat
+  ``code + feature * n_bins`` key per (sample, feature), staged once
+  per fit and reused across every node, level and boosting round (one
+  row gather and two ``bincount`` s per call, accumulating rows in
+  ascending order exactly like a per-node, per-feature scan). Sibling
+  histograms are derived by subtraction (``child = parent − other
+  child``), so only the smaller child of every split is ever scanned.
 
 Compiled kernels are also the wire format: pickling a fitted tree model
 ships these compact arrays (a few contiguous numpy buffers) instead of
@@ -357,28 +357,29 @@ class ForestKernel:
 # Histogram machinery for the training hot paths
 # ----------------------------------------------------------------------
 class HistogramScratch:
-    """Per-(node, feature, bin) histograms from transposed bin codes.
+    """Per-(node, feature, bin) histograms from staged flat keys.
 
-    Staged once per fit: the (features × samples) transpose of the bin
-    code matrix, so each feature's codes are contiguous and one
-    ``bincount`` per feature builds its histogram — row subsets arrive
-    as ``take`` gathers, weights are gathered once per call instead of
-    being broadcast per feature. Multiple tree nodes are histogrammed
-    together by folding a per-row node slot into the bincount key
-    (``slot * n_bins + code``). Accumulation order per (feature, bin)
-    cell is ascending row order — the same order as a per-node
-    ``bincount`` scan, keeping every histogram bit-identical to the
-    original per-feature implementation.
+    Staged once per fit: the row-major ``(samples, features)`` int64 key
+    matrix ``code + feature * n_bins``, every sample's cell in a flat
+    ``(feature, bin)`` histogram. A :meth:`pair` call is then one
+    contiguous row gather, one add that folds each row's node slot into
+    its keys (``+ slot * features * n_bins``) and two ``bincount`` s over
+    the ravelled keys, the row weights repeated once per feature.
+    ``bincount`` accumulates in key-array order and the ravel is
+    row-major, so each (slot, feature, bin) cell sums its rows in
+    ascending row order: every histogram is bit-identical to a per-node,
+    per-feature scan (``tests/reference_trees.py`` keeps that scan as
+    the oracle).
+
+    ``rows_scanned`` counts the rows the fit has histogrammed so far
+    (``models.histogram_rows``).
     """
 
     def __init__(self, binned: np.ndarray, max_bins: int):
-        self.codes_t = np.ascontiguousarray(binned.T)
         self.n_features = binned.shape[1]
         self.max_bins = max_bins
-        n = binned.shape[0]
-        # Reusable per-call buffers: gathered codes and slotted keys.
-        self._codes_buf = np.empty(n, dtype=self.codes_t.dtype)
-        self._key_buf = np.empty(n, dtype=np.int64)
+        self.keys = binned.astype(np.int64) + np.arange(self.n_features, dtype=np.int64) * max_bins
+        self.rows_scanned = 0
 
     def pair(
         self,
@@ -397,28 +398,15 @@ class HistogramScratch:
         ``slots`` assigns each row to one of ``n_slots`` nodes.
         """
         F, B = self.n_features, self.max_bins
-        size = n_slots * B
-        h1 = np.empty((n_slots, F, B), dtype=np.float64)
-        h2 = np.empty((n_slots, F, B), dtype=np.float64)
-        base = None if slots is None else slots.astype(np.int64) * B
-        m = self.codes_t.shape[1] if rows is None else rows.shape[0]
-        codes_buf = self._codes_buf[:m]
-        key_buf = self._key_buf[:m]
-        for j in range(F):
-            if rows is None:
-                codes = self.codes_t[j]
-            else:
-                codes = self.codes_t[j].take(rows, out=codes_buf)
-            key = codes if base is None else np.add(base, codes, out=key_buf)
-            if first is None:
-                h1[:, j, :] = (
-                    np.bincount(key, minlength=size).astype(np.float64).reshape(n_slots, B)
-                )
-            else:
-                h1[:, j, :] = np.bincount(key, weights=first, minlength=size).reshape(
-                    n_slots, B
-                )
-            h2[:, j, :] = np.bincount(key, weights=second, minlength=size).reshape(
-                n_slots, B
-            )
-        return h1, h2
+        keys = self.keys if rows is None else self.keys.take(rows, axis=0)
+        if slots is not None:
+            keys = keys + (slots.astype(np.int64) * (F * B))[:, None]
+        self.rows_scanned += keys.shape[0]
+        flat = keys.ravel()
+        size = n_slots * F * B
+        if first is None:
+            h1 = np.bincount(flat, minlength=size).astype(np.float64)
+        else:
+            h1 = np.bincount(flat, weights=np.repeat(first, F), minlength=size)
+        h2 = np.bincount(flat, weights=np.repeat(second, F), minlength=size)
+        return h1.reshape(n_slots, F, B), h2.reshape(n_slots, F, B)

@@ -108,6 +108,7 @@ class DecisionTree(Classifier):
             self.kernel_ = TreeKernel.from_cart_root(root)
         obs.counter(names.C_MODELS_TREES_BUILT).inc()
         obs.counter(names.C_MODELS_KERNEL_COMPILES).inc()
+        obs.counter(names.C_MODELS_HISTOGRAM_ROWS).inc(scratch.rows_scanned)
         assert self.kernel_ is not None
         obs.gauge(names.G_MODELS_ENSEMBLE_NODES).set(self.kernel_.n_nodes)
         return self

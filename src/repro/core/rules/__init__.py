@@ -23,7 +23,6 @@ from repro.core.rules.items import (
     packet_size_bin_label,
     parse_packet_size_bin,
 )
-from repro.core.rules.itemsets import fp_growth, total_weight
 from repro.core.rules.matcher import (
     CompiledMatcher,
     coverage,
@@ -36,8 +35,6 @@ from repro.core.rules.minimize import minimize_rules
 from repro.core.rules.mining import (
     AssociationRule,
     MiningResult,
-    filter_blackhole_rules,
-    generate_rules,
     mine_rules,
 )
 from repro.core.rules.model import (
@@ -78,9 +75,6 @@ __all__ = [
     "coverage",
     "curate",
     "dump_rules",
-    "filter_blackhole_rules",
-    "fp_growth",
-    "generate_rules",
     "load_rules",
     "match_any",
     "match_matrix",
@@ -94,5 +88,4 @@ __all__ = [
     "rule_to_dict",
     "run_study",
     "tagging_rule_from_association",
-    "total_weight",
 ]

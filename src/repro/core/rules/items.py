@@ -18,9 +18,10 @@ Packet sizes are binned into 100-byte intervals, rendered ``(400,500]``.
 The encoding is columnar: every attribute of a flow batch becomes an
 array of small integer codes plus the table of items the codes stand
 for. Mining needs only the *distinct* transactions and their weights
-(:meth:`ItemEncoder.transactions`), which one ``np.unique`` over the
-combined codes finds without building a tuple per flow; the per-flow
-lists of :meth:`ItemEncoder.encode` are a view of the same codes.
+(:meth:`ItemEncoder.distinct`), which one ``np.unique`` over the
+combined codes finds, and mines those codes as they are; the tuples of
+:meth:`ItemEncoder.transactions` and the per-flow lists of
+:meth:`ItemEncoder.encode` are views of the same codes.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def parse_packet_size_bin(label: str) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class _ItemColumn:
+class ItemColumn:
     """One attribute of a flow batch: a small integer code per flow and
     the item each code stands for (``None``: no item of this attribute)."""
 
@@ -93,24 +94,19 @@ class _ItemColumn:
     items: list[Optional[Item]]
 
 
-def _port_column(attribute: str, ports: np.ndarray, popular: frozenset[int]) -> _ItemColumn:
+def _port_column(attribute: str, ports: np.ndarray, popular: frozenset[int]) -> ItemColumn:
     """Popular ports keep their identity, the last code is ``OTHER``."""
     known = sorted(popular)
     classes = np.full(0x10000, len(known), dtype=np.int64)
     classes[known] = np.arange(len(known))
-    return _ItemColumn(
+    return ItemColumn(
         classes[ports], [(attribute, port) for port in known] + [(attribute, OTHER)]
     )
 
 
-def _rows(
-    columns: list[_ItemColumn], rows: np.ndarray | slice = slice(None)
-) -> list[tuple[Item, ...]]:
-    """The transactions of the selected flows (all of them by default),
-    items in column order."""
-    per_column = [
-        [column.items[code] for code in column.codes[rows].tolist()] for column in columns
-    ]
+def _rows(columns: list[ItemColumn]) -> list[tuple[Item, ...]]:
+    """The columns' transactions, items in column order."""
+    per_column = [[column.items[code] for code in column.codes.tolist()] for column in columns]
     return [tuple(item for item in row if item is not None) for row in zip(*per_column)]
 
 
@@ -150,7 +146,7 @@ class ItemEncoder:
 
         return cls(popular(flows.src_port), popular(flows.dst_port))
 
-    def _columns(self, flows: FlowDataset, labeled: bool) -> list[_ItemColumn]:
+    def _columns(self, flows: FlowDataset, labeled: bool) -> list[ItemColumn]:
         """The flows' items column by column, in :data:`ATTRIBUTES` order
         (then the class item): the one place that says which port
         collapses into ``OTHER`` and which size falls into which bin."""
@@ -162,13 +158,13 @@ class ItemEncoder:
             return_inverse=True,
         )
         columns = [
-            _ItemColumn(
+            ItemColumn(
                 flows.protocol.astype(np.int64),
                 [("protocol", value) for value in range(256)],
             ),
             _port_column("port_src", flows.src_port, self.src_ports),
             _port_column("port_dst", flows.dst_port, self.dst_ports),
-            _ItemColumn(
+            ItemColumn(
                 size_codes,
                 [
                     ("packet_size", _size_bin_label(int(b))) if b > 0 else None
@@ -178,7 +174,7 @@ class ItemEncoder:
         ]
         if labeled:
             columns.append(
-                _ItemColumn(flows.blackhole.astype(np.int64), [LABEL_BENIGN, LABEL_BLACKHOLE])
+                ItemColumn(flows.blackhole.astype(np.int64), [LABEL_BENIGN, LABEL_BLACKHOLE])
             )
         return columns
 
@@ -190,14 +186,13 @@ class ItemEncoder:
         """Encode flows including the class item from the blackhole label."""
         return _rows(self._columns(flows, labeled=True))
 
-    def transactions(self, flows: FlowDataset) -> list[tuple[tuple[Item, ...], int]]:
-        """The distinct labeled transactions of ``flows`` as (sorted
-        transaction, weight) pairs, in order of first occurrence.
+    def distinct(self, flows: FlowDataset) -> tuple[list[ItemColumn], np.ndarray]:
+        """The distinct labeled transactions of ``flows``, in order of
+        first occurrence, as item columns, and the number of flows
+        carrying each.
 
-        Flow header combinations repeat massively; weighting makes
-        FP-Growth run on the distinct combinations only, and finding
-        them on integer codes means that only those few hundred are ever
-        built as tuples.
+        Flow header combinations repeat massively; mining runs on the
+        few hundred distinct ones, weighted, whatever the window.
         """
         columns = self._columns(flows, labeled=True)
         # Mixed radix over the columns' code ranges: 256 protocols, two
@@ -208,7 +203,11 @@ class ItemEncoder:
             key = key * len(column.items) + column.codes
         _, first, weights = np.unique(key, return_index=True, return_counts=True)
         order = np.argsort(first)
-        return [
-            (tuple(sorted(row)), weight)
-            for row, weight in zip(_rows(columns, first[order]), weights[order].tolist())
-        ]
+        rows = first[order]
+        return [ItemColumn(column.codes[rows], column.items) for column in columns], weights[order]
+
+    def transactions(self, flows: FlowDataset) -> list[tuple[tuple[Item, ...], int]]:
+        """:meth:`distinct` as (sorted transaction, weight) pairs: what
+        FP-Growth takes, built as tuples for the distinct ones only."""
+        columns, weights = self.distinct(flows)
+        return [(tuple(sorted(row)), weight) for row, weight in zip(_rows(columns), weights.tolist())]

@@ -1,159 +1,71 @@
-"""FP-Growth frequent itemset mining (Han, Pei, Yin, SIGMOD 2000).
+"""Frequent itemsets as a group-by over attribute subsets (paper §5.1.1).
 
-The paper mines tagging-rule candidates with FP-Growth ([33], §5.1.1).
-This is a from-scratch implementation supporting weighted transactions
-(so deduplicated flow transactions mine efficiently).
+The paper mines tagging-rule candidates with FP-Growth [33]. A flow's
+transaction holds at most one item per attribute (protocol, the two
+ports, the size bin, the class), so an itemset is an attribute subset
+plus one value for each of its attributes, and its support is a
+group-by count: the frequent itemsets are the cells of an iceberg cube
+over the integer item codes of the *distinct* transactions. One
+``np.unique`` per attribute subset counts them all; nothing is built
+per itemset. FP-Growth itself is the test oracle
+(``tests/reference_itemsets.py``): same itemsets, same supports.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Hashable, Iterable, Optional
+from dataclasses import dataclass
 
-Item = Hashable
-Transaction = tuple[Item, ...]
+import numpy as np
 
-
-class _FPNode:
-    __slots__ = ("item", "count", "parent", "children", "link")
-
-    def __init__(self, item: Optional[Item], parent: Optional["_FPNode"]):
-        self.item = item
-        self.count = 0
-        self.parent = parent
-        self.children: dict[Item, _FPNode] = {}
-        self.link: Optional[_FPNode] = None
+from repro.core.rules.items import ItemColumn
 
 
-class _FPTree:
-    """Prefix tree over frequency-ordered transactions."""
+@dataclass(frozen=True)
+class ItemsetTable:
+    """Every itemset over one attribute subset that some transaction contains."""
 
-    def __init__(self) -> None:
-        self.root = _FPNode(None, None)
-        self.header: dict[Item, _FPNode] = {}
-        self.counts: dict[Item, int] = defaultdict(int)
-
-    def insert(self, items: Iterable[Item], weight: int) -> None:
-        node = self.root
-        for item in items:
-            child = node.children.get(item)
-            if child is None:
-                child = _FPNode(item, node)
-                node.children[item] = child
-                # Prepend to the header link chain for this item.
-                child.link = self.header.get(item)
-                self.header[item] = child
-            child.count += weight
-            self.counts[item] += weight
-            node = child
-
-    def node_chain(self, item: Item) -> list[_FPNode]:
-        nodes = []
-        node = self.header.get(item)
-        while node is not None:
-            nodes.append(node)
-            node = node.link
-        return nodes
-
-    def prefix_paths(self, item: Item) -> list[tuple[list[Item], int]]:
-        """Conditional pattern base for ``item``: (path, count) pairs."""
-        paths = []
-        for node in self.node_chain(item):
-            path: list[Item] = []
-            parent = node.parent
-            while parent is not None and parent.item is not None:
-                path.append(parent.item)
-                parent = parent.parent
-            path.reverse()
-            if path:
-                paths.append((path, node.count))
-        return paths
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.root.children
+    #: Per transaction: the index of its itemset in this table, -1 when
+    #: it carries no item of one of the subset's attributes.
+    group: np.ndarray
+    #: Per itemset: its support count, the summed weight of the
+    #: transactions containing it.
+    count: np.ndarray
+    #: Per itemset: one transaction containing it (the itemset's items
+    #: are that transaction's, on the subset's attributes).
+    first: np.ndarray
 
 
-def _build_tree(
-    weighted: list[tuple[Transaction, int]], min_count: int
-) -> _FPTree:
-    frequency: dict[Item, int] = defaultdict(int)
-    for items, weight in weighted:
-        # repro: lint-ignore[RS103] commutative integer accumulation; iteration order cannot affect the totals
-        for item in set(items):
-            frequency[item] += weight
-    frequent = {i for i, c in frequency.items() if c >= min_count}
+def itemset_cube(columns: list[ItemColumn], weights: np.ndarray) -> dict[int, ItemsetTable]:
+    """Support counts of all itemsets of weighted transactions.
 
-    tree = _FPTree()
-    for items, weight in weighted:
-        filtered = [i for i in set(items) if i in frequent]  # repro: lint-ignore[RS103] order erased by the deterministic sort on the next line
-        # Order by global frequency desc, ties broken deterministically.
-        filtered.sort(key=lambda i: (-frequency[i], repr(i)))
-        if filtered:
-            tree.insert(filtered, weight)
-    return tree
-
-
-def _mine(
-    tree: _FPTree,
-    suffix: frozenset[Item],
-    min_count: int,
-    out: dict[frozenset[Item], int],
-    max_len: Optional[int],
-) -> None:
-    # Iterate items from least to most frequent (standard FP-Growth order).
-    items = sorted(tree.counts, key=lambda i: (tree.counts[i], repr(i)))
-    for item in items:
-        support = tree.counts[item]
-        if support < min_count:
-            continue
-        itemset = suffix | {item}
-        out[frozenset(itemset)] = support
-        if max_len is not None and len(itemset) >= max_len:
-            continue
-        conditional = _build_tree(
-            [(tuple(path), count) for path, count in tree.prefix_paths(item)],
-            min_count,
-        )
-        if not conditional.is_empty:
-            _mine(conditional, frozenset(itemset), min_count, out, max_len)
-
-
-def fp_growth(
-    transactions: list[tuple[Transaction, int]],
-    min_support: float,
-    max_len: Optional[int] = None,
-) -> dict[frozenset[Item], int]:
-    """Mine frequent itemsets from weighted transactions.
-
-    Parameters
-    ----------
-    transactions:
-        (transaction, weight) pairs; see
-        :meth:`repro.core.rules.items.ItemEncoder.transactions`.
-    min_support:
-        Minimum support as a fraction of the total transaction weight.
-    max_len:
-        Optional cap on itemset size.
-
-    Returns
-    -------
-    dict mapping each frequent itemset (frozenset) to its absolute
-    support count.
+    ``columns`` are the transactions' attributes (see
+    :meth:`repro.core.rules.items.ItemEncoder.distinct`), ``weights``
+    how many flows each transaction stands for. The result maps every
+    non-empty attribute subset, as a bitmask over ``columns``, to its
+    :class:`ItemsetTable`; subset ``mask ^ (1 << j)`` is where the
+    antecedent of a rule with consequent attribute ``j`` is looked up.
     """
-    if not 0.0 < min_support <= 1.0:
-        raise ValueError("min_support must be in (0, 1]")
-    total = sum(weight for _, weight in transactions)
-    if total == 0:
-        return {}
-    min_count = max(1, int(min_support * total + 0.5))
-    tree = _build_tree(transactions, min_count)
-    out: dict[frozenset[Item], int] = {}
-    if not tree.is_empty:
-        _mine(tree, frozenset(), min_count, out, max_len)
-    return out
-
-
-def total_weight(transactions: list[tuple[Transaction, int]]) -> int:
-    """Sum of transaction weights (the dataset size for support ratios)."""
-    return sum(weight for _, weight in transactions)
+    n = weights.shape[0]
+    has_item = [
+        np.array([item is not None for item in column.items], dtype=bool)[column.codes]
+        for column in columns
+    ]
+    # Mixed-radix key per subset, extended one attribute at a time from
+    # the subset without its lowest one (int64 has room for all five:
+    # see ``ItemEncoder.distinct``).
+    keys = {0: np.zeros(n, dtype=np.int64)}
+    present = {0: np.ones(n, dtype=bool)}
+    cube: dict[int, ItemsetTable] = {}
+    for mask in range(1, 1 << len(columns)):
+        lowest = mask & -mask
+        j = lowest.bit_length() - 1
+        keys[mask] = keys[mask ^ lowest] * len(columns[j].items) + columns[j].codes
+        present[mask] = present[mask ^ lowest] & has_item[j]
+        rows = np.flatnonzero(present[mask])
+        _, first, inverse = np.unique(keys[mask][rows], return_index=True, return_inverse=True)
+        group = np.full(n, -1, dtype=np.int64)
+        group[rows] = inverse
+        # Float accumulation of integer weights: exact below 2**53 flows.
+        count = np.bincount(inverse, weights=weights[rows], minlength=first.shape[0])
+        cube[mask] = ItemsetTable(group, count.astype(np.int64), rows[first])
+    return cube

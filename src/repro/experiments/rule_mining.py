@@ -29,14 +29,14 @@ def run(scale: str = "small") -> ExperimentResult:
 
     result = ExperimentResult(experiment="rule-mining-funnel")
     result.rows = [
-        {"stage": "fp-growth rules (c >= 0.8)", "rules": len(mining.all_rules)},
+        {"stage": "fp-growth rules (c >= 0.8)", "rules": mining.n_rules},
         {"stage": "blackhole-consequent only", "rules": len(mining.blackhole_rules)},
         {"stage": "after Algorithm 1 (Lc=Ls=0.01)", "rules": len(minimized)},
     ]
     result.notes["n_transactions"] = mining.n_transactions
     result.notes["n_frequent_itemsets"] = mining.n_frequent_itemsets
     result.notes["stage1_reduction"] = (
-        1.0 - len(mining.blackhole_rules) / max(len(mining.all_rules), 1)
+        1.0 - len(mining.blackhole_rules) / max(mining.n_rules, 1)
     )
     result.notes["stage2_reduction"] = (
         1.0 - len(minimized) / max(len(mining.blackhole_rules), 1)

@@ -49,6 +49,7 @@ C_DRIFT_MODELS_TRAINED = "drift.models_trained"
 C_DRIFT_DAYS_SCORED = "drift.days_scored"
 C_MODELS_TREES_BUILT = "models.trees_built"
 C_MODELS_KERNEL_COMPILES = "models.kernel_compiles"
+C_MODELS_HISTOGRAM_ROWS = "models.histogram_rows"
 C_PARALLEL_FLOWS_DISPATCHED = "parallel.flows_dispatched"
 C_PARALLEL_SHARD_FLOWS = "parallel.shard_flows"
 C_PARALLEL_MODEL_BROADCASTS = "parallel.model_broadcasts"

@@ -394,9 +394,9 @@ class TestLint:
     def test_suppressed_count_follows_the_path_filter(self, capsys):
         assert main(["lint"]) == 0
         whole = capsys.readouterr().out
-        assert main(["lint", "src/repro/core/rules/"]) == 0
+        assert main(["lint", "src/repro/core/models/"]) == 0
         scoped = capsys.readouterr().out
-        # The two RS103 suppressions in core/rules/itemsets.py, not the
+        # The two RS101 suppressions in core/models/metrics.py, not the
         # whole tree's tally.
         assert " 2 suppressed" in scoped
         assert " 2 suppressed" not in whole

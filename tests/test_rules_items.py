@@ -187,6 +187,8 @@ class TestColumnarEncoding:
         registry = MetricRegistry()
         with obs.use_registry(registry):
             result = mining.mine_rules(flows)
+        assert built == []  # mined as integer codes: no transaction becomes a tuple
+        assert len(result.encoder.transactions(flows)) == 300
         assert built == [300]
         assert result.n_transactions == 20_000
         assert registry.counter(names.C_RULES_TRANSACTIONS).value == 20_000

@@ -1,12 +1,17 @@
-"""Tests for FP-Growth, cross-checked against brute-force Apriori."""
+"""Tests for the FP-Growth oracle, cross-checked against brute-force
+Apriori, and for the group-by miner, cross-checked against the oracle."""
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rules.itemsets import fp_growth, total_weight
+from repro.core.rules.items import ItemEncoder
+from repro.core.rules.itemsets import itemset_cube
+from tests import strategies
+from tests.reference_itemsets import fp_growth, total_weight
 
 
 def brute_force(transactions, min_support):
@@ -95,3 +100,52 @@ def test_fp_growth_matches_brute_force(transactions, min_support):
     expected = brute_force(transactions, min_support)
     actual = fp_growth(transactions, min_support=min_support)
     assert actual == expected
+
+
+class TestItemsetCube:
+    """Every cell of the cube is an itemset FP-Growth finds at
+    ``min_support`` of one transaction, with the same support."""
+
+    @staticmethod
+    def _as_dict(columns, cube):
+        out = {}
+        for mask, table in cube.items():
+            selected = [column for i, column in enumerate(columns) if mask >> i & 1]
+            for count, row in zip(table.count.tolist(), table.first.tolist()):
+                itemset = frozenset(column.items[column.codes[row]] for column in selected)
+                assert len(itemset) == len(selected) and None not in itemset
+                assert itemset not in out
+                out[itemset] = count
+        return out
+
+    def test_equals_fp_growth_at_one_transaction(self):
+        for seed in range(6):
+            flows = strategies.flows(strategies.rng_for(seed), n_flows=300)
+            flows = strategies.without_packets(flows, slice(seed * 10))  # some carry no size item
+            encoder = ItemEncoder.fit(flows, top_k=5)
+            columns, weights = encoder.distinct(flows)
+            cube = itemset_cube(columns, weights)
+            assert self._as_dict(columns, cube) == fp_growth(
+                encoder.transactions(flows), min_support=1 / len(flows)
+            )
+
+    def test_group_points_at_the_transactions_itemset(self):
+        flows = strategies.without_packets(
+            strategies.flows(strategies.rng_for(9), n_flows=200), slice(40)
+        )
+        columns, weights = ItemEncoder.fit(flows).distinct(flows)
+        for mask, table in itemset_cube(columns, weights).items():
+            carried = table.group >= 0
+            assert table.count.sum() == weights[carried].sum()
+            assert (table.group[table.first] == range(len(table.first))).all()
+            size = columns[3]
+            lacks_size = np.array([size.items[code] is None for code in size.codes])
+            assert (carried == ~(lacks_size & bool(mask >> 3 & 1))).all()
+
+    def test_no_transactions(self):
+        from repro.netflow.dataset import FlowDataset
+
+        columns, weights = ItemEncoder(frozenset(), frozenset()).distinct(FlowDataset.empty())
+        cube = itemset_cube(columns, weights)
+        assert len(cube) == 31
+        assert all(table.count.shape == (0,) for table in cube.values())

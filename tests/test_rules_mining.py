@@ -5,16 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.rules.items import LABEL_BLACKHOLE, canonical_antecedent
-from repro.core.rules.mining import (
-    AssociationRule,
-    filter_blackhole_rules,
-    generate_rules,
-    mine_rules,
-)
+from repro.core.rules.items import LABEL_BLACKHOLE, ItemEncoder, canonical_antecedent
+from repro.core.rules.mining import AssociationRule, mine_rules
 from repro.netflow.dataset import FlowDataset
 from tests import strategies
 from tests.conftest import make_flow
+from tests.reference_itemsets import filter_blackhole_rules, generate_rules, reference_mine
 
 
 class TestGenerateRules:
@@ -134,6 +130,81 @@ class TestMineRules:
         assert support[frozenset({("packet_size", "(400,500]")})] == 150 / 400
 
 
+class TestMineRulesEqualsFpGrowthPipeline:
+    """`mine_rules` against FP-Growth + `generate_rules` +
+    `filter_blackhole_rules` (``tests/reference_itemsets.py``): the same
+    blackhole rules, in the same order, field for field, and the same
+    counts of itemsets and of rules of any consequent."""
+
+    @staticmethod
+    def _assert_equal_to_oracle(flows, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = mine_rules(flows, **kwargs)
+        rules, n_rules, n_itemsets = reference_mine(flows, **kwargs)
+        assert result.blackhole_rules == rules  # order included
+        assert (result.n_rules, result.n_frequent_itemsets) == (n_rules, n_itemsets)
+        assert result.n_transactions == len(flows)
+        return result
+
+    def test_random_flows(self):
+        mined = 0
+        for seed in range(10):
+            flows = strategies.labeled_flows(strategies.rng_for(seed), n_flows=500)
+            for kwargs in (
+                {},
+                dict(min_support=0.02, min_confidence=0.5),
+                dict(min_support=1.0),
+                dict(min_confidence=0.0),
+                dict(min_confidence=1.0),
+            ):
+                mined += len(self._assert_equal_to_oracle(flows, **kwargs).blackhole_rules)
+        assert mined > 1000
+
+    def test_flows_without_packets(self):
+        for seed in range(4):
+            flows = strategies.labeled_flows(strategies.rng_for(100 + seed), n_flows=300)
+            some = strategies.rng_for(seed).random(300) < 0.3
+            self._assert_equal_to_oracle(strategies.without_packets(flows, some))
+            self._assert_equal_to_oracle(strategies.without_packets(flows, slice(None)))
+
+    def test_every_port_other(self):
+        flows = strategies.labeled_flows(strategies.rng_for(7), n_flows=400)
+        result = self._assert_equal_to_oracle(
+            flows, encoder=ItemEncoder(frozenset(), frozenset())
+        )
+        ports = {item for r in result.blackhole_rules for item in r.antecedent if "port" in item[0]}
+        assert ports == {("port_src", "OTHER"), ("port_dst", "OTHER")}
+
+    def test_one_class_only(self):
+        flows = strategies.flows(strategies.rng_for(8), n_flows=300)
+        blackholed = flows.with_blackhole(np.ones(300, dtype=bool))
+        assert self._assert_equal_to_oracle(blackholed).blackhole_rules
+        benign = flows.with_blackhole(np.zeros(300, dtype=bool))
+        assert self._assert_equal_to_oracle(benign).blackhole_rules == []
+
+    def test_empty_input(self):
+        result = self._assert_equal_to_oracle(FlowDataset.empty())
+        assert (result.blackhole_rules, result.n_rules, result.n_frequent_itemsets) == ([], 0, 0)
+
+    def test_min_support_of_one_transaction(self):
+        """Every itemset any flow carries is frequent: 31 subsets of a
+        flow with all five items."""
+        flows = strategies.labeled_flows(strategies.rng_for(11), n_flows=120)
+        result = self._assert_equal_to_oracle(flows, min_support=1 / 120)
+        assert result.n_frequent_itemsets >= 31
+        single = FlowDataset.from_records([make_flow(src_port=123, blackhole=True)])
+        result = self._assert_equal_to_oracle(single, min_support=1.0)
+        assert result.n_frequent_itemsets == 31
+        assert len(result.blackhole_rules) == 15  # every non-empty subset of the four header items
+
+    def test_rejects_min_support_out_of_range(self):
+        flows = strategies.labeled_flows(strategies.rng_for(12), n_flows=50)
+        for bad in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError):
+                mine_rules(flows, min_support=bad)
+
+
 class TestCanonicalAntecedent:
     def test_is_the_spelled_out_repr(self):
         antecedent = frozenset({
@@ -159,9 +230,9 @@ class TestCanonicalAntecedent:
         def spelled_out(rule):
             return repr(sorted(rule.antecedent, key=repr))
 
-        assert len(result.all_rules) > 100
-        assert result.all_rules == sorted(
-            result.all_rules, key=lambda r: (-r.confidence, -r.support, spelled_out(r))
+        assert len(result.blackhole_rules) > 100
+        assert result.blackhole_rules == sorted(
+            result.blackhole_rules, key=lambda r: (-r.confidence, -r.support, spelled_out(r))
         )
         minimized = minimize_rules(result.blackhole_rules)
         ids = [rule.rule_id for rule in RuleSet.from_mining(minimized, result.encoder)]
