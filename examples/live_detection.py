@@ -5,8 +5,9 @@ Runs :class:`repro.core.streaming.StreamingScrubber` — the paper's
 recommended operating mode (§6.3): retrain daily on a trailing window
 of balanced blackholing data, classify every significant per-minute
 target aggregate as traffic arrives. The engine sees flows and the BGP
-feed in arrival order, chunk by chunk; detections are scored against
-the simulation's ground-truth attack events, including latency.
+feed in arrival order, in 8-minute chunks (``drive_engine``, the driver
+loop the CLI and the scenarios share); detections are scored against the
+simulation's ground-truth attack events, including latency.
 
 Run:  python examples/live_detection.py
 """
@@ -14,12 +15,12 @@ Run:  python examples/live_detection.py
 import numpy as np
 
 from repro import IXP_US1, IXPFabric, WorkloadGenerator
+from repro.core.recovery import drive_engine
 from repro.core.scrubber import ScrubberConfig
 from repro.core.streaming import StreamingScrubber
 from repro.netflow.record import int_to_ip
 
 DAYS = 4
-CHUNK_BINS = 8  # feed the engine in 8-minute chunks
 
 
 def main() -> None:
@@ -37,20 +38,7 @@ def main() -> None:
         seed=7,
     )
 
-    flows = capture.flows
-    updates = sorted(capture.updates, key=lambda u: u.time)
-    bins = flows.time // 60
-    verdicts = []
-    u = 0
-    for start in range(int(bins.min()), int(bins.max()) + 1, CHUNK_BINS):
-        mask = (bins >= start) & (bins < start + CHUNK_BINS)
-        chunk_updates = []
-        limit = (start + CHUNK_BINS) * 60
-        while u < len(updates) and updates[u].time < limit:
-            chunk_updates.append(updates[u])
-            u += 1
-        verdicts.extend(engine.ingest(flows.select(mask), chunk_updates))
-    verdicts.extend(engine.flush())
+    verdicts = drive_engine(engine, capture.flows, capture.updates)
 
     stats = engine.stats
     print(f"bins closed:       {stats.bins_closed}")

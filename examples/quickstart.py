@@ -22,7 +22,6 @@ from repro import (
     WorkloadGenerator,
     balance,
     explain_record,
-    label_capture,
 )
 from repro.netflow.record import int_to_ip
 
@@ -38,7 +37,7 @@ def main() -> None:
     print(f"blackholed traffic:    median {np.median(share):.4%} of bytes/min")
 
     print("\n=== 2-3. Labeling from blackholes + balancing ===")
-    labeled = label_capture(capture)
+    labeled = capture.labeled_flows()
     balanced = balance(labeled, np.random.default_rng(0))
     report = balanced.report
     print(f"labeled blackhole flows: {int(labeled.blackhole.sum()):,}")

@@ -11,13 +11,12 @@ Quickstart::
 
     import numpy as np
     from repro import (
-        IXPFabric, IXP_SE, WorkloadGenerator, balance, label_capture,
-        IXPScrubber,
+        IXPFabric, IXP_SE, WorkloadGenerator, balance, IXPScrubber,
     )
 
     fabric = IXPFabric(IXP_SE)
     capture = WorkloadGenerator(fabric).generate(start_day=0, n_days=3)
-    flows = label_capture(capture)
+    flows = capture.labeled_flows()
     balanced = balance(flows, np.random.default_rng(0))
     scrubber = IXPScrubber().fit(balanced.flows)
     verdicts = scrubber.predict_flows(balanced.flows)
@@ -37,10 +36,9 @@ from repro.core import (
     sliding_window_evaluation,
 )
 from repro.core.features import AggregatedDataset, aggregate
-from repro.core.multiclass import RuleTagPredictor
 from repro.core.persistence import load_scrubber, save_scrubber
 from repro.core.streaming import StreamingScrubber, StreamingStats
-from repro.core.labeling import BalancedDataset, balance, label_capture
+from repro.core.labeling import BalancedDataset, balance
 from repro.core.models import (
     ConfusionMatrix,
     GradientBoostedTrees,
@@ -93,12 +91,10 @@ __all__ = [
     "explain_record",
     "fbeta_score",
     "geographic_transfer",
-    "label_capture",
     "load_scrubber",
     "make_pipeline",
     "mine_rules",
     "minimize_rules",
-    "RuleTagPredictor",
     "StreamingScrubber",
     "StreamingStats",
     "obs",

@@ -1,4 +1,4 @@
-"""BGP substrate: prefixes, communities, updates, RIB, blackhole registry."""
+"""BGP substrate: prefixes, communities, updates, blackhole registry."""
 
 from repro.bgp.blackhole import BlackholeEvent, BlackholeRegistry
 from repro.bgp.community import (
@@ -10,7 +10,6 @@ from repro.bgp.community import (
 )
 from repro.bgp.messages import Announcement, Update, Withdrawal
 from repro.bgp.prefix import Prefix, PrefixTrie
-from repro.bgp.rib import RoutingInformationBase
 
 __all__ = [
     "BLACKHOLE",
@@ -21,7 +20,6 @@ __all__ = [
     "Community",
     "Prefix",
     "PrefixTrie",
-    "RoutingInformationBase",
     "Update",
     "Withdrawal",
     "has_blackhole_signal",

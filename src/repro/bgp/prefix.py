@@ -3,16 +3,13 @@
 Blackholing announcements carry IP prefixes (usually host routes, /32,
 but covering prefixes occur in practice); matching sampled flows against
 the set of currently blackholed prefixes is a longest-prefix-match (LPM)
-problem. :class:`PrefixTrie` implements a binary trie with vectorised
-batch lookup for flow datasets.
+problem. :class:`PrefixTrie` implements it as a binary trie.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Generic, Optional, TypeVar
-
-import numpy as np
 
 from repro.netflow.record import int_to_ip, ip_to_int
 
@@ -162,21 +159,6 @@ class PrefixTrie(Generic[V]):
     def covers(self, address: int) -> bool:
         """True if any stored prefix contains ``address``."""
         return self.longest_match(address) is not None
-
-    def covers_batch(self, addresses: np.ndarray) -> np.ndarray:
-        """Vectorised membership test for an array of uint32 addresses.
-
-        Hashes distinct addresses once, so cost scales with the number of
-        unique addresses rather than the number of flows.
-        """
-        addresses = np.asarray(addresses, dtype=np.uint32)
-        if addresses.size == 0:
-            return np.zeros(0, dtype=bool)
-        unique, inverse = np.unique(addresses, return_inverse=True)
-        hits = np.fromiter(
-            (self.covers(int(a)) for a in unique), dtype=bool, count=unique.shape[0]
-        )
-        return hits[inverse]
 
     def items(self) -> list[tuple[Prefix, V]]:
         """All stored (prefix, value) pairs in network order."""

@@ -19,9 +19,6 @@ from repro.core.encoding.woe import WoEEncoder
 from repro.core.features import schema
 from repro.core.features.aggregation import AggregatedDataset
 from repro.core.models.baselines import RuleBasedClassifier
-from repro.core.models.boosting import GradientBoostedTrees
-from repro.core.models.kernels import LEAF
-from repro.core.models.tree import DecisionTree
 from repro.core.rules.model import TaggingRule
 from repro.netflow.record import int_to_ip
 
@@ -103,56 +100,6 @@ def explain_record(
         score=score,
         evidence=tuple(evidence[:top]),
         matched_rules=matched,
-    )
-
-
-@dataclass(frozen=True)
-class EnsembleSummary:
-    """Structural view of a fitted tree model (Fig. 10 companion).
-
-    Read straight off the compiled flat-array kernels — no node-graph
-    reconstruction — so it is cheap enough to log after every retrain.
-    """
-
-    model: str
-    n_trees: int
-    n_nodes: int
-    n_leaves: int
-    max_depth: int
-    #: Number of splits per feature index across the whole ensemble.
-    feature_split_counts: np.ndarray
-
-    def top_features(self, top: int = 10) -> list[tuple[int, int]]:
-        """(feature, split count) pairs sorted by usage, strongest first."""
-        order = np.argsort(self.feature_split_counts)[::-1]
-        return [
-            (int(f), int(self.feature_split_counts[f]))
-            for f in order[:top]
-            if self.feature_split_counts[f] > 0
-        ]
-
-
-def ensemble_summary(model: GradientBoostedTrees | DecisionTree) -> EnsembleSummary:
-    """Summarise a fitted tree model from its flat kernel arrays."""
-    if isinstance(model, GradientBoostedTrees):
-        forest = model.forest_
-        if forest is None:
-            raise RuntimeError("GradientBoostedTrees is not fitted")
-        feature, n_trees, depth = forest.feature, forest.n_trees, forest.max_depth()
-    else:
-        kernel = model.kernel_
-        if kernel is None:
-            raise RuntimeError("DecisionTree is not fitted")
-        feature, n_trees, depth = kernel.feature, 1, kernel.max_depth()
-    internal = feature[feature != LEAF]
-    counts = np.bincount(internal, minlength=int(internal.max()) + 1 if internal.size else 0)
-    return EnsembleSummary(
-        model=model.name,
-        n_trees=n_trees,
-        n_nodes=int(feature.shape[0]),
-        n_leaves=int((feature == LEAF).sum()),
-        max_depth=depth,
-        feature_split_counts=counts.astype(np.int64),
     )
 
 

@@ -1,6 +1,5 @@
 """Step 0: crowdsourced labeling and dataset balancing (paper §3)."""
 
 from repro.core.labeling.balancer import BalanceReport, BalancedDataset, balance
-from repro.core.labeling.matcher import label_capture
 
-__all__ = ["BalanceReport", "BalancedDataset", "balance", "label_capture"]
+__all__ = ["BalanceReport", "BalancedDataset", "balance"]

@@ -300,21 +300,6 @@ class ForestKernel:
             self._route = (thr, feature, left, roots)
         return self._route
 
-    def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """(n_samples, n_trees) leaf outputs via simultaneous propagation.
-
-        All trees advance one level per iteration through a shared
-        (samples × trees) node-state matrix — O(max_depth) numpy ops for
-        the whole ensemble instead of O(nodes) Python calls.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        n = X.shape[0]
-        out = np.empty((n, self.n_trees), dtype=np.float64)
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(n, lo + _BLOCK_ROWS)
-            out[lo:hi] = self.value.take(self._propagate(X, lo, hi))
-        return out
-
     def _propagate(self, X: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Final (rows, trees) node indices for one row block."""
         thr, feature, left, roots = self._routing()

@@ -7,7 +7,7 @@ backend (see ``docs/ARCHITECTURE.md`` for why, and
 ``tests/test_property_invariants.py`` / ``tests/test_golden_traces.py``
 for the harness that enforces it).
 
-* :class:`ShardPlan` — target-prefix hash sharding with operator pins;
+* :class:`ShardPlan` — target-prefix (/24) hash sharding;
 * :class:`ShardedStreamingScrubber` — the coordinator engine;
 * :class:`SerialBackend` — where shard work runs in-process (the other
   answer is the fault-tolerant ``supervised`` process backend from

@@ -66,8 +66,8 @@ class ShardedStreamingScrubber(StreamingScrubber):
 
     Parameters beyond the coordinator's (which are forwarded verbatim):
 
-    n_shards / plan:
-        Shard count, or a full :class:`ShardPlan` (pins, prefix bits).
+    n_shards:
+        Shard count.
     backend:
         ``"serial"`` (in-process, the default) or ``"supervised"``
         (persistent worker processes under the fault-tolerant
@@ -98,7 +98,6 @@ class ShardedStreamingScrubber(StreamingScrubber):
         config: Optional[ScrubberConfig] = None,
         n_shards: int = 2,
         backend: str = "serial",
-        plan: Optional[ShardPlan] = None,
         equivalence_check: bool = False,
         registry: Optional[obs.MetricRegistry] = None,
         backend_options: Optional[dict] = None,
@@ -119,7 +118,7 @@ class ShardedStreamingScrubber(StreamingScrubber):
         self._sketch_params = (
             (sketch_params or SketchParams()) if agg == "sketch" else None
         )
-        self.plan = plan if plan is not None else ShardPlan(n_shards)
+        self.plan = ShardPlan(n_shards)
         self._broadcast_model: Optional[IXPScrubber] = None
         self._shadow = (
             StreamingScrubber(config=config, **engine_kwargs)

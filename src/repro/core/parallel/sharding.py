@@ -7,25 +7,23 @@ fully independent — the union of per-shard aggregations equals the
 global aggregation, which is what makes sharded verdicts bit-identical
 to serial ones (see ``docs/ARCHITECTURE.md``).
 
-Assignment hashes the target's /24 prefix (configurable) through a
-SplitMix64 finisher, a platform-stable avalanche mix — ``hash()`` would
-vary per process (PYTHONHASHSEED) and break cross-run determinism.
-Operators can pin prefixes to specific shards (e.g. to isolate a
-customer under sustained attack); pins are kept in a
-:class:`~repro.bgp.prefix.PrefixTrie` with longest-prefix-match
-semantics, mirroring how the blackhole registry resolves coverage.
+Assignment hashes the target's /24 prefix — the granularity at which
+the paper's IXPs blackhole and mitigate — through a SplitMix64 finisher,
+a platform-stable avalanche mix: ``hash()`` would vary per process
+(PYTHONHASHSEED) and break cross-run determinism.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
-
 import numpy as np
 
-from repro.bgp.prefix import Prefix, PrefixTrie
 from repro.netflow.dataset import FlowDataset
 
-__all__ = ["ShardPlan"]
+__all__ = ["ShardPlan", "PREFIX_BITS"]
+
+#: Sharding granularity: addresses sharing their top 24 bits always land
+#: on the same shard. Checkpoints record it (``state_codec``).
+PREFIX_BITS = 24
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -37,65 +35,17 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 
 class ShardPlan:
-    """Deterministic mapping from target address to shard index.
+    """Deterministic mapping from target address to one of ``n_shards``."""
 
-    Parameters
-    ----------
-    n_shards:
-        Number of worker shards.
-    prefix_bits:
-        Sharding granularity: addresses sharing their top ``prefix_bits``
-        bits always land on the same shard. /24 matches the granularity
-        at which the paper's IXPs blackhole and mitigate.
-    pinned:
-        Optional explicit ``{prefix: shard}`` overrides, applied with
-        longest-prefix-match precedence over the hash assignment.
-    """
-
-    def __init__(
-        self,
-        n_shards: int,
-        prefix_bits: int = 24,
-        pinned: Optional[Mapping[Prefix, int]] = None,
-    ):
+    def __init__(self, n_shards: int):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if not 0 <= prefix_bits <= 32:
-            raise ValueError("prefix_bits must be in [0, 32]")
         self.n_shards = n_shards
-        self.prefix_bits = prefix_bits
-        self._trie: PrefixTrie[int] = PrefixTrie()
-        # Pins ordered shortest prefix first, so vectorised application
-        # lets longer (more specific) prefixes overwrite shorter ones —
-        # the same precedence longest_match gives scalar lookups.
-        self._pins: list[tuple[Prefix, int]] = []
-        for prefix, shard in sorted(
-            (pinned or {}).items(), key=lambda item: item[0].length
-        ):
-            if not 0 <= shard < n_shards:
-                raise ValueError(f"pinned shard {shard} out of range")
-            self._trie.insert(prefix, shard)
-            self._pins.append((prefix, shard))
 
     def assign(self, addresses: np.ndarray) -> np.ndarray:
         """Shard index (int64) for each target address."""
-        prefixes = addresses.astype(np.uint64)
-        if self.prefix_bits < 32:
-            prefixes = prefixes >> np.uint64(32 - self.prefix_bits)
-        shards = (_splitmix64(prefixes) % np.uint64(self.n_shards)).astype(np.int64)
-        for prefix, shard in self._pins:
-            mask = (addresses.astype(np.uint64) & np.uint64(prefix.mask)) == np.uint64(
-                prefix.network
-            )
-            shards[mask] = shard
-        return shards
-
-    def shard_of(self, address: int) -> int:
-        """Shard index of one target address (pin-aware scalar lookup)."""
-        match = self._trie.longest_match(int(address))
-        if match is not None:
-            return match[1]
-        return int(self.assign(np.array([address], dtype=np.uint64))[0])
+        prefixes = addresses.astype(np.uint64) >> np.uint64(32 - PREFIX_BITS)
+        return (_splitmix64(prefixes) % np.uint64(self.n_shards)).astype(np.int64)
 
     def split(self, flows: FlowDataset) -> list[FlowDataset]:
         """Partition flows into per-shard datasets by target address."""

@@ -278,14 +278,13 @@ def _concat(parts: list):
 # ----------------------------------------------------------------------
 # ShardedStreamingScrubber capture / restore
 # ----------------------------------------------------------------------
-def _plan_params(plan) -> dict:
-    return {
-        "n_shards": plan.n_shards,
-        "prefix_bits": plan.prefix_bits,
-        "pins": [
-            [prefix.network, prefix.length, shard] for prefix, shard in plan._pins
-        ],
-    }
+def _plan_params(n_shards: int) -> dict:
+    """The shard plan entry of a snapshot. Only ``n_shards`` varies; the
+    granularity and the empty pin list are written so that snapshots
+    from before they became constants still compare equal."""
+    from repro.core.parallel.sharding import PREFIX_BITS
+
+    return {"n_shards": n_shards, "prefix_bits": PREFIX_BITS, "pins": []}
 
 
 def capture_sharded_state(engine) -> dict:
@@ -298,7 +297,7 @@ def capture_sharded_state(engine) -> dict:
         # a run may resume under a different --ipc than it was captured
         # with (restore does not validate it).
         "ipc": engine.ipc_mode,
-        "plan": _plan_params(engine.plan),
+        "plan": _plan_params(engine.n_shards),
         "coordinator": capture_engine_state(engine),
         "shadow": (
             None if engine._shadow is None else capture_engine_state(engine._shadow)
@@ -323,10 +322,11 @@ def restore_sharded_state(engine, state: dict) -> None:
             f"{state['sketch_params']!r}) does not match the engine "
             f"({agg!r}, {sketch_params!r})"
         )
-    if state["plan"] != _plan_params(engine.plan):
+    plan = _plan_params(engine.n_shards)
+    if state["plan"] != plan:
         raise CheckpointConfigError(
             "snapshot shard plan does not match the engine: "
-            f"snapshot={state['plan']!r} engine={_plan_params(engine.plan)!r}"
+            f"snapshot={state['plan']!r} engine={plan!r}"
         )
     restore_engine_state(engine, state["coordinator"])
     if engine._shadow is not None:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
 from repro.core.rules.items import (
-    ATTRIBUTES,
     Item,
     ItemEncoder,
     OTHER,
@@ -231,7 +230,3 @@ class RuleSet:
     ) -> "RuleSet":
         """Build a staged rule set from mined blackhole rules."""
         return cls(tagging_rule_from_association(r, encoder) for r in rules)
-
-
-#: Attribute order for UIs/tables, mirroring Fig. 6 columns.
-UI_COLUMNS = ("id", *ATTRIBUTES, "confidence", "support", "status", "notes")

@@ -1,10 +1,8 @@
 """ASCII rendering of experiment series (figures without matplotlib).
 
 The experiment harness stores every figure's data as named (x, y)
-series. This module renders them in the terminal: line sparkplots for
-time series (Fig. 11/13), CDF summaries (Fig. 3a/16a) and simple
-heatmaps (Fig. 12/15) — enough to eyeball the shapes the benchmarks
-assert.
+series. This module renders them in the terminal as line sparkplots —
+enough to eyeball the shapes the benchmarks assert.
 """
 
 from __future__ import annotations
@@ -53,46 +51,3 @@ def render_series(
             f"{name}: {sparkline(y, width)}  [{min(data):.3g} .. {max(data):.3g}]"
         )
     return "\n".join(lines) if lines else "(no series)"
-
-
-def heatmap(
-    rows: Sequence[str],
-    cols: Sequence[str],
-    values: np.ndarray,
-    cell_format: str = "{:.2f}",
-) -> str:
-    """Render a labelled matrix (Fig. 12/15 style)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(rows), len(cols)):
-        raise ValueError("matrix shape does not match labels")
-    rendered = [
-        [("-" if math.isnan(values[i, j]) else cell_format.format(values[i, j])) for j in range(len(cols))]
-        for i in range(len(rows))
-    ]
-    row_width = max((len(r) for r in rows), default=0)
-    col_widths = [
-        max(len(cols[j]), *(len(rendered[i][j]) for i in range(len(rows))))
-        if rows
-        else len(cols[j])
-        for j in range(len(cols))
-    ]
-    lines = [
-        " " * row_width + "  " + "  ".join(c.rjust(w) for c, w in zip(cols, col_widths))
-    ]
-    for i, row_label in enumerate(rows):
-        lines.append(
-            row_label.rjust(row_width)
-            + "  "
-            + "  ".join(rendered[i][j].rjust(col_widths[j]) for j in range(len(cols)))
-        )
-    return "\n".join(lines)
-
-
-def cdf_summary(values: Sequence[float], quantiles: Sequence[float] = (0.5, 0.9, 0.99)) -> str:
-    """One-line quantile summary of a distribution."""
-    data = np.asarray(values, dtype=float)
-    data = data[~np.isnan(data)]
-    if data.size == 0:
-        return "(empty)"
-    parts = [f"p{int(q * 100)}={np.quantile(data, q):.4g}" for q in quantiles]
-    return f"n={data.size} min={data.min():.4g} " + " ".join(parts) + f" max={data.max():.4g}"

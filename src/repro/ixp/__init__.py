@@ -1,4 +1,4 @@
-"""IXP substrate: members, vantage-point profiles, fabric, sampling."""
+"""IXP substrate: members, vantage-point profiles, fabric."""
 
 from repro.ixp.fabric import IXPFabric
 from repro.ixp.member import MemberAS, MemberRole
@@ -12,7 +12,6 @@ from repro.ixp.profiles import (
     IXPProfile,
     profile_by_name,
 )
-from repro.ixp.sampling import PacketSampler
 
 __all__ = [
     "ALL_PROFILES",
@@ -25,6 +24,5 @@ __all__ = [
     "IXPProfile",
     "MemberAS",
     "MemberRole",
-    "PacketSampler",
     "profile_by_name",
 ]

@@ -1,23 +1,17 @@
-"""The IXP switching fabric and route server.
+"""The IXP switching fabric.
 
 :class:`IXPFabric` assembles the static side of one vantage point from an
 :class:`~repro.ixp.profiles.IXPProfile`: the member ASes with their port
-MACs and roles, the customer address space behind the members (the
-destinations traffic flows to), the packet sampler, and the route-server
-machinery that collects and redistributes blackhole announcements.
+MACs and roles, and the customer address space behind the members (the
+destinations traffic flows to).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bgp.blackhole import BlackholeRegistry
-from repro.bgp.messages import Update
-from repro.bgp.rib import RoutingInformationBase
 from repro.ixp.member import MemberAS, MemberRole
 from repro.ixp.profiles import IXPProfile
-from repro.ixp.sampling import PacketSampler
-from repro.netflow.dataset import FlowDataset
 from repro.traffic.address_space import VICTIMS, AddressBlock
 
 #: Role mix of the member base (eyeballs dominate receiver counts).
@@ -37,13 +31,10 @@ _N_REGIONS = 16
 class IXPFabric:
     """Static vantage-point state derived from a profile."""
 
-    def __init__(self, profile: IXPProfile, sampling_rate: int = 1):
+    def __init__(self, profile: IXPProfile):
         self.profile = profile
-        self.sampler = PacketSampler(sampling_rate)
         rng = np.random.default_rng(profile.seed)
         self.members = self._build_members(rng)
-        self.rib = RoutingInformationBase()
-        self.blackholes = BlackholeRegistry()
 
     def _build_members(self, rng: np.random.Generator) -> tuple[MemberAS, ...]:
         members = []
@@ -78,13 +69,3 @@ class IXPFabric:
         """The victim/benign-target address block of this vantage point."""
         size = VICTIMS.size // _N_REGIONS
         return AddressBlock(VICTIMS.base + self.profile.region * size, size)
-
-    def process_updates(self, updates: list[Update]) -> None:
-        """Feed route-server updates into the RIB and blackhole registry."""
-        for update in updates:
-            self.rib.apply(update)
-            self.blackholes.apply(update)
-
-    def capture(self, flows: FlowDataset, rng: np.random.Generator) -> FlowDataset:
-        """Apply the port sampler to raw flows (the export path)."""
-        return self.sampler.sample(flows, rng)

@@ -1,6 +1,5 @@
-"""Flow-record substrate: data model, columnar datasets, IO, anonymisation."""
+"""Flow-record substrate: data model, columnar datasets."""
 
-from repro.netflow.anonymize import Anonymizer
 from repro.netflow.dataset import BIN_SECONDS, SCHEMA, FlowDataset
 from repro.netflow.fields import (
     PROTO_GRE,
@@ -11,7 +10,6 @@ from repro.netflow.fields import (
     WELL_KNOWN_DDOS_PORTS,
     ddos_port_label,
 )
-from repro.netflow.io import load_csv, load_npz, save_csv, save_npz
 from repro.netflow.record import (
     FlowRecord,
     int_to_ip,
@@ -21,7 +19,6 @@ from repro.netflow.record import (
 )
 
 __all__ = [
-    "Anonymizer",
     "BIN_SECONDS",
     "SCHEMA",
     "FlowDataset",
@@ -37,8 +34,4 @@ __all__ = [
     "int_to_mac",
     "ip_to_int",
     "mac_to_int",
-    "load_csv",
-    "load_npz",
-    "save_csv",
-    "save_npz",
 ]

@@ -250,10 +250,6 @@ class FlowDataset:
         return int(self._columns["bytes"].sum())
 
     @property
-    def total_packets(self) -> int:
-        return int(self._columns["packets"].sum())
-
-    @property
     def blackhole_share(self) -> float:
         """Fraction of flows carrying the blackhole label."""
         if len(self) == 0:

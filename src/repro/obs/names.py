@@ -43,8 +43,6 @@ C_SCRUBBER_RULES_ACCEPTED = "scrubber.rules_accepted"
 C_SCRUBBER_RECORDS_SCORED = "scrubber.records_scored"
 C_FEATURES_RECORDS_AGGREGATED = "features.records_aggregated"
 C_ENCODING_ROWS_ASSEMBLED = "encoding.rows_assembled"
-C_IXP_SAMPLER_FLOWS_IN = "ixp.sampler_flows_in"
-C_IXP_SAMPLER_FLOWS_KEPT = "ixp.sampler_flows_kept"
 C_DRIFT_MODELS_TRAINED = "drift.models_trained"
 C_DRIFT_DAYS_SCORED = "drift.days_scored"
 C_MODELS_TREES_BUILT = "models.trees_built"
@@ -108,7 +106,6 @@ SPAN_RULES_MINE = "rules.mine"
 SPAN_FEATURES_AGGREGATE = "features.aggregate"
 SPAN_ENCODING_WOE_FIT = "encoding.woe_fit"
 SPAN_ENCODING_ASSEMBLE = "encoding.assemble"
-SPAN_IXP_SAMPLE = "ixp.sample"
 SPAN_PARALLEL_CLASSIFY = "parallel.classify"
 SPAN_PARALLEL_SHARD_CLASSIFY = "parallel.shard_classify"
 SPAN_PARALLEL_MERGE = "parallel.merge"

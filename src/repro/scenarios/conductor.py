@@ -33,6 +33,7 @@ import numpy as np
 from repro import obs
 from repro.core.labeling.balancer import balance
 from repro.core.parallel import ShardedStreamingScrubber
+from repro.core.recovery.session import drive_engine
 from repro.core.scrubber import IXPScrubber, ScrubberConfig, TargetVerdict
 from repro.netflow.dataset import FlowDataset
 from repro.obs import names
@@ -221,34 +222,17 @@ def bootstrap_scrubber(
 # ----------------------------------------------------------------------
 
 
-def _drive(
-    engine: ShardedStreamingScrubber, spec: ScenarioSpec, chunk_bins: int = 8
-) -> list[TargetVerdict]:
-    """Stream the spec through the engine in bin chunks; no clocks."""
-    flows = spec.flows
-    bins = flows.time // BIN_SECONDS
-    updates = list(spec.updates)
-    verdicts: list[TargetVerdict] = []
-    u = 0
-    for chunk_start in range(0, spec.n_bins, chunk_bins):
-        mask = (bins >= chunk_start) & (bins < chunk_start + chunk_bins)
-        limit = (chunk_start + chunk_bins) * BIN_SECONDS
-        chunk_updates = []
-        while u < len(updates) and updates[u].time < limit:
-            chunk_updates.append(updates[u])
-            u += 1
-        verdicts.extend(engine.ingest(flows.select(mask), chunk_updates))
-    verdicts.extend(engine.flush())
-    return verdicts
-
-
 def _conduct_plain(
     spec: ScenarioSpec, make_engine: Callable[[], ShardedStreamingScrubber]
 ) -> tuple[list[TargetVerdict], dict]:
     """Default conduction: one engine, straight through the stream."""
     engine = make_engine()
     try:
-        return _drive(engine, spec), {}
+        verdicts = drive_engine(
+            engine, spec.flows, spec.updates,
+            chunk_bins=8, start_bin=0, end_bin=spec.n_bins,
+        )
+        return verdicts, {}
     finally:
         engine.close()
 

@@ -27,14 +27,11 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro import obs
-from repro.netflow.dataset import FlowDataset
+from repro.netflow.dataset import BIN_SECONDS, FlowDataset
 from repro.obs import names
 from repro.traffic.benign import BenignTrafficGenerator
 
 __all__ = ["WorkloadManager", "PoissonWorkloadManager", "BIN_SECONDS"]
-
-#: Seconds per streaming bin, matching ``repro.core.streaming``.
-BIN_SECONDS = 60
 
 #: SeedSequence domain tag decorrelating workload streams from every
 #: other seeded component.
@@ -136,15 +133,6 @@ class PoissonWorkloadManager(WorkloadManager):
     def cursor(self) -> int:
         """The next bin :meth:`collect` will generate."""
         return self._cursor
-
-    @property
-    def flows_generated(self) -> int:
-        return sum(len(part) for part in self._history)
-
-    @property
-    def user_samples(self) -> tuple[int, ...]:
-        """Every active-user population draw so far, in order."""
-        return tuple(self._user_samples)
 
     def mean_active_users(self) -> float:
         """Mean of the population draws (0.0 before any collection)."""

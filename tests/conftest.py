@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.labeling import balance, label_capture
+from repro.core.labeling import balance
 from repro.ixp.fabric import IXPFabric
 from repro.ixp.profiles import IXPProfile
 from repro.netflow.dataset import FlowDataset
@@ -47,7 +47,7 @@ def tiny_capture(tiny_fabric):
 
 @pytest.fixture
 def labeled_flows(tiny_capture) -> FlowDataset:
-    return label_capture(tiny_capture)
+    return tiny_capture.labeled_flows()
 
 
 @pytest.fixture

@@ -1108,10 +1108,10 @@ def test_mutation_layer_inversion_in_netflow(tmp_path):
     """Layering: the substrate reaching up into ``core``."""
     (finding,) = _mutation_findings(
         tmp_path,
-        "repro/netflow/sflow.py",
-        "from repro.netflow.dataset import FlowDataset\n",
+        "repro/netflow/dataset.py",
+        "from repro.netflow.record import FlowRecord\n",
         "from repro.core.scrubber import IXPScrubber\n"
-        "from repro.netflow.dataset import FlowDataset\n",
+        "from repro.netflow.record import FlowRecord\n",
         ("RS301", "RS302"),
     )
     assert finding.rule == "RS301"

@@ -1,11 +1,10 @@
-"""Tests for BGP update messages and the RIB."""
+"""Tests for BGP update messages."""
 
 import pytest
 
 from repro.bgp.community import BLACKHOLE, Community
-from repro.bgp.messages import Announcement, Withdrawal
+from repro.bgp.messages import Announcement
 from repro.bgp.prefix import Prefix
-from repro.bgp.rib import RoutingInformationBase
 
 
 def ann(prefix="10.0.0.1/32", origin=64512, time=0, blackhole=True):
@@ -45,50 +44,3 @@ class TestAnnouncement:
                 time=0,
                 as_path=(64512, 64513),
             )
-
-
-class TestRib:
-    def test_announce_then_withdraw(self):
-        rib = RoutingInformationBase()
-        rib.apply(ann(time=0))
-        assert len(rib) == 1
-        rib.apply(Withdrawal(prefix=Prefix.parse("10.0.0.1/32"), origin_asn=64512, time=5))
-        assert len(rib) == 0
-
-    def test_reannouncement_replaces(self):
-        rib = RoutingInformationBase()
-        rib.apply(ann(time=0, blackhole=True))
-        rib.apply(ann(time=5, blackhole=False))
-        assert len(rib) == 1
-        assert not rib.routes()[0].is_blackhole
-
-    def test_multiple_origins_coexist(self):
-        rib = RoutingInformationBase()
-        rib.apply(ann(time=0, origin=64512))
-        rib.apply(ann(time=1, origin=64513))
-        assert len(rib) == 2
-        assert len(rib.routes_for_prefix(Prefix.parse("10.0.0.1/32"))) == 2
-
-    def test_out_of_order_rejected(self):
-        rib = RoutingInformationBase()
-        rib.apply(ann(time=10))
-        with pytest.raises(ValueError, match="out-of-order"):
-            rib.apply(ann(time=5))
-
-    def test_withdraw_unknown_is_noop(self):
-        rib = RoutingInformationBase()
-        rib.apply(Withdrawal(prefix=Prefix.parse("10.0.0.1/32"), origin_asn=1, time=0))
-        assert len(rib) == 0
-
-    def test_blackhole_routes_filter(self):
-        rib = RoutingInformationBase()
-        rib.apply(ann(time=0, origin=64512, blackhole=True))
-        rib.apply(ann(prefix="10.0.0.2/32", time=1, origin=64513, blackhole=False))
-        blackholes = rib.blackhole_routes()
-        assert len(blackholes) == 1
-        assert blackholes[0].origin_asn == 64512
-
-    def test_apply_all(self):
-        rib = RoutingInformationBase()
-        rib.apply_all([ann(time=0), ann(prefix="10.0.0.2/32", time=1)])
-        assert len(rib) == 2

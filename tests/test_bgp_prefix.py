@@ -1,6 +1,5 @@
 """Tests for IPv4 prefixes and the longest-prefix-match trie."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,20 +114,6 @@ class TestPrefixTrie:
         for i, p in enumerate(prefixes):
             trie.insert(p, i)
         assert {p for p, _ in trie.items()} == set(prefixes)
-
-    def test_covers_batch_matches_scalar(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix.parse("10.0.0.0/8"), 1)
-        trie.insert(Prefix.parse("192.0.2.0/24"), 2)
-        addresses = np.array(
-            [ip_to_int(a) for a in ("10.5.5.5", "11.0.0.1", "192.0.2.77", "192.0.3.1")],
-            dtype=np.uint32,
-        )
-        expected = [trie.covers(int(a)) for a in addresses]
-        np.testing.assert_array_equal(trie.covers_batch(addresses), expected)
-
-    def test_covers_batch_empty(self):
-        assert PrefixTrie().covers_batch(np.empty(0, dtype=np.uint32)).shape == (0,)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,4 +1,4 @@
-"""Tests for the IXP substrate: members, profiles, fabric, sampling."""
+"""Tests for the IXP substrate: members, profiles, fabric."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,6 @@ import pytest
 from repro.ixp.fabric import IXPFabric
 from repro.ixp.member import MemberAS, MemberRole
 from repro.ixp.profiles import ALL_PROFILES, IXP_CE1, IXPProfile, profile_by_name
-from repro.ixp.sampling import PacketSampler
-from repro.netflow.dataset import FlowDataset
-from tests.conftest import make_flow
 
 
 class TestMember:
@@ -81,45 +78,3 @@ class TestFabric:
         adherence = [m.adheres_to_blackholing for m in fabric.members]
         assert not all(adherence)
         assert any(adherence)
-
-    def test_process_updates_feeds_registry(self, tiny_fabric, tiny_capture):
-        tiny_fabric.process_updates(tiny_capture.updates)
-        assert len(tiny_fabric.blackholes.events()) > 0
-
-
-class TestPacketSampler:
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            PacketSampler(0)
-
-    def test_identity_at_rate_one(self, handmade_flows, rng):
-        sampled = PacketSampler(1).sample(handmade_flows, rng)
-        assert sampled is handmade_flows
-
-    def test_thins_flows(self, rng):
-        flows = FlowDataset.from_records(
-            [make_flow(time=i, packets=2, bytes_=3000) for i in range(2000)]
-        )
-        sampled = PacketSampler(10).sample(flows, rng)
-        assert 0 < len(sampled) < len(flows)
-
-    def test_sampled_counters_shrink(self, rng):
-        flows = FlowDataset.from_records([make_flow(packets=1000, bytes_=1500000)])
-        sampled = PacketSampler(10).sample(flows, rng)
-        assert len(sampled) == 1
-        assert sampled.packets[0] < 1000
-        # Mean packet size preserved (byte counters scale with packets).
-        assert sampled.bytes[0] / sampled.packets[0] == pytest.approx(1500, rel=0.01)
-
-    def test_upscale_estimates_volume(self, rng):
-        flows = FlowDataset.from_records(
-            [make_flow(time=i, packets=100, bytes_=150000) for i in range(500)]
-        )
-        sampler = PacketSampler(10)
-        sampled = sampler.sample(flows, rng)
-        estimate = sampler.upscale_bytes(sampled)
-        truth = flows.total_bytes
-        assert abs(estimate - truth) / truth < 0.1
-
-    def test_empty_input(self, rng):
-        assert len(PacketSampler(10).sample(FlowDataset.empty(), rng)) == 0

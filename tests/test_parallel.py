@@ -11,7 +11,6 @@ import pytest
 
 from tests import strategies
 from repro import obs
-from repro.bgp.prefix import Prefix
 from repro.core.labeling.balancer import balance
 from repro.core.parallel import (
     BACKENDS,
@@ -68,34 +67,10 @@ class TestShardPlan:
         base = 0xC6336400  # 198.51.100.0/24
         hosts = np.arange(base, base + 256, dtype=np.uint32)
         assert len(np.unique(plan.assign(hosts))) == 1
-        # At /32 granularity the same hosts spread across shards.
-        assert len(np.unique(ShardPlan(8, prefix_bits=32).assign(hosts))) > 1
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             ShardPlan(0)
-        with pytest.raises(ValueError):
-            ShardPlan(2, prefix_bits=33)
-        with pytest.raises(ValueError):
-            ShardPlan(2, pinned={Prefix.parse("10.0.0.0/8"): 2})
-
-    def test_pins_apply_longest_prefix_first(self):
-        plan = ShardPlan(
-            4,
-            pinned={
-                Prefix.parse("10.0.0.0/8"): 0,
-                Prefix.parse("10.1.2.0/24"): 3,
-            },
-        )
-        addresses = np.array(
-            [0x0A000001, 0x0A010201, 0x0A010301], dtype=np.uint32
-        )
-        assert plan.assign(addresses).tolist() == [0, 3, 0]
-        # Scalar lookups agree with the vectorised path, pins included.
-        for address in addresses.tolist():
-            assert plan.shard_of(address) == plan.assign(
-                np.array([address], dtype=np.uint32)
-            )[0]
 
     def test_split_partitions_completely(self, workload):
         plan = ShardPlan(4)
@@ -350,6 +325,17 @@ class TestShardedEngine:
             verdicts = engine.ingest(workload) + engine.flush()
             assert verdicts
         engine.close()  # second close is a no-op
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_n_shards_is_the_only_shard_count(self, n):
+        """Regression: ``plan=ShardPlan(4)`` next to ``n_shards=2`` used
+        to build four shards without a word."""
+        with ShardedStreamingScrubber(n_shards=n, **ENGINE_KWARGS) as engine:
+            assert engine.n_shards == n
+            assert engine._backend.n_shards == n
+            assert engine.registry.get("parallel.shards").value == n
+        with pytest.raises(TypeError):
+            ShardedStreamingScrubber(n_shards=2, plan=ShardPlan(4), **ENGINE_KWARGS)
 
     def test_equivalence_check_counts_and_passes(self, fitted_scrubber, workload):
         engine = ShardedStreamingScrubber(

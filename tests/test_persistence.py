@@ -88,7 +88,7 @@ class TestClassifierRoundtrip:
 class TestScrubberRoundtrip:
     @pytest.fixture(scope="class")
     def fitted(self):
-        from repro.core.labeling import balance, label_capture
+        from repro.core.labeling import balance
         from repro.ixp.fabric import IXPFabric
         from repro.ixp.profiles import IXPProfile
         from repro.traffic.workload import WorkloadGenerator
@@ -101,7 +101,7 @@ class TestScrubberRoundtrip:
         )
         fabric = IXPFabric(profile)
         capture = WorkloadGenerator(fabric).generate(0, 2)
-        balanced = balance(label_capture(capture), np.random.default_rng(1))
+        balanced = balance(capture.labeled_flows(), np.random.default_rng(1))
         scrubber = IXPScrubber(
             ScrubberConfig(model="XGB", model_params={"n_estimators": 10})
         )

@@ -7,6 +7,7 @@ re-export (or ``__all__`` entry) lingers — ``from repro import X`` then
 breaks only for the one user who needed X.
 """
 
+import ast
 import importlib
 import pkgutil
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis.project import Project, attr_chain, import_table, runtime_imports
 
 
 def _iter_module_names():
@@ -100,3 +102,67 @@ def test_names_the_e2e_benchmark_pins_resolve(monkeypatch):
         assert engine.stats.retrainings == 0
         assert callable(engine.merged_snapshot)
         assert callable(engine.capture_state)
+
+
+#: Modules nothing imports by name, and why each is still run.
+CENSUS_ALLOWED = {
+    "repro.__main__": "the `python -m repro` entry point",
+    "repro.scenarios.catalog": "imported by its package for the side "
+    "effect: it registers the scenarios `repro scenarios` runs",
+}
+
+
+def _unreached_modules(root: Path) -> list[str]:
+    """Modules of ``src/repro`` that no caller's imports lead to.
+
+    Callers are the non-``__init__`` modules of ``src/``, the e2e
+    benchmark and the examples; tests are not. A name imported from a
+    package is followed through the package's own import table to the
+    module that defines it, so a re-export alone reaches nothing; a
+    package that defines the name itself (``EXPERIMENTS``,
+    ``ALL_PASSES``: a registry) is a caller like any other.
+    """
+    src = Project.load(root / "src")
+    callers = [m for m in src.package_modules if m.path.name != "__init__.py"]
+    for directory in ("benchmarks/e2e", "examples"):
+        callers += Project.load(root / directory).modules
+    reached: set[str] = set()
+    seen = {m.name for m in callers}
+
+    def follow(dotted: str) -> None:
+        parts = dotted.split(".")
+        for cut in range(len(parts), 0, -1):
+            module = src.by_name.get(".".join(parts[:cut]))
+            if module is None:
+                continue
+            reached.add(module.name)
+            if cut < len(parts) and module.path.name == "__init__.py":
+                target = import_table(module).get(parts[cut])
+                if target is not None:
+                    follow(".".join([target, *parts[cut + 1:]]))
+                elif module.name not in seen:
+                    seen.add(module.name)
+                    callers.append(module)
+            return
+
+    for caller in callers:  # grows while registries are found
+        table = import_table(caller)
+        for _, target in runtime_imports(caller):
+            follow(target)
+        for node in ast.walk(caller.tree):
+            chain = attr_chain(node) if isinstance(node, ast.Attribute) else None
+            if chain and chain[0] in table:
+                follow(".".join([table[chain[0]], *chain[1:]]))
+    return [
+        m.name
+        for m in src.package_modules
+        if m.path.name != "__init__.py" and m.name not in reached
+    ]
+
+
+def test_every_module_has_a_caller():
+    """Nothing in ``src/`` that nothing runs: a module only a package
+    ``__init__`` or its own test imports is deleted, not kept."""
+    assert len(CENSUS_ALLOWED) <= 3
+    root = Path(__file__).resolve().parents[1]
+    assert sorted(_unreached_modules(root)) == sorted(CENSUS_ALLOWED)

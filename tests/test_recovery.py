@@ -238,6 +238,8 @@ class TestEngineStateRoundTrip:
     def test_sharded_restore_rejects_plan_mismatch(self, scrubber):
         engine = make_sharded(scrubber, n_shards=2)
         state = engine.capture_state()
+        # The entry keeps the shape older checkpoints were written with.
+        assert state["plan"] == {"n_shards": 2, "prefix_bits": 24, "pins": []}
         other = make_sharded(scrubber, n_shards=4)
         try:
             with pytest.raises(CheckpointConfigError):

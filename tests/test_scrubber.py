@@ -15,7 +15,7 @@ def fitted_scrubber_and_flows():
     """A scrubber fitted on a tiny vantage point (module-scoped: slow)."""
     import numpy as np
 
-    from repro.core.labeling import balance, label_capture
+    from repro.core.labeling import balance
     from repro.ixp.fabric import IXPFabric
     from repro.ixp.profiles import IXPProfile
     from repro.traffic.workload import WorkloadGenerator
@@ -28,7 +28,7 @@ def fitted_scrubber_and_flows():
     )
     fabric = IXPFabric(profile)
     capture = WorkloadGenerator(fabric).generate(0, 3)
-    balanced = balance(label_capture(capture), np.random.default_rng(1))
+    balanced = balance(capture.labeled_flows(), np.random.default_rng(1))
     scrubber = IXPScrubber(ScrubberConfig(model="XGB", model_params={"n_estimators": 20}))
     scrubber.fit(balanced.flows)
     return scrubber, balanced.flows

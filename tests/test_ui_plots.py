@@ -1,88 +1,6 @@
-"""Tests for the curation UI renderer and ASCII figure rendering."""
+"""Tests for ASCII figure rendering."""
 
-import numpy as np
-import pytest
-
-from repro.core.rules.model import PortMatch, RuleSet, RuleStatus, TaggingRule
-from repro.core.rules.ui import curation_summary, render_rule_table
-from repro.experiments.plots import cdf_summary, heatmap, render_series, sparkline
-
-
-def rules_fixture() -> RuleSet:
-    rules = RuleSet(
-        [
-            TaggingRule(
-                rule_id="aaaa0001", confidence=0.99, support=0.05, protocol=17,
-                port_src=PortMatch(values=frozenset({123})),
-                packet_size=(400, 500), notes="NTP reflection",
-            ),
-            TaggingRule(
-                rule_id="bbbb0002", confidence=0.92, support=0.20, protocol=17,
-                port_src=PortMatch(values=frozenset({53})),
-            ),
-            TaggingRule(
-                rule_id="cccc0003", confidence=0.85, support=0.01, protocol=6,
-                port_dst=PortMatch(values=frozenset({0, 17, 19, 9999}), negated=True),
-            ),
-        ]
-    )
-    rules.set_status("aaaa0001", RuleStatus.ACCEPT)
-    rules.set_status("cccc0003", RuleStatus.DECLINE)
-    return rules
-
-
-class TestRuleTable:
-    def test_contains_fig6_columns(self):
-        table = render_rule_table(rules_fixture())
-        header = table.splitlines()[0]
-        for column in ("id", "protocol", "port_src", "port_dst", "packet_size",
-                       "confidence", "support", "status", "notes"):
-            assert column in header
-
-    def test_sorted_by_support_desc(self):
-        table = render_rule_table(rules_fixture(), sort_by="support")
-        lines = table.splitlines()[2:]
-        assert lines[0].startswith("bbbb0002")  # highest support first
-
-    def test_sorted_by_confidence_desc(self):
-        table = render_rule_table(rules_fixture(), sort_by="confidence")
-        lines = table.splitlines()[2:]
-        assert lines[0].startswith("aaaa0001")
-
-    def test_status_filter(self):
-        table = render_rule_table(rules_fixture(), status=RuleStatus.ACCEPT)
-        body = table.splitlines()[2:]
-        assert len(body) == 1 and body[0].startswith("aaaa0001")
-
-    def test_limit(self):
-        table = render_rule_table(rules_fixture(), limit=1)
-        assert len(table.splitlines()) == 3
-
-    def test_negated_set_rendered(self):
-        table = render_rule_table(rules_fixture())
-        assert "~{0,17,19,9999}" in table
-
-    def test_empty_set(self):
-        assert "(no rules)" in render_rule_table(RuleSet())
-
-    def test_invalid_sort_key(self):
-        with pytest.raises(ValueError):
-            render_rule_table(rules_fixture(), sort_by="magic")
-
-    def test_truncation(self):
-        rules = RuleSet(
-            [
-                TaggingRule(
-                    rule_id="dddd0004", confidence=0.9, support=0.1, protocol=17,
-                    notes="x" * 200,
-                )
-            ]
-        )
-        table = render_rule_table(rules, max_cell_width=10)
-        assert "xxxxxxx..." in table
-
-    def test_curation_summary(self):
-        assert curation_summary(rules_fixture()) == "1 accepted / 1 staging / 1 declined"
+from repro.experiments.plots import render_series, sparkline
 
 
 class TestSparkline:
@@ -116,24 +34,3 @@ class TestRenderSeries:
 
     def test_empty(self):
         assert render_series({}) == "(no series)"
-
-
-class TestHeatmap:
-    def test_labels_and_values(self):
-        out = heatmap(["r1", "r2"], ["c1", "c2"], np.array([[1.0, 0.5], [np.nan, 0.25]]))
-        assert "r1" in out and "c2" in out
-        assert "1.00" in out and "0.25" in out
-        assert "-" in out  # nan cell
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            heatmap(["r1"], ["c1"], np.zeros((2, 2)))
-
-
-class TestCdfSummary:
-    def test_quantiles(self):
-        out = cdf_summary(np.linspace(0, 1, 101))
-        assert "p50=0.5" in out and "n=101" in out
-
-    def test_empty(self):
-        assert cdf_summary([]) == "(empty)"
