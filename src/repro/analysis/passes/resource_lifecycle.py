@@ -87,8 +87,6 @@ RESOURCE_CONSTRUCTORS: Mapping[str, str] = {
     "repro.core.parallel.shm.attach_segment": "shared-memory segment",
     "repro.core.parallel.shm.ShmRing": "shm ring",
     "repro.core.parallel.shm.ShmRing.attach": "shm ring",
-    "repro.core.parallel.shm.ModelPlane": "model plane",
-    "repro.core.parallel.shm.ModelPlane.attach": "model plane",
     "repro.core.recovery.journal.VerdictJournal": "verdict journal",
     "repro.core.recovery.journal.VerdictJournal.open": "verdict journal",
     "repro.core.recovery.snapshot.CheckpointStore": "checkpoint store",

@@ -16,7 +16,8 @@ This pass makes the assumption machine-checked:
    and instance attributes are fine);
 2. build a call graph from :data:`WORKER_ENTRY_POINTS`
    (``_worker_main`` and the fault directive executor in
-   ``core/parallel/backends.py``). Attribute calls on objects of
+   ``core/parallel/backends.py``). A bare ``cls(...)`` in a method
+   is the class's own constructor. Attribute calls on objects of
    unknown type over-approximate: they link to *every* project method
    of that name, except ubiquitous builtin-collection names — a race
    detector should err toward reachability;
@@ -203,7 +204,11 @@ class _BodyAnalyzer(ast.NodeVisitor):
         func = node.func
         if isinstance(func, ast.Name):
             name = func.id
-            if name in self.locals and name not in self.globals_decl:
+            if name == "cls" and self.info.klass:
+                # An alternate constructor: cls(...) runs the class's own
+                # __init__ (the edge builder maps a class to it).
+                self.info.calls_qual.add(self.info.qual.rpartition(".")[0])
+            elif name in self.locals and name not in self.globals_decl:
                 pass  # bound locally (could be a nested def — children link)
             elif name in self.imports:
                 self.info.calls_qual.add(self.imports[name])

@@ -9,7 +9,7 @@ from repro.bgp.community import (
     is_blackhole_community,
 )
 from repro.bgp.messages import Announcement, Update, Withdrawal
-from repro.bgp.prefix import Prefix, PrefixTrie
+from repro.bgp.prefix import Prefix
 
 __all__ = [
     "BLACKHOLE",
@@ -19,7 +19,6 @@ __all__ = [
     "BlackholeRegistry",
     "Community",
     "Prefix",
-    "PrefixTrie",
     "Update",
     "Withdrawal",
     "has_blackhole_signal",

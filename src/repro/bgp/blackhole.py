@@ -102,12 +102,6 @@ class BlackholeRegistry:
         """Blackhole intervals covering ``time``."""
         return [e for e in self.events() if e.active_at(time)]
 
-    def is_blackholed(self, address: int, time: int) -> bool:
-        """Point query: was ``address`` under an active blackhole at ``time``?"""
-        return any(
-            e.prefix.contains(address) for e in self.events() if e.active_at(time)
-        )
-
     def match_flows(self, flows: FlowDataset, horizon: Optional[int] = None) -> np.ndarray:
         """Return a boolean mask of flows destined to blackholed space.
 
@@ -143,7 +137,3 @@ class BlackholeRegistry:
     def label_flows(self, flows: FlowDataset, horizon: Optional[int] = None) -> FlowDataset:
         """Return ``flows`` with the ``blackhole`` column set from the feed."""
         return flows.with_blackhole(self.match_flows(flows, horizon=horizon))
-
-    def count_active(self, time: int) -> int:
-        """Number of blackholes active at ``time`` (cf. looking-glass stats)."""
-        return len(self.active_at(time))

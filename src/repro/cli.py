@@ -537,8 +537,8 @@ def main(argv: list[str] | None = None) -> int:
         choices=("pipe", "shm"),
         default="pipe",
         help="worker transport of the supervised backend: pickled pipe "
-        "messages (default) or zero-copy shared-memory rings with a "
-        "map-once model plane (docs/IPC.md)",
+        "messages (default) or batch bytes through per-shard "
+        "shared-memory rings (docs/IPC.md)",
     )
     stream_parser.add_argument(
         "--check",

@@ -127,9 +127,3 @@ class FeatureReducer(Transformer):
         if self.keep_ is None:
             raise RuntimeError("FeatureReducer is not fitted")
         return np.asarray(X, dtype=np.float64)[:, self.keep_]
-
-    @property
-    def n_kept(self) -> int:
-        if self.keep_ is None:
-            raise RuntimeError("FeatureReducer is not fitted")
-        return int(self.keep_.sum())

@@ -21,7 +21,7 @@ from repro.core.features import schema
 from repro.obs import names as metric_names
 from repro.core.rules.matcher import CompiledMatcher
 from repro.core.rules.model import TaggingRule
-from repro.netflow.dataset import BIN_SECONDS, FlowDataset
+from repro.netflow.dataset import FlowDataset
 
 
 @dataclass
@@ -120,7 +120,6 @@ class AggregatedDataset:
 def aggregate(
     flows: FlowDataset,
     rules: Sequence[TaggingRule] | CompiledMatcher = (),
-    bin_seconds: int = BIN_SECONDS,
 ) -> AggregatedDataset:
     """Aggregate labeled flows into per-(bin, target) rank features.
 
@@ -128,7 +127,7 @@ def aggregate(
     after batch under one rule set (the scrubber) compiles it once.
     """
     with obs.span(metric_names.SPAN_FEATURES_AGGREGATE):
-        data = _aggregate_batch(flows, rules, bin_seconds)
+        data = _aggregate_batch(flows, rules)
     obs.counter(metric_names.C_FEATURES_RECORDS_AGGREGATED).inc(len(data))
     return data
 
@@ -218,7 +217,6 @@ def rank_segments(
 def _aggregate_batch(
     flows: FlowDataset,
     rules: Sequence[TaggingRule] | CompiledMatcher,
-    bin_seconds: int,
 ) -> AggregatedDataset:
     """The aggregation kernel: global sorts and segment reductions.
 
@@ -238,7 +236,7 @@ def _aggregate_batch(
     if n == 0:
         raise ValueError("cannot aggregate an empty flow dataset")
 
-    bins = flows.time_bin(bin_seconds)
+    bins = flows.time_bin()
     dst = flows.dst_ip
 
     order = _stable_argsort(dst, bins)

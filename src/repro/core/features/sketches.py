@@ -48,7 +48,7 @@ import numpy as np
 from repro import obs
 from repro.core.features import schema
 from repro.core.features.aggregation import AggregatedDataset, rank_segments
-from repro.netflow.dataset import BIN_SECONDS, FlowDataset
+from repro.netflow.dataset import FlowDataset
 from repro.obs import names as metric_names
 
 __all__ = [
@@ -469,7 +469,7 @@ class SketchAggregator:
         if len(flows) == 0:
             return self
         with obs.span(metric_names.SPAN_SKETCH_INGEST):
-            bins = flows.time_bin(BIN_SECONDS)
+            bins = flows.time_bin()
             untracked = 0
             for b in np.unique(bins).tolist():
                 sketch = self._bins.get(b)

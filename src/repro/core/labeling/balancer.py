@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.netflow.dataset import BIN_SECONDS, FlowDataset
+from repro.netflow.dataset import FlowDataset
 from repro.obs import names as metric_names
 
 
@@ -82,7 +82,6 @@ def _per_ip_counts(dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def balance(
     flows: FlowDataset,
     rng: np.random.Generator,
-    bin_seconds: int = BIN_SECONDS,
 ) -> BalancedDataset:
     """Apply the balancing procedure to a labeled flow dataset.
 
@@ -94,7 +93,7 @@ def balance(
     recording behaviour that discards the unbalanced bulk early.
     """
     with obs.span(metric_names.SPAN_LABELING_BALANCE):
-        result = _balance(flows, rng, bin_seconds)
+        result = _balance(flows, rng)
     obs.counter(metric_names.C_LABELING_FLOWS_IN).inc(result.report.flows_before)
     obs.counter(metric_names.C_LABELING_FLOWS_KEPT).inc(result.report.flows_after)
     obs.gauge(metric_names.G_LABELING_LAST_REDUCTION).set(result.report.reduction)
@@ -104,7 +103,6 @@ def balance(
 def _balance(
     flows: FlowDataset,
     rng: np.random.Generator,
-    bin_seconds: int,
 ) -> BalancedDataset:
     if len(flows) == 0:
         empty = FlowDataset.empty()
@@ -119,7 +117,7 @@ def _balance(
         )
         return BalancedDataset(flows=empty, report=report)
 
-    bins = flows.time_bin(bin_seconds)
+    bins = flows.time_bin()
     labels = flows.blackhole
     dst = flows.dst_ip
     keep_index_parts: list[np.ndarray] = []

@@ -138,18 +138,3 @@ class ModelScore:
     fnr: float
     tpr: float
     fpr: float
-
-    @classmethod
-    def from_confusion(
-        cls, model: str, cm: ConfusionMatrix, mcc: float = float("nan")
-    ) -> "ModelScore":
-        return cls(
-            model=model,
-            fbeta=cm.fbeta(),
-            f1=cm.f1(),
-            mcc=mcc,
-            tnr=cm.tnr,
-            fnr=cm.fnr,
-            tpr=cm.tpr,
-            fpr=cm.fpr,
-        )

@@ -63,15 +63,6 @@ class ModelPipeline:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.classifier.predict_proba(self._transform(X))
 
-    def with_classifier(self, classifier: Classifier) -> "ModelPipeline":
-        """Same fitted preprocessing, different (fitted) classifier.
-
-        Used by classifier-only model transfer (§6.4): the local
-        preprocessing (incl. local WoE upstream) stays, the classifier
-        comes from another vantage point.
-        """
-        return ModelPipeline(self.transformers, classifier)
-
 
 #: Factories for each Table 3/5 model name. Keyword arguments override
 #: the tuned defaults (Appendix C's bold grid picks, scaled to this

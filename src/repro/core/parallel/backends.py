@@ -14,12 +14,12 @@ per-shard :class:`~repro.obs.MetricRegistry`. Two implementations:
   to serial execution (see :mod:`repro.core.resilience`). It drives the
   :class:`WorkerPool` defined here: ``fork`` start method when
   available, ``spawn`` otherwise; control messages travel over pipes;
-  batch and model payloads travel either as pickled pipe messages
+  batch payloads travel either as pickled pipe messages
   (``ipc="pipe"``, the default) or through per-shard shared-memory
-  rings and a map-once model plane (``ipc="shm"``, see
-  :mod:`repro.core.parallel.shm` and ``docs/IPC.md``) with the pipe
-  demoted to a doorbell. Verdicts come back as plain dataclass lists
-  either way — the transport can never change results.
+  rings (``ipc="shm"``, see :mod:`repro.core.parallel.shm` and
+  ``docs/IPC.md``) with the pipe as their doorbell; the model is one
+  pickled pipe message per worker in both. Verdicts come back as plain
+  dataclass lists either way — the transport can never change results.
 
 Both produce verdicts through the one :func:`classify_shard` function,
 so backend choice can never change results — only where the work runs
@@ -175,23 +175,6 @@ def _execute_fault(conn, directive) -> bool:
     return False
 
 
-def _close_retired_segments(retired: list) -> list:
-    """Close model segments whose arrays may still be referenced.
-
-    A worker that just swapped models drops its references to the old
-    scrubber, but the interpreter may not have released every exported
-    buffer yet — those segments stay on the retired list (bounded: one
-    per model version) and are retried at the next swap.
-    """
-    still_pinned = []
-    for segment in retired:
-        try:
-            segment.close()
-        except BufferError:
-            still_pinned.append(segment)
-    return still_pinned
-
-
 def _worker_main(
     conn, shard_index: int, ring_name: Optional[str] = None, inherited: Sequence = ()
 ) -> None:
@@ -207,21 +190,17 @@ def _worker_main(
     chaos tests fail in the real worker code path.
 
     With ``ipc="shm"`` the worker attaches its shard's ring once at
-    startup and two extra message kinds arrive: ``model_shm`` (map the
-    named model segment read-only, rebuild the scrubber from it) and
-    ``classify_shm`` (read the framed batch out of the ring as
-    zero-copy views, classify, ack the seqno, reply over the pipe). A
-    frame that fails validation is answered with an ``__ipc_error__``
-    tuple instead of verdicts — and *not* acked, so the supervisor's
-    reclaim owns the cleanup.
+    startup and one extra message kind arrives: ``classify_shm`` (read
+    the framed batch out of the ring as zero-copy views, classify, ack
+    the seqno, reply over the pipe). A frame that fails validation is
+    answered with an ``__ipc_error__`` tuple instead of verdicts — and
+    *not* acked, so the supervisor's reclaim owns the cleanup.
     """
     for parent_end in inherited:
         parent_end.close()
     registry = obs.MetricRegistry()
     scrubber: Optional[IXPScrubber] = None
     ring = shm.ShmRing.attach(ring_name) if ring_name is not None else None
-    model_segment = None
-    retired_segments: list = []
     try:
         while True:
             try:
@@ -233,18 +212,6 @@ def _worker_main(
                 break
             if kind == "model":
                 scrubber = pickle.loads(message[1])
-            elif kind == "model_shm":
-                segment_name, version = message[1], message[2]
-                # Drop references into the previous segment before loading,
-                # so its buffers can actually be released.
-                scrubber = None
-                scrubber, segment = shm.load_model(segment_name, version)
-                if model_segment is not None:
-                    retired_segments.append(model_segment)
-                model_segment = segment
-                retired_segments = _close_retired_segments(retired_segments)
-                with obs.use_registry(registry):
-                    obs.counter(names.C_PARALLEL_IPC_SEGMENT_REMAPS).inc()
             elif kind in ("classify", "classify_shm"):
                 if kind == "classify":
                     columns, min_flows = message[1], message[2]
@@ -303,23 +270,21 @@ class WorkerPool:
     """Persistent worker processes, one per shard, and their transport.
 
     The mechanism half of the process backend: spawn, pipes, rings,
-    model plane, dispatch framing and teardown. It has no ``classify``
-    or ``broadcast`` of its own — every pipe *read* belongs to
+    dispatch framing and teardown. It has no ``classify`` or
+    ``broadcast`` of its own — every pipe *read* belongs to
     :class:`~repro.core.resilience.SupervisedProcessBackend`, which
     bounds it with a deadline and recovers from a dead worker.
 
     Workers stay alive across bins so the model is deserialised once
     per retrain, not once per bin.
 
-    ``ipc="pipe"`` (default) moves batches and models as pickled pipe
-    messages. ``ipc="shm"`` moves batch bytes through a per-shard
-    :class:`~repro.core.parallel.shm.ShmRing` and publishes each model
-    once into a :class:`~repro.core.parallel.shm.ModelPlane` segment
-    that workers map read-only; the pipe carries only doorbells,
-    replies and control. Oversized batches (``ring_bytes``) fall back
-    to the pipe automatically (``parallel.ipc_fallbacks``). The
-    transport is invisible in the results: verdicts are bit-identical
-    across modes.
+    ``ipc="pipe"`` (default) moves batches as pickled pipe messages.
+    ``ipc="shm"`` moves batch bytes through a per-shard
+    :class:`~repro.core.parallel.shm.ShmRing`; the pipe carries the
+    doorbells, replies, control and the pickled model. Oversized
+    batches (``ring_bytes``) fall back to the pipe automatically
+    (``parallel.ipc_fallbacks``). The transport is invisible in the
+    results: verdicts are bit-identical across modes.
     """
 
     def __init__(
@@ -344,22 +309,19 @@ class WorkerPool:
         self._conns: list = [None] * n_shards
         self._procs: list = [None] * n_shards
         self._rings: list = [None] * n_shards
-        self._plane_box: list = [None]  # [ModelPlane] once shm is up
         self._ring_seq = [0] * n_shards
         self._model_message: Optional[tuple] = None
-        # Reap orphaned workers (and unlink their segments) if the
-        # owner never calls close(). The finalizer captures the slot
-        # *lists* (mutated in place by _start_worker, the supervisor's
-        # restart path, and the plane's republish), never self.
+        # Reap orphaned workers (and unlink their rings) if the owner
+        # never calls close(). The finalizer captures the slot *lists*
+        # (mutated in place by _start_worker and the supervisor's
+        # restart path), never self.
         self._finalizer = weakref.finalize(
-            self, _reap_orphans, self._conns, self._procs,
-            self._rings, self._plane_box,
+            self, _reap_orphans, self._conns, self._procs, self._rings
         )
         try:
             if ipc == "shm":
                 for shard in range(n_shards):
                     self._rings[shard] = shm.ShmRing(self.ring_bytes)
-                self._plane_box[0] = shm.ModelPlane()
             for shard in range(n_shards):
                 self._start_worker(shard)
         except BaseException:
@@ -387,27 +349,19 @@ class WorkerPool:
         self._procs[shard] = proc
 
     def _publish_model(self, scrubber: IXPScrubber) -> tuple:
-        """Serialise the model once; return the per-worker message.
+        """Pickle the model once; return the message every worker gets.
 
-        Pipe mode pickles to a blob every worker receives verbatim;
-        shm mode publishes a fresh model-plane segment and the message
-        is just its (name, version) doorbell.
+        The scrubber's tree models pickle as compiled flat-array kernels
+        (node graphs are derived state and excluded), so the blob is a
+        handful of contiguous buffers. It is kept as ``_model_message``
+        for the supervisor to re-send to a respawned worker.
         """
-        plane = self._plane_box[0]
-        if plane is not None:
-            ref = plane.publish(scrubber)
-            obs.counter(names.C_PARALLEL_BROADCAST_BYTES).inc(ref.nbytes)
+        blob = pickle.dumps(scrubber)
+        obs.counter(names.C_PARALLEL_BROADCAST_BYTES).inc(len(blob))
+        if self.ipc == "shm":
             obs.gauge(names.G_PARALLEL_IPC_RING_CAPACITY).set(self.ring_bytes)
-            message = ("model_shm", ref.name, ref.version)
-        else:
-            # The scrubber's tree models pickle as compiled flat-array
-            # kernels (node graphs are derived state and excluded), so
-            # the payload is a handful of contiguous buffers.
-            blob = pickle.dumps(scrubber)
-            obs.counter(names.C_PARALLEL_BROADCAST_BYTES).inc(len(blob))
-            message = ("model", blob)
-        self._model_message = message
-        return message
+        self._model_message = ("model", blob)
+        return self._model_message
 
     def _write_frame(self, shard: int, flows: FlowDataset):
         """Frame a batch into the shard's ring; ``(seqno, ref)`` or None.
@@ -493,9 +447,9 @@ class WorkerPool:
 
         Idempotent, and safe after a partially failed ``__init__``:
         slots that never spawned are skipped, started workers are
-        stopped and joined, rings and the model plane created so far
-        are destroyed. Detaches the orphan-reaper finalizer first — an
-        explicit close supersedes the garbage-collection fallback.
+        stopped and joined, rings created so far are destroyed. Detaches
+        the orphan-reaper finalizer first — an explicit close supersedes
+        the garbage-collection fallback.
         """
         finalizer = getattr(self, "_finalizer", None)
         if finalizer is not None:
@@ -524,16 +478,12 @@ class WorkerPool:
         for ring in self._rings:
             if ring is not None:
                 ring.destroy()
-        plane = self._plane_box[0]
-        if plane is not None:
-            plane.destroy()
         self._conns = []
         self._procs = []
         self._rings = []
-        self._plane_box = [None]
 
 
-def _reap_orphans(conns: list, procs: list, rings: list, plane_box: list) -> None:
+def _reap_orphans(conns: list, procs: list, rings: list) -> None:
     """Last-resort cleanup for workers whose backend was never closed.
 
     Runs from a ``weakref.finalize`` when the backend is garbage
@@ -575,12 +525,6 @@ def _reap_orphans(conns: list, procs: list, rings: list, plane_box: list) -> Non
                 ring.destroy()
             except OSError:  # pragma: no cover - torn-down tmpfs
                 pass
-    plane = plane_box[0]
-    if plane is not None:
-        try:
-            plane.destroy()
-        except OSError:  # pragma: no cover - torn-down tmpfs
-            pass
 
 
 def _supervised_backend(*args, **kwargs):

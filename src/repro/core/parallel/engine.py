@@ -76,8 +76,8 @@ class ShardedStreamingScrubber(StreamingScrubber):
     backend_options:
         Extra keyword arguments forwarded to the ``supervised`` backend
         constructor — ``start_method``, ``ipc`` (``"pipe"``/``"shm"`` —
-        shared-memory rings plus the map-once model plane, see
-        ``docs/IPC.md``), ``ring_bytes``, ``shard_timeout``,
+        per-shard shared-memory batch rings, see ``docs/IPC.md``),
+        ``ring_bytes``, ``shard_timeout``,
         ``max_restarts`` and ``fault_plan``.
     equivalence_check:
         Run a shadow serial engine on the same input and assert verdict
@@ -137,10 +137,6 @@ class ShardedStreamingScrubber(StreamingScrubber):
     @property
     def n_shards(self) -> int:
         return self.plan.n_shards
-
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
 
     @property
     def ipc_mode(self) -> str:

@@ -1,14 +1,13 @@
-"""Zero-copy shard IPC: shared-memory rings and the map-once model plane.
+"""Zero-copy shard IPC: per-shard shared-memory batch rings.
 
-The process backend moves two kinds of payload across the
-coordinator→worker boundary, and before this module both crossed it as
-pickled pipe messages: every closed-bin :class:`~repro.netflow.dataset.
-FlowDataset` batch, and — once per retrain — the whole kernel-format
-scrubber, re-pickled per worker. ``FlowDataset`` is a pointer-free
-struct-of-arrays with a fixed :data:`~repro.netflow.dataset.SCHEMA`,
-i.e. already a wire format; serialising it buys nothing but copies.
-This module keeps the pipe as a **doorbell/control channel only** and
-moves the bytes through ``multiprocessing.shared_memory``:
+Every closed-bin :class:`~repro.netflow.dataset.FlowDataset` batch
+crosses the coordinator→worker boundary. ``FlowDataset`` is a
+pointer-free struct-of-arrays with a fixed
+:data:`~repro.netflow.dataset.SCHEMA`, i.e. already a wire format;
+pickling it onto a pipe buys nothing but copies. With ``ipc="shm"``
+the batch bytes move through ``multiprocessing.shared_memory`` and the
+pipe carries the doorbell, the reply and everything else — control
+messages and, once per retrain, the pickled model:
 
 * :class:`ShmRing` — one single-producer/single-consumer ring per
   shard. The coordinator writes each batch as a framed blob (header:
@@ -22,30 +21,18 @@ moves the bytes through ``multiprocessing.shared_memory``:
   request→reply), so space accounting degenerates to a produced/
   consumed seqno pair; a frame that does not fit (oversized batch, or
   an unacked frame left by a crashed worker) makes the caller fall
-  back to the legacy pickled-pipe message instead of blocking — the
-  ring can never deadlock the stream. After a worker crash the
-  supervisor calls :meth:`ShmRing.reclaim`, which bumps the ring's
-  generation and marks the orphaned frame consumed; stale frames are
-  rejected by the generation check on the next read.
+  back to the pickled-pipe message instead of blocking — the ring can
+  never deadlock the stream. After a worker crash the supervisor calls
+  :meth:`ShmRing.reclaim`, which bumps the ring's generation and marks
+  the orphaned frame consumed; stale frames are rejected by the
+  generation check on the next read.
 
-* :class:`ModelPlane` — the map-once model distribution path. The
-  coordinator serialises the scrubber **once** per publish with pickle
-  protocol 5, externalising every contiguous numpy buffer
-  (``buffer_callback``) into a versioned shared segment laid out as
-  ``[header | buffer table | pickle stream | raw buffers]``. Workers
-  map the segment read-only and rebuild the model with
-  ``pickle.loads(stream, buffers=...)``, so the model's arrays are
-  views into shared memory — N workers share one copy instead of
-  holding N deserialised clones. Respawned workers re-attach by name:
-  the doorbell names the current segment, so restart needs no blob
-  resend.
-
-Lifetimes: the creating process (the backend) owns every segment and
-must ``destroy()`` them — on ``close()`` or from the orphan reaper.
-Attachers go through :func:`attach_segment`, which immediately
-unregisters the mapping from ``resource_tracker``; without that, a
-worker killed mid-batch would let its tracker unlink segments the
-coordinator still uses (bpo-39959) and spew leak warnings at exit.
+Lifetimes: the creating process (the backend) owns every ring and must
+``destroy()`` it — on ``close()`` or from the orphan reaper. Attachers
+go through :func:`attach_segment`, which keeps the mapping out of
+``resource_tracker``; without that, a worker killed mid-batch would
+let its tracker unlink segments the coordinator still uses (bpo-39959)
+and spew leak warnings at exit.
 
 Writes into segment buffers are confined to this module: the frame
 and header layout here *is* the protocol, and an out-of-band write is
@@ -56,7 +43,6 @@ caught at the reader by the seqno/generation/crc checks
 from __future__ import annotations
 
 import os
-import pickle
 import secrets
 import struct
 import zlib
@@ -70,12 +56,9 @@ from repro.netflow.dataset import BIN_SECONDS, SCHEMA, FlowDataset
 
 __all__ = [
     "ShmRing",
-    "ModelPlane",
-    "ModelRef",
     "FrameRef",
     "ShmProtocolError",
     "attach_segment",
-    "load_model",
     "frame_bytes_for",
     "DEFAULT_RING_BYTES",
 ]
@@ -87,8 +70,6 @@ DEFAULT_RING_BYTES = 16 * 1024 * 1024
 
 #: Frame magic ("RPRF" little-endian) — catches offset/layout bugs.
 _FRAME_MAGIC = 0x46525052
-#: Model-plane magic ("RPRM").
-_PLANE_MAGIC = 0x4D525052
 #: Ring control-block magic ("RPRC").
 _CTRL_MAGIC = 0x43525052
 
@@ -96,12 +77,6 @@ _CTRL_MAGIC = 0x43525052
 #: rows u64, payload bytes u64, crc32 u32 — padded to 8 bytes.
 _FRAME_HEADER = struct.Struct("<IIqqQQI")
 _FRAME_HEADER_BYTES = (_FRAME_HEADER.size + 7) & ~7
-
-#: Model-plane header: magic u32, version u32, stream bytes u64,
-#: buffer count u64, crc32 u32 — padded; a u64 length per out-of-band
-#: buffer follows.
-_PLANE_HEADER = struct.Struct("<IIQQI")
-_PLANE_HEADER_BYTES = (_PLANE_HEADER.size + 7) & ~7
 
 #: Control block: 8 int64 slots at offset 0 of a ring segment.
 _CTRL_SLOTS = 8
@@ -278,11 +253,6 @@ class ShmRing:
     def generation(self) -> int:
         return int(self._ctrl[_C_GEN])
 
-    @property
-    def in_flight(self) -> bool:
-        """True while a written frame has not been acked."""
-        return int(self._ctrl[_C_PRODUCED]) != int(self._ctrl[_C_CONSUMED])
-
     # -- producer side --------------------------------------------------
     def write_flows(self, seqno: int, flows: FlowDataset) -> Optional[FrameRef]:
         """Frame one batch into the ring; ``None`` means "use the pipe".
@@ -410,181 +380,3 @@ class ShmRing:
                 self._shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-
-
-@dataclass(frozen=True)
-class ModelRef:
-    """Doorbell payload naming the current model segment."""
-
-    name: str
-    version: int
-    nbytes: int
-
-
-class ModelPlane:
-    """Versioned shared segments carrying the pickled-once model.
-
-    ``publish`` serialises the object a single time with pickle
-    protocol 5; every contiguous numpy buffer travels out-of-band into
-    the segment, so :func:`load_model` reconstructs arrays as
-    *read-only views into the mapping* rather than copies. Each publish
-    creates a fresh segment named after the bumped version and unlinks
-    the previous one — the current version stays linked (never just
-    mapped) so a worker respawned long after the publish can still
-    attach it by name.
-    """
-
-    def __init__(self):
-        self._token = secrets.token_hex(4)
-        self._version = 0
-        self._segment: Optional[shared_memory.SharedMemory] = None
-
-    @property
-    def version(self) -> int:
-        return self._version
-
-    def ref(self) -> Optional[ModelRef]:
-        """The current segment's doorbell payload, if any published."""
-        if self._segment is None:
-            return None
-        return ModelRef(
-            name=self._segment.name, version=self._version,
-            nbytes=self._segment.size,
-        )
-
-    def publish(self, obj) -> ModelRef:
-        """Serialise once into a fresh versioned segment."""
-        buffers: list[pickle.PickleBuffer] = []
-        stream = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-        raws = [buffer.raw() for buffer in buffers]
-        table_bytes = _align8(8 * len(raws))
-        stream_off = _PLANE_HEADER_BYTES + table_bytes
-        offsets = [stream_off + _align8(len(stream))]
-        for raw in raws[:-1] if raws else []:
-            offsets.append(offsets[-1] + _align8(raw.nbytes))
-        total = (offsets[-1] + _align8(raws[-1].nbytes)) if raws \
-            else stream_off + _align8(len(stream))
-        version = self._version + 1
-        name = _segment_name("plane", f"{self._token}-{version}")
-        segment = shared_memory.SharedMemory(name=name, create=True, size=total)
-        try:
-            crc = zlib.crc32(stream)
-            segment.buf[stream_off:stream_off + len(stream)] = stream
-            lengths = np.frombuffer(
-                segment.buf, dtype=np.uint64, count=len(raws),
-                offset=_PLANE_HEADER_BYTES,
-            )
-            for index, raw in enumerate(raws):
-                lengths[index] = raw.nbytes
-                flat = np.frombuffer(
-                    segment.buf, dtype=np.uint8, count=raw.nbytes,
-                    offset=offsets[index],
-                )
-                flat[:] = np.frombuffer(raw, dtype=np.uint8)
-                crc = zlib.crc32(flat, crc)
-                del flat
-            del lengths  # release exported views before any later close()
-            _PLANE_HEADER.pack_into(
-                segment.buf, 0, _PLANE_MAGIC, version, len(stream), len(raws), crc
-            )
-        except BaseException:
-            lengths = flat = None  # drop views so the unmap can succeed
-            segment.close()
-            segment.unlink()
-            raise
-        # Transfer ownership before anything else can raise: from here
-        # on destroy() reclaims the segment.
-        previous = self._segment
-        self._segment = segment
-        self._version = version
-        for buffer in buffers:
-            buffer.release()
-        if previous is not None:
-            previous.close()
-            try:
-                previous.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        return ModelRef(name=name, version=version, nbytes=total)
-
-    def destroy(self) -> None:
-        """Unmap and unlink the current segment. Idempotent."""
-        segment, self._segment = self._segment, None
-        if segment is None:
-            return
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - caller kept a view
-            return
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-def load_model(name: str, expected_version: int):
-    """Map a model segment read-only and rebuild the object (worker).
-
-    Returns ``(obj, segment)``; the caller owns the segment handle and
-    must keep it mapped for as long as the object lives — the object's
-    numpy arrays are views into it. Raises :class:`ShmProtocolError`
-    on magic/version/crc mismatch.
-    """
-    # repro: lint-ignore[RS602] the handler releases every view before
-    # segment.close(); a raise from those releases means buffers are
-    # still exported and the segment could not be unmapped anyway
-    segment = attach_segment(name)
-    view: Optional[memoryview] = None
-    stream: Optional[memoryview] = None
-    out_of_band: list[memoryview] = []
-    try:
-        magic, version, stream_bytes, n_buffers, crc = _PLANE_HEADER.unpack_from(
-            segment.buf, 0
-        )
-        if magic != _PLANE_MAGIC:
-            raise ShmProtocolError(f"segment {name!r} is not a model plane")
-        if version != expected_version:
-            raise ShmProtocolError(
-                f"model segment {name!r} is version {version}, "
-                f"doorbell announced {expected_version}"
-            )
-        lengths = [
-            int(n)
-            for n in np.frombuffer(
-                segment.buf, dtype=np.uint64, count=n_buffers,
-                offset=_PLANE_HEADER_BYTES,
-            )
-        ]
-        view = memoryview(segment.buf)
-        stream_off = _PLANE_HEADER_BYTES + _align8(8 * n_buffers)
-        stream = view[stream_off:stream_off + stream_bytes]
-        check = zlib.crc32(stream)
-        position = stream_off + _align8(stream_bytes)
-        for nbytes in lengths:
-            raw = view[position:position + nbytes]
-            check = zlib.crc32(raw, check)
-            out_of_band.append(raw.toreadonly())
-            raw.release()
-            position += _align8(nbytes)
-        if check != crc:
-            raise ShmProtocolError(
-                f"model segment {name!r} crc mismatch: "
-                f"header {crc:#x}, payload {check:#x}"
-            )
-        obj = pickle.loads(stream, buffers=out_of_band)
-        return obj, segment
-    except Exception:
-        # Release every view taken so far — the propagating traceback
-        # keeps this frame (and its locals) alive, so without explicit
-        # releases the segment could never be unmapped.
-        for taken in out_of_band:
-            taken.release()
-        if stream is not None:
-            stream.release()
-        if view is not None:
-            view.release()
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - caller-held views
-            pass
-        raise

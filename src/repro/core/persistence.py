@@ -42,6 +42,7 @@ from repro.core.rules.items import ItemEncoder
 from repro.core.rules.model import RuleSet
 from repro.core.rules.serialization import rule_from_dict, rule_to_dict
 from repro.core.scrubber import IXPScrubber, ScrubberConfig
+from repro.netflow.dataset import BIN_SECONDS
 
 #: Format version; bump on breaking layout changes. Version 2 stores
 #: tree models as flat kernel arrays instead of nested node objects.
@@ -360,7 +361,7 @@ def scrubber_to_dict(scrubber: IXPScrubber) -> dict[str, Any]:
             "confidence_loss": config.confidence_loss,
             "support_loss": config.support_loss,
             "auto_accept_rules": config.auto_accept_rules,
-            "bin_seconds": config.bin_seconds,
+            "bin_seconds": BIN_SECONDS,
         },
         "rules": [rule_to_dict(r) for r in scrubber.rule_set],
         "item_encoder": _item_encoder_to_dict(scrubber.item_encoder),
@@ -375,6 +376,11 @@ def scrubber_from_dict(data: dict[str, Any]) -> IXPScrubber:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported scrubber format version: {version}")
     raw_config = data["config"]
+    if int(raw_config["bin_seconds"]) != BIN_SECONDS:
+        raise ValueError(
+            f"scrubber was saved with {raw_config['bin_seconds']}-second bins; "
+            f"this build aggregates in {BIN_SECONDS}-second bins only"
+        )
     config = ScrubberConfig(
         model=raw_config["model"],
         model_params=dict(raw_config["model_params"]),
@@ -383,7 +389,6 @@ def scrubber_from_dict(data: dict[str, Any]) -> IXPScrubber:
         confidence_loss=float(raw_config["confidence_loss"]),
         support_loss=float(raw_config["support_loss"]),
         auto_accept_rules=bool(raw_config["auto_accept_rules"]),
-        bin_seconds=int(raw_config["bin_seconds"]),
     )
     scrubber = IXPScrubber(config)
     scrubber.rule_set = RuleSet(rule_from_dict(r) for r in data["rules"])

@@ -39,6 +39,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.core.recovery.errors import CheckpointConfigError, CorruptSnapshotError
+from repro.netflow.dataset import BIN_SECONDS
 
 __all__ = [
     "encode_value",
@@ -192,7 +193,11 @@ def _engine_params(engine) -> dict:
         "bins_per_day": engine.bins_per_day,
         "min_flows_per_verdict": engine.min_flows_per_verdict,
         "label_grace_bins": engine.label_grace_bins,
-        "config": encode_value(dataclasses.asdict(engine.config)),
+        # The bin width is a constant, not a config field; the format
+        # carries it so a snapshot cut at any other width is refused.
+        "config": encode_value(
+            {**dataclasses.asdict(engine.config), "bin_seconds": BIN_SECONDS}
+        ),
     }
 
 

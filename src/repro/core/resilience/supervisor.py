@@ -87,8 +87,8 @@ class SupervisedProcessBackend(WorkerPool):
         As for :class:`~repro.core.parallel.backends.WorkerPool`.
         With ``ipc="shm"`` a restarted worker re-attaches its shard's
         ring (reclaimed first, so a frame orphaned by the crash can
-        never wedge it) and re-maps the current model-plane segment by
-        name — no model re-pickle on the restart path either.
+        never wedge it); the model reaches it as the kept pickled
+        message in both modes — no re-pickle on the restart path.
     shard_timeout:
         Deadline in seconds for any single pipe read. A worker that
         does not answer within it is killed and restarted.
@@ -303,13 +303,11 @@ class SupervisedProcessBackend(WorkerPool):
         The restart budget is checked first: more than ``max_restarts``
         restarts within the trailing :data:`RESTART_WINDOW` classify calls
         degrades the shard instead of spawning another doomed worker.
-        A fresh worker immediately receives the current model message —
-        the pickled blob in pipe mode, the (name, version) doorbell of
-        the still-linked model-plane segment in shm mode, which the
-        respawn maps on arrival. In shm mode the shard's ring is
-        reclaimed before the respawn: the generation bump abandons any
-        frame the dead worker left unacked, so a crash mid-ring can
-        never deadlock the next dispatch.
+        A fresh worker immediately receives the current model message,
+        the pickled blob the last broadcast kept. In shm mode the
+        shard's ring is reclaimed before the respawn: the generation
+        bump abandons any frame the dead worker left unacked, so a
+        crash mid-ring can never deadlock the next dispatch.
         """
         self._reap(shard)
         ring = self._rings[shard]

@@ -25,7 +25,7 @@ from repro.core.rules.matcher import CompiledMatcher
 from repro.core.rules.minimize import minimize_rules
 from repro.core.rules.mining import mine_rules
 from repro.core.rules.model import RuleSet, RuleStatus, TaggingRule
-from repro.netflow.dataset import BIN_SECONDS, FlowDataset
+from repro.netflow.dataset import FlowDataset
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class ScrubberConfig:
     #: Auto-accept mined rules (skip interactive curation). Operators
     #: would normally review in the UI; experiments auto-accept.
     auto_accept_rules: bool = True
-    bin_seconds: int = BIN_SECONDS
 
 
 @dataclass(frozen=True)
@@ -142,9 +141,7 @@ class IXPScrubber:
     # ------------------------------------------------------------------
     def aggregate_flows(self, flows: FlowDataset) -> AggregatedDataset:
         """Aggregate flows to per-target records, annotating rule tags."""
-        return aggregate(
-            flows, rules=self._compiled_rules(), bin_seconds=self.config.bin_seconds
-        )
+        return aggregate(flows, rules=self._compiled_rules())
 
     def fit_aggregated(self, data: AggregatedDataset) -> "IXPScrubber":
         """Fit WoE and the classifier pipeline on aggregated records."""
@@ -215,9 +212,7 @@ class IXPScrubber:
         """
         if len(flows) == 0:
             return []
-        data = aggregate_batch(
-            flows, rules=self._compiled_rules(), bin_seconds=self.config.bin_seconds
-        )
+        data = aggregate_batch(flows, rules=self._compiled_rules())
         if min_flows > 1:
             data = data.select(data.n_flows >= min_flows)
         return self.classify_aggregated(data, threshold=threshold)

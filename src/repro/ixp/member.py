@@ -38,7 +38,3 @@ class MemberAS:
             raise ValueError("ASN must be positive")
         if not 0 <= self.mac <= 0xFFFFFFFFFFFF:
             raise ValueError("MAC out of range")
-
-    def display_name(self) -> str:
-        """Name for logs/UIs, falling back to the ASN."""
-        return self.name or f"AS{self.asn}"

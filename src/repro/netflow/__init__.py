@@ -10,13 +10,7 @@ from repro.netflow.fields import (
     WELL_KNOWN_DDOS_PORTS,
     ddos_port_label,
 )
-from repro.netflow.record import (
-    FlowRecord,
-    int_to_ip,
-    int_to_mac,
-    ip_to_int,
-    mac_to_int,
-)
+from repro.netflow.record import FlowRecord, int_to_ip, ip_to_int
 
 __all__ = [
     "BIN_SECONDS",
@@ -31,7 +25,5 @@ __all__ = [
     "WELL_KNOWN_DDOS_PORTS",
     "ddos_port_label",
     "int_to_ip",
-    "int_to_mac",
     "ip_to_int",
-    "mac_to_int",
 ]

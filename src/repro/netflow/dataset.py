@@ -182,11 +182,9 @@ class FlowDataset:
         size = np.zeros(packets.shape[0], dtype=np.float64)
         return np.divide(self._columns["bytes"], packets, out=size, where=packets > 0)
 
-    def time_bin(self, bin_seconds: int = BIN_SECONDS) -> np.ndarray:
-        """Return the integer time-bin index of each flow."""
-        if bin_seconds <= 0:
-            raise ValueError("bin_seconds must be positive")
-        return self._columns["time"] // bin_seconds
+    def time_bin(self) -> np.ndarray:
+        """Return the integer :data:`BIN_SECONDS` bin index of each flow."""
+        return self._columns["time"] // BIN_SECONDS
 
     # ------------------------------------------------------------------
     # Transformations

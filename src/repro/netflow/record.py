@@ -31,24 +31,6 @@ def int_to_ip(value: int) -> str:
     return str(ipaddress.IPv4Address(int(value)))
 
 
-def mac_to_int(mac: str | int) -> int:
-    """Convert a colon-separated MAC address (or an int) to a uint64 value."""
-    if isinstance(mac, int):
-        if not 0 <= mac <= 0xFFFFFFFFFFFF:
-            raise ValueError(f"MAC integer out of range: {mac}")
-        return mac
-    parts = mac.split(":")
-    if len(parts) != 6:
-        raise ValueError(f"malformed MAC address: {mac!r}")
-    return int("".join(parts), 16)
-
-
-def int_to_mac(value: int) -> str:
-    """Convert a uint64 value back to a colon-separated MAC string."""
-    raw = f"{int(value):012x}"
-    return ":".join(raw[i : i + 2] for i in range(0, 12, 2))
-
-
 @dataclass(frozen=True)
 class FlowRecord:
     """One sampled flow observed at the IXP fabric.

@@ -50,7 +50,6 @@ from repro.obs.registry import (
     Histogram,
     MetricRegistry,
     counter,
-    default_registry,
     disable,
     enable,
     gauge,
@@ -71,7 +70,6 @@ __all__ = [
     "SpanAggregate",
     "SpanTracker",
     "counter",
-    "default_registry",
     "disable",
     "enable",
     "format_snapshot",

@@ -56,7 +56,6 @@ C_PARALLEL_BROADCAST_SKIPPED = "parallel.broadcast_skipped"
 C_PARALLEL_EQUIVALENCE_CHECKS = "parallel.equivalence_checks"
 C_PARALLEL_IPC_RING_BYTES = "parallel.ipc_ring_bytes"
 C_PARALLEL_IPC_FALLBACKS = "parallel.ipc_fallbacks"
-C_PARALLEL_IPC_SEGMENT_REMAPS = "parallel.ipc_segment_remaps"
 C_RESILIENCE_WORKER_RESTARTS = "resilience.worker_restarts"
 C_RESILIENCE_BATCH_RETRIES = "resilience.batch_retries"
 C_RESILIENCE_BATCHES_QUARANTINED = "resilience.batches_quarantined"

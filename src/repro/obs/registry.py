@@ -44,7 +44,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "LabelSet",
     "get_registry",
-    "default_registry",
     "use_registry",
     "enable",
     "disable",
@@ -359,11 +358,6 @@ def get_registry() -> MetricRegistry:
     """
     reg = _active_registry.get()
     return reg if reg is not None else _default_registry
-
-
-def default_registry() -> MetricRegistry:
-    """The process-wide default registry."""
-    return _default_registry
 
 
 @contextmanager

@@ -96,10 +96,6 @@ class SpanTracker:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def active_path(self) -> tuple[str, ...]:
-        """The active nesting path, outermost first."""
-        return tuple(self._stack())
-
     def depth(self) -> int:
         return len(self._stack())
 

@@ -80,12 +80,6 @@ class AddressBlock:
             address = int(unscatter_address(int(address)))
         return self.base <= address < self.base + self.size
 
-    def contains_batch(self, addresses: np.ndarray) -> np.ndarray:
-        addresses = np.asarray(addresses, dtype=np.uint64)
-        if self.scattered:
-            addresses = np.asarray(unscatter_address(addresses), dtype=np.uint64)
-        return (addresses >= self.base) & (addresses < self.base + self.size)
-
 
 # Fixed synthetic allocation plan. Blocks are /12-sized unless noted.
 _BLOCK = 1 << 20

@@ -91,10 +91,6 @@ class BenignTrafficGenerator:
     def services(self) -> tuple[BenignService, ...]:
         return self._services
 
-    def server_pool(self, service_name: str) -> np.ndarray:
-        """Stable server addresses for one service."""
-        return self._server_pools[service_name]
-
     def generate(
         self,
         rng: np.random.Generator,

@@ -17,7 +17,7 @@ from repro.core.features import schema
 from repro.core.features.aggregation import AggregatedDataset
 from repro.core.rules.matcher import match_matrix
 from repro.core.rules.model import TaggingRule
-from repro.netflow.dataset import BIN_SECONDS, FlowDataset
+from repro.netflow.dataset import FlowDataset
 
 
 def _rank_group(
@@ -43,13 +43,12 @@ def _rank_group(
 def reference_aggregate(
     flows: FlowDataset,
     rules: Sequence[TaggingRule] = (),
-    bin_seconds: int = BIN_SECONDS,
 ) -> AggregatedDataset:
     n = len(flows)
     if n == 0:
         raise ValueError("cannot aggregate an empty flow dataset")
 
-    bins = flows.time_bin(bin_seconds)
+    bins = flows.time_bin()
     dst = flows.dst_ip
 
     # Group by (bin, target): sort once, then slice per group.

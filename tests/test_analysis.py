@@ -181,6 +181,15 @@ CORPUS = {
                     cls.cache[item] = 1
 
 
+            class Ring:
+                def __init__(self):
+                    SHARED["ring"] = 1
+
+                @classmethod
+                def attach(cls):
+                    return cls()
+
+
             def bump():
                 global TOTALS
                 TOTALS += 1
@@ -202,6 +211,7 @@ CORPUS = {
                 SHARED["x"] = 1
                 sketch = BinSketch()
                 sketch.absorb(2)
+                Ring.attach()
                 return w.handle(1)
 
 
@@ -533,6 +543,8 @@ def test_rs201_module_global_writes(corpus):
     assert hits(result, "RS201") == {
         (src(backends), line_of(backends, "TOTALS += 1")),
         (src(backends), line_of(backends, 'SHARED["x"] = 1')),
+        # Reached through an alternate constructor's cls(...) call.
+        (src(backends), line_of(backends, 'SHARED["ring"] = 1')),
         # Worker-reachable write to the module-global sketch cache.
         (src(sketches), line_of(sketches, "SKETCH_CACHE[key] = key")),
     }

@@ -90,7 +90,7 @@ class TestFeatureReducer:
         reducer = FeatureReducer()
         out = reducer.fit_transform(X)
         assert out.shape == (10, 1)
-        assert reducer.n_kept == 1
+        assert reducer.keep_.tolist() == [False, True]
 
     def test_keeps_everything_when_all_constant(self):
         X = np.ones((10, 3))

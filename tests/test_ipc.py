@@ -1,17 +1,17 @@
-"""Unit tests for ``repro.core.parallel.shm``: rings, plane, lifetimes.
+"""Unit tests for ``repro.core.parallel.shm``: rings and lifetimes.
 
 The transport contract under test: framed batches round-trip through a
 ring **bit-identically** as read-only zero-copy views, every validation
 failure raises :class:`ShmProtocolError` (never a hang or a wrong
-batch), reclaim makes an orphaned frame unreachable, and the model
-plane hands workers array *views into the mapping* rather than copies.
-Leak discipline — no ``resource_tracker`` warnings, no ``/dev/shm``
-residue — is asserted in subprocesses so the tracker's atexit output is
+batch) and reclaim makes an orphaned frame unreachable. Leak
+discipline — no ``resource_tracker`` warnings, no ``/dev/shm`` residue —
+is asserted in subprocesses so the tracker's atexit output is
 observable.
 """
 
 from __future__ import annotations
 
+import glob
 import os
 import subprocess
 import sys
@@ -26,7 +26,6 @@ from repro.core.parallel import shm
 from repro.core.resilience import SupervisedProcessBackend
 from repro.core.parallel.shm import (
     FrameRef,
-    ModelPlane,
     ShmProtocolError,
     ShmRing,
     frame_bytes_for,
@@ -69,10 +68,9 @@ class TestShmRing:
         ring = ShmRing(1 << 20)
         try:
             ref = ring.write_flows(1, batch)
-            assert ref is not None and ring.in_flight
+            assert ref is not None
             assert ring.write_flows(2, batch) is None  # unacked frame
             ring.ack(1)
-            assert not ring.in_flight
             assert ring.write_flows(3, batch) is not None
         finally:
             ring.destroy()
@@ -133,9 +131,9 @@ class TestShmRing:
         consumer = ShmRing.attach(ring.name)
         try:
             ref = ring.write_flows(1, batch)  # never acked: "crash"
-            assert ring.in_flight
+            assert ring.write_flows(2, batch) is None  # the orphan holds the ring
             ring.reclaim()
-            assert not ring.in_flight and ring.generation == 1
+            assert ring.generation == 1
             # The orphaned frame is now from a dead generation.
             with pytest.raises(ShmProtocolError, match="generation"):
                 consumer.read_flows(ref.seqno, ref.offset, ref.nbytes)
@@ -167,84 +165,6 @@ class TestShmRing:
             shm.attach_segment(name)
 
 
-class TestModelPlane:
-    def test_publish_load_roundtrip_shares_memory(self):
-        plane = ModelPlane()
-        payload = {
-            "kernel": np.arange(4096, dtype=np.float64),
-            "thresholds": np.linspace(0.0, 1.0, 257),
-            "label": "scrubber",
-        }
-        try:
-            ref = plane.publish(payload)
-            assert ref.version == 1 and plane.version == 1
-            loaded, segment = shm.load_model(ref.name, ref.version)
-            try:
-                assert loaded["label"] == "scrubber"
-                for key in ("kernel", "thresholds"):
-                    assert np.array_equal(loaded[key], payload[key])
-                    # The map-once contract: arrays are read-only views
-                    # into the shared segment, not per-worker copies.
-                    assert not loaded[key].flags.writeable
-                    assert np.shares_memory(
-                        loaded[key],
-                        np.frombuffer(segment.buf, dtype=np.uint8),
-                    )
-            finally:
-                del loaded
-                segment.close()
-        finally:
-            plane.destroy()
-
-    def test_republish_bumps_version_and_unlinks_previous(self):
-        plane = ModelPlane()
-        try:
-            first = plane.publish({"x": np.ones(16)})
-            second = plane.publish({"x": np.zeros(16)})
-            assert second.version == first.version + 1
-            with pytest.raises(FileNotFoundError):
-                shm.attach_segment(first.name)
-            loaded, segment = shm.load_model(second.name, second.version)
-            assert not loaded["x"].any()
-            del loaded
-            segment.close()
-        finally:
-            plane.destroy()
-
-    def test_version_mismatch_rejected(self):
-        plane = ModelPlane()
-        try:
-            ref = plane.publish({"x": np.ones(8)})
-            with pytest.raises(ShmProtocolError, match="version"):
-                shm.load_model(ref.name, ref.version + 1)
-        finally:
-            plane.destroy()
-
-    def test_corrupted_stream_fails_crc(self):
-        plane = ModelPlane()
-        try:
-            ref = plane.publish({"x": np.arange(64, dtype=np.int64)})
-            segment = plane._segment
-            # Corrupt one raw-buffer byte (again: only the protocol
-            # module may write segment memory — this test pokes through
-            # its own handle on purpose).
-            segment.buf[ref.nbytes - 1] ^= 0xFF
-            with pytest.raises(ShmProtocolError, match="crc"):
-                shm.load_model(ref.name, ref.version)
-        finally:
-            plane.destroy()
-
-    def test_objects_without_buffers_roundtrip(self):
-        plane = ModelPlane()
-        try:
-            ref = plane.publish({"just": "strings", "and": [1, 2, 3]})
-            loaded, segment = shm.load_model(ref.name, ref.version)
-            assert loaded == {"just": "strings", "and": [1, 2, 3]}
-            segment.close()
-        finally:
-            plane.destroy()
-
-
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -261,10 +181,6 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
         cwd=REPO_ROOT,
         env=env,
     )
-
-
-def _segment_linked(name: str) -> bool:
-    return os.path.exists(f"/dev/shm/{name}")
 
 
 class TestEcho:
@@ -304,7 +220,6 @@ class TestLeakDiscipline:
             backend = SupervisedProcessBackend(2, ipc="shm")
             names = [r.name for r in backend._rings]
             backend.broadcast(scrubber)
-            names.append(backend._plane_box[0].ref().name)
             shard_flows = ShardPlan(2).split(
                 strategies.flows(strategies.rng_for(5), n_flows=200)
             )
@@ -325,23 +240,24 @@ class TestLeakDiscipline:
 
     def test_unclosed_backend_is_reaped_without_leaks(self):
         # No close(): the weakref.finalize reaper must kill workers and
-        # unlink rings + plane at interpreter exit, silently.
+        # unlink the rings at interpreter exit, silently — and the rings
+        # are all the process ever put in /dev/shm.
         result = _run_python(
             """
+            import os
             from repro.core.resilience import SupervisedProcessBackend
 
             backend = SupervisedProcessBackend(2, ipc="shm")
             names = [r.name for r in backend._rings]
-            print("SPAWNED", *names)
+            print("SPAWNED", os.getpid(), *names)
             """
         )
         assert result.returncode == 0, result.stderr
-        names = result.stdout.split()[1:]
-        assert names
+        pid, *names = result.stdout.split()[1:]
+        assert len(names) == 2
         assert "leaked" not in result.stderr
         assert "resource_tracker" not in result.stderr
-        for name in names:
-            assert not _segment_linked(name)
+        assert not glob.glob(f"/dev/shm/repro-*-{pid}-*")
 
     def test_failed_init_cleans_partial_state(self, monkeypatch):
         # Worker spawn blows up after the rings exist: __init__ must

@@ -17,13 +17,6 @@ class TestMember:
         with pytest.raises(ValueError):
             MemberAS(asn=1, mac=2**48, role=MemberRole.EYEBALL)
 
-    def test_display_name_fallback(self):
-        assert MemberAS(asn=64512, mac=1, role=MemberRole.EYEBALL).display_name() == "AS64512"
-
-    def test_display_name_explicit(self):
-        member = MemberAS(asn=64512, mac=1, role=MemberRole.EYEBALL, name="acme")
-        assert member.display_name() == "acme"
-
 
 class TestProfiles:
     def test_all_five_sites(self):

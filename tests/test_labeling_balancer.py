@@ -113,13 +113,6 @@ class TestBalance:
         # redistribution cannot add more IPs, so totals stay at supply.
         assert benign_kept == 25
 
-    def test_custom_bin_width(self, rng):
-        records = flows_for_bin(0, {1: 5}, blackhole=True) + flows_for_bin(
-            0, {9: 10}, blackhole=False
-        )
-        result = balance(FlowDataset.from_records(records), rng, bin_seconds=30)
-        assert len(result.flows) > 0
-
 
 @settings(max_examples=20, deadline=None)
 @given(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.models.metrics import (
     ConfusionMatrix,
-    ModelScore,
     f1_score,
     fbeta_score,
     prediction_cost_mcc,
@@ -79,13 +78,6 @@ class TestHelpers:
         y_pred = np.array([1, 1, 1, 0])
         cm = ConfusionMatrix.from_predictions(y_true, y_pred)
         assert fbeta_score(y_true, y_pred) == pytest.approx(cm.fbeta())
-
-    def test_model_score_from_confusion(self):
-        cm = ConfusionMatrix(tp=9, tn=9, fp=1, fn=1)
-        score = ModelScore.from_confusion("XGB", cm, mcc=0.5)
-        assert score.model == "XGB"
-        assert score.fbeta == pytest.approx(cm.fbeta())
-        assert score.mcc == 0.5
 
 
 class TestPredictionCost:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.models.baselines import DummyClassifier, RuleBasedClassifier
 from repro.core.models.pipeline import (
     PIPELINE_FACTORIES,
+    ModelPipeline,
     TABLE3_MODELS,
     TABLE5_MODELS,
     make_pipeline,
@@ -145,7 +146,7 @@ class TestPipelines:
         X, y = data
         a = make_pipeline("XGB", n_estimators=4).fit(X, y)
         b = make_pipeline("XGB", n_estimators=4).fit(X, 1 - y)
-        swapped = a.with_classifier(b.classifier)
+        swapped = ModelPipeline(a.transformers, b.classifier)
         # The swapped pipeline uses a's transformers but b's classifier:
         # predictions should match b's inverted-label behaviour.
         agreement = (swapped.predict(X) == b.predict(X)).mean()

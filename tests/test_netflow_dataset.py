@@ -98,13 +98,6 @@ class TestDerived:
         bins = handmade_flows.time_bin()
         assert set(np.unique(bins)) == {0, 1}
 
-    def test_time_bin_custom(self, handmade_flows):
-        assert (handmade_flows.time_bin(1000) == 0).all()
-
-    def test_time_bin_invalid(self, handmade_flows):
-        with pytest.raises(ValueError):
-            handmade_flows.time_bin(0)
-
     def test_blackhole_share(self, handmade_flows):
         assert handmade_flows.blackhole_share == pytest.approx(5 / 12)
 

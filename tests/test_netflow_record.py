@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from repro.netflow.record import (
     FlowRecord,
     int_to_ip,
-    int_to_mac,
     ip_to_int,
-    mac_to_int,
 )
 from tests.conftest import make_flow
 
@@ -35,27 +33,6 @@ class TestIpConversion:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_roundtrip_property(self, value):
         assert ip_to_int(int_to_ip(value)) == value
-
-
-class TestMacConversion:
-    def test_known_mac(self):
-        assert mac_to_int("00:00:00:00:00:ff") == 0xFF
-
-    def test_roundtrip_known(self):
-        mac = "02:42:ac:11:00:02"
-        assert int_to_mac(mac_to_int(mac)) == mac
-
-    def test_malformed(self):
-        with pytest.raises(ValueError):
-            mac_to_int("02:42:ac:11:00")
-
-    def test_out_of_range_int(self):
-        with pytest.raises(ValueError):
-            mac_to_int(2**48)
-
-    @given(st.integers(min_value=0, max_value=2**48 - 1))
-    def test_roundtrip_property(self, value):
-        assert mac_to_int(int_to_mac(value)) == value
 
 
 class TestFlowRecord:

@@ -171,7 +171,7 @@ class TestSpans:
         with reg.spans.span("outer"):
             assert reg.spans.current() == "outer"
             with reg.spans.span("inner"):
-                assert reg.spans.active_path() == ("outer", "inner")
+                assert reg.spans.current() == "inner"
                 assert reg.spans.depth() == 2
         assert reg.spans.current() is None
         stats = reg.spans.stats()

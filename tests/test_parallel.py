@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import glob
 import os
 
 import numpy as np
@@ -99,18 +100,19 @@ def _make(config: str):
 
 def _segment_names(backend) -> list[str]:
     """Names of every shared segment a backend currently owns."""
-    names_ = [ring.name for ring in getattr(backend, "_rings", []) if ring]
-    plane = getattr(backend, "_plane_box", [None])[0]
-    if plane is not None and plane.ref() is not None:
-        names_.append(plane.ref().name)
-    return names_
+    return [ring.name for ring in getattr(backend, "_rings", []) if ring]
+
+
+def _serial_verdicts(fitted_scrubber, shard_flows):
+    """The oracle: what ``SerialBackend`` says about the same batches."""
+    serial = make_backend("serial", 2)
+    serial.broadcast(fitted_scrubber)
+    return serial.classify(shard_flows, min_flows=3)
 
 
 def _assert_matches_serial(backend, fitted_scrubber, workload):
     shard_flows = ShardPlan(2).split(workload)
-    serial = make_backend("serial", 2)
-    serial.broadcast(fitted_scrubber)
-    expected = serial.classify(shard_flows, min_flows=3)
+    expected = _serial_verdicts(fitted_scrubber, shard_flows)
     try:
         backend.broadcast(fitted_scrubber)
         actual = backend.classify(shard_flows, min_flows=3)
@@ -227,7 +229,7 @@ class TestBackends:
 
 
 class TestShmBackend:
-    """The shm transport: ring traffic, fallbacks, remaps."""
+    """The shm transport: ring traffic, fallbacks, footprint."""
 
     def test_shm_matches_serial_backend(self, fitted_scrubber, workload):
         registry = obs.MetricRegistry()
@@ -276,34 +278,44 @@ class TestShmBackend:
             make_backend("serial", 2), fitted_scrubber
         )
 
-    def test_workers_remap_each_published_model(
+    def test_segments_are_the_rings_through_two_models_and_a_crash(
         self, fitted_scrubber, workload
     ):
+        """The transport's whole footprint: one ring per shard, from
+        construction to close, whatever is broadcast or restarted."""
+        mine = f"/dev/shm/repro-*-{os.getpid()}-*"
+        before = set(glob.glob(mine))
         shard_flows = ShardPlan(2).split(workload)
-        backend = _supervised(ipc="shm")
-        try:
-            backend.broadcast(fitted_scrubber)
-            backend.classify(shard_flows, min_flows=3)
-            snaps = backend.snapshots()
-        finally:
-            backend.close()
-        remaps = [
-            {c["name"]: c["value"] for c in snap["counters"]}.get(
-                names.C_PARALLEL_IPC_SEGMENT_REMAPS, 0
+        expected = _serial_verdicts(fitted_scrubber, shard_flows)
+        registry = obs.MetricRegistry()
+        with obs.use_registry(registry):
+            backend = SupervisedProcessBackend(
+                2, ipc="shm", fault_plan=FaultPlan.parse("crash@0:batch=0")
             )
-            for snap in snaps
-        ]
-        assert remaps == [1, 1]
+            try:
+                backend.broadcast(fitted_scrubber)
+                backend.broadcast(copy.copy(fitted_scrubber))  # a second model
+                # Shard 0's worker dies on its batch; the respawn gets the
+                # kept model message and the retried batch over its ring.
+                actual = backend.classify(shard_flows, min_flows=3)
+                alive = set(glob.glob(mine)) - before
+            finally:
+                backend.close()
+        assert actual == expected and any(len(v) for v in expected)
+        assert registry.get(names.C_RESILIENCE_WORKER_RESTARTS).value == 1
+        assert len(alive) == 2
+        assert all(os.path.basename(p).startswith("repro-ring-") for p in alive)
+        assert set(glob.glob(mine)) == before
 
     def test_close_unlinks_all_segments(self, fitted_scrubber):
-        # Two published models: the superseded plane segment must be
-        # gone as well as the live one and the rings.
+        # Two broadcast models, then close: the rings are gone.
         backend = _supervised(ipc="shm")
         backend.broadcast(fitted_scrubber)
         segments = _segment_names(backend)
-        backend.broadcast(copy.copy(fitted_scrubber))  # republish: version 2
+        backend.broadcast(copy.copy(fitted_scrubber))
         segments += _segment_names(backend)
         backend.close()
+        assert len(set(segments)) == 2
         for name in set(segments):
             assert not os.path.exists(f"/dev/shm/{name}")
 
@@ -321,7 +333,7 @@ class TestShardedEngine:
         ) as engine:
             engine.warm_start(fitted_scrubber)
             assert engine.is_ready and engine.model is fitted_scrubber
-            assert engine.n_shards == 2 and engine.backend_name == "serial"
+            assert engine.n_shards == 2 and engine._backend.name == "serial"
             verdicts = engine.ingest(workload) + engine.flush()
             assert verdicts
         engine.close()  # second close is a no-op

@@ -182,6 +182,19 @@ class TestScrubberRoundtrip:
         restored = scrubber_from_dict(scrubber_to_dict(scrubber))
         assert restored.config == scrubber.config
 
+    def test_bin_width_is_written_and_any_other_is_refused(self, fitted):
+        """Regression: ``ScrubberConfig(bin_seconds=30)`` numbered
+        verdicts in 30-s bins over an engine that closes 60-s ones. The
+        field is gone; the format keeps the key and reads only 60."""
+        scrubber, _ = fitted
+        with pytest.raises(TypeError):
+            ScrubberConfig(bin_seconds=30)
+        data = scrubber_to_dict(scrubber)
+        assert data["config"]["bin_seconds"] == 60
+        data["config"]["bin_seconds"] = 30
+        with pytest.raises(ValueError, match="30-second bins"):
+            scrubber_from_dict(data)
+
 
 class TestAllModelPipelinesRoundtrip:
     """Every Table 5 model type survives a scrubber save/load."""

@@ -235,6 +235,17 @@ class TestEngineStateRoundTrip:
         with pytest.raises(CheckpointConfigError):
             other.restore_state(state)
 
+    def test_snapshot_keeps_the_bin_width_key(self, scrubber):
+        # The width is a constant now; the format did not move, so a
+        # parent-written checkpoint resumes and any other width is refused.
+        engine = make_engine(scrubber)
+        state = engine.capture_state()
+        assert state["params"]["config"]["bin_seconds"] == 60
+        make_engine(scrubber).restore_state(json.loads(json.dumps(state)))
+        state["params"]["config"]["bin_seconds"] = 30
+        with pytest.raises(CheckpointConfigError):
+            make_engine(scrubber).restore_state(state)
+
     def test_sharded_restore_rejects_plan_mismatch(self, scrubber):
         engine = make_sharded(scrubber, n_shards=2)
         state = engine.capture_state()

@@ -563,5 +563,3 @@ class TestShmResilience:
         assert counters.get(names.C_RESILIENCE_WORKER_RESTARTS, 0) == 2
         assert counters.get(names.C_PARALLEL_IPC_RING_BYTES, 0) > 0
         assert counters.get(names.C_PARALLEL_IPC_FALLBACKS, 0) == 0
-        # Every live worker is on a mapped model segment.
-        assert counters.get(names.C_PARALLEL_IPC_SEGMENT_REMAPS, 0) >= 1

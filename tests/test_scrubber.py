@@ -170,47 +170,33 @@ class TestCompiledRules:
         import json
         import pickle
 
-        from repro.core.parallel.shm import ModelPlane, load_model
         from repro.core.persistence import scrubber_from_dict, scrubber_to_dict
 
         scrubber, flows = fitted_scrubber_and_flows
-        plane = ModelPlane()
-        try:
-            scrubber._matcher = scrubber._assembler = None
-            for table in scrubber.woe.tables.values():
-                table._lookup = None
-            before = (
-                len(pickle.dumps(scrubber)),
-                json.dumps(scrubber_to_dict(scrubber)),
-                plane.publish(scrubber).nbytes,
-            )
-            verdicts = scrubber.classify_flows_batch(flows)
-            assert scrubber._matcher is not None
-            assert scrubber._assembler is not None
-            assert all(t._lookup is not None for t in scrubber.woe.tables.values())
-            ref = plane.publish(scrubber)
-            assert before == (
-                len(pickle.dumps(scrubber)),
-                json.dumps(scrubber_to_dict(scrubber)),
-                ref.nbytes,
-            )
-            copies = [
-                pickle.loads(pickle.dumps(scrubber)),
-                scrubber_from_dict(json.loads(before[1])),
-            ]
-            attached, segment = load_model(ref.name, ref.version)
-            try:
-                copies.append(attached)
-                for copy in copies:
-                    # all rebuilt on first use
-                    assert copy._matcher is None and copy._assembler is None
-                    assert all(t._lookup is None for t in copy.woe.tables.values())
-                    assert copy.classify_flows_batch(flows) == verdicts
-            finally:
-                del attached, copy, copies
-                segment.close()
-        finally:
-            plane.destroy()
+        scrubber._matcher = scrubber._assembler = None
+        for table in scrubber.woe.tables.values():
+            table._lookup = None
+        before = (
+            len(pickle.dumps(scrubber)),
+            json.dumps(scrubber_to_dict(scrubber)),
+        )
+        verdicts = scrubber.classify_flows_batch(flows)
+        assert scrubber._matcher is not None
+        assert scrubber._assembler is not None
+        assert all(t._lookup is not None for t in scrubber.woe.tables.values())
+        assert before == (
+            len(pickle.dumps(scrubber)),
+            json.dumps(scrubber_to_dict(scrubber)),
+        )
+        copies = [
+            pickle.loads(pickle.dumps(scrubber)),
+            scrubber_from_dict(json.loads(before[1])),
+        ]
+        for copy in copies:
+            # all rebuilt on first use
+            assert copy._matcher is None and copy._assembler is None
+            assert all(t._lookup is None for t in copy.woe.tables.values())
+            assert copy.classify_flows_batch(flows) == verdicts
 
 
 class _RecordingPipeline:

@@ -73,7 +73,9 @@ class TestGenerate:
     def test_server_pools_stable(self):
         a = BenignTrafficGenerator(seed=5)
         b = BenignTrafficGenerator(seed=5)
-        np.testing.assert_array_equal(a.server_pool("HTTPS"), b.server_pool("HTTPS"))
+        np.testing.assert_array_equal(
+            a._server_pools["HTTPS"], b._server_pools["HTTPS"]
+        )
 
     def test_macs_from_member_set(self, rng):
         macs = np.array([11, 22, 33], dtype=np.uint64)
