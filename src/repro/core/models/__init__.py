@@ -15,7 +15,6 @@ from repro.core.models.linear import LinearSVM
 from repro.core.models.metrics import (
     DEFAULT_BETA,
     ConfusionMatrix,
-    ModelScore,
     f1_score,
     fbeta_score,
     prediction_cost_mcc,
@@ -52,7 +51,6 @@ __all__ = [
     "HistogramScratch",
     "LinearSVM",
     "ModelPipeline",
-    "ModelScore",
     "MultinomialNB",
     "NeuralNetwork",
     "PIPELINE_FACTORIES",

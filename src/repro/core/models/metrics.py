@@ -124,17 +124,3 @@ def prediction_cost_mcc(
     elapsed = (time.perf_counter() - start) / runs  # repro: lint-ignore[RS101] measuring latency IS this function's job (MCC cost metric)
     cycles = elapsed * NOMINAL_GHZ * 1e9
     return cycles / n / 1e6
-
-
-@dataclass(frozen=True)
-class ModelScore:
-    """One Table 3 row."""
-
-    model: str
-    fbeta: float
-    f1: float
-    mcc: float
-    tnr: float
-    fnr: float
-    tpr: float
-    fpr: float

@@ -51,7 +51,7 @@ def cached(key_parts: Sequence[object], builder: Callable[[], Any]) -> Any:
     return artifact
 
 
-_CACHE_VERSION = 18
+_CACHE_VERSION = 19
 
 
 @dataclass

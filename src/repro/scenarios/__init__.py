@@ -4,11 +4,11 @@ The paper's claim is operational — catch volumetric attacks at scale
 without dropping benign traffic — and this package turns it into
 continuously checked behaviour: a registry of named, seeded scenarios
 (:mod:`repro.scenarios.catalog`), each composing an open-loop Poisson
-workload (:mod:`repro.scenarios.workload`) and injected attacks into a
-stream driven through a real :class:`ShardedStreamingScrubber`, scored
-by an oracle that knows the injected ground truth
-(:mod:`repro.scenarios.oracle`) into a JSON scorecard
-(:mod:`repro.scenarios.conductor`).
+load (:func:`repro.scenarios.workload.poisson_load`) and injected
+attacks into a stream rendered offline, then driven through a real
+:class:`ShardedStreamingScrubber` and scored by an oracle that knows
+the injected ground truth (:mod:`repro.scenarios.oracle`) into a JSON
+scorecard (:mod:`repro.scenarios.conductor`).
 
 Quick tour::
 
@@ -37,7 +37,7 @@ from repro.scenarios.conductor import (
     scorecard_json,
 )
 from repro.scenarios.oracle import Check, GroundTruth, InjectedAttack, score_verdicts
-from repro.scenarios.workload import PoissonWorkloadManager, WorkloadManager
+from repro.scenarios.workload import poisson_load
 
 __all__ = [
     "SCORECARD_SCHEMA_VERSION",
@@ -47,11 +47,10 @@ __all__ = [
     "Check",
     "GroundTruth",
     "InjectedAttack",
-    "PoissonWorkloadManager",
-    "WorkloadManager",
     "all_scenarios",
     "bootstrap_scrubber",
     "get_scenario",
+    "poisson_load",
     "register",
     "run_scenario",
     "scenario_names",

@@ -30,12 +30,12 @@ from __future__ import annotations
 import tempfile
 from collections import Counter
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.bgp.community import BLACKHOLE
-from repro.bgp.messages import Announcement, Withdrawal
+from repro.bgp.messages import blackhole_updates
 from repro.bgp.prefix import Prefix
 from repro.netflow.dataset import FlowDataset
 from repro.obs import names
@@ -46,7 +46,7 @@ from repro.scenarios.conductor import (
     register,
 )
 from repro.scenarios.oracle import Check, GroundTruth, InjectedAttack
-from repro.scenarios.workload import BIN_SECONDS, PoissonWorkloadManager
+from repro.scenarios.workload import BIN_SECONDS, poisson_load
 from repro.traffic.attacks import AttackEvent, AttackGenerator
 from repro.traffic.reflectors import ReflectorPool
 from repro.traffic.vectors import vector_by_name
@@ -59,6 +59,9 @@ BINS_PER_DAY = 48
 
 _SEED_TAG = 0x5CEB
 
+#: Benign flows each active user emits per bin, in every scenario.
+_RATE_PER_USER = 0.6
+
 
 class _SceneBuilder:
     """Accumulates one scenario's traffic, updates and ground truth."""
@@ -70,69 +73,54 @@ class _SceneBuilder:
         scale: float,
         n_bins: int,
         active_users: float = 240.0,
-        rate_per_user: float = 0.6,
-        n_targets: int = 192,
-        user_window_bins: int = 8,
     ):
         self.name = name
         self.seed = seed
         self.scale = float(scale)
         self.n_bins = int(n_bins)
-        self.manager = PoissonWorkloadManager(
-            seed=derive_seed(seed, 1),
-            active_users=active_users,
-            rate_per_user=rate_per_user,
-            scale=scale,
-            n_targets=n_targets,
-            user_window_bins=user_window_bins,
-        )
+        self.active_users = float(active_users)
         self._rng = np.random.default_rng(
             np.random.SeedSequence([_SEED_TAG, seed, 2])
         )
         self._generator = AttackGenerator(
             ReflectorPool(region=7, seed=derive_seed(seed, 3))
         )
-        self._parts: list[FlowDataset] = []
+        # The base load streams across the whole scenario window.
+        base = poisson_load(
+            derive_seed(seed, 1), self.active_users, _RATE_PER_USER,
+            self.n_bins, scale=self.scale,
+        )
+        self.targets = base.targets
+        self._mean_active_users = base.mean_active_users
+        self._parts: list[FlowDataset] = [base.flows]
         self._updates: list = []
         self._attacks: list[InjectedAttack] = []
         self._extra_pools: list[np.ndarray] = []
-        self.benign_flows = 0
+        self.benign_flows = len(base.flows)
         self.attack_flows = 0
         self._asn = 64500
-
-    def run_benign(self) -> None:
-        """Stream the base load across the whole scenario window."""
-        self.manager.start()
-        flows = self.manager.collect(self.n_bins)
-        self.manager.stop()
-        self._parts.append(flows)
-        self.benign_flows += len(flows)
 
     def surge(
         self,
         start_bin: int,
         end_bin: int,
         active_users: float,
-        rate_per_user: float = 0.6,
         targets: np.ndarray | None = None,
         n_targets: int = 4,
     ) -> None:
         """Add a second open-loop source over ``[start_bin, end_bin)``."""
-        manager = PoissonWorkloadManager(
-            seed=derive_seed(self.seed, 40 + len(self._extra_pools)),
-            active_users=active_users,
-            rate_per_user=rate_per_user,
+        crowd = poisson_load(
+            derive_seed(self.seed, 40 + len(self._extra_pools)),
+            active_users, _RATE_PER_USER, end_bin - start_bin,
             scale=self.scale,
+            start_bin=start_bin,
             targets=targets,
             n_targets=n_targets,
             target_block=0x0AC90000,  # 10.201.0.0/16: crowd pool
         )
-        manager.start(start_bin)
-        flows = manager.collect(end_bin - start_bin)
-        manager.stop()
-        self._parts.append(flows)
-        self.benign_flows += len(flows)
-        self._extra_pools.append(manager.targets)
+        self._parts.append(crowd.flows)
+        self.benign_flows += len(crowd.flows)
+        self._extra_pools.append(crowd.targets)
 
     def attack(
         self,
@@ -141,32 +129,44 @@ class _SceneBuilder:
         start_bin: int,
         end_bin: int,
         vectors: tuple[str, ...],
-        flows_per_minute: float,
-        blackholed: bool = True,
+        flows_per_minute: float | Sequence[float],
         detectable_from: int | None = None,
-        reaction_bins: int = 1,
     ) -> None:
-        """Inject one campaign (possibly many victims) + its updates."""
+        """Inject one campaign (possibly many victims) + its updates.
+
+        A sequence of ``flows_per_minute`` is a ramp: the window splits
+        into that many equal segments, one intensity each. Either way
+        the oracle sees one attack, and each victim blackholes once —
+        one bin into the last segment, withdrawn one bin after the end.
+        """
+        intensities = np.atleast_1d(flows_per_minute)
+        segment_bins = (end_bin - start_bin) // len(intensities)
         victims = tuple(int(v) for v in victims)
         vector_objs = tuple(vector_by_name(v) for v in vectors)
-        for victim in victims:
-            event = AttackEvent(
-                victim=victim,
-                vectors=vector_objs,
-                start=start_bin * BIN_SECONDS,
-                end=end_bin * BIN_SECONDS,
-                flows_per_minute=float(flows_per_minute),
-                blackholed=blackholed,
-            )
-            flows = self._generator.generate(self._rng, event)
-            self._parts.append(flows)
-            self.attack_flows += len(flows)
-            obs.counter(names.C_SCENARIO_ATTACK_FLOWS).inc(len(flows))
-            if blackholed:
-                self._blackhole(
-                    victim, (start_bin + reaction_bins) * BIN_SECONDS,
-                    end_bin * BIN_SECONDS + BIN_SECONDS,
+        last = len(intensities) - 1
+        for i, intensity in enumerate(intensities):
+            segment_start = start_bin + i * segment_bins
+            for victim in victims:
+                event = AttackEvent(
+                    victim=victim,
+                    vectors=vector_objs,
+                    start=segment_start * BIN_SECONDS,
+                    end=(segment_start + segment_bins) * BIN_SECONDS,
+                    flows_per_minute=float(intensity),
+                    blackholed=i == last,
+                    reaction_delay=BIN_SECONDS,
                 )
+                flows = self._generator.generate(self._rng, event)
+                self._parts.append(flows)
+                self.attack_flows += len(flows)
+                obs.counter(names.C_SCENARIO_ATTACK_FLOWS).inc(len(flows))
+                if event.blackholed:  # an unannounced segment uses no ASN
+                    origin, path = self._next_member()
+                    self._updates.extend(
+                        event.blackhole_updates(
+                            Prefix.host(victim), origin, BIN_SECONDS, as_path=path
+                        )
+                    )
         self._attacks.append(
             InjectedAttack(
                 attack_id=attack_id,
@@ -191,46 +191,34 @@ class _SceneBuilder:
         # churn while label poisoning stays a minority of the labeled
         # records (the realistic regime; a pipeline fed majority-wrong
         # labels has no defense).
-        pool = self.manager.targets
-        quiet = pool[pool.size // 2:]
+        quiet = self.targets[self.targets.size // 2:]
         span = max(1, end_bin - start_bin - hold_bins)
         for i in range(n_events):
-            target = int(quiet[i % quiet.size])
             at = start_bin + (i * span) // max(1, n_events)
-            self._blackhole(
-                target, at * BIN_SECONDS, (at + hold_bins) * BIN_SECONDS
+            origin, path = self._next_member()
+            self._updates.extend(
+                blackhole_updates(
+                    Prefix.host(int(quiet[i % quiet.size])), origin,
+                    at * BIN_SECONDS, (at + hold_bins) * BIN_SECONDS, as_path=path,
+                )
             )
 
-    def _blackhole(self, address: int, announce_time: int,
-                   withdraw_time: int) -> None:
+    def _next_member(self) -> tuple[int, tuple[int, int]]:
+        """Origin ASN and AS path of a fresh member behind AS 65010."""
         self._asn += 1
-        prefix = Prefix.host(address)
-        self._updates.append(
-            Announcement(
-                prefix=prefix,
-                origin_asn=self._asn,
-                time=int(announce_time),
-                as_path=(65010, self._asn),
-                communities=frozenset({BLACKHOLE}),
-            )
-        )
-        self._updates.append(
-            Withdrawal(prefix=prefix, origin_asn=self._asn, time=int(withdraw_time))
-        )
+        return self._asn, (65010, self._asn)
 
     def finish(
         self,
         checks: tuple[Check, ...],
-        window_days: int = 2,
         label_grace_bins: int = 10**6,
-        min_flows_per_verdict: int = 5,
         bootstrap: dict | None = None,
     ) -> ScenarioSpec:
         flows = FlowDataset.concat(self._parts).sort_by_time()
         updates = tuple(sorted(self._updates, key=lambda u: (u.time, u.origin_asn)))
         attacked = sorted({v for a in self._attacks for v in a.victims})
         attacked_arr = np.array(attacked, dtype=np.uint32)
-        pools = [self.manager.targets, *self._extra_pools]
+        pools = [self.targets, *self._extra_pools]
         benign_pool = np.unique(np.concatenate(pools))
         benign = benign_pool[~np.isin(benign_pool, attacked_arr)]
         truth = GroundTruth(
@@ -239,10 +227,10 @@ class _SceneBuilder:
             horizon_bin=self.n_bins,
         )
         workload = {
-            "active_users": self.manager.active_users,
-            "rate_per_user": self.manager.rate_per_user,
+            "active_users": self.active_users,
+            "rate_per_user": _RATE_PER_USER,
             "scale": self.scale,
-            "mean_active_users": self.manager.mean_active_users(),
+            "mean_active_users": self._mean_active_users,
             "benign_flows": int(self.benign_flows),
             "attack_flows": int(self.attack_flows),
         }
@@ -255,9 +243,9 @@ class _SceneBuilder:
             truth=truth,
             checks=checks,
             engine={
-                "window_days": window_days,
+                "window_days": 2,
                 "label_grace_bins": label_grace_bins,
-                "min_flows_per_verdict": min_flows_per_verdict,
+                "min_flows_per_verdict": 5,
             },
             workload=workload,
             bootstrap=dict(bootstrap or {}),
@@ -289,7 +277,6 @@ _LOW_COLLATERAL = Check(
 
 def _build_volumetric_flood(seed: int, scale: float) -> ScenarioSpec:
     builder = _SceneBuilder("volumetric_flood", seed, scale, n_bins=64)
-    builder.run_benign()
     builder.attack(
         "flood", [0x0A630107], start_bin=20, end_bin=40,
         vectors=("DNS", "NTP"), flows_per_minute=90.0,
@@ -305,11 +292,10 @@ def _build_volumetric_flood(seed: int, scale: float) -> ScenarioSpec:
 
 def _build_flash_crowd(seed: int, scale: float) -> ScenarioSpec:
     builder = _SceneBuilder("flash_crowd", seed, scale, n_bins=64)
-    builder.run_benign()
     # A 6x user surge onto 32 crowd destinations for 16 bins: loud,
     # concentrated, and entirely legitimate.
     builder.surge(start_bin=24, end_bin=40,
-                  active_users=6 * builder.manager.active_users, n_targets=32)
+                  active_users=6 * builder.active_users, n_targets=32)
     return builder.finish(
         checks=(
             _LOW_COLLATERAL,
@@ -322,7 +308,6 @@ def _build_flash_crowd(seed: int, scale: float) -> ScenarioSpec:
 
 def _build_carpet_bombing(seed: int, scale: float) -> ScenarioSpec:
     builder = _SceneBuilder("carpet_bombing", seed, scale, n_bins=72)
-    builder.run_benign()
     # 24 victims, one per /24 of 10.138.0.0/16 — each individually
     # quiet (12 flows/min), together one campaign.
     rng = np.random.default_rng(np.random.SeedSequence([_SEED_TAG, seed, 4]))
@@ -350,7 +335,6 @@ def _build_retrain_storm(seed: int, scale: float) -> ScenarioSpec:
         "retrain_storm", seed, scale, n_bins=3 * BINS_PER_DAY,
         active_users=180.0,
     )
-    builder.run_benign()
     vectors = (("DNS",), ("NTP",), ("LDAP",), ("SSDP",), ("chargen",))
     for day in range(3):
         for k in range(4 if day < 2 else 2):
@@ -379,7 +363,6 @@ def _build_retrain_storm(seed: int, scale: float) -> ScenarioSpec:
 
 def _build_blackhole_churn(seed: int, scale: float) -> ScenarioSpec:
     builder = _SceneBuilder("blackhole_churn", seed, scale, n_bins=2 * BINS_PER_DAY)
-    builder.run_benign()
     # 48 spurious blackhole cycles on benign destinations: the mass
     # churn of operators blackholing preventively (paper §3 label
     # noise), with three real attacks buried in it.
@@ -405,38 +388,17 @@ def _build_blackhole_churn(seed: int, scale: float) -> ScenarioSpec:
 
 def _build_slow_drift(seed: int, scale: float) -> ScenarioSpec:
     builder = _SceneBuilder("slow_drift", seed, scale, n_bins=80)
-    builder.run_benign()
     victim = 0x0A8E0009
     # Intensity ramps 4 -> 80 flows/min in 13 four-bin segments; the
     # latency clock starts where the ramp crosses 30 flows/min.
-    segments = 13
     ramp_start, seg_bins = 12, 4
-    detectable_from = None
-    for i in range(segments):
-        fpm = 4.0 + (80.0 - 4.0) * i / (segments - 1)
-        if detectable_from is None and fpm >= 30.0:
-            detectable_from = ramp_start + i * seg_bins
-        builder.attack(
-            "drift" if i == 0 else f"drift_seg{i}",
-            [victim],
-            start_bin=ramp_start + i * seg_bins,
-            end_bin=ramp_start + (i + 1) * seg_bins,
-            vectors=("memcached",),
-            flows_per_minute=fpm,
-            blackholed=(i == segments - 1),
-        )
-    # The oracle sees one logical attack spanning the whole ramp.
-    attacks = builder._attacks
-    merged = InjectedAttack(
-        attack_id="drift",
-        victims=(victim,),
-        start_bin=ramp_start,
-        end_bin=ramp_start + segments * seg_bins,
-        vectors=("memcached",),
-        detectable_from=detectable_from,
+    intensities = [4.0 + (80.0 - 4.0) * i / 12 for i in range(13)]
+    detectable = next(i for i, fpm in enumerate(intensities) if fpm >= 30.0)
+    builder.attack(
+        "drift", [victim], ramp_start, ramp_start + len(intensities) * seg_bins,
+        vectors=("memcached",), flows_per_minute=intensities,
+        detectable_from=ramp_start + detectable * seg_bins,
     )
-    attacks.clear()
-    attacks.append(merged)
     return builder.finish(
         checks=(
             Check("ramp detected", "detection_recall", ">=", 1.0),
@@ -451,7 +413,6 @@ def _build_slow_drift(seed: int, scale: float) -> ScenarioSpec:
 
 def _build_novel_vector(seed: int, scale: float) -> ScenarioSpec:
     builder = _SceneBuilder("novel_vector", seed, scale, n_bins=2 * BINS_PER_DAY)
-    builder.run_benign()
     # Day 0: the vectors the warm-start model knows.
     for k, vecs in enumerate((("DNS",), ("NTP",), ("LDAP",), ("SSDP",))):
         start = 4 + k * 11
@@ -480,14 +441,13 @@ def _build_novel_vector(seed: int, scale: float) -> ScenarioSpec:
 
 def _build_collateral_spike(seed: int, scale: float) -> ScenarioSpec:
     builder = _SceneBuilder("collateral_spike", seed, scale, n_bins=64)
-    builder.run_benign()
     victim = 0x0A900005
     # The victim is *also* a popular destination: a 4x user crowd keeps
     # hitting it before, during and after the attack, so overreaction
     # (flagging its benign neighbours, or the crowd pool) is measurable.
     builder.surge(
         start_bin=8, end_bin=56,
-        active_users=4 * builder.manager.active_users,
+        active_users=4 * builder.active_users,
         targets=np.array([victim], dtype=np.uint32),
     )
     builder.attack(
@@ -505,7 +465,6 @@ def _build_collateral_spike(seed: int, scale: float) -> ScenarioSpec:
 
 def _build_coordinator_crash(seed: int, scale: float) -> ScenarioSpec:
     builder = _SceneBuilder("coordinator_crash", seed, scale, n_bins=64)
-    builder.run_benign()
     # One attack fully classified before the crash tick, one spanning
     # it: the resumed engine must carry the open buffers, blackhole
     # registry and pending labels across the restart to score both.

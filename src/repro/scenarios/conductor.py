@@ -1,8 +1,8 @@
 """Scenario registry + conductor: build a stream, drive a real engine.
 
 A :class:`Scenario` is a named builder: ``build(seed, scale)`` renders
-the full operational stream (benign load from a
-:class:`~repro.scenarios.workload.WorkloadManager`, injected attacks,
+the full operational stream (benign load from
+:func:`~repro.scenarios.workload.poisson_load`, injected attacks,
 BGP blackhole updates) plus its oracle ground truth into a
 :class:`ScenarioSpec`. The conductor then:
 
@@ -38,7 +38,7 @@ from repro.core.scrubber import IXPScrubber, ScrubberConfig, TargetVerdict
 from repro.netflow.dataset import FlowDataset
 from repro.obs import names
 from repro.scenarios.oracle import Check, GroundTruth, evaluate_checks, score_verdicts
-from repro.scenarios.workload import BIN_SECONDS, PoissonWorkloadManager
+from repro.scenarios.workload import BIN_SECONDS, poisson_load
 from repro.traffic.attacks import AttackEvent, AttackGenerator
 from repro.traffic.reflectors import ReflectorPool
 from repro.traffic.vectors import vector_by_name
@@ -174,13 +174,12 @@ _BOOTSTRAP_CACHE: dict[tuple, IXPScrubber] = {}
 
 def _bootstrap_corpus(seed: int, exclude_vectors: tuple[str, ...]) -> FlowDataset:
     """A labeled mixed corpus: generic benign load + known attacks."""
-    manager = PoissonWorkloadManager(
-        seed=derive_seed(seed, 10), active_users=160.0, rate_per_user=0.6,
-        n_targets=96,
-    )
-    manager.start()
-    parts = [manager.collect(48)]
-    manager.stop()
+    parts = [
+        poisson_load(
+            derive_seed(seed, 10), active_users=160.0, rate_per_user=0.6,
+            n_bins=48, n_targets=96,
+        ).flows
+    ]
 
     rng = np.random.default_rng(np.random.SeedSequence([_SEED_TAG, seed, 11]))
     generator = AttackGenerator(ReflectorPool(region=9, seed=derive_seed(seed, 12)))

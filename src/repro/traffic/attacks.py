@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.bgp.messages import Update, blackhole_updates
+from repro.bgp.prefix import Prefix
 from repro.netflow.dataset import FlowDataset
 from repro.netflow.fields import PORT_FRAGMENT, PROTO_UDP
 from repro.traffic.reflectors import ReflectorPool
@@ -60,6 +62,28 @@ class AttackEvent:
         else:
             w = np.ones(len(self.vectors), dtype=np.float64)
         return w / w.sum()
+
+    def blackhole_updates(
+        self,
+        prefix: Prefix,
+        origin_asn: int,
+        hold: int,
+        horizon: int | None = None,
+        as_path: tuple[int, ...] | None = None,
+    ) -> list[Update]:
+        """The victim network's blackhole around this attack, if any.
+
+        Announced ``reaction_delay`` seconds into the attack and
+        withdrawn ``hold`` seconds after it ends; see
+        :func:`repro.bgp.messages.blackhole_updates` for ``horizon``
+        and ``as_path``.
+        """
+        if not self.blackholed:
+            return []
+        return blackhole_updates(
+            prefix, origin_asn, self.start + self.reaction_delay,
+            self.end + hold, horizon, as_path,
+        )
 
 
 class AttackGenerator:

@@ -66,7 +66,6 @@ class SelfAttackCapture:
 
     flows: FlowDataset  # blackhole column = attack ground truth
     events: list[AttackEvent]
-    event_vectors: list[tuple[str, ...]]
     start: int
     end: int
 
@@ -114,7 +113,6 @@ class BooterSimulator:
         weights = weights / weights.sum()
 
         events: list[AttackEvent] = []
-        event_vectors: list[tuple[str, ...]] = []
         parts: list[FlowDataset] = []
         t = start
         for _ in range(n_attacks):
@@ -132,7 +130,6 @@ class BooterSimulator:
                 blackholed=False,  # no blackholing involved in the SAS
             )
             events.append(event)
-            event_vectors.append((vector.name,))
             attack_flows = self._attack_gen.generate(rng, event)
             parts.append(attack_flows.with_blackhole(np.ones(len(attack_flows), dtype=bool)))
             t += spacing
@@ -159,7 +156,6 @@ class BooterSimulator:
         return SelfAttackCapture(
             flows=flows,
             events=events,
-            event_vectors=event_vectors,
             start=start,
             end=end,
         )

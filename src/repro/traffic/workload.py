@@ -19,14 +19,13 @@ a small rate of precautionary blackholes covers purely benign targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from repro.bgp.blackhole import BlackholeRegistry
-from repro.bgp.community import BLACKHOLE
-from repro.bgp.messages import Announcement, Update, Withdrawal
+from repro.bgp.messages import Update, blackhole_updates
 from repro.bgp.prefix import Prefix
 from repro.netflow.dataset import FlowDataset
 from repro.traffic.attacks import AttackEvent, AttackGenerator
@@ -45,6 +44,15 @@ _MEAN_BENIGN_FLOW_BYTES = 6000.0
 #: bytes. Chosen so attack traffic lands well below 1 % of the total
 #: (Fig. 3a). Scaled by ``IXPProfile.traffic_scale``.
 _BASE_BYTES_PER_BIN = 4.0e9
+
+#: Fraction of true benign traffic materialised as flow records (the
+#: online recorder's benign sample rate).
+_BENIGN_THINNING = 1.0 / 300.0
+
+#: Fraction of each vector's reflector pool replaced per simulated day;
+#: with the popularity walk this is what makes models age (paper §6.3:
+#: "new attack vectors or new DDoS reflection hosts").
+_REFLECTOR_CHURN = 0.15
 
 #: Relative popularity of attack vectors in blackholing traffic. DNS and
 #: NTP dominate; WS-Discovery is booter-available but hardly blackholed
@@ -145,15 +153,12 @@ class BinStatistics:
 class WorkloadCapture:
     """Everything recorded at one vantage point for one period."""
 
-    profile_name: str
     start: int
     end: int
     flows: FlowDataset  # time-sorted; blackhole column not yet set
     updates: list[Update]
     events: list[AttackEvent]
     bin_stats: BinStatistics
-    #: Vector names per event (aligned with ``events``).
-    event_vectors: list[tuple[str, ...]] = field(default_factory=list)
 
     def registry(self) -> BlackholeRegistry:
         """Build the blackhole registry from the captured BGP feed."""
@@ -174,8 +179,6 @@ class WorkloadGenerator:
         fabric: "IXPFabric",
         vector_first_seen: Optional[dict[str, int]] = None,
         vector_popularity: Optional[dict[str, float]] = None,
-        benign_thinning: float = 1.0 / 300.0,
-        reflector_churn: float = 0.15,
         popularity_walk_sigma: float = 0.15,
     ):
         """
@@ -190,14 +193,6 @@ class WorkloadGenerator:
         vector_popularity:
             Relative weights for vector choice; defaults to
             :data:`DEFAULT_VECTOR_POPULARITY`.
-        benign_thinning:
-            Fraction of true benign traffic materialised as flow records
-            (the online recorder's benign sample rate).
-        reflector_churn:
-            Fraction of each vector's reflector pool replaced per
-            simulated day; with the popularity walk this is what makes
-            models age (paper §6.3: "new attack vectors or new DDoS
-            reflection hosts").
         popularity_walk_sigma:
             Per-day log-normal step of the vector-popularity random
             walk.
@@ -222,12 +217,11 @@ class WorkloadGenerator:
         self._vectors = [v for v in ALL_VECTORS if popularity.get(v.name, 0.0) > 0.0]
         self._weights = np.array([popularity[v.name] for v in self._vectors])
         self._weights = self._weights / self._weights.sum()
-        self.benign_thinning = benign_thinning
         self._walk_sigma = popularity_walk_sigma
         self._walk_cache: dict[int, np.ndarray] = {}
 
         self._pool = ReflectorPool(
-            profile.region, seed=profile.seed * 7 + 1, churn_fraction=reflector_churn
+            profile.region, seed=profile.seed * 7 + 1, churn_fraction=_REFLECTOR_CHURN
         )
         self._attack_gen = AttackGenerator(self._pool, member_macs=self.fabric.member_macs)
         self._benign_gen = BenignTrafficGenerator(
@@ -286,11 +280,10 @@ class WorkloadGenerator:
 
     def _draw_events(
         self, rng: np.random.Generator, day: int, day_start: int, day_end: int
-    ) -> tuple[list[AttackEvent], list[tuple[str, ...]]]:
+    ) -> list[AttackEvent]:
         profile = self.fabric.profile
         n_attacks = int(rng.poisson(profile.attacks_per_day))
         events: list[AttackEvent] = []
-        vectors_used: list[tuple[str, ...]] = []
         for _ in range(n_attacks):
             start = int(rng.integers(day_start, day_end))
             duration = int(np.clip(rng.lognormal(math.log(600.0), 0.8), 180, 14400))
@@ -322,16 +315,13 @@ class WorkloadGenerator:
                     reaction_delay=int(np.clip(rng.exponential(30.0), 5, 90)),
                 )
             )
-            vectors_used.append(tuple(v.name for v in chosen))
-        return events, vectors_used
+        return events
 
     def _blackhole_updates(
         self, rng: np.random.Generator, event: AttackEvent, horizon: int
     ) -> list[Update]:
-        if not event.blackholed:
-            return []
-        announce_time = event.start + event.reaction_delay
-        if announce_time >= horizon:
+        # An attack never announced inside the capture draws nothing.
+        if not event.blackholed or event.start + event.reaction_delay >= horizon:
             return []
         # Almost always host routes (RFC 7999 practice at IXPs, [19]);
         # occasionally a covering /28 that also blackholes neighbours.
@@ -340,25 +330,11 @@ class WorkloadGenerator:
         else:
             prefix = Prefix(network=event.victim & 0xFFFFFFF0, length=28)
         origin = int(rng.choice(self._victim_asns))
-        updates: list[Update] = [
-            Announcement(
-                prefix=prefix,
-                origin_asn=origin,
-                time=announce_time,
-                as_path=(origin,),
-                communities=frozenset({BLACKHOLE}),
-            )
-        ]
         # Mitigation tooling withdraws the blackhole shortly after the
         # attack traffic subsides; long-held blackholes would fill the
         # positive class with benign-only records.
         hold = int(np.clip(rng.exponential(30.0), 10, 90))
-        withdraw_time = event.end + hold
-        if withdraw_time < horizon:
-            updates.append(
-                Withdrawal(prefix=prefix, origin_asn=origin, time=withdraw_time)
-            )
-        return updates
+        return event.blackhole_updates(prefix, origin, hold, horizon)
 
     def _spurious_blackholes(
         self, rng: np.random.Generator, day_start: int, day_end: int, horizon: int
@@ -371,20 +347,11 @@ class WorkloadGenerator:
             start = int(rng.integers(day_start, day_end))
             duration = int(np.clip(rng.exponential(240.0), 120, 600))
             origin = int(rng.choice(self._victim_asns))
-            prefix = Prefix.host(target)
-            updates.append(
-                Announcement(
-                    prefix=prefix,
-                    origin_asn=origin,
-                    time=start,
-                    as_path=(origin,),
-                    communities=frozenset({BLACKHOLE}),
+            updates.extend(
+                blackhole_updates(
+                    Prefix.host(target), origin, start, start + duration, horizon
                 )
             )
-            if start + duration < horizon:
-                updates.append(
-                    Withdrawal(prefix=prefix, origin_asn=origin, time=start + duration)
-                )
         return updates
 
     def _collateral(
@@ -416,7 +383,6 @@ class WorkloadGenerator:
         sim_end = (start_day + n_days) * spd
 
         all_events: list[AttackEvent] = []
-        all_vectors: list[tuple[str, ...]] = []
         all_updates: list[Update] = []
         flow_parts: list[FlowDataset] = []
 
@@ -424,9 +390,8 @@ class WorkloadGenerator:
             rng = self._day_rng(day)
             day_start, day_end = day * spd, (day + 1) * spd
 
-            events, vectors_used = self._draw_events(rng, day, day_start, day_end)
+            events = self._draw_events(rng, day, day_start, day_end)
             all_events.extend(events)
-            all_vectors.extend(vectors_used)
 
             for event in events:
                 flows = self._attack_gen.generate(
@@ -465,14 +430,12 @@ class WorkloadGenerator:
         all_updates.sort(key=lambda u: u.time)
         bin_stats = self._volume_model(flows, all_updates, sim_start, sim_end)
         return WorkloadCapture(
-            profile_name=profile.name,
             start=sim_start,
             end=sim_end,
             flows=flows,
             updates=all_updates,
             events=all_events,
             bin_stats=bin_stats,
-            event_vectors=all_vectors,
         )
 
     def _volume_model(
@@ -514,7 +477,7 @@ class WorkloadGenerator:
         base = _BASE_BYTES_PER_BIN * profile.traffic_scale
         phase = 2.0 * np.pi * (bins % profile.bins_per_day) / profile.bins_per_day
         diurnal = 1.0 + 0.35 * np.sin(phase - np.pi / 2.0)
-        benign_true_bytes = benign_sample_bytes / self.benign_thinning + base * diurnal
+        benign_true_bytes = benign_sample_bytes / _BENIGN_THINNING + base * diurnal
         total_bytes = benign_true_bytes + bh_bytes
         total_flows = (benign_true_bytes / _MEAN_BENIGN_FLOW_BYTES).astype(np.int64)
         total_flows += np.bincount(flow_bins[valid & blackholed], minlength=n_bins)

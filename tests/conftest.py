@@ -18,21 +18,25 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(0xDECAF)
 
 
+#: A miniature vantage point for fast end-to-end tests (also the
+#: profile ``tests/gen_golden.py`` digests a capture of).
+TINY_PROFILE = IXPProfile(
+    name="IXP-TEST",
+    region=7,
+    n_members=8,
+    traffic_scale=0.01,
+    attacks_per_day=12.0,
+    attack_intensity=25.0,
+    benign_flows_per_target=5.0,
+    benign_targets_per_minute=24,
+    bins_per_day=48,
+    seed=42,
+)
+
+
 @pytest.fixture
 def tiny_profile() -> IXPProfile:
-    """A miniature vantage point for fast end-to-end tests."""
-    return IXPProfile(
-        name="IXP-TEST",
-        region=7,
-        n_members=8,
-        traffic_scale=0.01,
-        attacks_per_day=12.0,
-        attack_intensity=25.0,
-        benign_flows_per_target=5.0,
-        benign_targets_per_minute=24,
-        bins_per_day=48,
-        seed=42,
-    )
+    return TINY_PROFILE
 
 
 @pytest.fixture

@@ -13,6 +13,14 @@ conducted scenarios (``repro.scenarios``); ``tests/test_scenarios.py``
 re-runs them and applies the same 1e-9 gate to every float, pinning the
 whole workload → engine → oracle path.
 
+``tests/golden/streams.json`` freezes the *inputs*: one SHA-256 per
+generated stream (every flow column plus the rendered BGP update list)
+for all nine catalogue scenarios, the two warm-start corpora, two
+``WorkloadGenerator`` captures and one booter campaign.
+``tests/test_golden_traces.py::test_streams_match_golden_digests``
+recomputes them, so a refactor of the traffic/scenario generators that
+moves a single flow or update fails even where no scorecard notices.
+
 Regenerate **only** after an intentional behaviour change, with::
 
     PYTHONPATH=src python tests/gen_golden.py
@@ -24,8 +32,10 @@ change behaviour is a bug, not a fixture update.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +44,19 @@ if __name__ == "__main__":  # script mode: make `tests.` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from tests import strategies
+from tests.conftest import TINY_PROFILE
 from repro.core.labeling.balancer import balance
 from repro.core.scrubber import IXPScrubber, ScrubberConfig
 from repro.core.streaming import StreamingScrubber
-from repro.netflow.dataset import FlowDataset
+from repro.netflow.dataset import SCHEMA, FlowDataset
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCENARIO_GOLDEN_DIR = GOLDEN_DIR / "scenarios"
+STREAMS_PATH = GOLDEN_DIR / "streams.json"
+
+#: Seed and scale every catalogue stream is digested at (the
+#: ``scenario-soak`` job's point; small enough to build in a second).
+STREAM_SEED, STREAM_SCALE = 7, 0.25
 
 #: One golden trace per workload seed.
 WORKLOAD_SEEDS = (101, 202, 303)
@@ -116,6 +132,46 @@ def scenario_path(name: str, seed: int, scale: float) -> Path:
     return SCENARIO_GOLDEN_DIR / f"{name}_s{seed}_x{scale:g}.json"
 
 
+def stream_digest(flows: FlowDataset, updates=()) -> str:
+    """SHA-256 over every flow column and the rendered update list."""
+    digest = hashlib.sha256()
+    for name, dtype in SCHEMA.items():
+        column = flows.column(name)
+        assert column.dtype == dtype
+        digest.update(f"{name}:{dtype.str}:{len(column)}\n".encode())
+        digest.update(np.ascontiguousarray(column).tobytes())
+    for update in updates:
+        # Dataclass reprs spell out every field (prefix, origin, time,
+        # AS path, communities, next hop), so any rendering change shows.
+        digest.update(f"{update!r}\n".encode())
+    return digest.hexdigest()
+
+
+def stream_digests() -> dict[str, str]:
+    """Digest of every stream the golden file pins, by name."""
+    from repro.ixp.fabric import IXPFabric
+    from repro.scenarios import conductor, get_scenario, scenario_names
+    from repro.traffic import BooterSimulator, WorkloadGenerator
+
+    digests = {}
+    for name in scenario_names():
+        spec = get_scenario(name).build(STREAM_SEED, STREAM_SCALE)
+        digests[f"scenario/{name}"] = stream_digest(spec.flows, spec.updates)
+    for exclude in ((), ("memcached",)):
+        corpus = conductor._bootstrap_corpus(STREAM_SEED, exclude)
+        digests[f"bootstrap/{'-'.join(exclude) or 'all'}"] = stream_digest(corpus)
+    fabric = IXPFabric(TINY_PROFILE)
+    # 12 attacks a day: blackhole cycles, two /28s and withdrawals cut
+    # off by the horizon. The profile's 1% spurious rate draws no cycle
+    # in two days, so a second capture raises it to three a day.
+    noisy = replace(TINY_PROFILE, spurious_blackhole_probability=0.25)
+    for label, vantage in (("IXP-TEST", fabric), ("IXP-TEST-spurious", IXPFabric(noisy))):
+        capture = WorkloadGenerator(vantage).generate(0, 2)
+        digests[f"workload/{label}"] = stream_digest(capture.flows, capture.updates)
+    digests["booter/IXP-TEST"] = stream_digest(BooterSimulator(fabric).run_campaign(10).flows)
+    return digests
+
+
 def main() -> int:
     scrubber = build_scrubber()
     GOLDEN_DIR.mkdir(exist_ok=True)
@@ -143,6 +199,11 @@ def main() -> int:
         )
         print(f"wrote {path.relative_to(GOLDEN_DIR.parent.parent)}: "
               f"passed={result.scorecard['passed']}")
+
+    digests = stream_digests()
+    STREAMS_PATH.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {STREAMS_PATH.relative_to(GOLDEN_DIR.parent.parent)}: "
+          f"{len(digests)} streams")
     return 0
 
 

@@ -6,7 +6,8 @@ variant uses the multiprocessing backend, so the golden path also
 covers IPC round-trips) and compares every verdict against the stored
 trace. Discrete fields (bin, target, label, matched rules) must match
 exactly; scores may drift at most ``TOLERANCE`` (1e-9) to allow for
-benign float-formatting differences, nothing more.
+benign float-formatting differences, nothing more. The generated
+*inputs* are pinned too: ``streams.json`` holds one SHA-256 per stream.
 
 If these fail after a deliberate behaviour change, regenerate with::
 
@@ -99,3 +100,10 @@ def test_fixtures_are_self_consistent():
         assert any(not v["is_ddos"] for v in golden["verdicts"]), (
             f"w{seed}: no negative verdicts — fixture too weak to catch drift"
         )
+
+
+def test_streams_match_golden_digests():
+    """Every generated stream (flows and BGP updates) is byte-identical
+    to the digest frozen in ``tests/golden/streams.json``."""
+    golden = json.loads(gen_golden.STREAMS_PATH.read_text(encoding="utf-8"))
+    assert gen_golden.stream_digests() == golden

@@ -166,3 +166,24 @@ def test_every_module_has_a_caller():
     assert len(CENSUS_ALLOWED) <= 3
     root = Path(__file__).resolve().parents[1]
     assert sorted(_unreached_modules(root)) == sorted(CENSUS_ALLOWED)
+
+
+def test_blackhole_pair_has_one_renderer():
+    """The announce/withdraw pair is the paper's label; only
+    ``bgp/messages.py``'s ``blackhole_updates`` constructs it, so a
+    stream has one definition, not renderings that agree by inspection."""
+    src = Project.load(Path(__file__).resolve().parents[1] / "src")
+    calls: dict[str, list[str]] = {"Announcement": [], "Withdrawal": []}
+    for module in src.package_modules:
+        table = import_table(module)
+        for node in ast.walk(module.tree):
+            chain = attr_chain(node.func) if isinstance(node, ast.Call) else None
+            if not chain or chain[-1] not in calls:
+                continue
+            origin = table.get(chain[0], "")
+            if module.name == "repro.bgp.messages" or origin.startswith("repro.bgp"):
+                calls[chain[-1]].append(module.name)
+    assert calls == {
+        "Announcement": ["repro.bgp.messages"],
+        "Withdrawal": ["repro.bgp.messages"],
+    }

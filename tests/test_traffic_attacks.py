@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.bgp.community import BLACKHOLE
+from repro.bgp.messages import Announcement, Withdrawal
+from repro.bgp.prefix import Prefix
 from repro.netflow.fields import PORT_FRAGMENT, PROTO_UDP
 from repro.traffic.attacks import AttackEvent, AttackGenerator
 from repro.traffic.reflectors import ReflectorPool
@@ -50,6 +53,43 @@ class TestAttackEvent:
     def test_weights_normalised(self):
         weights = event(vectors=(NTP, DNS), vector_weights=(3.0, 1.0)).weights()
         np.testing.assert_allclose(weights, [0.75, 0.25])
+
+
+class TestBlackholeUpdates:
+    def test_times_derive_from_the_event(self):
+        """Field for field what the e2e benchmark's attack schedule
+        renders by hand: announce ``reaction_delay`` in, withdraw
+        ``hold`` after the end, the origin as the whole AS path."""
+        attack = event(start=1000, end=1480, reaction_delay=37)
+        prefix = Prefix.host(attack.victim)
+        assert attack.blackhole_updates(prefix, 64512, hold=30, horizon=86400) == [
+            Announcement(
+                prefix=prefix, origin_asn=64512, time=1037,
+                as_path=(64512,), communities=frozenset({BLACKHOLE}),
+            ),
+            Withdrawal(prefix=prefix, origin_asn=64512, time=1510),
+        ]
+
+    def test_horizon_cuts_like_the_capture_does(self):
+        attack = event(start=1000, end=1480, reaction_delay=37)
+        prefix = Prefix.host(attack.victim)
+        assert attack.blackhole_updates(prefix, 64512, hold=30, horizon=1037) == []
+        (lone,) = attack.blackhole_updates(prefix, 64512, hold=30, horizon=1510)
+        assert isinstance(lone, Announcement)
+
+    def test_unblackholed_attack_renders_nothing(self):
+        attack = event(blackholed=False)
+        assert attack.blackhole_updates(Prefix.host(attack.victim), 64512, hold=30) == []
+
+    def test_as_path_and_covering_prefix_pass_through(self):
+        attack = event()
+        covering = Prefix(network=attack.victim & 0xFFFFFFF0, length=28)
+        announce, withdraw = attack.blackhole_updates(
+            covering, 64501, hold=60, as_path=(65010, 64501)
+        )
+        assert announce.prefix == withdraw.prefix == covering
+        assert announce.as_path == (65010, 64501)
+        assert (announce.time, withdraw.time) == (120, 660)  # default 120 s reaction
 
 
 class TestGeneration:
