@@ -8,6 +8,15 @@ and fails on any drift beyond 1e-9 in score or any change in the
 discrete fields — the regression tripwire for refactors of the
 aggregation, encoding, scoring or parallel layers.
 
+``tests/golden/sketch_w*.json`` do the same for ``agg="sketch"``: a few
+heavy targets under a fan-out of sparse ones, handed over in three
+chunks per bin. Count-min overcount lifts some one- and two-flow
+targets past ``min_flows_per_verdict``, so the traces pin the
+estimates, the candidate admission and the merge, not only the
+ranking; they replay at one and two serial shards and four supervised
+ones, which a comparison of shard counts against each other cannot
+replace (a change that moves every count moves both sides).
+
 ``tests/golden/scenarios/`` freezes full oracle scorecards of two
 conducted scenarios (``repro.scenarios``); ``tests/test_scenarios.py``
 re-runs them and applies the same 1e-9 gate to every float, pinning the
@@ -46,6 +55,7 @@ if __name__ == "__main__":  # script mode: make `tests.` importable
 from tests import strategies
 from tests.conftest import TINY_PROFILE
 from repro.core.labeling.balancer import balance
+from repro.core.parallel import ShardedStreamingScrubber
 from repro.core.scrubber import IXPScrubber, ScrubberConfig
 from repro.core.streaming import StreamingScrubber
 from repro.netflow.dataset import SCHEMA, FlowDataset
@@ -60,6 +70,12 @@ STREAM_SEED, STREAM_SCALE = 7, 0.25
 
 #: One golden trace per workload seed.
 WORKLOAD_SEEDS = (101, 202, 303)
+
+#: One golden sketch-mode trace per workload seed.
+SKETCH_SEEDS = (404, 505)
+
+#: Sketch traces hand a bin to the engine in three chunks.
+SKETCH_CHUNK_SECONDS = 20
 
 #: Scenario scorecards frozen as goldens: (name, seed, scale). Small
 #: scales keep regeneration and replay under a few seconds each.
@@ -100,12 +116,30 @@ def build_workload(seed: int):
     )
 
 
-def drive(engine, workload, chunk_bins: int = 2) -> list:
+def build_sketch_workload(seed: int) -> FlowDataset:
+    """The flow stream for one golden sketch trace: 10 heavy targets
+    (300 flows a bin) among 1500 sparse ones (two flows each over four
+    bins), in time order."""
+    rng = strategies.rng_for(seed)
+    heavy = strategies.labeled_flows(rng, n_flows=1200, n_targets=10, n_bins=4)
+    sparse = strategies.wide_flows(rng, n_targets=1500, flows_per_target=2, n_bins=4)
+    flows = FlowDataset.concat([heavy, sparse])
+    return flows.select(np.argsort(flows.time, kind="stable"))
+
+
+def sketch_engine(n_shards: int, backend: str):
+    """A sketch-mode engine at the default ``SketchParams``."""
+    return ShardedStreamingScrubber(
+        n_shards=n_shards, backend=backend, agg="sketch", **ENGINE_KWARGS
+    )
+
+
+def drive(engine, workload, chunk_seconds: int = 120) -> list:
     """Stream a workload through an engine in fixed-size chunks."""
-    bins = workload.time // 60
     verdicts = []
-    for start in range(int(bins.min()), int(bins.max()) + 1, chunk_bins):
-        mask = (bins >= start) & (bins < start + chunk_bins)
+    start = int(workload.time.min()) // 60 * 60
+    for lo in range(start, int(workload.time.max()) + 1, chunk_seconds):
+        mask = (workload.time >= lo) & (workload.time < lo + chunk_seconds)
         verdicts.extend(engine.ingest(workload.select(mask)))
     verdicts.extend(engine.flush())
     return verdicts
@@ -126,6 +160,21 @@ def verdicts_to_records(verdicts) -> list[dict]:
 
 def trace_path(seed: int) -> Path:
     return GOLDEN_DIR / f"trace_w{seed}.json"
+
+
+def sketch_trace_path(seed: int) -> Path:
+    return GOLDEN_DIR / f"sketch_w{seed}.json"
+
+
+def write_trace(path: Path, seed: int, verdicts) -> None:
+    record = {
+        "workload_seed": seed,
+        "n_verdicts": len(verdicts),
+        "verdicts": verdicts_to_records(verdicts),
+    }
+    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {path.relative_to(GOLDEN_DIR.parent.parent)}: "
+          f"{len(verdicts)} verdicts")
 
 
 def scenario_path(name: str, seed: int, scale: float) -> Path:
@@ -177,16 +226,14 @@ def main() -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for seed in WORKLOAD_SEEDS:
         engine = StreamingScrubber(**ENGINE_KWARGS).warm_start(scrubber)
-        verdicts = drive(engine, build_workload(seed))
-        record = {
-            "workload_seed": seed,
-            "n_verdicts": len(verdicts),
-            "verdicts": verdicts_to_records(verdicts),
-        }
-        path = trace_path(seed)
-        path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-        print(f"wrote {path.relative_to(GOLDEN_DIR.parent.parent)}: "
-              f"{len(verdicts)} verdicts")
+        write_trace(trace_path(seed), seed, drive(engine, build_workload(seed)))
+    for seed in SKETCH_SEEDS:
+        engine = sketch_engine(1, "serial").warm_start(scrubber)
+        try:
+            verdicts = drive(engine, build_sketch_workload(seed), SKETCH_CHUNK_SECONDS)
+        finally:
+            engine.close()
+        write_trace(sketch_trace_path(seed), seed, verdicts)
 
     from repro.scenarios import run_scenario, scorecard_json
 

@@ -5,6 +5,7 @@ by (bin, target), then rank every categorical by every metric one record
 at a time. It is slow (≈ 15 ms per 1000 flows) and lives in the test
 tree as the oracle for ``repro.core.features.aggregation.aggregate``;
 rule tags come from the definitional ``match_matrix``.
+:func:`assert_bitwise_equal` is the comparison every oracle test makes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,22 @@ from repro.core.features.aggregation import AggregatedDataset
 from repro.core.rules.matcher import match_matrix
 from repro.core.rules.model import TaggingRule
 from repro.netflow.dataset import FlowDataset
+
+
+def assert_bitwise_equal(a: AggregatedDataset, b: AggregatedDataset, label) -> None:
+    """Bit equality: same dtypes, same bytes (so NaN == NaN, 0.0 != -0.0)."""
+    for name in ("bins", "targets", "labels", "n_flows"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), f"{label}: {name} differ"
+    assert a.rule_tags == b.rule_tags, f"{label}: rule tags differ"
+    assert list(a.categorical) == list(b.categorical) == schema.key_columns()
+    assert list(a.metrics) == list(b.metrics) == schema.value_columns()
+    for mapping_a, mapping_b in ((a.categorical, b.categorical), (a.metrics, b.metrics)):
+        for name, x in mapping_a.items():
+            y = mapping_b[name]
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (
+                f"{label}: column {name} differs"
+            )
 
 
 def _rank_group(

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.features import schema
+from repro.core.features import aggregation, schema
 from repro.core.features.aggregation import AggregatedDataset, aggregate
 from repro.core.rules.model import PortMatch, TaggingRule
 from repro.netflow.dataset import FlowDataset
+from tests import strategies
 from tests.conftest import make_flow
+from tests.reference_aggregate import assert_bitwise_equal, reference_aggregate
 
 
 class TestAggregate:
@@ -104,6 +106,56 @@ class TestAggregate:
 
     def test_no_rules_no_annotations(self, handmade_flows):
         assert aggregate(handmade_flows).rule_tags is None
+
+
+class TestOnePassRanking:
+    """All five categoricals rank in stacked passes, record ``r`` of the
+    ``c``-th one as group ``c * n + r``; the blocks come back as rows
+    (categorical, metric, rank). A row or column mix-up in that reshape
+    would move ranks between categoricals, which only shows where their
+    absent ranks differ."""
+
+    @staticmethod
+    def mixed_flows(seed: int, n_targets: int) -> FlowDataset:
+        """Each (record, categorical) draws its keys from 1, 2, RANKS or
+        RANKS + 3 values, so one record has all ranks in some
+        categoricals and four absent in others."""
+        rng = strategies.rng_for(seed)
+        flows = strategies.flows(rng, n_flows=60 * n_targets, n_targets=n_targets, n_bins=1)
+        targets, record = np.unique(flows.dst_ip, return_inverse=True)
+        choices = np.array([1, 2, schema.RANKS, schema.RANKS + 3])
+        distinct = rng.choice(choices, size=(targets.shape[0], len(schema.CATEGORICALS)))
+        columns = flows.to_columns()
+        for c, cat in enumerate(schema.CATEGORICALS):
+            keys = rng.integers(0, 2**16, size=len(flows)) % distinct[record, c]
+            columns[cat] = (keys + 3 * c + 1).astype(columns[cat].dtype)
+        return FlowDataset(columns)
+
+    @pytest.mark.parametrize(
+        "pass_segments, n_passes",
+        [(1, (5, 5)), (120, (2, 4)), (1 << 30, (1, 1))],
+        ids=["per-categorical", "split", "one-pass"],
+    )
+    def test_matches_reference(self, monkeypatch, pass_segments, n_passes):
+        """12 records (≈ 50 segments per categorical), and one record."""
+        monkeypatch.setattr(aggregation, "_RANK_PASS_SEGMENTS", pass_segments)
+        passes = []
+        rank_pass = aggregation._rank_pass
+
+        def recorded(segments, *args):
+            passes.append(len(segments))
+            rank_pass(segments, *args)
+
+        monkeypatch.setattr(aggregation, "_rank_pass", recorded)
+        for seed in range(4):
+            for n_targets in (12, 1):
+                flows = self.mixed_flows(seed, n_targets)
+                passes.clear()
+                data = aggregate(flows)
+                assert len(data) == n_targets
+                assert_bitwise_equal(data, reference_aggregate(flows), seed)
+                if n_targets == 12:
+                    assert n_passes[0] <= len(passes) <= n_passes[1], passes
 
 
 class TestAggregatedDataset:

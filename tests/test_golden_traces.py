@@ -6,8 +6,10 @@ variant uses the multiprocessing backend, so the golden path also
 covers IPC round-trips) and compares every verdict against the stored
 trace. Discrete fields (bin, target, label, matched rules) must match
 exactly; scores may drift at most ``TOLERANCE`` (1e-9) to allow for
-benign float-formatting differences, nothing more. The generated
-*inputs* are pinned too: ``streams.json`` holds one SHA-256 per stream.
+benign float-formatting differences, nothing more. The sketch-mode
+traces replay the same way at shards ∈ {1, 2} serial and 4 supervised.
+The generated *inputs* are pinned too: ``streams.json`` holds one
+SHA-256 per stream.
 
 If these fail after a deliberate behaviour change, regenerate with::
 
@@ -43,13 +45,19 @@ ENGINES = {
 }
 
 
+SKETCH_ENGINES = {
+    "shards1": lambda: gen_golden.sketch_engine(1, "serial"),
+    "shards2": lambda: gen_golden.sketch_engine(2, "serial"),
+    "shards4": lambda: gen_golden.sketch_engine(4, "supervised"),
+}
+
+
 @pytest.fixture(scope="module")
 def scrubber():
     return gen_golden.build_scrubber()
 
 
-def load_trace(seed: int) -> dict:
-    path = gen_golden.trace_path(seed)
+def load_trace(path) -> dict:
     assert path.is_file(), (
         f"missing golden fixture {path}; run "
         "`PYTHONPATH=src python tests/gen_golden.py`"
@@ -57,39 +65,59 @@ def load_trace(seed: int) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("engine_id", list(ENGINES), ids=list(ENGINES))
-@pytest.mark.parametrize("seed", gen_golden.WORKLOAD_SEEDS)
-def test_verdicts_match_golden_trace(seed, engine_id, scrubber):
-    golden = load_trace(seed)
-    engine = ENGINES[engine_id]().warm_start(scrubber)
+def assert_replays(golden: dict, engine, workload, label: str, **drive_kwargs):
     try:
-        verdicts = gen_golden.drive(engine, gen_golden.build_workload(seed))
+        verdicts = gen_golden.drive(engine, workload, **drive_kwargs)
     finally:
         if hasattr(engine, "close"):
             engine.close()
     actual = gen_golden.verdicts_to_records(verdicts)
     expected = golden["verdicts"]
     assert len(actual) == golden["n_verdicts"] == len(expected), (
-        f"{engine_id} w{seed}: {len(actual)} verdicts, "
-        f"golden has {golden['n_verdicts']}"
+        f"{label}: {len(actual)} verdicts, golden has {golden['n_verdicts']}"
     )
     for i, (got, want) in enumerate(zip(actual, expected)):
         for field in ("bin", "target_ip", "is_ddos", "matched_rules"):
             assert got[field] == want[field], (
-                f"{engine_id} w{seed} verdict {i}: {field} drifted "
+                f"{label} verdict {i}: {field} drifted "
                 f"({got[field]!r} != {want[field]!r})"
             )
         drift = abs(got["score"] - want["score"])
         assert drift <= TOLERANCE, (
-            f"{engine_id} w{seed} verdict {i}: score drifted by {drift:.3e} "
+            f"{label} verdict {i}: score drifted by {drift:.3e} "
             f"({got['score']!r} != {want['score']!r})"
         )
 
 
+@pytest.mark.parametrize("engine_id", list(ENGINES), ids=list(ENGINES))
+@pytest.mark.parametrize("seed", gen_golden.WORKLOAD_SEEDS)
+def test_verdicts_match_golden_trace(seed, engine_id, scrubber):
+    assert_replays(
+        load_trace(gen_golden.trace_path(seed)),
+        ENGINES[engine_id]().warm_start(scrubber),
+        gen_golden.build_workload(seed),
+        f"{engine_id} w{seed}",
+    )
+
+
+@pytest.mark.parametrize("engine_id", list(SKETCH_ENGINES), ids=list(SKETCH_ENGINES))
+@pytest.mark.parametrize("seed", gen_golden.SKETCH_SEEDS)
+def test_sketch_verdicts_match_golden_trace(seed, engine_id, scrubber):
+    assert_replays(
+        load_trace(gen_golden.sketch_trace_path(seed)),
+        SKETCH_ENGINES[engine_id]().warm_start(scrubber),
+        gen_golden.build_sketch_workload(seed),
+        f"sketch {engine_id} w{seed}",
+        chunk_seconds=gen_golden.SKETCH_CHUNK_SECONDS,
+    )
+
+
 def test_fixtures_are_self_consistent():
     """Every stored trace is sorted by (bin, target) and non-trivial."""
-    for seed in gen_golden.WORKLOAD_SEEDS:
-        golden = load_trace(seed)
+    paths = [(seed, gen_golden.trace_path(seed)) for seed in gen_golden.WORKLOAD_SEEDS]
+    paths += [(seed, gen_golden.sketch_trace_path(seed)) for seed in gen_golden.SKETCH_SEEDS]
+    for seed, path in paths:
+        golden = load_trace(path)
         assert golden["workload_seed"] == seed
         keys = [(v["bin"], v["target_ip"]) for v in golden["verdicts"]]
         assert keys == sorted(keys), f"w{seed}: trace not in emission order"

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from tests import strategies
-from tests.reference_aggregate import reference_aggregate
+from tests.reference_aggregate import assert_bitwise_equal, reference_aggregate
 from tests.reference_trees import reference_cart_values, reference_forest_margin
 from repro.core.encoding.woe import UNKNOWN_WOE, WoEEncoder
 from repro.core.features import schema
@@ -52,22 +52,6 @@ def fitted_scrubber() -> IXPScrubber:
     return IXPScrubber(config).fit(balanced)
 
 
-def _assert_aggregates_equal(a, b, seed):
-    """Bit equality: same dtypes, same bytes (so NaN == NaN, 0.0 != -0.0)."""
-    for name in ("bins", "targets", "labels", "n_flows"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), f"seed {seed}: {name} differ"
-    assert a.rule_tags == b.rule_tags, f"seed {seed}: rule tags differ"
-    assert list(a.categorical) == list(b.categorical) == schema.key_columns()
-    assert list(a.metrics) == list(b.metrics) == schema.value_columns()
-    for mapping_a, mapping_b in ((a.categorical, b.categorical), (a.metrics, b.metrics)):
-        for name, x in mapping_a.items():
-            y = mapping_b[name]
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (
-                f"seed {seed}: column {name} differs"
-            )
-
-
 def _with_columns(flows: FlowDataset, **columns) -> FlowDataset:
     return FlowDataset({**flows.to_columns(), **columns})
 
@@ -85,8 +69,8 @@ class TestBatchAggregation:
                 else ()
             )
             expected = reference_aggregate(flows, rules=rules)
-            _assert_aggregates_equal(aggregate(flows, rules=rules), expected, seed)
-            _assert_aggregates_equal(aggregate_batch(flows, rules=rules), expected, seed)
+            assert_bitwise_equal(aggregate(flows, rules=rules), expected, seed)
+            assert_bitwise_equal(aggregate_batch(flows, rules=rules), expected, seed)
 
     def test_batch_rejects_empty_like_loop_path(self):
         with pytest.raises(ValueError):
@@ -101,7 +85,7 @@ class TestBatchAggregation:
         ones = np.ones(len(flows), dtype=np.int64)
         flows = _with_columns(flows, packets=ones, bytes=100 * ones)
         data = aggregate(flows)
-        _assert_aggregates_equal(data, reference_aggregate(flows), 100)
+        assert_bitwise_equal(data, reference_aggregate(flows), 100)
         first, second = (
             data.categorical[schema.key_column("src_ip", "packet_size", rank)]
             for rank in (0, 1)
@@ -119,7 +103,7 @@ class TestBatchAggregation:
             src_mac=keys + 1, protocol=keys % 256,
         )
         data = aggregate(flows)
-        _assert_aggregates_equal(data, reference_aggregate(flows), distinct)
+        assert_bitwise_equal(data, reference_aggregate(flows), distinct)
         last = data.categorical[schema.key_column("src_port", "bytes", schema.RANKS - 1)]
         assert (last == schema.MISSING_KEY).all() == (distinct < schema.RANKS)
 
@@ -139,7 +123,7 @@ class TestBatchAggregation:
             ),
         )
         rules = strategies.header_rules(rng, 20)
-        _assert_aggregates_equal(
+        assert_bitwise_equal(
             aggregate(flows, rules=rules), reference_aggregate(flows, rules=rules), 300
         )
 
@@ -163,9 +147,9 @@ class TestBatchAggregation:
         assert len(data) > 2**16
         bins = flows.time_bin()
         per_bin = [aggregate(flows.select(bins == b), rules=rules) for b in range(3)]
-        _assert_aggregates_equal(data, type(data).concat(per_bin), 400)
+        assert_bitwise_equal(data, type(data).concat(per_bin), 400)
         some = flows.select(flows.dst_ip < np.sort(flows.dst_ip)[3000])
-        _assert_aggregates_equal(
+        assert_bitwise_equal(
             aggregate(some, rules=rules), reference_aggregate(some, rules=rules), 400
         )
 
