@@ -1,15 +1,17 @@
 """Assembling aggregated records into model-ready matrices.
 
-The feature matrix has one column per feature of the aggregation schema:
-the 75 categorical key columns pass through the fitted
+The training matrix has one column per feature of the aggregation
+schema: the 75 categorical key columns pass through the fitted
 :class:`~repro.core.encoding.woe.WoEEncoder`, the 75 metric value
 columns stay numeric (NaN for absent ranks — imputation happens inside
-the model pipelines).
+the model pipelines). Scoring assembles only the columns the fitted
+model reads, with the imputer's fill applied (:class:`MatrixAssembler`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,44 +53,56 @@ _COLUMNS = feature_columns()
 
 def assemble(data: AggregatedDataset, woe: WoEEncoder) -> FeatureMatrix:
     """Build the 150-column feature matrix for aggregated records."""
-    return _assemble_into(np.empty((len(data), len(_COLUMNS))), data, woe)
+    return _assemble_into(np.empty((len(data), len(_COLUMNS))), data, woe, _COLUMNS)
 
 
 def _assemble_into(
-    X: np.ndarray, data: AggregatedDataset, woe: WoEEncoder
+    X: np.ndarray,
+    data: AggregatedDataset,
+    woe: WoEEncoder,
+    columns: tuple[str, ...],
+    fill: Optional[float] = None,
 ) -> FeatureMatrix:
     if not woe.is_fitted:
         raise RuntimeError("WoE encoder must be fitted before assembling")
     with obs.span(metric_names.SPAN_ENCODING_ASSEMBLE):
-        for j, name in enumerate(_COLUMNS):
+        for j, name in enumerate(columns):
             if name in data.categorical:
                 X[:, j] = woe.encode_column(name, data.categorical[name])
             else:
                 X[:, j] = data.metrics[name]
+        if fill is not None:
+            np.copyto(X, fill, where=np.isnan(X))
     obs.counter(metric_names.C_ENCODING_ROWS_ASSEMBLED).inc(len(data))
-    return FeatureMatrix(X=X, y=data.labels.astype(np.int64), columns=_COLUMNS)
+    return FeatureMatrix(X=X, y=data.labels.astype(np.int64), columns=columns)
 
 
 class MatrixAssembler:
-    """:func:`assemble` into a grow-only row buffer, for per-bin scoring.
+    """:func:`assemble` of ``columns`` into a grow-only row buffer.
 
-    One per model epoch (:class:`~repro.core.scrubber.IXPScrubber` keeps
-    it beside its compiled rules), so assembling a bin allocates
-    nothing. The encoder is read at call time: a refit table or an
-    operator override shows in the next matrix.
+    The gather half of a compiled scorer
+    (:meth:`~repro.core.models.pipeline.ModelPipeline.compile`): one per
+    model epoch, kept by :class:`~repro.core.scrubber.IXPScrubber`
+    beside its compiled rules, so assembling a bin allocates nothing.
+    ``columns`` are the ones the model reads, and ``fill``, unless
+    ``None``, replaces NaN (the imputer's step). The encoder's tables
+    are looked up at call time: a refit table or an operator override
+    shows in the next matrix.
 
     The returned :class:`FeatureMatrix` *views* the internal buffer and
     is only valid until the next :meth:`assemble` call — score it
-    immediately (model pipelines copy during their transforms).
+    immediately.
     """
 
-    def __init__(self, woe: WoEEncoder):
+    def __init__(self, woe: WoEEncoder, columns: Sequence[str], fill: Optional[float]):
         self.woe = woe
+        self.columns = tuple(columns)
+        self.fill = fill
         self._buffer: np.ndarray | None = None
 
     def assemble(self, data: AggregatedDataset) -> FeatureMatrix:
         """Build the feature matrix into the reusable buffer."""
         n = len(data)
         if self._buffer is None or self._buffer.shape[0] < n:
-            self._buffer = np.empty((n, len(_COLUMNS)), dtype=np.float64)
-        return _assemble_into(self._buffer[:n], data, self.woe)
+            self._buffer = np.empty((n, len(self.columns)), dtype=np.float64)
+        return _assemble_into(self._buffer[:n], data, self.woe, self.columns, self.fill)

@@ -11,6 +11,7 @@ Matched tagging rules are carried through aggregation as annotations
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -120,14 +121,25 @@ class AggregatedDataset:
 def aggregate(
     flows: FlowDataset,
     rules: Sequence[TaggingRule] | CompiledMatcher = (),
+    min_flows: int = 1,
+    columns: Optional[Sequence[str]] = None,
 ) -> AggregatedDataset:
     """Aggregate labeled flows into per-(bin, target) rank features.
 
     ``rules`` may be an already compiled matcher: a caller with batch
     after batch under one rule set (the scrubber) compiles it once.
+
+    ``min_flows`` and ``columns`` are what a classifier asks for: the
+    records of at least ``min_flows`` flows, holding only ``columns``
+    (schema names; all 150 when ``None``). Smaller records are dropped
+    before any per-record work, and only the categoricals and metrics
+    ``columns`` name are ranked. The result is
+    ``aggregate(flows, rules).select(n_flows >= min_flows)`` restricted
+    to ``columns``, bit for bit, and holds no other column: a consumer
+    of the full schema fails on it with a ``KeyError``.
     """
     with obs.span(metric_names.SPAN_FEATURES_AGGREGATE):
-        data = _aggregate_batch(flows, rules)
+        data = _aggregate_batch(flows, rules, min_flows, columns)
     obs.counter(metric_names.C_FEATURES_RECORDS_AGGREGATED).inc(len(data))
     return data
 
@@ -187,22 +199,24 @@ _RANK_PASS_SEGMENTS = 1 << 14
 def rank_segments(
     segments: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
     n_records: int,
+    metrics: Sequence[str] = schema.METRICS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rank every categorical's keys per record by every metric.
+    """Rank categoricals' keys per record by each of ``metrics``.
 
     The ranking rule of both aggregation kernels. ``segments`` holds one
-    ``(record, key, bytes, packets)`` tuple of arrays per categorical of
-    ``schema.CATEGORICALS``: segment ``j`` says that key ``key[j]`` of
-    record ``record[j]`` carries ``bytes[j]`` bytes in ``packets[j]``
-    packets; segments come sorted by (record, key), every record with
-    at least one. Returns the ``(len(schema.key_columns()), n_records)``
-    key block and its value block: row (categorical, metric, rank)
-    receives the key and the value at that rank,
+    ``(record, key, bytes, packets)`` tuple of arrays per categorical
+    ranked (all of ``schema.CATEGORICALS``, or the ones a caller reads):
+    segment ``j`` says that key ``key[j]`` of record ``record[j]``
+    carries ``bytes[j]`` bytes in ``packets[j]`` packets; segments come
+    sorted by (record, key), every record with at least one. Returns the
+    ``(len(segments) * len(metrics) * RANKS, n_records)`` key block and
+    its value block: row (categorical, metric, rank) receives the key
+    and the value at that rank,
     ``argsort(values, kind="stable")[::-1][:RANKS]`` over a record's
     ascending keys (ties go to the *larger* key), absent ranks filled
     with ``MISSING_KEY`` / NaN.
     """
-    per_cat = len(schema.METRICS) * schema.RANKS
+    per_cat = len(metrics) * schema.RANKS
     key_block = np.empty((len(segments), per_cat, n_records), dtype=np.int64)
     value_block = np.empty((len(segments), per_cat, n_records), dtype=np.float64)
     start = 0
@@ -215,16 +229,18 @@ def rank_segments(
             size += segments[stop][0].shape[0]
             stop += 1
         _rank_pass(
-            segments[start:stop], n_records,
+            segments[start:stop], n_records, metrics,
             key_block[start:stop].swapaxes(0, 1), value_block[start:stop].swapaxes(0, 1),
         )
         start = stop
-    return key_block.reshape(-1, n_records), value_block.reshape(-1, n_records)
+    rows = len(segments) * per_cat
+    return key_block.reshape(rows, n_records), value_block.reshape(rows, n_records)
 
 
 def _rank_pass(
     segments: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
     n_records: int,
+    metrics: Sequence[str],
     key_out: np.ndarray,
     value_out: np.ndarray,
 ) -> None:
@@ -255,7 +271,7 @@ def _rank_pass(
     by_group = (schema.RANKS, len(segments), n_records)
     absent = absent.reshape(by_group)
 
-    for i, metric in enumerate(schema.METRICS):
+    for i, metric in enumerate(metrics):
         values = by_metric[metric]
         top = stable_argsort(values, seg_group).take(slots).reshape(by_group)
         rows = slice(i * schema.RANKS, (i + 1) * schema.RANKS)
@@ -265,9 +281,41 @@ def _rank_pass(
         value_out[rows][absent] = np.nan
 
 
+_Rows = tuple[tuple[str, int], ...]
+
+
+@functools.lru_cache(maxsize=32)
+def _column_plan(
+    columns: Optional[frozenset[str]],
+) -> tuple[tuple[str, ...], tuple[str, ...], _Rows, _Rows]:
+    """What the kernel ranks for a column set (every column when ``None``):
+    the categoricals and the metrics ``columns`` name, and each key and
+    value column's row in :func:`rank_segments`' blocks over just those,
+    in schema order."""
+    names = schema.all_columns()
+    if columns is not None:
+        if not columns <= set(names):
+            raise ValueError(f"not schema columns: {sorted(columns - set(names))}")
+        names = [name for name in names if name in columns]
+    cells = [schema.parse_column(name) for name in names]
+    ranked = tuple(c for c in schema.CATEGORICALS if any(cell[0] == c for cell in cells))
+    metrics = tuple(m for m in schema.METRICS if any(cell[1] == m for cell in cells))
+
+    def rows(values: bool) -> _Rows:
+        return tuple(
+            (name, (ranked.index(cat) * len(metrics) + metrics.index(metric)) * schema.RANKS + rank)
+            for name, (cat, metric, rank, is_value) in zip(names, cells)
+            if is_value == values
+        )
+
+    return ranked, metrics, rows(False), rows(True)
+
+
 def _aggregate_batch(
     flows: FlowDataset,
     rules: Sequence[TaggingRule] | CompiledMatcher,
+    min_flows: int,
+    columns: Optional[Sequence[str]],
 ) -> AggregatedDataset:
     """The aggregation kernel: global sorts and segment reductions.
 
@@ -282,10 +330,16 @@ def _aggregate_batch(
       ascending keys: the (record, key) segments sorted stably by
       (record, value) and read from each record's end, so ties go to
       the *larger* key.
+
+    Both hold record by record, so dropping whole records (``min_flows``)
+    or whole categoricals (``columns``) changes no bit of what is left.
     """
     n = len(flows)
     if n == 0:
         raise ValueError("cannot aggregate an empty flow dataset")
+    ranked, metrics, key_rows, value_rows = _column_plan(
+        None if columns is None else frozenset(columns)
+    )
 
     bins = flows.time_bin()
     dst = flows.dst_ip
@@ -297,8 +351,18 @@ def _aggregate_batch(
     group_new[0] = True
     group_new[1:] = (bins_s[1:] != bins_s[:-1]) | (dst_s[1:] != dst_s[:-1])
     starts = np.flatnonzero(group_new)
-    n_groups = starts.shape[0]
     group_sizes = np.diff(starts, append=n)
+    if min_flows > 1:
+        kept = group_sizes >= min_flows
+        # Records go whole, so what is left of ``group_new`` still
+        # marks each kept record's first flow.
+        flow_kept = np.repeat(kept, group_sizes)
+        order, bins_s, dst_s, group_new = (
+            a[flow_kept] for a in (order, bins_s, dst_s, group_new)
+        )
+        group_sizes = group_sizes[kept]
+        starts = np.flatnonzero(group_new)
+    n_groups = starts.shape[0]
     group_ids = np.repeat(np.arange(n_groups), group_sizes)
 
     f_bytes = flows.bytes.take(order).astype(np.float64)
@@ -307,11 +371,11 @@ def _aggregate_batch(
     out_tags: Optional[list[tuple[str, ...]]] = None
     if rules:
         matcher = rules if isinstance(rules, CompiledMatcher) else CompiledMatcher(rules)
-        words = matcher.flow_words(flows).take(order, axis=1)
+        words = matcher.flow_words(flows, order)
         out_tags = matcher.tags(np.bitwise_or.reduceat(words, starts, axis=1))
 
     segments = []
-    for cat in schema.CATEGORICALS:
+    for cat in ranked:
         # Segment the batch by (record, key), keys ascending.
         keys = flows.column(cat).take(order).astype(np.int64)
         order2 = stable_argsort(keys, group_ids)
@@ -329,14 +393,14 @@ def _aggregate_batch(
             np.bincount(seg_id, weights=f_packets.take(order2), minlength=n_seg),
         ))
     # Row (categorical, metric, rank) of each block is that cell's column.
-    key_block, value_block = rank_segments(segments, n_groups)
+    key_block, value_block = rank_segments(segments, n_groups, metrics)
 
     return AggregatedDataset(
         bins=bins_s[starts].astype(np.int64),
         targets=dst_s[starts].astype(np.uint32),
         labels=np.logical_or.reduceat(flows.blackhole.take(order), starts),
-        categorical=dict(zip(schema.key_columns(), key_block)),
-        metrics=dict(zip(schema.value_columns(), value_block)),
+        categorical={name: key_block[row] for name, row in key_rows},
+        metrics={name: value_block[row] for name, row in value_rows},
         n_flows=group_sizes.astype(np.int64),
         rule_tags=out_tags,
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 
@@ -28,6 +30,15 @@ class Classifier:
     def get_params(self) -> dict[str, object]:
         """Hyperparameters, for grid-search bookkeeping."""
         return {}
+
+    def compact(self) -> tuple[Optional[np.ndarray], "Classifier"]:
+        """The input columns the fitted model reads, and a model that
+        reads just those (as its columns 0, 1, ...) to the same outputs.
+
+        ``(None, self)`` for a model that reads every column; the tree
+        models, whose splits name their columns, override it.
+        """
+        return None, self
 
 
 def check_fit_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ recursive traversal anywhere.
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 import numpy as np
@@ -314,6 +315,14 @@ class GradientBoostedTrees(Classifier):
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision_function(X))
+
+    def compact(self) -> tuple[np.ndarray, "GradientBoostedTrees"]:
+        if self.forest_ is None:
+            raise RuntimeError("GradientBoostedTrees is not fitted")
+        used, forest = self.forest_.compact()
+        model = copy.copy(self)
+        model.forest_ = forest
+        return used, model
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(np.int64)

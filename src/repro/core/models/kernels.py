@@ -38,7 +38,7 @@ re-broadcast sends to workers, and what ``persistence.py`` serialises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -54,6 +54,16 @@ __all__ = [
 
 #: Sentinel in ``feature[]`` / ``split_bin[]`` marking a leaf node.
 LEAF = -1
+
+def _compact_features(feature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The features the splits of ``feature[]`` read, ascending, and
+    ``feature[]`` renumbered onto them (``used[i]`` becomes ``i``, leaves
+    stay ``LEAF``): routing ``X[:, used]`` on the renumbered array reads
+    the same value at every node as routing ``X`` on the original."""
+    split = feature != LEAF
+    used = np.unique(feature[split])
+    return used, np.where(split, np.searchsorted(used, feature), LEAF).astype(np.int32)
+
 
 #: Rows per propagation block: temporaries stay ~MBs so the node-state
 #: matrix and gather targets remain cache-resident.
@@ -106,6 +116,11 @@ class TreeKernel:
             depth[self.left[i]] = depth[i] + 1
             depth[self.right[i]] = depth[i] + 1
         return int(depth.max()) if self.n_nodes else 0
+
+    def compact(self) -> tuple[np.ndarray, "TreeKernel"]:
+        """The features this tree reads, and the tree renumbered onto them."""
+        used, feature = _compact_features(self.feature)
+        return used, replace(self, feature=feature)
 
     # ------------------------------------------------------------------
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -247,6 +262,11 @@ class ForestKernel:
                 depth[self.right[i]] = depth[i] + 1
             self._depth = int(depth.max()) if self.n_nodes else 0
         return self._depth
+
+    def compact(self) -> tuple[np.ndarray, "ForestKernel"]:
+        """The features any tree reads, and the forest renumbered onto them."""
+        used, feature = _compact_features(self.feature)
+        return used, replace(self, feature=feature, _route=None)
 
     # ------------------------------------------------------------------
     @classmethod

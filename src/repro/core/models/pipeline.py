@@ -10,12 +10,13 @@ Each of the paper's models runs behind its own preprocessing pipeline:
 
 The WoE stage lives *outside* these pipelines (it consumes aggregated
 records, not matrices; see :class:`repro.core.scrubber.IXPScrubber`), so
-the pipeline here is the numeric chain after WoE assembly.
+the pipeline here is the numeric chain after WoE assembly. For scoring,
+:meth:`ModelPipeline.compile` folds its FR -> I head into that assembly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +63,37 @@ class ModelPipeline:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.classifier.predict_proba(self._transform(X))
+
+    def compile(
+        self, columns: Sequence[str]
+    ) -> tuple[tuple[str, ...], Optional[float], "ModelPipeline"]:
+        """This fitted pipeline over input ``columns``, as the columns it
+        reads, their NaN fill and the pipeline that scores just those.
+
+        Every Fig. 8 chain opens FR -> I. Both fold into the caller's
+        gather: FR's kept columns are what it reads, I's value is its
+        fill. A tree model next in line is renumbered onto the columns
+        its splits name (:meth:`Classifier.compact`). Gathering those
+        columns, filling NaN and scoring with the returned pipeline
+        gives :meth:`predict_proba`'s result on all ``columns``, bit for
+        bit: every step left sees the same values in the same order.
+        """
+        read = np.arange(len(columns))
+        fill: Optional[float] = None
+        rest = list(self.transformers)
+        if rest and isinstance(rest[0], FeatureReducer):
+            reducer = rest.pop(0)
+            if reducer.keep_ is None:
+                raise RuntimeError("FeatureReducer is not fitted")
+            read = read[reducer.keep_]
+        if rest and isinstance(rest[0], Imputer):
+            fill = rest.pop(0).fill_value
+        classifier = self.classifier
+        if not rest:
+            used, classifier = classifier.compact()
+            if used is not None:
+                read = read[used]
+        return tuple(columns[i] for i in read), fill, ModelPipeline(rest, classifier)
 
 
 #: Factories for each Table 3/5 model name. Keyword arguments override

@@ -18,6 +18,7 @@ state; the graph does not outlive ``fit``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -261,6 +262,14 @@ class DecisionTree(Classifier):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(np.int64)
+
+    def compact(self) -> tuple[np.ndarray, "DecisionTree"]:
+        if self.kernel_ is None:
+            raise RuntimeError("DecisionTree is not fitted")
+        used, kernel = self.kernel_.compact()
+        model = copy.copy(self)
+        model.kernel_ = kernel
+        return used, model
 
     @property
     def n_leaves(self) -> int:

@@ -163,10 +163,17 @@ class CompiledMatcher:
         """True when ``rules`` is no longer the rule set compiled here."""
         return self.rules != tuple(rules)
 
-    def flow_words(self, flows: FlowDataset) -> np.ndarray:
+    def flow_words(
+        self, flows: FlowDataset, order: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Per-flow rule matches, ``(n_words, n_flows)`` uint64: the
-        transposed :func:`match_matrix` through ``packbits(bitorder="little")``."""
-        *integers, sizes = _match_columns(flows)
+        transposed :func:`match_matrix` through ``packbits(bitorder="little")``.
+
+        With ``order``, of flows ``order`` only, in that order."""
+        columns = _match_columns(flows)
+        if order is not None:
+            columns = tuple(column.take(order) for column in columns)
+        *integers, sizes = columns
         classes = [lookup.take(column) for lookup, column in zip(self._lookups, integers)]
         classes.append(self._size_edges.searchsorted(sizes, side="left"))
         words = self._words[0].take(classes[0], axis=1)

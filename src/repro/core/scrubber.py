@@ -15,7 +15,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.encoding.matrix import FeatureMatrix, MatrixAssembler, assemble
+from repro.core.encoding.matrix import (
+    FeatureMatrix,
+    MatrixAssembler,
+    assemble,
+    feature_columns,
+)
 from repro.core.encoding.woe import WoEEncoder
 from repro.obs import names as metric_names
 from repro.core.features.aggregation import AggregatedDataset, aggregate, aggregate_batch
@@ -79,6 +84,40 @@ def build_verdicts(
     ]
 
 
+@dataclass(frozen=True)
+class CompiledScorer:
+    """One model epoch's FR -> I -> WoE -> C chain (Fig. 8) as one step.
+
+    :meth:`ModelPipeline.compile` folds the feature reducer and imputer
+    into the assembler, which WoE-encodes just the ``columns`` the model
+    reads; ``pipeline`` (the compact model and what is left of its
+    chain) scores that matrix. Scores equal the fitted pipeline's on the
+    150-column matrix bit for bit. Derived state: built on first use per
+    (encoder, pipeline), never pickled.
+    """
+
+    woe: WoEEncoder
+    source: ModelPipeline
+    assembler: MatrixAssembler
+    pipeline: ModelPipeline
+
+    @classmethod
+    def compile(cls, woe: WoEEncoder, source: ModelPipeline) -> "CompiledScorer":
+        columns, fill, pipeline = source.compile(feature_columns())
+        return cls(woe, source, MatrixAssembler(woe, columns, fill), pipeline)
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The schema columns the model reads."""
+        return self.assembler.columns
+
+    def is_stale(self, woe: WoEEncoder, source: ModelPipeline) -> bool:
+        return self.woe is not woe or self.source is not source
+
+    def score(self, data: AggregatedDataset) -> np.ndarray:
+        return self.pipeline.predict_proba(self.assembler.assemble(data).X)
+
+
 class IXPScrubber:
     """End-to-end two-step DDoS detector for one vantage point."""
 
@@ -89,12 +128,12 @@ class IXPScrubber:
         self.woe = WoEEncoder()
         self.pipeline: Optional[ModelPipeline] = None
         self._matcher: Optional[CompiledMatcher] = None
-        self._assembler: Optional[MatrixAssembler] = None
+        self._scorer: Optional[CompiledScorer] = None
 
     def __getstate__(self) -> dict[str, object]:
         # Derived state stays out of pickles (pipe broadcasts, the shm
         # model plane); the receiving process rebuilds it on first use.
-        return {**self.__dict__, "_matcher": None, "_assembler": None}
+        return {**self.__dict__, "_matcher": None, "_scorer": None}
 
     # ------------------------------------------------------------------
     # Step 1
@@ -175,19 +214,25 @@ class IXPScrubber:
         pipeline = self._require_fitted()
         return pipeline.predict(self.feature_matrix(data).X)
 
+    def _compiled_scorer(self) -> CompiledScorer:
+        """The fitted model compiled for scoring: one build per model
+        epoch (a refit brings a new encoder and pipeline)."""
+        pipeline = self._require_fitted()
+        if self._scorer is None or self._scorer.is_stale(self.woe, pipeline):
+            self._scorer = CompiledScorer.compile(self.woe, pipeline)
+        return self._scorer
+
     def score_aggregated(self, data: AggregatedDataset) -> np.ndarray:
         """P(DDoS) per aggregated record.
 
-        The one encode/score step of every classification path. It
-        assembles into a row buffer kept for as long as :attr:`woe` is
-        the same encoder (one model epoch), so scoring a bin allocates
-        no matrix.
+        The one encode/score step of every classification path, through
+        the epoch's :class:`CompiledScorer`: ``data`` needs only the
+        columns the model reads (:meth:`classify_flows_batch` aggregates
+        no other), and scoring a bin allocates no matrix.
         """
-        pipeline = self._require_fitted()
-        if self._assembler is None or self._assembler.woe is not self.woe:
-            self._assembler = MatrixAssembler(self.woe)
+        scorer = self._compiled_scorer()
         with obs.span(metric_names.SPAN_SCRUBBER_SCORE):
-            scores = pipeline.predict_proba(self._assembler.assemble(data).X)
+            scores = scorer.score(data)
         obs.counter(metric_names.C_SCRUBBER_RECORDS_SCORED).inc(len(data))
         return scores
 
@@ -208,13 +253,16 @@ class IXPScrubber:
         ``aggregate``: one function, two names for the benchmark's span
         table). Records of distinct bins never merge, so the verdicts of
         a multi-bin batch are those of its bins one by one, ordered by
-        (bin, target); aggregates below ``min_flows`` flows get none.
+        (bin, target). The kernel builds only the records that get a
+        verdict, those of at least ``min_flows`` flows, and only the
+        columns the compiled model reads.
         """
         if len(flows) == 0:
             return []
-        data = aggregate_batch(flows, rules=self._compiled_rules())
-        if min_flows > 1:
-            data = data.select(data.n_flows >= min_flows)
+        scorer = self._compiled_scorer()
+        data = aggregate_batch(
+            flows, rules=self._compiled_rules(), min_flows=min_flows, columns=scorer.columns
+        )
         return self.classify_aggregated(data, threshold=threshold)
 
     def classify_aggregated(
@@ -224,8 +272,8 @@ class IXPScrubber:
 
         The scoring tail of :meth:`classify_flows_batch`, shared with
         the sketch-mode coordinator of :mod:`repro.core.parallel`,
-        which builds its records from merged worker sketches instead of
-        aggregating raw flows.
+        which builds its (full) records from merged worker sketches
+        instead of aggregating raw flows.
         """
         if len(data) == 0:
             return []

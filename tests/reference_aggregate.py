@@ -21,14 +21,36 @@ from repro.core.rules.model import TaggingRule
 from repro.netflow.dataset import FlowDataset
 
 
-def assert_bitwise_equal(a: AggregatedDataset, b: AggregatedDataset, label) -> None:
-    """Bit equality: same dtypes, same bytes (so NaN == NaN, 0.0 != -0.0)."""
+def restricted(data: AggregatedDataset, columns: Sequence[str]) -> AggregatedDataset:
+    """``data`` holding only the feature ``columns`` (in schema order)."""
+    return AggregatedDataset(
+        bins=data.bins, targets=data.targets, labels=data.labels,
+        categorical={k: v for k, v in data.categorical.items() if k in columns},
+        metrics={k: v for k, v in data.metrics.items() if k in columns},
+        n_flows=data.n_flows, rule_tags=data.rule_tags,
+    )
+
+
+def assert_bitwise_equal(
+    a: AggregatedDataset,
+    b: AggregatedDataset,
+    label,
+    columns: Optional[Sequence[str]] = None,
+) -> None:
+    """Bit equality: same dtypes, same bytes (so NaN == NaN, 0.0 != -0.0).
+
+    Both must hold exactly the feature ``columns``, in schema order (all
+    150 when ``None``)."""
     for name in ("bins", "targets", "labels", "n_flows"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), f"{label}: {name} differ"
     assert a.rule_tags == b.rule_tags, f"{label}: rule tags differ"
-    assert list(a.categorical) == list(b.categorical) == schema.key_columns()
-    assert list(a.metrics) == list(b.metrics) == schema.value_columns()
+    keys, values = schema.key_columns(), schema.value_columns()
+    if columns is not None:
+        keys = [name for name in keys if name in columns]
+        values = [name for name in values if name in columns]
+    assert list(a.categorical) == list(b.categorical) == keys, f"{label}: key columns differ"
+    assert list(a.metrics) == list(b.metrics) == values, f"{label}: value columns differ"
     for mapping_a, mapping_b in ((a.categorical, b.categorical), (a.metrics, b.metrics)):
         for name, x in mapping_a.items():
             y = mapping_b[name]

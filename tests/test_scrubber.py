@@ -173,7 +173,7 @@ class TestCompiledRules:
         from repro.core.persistence import scrubber_from_dict, scrubber_to_dict
 
         scrubber, flows = fitted_scrubber_and_flows
-        scrubber._matcher = scrubber._assembler = None
+        scrubber._matcher = scrubber._scorer = None
         for table in scrubber.woe.tables.values():
             table._lookup = None
         before = (
@@ -182,8 +182,10 @@ class TestCompiledRules:
         )
         verdicts = scrubber.classify_flows_batch(flows)
         assert scrubber._matcher is not None
-        assert scrubber._assembler is not None
-        assert all(t._lookup is not None for t in scrubber.woe.tables.values())
+        assert scrubber._scorer is not None
+        encoded = {c.split("/")[0] for c in scrubber._scorer.columns if not c.endswith("/value")}
+        assert encoded  # the forest reads at least one WoE column
+        assert all(scrubber.woe.table(domain)._lookup is not None for domain in encoded)
         assert before == (
             len(pickle.dumps(scrubber)),
             json.dumps(scrubber_to_dict(scrubber)),
@@ -194,21 +196,148 @@ class TestCompiledRules:
         ]
         for copy in copies:
             # all rebuilt on first use
-            assert copy._matcher is None and copy._assembler is None
+            assert copy._matcher is None and copy._scorer is None
             assert all(t._lookup is None for t in copy.woe.tables.values())
             assert copy.classify_flows_batch(flows) == verdicts
+            assert copy._scorer is not None
+            assert copy._scorer.columns == scrubber._scorer.columns
+            assert copy._scorer.woe is copy.woe and copy._scorer.source is copy.pipeline
 
 
-class _RecordingPipeline:
-    """A fitted pipeline that keeps a copy of every matrix it scores."""
+class TestCompiledScorer:
+    """The per-epoch compiled scorer against ``tests/reference_classify.py``,
+    the full-width body it replaced: every verdict equal, bit for bit."""
 
-    def __init__(self, pipeline):
-        self._pipeline = pipeline
-        self.scored = []
+    TREES = ("XGB", "DT")
 
-    def predict_proba(self, X):
-        self.scored.append(np.array(X))
-        return self._pipeline.predict_proba(X)
+    @pytest.fixture(scope="class")
+    def scrubbers(self, fitted_scrubber_and_flows):
+        """One fitted scrubber per model, sharing rules and records."""
+        fitted, flows = fitted_scrubber_and_flows
+        data = fitted.aggregate_flows(flows)
+        out = {"XGB": fitted}
+        for model in ("DT", "LSVM", "NB-G"):
+            scrubber = pickle.loads(pickle.dumps(fitted))
+            scrubber.config = ScrubberConfig(model=model)
+            out[model] = scrubber.fit_aggregated(data)
+        return out
+
+    @staticmethod
+    def with_classifier(fitted, classifier) -> IXPScrubber:
+        from repro.core.models.pipeline import ModelPipeline
+
+        scrubber = pickle.loads(pickle.dumps(fitted))
+        scrubber.pipeline = ModelPipeline(scrubber.pipeline.transformers, classifier)
+        return scrubber
+
+    @staticmethod
+    def assert_matches_reference(scrubber, flows) -> None:
+        from tests.reference_classify import reference_classify
+
+        bins = flows.time // 60
+        one_bin = flows.select(bins == np.bincount(bins).argmax())
+        for batch in (flows, one_bin):
+            for min_flows in (1, 3, len(batch) + 1):
+                expected = reference_classify(scrubber, batch, min_flows)
+                assert scrubber.classify_flows_batch(batch, min_flows) == expected
+        assert scrubber.classify_flows_batch(flows.select(bins < 0)) == []
+
+    @pytest.mark.parametrize("model", ["XGB", "DT", "LSVM", "NB-G"])
+    def test_matches_full_width_reference(self, scrubbers, fitted_scrubber_and_flows, model):
+        _, flows = fitted_scrubber_and_flows
+        scrubber = scrubbers[model]
+        self.assert_matches_reference(scrubber, flows)
+        verdicts = scrubber.classify_flows_batch(flows)
+        assert any(v.is_ddos for v in verdicts) and not all(v.is_ddos for v in verdicts)
+
+        scorer = scrubber._compiled_scorer()
+        reducer, imputer, *rest = scrubber.pipeline.transformers
+        assert scorer.assembler.fill == imputer.fill_value
+        assert scorer.pipeline.transformers == rest
+        if model in self.TREES:
+            # FR -> I -> C: the forest's own columns, nothing else.
+            assert not rest and 0 < len(scorer.columns) < int(reducer.keep_.sum())
+        else:
+            assert len(scorer.columns) == int(reducer.keep_.sum())
+            assert scorer.pipeline.classifier is scrubber.pipeline.classifier
+
+    @pytest.mark.parametrize("model", TREES)
+    def test_a_model_of_leaves_reads_no_column(self, scrubbers, fitted_scrubber_and_flows, model):
+        import copy
+
+        from repro.core.models.kernels import LEAF, ForestKernel, TreeKernel
+
+        def leaf(value: float) -> TreeKernel:
+            ints = np.array([LEAF], dtype=np.int32)
+            return TreeKernel(
+                feature=ints, threshold=np.zeros(1), split_bin=ints, left=ints, right=ints,
+                value=np.array([value]),
+            )
+
+        _, flows = fitted_scrubber_and_flows
+        classifier = copy.copy(scrubbers[model].pipeline.classifier)
+        if model == "XGB":
+            classifier.forest_ = ForestKernel.from_trees([leaf(0.4), leaf(-0.1), leaf(0.25)])
+        else:
+            classifier.kernel_ = leaf(0.75)
+        scrubber = self.with_classifier(scrubbers[model], classifier)
+        assert scrubber._compiled_scorer().columns == ()
+        self.assert_matches_reference(scrubber, flows)
+
+    def test_forest_reading_absent_ranks_and_missing_keys(self, fitted_scrubber_and_flows):
+        """A hand-built tree that tells absent ranks apart from present
+        ones only once NaN is imputed to -1, reads a key column at its
+        ``MISSING_KEY`` WoE, and sits at kept positions that are not its
+        schema positions: a scorer that skipped the fill, the
+        renumbering or ``keep_`` would score differently."""
+        import copy
+
+        from repro.core.encoding.matrix import feature_columns
+        from repro.core.features import schema
+        from repro.core.models.kernels import LEAF, ForestKernel, TreeKernel
+
+        fitted, flows = fitted_scrubber_and_flows
+        columns = feature_columns()
+        keep = np.flatnonzero(fitted.pipeline.transformers[0].keep_)
+        data = fitted.aggregate_flows(flows)
+
+        def absent_share(name: str) -> float:
+            return float(np.isnan(data.metrics[name]).mean())
+
+        fv = next(
+            f for f in range(len(keep) - 1, -1, -1)
+            if columns[keep[f]].endswith("/value") and 0.2 < absent_share(columns[keep[f]]) < 0.8
+        )
+        value_column = columns[keep[fv]]
+        key_column = value_column.removesuffix("/value")
+        fk = int(np.flatnonzero(keep == columns.index(key_column))[0])
+        assert keep[fv] != fv  # FR dropped columns before the value column
+        missing = data.categorical[key_column] == schema.MISSING_KEY
+        assert missing.any() and not missing.all()
+        domain = key_column.split("/")[0]
+        missing_woe = fitted.woe.table(domain).encode_value(schema.MISSING_KEY)
+
+        def ints(*values: int) -> np.ndarray:
+            return np.array(values, dtype=np.int32)
+
+        tree = TreeKernel(
+            # root: value column; -1 (an imputed absent rank) and every
+            # present value (>= 0) go right, an unimputed NaN left.
+            # node 2: key column, MISSING_KEY's WoE left.
+            feature=ints(fv, LEAF, fk, LEAF, LEAF),
+            threshold=np.array([-1.5, 0.0, missing_woe, 0.0, 0.0]),
+            split_bin=ints(LEAF, LEAF, LEAF, LEAF, LEAF),
+            left=ints(1, LEAF, 3, LEAF, LEAF),
+            right=ints(2, LEAF, 4, LEAF, LEAF),
+            value=np.array([0.0, 5.0, 0.0, -2.0, 3.0]),
+        )
+        classifier = copy.copy(fitted.pipeline.classifier)
+        classifier.forest_ = ForestKernel.from_trees([tree])
+        scrubber = self.with_classifier(fitted, classifier)
+        assert scrubber._compiled_scorer().columns == (key_column, value_column)
+        self.assert_matches_reference(scrubber, flows)
+        scores = {v.score for v in scrubber.classify_flows_batch(flows)}
+        assert len(scores) == 2  # both leaves under node 2, none under node 1
 
 
 class TestOperatorOverride:
@@ -217,29 +346,46 @@ class TestOperatorOverride:
     cached before — both streaming engines included (the sharded one
     used to keep scoring with the tables it froze at broadcast)."""
 
-    PINNED = 7.5  # no fitted WoE (a log of count ratios) equals it
+    PINNED = -7.5  # no fitted WoE (a log of count ratios) equals it
 
-    def test_every_encode_path_sees_the_override(self, fitted_scrubber_and_flows):
-        from repro.core.encoding.matrix import feature_columns
+    def test_every_encode_path_sees_the_override(
+        self, fitted_scrubber_and_flows, monkeypatch
+    ):
+        from repro.core.encoding.matrix import MatrixAssembler, feature_columns
         from repro.core.parallel import ShardedStreamingScrubber
         from repro.core.streaming import StreamingScrubber
         from repro.netflow.dataset import BIN_SECONDS
+        from tests.reference_classify import reference_classify
 
         fitted, flows = fitted_scrubber_and_flows
         scrubber = pickle.loads(pickle.dumps(fitted))  # the override stays local
-        recorder = _RecordingPipeline(scrubber.pipeline)
-        scrubber.pipeline = recorder
-        column = "protocol/bytes/0"
-        j = feature_columns().index(column)
         data = scrubber.aggregate_flows(flows)
-        values, counts = np.unique(data.categorical[column], return_counts=True)
-        value = int(values[np.argmax(counts)])
+        reads = scrubber._compiled_scorer().columns
+        # A key column the compiled forest reads, and a value of it that
+        # moves scores once pinned.
+        column, value = next(
+            (c, v) for c in reads if not c.endswith("/value")
+            for v in np.unique(data.categorical[c])[::-1]
+            if self._moves_scores(scrubber, flows, c.split("/")[0], int(v))
+        )
+        domain = column.split("/")[0]
         pinned_rows = data.categorical[column] == value
 
+        scored: list[np.ndarray] = []
+        assemble = MatrixAssembler.assemble
+
+        def recorded(assembler, records):
+            matrix = assemble(assembler, records)
+            if column in matrix.columns:
+                scored.append(matrix.X[:, matrix.columns.index(column)].copy())
+            return matrix
+
+        monkeypatch.setattr(MatrixAssembler, "assemble", recorded)
+
         def scored_column():
-            scored = np.concatenate(recorder.scored)[:, j]
-            recorder.scored.clear()
-            return scored
+            out = np.concatenate(scored)
+            scored.clear()
+            return out
 
         bins = flows.time // BIN_SECONDS
         split = int(np.median(bins))
@@ -252,29 +398,40 @@ class TestOperatorOverride:
         ]
         # Warm every cache there is before the operator steps in.
         scrubber.feature_matrix(data)
-        scrubber.classify_flows_batch(flows)
+        before = scrubber.classify_flows_batch(flows)
         for engine in engines:
             engine.warm_start(scrubber).ingest(flows.select(bins < split))
         assert not (scored_column() == self.PINNED).any()
 
-        scrubber.woe.table("protocol").set_override(value, self.PINNED)
+        scrubber.woe.table(domain).set_override(value, self.PINNED)
 
         matrix = scrubber.feature_matrix(data)
+        j = feature_columns().index(column)
         assert np.array_equal(matrix.X[:, j] == self.PINNED, pinned_rows)
-        scrubber.score_aggregated(data)
+        assert np.array_equal(
+            scrubber.score_aggregated(data), scrubber.pipeline.predict_proba(matrix.X)
+        )
         assert np.array_equal(scored_column() == self.PINNED, pinned_rows)
-        scrubber.classify_flows_batch(flows)
+        after = scrubber.classify_flows_batch(flows)
+        assert after == reference_classify(scrubber, flows) != before
         assert np.array_equal(scored_column() == self.PINNED, pinned_rows)
         # ingest() left the last bin below the split open: it closes now.
-        still_to_close = data.bins >= bins[bins < split].max()
-        expected = int((pinned_rows & still_to_close).sum())
-        assert expected > 0
+        reopened = bins[bins < split].max()
+        expected = reference_classify(scrubber, flows.select(bins >= reopened))
+        assert int((pinned_rows & (data.bins >= reopened)).sum()) > 0
         for engine in engines:
-            engine.ingest(flows.select(bins >= split))
-            engine.flush()
-            assert int((scored_column() == self.PINNED).sum()) == expected, (
-                f"{type(engine).__name__} encoded with a stale table"
+            verdicts = engine.ingest(flows.select(bins >= split)) + engine.flush()
+            assert verdicts == expected, f"{type(engine).__name__} scored with a stale table"
+            assert int((scored_column() == self.PINNED).sum()) == int(
+                (pinned_rows & (data.bins >= reopened)).sum()
             )
+
+    @classmethod
+    def _moves_scores(cls, scrubber, flows, domain: str, value: int) -> bool:
+        copy = pickle.loads(pickle.dumps(scrubber))
+        before = copy.classify_flows_batch(flows)
+        copy.woe.table(domain).set_override(value, cls.PINNED)
+        return copy.classify_flows_batch(flows) != before
 
 
 class TestTransfer:
