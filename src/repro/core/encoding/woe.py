@@ -85,6 +85,39 @@ class WoETable:
         self._lookup = None
 
 
+#: The key columns of one domain, one per (metric, rank).
+_COLUMNS = len(schema.METRICS) * schema.RANKS
+
+
+def _evidence(data: AggregatedDataset, domain: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One group-by over ``domain``'s stacked (metric, rank) key columns.
+
+    Returns the distinct values (ascending), and per stacked entry the
+    index of its value and its cell: ``2 * column + class``, columns in
+    (metric, rank) order, class 0 for a blackhole record, 1 for benign.
+    """
+    keys = np.concatenate([
+        data.categorical[schema.key_column(domain, metric, rank)]
+        for metric in schema.METRICS
+        for rank in range(schema.RANKS)
+    ])
+    values, inverse = np.unique(keys, return_inverse=True)
+    cell = np.arange(_COLUMNS).repeat(len(data)) * 2 + np.tile(~data.labels, _COLUMNS)
+    return values, inverse, cell
+
+
+def _positions(known: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Where each of ``values`` sits in the distinct ``known``, -1 if absent."""
+    if known.size == 0:
+        return np.full(values.shape, -1)
+    sorter = np.argsort(known)
+    at = sorter[np.searchsorted(known, values, sorter=sorter).clip(max=known.size - 1)]
+    return np.where(known[at] == values, at, -1)
+
+
+_NO_EVIDENCE = (np.empty(0, dtype=np.int64), np.empty((0, 2)))
+
+
 class WoEEncoder:
     """Per-domain WoE tables over the aggregation's categorical columns.
 
@@ -102,9 +135,10 @@ class WoEEncoder:
         self.min_count = min_count
         self.tables: dict[str, WoETable] = {}
         # Raw evidence counts, kept so tables can be updated
-        # incrementally: domain -> value -> [pos, neg] (floats: decay
-        # produces fractional counts).
-        self._counts: dict[str, dict[int, list[float]]] = {}
+        # incrementally: domain -> (values, [pos, neg] per value), values
+        # in order of first appearance (floats: decay produces
+        # fractional counts).
+        self._counts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._n_pos = 0.0
         self._n_neg = 0.0
         self._fitted = False
@@ -150,39 +184,55 @@ class WoEEncoder:
         if decay < 1.0:
             self._n_pos *= decay
             self._n_neg *= decay
-            for counts in self._counts.values():
-                for pair in counts.values():
-                    pair[0] *= decay
-                    pair[1] *= decay
+            for _, counts in self._counts.values():
+                counts *= decay
         self._n_pos += float(labels.sum())
         self._n_neg += float((~labels).sum())
         for domain in schema.CATEGORICALS:
-            counts = self._counts.setdefault(domain, {})
-            for metric in schema.METRICS:
-                for rank in range(schema.RANKS):
-                    column = data.categorical[schema.key_column(domain, metric, rank)]
-                    for class_index, mask in ((0, labels), (1, ~labels)):
-                        values, value_counts = np.unique(column[mask], return_counts=True)
-                        for v, c in zip(values, value_counts):
-                            pair = counts.setdefault(int(v), [0.0, 0.0])
-                            pair[class_index] += float(c)
+            known, counts = self._counts.get(domain, _NO_EVIDENCE)
+            values, inverse, cell = _evidence(data, domain)
+            n = values.shape[0]
+            # Integer sums: exact, whatever the order they are taken in.
+            totals = np.bincount(inverse * 2 + cell % 2, minlength=2 * n).reshape(n, 2)
+            totals = totals.astype(np.float64)
+            at = _positions(known, values)
+            seen = np.flatnonzero(at >= 0)
+            if seen.size:
+                # A decayed count is fractional: add each column's counts
+                # to it in turn, as one column at a time always has.
+                by_column = np.bincount(inverse * 2 * _COLUMNS + cell, minlength=2 * _COLUMNS * n)
+                by_column = by_column.reshape(n, _COLUMNS, 2)[seen]
+                totals[seen] = counts[at[seen]]
+                for column in range(_COLUMNS):
+                    totals[seen] += by_column[:, column]
+                counts[at[seen]] = totals[seen]
+            # New values go in at their first appearance over (column,
+            # class, value): persisted tables keep that order.
+            first = np.full(n, 2 * _COLUMNS)
+            np.minimum.at(first, inverse, cell)
+            fresh = np.flatnonzero(at < 0)
+            fresh = fresh[np.argsort(first[fresh].astype(np.int8), kind="stable")]  # radix
+            self._counts[domain] = (
+                np.concatenate([known, values[fresh]]),
+                np.concatenate([counts, totals[fresh]]),
+            )
         self._rebuild_tables()
         self._fitted = True
         return self
 
     def _rebuild_tables(self) -> None:
-        slots = schema.RANKS * len(schema.METRICS)
-        denom_pos = max(self._n_pos, 1.0) * slots
-        denom_neg = max(self._n_neg, 1.0) * slots
+        denom_pos = max(self._n_pos, 1.0) * _COLUMNS
+        denom_neg = max(self._n_neg, 1.0) * _COLUMNS
         for domain in schema.CATEGORICALS:
-            table = WoETable(domain=domain)
-            for value, (pos, neg) in self._counts.get(domain, {}).items():
-                if pos + neg < self.min_count:
-                    continue  # rare value: stays at the neutral encoding
-                p_pos = (pos + 1.0) / (denom_pos + 1.0)
-                p_neg = (neg + 1.0) / (denom_neg + 1.0)
-                table.mapping[value] = math.log(p_pos / p_neg)
-            self.tables[domain] = table
+            values, counts = self._counts.get(domain, _NO_EVIDENCE)
+            # Rare values stay at the neutral encoding.
+            kept = counts[:, 0] + counts[:, 1] >= self.min_count
+            pos, neg = counts[kept].T
+            ratios = ((pos + 1.0) / (denom_pos + 1.0)) / ((neg + 1.0) / (denom_neg + 1.0))
+            self.tables[domain] = WoETable(
+                domain=domain,
+                mapping=dict(zip(values[kept].tolist(), map(math.log, ratios.tolist()))),
+            )
 
     def table(self, domain: str) -> WoETable:
         if not self._fitted:

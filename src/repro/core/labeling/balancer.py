@@ -14,6 +14,7 @@ flows-per-IP profiles (validated in Fig. 3c with Pearson r ≈ 0.77).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,22 +151,22 @@ def _balance(
             # half the quota, falling back to the largest remaining.
             # Randomising among qualifying IPs (instead of always taking
             # the top counts) avoids systematically selecting the same
-            # heavy destinations in every bin.
+            # heavy destinations in every bin. ``available`` stays in
+            # descending-count order, so the qualifying IPs are a prefix
+            # of it, found by bisecting ``supply``, the negated counts.
             available = np.argsort(be_counts, kind="stable")[::-1].tolist()
+            supply = (-be_counts[available]).tolist()
+            be_dst = dst[be_idx]
             leftovers: list[np.ndarray] = []  # unused flows of picked IPs
             for rank in range(n_pick):
                 quota_target = int(target_counts[rank])
                 threshold = max(1, quota_target // 2)
-                qualifying = [
-                    pos for pos in available if be_counts[pos] >= threshold
-                ]
-                if qualifying:
-                    pick = qualifying[int(rng.integers(len(qualifying)))]
-                else:
-                    pick = available[0]
-                available.remove(pick)
+                qualifying = bisect.bisect_right(supply, -threshold)
+                index = int(rng.integers(qualifying)) if qualifying else 0
+                pick = available.pop(index)
+                del supply[index]
                 ip = be_ips[pick]
-                ip_flows = be_idx[dst[be_idx] == ip]
+                ip_flows = be_idx[be_dst == ip]
                 quota = int(min(quota_target, ip_flows.shape[0]))
                 if quota <= 0:
                     continue

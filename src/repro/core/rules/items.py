@@ -21,12 +21,15 @@ for. Mining needs only the *distinct* transactions and their weights
 (:meth:`ItemEncoder.distinct`), which one ``np.unique`` over the
 combined codes finds, and mines those codes as they are; the tuples of
 :meth:`ItemEncoder.transactions` and the per-flow lists of
-:meth:`ItemEncoder.encode` are views of the same codes.
+:meth:`ItemEncoder.encode` are views of the same codes. Both the
+vocabularies and the distinct transactions are sums over flow headers,
+so they are learned from a :class:`HeaderTable` as well as from flows:
+a training window is mined from its days' tables, not its flows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,6 +97,92 @@ class ItemColumn:
     items: list[Optional[Item]]
 
 
+@dataclass(frozen=True)
+class HeaderTable:
+    """The flow headers mining reads, with how many flows carry each.
+
+    One row per (protocol, source port, destination port, size bin,
+    label) — the size bin is ``ceil(packet size / 100)``, 0 for a flow
+    without packets — and its flow ``count``. Mining is a sum over these
+    rows, so the table of a window is the tables of its days stacked
+    (:meth:`concat`): a row may repeat, and every consumer adds its
+    counts up.
+    """
+
+    protocol: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    size_bin: np.ndarray
+    blackhole: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def per_flow(cls, flows: FlowDataset) -> "HeaderTable":
+        """One row per flow, in flow order."""
+        return cls(
+            flows.protocol.astype(np.int64),
+            flows.src_port.astype(np.int64),
+            flows.dst_port.astype(np.int64),
+            np.ceil(np.maximum(flows.packet_size, 0.0) / PACKET_SIZE_BIN),
+            flows.blackhole,
+            np.ones(len(flows), dtype=np.int64),
+        )
+
+    @classmethod
+    def of(cls, flows: FlowDataset) -> "HeaderTable":
+        """One row per distinct header of ``flows``, in order of first occurrence."""
+        table = cls.per_flow(flows)
+        bins, sizes = np.unique(table.size_bin, return_inverse=True)
+        rows, count = _first_rows(
+            [
+                (table.protocol, 256),
+                (table.src_port, 0x10000),
+                (table.dst_port, 0x10000),
+                (sizes, len(bins)),
+                (table.blackhole, 2),
+            ],
+            table.count,
+        )
+        return cls(*(column[rows] for column in table.columns()[:-1]), count)
+
+    @classmethod
+    def concat(cls, tables: Sequence["HeaderTable"]) -> "HeaderTable":
+        """The tables' rows, stacked."""
+        return cls(*map(np.concatenate, zip(*(table.columns() for table in tables))))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The arrays, in field order."""
+        return (self.protocol, self.src_port, self.dst_port, self.size_bin, self.blackhole, self.count)
+
+    @property
+    def n_flows(self) -> int:
+        return int(self.count.sum())
+
+
+def _first_rows(
+    codes: Sequence[tuple[np.ndarray, int]], weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows by their ``(codes, radix)`` columns: the first row of
+    each group, in order of occurrence, and the group's summed ``weights``.
+
+    The key is mixed radix over the columns' code ranges (256
+    protocols, two port ranges, the size bins, two classes): int64 has
+    room for millions of size bins.
+    """
+    n = weights.shape[0]
+    key = np.zeros(n, dtype=np.int64)
+    for column, radix in codes:
+        key = key * radix + column
+    # A stable sort puts each group's first row first.
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([n > 0], key[1:] != key[:-1])))
+    first = order[starts]
+    totals = np.add.reduceat(weights[order], starts) if n else weights
+    by_occurrence = np.argsort(first)
+    return first[by_occurrence], totals[by_occurrence]
+
+
 def _port_column(attribute: str, ports: np.ndarray, popular: frozenset[int]) -> ItemColumn:
     """Popular ports keep their identity, the last code is ``OTHER``."""
     known = sorted(popular)
@@ -102,6 +191,11 @@ def _port_column(attribute: str, ports: np.ndarray, popular: frozenset[int]) -> 
     return ItemColumn(
         classes[ports], [(attribute, port) for port in known] + [(attribute, OTHER)]
     )
+
+
+def as_headers(flows: FlowDataset | HeaderTable) -> HeaderTable:
+    """A header table as it is, flows as one row each."""
+    return flows if isinstance(flows, HeaderTable) else HeaderTable.per_flow(flows)
 
 
 def _rows(columns: list[ItemColumn]) -> list[tuple[Item, ...]]:
@@ -125,45 +219,45 @@ class ItemEncoder:
     @classmethod
     def fit(
         cls,
-        flows: FlowDataset,
+        flows: FlowDataset | HeaderTable,
         top_k: int = 40,
         min_share: float = 0.001,
     ) -> "ItemEncoder":
-        """Learn popular port vocabularies from ``flows``.
+        """Learn popular port vocabularies from ``flows`` (or their headers).
 
         A port is popular when it is among the ``top_k`` most frequent
         ports of its direction *and* carries at least ``min_share`` of
         flows.
         """
-        if len(flows) == 0:
+        headers = as_headers(flows)
+        n_flows = headers.n_flows
+        if n_flows == 0:
             return cls(src_ports=frozenset(), dst_ports=frozenset())
 
         def popular(ports: np.ndarray) -> frozenset[int]:
-            values, counts = np.unique(ports, return_counts=True)
+            # The ports present, ascending, and their flow counts (float
+            # accumulation of integer counts: exact below 2**53 flows).
+            counts = np.bincount(ports, weights=headers.count, minlength=0x10000)
+            values = np.flatnonzero(counts > 0)
+            counts = counts[values].astype(np.int64)
             order = np.argsort(counts)[::-1][:top_k]
-            threshold = max(1, int(min_share * ports.shape[0]))
+            threshold = max(1, int(min_share * n_flows))
             return frozenset(int(v) for v, c in zip(values[order], counts[order]) if c >= threshold)
 
-        return cls(popular(flows.src_port), popular(flows.dst_port))
+        return cls(popular(headers.src_port), popular(headers.dst_port))
 
-    def _columns(self, flows: FlowDataset, labeled: bool) -> list[ItemColumn]:
-        """The flows' items column by column, in :data:`ATTRIBUTES` order
-        (then the class item): the one place that says which port
-        collapses into ``OTHER`` and which size falls into which bin."""
+    def _columns(self, headers: HeaderTable, labeled: bool) -> list[ItemColumn]:
+        """The headers' items column by column, in :data:`ATTRIBUTES`
+        order (then the class item): the one place that says which port
+        collapses into ``OTHER`` and which size bin carries which item."""
         # Sizes are unbounded, so their codes are made dense; a flow
         # without packets (size 0.0) lands in bin 0, which carries no
         # item: like the matcher, where no size bin contains it.
-        bins, size_codes = np.unique(
-            np.ceil(np.maximum(flows.packet_size, 0.0) / PACKET_SIZE_BIN),
-            return_inverse=True,
-        )
+        bins, size_codes = np.unique(headers.size_bin, return_inverse=True)
         columns = [
-            ItemColumn(
-                flows.protocol.astype(np.int64),
-                [("protocol", value) for value in range(256)],
-            ),
-            _port_column("port_src", flows.src_port, self.src_ports),
-            _port_column("port_dst", flows.dst_port, self.dst_ports),
+            ItemColumn(headers.protocol, [("protocol", value) for value in range(256)]),
+            _port_column("port_src", headers.src_port, self.src_ports),
+            _port_column("port_dst", headers.dst_port, self.dst_ports),
             ItemColumn(
                 size_codes,
                 [
@@ -174,37 +268,32 @@ class ItemEncoder:
         ]
         if labeled:
             columns.append(
-                ItemColumn(flows.blackhole.astype(np.int64), [LABEL_BENIGN, LABEL_BLACKHOLE])
+                ItemColumn(headers.blackhole.astype(np.int64), [LABEL_BENIGN, LABEL_BLACKHOLE])
             )
         return columns
 
     def encode(self, flows: FlowDataset) -> list[tuple[Item, ...]]:
         """Encode each flow as a transaction (without the class item)."""
-        return _rows(self._columns(flows, labeled=False))
+        return _rows(self._columns(HeaderTable.per_flow(flows), labeled=False))
 
     def encode_labeled(self, flows: FlowDataset) -> list[tuple[Item, ...]]:
         """Encode flows including the class item from the blackhole label."""
-        return _rows(self._columns(flows, labeled=True))
+        return _rows(self._columns(HeaderTable.per_flow(flows), labeled=True))
 
-    def distinct(self, flows: FlowDataset) -> tuple[list[ItemColumn], np.ndarray]:
-        """The distinct labeled transactions of ``flows``, in order of
-        first occurrence, as item columns, and the number of flows
-        carrying each.
+    def distinct(self, flows: FlowDataset | HeaderTable) -> tuple[list[ItemColumn], np.ndarray]:
+        """The distinct labeled transactions of ``flows`` (or of their
+        headers), in order of first occurrence, as item columns, and the
+        number of flows carrying each.
 
         Flow header combinations repeat massively; mining runs on the
         few hundred distinct ones, weighted, whatever the window.
         """
-        columns = self._columns(flows, labeled=True)
-        # Mixed radix over the columns' code ranges: 256 protocols, two
-        # port vocabularies (at most 65 537 classes each), the distinct
-        # size bins, two classes; int64 has room for millions of bins.
-        key = np.zeros(len(flows), dtype=np.int64)
-        for column in columns:
-            key = key * len(column.items) + column.codes
-        _, first, weights = np.unique(key, return_index=True, return_counts=True)
-        order = np.argsort(first)
-        rows = first[order]
-        return [ItemColumn(column.codes[rows], column.items) for column in columns], weights[order]
+        headers = as_headers(flows)
+        columns = self._columns(headers, labeled=True)
+        rows, weights = _first_rows(
+            [(column.codes, len(column.items)) for column in columns], headers.count
+        )
+        return [ItemColumn(column.codes[rows], column.items) for column in columns], weights
 
     def transactions(self, flows: FlowDataset) -> list[tuple[tuple[Item, ...], int]]:
         """:meth:`distinct` as (sorted transaction, weight) pairs: what

@@ -28,10 +28,12 @@ import numpy as np
 from repro import obs
 from repro.obs import names as metric_names
 from repro.core.rules.items import (
+    HeaderTable,
     Item,
     ItemColumn,
     ItemEncoder,
     LABEL_BLACKHOLE,
+    as_headers,
     canonical_antecedent,
 )
 from repro.core.rules.itemsets import itemset_cube
@@ -148,19 +150,21 @@ class MiningResult:
 
 
 def mine_rules(
-    flows: FlowDataset,
+    flows: FlowDataset | HeaderTable,
     min_support: float = 0.0005,
     min_confidence: float = 0.8,
     encoder: ItemEncoder | None = None,
 ) -> MiningResult:
-    """Run the full mining pipeline on a balanced, labeled flow dataset."""
+    """Run the full mining pipeline on a balanced, labeled flow dataset,
+    or on its :class:`HeaderTable`: the result is the same."""
     if not 0.0 < min_support <= 1.0:
         raise ValueError("min_support must be in (0, 1]")
     with obs.span(metric_names.SPAN_RULES_MINE):
+        headers = as_headers(flows)
         if encoder is None:
-            encoder = ItemEncoder.fit(flows)
-        columns, weights = encoder.distinct(flows)
-        total = len(flows)
+            encoder = ItemEncoder.fit(headers)
+        columns, weights = encoder.distinct(headers)
+        total = headers.n_flows
         n_itemsets, n_rules, rules = _confident_rules(columns, weights, min_support, min_confidence)
         result = MiningResult(
             encoder=encoder,

@@ -10,7 +10,7 @@ records, and local explanations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.core.encoding.woe import WoEEncoder
 from repro.obs import names as metric_names
 from repro.core.features.aggregation import AggregatedDataset, aggregate, aggregate_batch
 from repro.core.models.pipeline import ModelPipeline, make_pipeline
-from repro.core.rules.items import ItemEncoder
+from repro.core.rules.items import HeaderTable, ItemEncoder
 from repro.core.rules.matcher import CompiledMatcher
 from repro.core.rules.minimize import minimize_rules
 from repro.core.rules.mining import mine_rules
@@ -118,6 +118,68 @@ class CompiledScorer:
         return self.pipeline.predict_proba(self.assembler.assemble(data).X)
 
 
+@dataclass(frozen=True)
+class DaySummary:
+    """What a fit reads of one day's balanced training flows.
+
+    The day's (bin, target) records, aggregated without rule tags (the
+    fit reads none), and its distinct :class:`HeaderTable`, which rule
+    mining sums over. Records of distinct bins never merge and every bin
+    of a day precedes every bin of the next, so a window's records are
+    its days' records concatenated in day order, and its header table is
+    theirs stacked. Derived state, never captured: it is rebuilt when
+    its day's buffer grows (a late bin adds a part) or is replaced (a
+    restore).
+    """
+
+    parts: tuple[FlowDataset, ...]
+    records: AggregatedDataset
+    headers: HeaderTable
+
+    @classmethod
+    def of(cls, parts: Sequence[FlowDataset]) -> "DaySummary":
+        flows = FlowDataset.concat(parts)
+        return cls(tuple(parts), aggregate(flows), HeaderTable.of(flows))
+
+    def covers(self, parts: Sequence[FlowDataset]) -> bool:
+        """True while ``parts`` is still the buffer this summarises."""
+        return len(parts) == len(self.parts) and all(
+            part is own for part, own in zip(parts, self.parts)
+        )
+
+
+class TrainingWindow:
+    """Days of balanced training flows, as :meth:`IXPScrubber.fit` reads them.
+
+    ``days`` maps a day index to that day's buffer of flow parts;
+    ``summaries`` memoises one :class:`DaySummary` per day. The streaming
+    engine passes its own memo retrain after retrain, so a retrain
+    aggregates only the days that are new or grew since the last one.
+    ``len()`` is the window's flow count.
+    """
+
+    def __init__(
+        self,
+        days: Mapping[int, Sequence[FlowDataset]],
+        summaries: Optional[dict[int, DaySummary]] = None,
+    ):
+        self.days = {day: days[day] for day in sorted(days)}
+        self.summaries = {} if summaries is None else summaries
+
+    def __len__(self) -> int:
+        return sum(len(part) for parts in self.days.values() for part in parts)
+
+    def summarize(self) -> list[DaySummary]:
+        """Each day's summary in day order, building the missing or stale ones."""
+        out = []
+        for day, parts in self.days.items():
+            summary = self.summaries.get(day)
+            if summary is None or not summary.covers(parts):
+                summary = self.summaries[day] = DaySummary.of(parts)
+            out.append(summary)
+        return out
+
+
 class IXPScrubber:
     """End-to-end two-step DDoS detector for one vantage point."""
 
@@ -138,8 +200,9 @@ class IXPScrubber:
     # ------------------------------------------------------------------
     # Step 1
     # ------------------------------------------------------------------
-    def mine_tagging_rules(self, flows: FlowDataset) -> RuleSet:
-        """Mine, minimise and stage tagging rules from balanced flows."""
+    def mine_tagging_rules(self, flows: FlowDataset | HeaderTable) -> RuleSet:
+        """Mine, minimise and stage tagging rules from balanced flows
+        (or from their :class:`HeaderTable`)."""
         with obs.span(metric_names.SPAN_SCRUBBER_MINE_RULES):
             result = mine_rules(
                 flows,
@@ -190,12 +253,21 @@ class IXPScrubber:
         self.pipeline.fit(matrix.X, matrix.y)
         return self
 
-    def fit(self, balanced_flows: FlowDataset) -> "IXPScrubber":
-        """Full training: mine rules, aggregate, fit WoE + classifier."""
+    def fit(self, training: FlowDataset | TrainingWindow) -> "IXPScrubber":
+        """Full training: mine rules, aggregate, fit WoE + classifier.
+
+        ``training`` is a :class:`TrainingWindow`, or balanced flows,
+        fitted as a window of one day. Only the days without a current
+        :class:`DaySummary` are aggregated. Rules are mined from the
+        days' stacked header tables, WoE and the classifier are fitted
+        on their concatenated records: what the window's flows as one
+        batch give, bit for bit.
+        """
+        window = training if isinstance(training, TrainingWindow) else TrainingWindow({0: [training]})
         with obs.span(metric_names.SPAN_SCRUBBER_FIT):
-            self.mine_tagging_rules(balanced_flows)
-            data = self.aggregate_flows(balanced_flows)
-            return self.fit_aggregated(data)
+            days = window.summarize()
+            self.mine_tagging_rules(HeaderTable.concat([day.headers for day in days]))
+            return self.fit_aggregated(AggregatedDataset.concat([day.records for day in days]))
 
     # ------------------------------------------------------------------
     # Prediction

@@ -29,7 +29,13 @@ from repro.bgp.blackhole import BlackholeRegistry
 from repro.bgp.messages import Update
 from repro.core.drift import DriftTracker
 from repro.core.labeling.balancer import balance
-from repro.core.scrubber import IXPScrubber, ScrubberConfig, TargetVerdict
+from repro.core.scrubber import (
+    DaySummary,
+    IXPScrubber,
+    ScrubberConfig,
+    TargetVerdict,
+    TrainingWindow,
+)
 from repro.netflow.dataset import BIN_SECONDS, FlowDataset
 from repro.obs import names
 
@@ -141,6 +147,9 @@ class StreamingScrubber:
         self._pending_label: "OrderedDict[int, FlowDataset]" = OrderedDict()
         #: Balanced training flows per day index.
         self._day_buffers: "OrderedDict[int, list[FlowDataset]]" = OrderedDict()
+        #: What a retrain reads of each day's buffer, built by the first
+        #: retrain that needs it (derived state: never captured).
+        self._day_summaries: dict[int, DaySummary] = {}
         self._last_trained_day: Optional[int] = None
         self._horizon = 0
         #: Observational drift detector over the per-bin verdict mix.
@@ -298,7 +307,12 @@ class StreamingScrubber:
                 if bin_id not in self._counted_bins:
                     self._counted_bins.add(bin_id)
                     obs.counter(names.C_STREAMING_BINS_CLOSED).inc()
-                self._pending_label[bin_id] = bin_flows
+                # A bin that re-closes while still pending labels all of
+                # its flows, but is classified on its late part alone.
+                earlier = self._pending_label.get(bin_id)
+                self._pending_label[bin_id] = (
+                    bin_flows if earlier is None else FlowDataset.concat([earlier, bin_flows])
+                )
                 closed.append((bin_id, bin_flows))
         return closed
 
@@ -364,31 +378,32 @@ class StreamingScrubber:
         """Retrain once per day on the trailing window."""
         if self._last_trained_day is not None and day <= self._last_trained_day:
             return
-        window_days = [
-            d for d in self._day_buffers if day - self.window_days <= d < day
-        ]
-        if not window_days and self._scrubber is not None:
+        days = {
+            d: parts
+            for d, parts in self._day_buffers.items()
+            if day - self.window_days <= d < day
+        }
+        if not days and self._scrubber is not None:
             return
-        parts = [f for d in window_days for f in self._day_buffers[d]]
-        if self._scrubber is None:
+        if self._scrubber is None and day in self._day_buffers:
             # Bootstrap: include the current day's data so the first
             # model appears as early as possible.
-            parts = parts + self._day_buffers.get(day, [])
-        if not parts:
-            return
-        training = FlowDataset.concat(parts)
-        labels = training.blackhole
-        if len(training) < 50 or labels.all() or not labels.any():
+            days[day] = self._day_buffers[day]
+        window = TrainingWindow(days, self._day_summaries)
+        n_flows = len(window)
+        n_blackhole = sum(int(part.blackhole.sum()) for parts in days.values() for part in parts)
+        if n_flows < 50 or n_blackhole in (0, n_flows):
             return
         with obs.span(names.SPAN_STREAMING_RETRAIN):
             scrubber = IXPScrubber(self.config)
-            scrubber.fit(training)
+            scrubber.fit(window)
         self._scrubber = scrubber
         self._last_trained_day = day
         self._drift.rebaseline()
         obs.counter(names.C_STREAMING_RETRAININGS).inc()
-        obs.gauge(names.G_STREAMING_TRAINING_FLOWS).set(len(training))
+        obs.gauge(names.G_STREAMING_TRAINING_FLOWS).set(n_flows)
         # Evict buffers that can never be in a future window.
         for d in list(self._day_buffers):
             if d < day - self.window_days:
                 del self._day_buffers[d]
+                self._day_summaries.pop(d, None)

@@ -160,3 +160,63 @@ class TestIncrementalUpdate:
         encoder = WoEEncoder(min_count=1)
         encoder.update(data)
         assert encoder.is_fitted
+
+
+class TestGroupByEqualsLoop:
+    """One group-by per domain against the per-column dict loop of
+    ``tests/reference_woe.py``: counts, tables, and both in the order of
+    first appearance, bit for bit."""
+
+    @staticmethod
+    def _data(seed):
+        from tests import strategies
+
+        flows = strategies.labeled_flows(strategies.rng_for(seed), n_flows=600, n_bins=4)
+        return aggregate(flows)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fit(self, seed):
+        from tests.reference_woe import ReferenceWoE, assert_same_evidence
+
+        data = self._data(seed)
+        for min_count in (1, 5):
+            assert_same_evidence(
+                WoEEncoder(min_count).fit(data), ReferenceWoE(min_count).fit(data)
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_update_with_decay(self, seed):
+        from tests.reference_woe import ReferenceWoE, assert_same_evidence
+
+        old, fresh = self._data(seed), self._data(seed + 100)
+        encoder, reference = WoEEncoder(min_count=2).fit(old), ReferenceWoE(2).fit(old)
+        for batch, decay in ((fresh, 0.7), (old, 1 / 7), (fresh, 1.0), (old, 0.7)):
+            encoder.update(batch, decay=decay)
+            reference.update(batch, decay=decay)
+            assert_same_evidence(encoder, reference)
+
+    def test_decayed_counts_take_one_column_at_a_time(self):
+        from tests.reference_woe import ReferenceWoE, assert_same_evidence
+
+        # Port 123 holds rank 0 of all three metrics of the one blackholed
+        # record: 3/7 after decay 1/7, and ((3/7 + 1) + 1) + 1 != 3/7 + 3.
+        data = build_data(n_attack=1, n_benign=1)
+        encoder = WoEEncoder(min_count=1).fit(data).update(data, decay=1 / 7)
+        assert_same_evidence(encoder, ReferenceWoE(1).fit(data).update(data, decay=1 / 7))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(build_data(), id="all-missing-lower-ranks"),
+            pytest.param(build_data(n_benign=0), id="no-benign-record"),
+            pytest.param(build_data(n_attack=0), id="no-blackhole-record"),
+            pytest.param(build_data().select(np.zeros(60, dtype=bool)), id="no-record"),
+        ],
+    )
+    def test_edge_cases(self, data):
+        from tests.reference_woe import ReferenceWoE, assert_same_evidence
+
+        assert_same_evidence(WoEEncoder(min_count=1).fit(data), ReferenceWoE(1).fit(data))
+        encoder = WoEEncoder(min_count=1).fit(build_data()).update(data, decay=0.7)
+        reference = ReferenceWoE(1).fit(build_data()).update(data, decay=0.7)
+        assert_same_evidence(encoder, reference)

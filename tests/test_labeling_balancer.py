@@ -132,3 +132,85 @@ def test_balance_invariants(n_bh, n_benign_ips, benign_per_ip):
     assert kept_bh == n_bh
     assert kept_benign <= n_bh
     assert kept_benign <= n_benign_ips * benign_per_ip
+
+
+def _numbered_flows(bins, order_seed=0):
+    """Flows of ``bins``, each ``(blackhole counts, benign counts)`` per
+    destination IP, shuffled, with ``src_ip`` numbering the rows."""
+    time, dst, blackhole = [], [], []
+    for bin_id, (bh_counts, be_counts) in enumerate(bins):
+        for label, base, counts in ((True, 100, bh_counts), (False, 200, be_counts)):
+            for i, count in enumerate(counts):
+                time += [bin_id * 60 + 1] * count
+                dst += [base + i] * count
+                blackhole += [label] * count
+    n = len(time)
+    order = np.random.default_rng(order_seed).permutation(n)
+    return FlowDataset({
+        "time": np.array(time, dtype=np.int64)[order],
+        "src_ip": np.arange(n, dtype=np.uint32),
+        "dst_ip": np.array(dst, dtype=np.uint32)[order],
+        "src_port": np.full(n, 123),
+        "dst_port": np.full(n, 4444),
+        "protocol": np.full(n, 17),
+        "packets": np.full(n, 10),
+        "bytes": np.full(n, 4680),
+        "src_mac": np.ones(n),
+        "blackhole": np.array(blackhole, dtype=bool)[order],
+    })
+
+
+def _assert_matches_reference(flows, seed):
+    from tests.reference_balance import reference_balance
+
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, expected = balance(flows, rng), reference_balance(flows, reference_rng)
+    np.testing.assert_array_equal(got.flows.src_ip, expected.flows.src_ip)
+    for field in ("bins", "blackhole_ips", "blackhole_flows", "benign_ips", "benign_flows"):
+        a, b = getattr(got.report, field), getattr(expected.report, field)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), field
+    assert (got.report.flows_before, got.report.flows_after) == (
+        expected.report.flows_before,
+        expected.report.flows_after,
+    )
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class TestPrefixDraw:
+    """The qualifying benign IPs are found by bisection, not by a scan:
+    the same flows are kept, the same report made, the same draws taken."""
+
+    def test_no_ip_meets_the_quotas(self):
+        # Quotas of 40 and 30 need 20 and 15 flows: every pick falls back
+        # to the largest remaining IP, and the shortfall tops up.
+        _assert_matches_reference(_numbered_flows([([40, 30], [5, 9, 3])]), seed=1)
+
+    def test_tied_counts(self):
+        _assert_matches_reference(_numbered_flows([([6, 6, 6], [6, 6, 6, 6, 6])]), seed=2)
+
+    def test_shortfall_top_up(self):
+        _assert_matches_reference(_numbered_flows([([12, 12], [30, 4, 4])]), seed=3)
+
+    def test_one_benign_ip(self):
+        _assert_matches_reference(_numbered_flows([([8, 5, 2], [3])]), seed=4)
+
+    def test_no_benign_side(self):
+        _assert_matches_reference(_numbered_flows([([8, 5], [])]), seed=5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bins=st.lists(
+            st.tuples(
+                st.lists(st.integers(1, 40), min_size=0, max_size=5),
+                st.lists(
+                    st.one_of(st.integers(1, 4), st.integers(1, 60)), min_size=0, max_size=8
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        order_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_the_scan(self, bins, order_seed, seed):
+        _assert_matches_reference(_numbered_flows(bins, order_seed), seed)
