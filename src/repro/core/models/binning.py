@@ -46,6 +46,8 @@ class QuantileBinner:
         #: Per-feature ascending arrays of bin upper edges (exclusive of
         #: the last implicit +inf bin).
         self.edges_: list[np.ndarray] | None = None
+        #: Per-feature bin count, ``len(edges) + 1`` (int64).
+        self.n_bins_: np.ndarray | None = None
 
     @property
     def is_fitted(self) -> bool:
@@ -65,8 +67,9 @@ class QuantileBinner:
         # an interpolation between two infinities.
         keep = edges < ordered[-1]
         keep[1:] &= edges[1:] != edges[:-1]
-        ends = np.cumsum(keep.sum(axis=0))
-        self.edges_ = np.split(edges.T[keep.T], ends)[:-1]
+        kept = keep.sum(axis=0)
+        self.edges_ = np.split(edges.T[keep.T], np.cumsum(kept))[:-1]
+        self.n_bins_ = kept.astype(np.int64) + 1
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -86,9 +89,9 @@ class QuantileBinner:
 
     def n_bins(self, feature: int) -> int:
         """Number of distinct bins of one feature."""
-        if self.edges_ is None:
+        if self.n_bins_ is None:
             raise RuntimeError("QuantileBinner is not fitted")
-        return len(self.edges_[feature]) + 1
+        return int(self.n_bins_[feature])
 
     def threshold(self, feature: int, bin_index: int) -> float:
         """The raw-value threshold of splitting at ``bin <= bin_index``."""

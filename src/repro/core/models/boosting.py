@@ -122,12 +122,7 @@ class GradientBoostedTrees(Classifier):
         self.base_score_ = float(np.log(pos_rate / (1.0 - pos_rate)))
         margin = np.full(n, self.base_score_, dtype=np.float64)
 
-        # Histograms only need bins that actually occur: sizing them to
-        # the widest feature keeps the cumsum/gain algebra tight when
-        # features have few distinct values (padding bins past a
-        # feature's real count stay empty and can never win a split).
-        B = max((self._binner.n_bins(j) for j in range(n_features)), default=2)
-        scratch = HistogramScratch(binned, max(B, 2))
+        scratch = HistogramScratch(binned, self._binner.n_bins_)
         yf = y.astype(np.float64)
         kernels = []
         for _ in range(self.n_estimators):
@@ -152,23 +147,41 @@ class GradientBoostedTrees(Classifier):
     ):
         """Grow one tree level-wise; returns (kernel, leaf id per sample).
 
-        Per level, every frontier node's (feature × bin) gradient/hessian
-        histograms sit in one stacked (nodes, features, bins) block and
-        the best split of *all* nodes is found with one vectorised
-        cumsum + argmax pass. The frontier holds only nodes that can
-        split: the root and both children of every split pass
-        :func:`_can_split` or stay leaves unsearched, so a split whose
-        children both fail builds no histogram and a root that fails
-        builds none at all. Only the smaller child of each split is
-        scanned (one slotted histogram pass over the level's rows); the
-        sibling histogram is written by parent − small subtraction
-        straight into the next level's preallocated block. Children are
-        materialised at consecutive ids (right == left + 1), so routing
-        a level down is the same branchless ``left + (code > bin)`` step
-        the inference kernel uses.
+        Per level, every frontier node's gradient/hessian histograms sit
+        in one stacked ``(2, nodes, size)`` block in the scratch's
+        layout: features grouped into power-of-two width blocks, each a
+        dense (features, width) slice of a node's flat row, so the
+        running sums are one cumsum per block. The best split of *all*
+        nodes is then found on the valid split points alone: one
+        ``flatnonzero`` over ``HL >= mcw``, ``HR >= mcw`` and the
+        scratch's ``candidate`` mask, then flat ``take`` s of HL, HR and
+        GL, and the gain per cell as the dense search computed it.
+
+        The candidates are the cells ``b < n_bins(f) − 1``. A null cell
+        (the last bin) or a padding cell past it sends every row of its
+        node left, and ``QuantileBinner.threshold`` has no edge for it:
+        the dense search, which scanned them too, could pick one only by
+        raising ``IndexError``. In a fit that returns, its pick was a
+        split point and the first maximum among split points, so leaving
+        the other cells out changes no split. The blocks permute
+        features; among the cells tied at a node's maximum,
+        :meth:`HistogramScratch.first_max` takes the lowest feature,
+        then the lowest bin, as the dense row-major ``argmax`` did.
+
+        The frontier holds only nodes that can split: the root and both
+        children of every split pass :func:`_can_split` or stay leaves
+        unsearched, so a split whose children both fail builds no
+        histogram and a root that fails builds none at all. Only the
+        smaller child of each split is scanned (one slotted histogram
+        pass over the level's rows); the sibling histogram is written by
+        parent − small subtraction straight into the next level's
+        preallocated block. Children are materialised at consecutive ids
+        (right == left + 1), so routing a level down is the same
+        branchless ``left + (code > bin)`` step the inference kernel
+        uses.
         """
         n, n_features = binned.shape
-        B = scratch.max_bins
+        size = scratch.size
         lam = self.reg_lambda
         mcw = self.min_child_weight
         assert self.feature_gain_ is not None and self.feature_splits_ is not None
@@ -182,27 +195,26 @@ class GradientBoostedTrees(Classifier):
         node_of = np.zeros(n, dtype=np.int32)
 
         ids: list[int] = []  # the frontier
-        HG = HH = None  # its (K, F, B) histograms
+        hist = None  # its (2, K, size) gradient and hessian histograms
         if n_features > 0 and _can_split(n, h_l[0], mcw):
-            HG, HH = scratch.pair(None, grad, hess)
+            hist = scratch.pair(None, grad, hess)
             ids = [0]
 
         for depth in range(self.max_depth):
             if not ids:
                 break
-            assert HG is not None and HH is not None
+            assert hist is not None
             gsum = np.array([g_l[i] for i in ids])
             hsum = np.array([h_l[i] for i in ids])
-            GL = np.cumsum(HG, axis=2)[:, :, :-1]
-            HL = np.cumsum(HH, axis=2)[:, :, :-1]
-            HR = hsum[:, None, None] - HL
-            # gain = 0.5 * (GL²/(HL+λ) + GR²/(HR+λ) − gsum²/(hsum+λ)) on
-            # the valid cells only, gathered in (node, feature, bin)
-            # order: per cell the same operations in the same order as
-            # over the whole block, so bit-identical, and a node's first
-            # maximum is the first (feature, bin) to reach it.
-            k, f, b = np.nonzero((HL >= mcw) & (HR >= mcw))
-            gl, hl, hr = GL[k, f, b], HL[k, f, b], HR[k, f, b]
+            # The valid split points as ascending flat (node, cell)
+            # indices. gain = 0.5 * (GL²/(HL+λ) + GR²/(HR+λ) −
+            # gsum²/(hsum+λ)) per cell: the dense block's operations in
+            # the same order, so bit-identical.
+            GL, HL = scratch.prefix(hist)
+            HR = hsum[:, None] - HL
+            cells = np.flatnonzero((HL >= mcw) & (HR >= mcw) & scratch.candidate)
+            hl, hr, gl = HL.take(cells), HR.take(cells), GL.take(cells)
+            k = cells // size
             with np.errstate(divide="ignore", invalid="ignore"):
                 gr = gsum[k] - gl
                 gain = gl * gl / (hl + lam) + gr * gr / (hr + lam)
@@ -224,10 +236,11 @@ class GradientBoostedTrees(Classifier):
                 lo, hi = bounds[i], bounds[i + 1]
                 if lo == hi:
                     continue
-                best = lo + int(np.argmax(gain[lo:hi]))
+                best = lo + scratch.first_max(gain[lo:hi], cells[lo:hi])
                 if not gain[best] > _MIN_SPLIT_GAIN:
                     continue
-                feature, kbin = int(f[best]), int(b[best])
+                cell = int(cells[best]) - i * size
+                feature, kbin = int(scratch.feature[cell]), int(scratch.bin[cell])
                 self.feature_gain_[feature] += float(gain[best])
                 self.feature_splits_[feature] += 1
                 lid = len(feat_l)
@@ -279,19 +292,16 @@ class GradientBoostedTrees(Classifier):
             slot_r = slot_of[child]
             scanned = slot_r >= 0
             srows = rows[scanned]
-            HG_small, HH_small = scratch.pair(
+            small = scratch.pair(
                 srows, grad.take(srows), hess.take(srows), slot_r[scanned], n_slots
             )
-            HG_next = np.empty((len(ids), n_features, B))
-            HH_next = np.empty((len(ids), n_features, B))
+            frontier = np.empty((2, len(ids), size))
             for pos, (_, i, slot, is_sibling) in enumerate(sources):
                 if is_sibling:
-                    np.subtract(HG[i], HG_small[slot], out=HG_next[pos])
-                    np.subtract(HH[i], HH_small[slot], out=HH_next[pos])
+                    np.subtract(hist[:, i], small[:, slot], out=frontier[:, pos])
                 else:
-                    HG_next[pos] = HG_small[slot]
-                    HH_next[pos] = HH_small[slot]
-            HG, HH = HG_next, HH_next
+                    frontier[:, pos] = small[:, slot]
+            hist = frontier
 
         left = np.asarray(left_l, dtype=np.int32)
         kernel = TreeKernel(

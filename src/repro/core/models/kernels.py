@@ -22,11 +22,17 @@ Python node graphs walked one recursive call per node:
   sequential per-tree traversal (``tests/reference_trees.py``, the
   recursive oracle the property suite pins both kernels to).
 * :class:`HistogramScratch` — the shared histogram machinery of the
-  training hot paths: per-(node, feature, bin) histograms from a flat
-  ``code + feature * n_bins`` key per (sample, feature), staged once
-  per fit and reused across every node, level and boosting round (one
-  row gather and two ``bincount`` s per call, accumulating rows in
-  ascending order exactly like a per-node, per-feature scan). Sibling
+  training hot paths. A node's histograms are one flat row of
+  power-of-two width blocks: features are grouped by their bin count
+  rounded up to a power of two, each block a dense (features, width)
+  slice, so a feature of three bins costs four cells, not the widest
+  feature's. A flat ``code + start[feature]`` key per (sample,
+  feature) is staged once per fit and reused across every node, level
+  and boosting round (one row gather and two ``bincount`` s per call,
+  accumulating rows in ascending order exactly like a per-node,
+  per-feature scan); running sums are one cumsum per block. Split
+  search reads only the split points, cells ``bin < n_bins − 1``, by
+  flat index, and breaks ties in original (feature, bin) order. Sibling
   histograms are derived by subtraction (``child = parent − other
   child``), so only the smaller child of every split is ever scanned.
 
@@ -362,28 +368,56 @@ class ForestKernel:
 # Histogram machinery for the training hot paths
 # ----------------------------------------------------------------------
 class HistogramScratch:
-    """Per-(node, feature, bin) histograms from staged flat keys.
+    """Per-(node, feature, bin) histograms over the split points that exist.
+
+    **Layout.** Feature ``f`` gets ``width(f)`` cells, its ``n_bins(f)``
+    from the fitted binner rounded up to a power of two. Features of one
+    width form a block, a dense ``(features, width)`` slice of the flat
+    per-node row of ``size`` cells; blocks run in ascending width and
+    features ascending within theirs, and ``start[f]`` is feature
+    ``f``'s first cell. Both trainers search this layout.
 
     Staged once per fit: the row-major ``(samples, features)`` int64 key
-    matrix ``code + feature * n_bins``, every sample's cell in a flat
-    ``(feature, bin)`` histogram. A :meth:`pair` call is then one
+    matrix ``code + start[f]``. A :meth:`pair` call is then one
     contiguous row gather, one add that folds each row's node slot into
-    its keys (``+ slot * features * n_bins``) and two ``bincount`` s over
-    the ravelled keys, the row weights repeated once per feature.
-    ``bincount`` accumulates in key-array order and the ravel is
-    row-major, so each (slot, feature, bin) cell sums its rows in
-    ascending row order: every histogram is bit-identical to a per-node,
-    per-feature scan (``tests/reference_trees.py`` keeps that scan as
-    the oracle).
+    its keys (``+ slot * size``, for more than one slot) and two
+    ``bincount`` s over the ravelled keys, the row weights repeated once
+    per feature. ``bincount`` accumulates in key-array order and the
+    ravel is row-major, so each (slot, feature, bin) cell sums its rows
+    in ascending row order: every histogram is bit-identical to a
+    per-node, per-feature scan (``tests/reference_trees.py`` keeps that
+    scan as the oracle). :meth:`prefix` runs one cumsum per block along
+    its width axis: each feature's running sums are a dense block's,
+    cell for cell.
+
+    **Split points.** Cell ``start[f] + b`` is one only for
+    ``b < n_bins(f) − 1`` (``candidate``): the last bin's cell sends
+    every row left and the cells past it pad the block. ``feature`` and
+    ``bin`` decode a cell; :meth:`first_max` breaks ties in original
+    (feature, bin) order, which the blocks permute.
 
     ``rows_scanned`` counts the rows the fit has histogrammed so far
     (``models.histogram_rows``).
     """
 
-    def __init__(self, binned: np.ndarray, max_bins: int):
-        self.n_features = binned.shape[1]
-        self.max_bins = max_bins
-        self.keys = binned.astype(np.int64) + np.arange(self.n_features, dtype=np.int64) * max_bins
+    def __init__(self, binned: np.ndarray, n_bins: np.ndarray):
+        n_bins = np.asarray(n_bins, dtype=np.int64)
+        width = np.left_shift(1, np.frexp(n_bins - 1)[1]).astype(np.int64)
+        order = np.argsort(width, kind="stable")  # features in block order
+        ordered = width[order]
+        first = np.cumsum(ordered) - ordered
+        start = np.empty_like(width)
+        start[order] = first
+        widths, heads, counts = np.unique(ordered, return_index=True, return_counts=True)
+        lo = first[heads]
+        #: (first cell, end cell, width) of each block, widths ascending.
+        self.blocks = list(zip(lo.tolist(), (lo + counts * widths).tolist(), widths.tolist()))
+        self.size = int(width.sum())
+        #: Per cell: its feature and its bin.
+        self.feature = np.repeat(order, ordered)
+        self.bin = np.arange(self.size) - start[self.feature]
+        self.candidate = self.bin < n_bins[self.feature] - 1
+        self.keys = binned + start
         self.rows_scanned = 0
 
     def pair(
@@ -393,8 +427,8 @@ class HistogramScratch:
         second: np.ndarray,
         slots: Optional[np.ndarray] = None,
         n_slots: int = 1,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Two (n_slots, F, B) histograms over one row subset.
+    ) -> np.ndarray:
+        """Two stacked (2, n_slots, size) histograms over one row subset.
 
         Both training hot paths need a pair per node — (count, positive)
         for CART, (gradient, hessian) for boosting. ``rows=None`` means
@@ -402,16 +436,35 @@ class HistogramScratch:
         aligned with ``rows`` (``first=None`` counts samples instead);
         ``slots`` assigns each row to one of ``n_slots`` nodes.
         """
-        F, B = self.n_features, self.max_bins
+        F, size = self.keys.shape[1], self.size
         keys = self.keys if rows is None else self.keys.take(rows, axis=0)
-        if slots is not None:
-            keys = keys + (slots.astype(np.int64) * (F * B))[:, None]
+        if n_slots > 1:
+            keys = keys + (slots.astype(np.int64) * size)[:, None]
         self.rows_scanned += keys.shape[0]
         flat = keys.ravel()
-        size = n_slots * F * B
+        out = np.empty((2, n_slots * size))
         if first is None:
-            h1 = np.bincount(flat, minlength=size).astype(np.float64)
+            out[0] = np.bincount(flat, minlength=out.shape[1])
         else:
-            h1 = np.bincount(flat, weights=np.repeat(first, F), minlength=size)
-        h2 = np.bincount(flat, weights=np.repeat(second, F), minlength=size)
-        return h1.reshape(n_slots, F, B), h2.reshape(n_slots, F, B)
+            out[0] = np.bincount(flat, weights=np.repeat(first, F), minlength=out.shape[1])
+        out[1] = np.bincount(flat, weights=np.repeat(second, F), minlength=out.shape[1])
+        return out.reshape(2, n_slots, size)
+
+    def prefix(self, hist: np.ndarray) -> np.ndarray:
+        """Running sums over each feature's bins of (..., size) histograms."""
+        out = np.empty(hist.shape)
+        for lo, hi, width in self.blocks:
+            block = (*hist.shape[:-1], -1, width)
+            np.cumsum(hist[..., lo:hi].reshape(block), axis=-1, out=out[..., lo:hi].reshape(block))
+        return out
+
+    def first_max(self, gain: np.ndarray, cells: np.ndarray) -> int:
+        """Index into one node's ``gain`` of the cell a dense scan picks.
+
+        ``cells`` are the node's ascending flat cell indices (offset by
+        the node's row, if any). Of the cells tied at the maximum the
+        lowest feature wins; its cells run in bin order, so the first of
+        them is its lowest bin.
+        """
+        tied = np.flatnonzero(gain == gain.max())
+        return int(tied[np.argmin(self.feature.take(cells.take(tied) % self.size))])

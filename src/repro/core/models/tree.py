@@ -101,9 +101,10 @@ class DecisionTree(Classifier):
         with obs.span(names.SPAN_MODELS_FIT):
             binned = self._binner.fit_transform(X)
             self._n_train = X.shape[0]
-            scratch = HistogramScratch(binned, self.max_bins)
+            scratch = HistogramScratch(binned, self._binner.n_bins_)
             index = np.arange(X.shape[0])
-            root = self._build(binned, y.astype(np.float64), index, 0, scratch, None)
+            yf = y.astype(np.float64)
+            root = self._build(binned, yf, index, 0, scratch, None, float(yf.sum()))
             if self.ccp_alpha > 0:
                 self._prune(root)
             self.kernel_ = TreeKernel.from_cart_root(root)
@@ -121,15 +122,10 @@ class DecisionTree(Classifier):
         index: np.ndarray,
         depth: int,
         scratch: HistogramScratch,
-        hist: Optional[tuple[np.ndarray, np.ndarray]],
+        hist: Optional[np.ndarray],
+        pos: float,
     ) -> _Node:
         n = index.shape[0]
-        if hist is None:
-            pos = float(y[index].sum())
-        else:
-            # Every row lands in exactly one bin of feature 0, so its
-            # positive histogram sums to the node total (exact: counts).
-            pos = float(hist[1][0].sum())
         node = _Node(n=n, value=pos / n, impurity=_gini(pos, n))
         if (
             depth >= self.max_depth
@@ -139,49 +135,46 @@ class DecisionTree(Classifier):
         ):
             return node
 
-        B = self.max_bins
         if hist is None:
-            total_hist, pos_hist = scratch.pair(index, None, y[index])
-            total_hist, pos_hist = total_hist[0], pos_hist[0]
-        else:
-            total_hist, pos_hist = hist
+            hist = scratch.pair(index, None, y[index])
 
-        # Vectorised split search over all (feature, bin) candidates.
-        # Padding bins past a feature's real bin count are empty, so
-        # their right side is 0 samples and min_samples_leaf rejects
-        # them — no per-feature bookkeeping needed.
-        left_n = np.cumsum(total_hist, axis=1)[:, :-1]
-        left_pos = np.cumsum(pos_hist, axis=1)[:, :-1]
+        # Vectorised split search over the split points of every
+        # feature. A feature's last bin and the padding past it hold
+        # every row on the left, so min_samples_leaf would reject them
+        # anyway: the candidate mask changes no tree.
+        left_n, left_pos = scratch.prefix(hist)
+        msl = self.min_samples_leaf
+        cells = np.flatnonzero((left_n >= msl) & scratch.candidate)
+        left_n = left_n.take(cells)
         right_n = n - left_n
-        right_pos = pos - left_pos
-        valid = (left_n >= self.min_samples_leaf) & (right_n >= self.min_samples_leaf)
+        valid = right_n >= msl
         if not valid.any():
             return node
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_l = np.where(left_n > 0, left_pos / left_n, 0.0)
-            p_r = np.where(right_n > 0, right_pos / right_n, 0.0)
+        cells, left_n, right_n = cells[valid], left_n[valid], right_n[valid]
+        left_pos = left_pos.take(cells)
+        p_l = left_pos / left_n
+        p_r = (pos - left_pos) / right_n
         gini_l = 2.0 * p_l * (1.0 - p_l)
         gini_r = 2.0 * p_r * (1.0 - p_r)
         weighted = (left_n * gini_l + right_n * gini_r) / n
         # Impurity decrease weighted by node share of the training
         # set (sklearn's min_impurity_decrease convention).
         gain = (n / self._n_train) * (node.impurity - weighted)
-        gain[~valid] = -np.inf
-        # Flat C-order argmax = lowest feature then lowest bin on ties,
-        # matching the original first-feature-wins per-feature scan.
-        k = int(np.argmax(gain))
-        best_gain = float(gain.flat[k])
+        # Lowest feature then lowest bin on ties, matching the original
+        # first-feature-wins per-feature scan.
+        best = scratch.first_max(gain, cells)
+        best_gain = float(gain[best])
         if not (best_gain > 0.0 and best_gain >= self.min_impurity_decrease):
             return node
 
-        feature, split_bin = divmod(k, B - 1)
+        feature, split_bin = int(scratch.feature[cells[best]]), int(scratch.bin[cells[best]])
         node.feature = feature
         node.threshold = self._binner.threshold(feature, split_bin)
         go_left = binned[index, feature] <= split_bin
         left_index = index[go_left]
         right_index = index[~go_left]
         n_l = left_index.shape[0]
-        pos_l = float(left_pos[feature, split_bin])
+        pos_l = float(left_pos[best])
 
         def wants_hist(m: int, p: float) -> bool:
             # Mirrors the stopping test above: a child that will return
@@ -199,16 +192,14 @@ class DecisionTree(Classifier):
             # parent − small, exact because counts are integers.
             small_is_left = n_l <= n - n_l
             small_index = left_index if small_is_left else right_index
-            st, sp = scratch.pair(small_index, None, y[small_index])
-            st, sp = st[0], sp[0]
-            big = (total_hist - st, pos_hist - sp)
-            hist_l, hist_r = ((st, sp), big) if small_is_left else (big, (st, sp))
+            small = scratch.pair(small_index, None, y[small_index])
+            hist_l, hist_r = (small, hist - small) if small_is_left else (hist - small, small)
             if not wants_hist(n_l, pos_l):
                 hist_l = None
             if not wants_hist(n - n_l, pos - pos_l):
                 hist_r = None
-        node.left = self._build(binned, y, left_index, depth + 1, scratch, hist_l)
-        node.right = self._build(binned, y, right_index, depth + 1, scratch, hist_r)
+        node.left = self._build(binned, y, left_index, depth + 1, scratch, hist_l, pos_l)
+        node.right = self._build(binned, y, right_index, depth + 1, scratch, hist_r, pos - pos_l)
         return node
 
     # ------------------------------------------------------------------

@@ -12,11 +12,22 @@ the per-tree accumulation order.
 Training has its oracle here too: :func:`reference_grow_forest` is the
 boosting trainer as it stood before the frontier learned which nodes
 can split — every node of two rows or more is histogrammed and
-searched, cell by cell over the whole (nodes, features, bins) block —
-on :class:`ReferenceHistogramScratch`, the per-feature ``bincount``
-scan. ``GradientBoostedTrees`` must produce the same forest, gains and
-split counts; ``DecisionTree`` must grow the same tree on either
-scratch.
+searched, cell by cell over the whole dense (nodes, features, bins)
+block, null and padding cells included — on
+:class:`ReferenceHistogramScratch`, the per-feature ``bincount`` scan.
+``GradientBoostedTrees`` must produce the same forest, gains and split
+counts; ``DecisionTree`` must grow the same tree on either scratch
+(:class:`ReferenceLayoutScratch` fills the real layout by the scan).
+
+The real grower searches less and in another order. Its histograms are
+per-width blocks (``HistogramScratch``), and it reads only the split
+points, cells ``b < n_bins(f) − 1``. A null or padding cell sends every
+row of its node left; the dense search here could pick one only by
+raising ``IndexError`` in ``QuantileBinner.threshold``, which has no
+edge for it. So in every fit that returns, the dense pick is a split
+point and the first maximum among split points, and dropping the other
+cells moves no split. The blocks permute features, so the real grower
+breaks ties by original (feature, bin) order, the dense ``argmax``'s.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.models.binning import QuantileBinner
-from repro.core.models.kernels import LEAF, ForestKernel, TreeKernel
+from repro.core.models.kernels import LEAF, ForestKernel, HistogramScratch, TreeKernel
 
 _MIN_SPLIT_GAIN = 1e-9
 
@@ -110,6 +121,20 @@ class ReferenceHistogramScratch:
                 n_slots, B
             )
         return h1, h2
+
+
+class ReferenceLayoutScratch(HistogramScratch):
+    """``HistogramScratch``'s width-block layout, filled from the dense
+    per-feature scan: a gather of each cell's (feature, bin)."""
+
+    def __init__(self, binned: np.ndarray, n_bins: np.ndarray):
+        super().__init__(binned, n_bins)
+        self.dense = ReferenceHistogramScratch(binned, 256)
+
+    def pair(self, rows, first, second, slots=None, n_slots=1):
+        return np.stack(self.dense.pair(rows, first, second, slots, n_slots))[
+            :, :, self.feature, self.bin
+        ]
 
 
 @dataclass

@@ -12,7 +12,8 @@ from repro.core.models.boosting import GradientBoostedTrees
 from repro.core.models.kernels import LEAF
 from repro.core.models.tree import DecisionTree
 from repro.obs import MetricRegistry, names
-from tests.reference_trees import ReferenceHistogramScratch, reference_grow_forest
+from tests import gen_golden
+from tests.reference_trees import ReferenceLayoutScratch, reference_grow_forest
 
 
 def linear_data(n=2000, seed=0, noise=0.0):
@@ -198,6 +199,16 @@ def _training_matrices():
     yield "more distinct values than bins", wide, (wide[:, 0] * wide[:, 1] > 0).astype(int)
     few = rng.integers(0, 3, size=(300, 5)).astype(float)  # three bins a feature
     yield "few distinct values", few, (few[:, 0] + few[:, 2] > 2).astype(int)
+    # 128, 1, 3, ~20, 2 and ~70 bins interleaved, then the same six
+    # again: every width block holds ties, and the first copy must win.
+    # The 2-bin column is the 3-bin one's first split, so the two tie
+    # across blocks too, and the earlier, wider one must win.
+    cont, three = rng.normal(size=400), rng.integers(0, 3, 400)
+    mixed = np.column_stack([
+        cont, np.zeros(400), three, rng.integers(0, 20, 400), three > 0, rng.integers(0, 70, 400),
+    ]).astype(float)
+    score = cont + 2 * mixed[:, 4] + mixed[:, 3] / 10 + mixed[:, 5] / 35
+    yield "width blocks", np.hstack([mixed, mixed]), (score > 3).astype(int)
 
 
 _MATRICES = list(_training_matrices())
@@ -225,8 +236,9 @@ def _fit_and_reference(X, y, **params):
     return different, scanned, expected.histogram_rows
 
 
-#: min_child_weight: none, small, the default, more than any root holds.
-_GROWER_GRID = list(itertools.product((0.0, 2.0, 10.0, 1e6), (0.0, 5.0)))
+#: min_child_weight: none, small, the default, more than any root holds;
+#: reg_lambda; max_bins: the fewest, the default, the most.
+_GROWER_GRID = list(itertools.product((0.0, 2.0, 10.0, 1e6), (0.0, 5.0), (2, 128, 256)))
 
 
 class TestGrowerEqualsReference:
@@ -236,12 +248,12 @@ class TestGrowerEqualsReference:
 
     @pytest.mark.parametrize("name,X,y", _MATRICES, ids=_MATRIX_IDS)
     def test_forest_gain_and_histogram_work(self, name, X, y):
-        for mcw, lam in _GROWER_GRID:
+        for mcw, lam, bins in _GROWER_GRID:
             different, scanned, needed = _fit_and_reference(
-                X, y, min_child_weight=mcw, reg_lambda=lam
+                X, y, min_child_weight=mcw, reg_lambda=lam, max_bins=bins
             )
-            assert not different, (name, mcw, lam, different)
-            assert scanned == needed, (name, mcw, lam)
+            assert not different, (name, mcw, lam, bins, different)
+            assert scanned == needed, (name, mcw, lam, bins)
 
     def test_a_root_that_cannot_split_builds_no_histogram(self):
         X, y = linear_data(n=300)
@@ -256,12 +268,32 @@ class TestGrowerEqualsReference:
         assert not different
         assert scanned == needed > 12 * 500
 
+    def test_the_matrix_of_a_golden_scrubber_fit(self, monkeypatch):
+        """The real shape: the FR/imputer output of the golden traces'
+        scrubber fit (161 rows, 102 WoE columns), at its ten trees and
+        the default depth, weights and bins."""
+        seen = []
+        fit = GradientBoostedTrees.fit
+
+        def recording_fit(model, X, y):
+            seen.append((X, y))
+            return fit(model, X, y)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(GradientBoostedTrees, "fit", recording_fit)
+            gen_golden.build_scrubber()
+        ((X, y),) = seen
+        assert X.shape == (161, 102)
+        different, scanned, needed = _fit_and_reference(X, y, n_estimators=10, max_depth=6)
+        assert not different
+        assert scanned == needed > 10 * 161
+
     def _failures(self):
         out = []
         for _, X, y in _MATRICES:
-            for mcw, lam in _GROWER_GRID:
+            for mcw, lam, bins in _GROWER_GRID:
                 different, scanned, needed = _fit_and_reference(
-                    X, y, min_child_weight=mcw, reg_lambda=lam
+                    X, y, min_child_weight=mcw, reg_lambda=lam, max_bins=bins
                 )
                 out.append((bool(different), scanned != needed))
         return out
@@ -296,7 +328,17 @@ class TestDecisionTreeOnEitherScratch:
         ):
             fitted = DecisionTree(**params).fit(X, y).kernel_
             with monkeypatch.context() as patched:
-                patched.setattr(tree, "HistogramScratch", ReferenceHistogramScratch)
+                patched.setattr(tree, "HistogramScratch", ReferenceLayoutScratch)
                 expected = DecisionTree(**params).fit(X, y).kernel_
             for array in ("feature", "threshold", "left", "right", "value", "n", "impurity"):
                 assert np.array_equal(getattr(fitted, array), getattr(expected, array)), (name, array)
+
+    def test_ties_go_to_the_first_feature(self):
+        """Both scratches share the tie-break, so pin it on its own: no
+        later copy of a column wins, nor the 2-bin column that ties its
+        3-bin neighbour's first split from a narrower block."""
+        X, y = next((X, y) for name, X, y in _MATRICES if name == "width blocks")
+        for params in (dict(), dict(max_depth=4, min_samples_leaf=1)):
+            feature = DecisionTree(**params).fit(X, y).kernel_.feature
+            assert 2 in feature
+            assert not np.isin(feature, [4, 6, 7, 8, 9, 10, 11]).any()
