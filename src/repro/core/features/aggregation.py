@@ -285,10 +285,10 @@ _Rows = tuple[tuple[str, int], ...]
 
 
 @functools.lru_cache(maxsize=32)
-def _column_plan(
+def column_plan(
     columns: Optional[frozenset[str]],
 ) -> tuple[tuple[str, ...], tuple[str, ...], _Rows, _Rows]:
-    """What the kernel ranks for a column set (every column when ``None``):
+    """What both kernels rank for a column set (every column when ``None``):
     the categoricals and the metrics ``columns`` name, and each key and
     value column's row in :func:`rank_segments`' blocks over just those,
     in schema order."""
@@ -337,7 +337,7 @@ def _aggregate_batch(
     n = len(flows)
     if n == 0:
         raise ValueError("cannot aggregate an empty flow dataset")
-    ranked, metrics, key_rows, value_rows = _column_plan(
+    ranked, metrics, key_rows, value_rows = column_plan(
         None if columns is None else frozenset(columns)
     )
 

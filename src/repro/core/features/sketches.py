@@ -25,7 +25,9 @@ Structures
     both arrival-order semantics, which target-disjoint sharding keeps
     partition-invariant). :meth:`SketchAggregator.build_records`
     re-queries the merged sketches to emit a schema-compatible
-    :class:`~repro.core.features.aggregation.AggregatedDataset`.
+    :class:`~repro.core.features.aggregation.AggregatedDataset`, of the
+    columns the aggregator was built for: only the categoricals they
+    name are counted, as the exact kernel only ranks those.
 
 Merge determinism
 -----------------
@@ -44,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -52,6 +54,7 @@ from repro import obs
 from repro.core.features import schema
 from repro.core.features.aggregation import (
     AggregatedDataset,
+    column_plan,
     rank_segments,
     stable_argsort,
 )
@@ -105,8 +108,10 @@ def _salts(seed: int) -> tuple[np.uint64, np.uint64]:
 @functools.lru_cache(maxsize=16)
 def _family_seeds(seed: int) -> tuple[int, tuple[int, ...], tuple[np.uint64, ...]]:
     """What an aggregator seeded ``seed`` derives from it: the seed of the
-    three target tables, and per categorical the seed of its two pair
-    tables and the salt of its (target, key) pair codes."""
+    target table, and per categorical of the schema the seed of its two
+    pair tables and the salt of its (target, key) pair codes. Indexed by
+    schema position, so a categorical's tables are the same bits
+    whichever other categoricals an aggregator counts."""
     cats = range(len(schema.CATEGORICALS))
     return (
         _role_seed(seed, _ROLE_TARGET),
@@ -286,52 +291,44 @@ class CountMinSketch:
 class _BinSketch:
     """All sketch state for one time bin (internal to the aggregator).
 
-    Candidate tracking is held in the form it ships in, numpy arrays in
-    admission order: ``targets``/``blackhole`` have one entry per
-    tracked target (its index is the target's *slot*), and
-    ``candidates[cat]`` is the ``(slots, keys)`` pair of arrays listing
-    the candidate keys admitted for that categorical.
+    A flow-count table per target, and for each categorical counted
+    (the aggregator's plan, in schema order) a byte and a packet table
+    per (target, key) pair and a candidate list. Candidate tracking is
+    held in the form it ships in, numpy arrays in admission order:
+    ``targets``/``blackhole`` have one entry per tracked target (its
+    index is the target's *slot*), and ``candidates[cat]`` is the
+    ``(slots, keys)`` pair of arrays listing the candidate keys admitted
+    for that categorical.
     """
 
     __slots__ = (
-        "params", "flows", "bytes", "packets",
-        "pair_bytes", "pair_packets",
+        "params", "flows", "pair_bytes", "pair_packets",
         "targets", "blackhole", "candidates",
     )
 
-    def __init__(self, params: SketchParams):
+    def __init__(self, params: SketchParams, cats: tuple[str, ...]):
         self.params = params
         width, depth = params.width, params.depth
         target_seed, pair_seeds, _ = _family_seeds(params.seed)
+        seeds = {cat: pair_seeds[schema.CATEGORICALS.index(cat)] for cat in cats}
         self.flows = CountMinSketch(width, depth, target_seed)
-        self.bytes = CountMinSketch(width, depth, target_seed)
-        self.packets = CountMinSketch(width, depth, target_seed)
-        self.pair_bytes = {
-            cat: CountMinSketch(width, depth, seed)
-            for cat, seed in zip(schema.CATEGORICALS, pair_seeds)
-        }
-        self.pair_packets = {
-            cat: CountMinSketch(width, depth, seed)
-            for cat, seed in zip(schema.CATEGORICALS, pair_seeds)
-        }
+        self.pair_bytes = {cat: CountMinSketch(width, depth, seeds[cat]) for cat in cats}
+        self.pair_packets = {cat: CountMinSketch(width, depth, seeds[cat]) for cat in cats}
         self.targets = np.zeros(0, dtype=np.uint64)
         self.blackhole = np.zeros(0, dtype=bool)
         self.candidates: dict[str, tuple[np.ndarray, np.ndarray]] = {
             cat: (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-            for cat in schema.CATEGORICALS
+            for cat in cats
         }
 
     def _tables(self) -> list[CountMinSketch]:
-        return [
-            self.flows, self.bytes, self.packets,
-            *self.pair_bytes.values(), *self.pair_packets.values(),
-        ]
+        return [self.flows, *self.pair_bytes.values(), *self.pair_packets.values()]
 
     # -- ingest ---------------------------------------------------------
-    def _pair_codes(self, targets: np.ndarray, cat_index: int, keys: np.ndarray) -> np.ndarray:
-        """Combine (target, key) of categorical ``cat_index`` into one
-        64-bit sketch key."""
-        salt = _family_seeds(self.params.seed)[2][cat_index]
+    def _pair_codes(self, targets: np.ndarray, cat: str, keys: np.ndarray) -> np.ndarray:
+        """Combine (target, key) of categorical ``cat`` into one 64-bit
+        sketch key."""
+        salt = _family_seeds(self.params.seed)[2][schema.CATEGORICALS.index(cat)]
         return _splitmix64(targets ^ salt) ^ keys.astype(np.uint64)
 
     def absorb(self, flows: FlowDataset) -> int:
@@ -347,15 +344,11 @@ class _BinSketch:
         dst = flows.dst_ip.astype(np.uint64)
         f_bytes = flows.bytes.astype(np.float64)
         f_packets = flows.packets.astype(np.float64)
-        cats = [flows.column(cat).astype(np.int64) for cat in schema.CATEGORICALS]
-        # One cell block per hash family: the three target tables share
-        # a seed, and so do each categorical's two pair tables.
-        cells = self.flows.cells(dst)
-        self.flows.update_cells(cells)
-        self.bytes.update_cells(cells, f_bytes)
-        self.packets.update_cells(cells, f_packets)
-        for i, cat in enumerate(schema.CATEGORICALS):
-            cells = self.pair_bytes[cat].cells(self._pair_codes(dst, i, cats[i]))
+        cats = {cat: flows.column(cat).astype(np.int64) for cat in self.candidates}
+        self.flows.update(dst)
+        # One cell block per categorical: its two pair tables share a seed.
+        for cat, keys in cats.items():
+            cells = self.pair_bytes[cat].cells(self._pair_codes(dst, cat, keys))
             self.pair_bytes[cat].update_cells(cells, f_bytes)
             self.pair_packets[cat].update_cells(cells, f_packets)
 
@@ -368,8 +361,8 @@ class _BinSketch:
         tracked = slots >= 0
         slots = slots[tracked]
         self.blackhole[slots[flows.blackhole[tracked]]] = True
-        for i, cat in enumerate(schema.CATEGORICALS):
-            self._admit_keys(cat, slots, cats[i][tracked])
+        for cat, keys in cats.items():
+            self._admit_keys(cat, slots, keys[tracked])
         return int(np.count_nonzero(slot_of < 0))
 
     # -- candidate tracking ---------------------------------------------
@@ -427,7 +420,8 @@ class _BinSketch:
     # -- merge ----------------------------------------------------------
     def merge(self, other: "_BinSketch") -> None:
         """Fold in the sketch of a stream whose targets this one has not
-        seen (see :meth:`SketchAggregator.merge`).
+        seen, counting the same categoricals (see
+        :meth:`SketchAggregator.merge`).
 
         Their targets take the next slots in their order and their
         ``(slot, key)`` pairs follow the held ones, renumbered. That is
@@ -441,8 +435,7 @@ class _BinSketch:
         # Merged unions may exceed ``hh_capacity``; ``_build_bin`` trims.
         self.targets = np.concatenate([self.targets, other.targets])
         self.blackhole = np.concatenate([self.blackhole, other.blackhole])
-        for cat in schema.CATEGORICALS:
-            held_slots, held_keys = self.candidates[cat]
+        for cat, (held_slots, held_keys) in self.candidates.items():
             their_slots, their_keys = other.candidates[cat]
             self.candidates[cat] = (
                 np.concatenate([held_slots, their_slots + base]),
@@ -464,14 +457,9 @@ class _BinSketch:
         """A view of the live sketch: its arrays, shared, not copied."""
         return {
             "flows": self.flows.to_state(),
-            "bytes": self.bytes.to_state(),
-            "packets": self.packets.to_state(),
             "pairs": {
-                cat: (
-                    self.pair_bytes[cat].to_state(),
-                    self.pair_packets[cat].to_state(),
-                )
-                for cat in schema.CATEGORICALS
+                cat: (table.to_state(), self.pair_packets[cat].to_state())
+                for cat, table in self.pair_bytes.items()
             },
             "targets": self.targets,
             "blackhole": self.blackhole,
@@ -484,15 +472,9 @@ class _BinSketch:
         out = cls.__new__(cls)
         out.params = params
         out.flows = CountMinSketch.from_state(state["flows"])
-        out.bytes = CountMinSketch.from_state(state["bytes"])
-        out.packets = CountMinSketch.from_state(state["packets"])
         pairs = state["pairs"]
-        out.pair_bytes = {
-            cat: CountMinSketch.from_state(pairs[cat][0]) for cat in schema.CATEGORICALS
-        }
-        out.pair_packets = {
-            cat: CountMinSketch.from_state(pairs[cat][1]) for cat in schema.CATEGORICALS
-        }
+        out.pair_bytes = {cat: CountMinSketch.from_state(p[0]) for cat, p in pairs.items()}
+        out.pair_packets = {cat: CountMinSketch.from_state(p[1]) for cat, p in pairs.items()}
         out.targets = state["targets"]
         out.blackhole = state["blackhole"]
         out.candidates = state["candidates"]
@@ -509,10 +491,22 @@ class SketchAggregator:
     other aggregator's arrays and ``from_state`` adopts the state's —
     do not reuse an aggregator after merging it into another one, nor
     a state after :meth:`from_state`.
+
+    ``columns`` are the schema columns the records hold (all 150 when
+    ``None``), as ``aggregate(columns=...)`` takes them, planned by the
+    same :func:`~repro.core.features.aggregation.column_plan`: only the
+    categoricals they name are counted and admitted, and only the
+    metrics they name ranked. Each such categorical's tables and
+    candidates are the full-width aggregator's, bit for bit, so the
+    records are the full-width ones restricted to ``columns``.
     """
 
-    def __init__(self, params: Optional[SketchParams] = None):
+    def __init__(
+        self, params: Optional[SketchParams] = None, columns: Optional[Iterable[str]] = None
+    ):
         self.params = params if params is not None else SketchParams()
+        self.columns = None if columns is None else frozenset(columns)
+        self._plan = column_plan(self.columns)
         self._bins: dict[int, _BinSketch] = {}
 
     # -- ingest ---------------------------------------------------------
@@ -532,7 +526,7 @@ class SketchAggregator:
             for b in distinct.tolist():
                 sketch = self._bins.get(b)
                 if sketch is None:
-                    sketch = self._bins[b] = _BinSketch(self.params)
+                    sketch = self._bins[b] = _BinSketch(self.params, self._plan[0])
                 part = flows if distinct.shape[0] == 1 else flows.select(bins == b)
                 untracked += sketch.absorb(part)
             obs.counter(metric_names.C_SKETCH_FLOWS_ABSORBED).inc(len(flows))
@@ -545,13 +539,14 @@ class SketchAggregator:
         """Fold in the aggregator of a target-disjoint stream (bitwise
         deterministic), as the engine's shards are.
 
-        Raises ``ValueError``, before changing anything, if a bin of
+        Raises ``ValueError``, before changing anything, if the two were
+        built with different parameters or column sets, or if a bin of
         ``other`` tracks a target the same bin here tracks: first-arrival
         candidates have no single-stream order to follow across streams
         that share a target.
         """
-        if self.params != other.params:
-            raise ValueError("cannot merge aggregators with different parameters")
+        if self.params != other.params or self._plan != other._plan:
+            raise ValueError("cannot merge aggregators with different parameters or column sets")
         for b, theirs in other._bins.items():
             if b in self._bins and np.isin(theirs.targets, self._bins[b].targets).any():
                 raise ValueError(f"bin {b}: cannot merge sketches of overlapping targets")
@@ -578,16 +573,13 @@ class SketchAggregator:
 
     # -- record building -------------------------------------------------
     def _empty_records(self) -> AggregatedDataset:
+        _, _, key_rows, value_rows = self._plan
         return AggregatedDataset(
             bins=np.zeros(0, dtype=np.int64),
             targets=np.zeros(0, dtype=np.uint32),
             labels=np.zeros(0, dtype=bool),
-            categorical={
-                name: np.zeros(0, dtype=np.int64) for name in schema.key_columns()
-            },
-            metrics={
-                name: np.zeros(0, dtype=np.float64) for name in schema.value_columns()
-            },
+            categorical={name: np.zeros(0, dtype=np.int64) for name, _ in key_rows},
+            metrics={name: np.zeros(0, dtype=np.float64) for name, _ in value_rows},
             n_flows=np.zeros(0, dtype=np.int64),
         )
 
@@ -609,8 +601,9 @@ class SketchAggregator:
         record_of = np.full(sketch.targets.shape[0], -1, dtype=np.intp)
         record_of[slots] = np.arange(n)
 
+        ranked, metrics, key_rows, value_rows = self._plan
         segments = []
-        for i, cat in enumerate(schema.CATEGORICALS):
+        for cat in ranked:
             # The categorical's (record, candidate key) pairs, keys
             # ascending, valued by both pair sketches off one cell block.
             cand_slots, keys = sketch.candidates[cat]
@@ -620,7 +613,7 @@ class SketchAggregator:
             order = stable_argsort(keys, records)
             records, keys = records[order], keys[order]
             cells = sketch.pair_bytes[cat].cells(
-                sketch._pair_codes(targets[records], i, keys)
+                sketch._pair_codes(targets[records], cat, keys)
             )
             segments.append((
                 records,
@@ -629,14 +622,14 @@ class SketchAggregator:
                 sketch.pair_packets[cat].query_cells(cells).astype(np.float64),
             ))
         # Row (categorical, metric, rank) of each block is that cell's column.
-        key_block, value_block = rank_segments(segments, n)
+        key_block, value_block = rank_segments(segments, n, metrics)
 
         return AggregatedDataset(
             bins=np.full(n, b, dtype=np.int64),
             targets=targets.astype(np.uint32),
             labels=sketch.blackhole[slots],
-            categorical=dict(zip(schema.key_columns(), key_block)),
-            metrics=dict(zip(schema.value_columns(), value_block)),
+            categorical={name: key_block[row] for name, row in key_rows},
+            metrics={name: value_block[row] for name, row in value_rows},
             n_flows=est_flows[slots],
         )
 
@@ -645,10 +638,10 @@ class SketchAggregator:
 
         Records cover the tracked (candidate) targets with estimated
         flow count ``>= min_flows``, ordered by (bin, target) — the
-        reducer's emission order. Rank features re-query the pair
-        sketches, so estimates inherit the documented ε/δ contract.
-        ``rule_tags`` are not carried in sketch mode (rule matching
-        needs exact flows).
+        reducer's emission order — and hold the aggregator's columns.
+        Rank features re-query the pair sketches, so estimates inherit
+        the documented ε/δ contract. ``rule_tags`` are not carried in
+        sketch mode (rule matching needs exact flows).
         """
         with obs.span(metric_names.SPAN_SKETCH_BUILD):
             parts = []
@@ -669,12 +662,13 @@ class SketchAggregator:
         """Picklable plain-array state (what workers ship back)."""
         return {
             "params": self.params,
+            "columns": self.columns,
             "bins": {b: self._bins[b].to_state() for b in sorted(self._bins)},
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "SketchAggregator":
-        out = cls(state["params"])
+        out = cls(state["params"], state["columns"])
         for b, bin_state in state["bins"].items():
             out._bins[int(b)] = _BinSketch.from_state(out.params, bin_state)
         return out

@@ -28,10 +28,11 @@ and how failures are handled.
 Sketch mode: when ``classify`` is called with ``agg`` (a
 :class:`~repro.core.features.sketches.SketchParams`), workers become
 pure *counters* — each builds a per-shard
-:class:`~repro.core.features.sketches.SketchAggregator` from its batch
-and replies with the picklable sketch state instead of verdicts; the
+:class:`~repro.core.features.sketches.SketchAggregator` from its batch,
+counting only the columns the broadcast model reads, and replies with
+the picklable sketch state instead of verdicts; the
 coordinator merges states and scores the merged records. Sketch builds
-are deterministic functions of the batch, so retry-after-restart
+are deterministic functions of the batch and the model, so retry-after-restart
 reproduces the identical state (see ``docs/SKETCHES.md``).
 """
 
@@ -87,16 +88,17 @@ def classify_shard(
     backend, in a worker process, and in the supervisor's in-process
     fallback — which is why none of them can change a verdict. Exact
     mode (``agg=None``) returns the verdict list; sketch mode returns
-    the shard's sketch state, a pure function of (batch, params): a
-    retried batch — even on a freshly restarted worker — reproduces the
-    bitwise-identical state, which is what keeps sketch-mode verdicts
-    stable under faults.
+    the shard's sketch state of the columns the model reads, a pure
+    function of (batch, params, model): a retried batch — even on a
+    freshly restarted worker, which is re-sent the model — reproduces
+    the bitwise-identical state, which is what keeps sketch-mode
+    verdicts stable under faults.
     """
     with obs.use_registry(registry):
         with obs.span(names.SPAN_PARALLEL_SHARD_CLASSIFY):
             obs.counter(names.C_PARALLEL_SHARD_FLOWS).inc(len(flows))
             if agg is not None:
-                return SketchAggregator(agg).absorb(flows).to_state()
+                return SketchAggregator(agg, scrubber.scored_columns).absorb(flows).to_state()
             return scrubber.classify_flows_batch(flows, min_flows=min_flows)
 
 

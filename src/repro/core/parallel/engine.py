@@ -227,8 +227,10 @@ class ShardedStreamingScrubber(StreamingScrubber):
         order. Records come out ordered by (bin, target), the same
         emission order the exact reducer sorts into. Each state's
         arrays are adopted, not copied: ``states`` is spent afterwards.
+        Workers count the columns ``scrubber`` reads, the model they
+        were broadcast, so the merge refuses a state of any other.
         """
-        merged = SketchAggregator(self._sketch_params)
+        merged = SketchAggregator(self._sketch_params, scrubber.scored_columns)
         for state in states:
             if not state:
                 continue

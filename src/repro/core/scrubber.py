@@ -294,6 +294,13 @@ class IXPScrubber:
             self._scorer = CompiledScorer.compile(self.woe, pipeline)
         return self._scorer
 
+    @property
+    def scored_columns(self) -> tuple[str, ...]:
+        """The schema columns the fitted model reads: all that a classify
+        path needs to build, for :meth:`classify_aggregated` or the sketch
+        workers. Fixed per model epoch."""
+        return self._compiled_scorer().columns
+
     def score_aggregated(self, data: AggregatedDataset) -> np.ndarray:
         """P(DDoS) per aggregated record.
 
@@ -331,9 +338,8 @@ class IXPScrubber:
         """
         if len(flows) == 0:
             return []
-        scorer = self._compiled_scorer()
         data = aggregate_batch(
-            flows, rules=self._compiled_rules(), min_flows=min_flows, columns=scorer.columns
+            flows, rules=self._compiled_rules(), min_flows=min_flows, columns=self.scored_columns
         )
         return self.classify_aggregated(data, threshold=threshold)
 
@@ -344,8 +350,9 @@ class IXPScrubber:
 
         The scoring tail of :meth:`classify_flows_batch`, shared with
         the sketch-mode coordinator of :mod:`repro.core.parallel`,
-        which builds its (full) records from merged worker sketches
-        instead of aggregating raw flows.
+        which builds its records from merged worker sketches instead of
+        aggregating raw flows. ``data`` needs :attr:`scored_columns`
+        and no other column; full-width records score the same.
         """
         if len(data) == 0:
             return []

@@ -9,16 +9,23 @@ over values queried from the pair sketches. It lives in the test tree as
 the oracle for ``SketchAggregator``; the hash function and the seed
 derivation are the module's own, so what the oracle pins is everything
 built on them.
+
+It always counts every categorical. An aggregator built for a column
+subset must hold this oracle's tables and candidates for the
+categoricals the subset names (:func:`counted`) and build its records
+restricted to the subset (``build_records(columns=...)``): a column
+plan may skip work, never change a bit of what it keeps.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.features import schema
 from repro.core.features.aggregation import AggregatedDataset
+from tests.reference_aggregate import restricted
 from repro.core.features.sketches import (
     _ROLE_CAT_SALT_BASE,
     _ROLE_PAIR_BASE,
@@ -75,16 +82,22 @@ class ReferenceCountMin:
         self.total += other.total
 
 
+def counted(columns: Optional[Sequence[str]]) -> tuple[str, ...]:
+    """The categoricals a column set names (all of them for ``None``), in
+    schema order: those an aggregator of ``columns`` counts."""
+    if columns is None:
+        return schema.CATEGORICALS
+    named = {schema.parse_column(name)[0] for name in columns}
+    return tuple(cat for cat in schema.CATEGORICALS if cat in named)
+
+
 class ReferenceBinSketch:
-    """One bin: 13 tables plus candidate arrays in admission order."""
+    """One bin: 11 tables plus candidate arrays in admission order."""
 
     def __init__(self, params: SketchParams):
         self.params = params
         w, d = params.width, params.depth
-        target_seed = _role_seed(params.seed, _ROLE_TARGET)
-        self.flows = ReferenceCountMin(w, d, target_seed)
-        self.bytes = ReferenceCountMin(w, d, target_seed)
-        self.packets = ReferenceCountMin(w, d, target_seed)
+        self.flows = ReferenceCountMin(w, d, _role_seed(params.seed, _ROLE_TARGET))
         self.pair_bytes, self.pair_packets, self.cat_salt = {}, {}, {}
         for i, cat in enumerate(schema.CATEGORICALS):
             pair_seed = _role_seed(params.seed, _ROLE_PAIR_BASE + i)
@@ -98,10 +111,12 @@ class ReferenceBinSketch:
             for cat in schema.CATEGORICALS
         }
 
-    def tables(self) -> list[ReferenceCountMin]:
+    def tables(self, cats: Sequence[str] = schema.CATEGORICALS) -> list[ReferenceCountMin]:
+        """The flow table, then the byte and the packet pair tables of ``cats``."""
         return [
-            self.flows, self.bytes, self.packets,
-            *self.pair_bytes.values(), *self.pair_packets.values(),
+            self.flows,
+            *(self.pair_bytes[cat] for cat in cats),
+            *(self.pair_packets[cat] for cat in cats),
         ]
 
     def pair_codes(self, targets: np.ndarray, cat: str, keys: np.ndarray) -> np.ndarray:
@@ -112,10 +127,7 @@ class ReferenceBinSketch:
         f_bytes = flows.bytes.astype(np.float64)
         f_packets = flows.packets.astype(np.float64)
         cats = {cat: flows.column(cat).astype(np.int64) for cat in schema.CATEGORICALS}
-        h1, h2 = self.flows.hash_keys(dst)
-        self.flows.update_hashed(h1, h2)
-        self.bytes.update_hashed(h1, h2, f_bytes)
-        self.packets.update_hashed(h1, h2, f_packets)
+        self.flows.update_hashed(*self.flows.hash_keys(dst))
         for cat in schema.CATEGORICALS:
             p1, p2 = self.pair_bytes[cat].hash_keys(self.pair_codes(dst, cat, cats[cat]))
             self.pair_bytes[cat].update_hashed(p1, p2, f_bytes)
@@ -198,13 +210,19 @@ class ReferenceSketchAggregator:
                 self.bins[b] = other.bins[b]
         return self
 
-    def build_records(self, min_flows: int = 1) -> Optional[AggregatedDataset]:
-        """The records, or None where the aggregator builds an empty set."""
+    def build_records(
+        self, min_flows: int = 1, columns: Optional[Sequence[str]] = None
+    ) -> Optional[AggregatedDataset]:
+        """The records, or None where the aggregator builds an empty set;
+        built full width, then restricted to ``columns`` (all when None)."""
         parts = [
             part for b in sorted(self.bins)
             if (part := self._build_bin(b, min_flows)) is not None
         ]
-        return AggregatedDataset.concat(parts) if parts else None
+        if not parts:
+            return None
+        data = AggregatedDataset.concat(parts)
+        return data if columns is None else restricted(data, columns)
 
     def _build_bin(self, b: int, min_flows: int) -> Optional[AggregatedDataset]:
         sketch = self.bins[b]

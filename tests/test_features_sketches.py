@@ -10,19 +10,26 @@ Three layers of guarantees, each asserted over seeded strategy draws:
   partition-independent: any target-disjoint sharding of a stream folds
   back to the identical tables, candidate sets and built records.
 * **Engine integration** — sketch-mode verdicts are identical across
-  shard counts and backends, survive supervised worker crashes, and
-  exact mode stays the bit-identical default.
+  shard counts and backends, follow warm-started models that read
+  other categoricals, survive supervised worker crashes, hangs and a
+  shard degraded to serial, and exact mode stays the bit-identical
+  default.
 * **Oracle** — tables, totals, candidate arrays and records equal the
   per-row, lexsort-admission implementation in
   ``tests/reference_sketch.py`` bit for bit, for one-shot and chunked
   absorbs, target-disjoint merges (appended here, run through the
   admission rule there) and ``hh_capacity`` overflow (Hypothesis draws
-  over ``strategies.wide_flows``); merges of overlapping streams raise.
+  over ``strategies.wide_flows``), for every column plan of
+  ``COLUMN_SETS``: a plan keeps the oracle's tables of the categoricals
+  it counts and its records restricted to its columns. Merges of
+  overlapping streams or of different column sets raise.
 """
 
 from __future__ import annotations
 
+import copy
 import pickle
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -30,9 +37,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tests import strategies
-from tests.reference_aggregate import assert_bitwise_equal
-from tests.reference_sketch import ReferenceSketchAggregator
+from tests.reference_aggregate import assert_bitwise_equal, restricted
+from tests.reference_sketch import ReferenceSketchAggregator, counted
+from repro.core.encoding.matrix import feature_columns
 from repro.core.features.aggregation import aggregate_batch
+from repro.core.models.kernels import LEAF, ForestKernel, TreeKernel
+from repro.core.models.pipeline import ModelPipeline
 from repro import obs
 from repro.core.features.sketches import (
     CountMinSketch,
@@ -330,10 +340,15 @@ class TestSketchAggregator:
         flows = strategies.flows(
             strategies.rng_for(47), n_flows=900, n_targets=12, n_bins=2
         )
-        agg = SketchAggregator(self.PARAMS).absorb(flows)
-        assert agg.memory_bytes() == _array_bytes(agg.to_state())
-        tables = 13 * self.PARAMS.depth * self.PARAMS.width * 8
-        assert agg.memory_bytes() > 2 * tables  # two bins, plus candidates
+        table = self.PARAMS.depth * self.PARAMS.width * 8
+        for columns, k in zip(COLUMN_SETS, (5, 1, 2, 5, 5)):
+            agg = SketchAggregator(self.PARAMS, columns).absorb(flows)
+            assert agg.memory_bytes() == _array_bytes(agg.to_state())
+            # A flow table, and a byte and a packet pair table per
+            # categorical counted; two bins, plus candidates.
+            tables = sum(len(s._tables()) for s in agg._bins.values())
+            assert tables == 2 * (1 + 2 * k)
+            assert agg.memory_bytes() > tables * table
 
 
 def _wide(seed, n_targets, flows_per_target, n_bins):
@@ -371,31 +386,73 @@ def _pieces(flows, parts: int, seed: int) -> list:
     return [flows.select(deal == p) for p in range(parts)]
 
 
-def assert_matches_reference(agg: SketchAggregator, ref: ReferenceSketchAggregator):
-    """Every array of every bin, then the built records, bit for bit."""
+#: Column sets an aggregator is built for: all 150 (``None``), one
+#: categorical over three metrics, two categoricals over two metrics,
+#: value columns only (five categoricals), and all 150 named.
+COLUMN_SETS = (
+    None,
+    (
+        schema.key_column("src_port", "bytes", 0),
+        schema.value_column("src_port", "packet_size", 2),
+        schema.key_column("src_port", "packets", 4),
+    ),
+    tuple(
+        column(cat, metric, rank)
+        for cat in ("dst_port", "protocol")
+        for metric in ("packet_size", "packets")
+        for rank in (0, 3)
+        for column in (schema.key_column, schema.value_column)
+    ),
+    tuple(schema.value_columns()),
+    tuple(schema.all_columns()),
+)
+
+
+def assert_matches_reference(agg: SketchAggregator, ref: ReferenceSketchAggregator, records=None):
+    """Every array of every bin, then the built records, bit for bit:
+    ``agg`` holds the oracle's tables and candidates of the categoricals
+    it counts, and builds the oracle's records restricted to its columns.
+    ``records`` maps ``min_flows`` to the oracle's records, if built."""
+    cats = counted(agg.columns)
     assert sorted(agg._bins) == sorted(ref.bins)
     for b, want in ref.bins.items():
         got = agg._bins[b]
-        for table, ref_table in zip(got._tables(), want.tables()):
+        assert tuple(got.candidates) == cats
+        for table, ref_table in zip(got._tables(), want.tables(cats), strict=True):
             assert table.table.dtype == ref_table.table.dtype
             assert table.table.tobytes() == ref_table.table.tobytes(), b
             assert table.total == ref_table.total, b
         for name in ("targets", "blackhole"):
             x, y = getattr(got, name), getattr(want, name)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (b, name)
-        for cat in schema.CATEGORICALS:
+        for cat in cats:
             for x, y in zip(got.candidates[cat], want.candidates[cat]):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (b, cat)
+    names = [n for n in schema.all_columns() if agg.columns is None or n in agg.columns]
     for min_flows in (1, 3):
-        records, expected = agg.build_records(min_flows), ref.build_records(min_flows)
+        built = agg.build_records(min_flows)
+        expected = records[min_flows] if records else ref.build_records(min_flows)
         if expected is None:
-            assert len(records) == 0
+            assert len(built) == 0 and built.feature_names == names
+        elif agg.columns is None:
+            assert_bitwise_equal(built, expected, f"min_flows={min_flows}")
         else:
-            assert_bitwise_equal(records, expected, f"min_flows={min_flows}")
+            assert_bitwise_equal(
+                built, restricted(expected, agg.columns), f"min_flows={min_flows}", agg.columns
+            )
 
 
-def _fold(aggregators: list):
-    folded = type(aggregators[0])(aggregators[0].params)
+def assert_every_plan_matches_reference(params: SketchParams, run) -> None:
+    """``run(make)`` builds an aggregator out of ``make()``s. Run with the
+    oracle and with an aggregator of each of ``COLUMN_SETS``, each must
+    match the oracle (:func:`assert_matches_reference`)."""
+    ref = run(lambda: ReferenceSketchAggregator(params))
+    records = {min_flows: ref.build_records(min_flows) for min_flows in (1, 3)}
+    for columns in COLUMN_SETS:
+        assert_matches_reference(run(lambda: SketchAggregator(params, columns)), ref, records)
+
+
+def _fold(folded, aggregators: list):
     for agg in aggregators:
         folded.merge(agg)
     return folded
@@ -405,23 +462,23 @@ class TestAgainstReference:
     @ORACLE
     @given(flows=WIDE, params=PARAMS)
     def test_one_shot_absorb(self, flows, params):
-        assert_matches_reference(
-            SketchAggregator(params).absorb(flows),
-            ReferenceSketchAggregator(params).absorb(flows),
-        )
+        assert_every_plan_matches_reference(params, lambda make: make().absorb(flows))
 
     @ORACLE
     @given(flows=WIDE, params=PARAMS, cuts=st.lists(st.floats(0, 1), min_size=1, max_size=4))
     def test_chunked_absorb_into_held_pairs(self, flows, params, cuts):
         bounds = [0, *sorted(int(c * len(flows)) for c in cuts), len(flows)]
         idx = np.arange(len(flows))
-        agg, ref = SketchAggregator(params), ReferenceSketchAggregator(params)
-        for lo, hi in zip(bounds, bounds[1:]):
-            chunk = flows.select((idx >= lo) & (idx < hi))
-            if len(chunk):
-                agg.absorb(chunk)
-                ref.absorb(chunk)
-        assert_matches_reference(agg, ref)
+        chunks = [flows.select((idx >= lo) & (idx < hi)) for lo, hi in zip(bounds, bounds[1:])]
+
+        def run(make):
+            agg = make()
+            for chunk in chunks:
+                if len(chunk):
+                    agg.absorb(chunk)
+            return agg
+
+        assert_every_plan_matches_reference(params, run)
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_overlapping_merges_raise_and_change_nothing(self, seed):
@@ -441,15 +498,32 @@ class TestAgainstReference:
             agg.merge(SketchAggregator(params).absorb(theirs))
         assert_matches_reference(agg, ReferenceSketchAggregator(params).absorb(mine))
 
+    def test_mismatched_column_sets_raise_and_change_nothing(self):
+        """Aggregators of different column sets count different
+        categoricals, so the merge refuses them; the same set spelled
+        ``None`` or as all 150 names is one plan."""
+        flows = _wide(9, n_targets=60, flows_per_target=8, n_bins=2)
+        odd = flows.dst_ip % 2 == 1
+        params = SketchParams(key_capacity=8)
+        ref = ReferenceSketchAggregator(params).absorb(flows.select(odd))
+        one, two, values = COLUMN_SETS[1:4]
+        for mine, theirs in ((one, two), (one, None), (None, one), (values, None)):
+            agg = SketchAggregator(params, mine).absorb(flows.select(odd))
+            with pytest.raises(ValueError, match="column sets"):
+                agg.merge(SketchAggregator(params, theirs).absorb(flows.select(~odd)))
+            assert_matches_reference(agg, ref)
+        whole = SketchAggregator(params).absorb(flows.select(odd))
+        whole.merge(SketchAggregator(params, schema.all_columns()).absorb(flows.select(~odd)))
+        assert_records_equal(whole.build_records(), sketch_aggregate(flows, params))
+
     @ORACLE
     @given(flows=WIDE, params=PARAMS, n_shards=st.integers(2, 4), reverse=st.booleans())
     def test_target_disjoint_merges_append(self, flows, params, n_shards, reverse):
         pieces = [p for p in ShardPlan(n_shards).split(flows) if len(p)]
         if reverse:
             pieces.reverse()
-        assert_matches_reference(
-            _fold([SketchAggregator(params).absorb(p) for p in pieces]),
-            _fold([ReferenceSketchAggregator(params).absorb(p) for p in pieces]),
+        assert_every_plan_matches_reference(
+            params, lambda make: _fold(make(), [make().absorb(p) for p in pieces])
         )
 
     @ORACLE
@@ -465,16 +539,19 @@ class TestAgainstReference:
             epsilon=params.epsilon, delta=params.delta,
             key_capacity=params.key_capacity, hh_capacity=hh_capacity,
         )
-        shards = [[], []]
-        for shard in ShardPlan(n_shards).split(flows):
-            agg, ref = SketchAggregator(params), ReferenceSketchAggregator(params)
-            for chunk in _pieces(shard, 2, seed):
-                if len(chunk):
-                    agg.absorb(chunk)
-                    ref.absorb(chunk)
-            shards[0].append(agg)
-            shards[1].append(ref)
-        assert_matches_reference(_fold(shards[0]), _fold(shards[1]))
+        shards = [_pieces(shard, 2, seed) for shard in ShardPlan(n_shards).split(flows)]
+
+        def run(make):
+            aggregators = []
+            for chunks in shards:
+                agg = make()
+                for chunk in chunks:
+                    if len(chunk):
+                        agg.absorb(chunk)
+                aggregators.append(agg)
+            return _fold(make(), aggregators)
+
+        assert_every_plan_matches_reference(params, run)
 
 
 @pytest.fixture(scope="module")
@@ -491,6 +568,38 @@ def workload():
     return strategies.labeled_flows(
         strategies.rng_for(7), n_flows=400, n_targets=10, n_bins=4
     )
+
+
+def _kept(fitted: IXPScrubber, column: str) -> bool:
+    """Whether ``fitted``'s feature reducer keeps ``column``."""
+    return bool(fitted.pipeline.transformers[0].keep_[feature_columns().index(column)])
+
+
+def _with_forest(fitted: IXPScrubber, column: Optional[str] = None) -> IXPScrubber:
+    """``fitted`` scoring with a one-split forest on the (kept) key
+    ``column`` instead of its own: WoE below 0 scores low, above high;
+    with ``column=None`` a single leaf that reads no column."""
+    def ints(*values: int) -> np.ndarray:
+        return np.array(values, dtype=np.int32)
+
+    if column is None:
+        tree = TreeKernel(
+            feature=ints(LEAF), threshold=np.zeros(1), split_bin=ints(LEAF),
+            left=ints(LEAF), right=ints(LEAF), value=np.array([0.3]),
+        )
+    else:
+        kept = np.flatnonzero(fitted.pipeline.transformers[0].keep_)
+        feature = int(np.flatnonzero(kept == feature_columns().index(column))[0])
+        tree = TreeKernel(
+            feature=ints(feature, LEAF, LEAF), threshold=np.zeros(3),
+            split_bin=ints(LEAF, LEAF, LEAF), left=ints(1, LEAF, LEAF),
+            right=ints(2, LEAF, LEAF), value=np.array([0.0, -2.0, 2.0]),
+        )
+    classifier = copy.copy(fitted.pipeline.classifier)
+    classifier.forest_ = ForestKernel.from_trees([tree])
+    scrubber = pickle.loads(pickle.dumps(fitted))
+    scrubber.pipeline = ModelPipeline(scrubber.pipeline.transformers, classifier)
+    return scrubber
 
 
 def _run_engine(fitted, workload, **kwargs):
@@ -541,24 +650,79 @@ class TestSketchEngine:
         )
         assert process == serial
 
-    def test_sketch_state_survives_worker_crash(self, fitted_scrubber, workload):
-        """Supervised restart + re-dispatch reproduces the identical
-        sketch state: verdicts match the fault-free run, with restarts."""
-        serial, _ = _run_engine(fitted_scrubber, workload, n_shards=2, agg="sketch")
+    def _assert_survives(self, fitted, workload, faults, counter, **options):
+        """A supervised run under ``faults`` reproduces the fault-free
+        serial verdicts, and the ``counter`` (or gauge) shows the fault
+        was handled."""
+        serial, _ = _run_engine(fitted, workload, n_shards=2, agg="sketch")
         chaos, snap = _run_engine(
-            fitted_scrubber,
+            fitted,
             workload,
             n_shards=2,
             agg="sketch",
             backend="supervised",
-            backend_options={
-                "fault_plan": FaultPlan.parse("crash@0:batch=1:count=1"),
-                "shard_timeout": 30.0,
-            },
+            backend_options={"fault_plan": FaultPlan.parse(faults), **options},
         )
         assert chaos == serial
-        counters = {c["name"]: c["value"] for c in snap["counters"]}
-        assert counters.get("resilience.worker_restarts", 0) >= 1
+        values = {m["name"]: m["value"] for m in snap["counters"] + snap["gauges"]}
+        assert values.get(counter, 0) >= 1
+
+    def test_sketch_state_survives_worker_crash(self, fitted_scrubber, workload):
+        """Supervised restart + re-dispatch (the model re-sent to the
+        new worker) reproduces the identical sketch state."""
+        self._assert_survives(
+            fitted_scrubber, workload, "crash@0:batch=1:count=1",
+            "resilience.worker_restarts", shard_timeout=30.0,
+        )
+
+    def test_sketch_state_survives_worker_hang(self, fitted_scrubber, workload):
+        self._assert_survives(
+            fitted_scrubber, workload, "hang@1:batch=1",
+            "resilience.deadline_misses", shard_timeout=0.5,
+        )
+
+    def test_sketch_state_survives_degrade_to_serial(self, fitted_scrubber, workload):
+        """A shard that always crashes runs in the coordinator, on the
+        model the supervisor holds."""
+        self._assert_survives(
+            fitted_scrubber, workload, "crash@0:count=99",
+            "resilience.degraded_shards", shard_timeout=30.0, max_restarts=1,
+        )
+
+    @pytest.mark.parametrize("backend", ["serial", "supervised"])
+    def test_verdicts_follow_a_model_change(self, fitted_scrubber, workload, backend):
+        """Warm starts switch between models that read different
+        categoricals, one of them none, bin after bin: each closed bin's
+        verdicts are the current model's on the full-width sketch
+        records of its flows."""
+        reads = {schema.parse_column(c)[0] for c in fitted_scrubber.scored_columns}
+        other = next(
+            c for c in schema.key_columns()
+            if schema.parse_column(c)[0] not in reads and _kept(fitted_scrubber, c)
+        )
+        models = [fitted_scrubber, _with_forest(fitted_scrubber, other), _with_forest(fitted_scrubber)]
+        assert {len(m.scored_columns) for m in models[1:]} == {0, 1}
+        params = SketchParams()
+        engine = ShardedStreamingScrubber(
+            **ENGINE_KWARGS, n_shards=2, agg="sketch", sketch_params=params, backend=backend
+        )
+        bins = workload.time_bin()
+        ticks = np.unique(bins).tolist()
+        try:
+            for tick, b in enumerate([*ticks, None]):
+                model = models[tick % len(models)]
+                engine.warm_start(model)
+                got = engine.flush() if b is None else engine.ingest(workload.select(bins == b))
+                expected = []
+                if tick:
+                    records = SketchAggregator(params).absorb(
+                        workload.select(bins == ticks[tick - 1])
+                    ).build_records(min_flows=ENGINE_KWARGS["min_flows_per_verdict"])
+                    expected = model.classify_aggregated(records)
+                assert got == expected, tick
+                assert expected or not tick
+        finally:
+            engine.close()
 
     def test_sketch_metrics_appear_in_snapshot(self, fitted_scrubber, workload):
         _, snap = _run_engine(fitted_scrubber, workload, n_shards=2, agg="sketch")

@@ -281,7 +281,7 @@ class TestCompiledScorer:
         else:
             classifier.kernel_ = leaf(0.75)
         scrubber = self.with_classifier(scrubbers[model], classifier)
-        assert scrubber._compiled_scorer().columns == ()
+        assert scrubber.scored_columns == ()
         self.assert_matches_reference(scrubber, flows)
 
     def test_forest_reading_absent_ranks_and_missing_keys(self, fitted_scrubber_and_flows):
@@ -334,7 +334,7 @@ class TestCompiledScorer:
         classifier = copy.copy(fitted.pipeline.classifier)
         classifier.forest_ = ForestKernel.from_trees([tree])
         scrubber = self.with_classifier(fitted, classifier)
-        assert scrubber._compiled_scorer().columns == (key_column, value_column)
+        assert scrubber.scored_columns == (key_column, value_column)
         self.assert_matches_reference(scrubber, flows)
         scores = {v.score for v in scrubber.classify_flows_batch(flows)}
         assert len(scores) == 2  # both leaves under node 2, none under node 1
@@ -360,7 +360,7 @@ class TestOperatorOverride:
         fitted, flows = fitted_scrubber_and_flows
         scrubber = pickle.loads(pickle.dumps(fitted))  # the override stays local
         data = scrubber.aggregate_flows(flows)
-        reads = scrubber._compiled_scorer().columns
+        reads = scrubber.scored_columns
         # A key column the compiled forest reads, and a value of it that
         # moves scores once pinned.
         column, value = next(
