@@ -109,29 +109,35 @@ class BlackholeRegistry:
         prefix whose interval covers the flow timestamp. Open intervals
         are clipped at ``horizon`` if given, else treated as unbounded.
 
-        Complexity is O(events x log flows + matched flows): the flow
-        dataset is scanned per event on its time-sorted order, so short
-        blackholes only touch the flows inside their window.
+        Only events overlapping the batch's time span are visited. One
+        covering the whole span tests the prefix alone, with no sort; one
+        covering part of it reads its window off the batch's time order,
+        sorted on first need. A per-minute batch costs O(overlapping
+        events x flows), a long capture O(flows log flows + window flows).
         """
         n = len(flows)
         mask = np.zeros(n, dtype=bool)
         if n == 0:
             return mask
-        order = np.argsort(flows.time, kind="stable")
-        times = flows.time[order]
-        dsts = flows.dst_ip[order]
+        times, dsts = flows.time, flows.dst_ip
+        first, last = int(times.min()), int(times.max())
+        order = None
         for event in self.events():
             end = event.end
             if end is None:
-                end = horizon if horizon is not None else int(times[-1]) + 1
-            lo = int(np.searchsorted(times, event.start, side="left"))
-            hi = int(np.searchsorted(times, end, side="left"))
-            if lo >= hi:
+                end = horizon if horizon is not None else last + 1
+            if max(event.start, first) >= min(end, last + 1):
                 continue
-            window = dsts[lo:hi]
-            prefix = event.prefix
-            hit = (window & np.uint32(prefix.mask)) == np.uint32(prefix.network)
-            mask[order[lo:hi][hit]] = True
+            netmask, network = np.uint32(event.prefix.mask), np.uint32(event.prefix.network)
+            if event.start <= first and end > last:
+                mask |= (dsts & netmask) == network
+                continue
+            if order is None:
+                order = np.argsort(times, kind="stable")
+                sorted_times = times.take(order)
+            lo, hi = np.searchsorted(sorted_times, (event.start, end))
+            rows = order[lo:hi]
+            mask[rows[(dsts.take(rows) & netmask) == network]] = True
         return mask
 
     def label_flows(self, flows: FlowDataset, horizon: Optional[int] = None) -> FlowDataset:

@@ -356,9 +356,9 @@ def _aggregate_batch(
         kept = group_sizes >= min_flows
         # Records go whole, so what is left of ``group_new`` still
         # marks each kept record's first flow.
-        flow_kept = np.repeat(kept, group_sizes)
+        flow_kept = np.flatnonzero(np.repeat(kept, group_sizes))
         order, bins_s, dst_s, group_new = (
-            a[flow_kept] for a in (order, bins_s, dst_s, group_new)
+            a.take(flow_kept) for a in (order, bins_s, dst_s, group_new)
         )
         group_sizes = group_sizes[kept]
         starts = np.flatnonzero(group_new)

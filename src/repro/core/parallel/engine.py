@@ -188,10 +188,8 @@ class ShardedStreamingScrubber(StreamingScrubber):
             parts: list[list[FlowDataset]] = [[] for _ in range(self.plan.n_shards)]
             total = 0
             for _, bin_flows in nonempty:
-                ids = self.plan.assign(bin_flows.dst_ip)
                 total += len(bin_flows)
-                for shard in range(self.plan.n_shards):
-                    selected = bin_flows.select(ids == shard)
+                for shard, selected in enumerate(self.plan.split(bin_flows)):
                     if len(selected):
                         parts[shard].append(selected)
             shard_flows = [

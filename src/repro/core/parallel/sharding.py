@@ -48,6 +48,11 @@ class ShardPlan:
         return (_splitmix64(prefixes) % np.uint64(self.n_shards)).astype(np.int64)
 
     def split(self, flows: FlowDataset) -> list[FlowDataset]:
-        """Partition flows into per-shard datasets by target address."""
+        """Partition flows into per-shard datasets by target address.
+
+        A plan of one shard returns the batch itself.
+        """
+        if self.n_shards == 1:
+            return [flows]
         ids = self.assign(flows.dst_ip)
         return [flows.select(ids == s) for s in range(self.n_shards)]

@@ -235,6 +235,7 @@ class StreamingScrubber:
         Flows and updates must arrive in (approximately) time order
         across calls: a bin closes when a strictly later bin receives
         traffic. Returns the verdicts for all bins closed by this chunk.
+        A one-bin chunk is kept by reference; the engine never writes to it.
         """
         with obs.use_registry(self.registry), obs.span(names.SPAN_STREAMING_INGEST):
             for update in updates:
@@ -244,10 +245,14 @@ class StreamingScrubber:
                 obs.counter(names.C_STREAMING_FLOWS_INGESTED).inc(len(flows))
                 self._horizon = max(self._horizon, int(flows.time.max()) + 1)
                 bins = flows.time // BIN_SECONDS
-                for bin_id in np.unique(bins):
-                    chunk = flows.select(bins == bin_id)
-                    self._open_bins.setdefault(int(bin_id), []).append(chunk)
-                verdicts.extend(self._close_bins(int(bins.max())))
+                first, last = int(bins.min()), int(bins.max())
+                if first == last:
+                    self._open_bins.setdefault(first, []).append(flows)
+                else:
+                    for bin_id in np.unique(bins):
+                        chunk = flows.select(bins == bin_id)
+                        self._open_bins.setdefault(int(bin_id), []).append(chunk)
+                verdicts.extend(self._close_bins(last))
             self._update_level_gauges()
         return verdicts
 

@@ -37,10 +37,10 @@ class FlowDataset:
     """A fixed-schema, columnar collection of sampled flows.
 
     Columns are numpy arrays of equal length; see
-    :data:`SCHEMA` for names and dtypes. Instances are conceptually
-    immutable: all transformations (`select`, `concat`, `sort_by_time`)
-    return new datasets sharing no mutable state with their inputs other
-    than numpy views where safe.
+    :data:`SCHEMA` for names and dtypes. Instances are immutable: no
+    transformation writes to a column, and `concat` of one dataset and
+    `with_blackhole` share the columns they keep, so engines may hold a
+    caller's dataset by reference.
     """
 
     __slots__ = ("_columns",)
@@ -190,9 +190,16 @@ class FlowDataset:
     # Transformations
     # ------------------------------------------------------------------
     def select(self, mask_or_index: np.ndarray) -> "FlowDataset":
-        """Return the subset selected by a boolean mask or index array."""
+        """Return the subset selected by a boolean mask or index array.
+
+        A mask is read once, into the indices every column ``take``s.
+        """
         index = np.asarray(mask_or_index)
-        return FlowDataset({name: array[index] for name, array in self._columns.items()})
+        if index.dtype == np.bool_:
+            if index.shape != (len(self),):
+                raise IndexError(f"mask of shape {index.shape} for {len(self)} flows")
+            index = np.flatnonzero(index)
+        return FlowDataset({name: array.take(index) for name, array in self._columns.items()})
 
     def with_blackhole(self, blackhole: np.ndarray) -> "FlowDataset":
         """Return a copy with the ``blackhole`` column replaced."""

@@ -27,9 +27,17 @@ def withdraw(prefix: str, time: int, origin: int = 64512) -> Withdrawal:
     return Withdrawal(prefix=Prefix.parse(prefix), origin_asn=origin, time=time)
 
 
-def is_blackholed(registry: BlackholeRegistry, address: int, time: int) -> bool:
-    """Point-query oracle: one address, one instant, every active event."""
-    return any(e.prefix.contains(address) for e in registry.active_at(time))
+def is_blackholed(
+    registry: BlackholeRegistry, address: int, time: int, horizon: int | None = None
+) -> bool:
+    """Point-query oracle: one address, one instant, every active event.
+
+    An open event ends at ``horizon`` when one is given.
+    """
+    return any(
+        e.prefix.contains(address) and (e.end is not None or horizon is None or time < horizon)
+        for e in registry.active_at(time)
+    )
 
 
 class TestBlackholeEvent:
@@ -150,13 +158,15 @@ class TestMatchFlows:
         assert labeled.blackhole.all()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     events=st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=50),  # dst ip (small space)
-            st.integers(min_value=0, max_value=500),  # start
-            st.integers(min_value=1, max_value=300),  # duration
+            st.integers(min_value=28, max_value=32),  # prefix length
+            st.integers(min_value=0, max_value=1200),  # start
+            # 0: announced and withdrawn in one second; None: never withdrawn.
+            st.one_of(st.none(), st.just(0), st.integers(min_value=1, max_value=300)),
         ),
         min_size=1,
         max_size=8,
@@ -169,24 +179,28 @@ class TestMatchFlows:
         min_size=1,
         max_size=40,
     ),
+    first=st.integers(min_value=0, max_value=1000),
+    span=st.sampled_from([1, 60, 1000]),  # one second, about a bin, many bins
+    horizon=st.one_of(st.none(), st.integers(min_value=0, max_value=2000)),
 )
-def test_match_flows_equals_point_queries(events, flows):
+def test_match_flows_equals_point_queries(events, flows, first, span, horizon):
     """Vectorised matching agrees with per-flow point queries."""
     registry = BlackholeRegistry()
     updates = []
-    for ip, start, duration in events:
-        prefix = f"0.0.0.{ip}/32"
+    for ip, length, start, duration in events:
+        prefix = f"0.0.0.{ip}/{length}"
         updates.append(bh_announce(prefix, start, origin=64512))
-        updates.append(withdraw(prefix, start + duration, origin=64512))
+        if duration is not None:
+            updates.append(withdraw(prefix, start + duration, origin=64512))
     updates.sort(key=lambda u: u.time)
     registry.apply_all(updates)
 
     dataset = FlowDataset.from_records(
-        [make_flow(time=t, dst_ip=ip) for ip, t in flows]
+        [make_flow(time=first + t % span, dst_ip=ip) for ip, t in flows]
     )
-    mask = registry.match_flows(dataset)
+    mask = registry.match_flows(dataset, horizon=horizon)
     expected = [
-        is_blackholed(registry, int(dataset.dst_ip[i]), int(dataset.time[i]))
+        is_blackholed(registry, int(dataset.dst_ip[i]), int(dataset.time[i]), horizon)
         for i in range(len(dataset))
     ]
     np.testing.assert_array_equal(mask, expected)

@@ -57,6 +57,20 @@ class TestTransformations:
         assert len(subset) == 3
         assert subset.time[1] == handmade_flows.time[2]
 
+    def test_select_mask_of_wrong_length_raises(self, handmade_flows):
+        for length in (0, len(handmade_flows) - 1, len(handmade_flows) + 1):
+            with pytest.raises(IndexError):
+                handmade_flows.select(np.ones(length, dtype=bool))
+        with pytest.raises(IndexError):
+            handmade_flows.select(np.ones((len(handmade_flows), 1), dtype=bool))
+
+    def test_select_out_of_range_index_raises(self, handmade_flows):
+        n = len(handmade_flows)
+        for index in (np.array([0, n]), np.array([-n - 1])):
+            with pytest.raises(IndexError):
+                handmade_flows.select(index)
+        assert handmade_flows.select(np.array([-1])).record(0) == handmade_flows.record(n - 1)
+
     def test_concat(self, handmade_flows):
         merged = FlowDataset.concat([handmade_flows, handmade_flows])
         assert len(merged) == 2 * len(handmade_flows)
@@ -120,3 +134,33 @@ def test_sort_is_permutation(times):
     ordered = dataset.sort_by_time()
     assert sorted(times) == list(ordered.time)
     assert len(ordered) == len(dataset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=60),
+    fill=st.sampled_from(["random", "none", "all"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_select_mask_equals_select_index(n, fill, seed):
+    """A mask selects the same flows, column for column, as its indices."""
+    rng = np.random.default_rng(seed)
+    dataset = FlowDataset(
+        {
+            name: rng.integers(0, 2 if dtype == np.bool_ else 1000, size=n).astype(dtype)
+            for name, dtype in SCHEMA.items()
+        }
+    )
+    mask = {
+        "random": rng.random(n) < 0.5,
+        "none": np.zeros(n, dtype=bool),
+        "all": np.ones(n, dtype=bool),
+    }[fill]
+    by_mask = dataset.select(mask)
+    by_index = dataset.select(np.flatnonzero(mask))
+    assert len(by_mask) == int(mask.sum())
+    for name, dtype in SCHEMA.items():
+        column = by_mask.column(name)
+        assert column.dtype == dtype
+        np.testing.assert_array_equal(column, by_index.column(name))
+        np.testing.assert_array_equal(column, dataset.column(name)[mask])

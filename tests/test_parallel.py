@@ -24,6 +24,7 @@ from repro.core.parallel import (
 from repro.core.parallel.backends import WorkerPool
 from repro.core.resilience import FaultPlan, SupervisedProcessBackend
 from repro.core.scrubber import IXPScrubber, ScrubberConfig
+from repro.netflow.dataset import FlowDataset
 from repro.obs import names
 
 ENGINE_KWARGS = dict(
@@ -80,6 +81,13 @@ class TestShardPlan:
         for shard, part in enumerate(parts):
             if len(part):
                 assert (plan.assign(part.dst_ip) == shard).all()
+
+    def test_split_of_one_shard_is_the_batch(self, workload, monkeypatch):
+        plan = ShardPlan(1)
+        monkeypatch.setattr(FlowDataset, "select", None)  # no copy is made
+        monkeypatch.setattr(plan, "assign", None)  # and no hash
+        parts = plan.split(workload)
+        assert len(parts) == 1 and parts[0] is workload
 
 
 def _supervised(n_shards=2, **kwargs):

@@ -5,8 +5,10 @@ import pytest
 
 from repro.core.scrubber import ScrubberConfig
 from repro.core.streaming import StreamingScrubber
+from repro.core.parallel.engine import ShardedStreamingScrubber
 from repro.ixp.fabric import IXPFabric
 from repro.ixp.profiles import IXPProfile
+from repro.netflow.dataset import FlowDataset
 from repro.traffic.workload import WorkloadGenerator
 
 
@@ -23,8 +25,11 @@ def stream_capture():
     return profile, capture
 
 
-def drive(engine, capture, chunk_bins=8):
-    """Feed a capture through the engine in time-ordered chunks."""
+def drive(engine, capture, chunk_bins=8, prepare=lambda chunk: chunk):
+    """Feed a capture through the engine in time-ordered chunks.
+
+    ``prepare`` maps each chunk before it is fed.
+    """
     flows = capture.flows
     updates = sorted(capture.updates, key=lambda u: u.time)
     verdicts = []
@@ -39,9 +44,17 @@ def drive(engine, capture, chunk_bins=8):
         while u < len(updates) and updates[u].time < limit:
             chunk_updates.append(updates[u])
             u += 1
-        verdicts.extend(engine.ingest(chunk, chunk_updates))
+        verdicts.extend(engine.ingest(prepare(chunk), chunk_updates))
     verdicts.extend(engine.flush())
     return verdicts
+
+
+def read_only(flows: FlowDataset) -> FlowDataset:
+    """A copy of ``flows`` whose columns all refuse writes."""
+    columns = {name: array.copy() for name, array in flows.to_columns().items()}
+    for array in columns.values():
+        array.flags.writeable = False
+    return FlowDataset(columns)
 
 
 class TestStreamingScrubber:
@@ -141,3 +154,30 @@ class TestStreamingScrubber:
         assert engine.stats.verdicts_emitted == len(verdicts)
         assert engine.stats.ddos_verdicts == sum(1 for v in verdicts if v.is_ddos)
         assert engine.stats.training_flows > 0
+
+
+@pytest.mark.parametrize(
+    "sharding",
+    [None, dict(n_shards=2), dict(n_shards=2, agg="sketch")],
+    ids=["serial", "sharded-serial", "sketch"],
+)
+def test_read_only_chunks_give_the_same_verdicts(stream_capture, sharding):
+    """The engines keep one-bin chunks by reference, so nothing on the
+    ingest, label, balance, retrain or classify path may write to them."""
+    profile, capture = stream_capture
+
+    def run(prepare):
+        kwargs = dict(
+            config=ScrubberConfig(model="XGB", model_params={"n_estimators": 5}),
+            window_days=2,
+            bins_per_day=profile.bins_per_day,
+            seed=1,
+        )
+        if sharding is None:
+            return drive(StreamingScrubber(**kwargs), capture, 1, prepare)
+        with ShardedStreamingScrubber(**kwargs, **sharding) as engine:
+            return drive(engine, capture, 1, prepare)
+
+    frozen = run(read_only)
+    assert frozen, "the stream produced no verdicts"
+    assert frozen == run(lambda chunk: chunk)
