@@ -109,11 +109,10 @@ class BlackholeRegistry:
         prefix whose interval covers the flow timestamp. Open intervals
         are clipped at ``horizon`` if given, else treated as unbounded.
 
-        Only events overlapping the batch's time span are visited. One
-        covering the whole span tests the prefix alone, with no sort; one
-        covering part of it reads its window off the batch's time order,
-        sorted on first need. A per-minute batch costs O(overlapping
-        events x flows), a long capture O(flows log flows + window flows).
+        Only events overlapping the batch's time span are visited; each
+        reads its window off the batch's time order, sorted on first
+        need. A batch costs O(flows log flows) once, plus O(window flows)
+        per overlapping event.
         """
         n = len(flows)
         mask = np.zeros(n, dtype=bool)
@@ -129,9 +128,6 @@ class BlackholeRegistry:
             if max(event.start, first) >= min(end, last + 1):
                 continue
             netmask, network = np.uint32(event.prefix.mask), np.uint32(event.prefix.network)
-            if event.start <= first and end > last:
-                mask |= (dsts & netmask) == network
-                continue
             if order is None:
                 order = np.argsort(times, kind="stable")
                 sorted_times = times.take(order)

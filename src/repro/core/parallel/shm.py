@@ -346,7 +346,6 @@ class ShmRing:
             array = np.frombuffer(
                 self._shm.buf, dtype=dtype, count=rows, offset=position
             )
-            array.flags.writeable = False
             columns[name] = array
             position += _align8(array.nbytes)
         return FlowDataset(columns)

@@ -235,7 +235,8 @@ class StreamingScrubber:
         Flows and updates must arrive in (approximately) time order
         across calls: a bin closes when a strictly later bin receives
         traffic. Returns the verdicts for all bins closed by this chunk.
-        A one-bin chunk is kept by reference; the engine never writes to it.
+        A one-bin chunk is kept by reference (its columns are read-only),
+        so the caller must not write to the arrays it was built from.
         """
         with obs.use_registry(self.registry), obs.span(names.SPAN_STREAMING_INGEST):
             for update in updates:

@@ -37,10 +37,11 @@ class FlowDataset:
     """A fixed-schema, columnar collection of sampled flows.
 
     Columns are numpy arrays of equal length; see
-    :data:`SCHEMA` for names and dtypes. Instances are immutable: no
-    transformation writes to a column, and `concat` of one dataset and
-    `with_blackhole` share the columns they keep, so engines may hold a
-    caller's dataset by reference.
+    :data:`SCHEMA` for names and dtypes. Instances are immutable: every
+    column is a read-only view, so a write through `to_columns` or a
+    property raises, and `concat` of one dataset and `with_blackhole`
+    share the columns they keep. Engines may hold a caller's dataset by
+    reference; a caller that later writes to its own arrays changes it.
     """
 
     __slots__ = ("_columns",)
@@ -64,8 +65,12 @@ class FlowDataset:
                 raise ValueError(
                     f"column {name!r} has length {array.shape[0]}, expected {length}"
                 )
-            converted[name] = array
+            converted[name] = array = array.view()
+            array.flags.writeable = False
         self._columns = converted
+
+    def __reduce__(self):
+        return FlowDataset, (self._columns,)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -130,10 +135,7 @@ class FlowDataset:
     # ------------------------------------------------------------------
     def column(self, name: str) -> np.ndarray:
         """Return the raw column array for ``name`` (read-only view)."""
-        array = self._columns[name]
-        view = array.view()
-        view.flags.writeable = False
-        return view
+        return self._columns[name]
 
     @property
     def time(self) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Unit tests for the columnar flow dataset."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,18 @@ class TestConstruction:
         columns["time"] = np.zeros((2, 1), dtype=np.int64)
         with pytest.raises(ValueError, match="one-dimensional"):
             FlowDataset(columns)
+
+    def test_columns_are_read_only_and_callers_arrays_stay_writable(self):
+        columns = {name: np.zeros(3, dtype=dtype) for name, dtype in SCHEMA.items()}
+        dataset = FlowDataset(columns)
+        copied = pickle.loads(pickle.dumps(dataset))
+        for flows in (dataset, dataset.select(np.ones(3, dtype=bool)), copied):
+            for name, array in flows.to_columns().items():
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+                assert np.shares_memory(array, columns[name]) == (flows is dataset)
+        columns["time"][0] = 7
+        assert dataset.time[0] == 7 and copied.time[0] == 0
 
 
 class TestTransformations:
