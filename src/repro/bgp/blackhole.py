@@ -40,12 +40,6 @@ class BlackholeEvent:
             return None
         return self.end - self.start
 
-    def active_at(self, time: int) -> bool:
-        """True if the blackhole was active at ``time``."""
-        if time < self.start:
-            return False
-        return self.end is None or time < self.end
-
 
 class BlackholeRegistry:
     """Tracks blackhole intervals derived from a BGP update feed."""
@@ -97,10 +91,6 @@ class BlackholeRegistry:
                     BlackholeEvent(prefix=prefix, origin_asn=origin, start=start, end=None)
                 )
         return out
-
-    def active_at(self, time: int) -> list[BlackholeEvent]:
-        """Blackhole intervals covering ``time``."""
-        return [e for e in self.events() if e.active_at(time)]
 
     def match_flows(self, flows: FlowDataset, horizon: Optional[int] = None) -> np.ndarray:
         """Return a boolean mask of flows destined to blackholed space.

@@ -24,7 +24,14 @@ from repro.experiments.datasets import merged_corpus
 
 
 def _spearman_cdf(X: np.ndarray) -> np.ndarray:
-    """Upper-triangle absolute Spearman correlations, sorted."""
+    """Upper-triangle absolute Spearman correlations, sorted.
+
+    A constant column has no ranks to correlate: every pair with it is
+    NaN (with a divide warning), and the NaN filter below drops such
+    pairs anyway. So constant columns leave before the correlation, and
+    no reported value is a NaN.
+    """
+    X = X[:, np.ptp(X, axis=0) > 0]
     corr, _ = stats.spearmanr(X)
     corr = np.atleast_2d(corr)
     iu = np.triu_indices_from(corr, k=1)

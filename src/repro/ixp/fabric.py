@@ -50,7 +50,6 @@ class IXPFabric:
                     mac=(self.profile.region << 32) | (0x02 << 40) | (i + 1),
                     role=role,
                     adheres_to_blackholing=bool(rng.random() >= _NON_ADHERENCE),
-                    name=f"{self.profile.name}-member-{i}",
                 )
             )
         return tuple(members)

@@ -31,7 +31,6 @@ class MemberAS:
     role: MemberRole
     #: Whether this member's routers install received blackhole routes.
     adheres_to_blackholing: bool = True
-    name: str = ""
 
     def __post_init__(self) -> None:
         if self.asn <= 0:

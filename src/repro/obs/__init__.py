@@ -5,16 +5,18 @@ learning scrubber (paper §6.3): an operator running daily retraining and
 per-minute classification needs counters, latency distributions, and
 phase timings to trust verdicts. The layer has three parts:
 
-* :mod:`repro.obs.registry` — counters, gauges, fixed-bucket histograms
-  with percentile estimates, collected in a :class:`MetricRegistry`;
-  a contextvar selects the *active* registry so components can own
-  their metrics (``StreamingScrubber``) while library code below them
-  records transparently into whichever registry is active;
+* :mod:`repro.obs.registry` — counters, gauges and fixed-bucket
+  histograms with percentile estimates, keyed by name in a
+  :class:`MetricRegistry`; a contextvar selects the *active* registry
+  so components can own their metrics (``StreamingScrubber``) while
+  library code below them records transparently into whichever
+  registry is active;
 * :mod:`repro.obs.spans` — nested phase timers tracing the
   ingest → bin-close → aggregate → encode → classify → retrain path;
-* :mod:`repro.obs.export` — pluggable sinks: JSON-lines snapshots,
-  Prometheus-style text exposition, and the human-readable rendering
-  behind ``repro stats``.
+  a span is one histogram observation plus one parent count;
+* :mod:`repro.obs.export` — snapshots and their renderings: JSON
+  lines, Prometheus-style text exposition, and the human-readable
+  table behind ``repro stats``.
 
 Every emitted name lives in :mod:`repro.obs.names` and is documented in
 ``docs/METRICS.md`` (enforced by ``tests/test_docs_lint.py``). A global
@@ -40,11 +42,9 @@ from repro.obs.export import (
     format_snapshot,
     merge_snapshots,
     prometheus_text,
-    read_jsonl,
     snapshot,
 )
 from repro.obs.registry import (
-    DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -54,20 +54,18 @@ from repro.obs.registry import (
     enable,
     gauge,
     get_registry,
-    histogram,
     is_enabled,
+    span,
     use_registry,
 )
-from repro.obs.spans import SpanAggregate, SpanTracker, span
+from repro.obs.spans import SpanTracker
 
 __all__ = [
     "Counter",
-    "DEFAULT_BUCKETS",
     "Gauge",
     "Histogram",
     "JsonLinesExporter",
     "MetricRegistry",
-    "SpanAggregate",
     "SpanTracker",
     "counter",
     "disable",
@@ -75,12 +73,10 @@ __all__ = [
     "format_snapshot",
     "gauge",
     "get_registry",
-    "histogram",
     "is_enabled",
     "merge_snapshots",
     "names",
     "prometheus_text",
-    "read_jsonl",
     "snapshot",
     "span",
     "use_registry",

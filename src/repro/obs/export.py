@@ -1,19 +1,19 @@
-"""Exporters: JSON-lines sink and Prometheus-style text exposition.
+"""Snapshots and their renderings: JSON lines, Prometheus text, tables.
 
-Two pluggable output formats cover the operational spectrum:
+A snapshot is one JSON-serialisable dict of a registry's state: its
+counters, gauges and histograms, plus a ``spans`` table that is derived
+from the span histograms and the tracker's parent counts. Around it:
 
 * :class:`JsonLinesExporter` appends one self-contained snapshot object
-  per line — the right shape for log shippers and offline analysis
-  (``read_jsonl`` parses the file back for tests and tooling);
+  per line — the right shape for log shippers and offline analysis;
 * :func:`prometheus_text` renders the classic ``# TYPE`` exposition so a
   scrape endpoint (or a ``textfile`` collector) can serve the registry
-  to an existing monitoring stack without adding any dependency here.
+  to an existing monitoring stack without adding any dependency here;
+* :func:`format_snapshot` is the human-facing third sibling used by
+  ``repro stats``: counters, gauges, histogram percentiles, and the
+  per-phase span table in fixed-width text.
 
-:func:`format_snapshot` is the human-facing third sibling used by
-``repro stats``: counters, gauges, histogram percentiles, and the
-per-phase span table in fixed-width text.
-
-Both renderers also accept an already-taken snapshot *dict* in place of
+The renderers also accept an already-taken snapshot *dict* in place of
 a registry, and :func:`merge_snapshots` folds several snapshots into one
 — the reduction the sharded streaming engine uses to present its
 coordinator plus N worker-shard registries as a single operator view.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from repro.obs.registry import Counter, Gauge, Histogram, MetricRegistry
 
@@ -32,7 +32,6 @@ __all__ = [
     "snapshot",
     "merge_snapshots",
     "JsonLinesExporter",
-    "read_jsonl",
     "prometheus_text",
     "format_snapshot",
 ]
@@ -41,17 +40,22 @@ __all__ = [
 SnapshotSource = Union[MetricRegistry, dict]
 
 
-def snapshot(registry: MetricRegistry) -> dict:
-    """One JSON-serialisable dict of the registry's entire state."""
-    counters, gauges, histograms = [], [], []
-    for metric in registry.metrics():
-        if isinstance(metric, Counter):
-            counters.append(metric.as_dict())
-        elif isinstance(metric, Gauge):
-            gauges.append(metric.as_dict())
-        elif isinstance(metric, Histogram):
-            histograms.append(metric.as_dict())
-    spans = [agg.as_dict() for agg in registry.spans.stats().values()]
+def _assemble(counters, gauges, histograms, parents: dict) -> dict:
+    """A snapshot dict; one ``spans`` entry per span histogram."""
+    by_name = {h["name"]: h for h in histograms}
+    spans = []
+    for name, counts in parents.items():
+        h = by_name[name]
+        spans.append({
+            "name": name,
+            "count": h["count"],
+            "total_seconds": h["sum"],
+            "min_seconds": h["min"],
+            "max_seconds": h["max"],
+            "mean_seconds": h["sum"] / h["count"],
+            "parents": counts,
+        })
+    spans.sort(key=lambda s: (-s["total_seconds"], s["name"]))
     return {
         "counters": counters,
         "gauges": gauges,
@@ -60,137 +64,54 @@ def snapshot(registry: MetricRegistry) -> dict:
     }
 
 
+def snapshot(registry: MetricRegistry) -> dict:
+    """One JSON-serialisable dict of the registry's entire state."""
+    parents = registry.spans.parents()  # before the instruments; see SpanTracker
+    kinds = {Counter: [], Gauge: [], Histogram: []}
+    for metric in registry.metrics():
+        kinds[type(metric)].append(metric.as_dict())
+    return _assemble(kinds[Counter], kinds[Gauge], kinds[Histogram], parents)
+
+
 def _as_snapshot(source: SnapshotSource) -> dict:
     return source if isinstance(source, dict) else snapshot(source)
-
-
-def _entry_key(entry: dict) -> tuple:
-    return (entry["name"], tuple(sorted(entry.get("labels", {}).items())))
-
-
-def _bucket_percentile(
-    buckets: dict[str, int], count: int, lo: float, hi: float, q: float
-) -> float:
-    """Percentile from a snapshot's cumulative bucket dict.
-
-    Mirrors :meth:`Histogram.percentile` (linear interpolation inside
-    the covering bucket, clamped to the observed min/max) so merged
-    snapshots report percentiles the same way live registries do.
-    """
-    edges = sorted(float(k) for k in buckets)
-    rank = (q / 100.0) * count
-    running = 0.0
-    prev_cumulative = 0
-    prev_edge = 0.0 if edges and edges[0] > 0 else (edges[0] if edges else 0.0)
-    for edge in edges:
-        if edge == math.inf:
-            continue
-        c = buckets[str(edge)] - prev_cumulative
-        prev_cumulative = buckets[str(edge)]
-        if c:
-            if running + c >= rank:
-                frac = (rank - running) / c
-                est = prev_edge + frac * (edge - prev_edge)
-                return float(min(max(est, lo), hi))
-            running += c
-        prev_edge = edge
-    return float(hi)
-
-
-def _min_opt(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _max_opt(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
 
 
 def merge_snapshots(sources: Sequence[SnapshotSource]) -> dict:
     """Fold several snapshots (or registries) into one snapshot dict.
 
-    Counters and gauges with the same (name, labels) sum; histograms
-    merge bucket-wise (same bucket layout assumed — all pipeline
-    histograms use the default edges) with percentiles re-estimated from
-    the merged buckets; span aggregates sum counts/totals and combine
-    extrema. This is how per-shard registries roll up into the single
-    operator snapshot of ``repro stream``.
+    Counters and gauges with the same name sum; histograms merge
+    bucket-wise (every histogram shares :data:`~repro.obs.registry.BUCKETS`)
+    with percentiles re-estimated from the merged buckets; span parent
+    counts sum, and the span table is derived from the merged
+    histograms. This is how per-shard registries roll up into the
+    single operator snapshot of ``repro stream``.
     """
-    counters: dict[tuple, dict] = {}
-    gauges: dict[tuple, dict] = {}
-    histograms: dict[tuple, dict] = {}
-    spans: dict[str, dict] = {}
+    counters: dict[str, dict] = {}
+    gauges: dict[str, dict] = {}
+    histograms: dict[str, Histogram] = {}
+    parents: dict[str, dict[str, int]] = {}
     for source in sources:
         snap = _as_snapshot(source)
-        for c in snap.get("counters", ()):
-            key = _entry_key(c)
-            if key in counters:
-                counters[key]["value"] += c["value"]
-            else:
-                counters[key] = dict(c)
-        for g in snap.get("gauges", ()):
-            key = _entry_key(g)
-            if key in gauges:
-                gauges[key]["value"] += g["value"]
-            else:
-                gauges[key] = dict(g)
-        for h in snap.get("histograms", ()):
-            key = _entry_key(h)
-            if key in histograms:
-                merged = histograms[key]
-                merged["count"] += h["count"]
-                merged["sum"] += h["sum"]
-                merged["min"] = _min_opt(merged["min"], h["min"])
-                merged["max"] = _max_opt(merged["max"], h["max"])
-                buckets = dict(merged["buckets"])
-                for edge, cumulative in h["buckets"].items():
-                    buckets[edge] = buckets.get(edge, 0) + cumulative
-                merged["buckets"] = buckets
-            else:
-                histograms[key] = {**h, "buckets": dict(h["buckets"])}
-        for s in snap.get("spans", ()):
-            name = s["name"]
-            if name in spans:
-                merged = spans[name]
-                merged["count"] += s["count"]
-                merged["total_seconds"] += s["total_seconds"]
-                merged["min_seconds"] = _min_opt(
-                    merged["min_seconds"], s["min_seconds"]
-                )
-                merged["max_seconds"] = _max_opt(
-                    merged["max_seconds"], s["max_seconds"]
-                )
-                for parent, n in s["parents"].items():
-                    merged["parents"][parent] = merged["parents"].get(parent, 0) + n
-            else:
-                spans[name] = {**s, "parents": dict(s["parents"])}
-    for h in histograms.values():
-        if h["count"]:
-            for q in (50, 90, 99):
-                h[f"p{q}"] = _bucket_percentile(
-                    h["buckets"], h["count"], h["min"], h["max"], q
-                )
-        else:
-            h["p50"] = h["p90"] = h["p99"] = None
-    for s in spans.values():
-        s["mean_seconds"] = (
-            s["total_seconds"] / s["count"] if s["count"] else None
-        )
-    return {
-        "counters": [counters[k] for k in sorted(counters)],
-        "gauges": [gauges[k] for k in sorted(gauges)],
-        "histograms": [histograms[k] for k in sorted(histograms)],
-        "spans": sorted(
-            spans.values(), key=lambda s: (-s["total_seconds"], s["name"])
-        ),
-    }
+        for merged, entries in ((counters, snap["counters"]), (gauges, snap["gauges"])):
+            for entry in entries:
+                if entry["name"] in merged:
+                    merged[entry["name"]]["value"] += entry["value"]
+                else:
+                    merged[entry["name"]] = dict(entry)
+        for entry in snap["histograms"]:
+            name = entry["name"]
+            histograms.setdefault(name, Histogram(name)).absorb(entry)
+        for entry in snap["spans"]:
+            counts = parents.setdefault(entry["name"], {})
+            for parent, n in entry["parents"].items():
+                counts[parent] = counts.get(parent, 0) + n
+    return _assemble(
+        [counters[k] for k in sorted(counters)],
+        [gauges[k] for k in sorted(gauges)],
+        [histograms[k].as_dict() for k in sorted(histograms)],
+        parents,
+    )
 
 
 class JsonLinesExporter:
@@ -208,17 +129,6 @@ class JsonLinesExporter:
         return record
 
 
-def read_jsonl(path: Union[str, Path]) -> list[dict]:
-    """Parse a JSON-lines snapshot file back into dicts."""
-    out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
-
-
 # ----------------------------------------------------------------------
 # Prometheus-style text exposition
 # ----------------------------------------------------------------------
@@ -229,22 +139,6 @@ def _prom_name(name: str) -> str:
     if sanitized and sanitized[0].isdigit():
         sanitized = "_" + sanitized
     return f"repro_{sanitized}"
-
-
-def _escape_label(value: object) -> str:
-    return str(value).replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _prom_labels(labels: dict, extra: Optional[dict] = None) -> str:
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
-        return ""
-    body = ",".join(
-        f'{k}="{_escape_label(v)}"' for k, v in sorted(merged.items())
-    )
-    return "{" + body + "}"
 
 
 def _fmt(value: float) -> str:
@@ -258,47 +152,34 @@ def _fmt(value: float) -> str:
 def prometheus_text(source: SnapshotSource) -> str:
     """Render a registry or snapshot dict in Prometheus text format."""
     snap = _as_snapshot(source)
-    entries: list[tuple[tuple, str, dict]] = []
-    for kind in ("counters", "gauges", "histograms"):
-        for entry in snap[kind]:
-            entries.append((_entry_key(entry), kind, entry))
+    entries = sorted(
+        ((entry["name"], kind, entry)
+         for kind in ("counters", "gauges", "histograms")
+         for entry in snap[kind]),
+        key=lambda item: item[0],
+    )
     lines: list[str] = []
-    seen_types: set[str] = set()
-    for _, kind, entry in sorted(entries, key=lambda item: item[0]):
-        base = _prom_name(entry["name"])
-        labels = _prom_labels(entry["labels"])
+    for name, kind, entry in entries:
+        base = _prom_name(name)
         if kind == "counters":
-            if base not in seen_types:
-                lines.append(f"# TYPE {base}_total counter")
-                seen_types.add(base)
-            lines.append(f"{base}_total{labels} {_fmt(entry['value'])}")
+            lines.append(f"# TYPE {base}_total counter")
+            lines.append(f"{base}_total {_fmt(entry['value'])}")
         elif kind == "gauges":
-            if base not in seen_types:
-                lines.append(f"# TYPE {base} gauge")
-                seen_types.add(base)
-            lines.append(f"{base}{labels} {_fmt(entry['value'])}")
+            lines.append(f"# TYPE {base} gauge")
+            lines.append(f"{base} {_fmt(entry['value'])}")
         else:
-            if base not in seen_types:
-                lines.append(f"# TYPE {base} histogram")
-                seen_types.add(base)
+            lines.append(f"# TYPE {base} histogram")
             for edge in sorted(float(k) for k in entry["buckets"]):
-                le = _prom_labels(entry["labels"], {"le": _fmt(edge)})
                 cumulative = entry["buckets"][str(edge)]
-                lines.append(f"{base}_bucket{le} {cumulative}")
-            lines.append(f"{base}_sum{labels} {_fmt(entry['sum'])}")
-            lines.append(f"{base}_count{labels} {entry['count']}")
+                lines.append(f'{base}_bucket{{le="{_fmt(edge)}"}} {cumulative}')
+            lines.append(f"{base}_sum {_fmt(entry['sum'])}")
+            lines.append(f"{base}_count {entry['count']}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ----------------------------------------------------------------------
 # Human-readable snapshot (the `repro stats` output)
 # ----------------------------------------------------------------------
-def _labels_suffix(labels: dict) -> str:
-    if not labels:
-        return ""
-    return "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
-
-
 def format_snapshot(source: SnapshotSource) -> str:
     """Fixed-width text rendering: counters, gauges, histograms, spans."""
     snap = _as_snapshot(source)
@@ -307,22 +188,19 @@ def format_snapshot(source: SnapshotSource) -> str:
     if snap["counters"]:
         lines.append("== counters ==")
         for c in snap["counters"]:
-            name = c["name"] + _labels_suffix(c["labels"])
-            lines.append(f"  {name:<42s} {c['value']:>14.0f}")
+            lines.append(f"  {c['name']:<42s} {c['value']:>14.0f}")
     if snap["gauges"]:
         lines.append("== gauges ==")
         for g in snap["gauges"]:
-            name = g["name"] + _labels_suffix(g["labels"])
-            lines.append(f"  {name:<42s} {g['value']:>14.2f}")
+            lines.append(f"  {g['name']:<42s} {g['value']:>14.2f}")
 
     span_names = {s["name"] for s in snap["spans"]}
     plain_hists = [h for h in snap["histograms"] if h["name"] not in span_names]
     if plain_hists:
         lines.append("== histograms ==")
         for h in plain_hists:
-            name = h["name"] + _labels_suffix(h["labels"])
             lines.append(
-                f"  {name:<42s} n={h['count']:<8d} "
+                f"  {h['name']:<42s} n={h['count']:<8d} "
                 f"p50={h['p50']:.4g} p90={h['p90']:.4g} p99={h['p99']:.4g}"
             )
 
@@ -332,16 +210,10 @@ def format_snapshot(source: SnapshotSource) -> str:
             f"  {'phase':<28s} {'count':>7s} {'total_s':>10s} "
             f"{'mean_s':>10s} {'p90_s':>10s} {'max_s':>10s}"
         )
-        hist_by_name = {h["name"]: h for h in snap["histograms"]}
+        p90 = {h["name"]: h["p90"] for h in snap["histograms"]}
         for s in snap["spans"]:
-            hist = hist_by_name.get(s["name"])
-            p90 = (
-                hist["p90"]
-                if hist is not None and hist.get("p90") is not None
-                else float("nan")
-            )
             lines.append(
                 f"  {s['name']:<28s} {s['count']:>7d} {s['total_seconds']:>10.3f} "
-                f"{s['mean_seconds']:>10.4f} {p90:>10.4f} {s['max_seconds']:>10.4f}"
+                f"{s['mean_seconds']:>10.4f} {p90[s['name']]:>10.4f} {s['max_seconds']:>10.4f}"
             )
     return "\n".join(lines)

@@ -8,11 +8,11 @@ operating mode (per-minute classification, daily retraining):
   (flows ingested, bins closed, retrainings);
 * :class:`Gauge` — point-in-time levels that move both ways
   (open bins, training-set size);
-* :class:`Histogram` — fixed-bucket distributions with percentile
-  estimates (span durations, batch sizes).
+* :class:`Histogram` — distributions over the fixed :data:`BUCKETS`
+  with percentile estimates; every span records its seconds into one.
 
-Instruments are keyed by ``(name, labels)`` and created lazily on first
-use, so instrumented code never has to pre-declare anything::
+Instruments are keyed by name and created lazily on first use, so
+instrumented code never has to pre-declare anything::
 
     from repro import obs
 
@@ -30,19 +30,21 @@ dependency and no background threads.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional
+
+from repro.obs.spans import SpanTracker
 
 __all__ = [
+    "BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "DEFAULT_BUCKETS",
-    "LabelSet",
     "get_registry",
     "use_registry",
     "enable",
@@ -50,15 +52,13 @@ __all__ = [
     "is_enabled",
     "counter",
     "gauge",
-    "histogram",
+    "span",
 ]
 
-#: Canonical label representation: a sorted tuple of (key, value) pairs.
-LabelSet = tuple[tuple[str, str], ...]
-
-#: Default histogram bucket upper edges, in seconds — tuned for span
-#: durations from sub-millisecond numpy ops up to multi-minute retrains.
-DEFAULT_BUCKETS: tuple[float, ...] = (
+#: Histogram bucket upper edges, in seconds — tuned for span durations
+#: from sub-millisecond numpy ops up to multi-minute retrains. Every
+#: histogram uses them, so snapshots from any registry merge bucket-wise.
+BUCKETS: tuple[float, ...] = (
     0.0005,
     0.001,
     0.0025,
@@ -80,20 +80,13 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 )
 
 
-def _labelset(labels: Optional[Mapping[str, str]]) -> LabelSet:
-    if not labels:
-        return ()
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
 class Counter:
     """A monotonically increasing count of events."""
 
-    __slots__ = ("name", "labels", "_value", "_lock")
+    __slots__ = ("name", "_value", "_lock")
 
-    def __init__(self, name: str, labels: LabelSet = ()):
+    def __init__(self, name: str):
         self.name = name
-        self.labels = labels
         self._value = 0.0
         self._lock = threading.Lock()
 
@@ -109,22 +102,16 @@ class Counter:
         return self._value
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "type": "counter",
-            "labels": dict(self.labels),
-            "value": self._value,
-        }
+        return {"name": self.name, "type": "counter", "value": self._value}
 
 
 class Gauge:
     """A level that can go up and down (open bins, buffer sizes)."""
 
-    __slots__ = ("name", "labels", "_value", "_lock")
+    __slots__ = ("name", "_value", "_lock")
 
-    def __init__(self, name: str, labels: LabelSet = ()):
+    def __init__(self, name: str):
         self.name = name
-        self.labels = labels
         self._value = 0.0
         self._lock = threading.Lock()
 
@@ -141,16 +128,11 @@ class Gauge:
         return self._value
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "type": "gauge",
-            "labels": dict(self.labels),
-            "value": self._value,
-        }
+        return {"name": self.name, "type": "gauge", "value": self._value}
 
 
 class Histogram:
-    """Fixed-bucket histogram with percentile estimation.
+    """Histogram over :data:`BUCKETS` with percentile estimation.
 
     Buckets are defined by their upper edges (inclusive), with an
     implicit final ``+Inf`` bucket. Percentiles are estimated by linear
@@ -159,25 +141,11 @@ class Histogram:
     estimate is exact at bucket edges and conservative in between.
     """
 
-    __slots__ = ("name", "labels", "buckets", "_counts", "_count", "_sum", "_min", "_max", "_lock")
+    __slots__ = ("name", "_counts", "_count", "_sum", "_min", "_max", "_lock")
 
-    def __init__(
-        self,
-        name: str,
-        labels: LabelSet = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ):
-        edges = tuple(float(b) for b in buckets)
-        if not edges:
-            raise ValueError("histogram needs at least one bucket edge")
-        if list(edges) != sorted(edges):
-            raise ValueError("bucket edges must be sorted ascending")
-        if len(set(edges)) != len(edges):
-            raise ValueError("bucket edges must be distinct")
+    def __init__(self, name: str):
         self.name = name
-        self.labels = labels
-        self.buckets = edges
-        self._counts = [0] * (len(edges) + 1)  # +1 for the +Inf bucket
+        self._counts = [0] * (len(BUCKETS) + 1)  # +1 for the +Inf bucket
         self._count = 0
         self._sum = 0.0
         self._min = math.inf
@@ -186,22 +154,30 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        # Binary search over the (short, fixed) edge list.
-        lo, hi = 0, len(self.buckets)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.buckets[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
+        slot = bisect.bisect_left(BUCKETS, value)
         with self._lock:
-            self._counts[lo] += 1
+            self._counts[slot] += 1
             self._count += 1
             self._sum += value
             if value < self._min:
                 self._min = value
             if value > self._max:
                 self._max = value
+
+    def absorb(self, entry: dict) -> None:
+        """Add the observations of another histogram's snapshot entry."""
+        if not entry["count"]:
+            return
+        cumulative = [entry["buckets"][str(edge)] for edge in (*BUCKETS, math.inf)]
+        with self._lock:
+            previous = 0
+            for slot, running in enumerate(cumulative):
+                self._counts[slot] += running - previous
+                previous = running
+            self._count += entry["count"]
+            self._sum += entry["sum"]
+            self._min = min(self._min, entry["min"])
+            self._max = max(self._max, entry["max"])
 
     @property
     def count(self) -> int:
@@ -227,10 +203,9 @@ class Histogram:
         """Cumulative counts per upper edge (Prometheus ``le`` style)."""
         out: dict[float, int] = {}
         running = 0
-        for edge, c in zip(self.buckets, self._counts[:-1]):
+        for edge, c in zip((*BUCKETS, math.inf), self._counts):
             running += c
             out[edge] = running
-        out[math.inf] = running + self._counts[-1]
         return out
 
     def percentile(self, q: float) -> float:
@@ -241,8 +216,8 @@ class Histogram:
             return float("nan")
         rank = (q / 100.0) * self._count
         running = 0.0
-        prev_edge = 0.0 if self.buckets[0] > 0 else self.buckets[0]
-        for edge, c in zip(self.buckets, self._counts[:-1]):
+        prev_edge = 0.0
+        for edge, c in zip(BUCKETS, self._counts):
             if c:
                 if running + c >= rank:
                     # Linear interpolation within this bucket, clamped to
@@ -257,82 +232,58 @@ class Histogram:
         return float(self._max)
 
     def as_dict(self) -> dict:
+        observed = self._count > 0
         return {
             "name": self.name,
             "type": "histogram",
-            "labels": dict(self.labels),
             "count": self._count,
             "sum": self._sum,
-            "min": self.min if self._count else None,
-            "max": self.max if self._count else None,
+            "min": self._min if observed else None,
+            "max": self._max if observed else None,
             "buckets": {str(k): v for k, v in self.bucket_counts().items()},
-            "p50": self.percentile(50) if self._count else None,
-            "p90": self.percentile(90) if self._count else None,
-            "p99": self.percentile(99) if self._count else None,
+            "p50": self.percentile(50) if observed else None,
+            "p90": self.percentile(90) if observed else None,
+            "p99": self.percentile(99) if observed else None,
         }
 
 
 class MetricRegistry:
-    """Lazily creates and stores instruments keyed by (name, labels)."""
+    """Lazily creates and stores instruments keyed by name."""
 
     def __init__(self) -> None:
-        self._metrics: dict[tuple[str, LabelSet], object] = {}
+        self._metrics: dict[str, object] = {}
         self._lock = threading.Lock()
-        # Imported lazily to avoid a module cycle (spans needs registry).
-        from repro.obs.spans import SpanTracker
-
         self.spans = SpanTracker(self)
 
-    # -- instrument accessors ------------------------------------------
-    def _get_or_create(self, cls, name: str, labels: Optional[Mapping[str, str]], **kwargs):
-        key = (name, _labelset(labels))
-        metric = self._metrics.get(key)
+    def _get_or_create(self, cls, name: str):
+        metric = self._metrics.get(name)
         if metric is None:
             with self._lock:
-                metric = self._metrics.get(key)
+                metric = self._metrics.get(name)
                 if metric is None:
-                    metric = cls(name, key[1], **kwargs)
-                    self._metrics[key] = metric
+                    metric = self._metrics[name] = cls(name)
         if not isinstance(metric, cls):
             raise TypeError(
                 f"metric {name!r} already registered as {type(metric).__name__}"
             )
         return metric
 
-    def counter(self, name: str, labels: Optional[Mapping[str, str]] = None) -> Counter:
-        return self._get_or_create(Counter, name, labels)
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(Counter, name)
 
-    def gauge(self, name: str, labels: Optional[Mapping[str, str]] = None) -> Gauge:
-        return self._get_or_create(Gauge, name, labels)
+    def gauge(self, name: str) -> Gauge:
+        return self._get_or_create(Gauge, name)
 
-    def histogram(
-        self,
-        name: str,
-        labels: Optional[Mapping[str, str]] = None,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, labels, buckets=buckets)
+    def histogram(self, name: str) -> Histogram:
+        return self._get_or_create(Histogram, name)
 
-    # -- inspection ----------------------------------------------------
     def metrics(self) -> list:
-        """All registered instruments, sorted by (name, labels)."""
+        """All registered instruments, sorted by name."""
         return [self._metrics[k] for k in sorted(self._metrics)]
 
-    def get(self, name: str, labels: Optional[Mapping[str, str]] = None):
+    def get(self, name: str):
         """Look up an instrument without creating it (None if absent)."""
-        return self._metrics.get((name, _labelset(labels)))
-
-    def names(self) -> set[str]:
-        return {name for name, _ in self._metrics}
-
-    def reset(self) -> None:
-        """Drop all instruments and span state (tests, CLI reruns)."""
-        with self._lock:
-            self._metrics.clear()
-        self.spans.reset()
-
-    def __len__(self) -> int:
-        return len(self._metrics)
+        return self._metrics.get(name)
 
 
 # ----------------------------------------------------------------------
@@ -387,17 +338,14 @@ def is_enabled() -> bool:
 
 
 # ----------------------------------------------------------------------
-# Null instruments + convenience accessors
+# Null instrument + convenience accessors on the active registry
 # ----------------------------------------------------------------------
 class _NullInstrument:
     """Shared no-op stand-in returned while instrumentation is disabled."""
 
     __slots__ = ()
     name = "<disabled>"
-    labels: LabelSet = ()
     value = 0.0
-    count = 0
-    sum = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         pass
@@ -408,33 +356,29 @@ class _NullInstrument:
     def add(self, amount: float) -> None:
         pass
 
-    def observe(self, value: float) -> None:
-        pass
-
 
 _NULL = _NullInstrument()
 
 
-def counter(name: str, labels: Optional[Mapping[str, str]] = None):
+def counter(name: str):
     """Counter on the active registry (no-op instrument when disabled)."""
     if not _enabled:
         return _NULL
-    return get_registry().counter(name, labels)
+    return get_registry().counter(name)
 
 
-def gauge(name: str, labels: Optional[Mapping[str, str]] = None):
+def gauge(name: str):
     """Gauge on the active registry (no-op instrument when disabled)."""
     if not _enabled:
         return _NULL
-    return get_registry().gauge(name, labels)
+    return get_registry().gauge(name)
 
 
-def histogram(
-    name: str,
-    labels: Optional[Mapping[str, str]] = None,
-    buckets: Sequence[float] = DEFAULT_BUCKETS,
-):
-    """Histogram on the active registry (no-op instrument when disabled)."""
+@contextmanager
+def span(name: str) -> Iterator[None]:
+    """Time a phase against the *active* registry (no-op when disabled)."""
     if not _enabled:
-        return _NULL
-    return get_registry().histogram(name, labels, buckets=buckets)
+        yield
+        return
+    with get_registry().spans.span(name):
+        yield

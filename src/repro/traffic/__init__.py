@@ -4,7 +4,6 @@ from repro.traffic.address_space import (
     CLIENTS,
     REFLECTORS,
     SERVERS,
-    SPOOFED,
     VICTIMS,
     AddressBlock,
     region_reflector_block,
@@ -49,7 +48,6 @@ __all__ = [
     "REFLECTORS",
     "ReflectorPool",
     "SERVERS",
-    "SPOOFED",
     "SelfAttackCapture",
     "TOP_VECTORS",
     "VICTIMS",

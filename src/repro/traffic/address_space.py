@@ -98,9 +98,6 @@ CLIENTS = AddressBlock(ip_to_int("30.0.0.0"), 4 * _BLOCK, scattered=True)
 #: Reflector space; carved into per-region sub-blocks by region index.
 REFLECTORS = AddressBlock(ip_to_int("100.0.0.0"), 16 * _BLOCK, scattered=True)
 
-#: Spoofed/unattributable source space (e.g. direct-path floods).
-SPOOFED = AddressBlock(ip_to_int("200.0.0.0"), 4 * _BLOCK, scattered=True)
-
 
 def region_reflector_block(region: int, n_regions: int = 16) -> AddressBlock:
     """The reflector sub-block for ``region`` (0-based, scattered)."""

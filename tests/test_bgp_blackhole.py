@@ -27,31 +27,46 @@ def withdraw(prefix: str, time: int, origin: int = 64512) -> Withdrawal:
     return Withdrawal(prefix=Prefix.parse(prefix), origin_asn=origin, time=time)
 
 
+def covering(registry: BlackholeRegistry, time: int) -> list[BlackholeEvent]:
+    """Recorded events whose interval ``[start, end)`` holds ``time``."""
+    return [
+        e for e in registry.events()
+        if e.start <= time and (e.end is None or time < e.end)
+    ]
+
+
 def is_blackholed(
     registry: BlackholeRegistry, address: int, time: int, horizon: int | None = None
 ) -> bool:
-    """Point-query oracle: one address, one instant, every active event.
+    """Point-query oracle: one address, one instant, every covering event.
 
     An open event ends at ``horizon`` when one is given.
     """
     return any(
         e.prefix.contains(address) and (e.end is not None or horizon is None or time < horizon)
-        for e in registry.active_at(time)
+        for e in covering(registry, time)
     )
 
 
 class TestBlackholeEvent:
     def test_active_interval(self):
-        event = BlackholeEvent(Prefix.parse("10.0.0.1/32"), 1, start=10, end=20)
-        assert not event.active_at(9)
-        assert event.active_at(10)
-        assert event.active_at(19)
-        assert not event.active_at(20)
+        registry = BlackholeRegistry()
+        registry.apply(bh_announce("0.0.0.100/32", 10))
+        registry.apply(withdraw("0.0.0.100/32", 20))
+        flows = FlowDataset.from_records(
+            [make_flow(time=t, dst_ip=100) for t in (9, 10, 19, 20)]
+        )
+        np.testing.assert_array_equal(
+            registry.match_flows(flows), [False, True, True, False]
+        )
 
     def test_open_interval(self):
-        event = BlackholeEvent(Prefix.parse("10.0.0.1/32"), 1, start=10, end=None)
-        assert event.active_at(10**9)
+        registry = BlackholeRegistry()
+        registry.apply(bh_announce("0.0.0.100/32", 10))
+        (event,) = registry.events()
         assert event.duration is None
+        flows = FlowDataset.from_records([make_flow(time=10**9, dst_ip=100)])
+        assert registry.match_flows(flows).all()
 
     def test_duration(self):
         event = BlackholeEvent(Prefix.parse("10.0.0.1/32"), 1, start=10, end=25)
@@ -111,8 +126,8 @@ class TestRegistry:
         registry.apply(bh_announce("10.0.0.1/32", 0))
         registry.apply(bh_announce("10.0.0.2/32", 5))
         registry.apply(withdraw("10.0.0.1/32", 10))
-        assert len(registry.active_at(7)) == 2
-        assert len(registry.active_at(12)) == 1
+        assert len(covering(registry, 7)) == 2
+        assert len(covering(registry, 12)) == 1
 
 
 class TestMatchFlows:

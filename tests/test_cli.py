@@ -67,9 +67,7 @@ class TestStats:
         path = tmp_path / "stats.jsonl"
         assert main(["stats", "--days", "1", "--jsonl", str(path)]) == 0
         capsys.readouterr()
-        from repro import obs
-
-        rows = obs.read_jsonl(path)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == 1 and rows[0]["days"] == 1
 
 

@@ -98,6 +98,22 @@ class TestAttribution:
         assert masks["DNS"].tolist() == [False]
 
 
+def test_fig16_spearman_skips_constant_columns():
+    """A zero-variance column neither warns nor yields a NaN pair."""
+    import warnings
+
+    from repro.experiments.fig16_correlation import _spearman_cdf
+
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=50)
+    X = np.stack([a, np.full(50, 3.0), 2 * a + 1, rng.normal(size=50)], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = _spearman_cdf(X)
+    assert values.size == 3  # the three pairs among the non-constant columns
+    assert values[-1] == pytest.approx(1.0)
+
+
 class TestRegistry:
     def test_all_paper_artifacts_covered(self):
         expected = {

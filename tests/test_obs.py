@@ -27,14 +27,6 @@ class TestCounter:
             c.inc(-1)
         assert c.value == 0
 
-    def test_labeled_counters_are_distinct(self):
-        reg = MetricRegistry()
-        a = reg.counter("t.count", {"site": "SE"})
-        b = reg.counter("t.count", {"site": "US1"})
-        a.inc(5)
-        assert b.value == 0
-        assert reg.counter("t.count", {"site": "SE"}) is a
-
 
 class TestGauge:
     def test_set_and_add(self):
@@ -47,37 +39,31 @@ class TestGauge:
 
 
 class TestHistogram:
-    def test_bucket_edges_validation(self):
-        reg = MetricRegistry()
-        with pytest.raises(ValueError):
-            reg.histogram("t.bad", buckets=())
-        with pytest.raises(ValueError):
-            reg.histogram("t.bad2", buckets=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            reg.histogram("t.bad3", buckets=(1.0, 1.0))
-
     def test_observe_and_bucket_counts(self):
-        h = MetricRegistry().histogram("t.h", buckets=(1.0, 2.0, 5.0))
-        for v in (0.5, 1.0, 1.5, 4.0, 100.0):
+        h = MetricRegistry().histogram("t.h")
+        for v in (0.5, 1.0, 2.0, 4.0, 1000.0):
             h.observe(v)
         counts = h.bucket_counts()
+        assert list(counts) == [*obs.registry.BUCKETS, math.inf]
         # Cumulative, Prometheus-style: le=1 -> 2 (0.5 and the edge 1.0).
+        assert counts[0.25] == 0
         assert counts[1.0] == 2
-        assert counts[2.0] == 3
+        assert counts[2.5] == 3
         assert counts[5.0] == 4
+        assert counts[300.0] == 4
         assert counts[math.inf] == 5
         assert h.count == 5
-        assert h.sum == pytest.approx(107.0)
+        assert h.sum == pytest.approx(1007.5)
         assert h.min == 0.5
-        assert h.max == 100.0
+        assert h.max == 1000.0
 
     def test_percentiles(self):
-        h = MetricRegistry().histogram("t.h", buckets=(1.0, 2.0, 5.0))
+        h = MetricRegistry().histogram("t.h")
         assert math.isnan(h.percentile(50))
         for v in (0.5, 1.5, 1.5, 4.0):
             h.observe(v)
         p50 = h.percentile(50)
-        assert 1.0 <= p50 <= 2.0
+        assert 1.0 <= p50 <= 2.5
         # Estimates are clamped to the observed range.
         assert h.percentile(0) >= h.min
         assert h.percentile(100) <= h.max
@@ -85,13 +71,13 @@ class TestHistogram:
             h.percentile(101)
 
     def test_overflow_bucket_percentile_falls_back_to_max(self):
-        h = MetricRegistry().histogram("t.h", buckets=(1.0,))
-        h.observe(50.0)
-        h.observe(70.0)
-        assert h.percentile(99) == 70.0
+        h = MetricRegistry().histogram("t.h")
+        h.observe(500.0)
+        h.observe(700.0)
+        assert h.percentile(99) == 700.0
 
     def test_mean(self):
-        h = MetricRegistry().histogram("t.h", buckets=(10.0,))
+        h = MetricRegistry().histogram("t.h")
         assert math.isnan(h.mean)
         h.observe(2.0)
         h.observe(4.0)
@@ -102,7 +88,7 @@ class TestRegistry:
     def test_get_or_create_returns_same_instance(self):
         reg = MetricRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert len(reg) == 1
+        assert reg.metrics() == [reg.get("a")]
 
     def test_type_conflict_raises(self):
         reg = MetricRegistry()
@@ -113,16 +99,7 @@ class TestRegistry:
     def test_get_does_not_create(self):
         reg = MetricRegistry()
         assert reg.get("missing") is None
-        assert len(reg) == 0
-
-    def test_reset_clears_metrics_and_spans(self):
-        reg = MetricRegistry()
-        reg.counter("a").inc()
-        with reg.spans.span("phase"):
-            pass
-        reg.reset()
-        assert len(reg) == 0
-        assert reg.spans.stats() == {}
+        assert reg.metrics() == []
 
     def test_active_registry_context(self):
         reg = MetricRegistry()
@@ -143,13 +120,12 @@ class TestRegistry:
             with obs.use_registry(reg):
                 obs.counter("t.c").inc(10)
                 obs.gauge("t.g").set(1)
-                obs.histogram("t.h").observe(1)
                 with obs.span("t.span"):
                     pass
         finally:
             obs.enable()
-        assert len(reg) == 0
-        assert reg.spans.stats() == {}
+        assert reg.metrics() == []
+        assert reg.spans.parents() == {}
 
 
 class FakeClock:
@@ -165,32 +141,44 @@ class FakeClock:
         return t
 
 
+def _span_table(reg) -> dict:
+    return {s["name"]: s for s in obs.snapshot(reg)["spans"]}
+
+
+def _fake_clocked(step=1.0) -> MetricRegistry:
+    reg = MetricRegistry()
+    reg.spans = SpanTracker(reg, clock=FakeClock(step=step))
+    return reg
+
+
 class TestSpans:
     def test_nesting_records_parent(self):
         reg = MetricRegistry()
         with reg.spans.span("outer"):
-            assert reg.spans.current() == "outer"
             with reg.spans.span("inner"):
-                assert reg.spans.current() == "inner"
-                assert reg.spans.depth() == 2
-        assert reg.spans.current() is None
-        stats = reg.spans.stats()
-        assert stats["inner"].parents == {"outer": 1}
-        assert stats["outer"].parents == {"": 1}
+                pass
+            with reg.spans.span("inner"):
+                pass
+        with reg.spans.span("inner"):
+            pass
+        assert reg.spans.parents() == {
+            "inner": {"outer": 2, "": 1},
+            "outer": {"": 1},
+        }
+        assert _span_table(reg)["inner"]["parents"] == {"outer": 2, "": 1}
 
     def test_timing_monotonic_and_nested_totals(self):
-        reg = MetricRegistry()
-        tracker = SpanTracker(reg, clock=FakeClock(step=1.0))
-        with tracker.span("outer"):
-            with tracker.span("inner"):
+        reg = _fake_clocked(step=1.0)
+        with reg.spans.span("outer"):
+            with reg.spans.span("inner"):
                 pass
-        stats = tracker.stats()
-        assert stats["inner"].total >= 0
-        assert stats["outer"].total >= stats["inner"].total
+        stats = _span_table(reg)
+        assert stats["inner"]["total_seconds"] >= 0
+        assert stats["outer"]["total_seconds"] >= stats["inner"]["total_seconds"]
         # With a 1s-per-tick clock: inner = 1 tick, outer = 3 ticks.
-        assert stats["inner"].total == pytest.approx(1.0)
-        assert stats["outer"].total == pytest.approx(3.0)
-        assert stats["outer"].min <= stats["outer"].max
+        assert stats["inner"]["total_seconds"] == pytest.approx(1.0)
+        assert stats["outer"]["total_seconds"] == pytest.approx(3.0)
+        assert stats["outer"]["min_seconds"] <= stats["outer"]["max_seconds"]
 
     def test_span_feeds_registry_histogram(self):
         reg = MetricRegistry()
@@ -206,20 +194,32 @@ class TestSpans:
         with pytest.raises(RuntimeError):
             with reg.spans.span("phase"):
                 raise RuntimeError("boom")
-        assert reg.spans.stats()["phase"].count == 1
-        assert reg.spans.current() is None
+        assert reg.get("phase").count == 1
+        # The stack unwound: the next span is a root again.
+        with reg.spans.span("after"):
+            pass
+        assert reg.spans.parents()["after"] == {"": 1}
 
     def test_stats_sorted_by_total_descending(self):
-        reg = MetricRegistry()
-        tracker = SpanTracker(reg, clock=FakeClock(step=1.0))
-        with tracker.span("short"):
+        reg = _fake_clocked(step=1.0)
+        with reg.spans.span("short"):
             pass
-        with tracker.span("long"):
-            with tracker.span("mid"):
+        with reg.spans.span("long"):
+            with reg.spans.span("mid"):
                 pass
-        ordered = list(tracker.stats())
-        assert ordered[0] == "long"
-        assert set(ordered) == {"long", "mid", "short"}
+        ordered = list(_span_table(reg))
+        assert ordered == ["long", "mid", "short"]
+
+    def test_span_table_is_the_histogram(self):
+        reg = _fake_clocked(step=0.5)
+        for _ in range(3):
+            with reg.spans.span("phase"):
+                pass
+        (row,) = obs.snapshot(reg)["spans"]
+        hist = reg.get("phase")
+        assert (row["count"], row["total_seconds"]) == (hist.count, hist.sum)
+        assert (row["min_seconds"], row["max_seconds"]) == (hist.min, hist.max)
+        assert row["mean_seconds"] == hist.mean == 0.5
 
 
 class TestExporters:
@@ -227,7 +227,7 @@ class TestExporters:
         reg = MetricRegistry()
         reg.counter("t.count").inc(7)
         reg.gauge("t.level").set(3.5)
-        reg.histogram("t.h", buckets=(1.0, 2.0)).observe(1.5)
+        reg.histogram("t.h").observe(1.5)
         with reg.spans.span("t.phase"):
             pass
         return reg
@@ -238,7 +238,6 @@ class TestExporters:
         assert parsed["counters"][0] == {
             "name": "t.count",
             "type": "counter",
-            "labels": {},
             "value": 7,
         }
         assert {h["name"] for h in parsed["histograms"]} == {"t.h", "t.phase"}
@@ -250,7 +249,8 @@ class TestExporters:
         exporter.export(reg, run="first")
         reg.counter("t.count").inc(3)
         exporter.export(reg, run="second")
-        rows = obs.read_jsonl(tmp_path / "stats.jsonl")
+        lines = (tmp_path / "stats.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
         assert len(rows) == 2
         assert rows[0]["run"] == "first"
         by_name = {c["name"]: c["value"] for c in rows[1]["counters"]}
@@ -328,7 +328,7 @@ class TestStreamingStatsCompat:
         engine.ingest(FlowDataset.from_records(records))
         assert engine.stats.flows_ingested == 4
         assert engine.stats.bins_closed == 2  # bins 0 and 1 closed by bin 2
-        span_names = engine.registry.spans.names()
+        span_names = engine.registry.spans.parents()
         assert names.SPAN_STREAMING_INGEST in span_names
         assert names.SPAN_STREAMING_CLOSE_BIN in span_names
 
@@ -400,26 +400,20 @@ class TestMergeSnapshots:
     def _shard(self, n):
         reg = MetricRegistry()
         reg.counter("t.count").inc(n)
-        reg.counter("t.shard_only", {"shard": str(n)}).inc()
+        reg.counter(f"t.shard{n}_only").inc()
         reg.gauge("t.level").set(float(n))
-        h = reg.histogram("t.h", buckets=(1.0, 2.0, 4.0))
+        h = reg.histogram("t.h")
         for v in (0.5 * n, 1.5, 3.0):
             h.observe(v)
         with reg.spans.span("t.phase"):
             pass
         return reg
 
-    def test_counters_and_gauges_sum_by_name_and_labels(self):
+    def test_counters_and_gauges_sum_by_name(self):
         snap = obs.merge_snapshots([self._shard(1), self._shard(2)])
-        counters = {
-            (c["name"], tuple(sorted(c["labels"].items()))): c["value"]
-            for c in snap["counters"]
-        }
-        assert counters[("t.count", ())] == 3
-        # Distinct label sets stay distinct series.
-        assert counters[("t.shard_only", (("shard", "1"),))] == 1
-        assert counters[("t.shard_only", (("shard", "2"),))] == 1
-        assert snap["gauges"][0]["value"] == 3.0
+        counters = {c["name"]: c["value"] for c in snap["counters"]}
+        assert counters == {"t.count": 3, "t.shard1_only": 1, "t.shard2_only": 1}
+        assert snap["gauges"] == [{"name": "t.level", "type": "gauge", "value": 3.0}]
 
     def test_histograms_merge_bucketwise_with_percentiles(self):
         snap = obs.merge_snapshots([self._shard(1), self._shard(2)])
@@ -428,7 +422,8 @@ class TestMergeSnapshots:
         assert h["sum"] == pytest.approx(0.5 + 1.5 + 3.0 + 1.0 + 1.5 + 3.0)
         assert h["min"] == 0.5 and h["max"] == 3.0
         assert h["buckets"]["1.0"] == 2  # 0.5 and 1.0
-        assert h["buckets"]["2.0"] == 4  # + the two 1.5s
+        assert h["buckets"]["2.5"] == 4  # + the two 1.5s
+        assert h["buckets"]["inf"] == 6
         assert h["min"] <= h["p50"] <= h["p90"] <= h["p99"] <= h["max"]
 
     def test_spans_sum_and_single_source_is_identity(self):
@@ -444,3 +439,55 @@ class TestMergeSnapshots:
         assert obs.merge_snapshots([reg]) == obs.merge_snapshots(
             [obs.snapshot(reg)]
         )
+
+    def test_merged_histogram_is_the_histogram_of_all_observations(self):
+        values = [(0.25, 3.0, 700.0), (0.0, 0.75, 1.5, 2.0)]
+        shards, union = [], MetricRegistry().histogram("t.h")
+        for shard_values in values:
+            reg = MetricRegistry()
+            for v in shard_values:
+                reg.histogram("t.h").observe(v)
+                union.observe(v)
+            shards.append(reg)
+        (merged,) = obs.merge_snapshots(shards)["histograms"]
+        assert merged == union.as_dict()
+
+
+def test_supervised_merged_snapshot_spans_equal_their_histograms():
+    """Two supervised shards: each merged span row is its merged histogram."""
+    from tests import strategies
+    from repro.core.labeling.balancer import balance
+    from repro.core.parallel import ShardedStreamingScrubber
+    from repro.core.resilience import FaultPlan
+    from repro.core.scrubber import IXPScrubber, ScrubberConfig
+
+    rng = strategies.rng_for(41)
+    balanced = balance(
+        strategies.labeled_flows(rng, n_flows=2000, n_bins=6),
+        np.random.default_rng(3),
+    ).flows
+    scrubber = IXPScrubber(
+        ScrubberConfig(model="XGB", model_params={"n_estimators": 5})
+    ).fit(balanced)
+    workload = strategies.labeled_flows(
+        strategies.rng_for(7), n_flows=400, n_targets=10, n_bins=4
+    )
+    with ShardedStreamingScrubber(
+        n_shards=2, backend="supervised",
+        backend_options={"fault_plan": FaultPlan()},
+        min_flows_per_verdict=3, label_grace_bins=10**6,
+    ) as engine:
+        engine.warm_start(scrubber)
+        engine.ingest(workload)
+        engine.flush()
+        snap = engine.merged_snapshot()
+
+    hists = {h["name"]: h for h in snap["histograms"]}
+    shard_span = [s for s in snap["spans"] if s["name"] == names.SPAN_PARALLEL_SHARD_CLASSIFY]
+    assert shard_span and shard_span[0]["count"] >= 2  # both shards reported
+    for row in snap["spans"]:
+        hist = hists[row["name"]]
+        assert row["count"] == hist["count"] == sum(row["parents"].values())
+        assert row["total_seconds"] == hist["sum"]
+        assert row["min_seconds"] == hist["min"]
+        assert row["max_seconds"] == hist["max"]

@@ -7,7 +7,6 @@ from repro.traffic.address_space import (
     CLIENTS,
     REFLECTORS,
     SERVERS,
-    SPOOFED,
     VICTIMS,
     AddressBlock,
     region_reflector_block,
@@ -74,13 +73,13 @@ class TestScattering:
 
     def test_source_blocks_scattered_victims_not(self):
         assert not VICTIMS.scattered
-        for block in (SERVERS, CLIENTS, REFLECTORS, SPOOFED):
+        for block in (SERVERS, CLIENTS, REFLECTORS):
             assert block.scattered
 
 
 class TestAllocationPlan:
     def test_blocks_disjoint(self):
-        blocks = [VICTIMS, SERVERS, CLIENTS, REFLECTORS, SPOOFED]
+        blocks = [VICTIMS, SERVERS, CLIENTS, REFLECTORS]
         for i, a in enumerate(blocks):
             for b in blocks[i + 1 :]:
                 assert a.base + a.size <= b.base or b.base + b.size <= a.base
