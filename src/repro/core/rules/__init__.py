@@ -42,7 +42,6 @@ from repro.core.rules.model import (
     RuleSet,
     RuleStatus,
     TaggingRule,
-    tagging_rule_from_association,
 )
 from repro.core.rules.serialization import (
     dump_rules,
@@ -87,5 +86,4 @@ __all__ = [
     "rule_mask",
     "rule_to_dict",
     "run_study",
-    "tagging_rule_from_association",
 ]

@@ -29,7 +29,7 @@ a training window is mined from its days' tables, not its flows.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,18 +54,6 @@ PACKET_SIZE_BIN = 100
 #: An item is an (attribute, value) pair; values are ints, bin labels or
 #: the ``OTHER`` sentinel.
 Item = tuple[str, object]
-
-
-def canonical_antecedent(
-    antecedent: Iterable[Item], item_repr: Callable[[Item], str] = repr
-) -> str:
-    """The one spelling of an antecedent, ``repr(sorted(antecedent, key=repr))``:
-    what breaks ties in rule order and what a rule id is the hash of.
-
-    Assembled from the items' own reprs, so a mining run that passes a
-    memoising ``item_repr`` spells each item once, not once per rule.
-    """
-    return "[" + ", ".join(sorted(map(item_repr, antecedent))) + "]"
 
 
 def _size_bin_label(index: int) -> str:

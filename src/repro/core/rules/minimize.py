@@ -16,15 +16,72 @@ One liberty is taken with the paper's pseudocode: line 9 reads
 round; we accumulate ``D ← D ∪ {i}`` as the surrounding text clearly
 intends ("remove rules from R" iterates over all of D). The pseudocode
 as a pairwise scan, repeated until nothing changes, is the test oracle
-``tests/reference_minimize.py``.
+``tests/reference_minimize.py``; it runs here on a rule table.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import numpy as np
 
-from repro.core.rules.items import Item
-from repro.core.rules.mining import AssociationRule
+from repro.core.rules.mining import AssociationRule, RuleTable
+
+
+def _proper_subsets(table: RuleTable, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row pair ``(general, specific)`` with ``A_general ⊂ A_specific``.
+
+    A choice of a row's slots (14 for the four header attributes) cuts
+    a subset of its antecedent: the chosen ranks, still ascending, then
+    padded. All cuts are keyed in one product, and each row finds the
+    cuts of its own key in one sorted search: those of longer rows are
+    its proper supersets.
+    """
+    n, width = table.antecedents.shape
+    places = table.places()
+    chosen = (np.arange(1, (1 << width) - 1)[:, None] >> np.arange(width)) & 1
+    weight = np.where(chosen == 1, places[np.cumsum(chosen, axis=1) - 1], 0)
+    padding = len(table.vocabulary) * (places.sum() - weight.sum(axis=1))
+    cuts = (table.antecedents @ weight.T + padding).ravel()
+    by, keys = np.argsort(cuts), table.antecedents @ places
+    low, high = (np.searchsorted(cuts[by], keys, side=side) for side in ("left", "right"))
+    matches = high - low
+    starts = np.repeat(low - np.cumsum(matches) + matches, matches)
+    specific = by[np.arange(matches.sum()) + starts] // len(chosen)
+    general = np.repeat(np.arange(n), matches)
+    proper = length[general] < length[specific]
+    return general[proper], specific[proper]
+
+
+def minimal_rows(table: RuleTable, confidence_loss: float = 0.01, support_loss: float = 0.01) -> np.ndarray:
+    """Apply Algorithm 1 to a rule table: the rows it keeps, ascending.
+
+    Going down the table, rule ``i`` is deleted when some rule ``j``
+    exists with ``A_i ⊂ A_j`` and ``c_i - c_j < L_c`` and
+    ``s_i - s_j < L_s``; a rule that has itself been deleted by then
+    justifies no further deletion.
+
+    The pairs come from key joins (:func:`_proper_subsets`), where the
+    pairwise scan of the paper ("execution time never exceeded 60
+    seconds") tests all n x n, and the pass is made one antecedent
+    length at a time. One pass is the fixed point the paper's outer loop
+    repeats for: a later round would see fewer rules and never a new
+    superset, so a rule that survived its turn survives every later one.
+    """
+    if confidence_loss < 0 or support_loss < 0:
+        raise ValueError("loss thresholds must be non-negative")
+    length = (table.antecedents < len(table.vocabulary)).sum(axis=1)
+    general, specific = _proper_subsets(table, length)
+    close = (table.confidence[general] - table.confidence[specific] < confidence_loss) & (
+        table.support[general] - table.support[specific] < support_loss
+    )
+    general, specific = general[close], specific[close]
+    deleted = np.zeros(len(table), dtype=bool)
+    # Whether ``specific`` was deleted by ``general``'s turn depends on
+    # longer rules only: settle the longest first.
+    for size in np.unique(length[general])[::-1]:
+        at = length[general] == size
+        alive = (specific[at] > general[at]) | ~deleted[specific[at]]
+        deleted[general[at][alive]] = True
+    return np.flatnonzero(~deleted)
 
 
 def minimize_rules(
@@ -32,35 +89,6 @@ def minimize_rules(
     confidence_loss: float = 0.01,
     support_loss: float = 0.01,
 ) -> list[AssociationRule]:
-    """Apply Algorithm 1 to a list of association rules.
-
-    Going down the list, rule ``i`` is deleted when some rule ``j``
-    exists with ``A_i ⊂ A_j`` and ``c_i - c_j < L_c`` and
-    ``s_i - s_j < L_s``; a rule that has itself been deleted by then
-    justifies no further deletion.
-
-    The rules containing every item of ``A_i`` are the intersection of
-    those items' posting lists in an item → rules index: a handful of
-    candidates per rule, where the pairwise scan of the paper
-    ("execution time never exceeded 60 seconds") tests all n. And one
-    pass is the fixed point the paper's outer loop repeats for: a later
-    round would see fewer rules and never a new superset, so a rule that
-    survived its turn survives every later one.
-    """
-    if confidence_loss < 0 or support_loss < 0:
-        raise ValueError("loss thresholds must be non-negative")
-    postings: dict[Item, set[int]] = defaultdict(set)
-    for index, rule in enumerate(rules):
-        for item in rule.antecedent:
-            postings[item].add(index)
-    deleted: set[int] = set()
-    for index, rule in enumerate(rules):
-        containing = set.intersection(*(postings[item] for item in rule.antecedent))
-        if any(
-            len(rules[j].antecedent) > len(rule.antecedent)
-            and rule.confidence - rules[j].confidence < confidence_loss
-            and rule.support - rules[j].support < support_loss
-            for j in containing - deleted
-        ):
-            deleted.add(index)
-    return [rule for index, rule in enumerate(rules) if index not in deleted]
+    """:func:`minimal_rows` of a list of association rules."""
+    kept = minimal_rows(RuleTable.of(rules), confidence_loss, support_loss)
+    return [rules[row] for row in kept.tolist()]

@@ -19,10 +19,9 @@ from repro.core.rules.items import (
     Item,
     ItemEncoder,
     OTHER,
-    canonical_antecedent,
     parse_packet_size_bin,
 )
-from repro.core.rules.mining import AssociationRule
+from repro.core.rules.mining import AssociationRule, RuleTable
 
 
 class RuleStatus(enum.Enum):
@@ -126,50 +125,45 @@ class TaggingRule:
         return f"[{self.rule_id}] " + " ".join(parts) + f" c={self.confidence:.4f} s={self.support:.5f}"
 
 
-def _rule_id(antecedent_repr: str) -> str:
-    return hashlib.sha1(antecedent_repr.encode()).hexdigest()[:8]
+def _match(item: Item, encoder: ItemEncoder) -> tuple[str, object]:
+    """The :class:`TaggingRule` field an antecedent item sets, and its value."""
+    attribute, value = item
+    if attribute == "protocol":
+        return attribute, int(value)  # type: ignore[call-overload]
+    if attribute in ("port_src", "port_dst"):
+        if value == OTHER:
+            popular = encoder.src_ports if attribute == "port_src" else encoder.dst_ports
+            return attribute, PortMatch(values=frozenset(popular) or frozenset({0}), negated=True)
+        return attribute, PortMatch(values=frozenset({int(value)}))  # type: ignore[call-overload]
+    if attribute == "packet_size":
+        return attribute, parse_packet_size_bin(str(value))
+    raise ValueError(f"unknown antecedent attribute: {attribute!r}")
 
 
-def tagging_rule_from_association(
-    rule: AssociationRule, encoder: ItemEncoder
-) -> TaggingRule:
-    """Translate a mined blackhole rule into its ACL form.
+def tagging_rules(
+    table: RuleTable, encoder: ItemEncoder, status: RuleStatus = RuleStatus.STAGING
+) -> list[TaggingRule]:
+    """Translate mined blackhole rules into their ACL form, one per row.
 
     The encoder supplies the popular-port vocabularies so the ``OTHER``
-    category becomes a negated port set.
+    category becomes a negated port set. Each item's match and ``repr``
+    is made once per table; a rule's id hashes its antecedent's
+    spelling, ``repr(sorted(antecedent, key=repr))``: its row's reprs.
     """
-    if not rule.is_blackhole_rule:
-        raise ValueError("only blackhole-consequent rules become tagging rules")
-    protocol: Optional[int] = None
-    port_src: Optional[PortMatch] = None
-    port_dst: Optional[PortMatch] = None
-    packet_size: Optional[tuple[int, int]] = None
-    for attribute, value in rule.antecedent:
-        if attribute == "protocol":
-            protocol = int(value)  # type: ignore[arg-type]
-        elif attribute == "port_src":
-            if value == OTHER:
-                port_src = PortMatch(values=frozenset(encoder.src_ports) or frozenset({0}), negated=True)
-            else:
-                port_src = PortMatch(values=frozenset({int(value)}))  # type: ignore[arg-type]
-        elif attribute == "port_dst":
-            if value == OTHER:
-                port_dst = PortMatch(values=frozenset(encoder.dst_ports) or frozenset({0}), negated=True)
-            else:
-                port_dst = PortMatch(values=frozenset({int(value)}))  # type: ignore[arg-type]
-        elif attribute == "packet_size":
-            packet_size = parse_packet_size_bin(str(value))
-        else:
-            raise ValueError(f"unknown antecedent attribute: {attribute!r}")
-    return TaggingRule(
-        rule_id=_rule_id(canonical_antecedent(rule.antecedent)),
-        confidence=rule.confidence,
-        support=rule.support,
-        protocol=protocol,
-        port_src=port_src,
-        port_dst=port_dst,
-        packet_size=packet_size,
-    )
+    spellings = [repr(item) for item in table.vocabulary]
+    matches = [_match(item, encoder) for item in table.vocabulary]
+    pad = len(table.vocabulary)
+    antecedents = [[r for r in row if r < pad] for row in table.antecedents.tolist()]
+    return [
+        TaggingRule(
+            rule_id=hashlib.sha1(f"[{', '.join([spellings[r] for r in ranks])}]".encode()).hexdigest()[:8],
+            confidence=confidence,
+            support=support,
+            status=status,
+            **dict(matches[r] for r in ranks),  # type: ignore[arg-type]
+        )
+        for ranks, confidence, support in zip(antecedents, table.confidence.tolist(), table.support.tolist())
+    ]
 
 
 class RuleSet:
@@ -229,4 +223,7 @@ class RuleSet:
         cls, rules: Iterable[AssociationRule], encoder: ItemEncoder
     ) -> "RuleSet":
         """Build a staged rule set from mined blackhole rules."""
-        return cls(tagging_rule_from_association(r, encoder) for r in rules)
+        rules = list(rules)
+        if not all(rule.is_blackhole_rule for rule in rules):
+            raise ValueError("only blackhole-consequent rules become tagging rules")
+        return cls(tagging_rules(RuleTable.of(rules), encoder))

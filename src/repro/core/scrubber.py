@@ -27,9 +27,9 @@ from repro.core.features.aggregation import AggregatedDataset, aggregate, aggreg
 from repro.core.models.pipeline import ModelPipeline, make_pipeline
 from repro.core.rules.items import HeaderTable, ItemEncoder
 from repro.core.rules.matcher import CompiledMatcher
-from repro.core.rules.minimize import minimize_rules
+from repro.core.rules.minimize import minimal_rows
 from repro.core.rules.mining import mine_rules
-from repro.core.rules.model import RuleSet, RuleStatus, TaggingRule
+from repro.core.rules.model import RuleSet, RuleStatus, TaggingRule, tagging_rules
 from repro.netflow.dataset import FlowDataset
 
 
@@ -209,16 +209,10 @@ class IXPScrubber:
                 min_support=self.config.min_support,
                 min_confidence=self.config.min_confidence,
             )
-            minimized = minimize_rules(
-                result.blackhole_rules,
-                confidence_loss=self.config.confidence_loss,
-                support_loss=self.config.support_loss,
-            )
+            kept = minimal_rows(result.table, self.config.confidence_loss, self.config.support_loss)
             self.item_encoder = result.encoder
-            fresh = RuleSet.from_mining(minimized, result.encoder)
-            if self.config.auto_accept_rules:
-                for rule in fresh:
-                    fresh.set_status(rule.rule_id, RuleStatus.ACCEPT)
+            status = RuleStatus.ACCEPT if self.config.auto_accept_rules else RuleStatus.STAGING
+            fresh = RuleSet(tagging_rules(result.table.take(kept), result.encoder, status))
             # Merge into any existing curated set (grows over time, §5.1.2).
             self.rule_set = self.rule_set.merge(fresh)
         obs.counter(metric_names.C_SCRUBBER_RULES_ACCEPTED).inc(

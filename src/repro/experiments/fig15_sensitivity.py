@@ -8,7 +8,7 @@ barely reduce the set (the paper's justification for choosing 0.01).
 
 from __future__ import annotations
 
-from repro.core.rules.minimize import minimize_rules
+from repro.core.rules.minimize import minimal_rows
 from repro.core.rules.mining import mine_rules
 from repro.experiments.common import ExperimentResult, check_scale
 from repro.experiments.datasets import DAYS_BY_SCALE, balanced_corpus
@@ -31,15 +31,13 @@ def run(scale: str = "small") -> ExperimentResult:
     counts: dict[tuple[float, float], int] = {}
     for lc in GRID:
         for ls in GRID:
-            remaining = minimize_rules(
-                mining.blackhole_rules, confidence_loss=lc, support_loss=ls
-            )
+            remaining = minimal_rows(mining.table, confidence_loss=lc, support_loss=ls)
             counts[(lc, ls)] = len(remaining)
             result.rows.append(
                 {"Lc": lc, "Ls": ls, "remaining_rules": len(remaining)}
             )
 
-    result.notes["input_rules"] = len(mining.blackhole_rules)
+    result.notes["input_rules"] = len(mining.table)
     result.notes["rules_at_0.01_0.01"] = counts[(0.01, 0.01)]
     result.notes["rules_at_0.1_0.1"] = counts[(0.1, 0.1)]
     # The paper's argument: going beyond 0.01 saves few rules.

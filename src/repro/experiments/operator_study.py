@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.rules.curation import DEFAULT_COHORT, run_study
-from repro.core.rules.minimize import minimize_rules
+from repro.core.rules.minimize import minimal_rows
 from repro.core.rules.mining import mine_rules
-from repro.core.rules.model import RuleSet
+from repro.core.rules.model import RuleSet, tagging_rules
 from repro.experiments.common import ExperimentResult, check_scale
 from repro.experiments.datasets import self_attack_corpus
 
@@ -33,8 +33,7 @@ def run(scale: str = "small", seed: int = 7) -> ExperimentResult:
     test_flows = flows.time_slice(midpoint, sas.end)
 
     mining = mine_rules(mine_flows, min_confidence=0.8)
-    minimized = minimize_rules(mining.blackhole_rules)
-    rule_set = RuleSet.from_mining(minimized, mining.encoder)
+    rule_set = RuleSet(tagging_rules(mining.table.take(minimal_rows(mining.table)), mining.encoder))
 
     results = run_study(rule_set, test_flows, cohort=DEFAULT_COHORT, seed=seed)
     result = ExperimentResult(experiment="operator-study")

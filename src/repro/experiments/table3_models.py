@@ -21,9 +21,9 @@ from repro.core.models.baselines import DummyClassifier, RuleBasedClassifier
 from repro.core.models.metrics import ConfusionMatrix, fbeta_score, prediction_cost_mcc
 from repro.core.models.pipeline import TABLE5_MODELS, make_pipeline
 from repro.core.models.selection import train_test_split
-from repro.core.rules.minimize import minimize_rules
+from repro.core.rules.minimize import minimal_rows
 from repro.core.rules.mining import mine_rules
-from repro.core.rules.model import RuleSet, RuleStatus
+from repro.core.rules.model import RuleSet, RuleStatus, tagging_rules
 from repro.experiments.attribution import TABLE3_VECTORS, vector_masks
 from repro.experiments.common import ExperimentResult, check_scale
 from repro.experiments.datasets import (
@@ -53,8 +53,7 @@ def mine_shared_rules(scale: str) -> tuple[RuleSet, tuple]:
         [balanced_corpus(p, n_days).flows for p in ALL_PROFILES]
     )
     result = mine_rules(flows)
-    minimized = minimize_rules(result.blackhole_rules)
-    rule_set = RuleSet.from_mining(minimized, result.encoder)
+    rule_set = RuleSet(tagging_rules(result.table.take(minimal_rows(result.table)), result.encoder))
     for rule in rule_set:
         # Curation policy mirroring what domain experts do in the UI:
         # high confidence AND a concrete source-port constraint (rules

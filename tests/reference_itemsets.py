@@ -17,14 +17,27 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from typing import Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
-from repro.core.rules.items import ItemEncoder, canonical_antecedent
+from repro.core.rules.items import ItemEncoder
 from repro.core.rules.mining import AssociationRule
 from repro.netflow.dataset import FlowDataset
 
 Item = Hashable
 Transaction = tuple[Item, ...]
+
+
+def canonical_antecedent(
+    antecedent: Iterable[Item], item_repr: Callable[[Item], str] = repr
+) -> str:
+    """The one spelling of an antecedent, ``repr(sorted(antecedent, key=repr))``:
+    what breaks ties in rule order and what a rule id is the hash of
+    (``repro.core.rules.mining.RuleTable`` keys sort the same way).
+
+    Assembled from the items' own reprs, so a caller that passes a
+    memoising ``item_repr`` spells each item once, not once per rule.
+    """
+    return "[" + ", ".join(sorted(map(item_repr, antecedent))) + "]"
 
 
 class _FPNode:

@@ -396,8 +396,9 @@ def run_with_crash(factory, workload, directory, crash_tick, every=3,
                                   crash_handler=crash_handler)
         first = drive_engine(engine, workload, chunk_bins=chunk_bins,
                              session=session, stop_after_tick=crash_tick)
-        # The session is deliberately not closed: every append is
-        # already fsynced, so abandoning here models SIGKILL.
+        # The session dies here, as under SIGKILL: every append is
+        # already fsynced, so closing its journal writes nothing.
+        session.close()
     finally:
         engine.close()
     engine = factory()
@@ -478,9 +479,9 @@ class TestCrashResume:
             local.rng_for(77), n_flows=2400, n_targets=10, n_bins=24
         )
         engine = make_engine(scrubber)
-        session = RecoverySession(engine, tmp_path, every=10**6, resume=True)
-        with pytest.raises(ResumeDivergenceError):
-            drive_engine(engine, other, chunk_bins=4, session=session)
+        with RecoverySession(engine, tmp_path, every=10**6, resume=True) as session:
+            with pytest.raises(ResumeDivergenceError):
+                drive_engine(engine, other, chunk_bins=4, session=session)
 
 
 @pytest.mark.slow
@@ -546,6 +547,7 @@ class TestDiskFaults:
                                   fault_specs=plan.disk_specs())
         first = drive_engine(engine, workload, chunk_bins=4, session=session,
                              stop_after_tick=3)
+        session.close()  # dies without a last checkpoint: closing writes nothing
         engine.close()
         engine = make_engine(scrubber)
         session = RecoverySession(engine, tmp_path, every=2, resume=True)
@@ -568,6 +570,7 @@ class TestDiskFaults:
                                   crash_handler=boom)
         with pytest.raises(_Crash):
             drive_engine(engine, workload, chunk_bins=4, session=session)
+        session.close()  # the crashed session's journal: closing writes nothing
         assert CheckpointStore(tmp_path).ticks() == [1]  # ordinal 0 only
         # The payload of the aborted ordinal may exist; it is an orphan.
         reference = drive_engine(make_engine(scrubber), workload,
@@ -576,8 +579,8 @@ class TestDiskFaults:
         session = RecoverySession(engine, tmp_path, every=2, resume=True)
         drive_engine(engine, workload, chunk_bins=4, session=session)
         session.close()
-        journaled = [v for e in VerdictJournal.open(jpath(tmp_path)).entries
-                     for v in e.verdicts()]
+        with VerdictJournal.open(jpath(tmp_path)) as journal:
+            journaled = [v for e in journal.entries for v in e.verdicts()]
         assert_same_verdicts(journaled, reference)
 
     def test_disk_specs_reject_worker_options(self):

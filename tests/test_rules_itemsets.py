@@ -109,13 +109,15 @@ class TestItemsetCube:
     @staticmethod
     def _as_dict(columns, cube):
         out = {}
-        for mask, table in cube.items():
-            selected = [column for i, column in enumerate(columns) if mask >> i & 1]
-            for count, row in zip(table.count.tolist(), table.first.tolist()):
-                itemset = frozenset(column.items[column.codes[row]] for column in selected)
-                assert len(itemset) == len(selected) and None not in itemset
-                assert itemset not in out
-                out[itemset] = count
+        for count, digits in zip(cube.count.tolist(), cube.digits(cube.key).tolist()):
+            itemset = frozenset(
+                column.items[code]
+                for column, code in zip(columns, digits)
+                if code < len(column.items)
+            )
+            assert itemset and None not in itemset
+            assert itemset not in out
+            out[itemset] = count
         return out
 
     def test_equals_fp_growth_at_one_transaction(self):
@@ -129,23 +131,28 @@ class TestItemsetCube:
                 encoder.transactions(flows), min_support=1 / len(flows)
             )
 
-    def test_group_points_at_the_transactions_itemset(self):
+    def test_support_is_the_weight_of_the_transactions_carrying_it(self):
         flows = strategies.without_packets(
             strategies.flows(strategies.rng_for(9), n_flows=200), slice(40)
         )
         columns, weights = ItemEncoder.fit(flows).distinct(flows)
-        for mask, table in itemset_cube(columns, weights).items():
-            carried = table.group >= 0
-            assert table.count.sum() == weights[carried].sum()
-            assert (table.group[table.first] == range(len(table.first))).all()
-            size = columns[3]
-            lacks_size = np.array([size.items[code] is None for code in size.codes])
-            assert (carried == ~(lacks_size & bool(mask >> 3 & 1))).all()
+        cube = itemset_cube(columns, weights)
+        assert (np.diff(cube.key) > 0).all()
+        codes = np.stack([column.codes for column in columns], axis=1)
+        digits = cube.digits(cube.key)
+        for key, count, itemset in zip(cube.key, cube.count, digits):
+            has = itemset < cube.absent
+            carried = (codes[:, has] == itemset[has]).all(axis=1)
+            assert count == weights[carried].sum()
+            assert cube.count[np.searchsorted(cube.key, key)] == count
+        size = columns[3]
+        lacks_size = np.array([item is None for item in size.items])
+        assert not lacks_size[digits[:, 3][digits[:, 3] < cube.absent[3]]].any()
 
     def test_no_transactions(self):
         from repro.netflow.dataset import FlowDataset
 
         columns, weights = ItemEncoder(frozenset(), frozenset()).distinct(FlowDataset.empty())
         cube = itemset_cube(columns, weights)
-        assert len(cube) == 31
-        assert all(table.count.shape == (0,) for table in cube.values())
+        assert cube.key.shape == cube.count.shape == (0,)
+        assert cube.stride.shape == cube.absent.shape == (5,)

@@ -5,12 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.rules.items import LABEL_BLACKHOLE, ItemEncoder, canonical_antecedent
+from repro.core.rules.items import LABEL_BLACKHOLE, ItemEncoder
 from repro.core.rules.mining import AssociationRule, mine_rules
 from repro.netflow.dataset import FlowDataset
 from tests import strategies
 from tests.conftest import make_flow
-from tests.reference_itemsets import filter_blackhole_rules, generate_rules, reference_mine
+from tests.reference_itemsets import (
+    canonical_antecedent,
+    filter_blackhole_rules,
+    generate_rules,
+    reference_mine,
+)
 
 
 class TestGenerateRules:

@@ -9,8 +9,12 @@ from repro.core.rules.model import (
     RuleSet,
     RuleStatus,
     TaggingRule,
-    tagging_rule_from_association,
 )
+
+
+def tagging_rule_from_association(rule: AssociationRule, encoder: ItemEncoder) -> TaggingRule:
+    (tagging,) = RuleSet.from_mining([rule], encoder)
+    return tagging
 
 
 class TestPortMatch:
