@@ -338,8 +338,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         ipc_note = (
             f"; ipc: shm, {counters.get('parallel.ipc_ring_bytes', 0) / 1e6:.1f}"
             f" MB ring traffic, {counters.get('parallel.ipc_fallbacks', 0)} "
-            f"pipe fallbacks, {counters.get('parallel.broadcast_skipped', 0)} "
-            "broadcasts skipped"
+            "pipe fallbacks"
         )
     recovery_note = ""
     if session is not None:

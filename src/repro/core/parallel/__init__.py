@@ -15,16 +15,11 @@ for the harness that enforces it).
 * :class:`EquivalenceError` — raised by the debug equivalence shadow.
 """
 
-from repro.core.parallel.backends import (
-    BACKENDS,
-    SerialBackend,
-    make_backend,
-)
+from repro.core.parallel.backends import SerialBackend, make_backend
 from repro.core.parallel.engine import EquivalenceError, ShardedStreamingScrubber
 from repro.core.parallel.sharding import ShardPlan
 
 __all__ = [
-    "BACKENDS",
     "EquivalenceError",
     "SerialBackend",
     "ShardPlan",

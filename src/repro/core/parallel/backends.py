@@ -1,9 +1,14 @@
 """Execution backends for shard classification.
 
 A backend owns the N per-shard classification contexts: the deployed
-model (re-broadcast after every retrain; its compiled rules and matrix
-assembler are the model's own, rebuilt wherever it lands) and a
-per-shard :class:`~repro.obs.MetricRegistry`. Two implementations:
+model (its compiled rules and matrix assembler are the model's own,
+rebuilt wherever it lands) and a per-shard
+:class:`~repro.obs.MetricRegistry`. The protocol says each fact once:
+construction, and so a worker's spawn arguments, carries the engine's
+constants ``min_flows`` and sketch parameters; ``broadcast`` carries
+each model the engine deploys (the engine decides the epoch);
+``classify`` carries only the batches and replies once per shard,
+``None`` for an empty one. Two implementations:
 
 * :class:`SerialBackend` — runs shards sequentially in-process. The
   default: zero IPC cost, same results, and on a single-core host the
@@ -25,7 +30,7 @@ Both produce verdicts through the one :func:`classify_shard` function,
 so backend choice can never change results — only where the work runs
 and how failures are handled.
 
-Sketch mode: when ``classify`` is called with ``agg`` (a
+Sketch mode: when the backend is built with ``agg`` (a
 :class:`~repro.core.features.sketches.SketchParams`), workers become
 pure *counters* — each builds a per-shard
 :class:`~repro.core.features.sketches.SketchAggregator` from its batch,
@@ -57,7 +62,6 @@ __all__ = [
     "WorkerPool",
     "classify_shard",
     "make_backend",
-    "BACKENDS",
     "IPC_MODES",
 ]
 
@@ -105,42 +109,37 @@ def classify_shard(
 class SerialBackend:
     """Run every shard sequentially in the coordinator process."""
 
-    name = "serial"
-
-    def __init__(self, n_shards: int):
+    def __init__(
+        self, n_shards: int, min_flows: int = 1, agg: Optional[SketchParams] = None
+    ):
         self.n_shards = n_shards
+        self.min_flows = min_flows
+        self.agg = agg
         self.registries = [obs.MetricRegistry() for _ in range(n_shards)]
         self._scrubber: Optional[IXPScrubber] = None
 
     def broadcast(self, scrubber: IXPScrubber) -> None:
         """Deploy a newly trained model to all shards."""
-        if scrubber is self._scrubber:
-            obs.counter(names.C_PARALLEL_BROADCAST_SKIPPED).inc()
-            return
         self._scrubber = scrubber
 
-    def classify(
-        self,
-        shard_flows: Sequence[Optional[FlowDataset]],
-        min_flows: int,
-        agg: Optional[SketchParams] = None,
-    ) -> list:
+    def classify(self, shard_flows: Sequence[Optional[FlowDataset]]) -> list:
         """Classify each shard's flow batch; one reply per shard.
 
         Exact mode (``agg=None``) replies with verdict lists; sketch
         mode replies with per-shard sketch states for the coordinator
-        to merge (empty shards reply ``None``).
+        to merge. Empty shards reply ``None``.
         """
         if self._scrubber is None:
             raise RuntimeError("no model broadcast to shards yet")
         out: list = []
         for shard, flows in enumerate(shard_flows):
             if flows is None or len(flows) == 0:
-                out.append(None if agg is not None else [])
+                out.append(None)
                 continue
             out.append(
                 classify_shard(
-                    self._scrubber, self.registries[shard], flows, min_flows, agg
+                    self._scrubber, self.registries[shard], flows,
+                    self.min_flows, self.agg,
                 )
             )
         return out
@@ -178,23 +177,30 @@ def _execute_fault(conn, directive) -> bool:
 
 
 def _worker_main(
-    conn, shard_index: int, ring_name: Optional[str] = None, inherited: Sequence = ()
+    conn,
+    min_flows: int,
+    agg: Optional[SketchParams],
+    ring_name: Optional[str] = None,
+    inherited: Sequence = (),
 ) -> None:
     """Worker loop: react to model / classify / snapshot / stop messages.
 
-    ``inherited`` is the coordinator's end of every worker pipe a
-    ``fork`` copied into this process, closed first: while a worker
-    holds one, no ``recv`` reads EOF once the coordinator is killed.
+    ``min_flows`` and ``agg`` are the backend's constants, the same for
+    every batch. ``inherited`` is the coordinator's end of every worker
+    pipe a ``fork`` copied into this process, closed first: while a
+    worker holds one, no ``recv`` reads EOF once the coordinator is
+    killed.
 
-    A classify message may carry an optional fault directive — evaluated
-    by the supervisor's deterministic
-    :class:`~repro.core.resilience.FaultPlan` and executed here, so
-    chaos tests fail in the real worker code path.
+    A classify message is ``("classify", columns, directive)``: the
+    batch, then a fault directive (``None`` for none) — evaluated by the
+    supervisor's deterministic :class:`~repro.core.resilience.FaultPlan`
+    and executed here, so chaos tests fail in the real worker code path.
 
     With ``ipc="shm"`` the worker attaches its shard's ring once at
-    startup and one extra message kind arrives: ``classify_shm`` (read
-    the framed batch out of the ring as zero-copy views, classify, ack
-    the seqno, reply over the pipe). A frame that fails validation is
+    startup and one extra message kind arrives: ``("classify_shm",
+    seqno, offset, nbytes, directive)`` (read the framed batch out of
+    the ring as zero-copy views, classify, ack the seqno, reply over the
+    pipe). A frame that fails validation is
     answered with an ``__ipc_error__`` tuple instead of verdicts — and
     *not* acked, so the supervisor's reclaim owns the cleanup.
     """
@@ -215,21 +221,17 @@ def _worker_main(
             if kind == "model":
                 scrubber = pickle.loads(message[1])
             elif kind in ("classify", "classify_shm"):
+                directive = message[-1]
+                # Faults fire before the batch is read: a crash here leaves
+                # a ring frame unacked, which is exactly the orphan the
+                # supervisor's reclaim path must clean up.
+                if directive is not None and _execute_fault(conn, directive):
+                    continue
+                seqno = None
                 if kind == "classify":
-                    columns, min_flows = message[1], message[2]
-                    directive = message[3] if len(message) > 3 else None
-                    agg = message[4] if len(message) > 4 else None
-                    if directive is not None and _execute_fault(conn, directive):
-                        continue
-                    flows = FlowDataset(columns)
-                    seqno = None
+                    flows = FlowDataset(message[1])
                 else:
-                    seqno, offset, nbytes, min_flows, directive, agg = message[1:7]
-                    # Faults fire before the ring read: a crash here leaves
-                    # the frame unacked, which is exactly the orphan the
-                    # supervisor's reclaim path must clean up.
-                    if directive is not None and _execute_fault(conn, directive):
-                        continue
+                    seqno, offset, nbytes = message[1:4]
                     try:
                         flows = ring.read_flows(seqno, offset, nbytes)
                     except shm.ShmProtocolError as exc:
@@ -278,7 +280,7 @@ class WorkerPool:
     bounds it with a deadline and recovers from a dead worker.
 
     Workers stay alive across bins so the model is deserialised once
-    per retrain, not once per bin.
+    per epoch, not once per bin.
 
     ``ipc="pipe"`` (default) moves batches as pickled pipe messages.
     ``ipc="shm"`` moves batch bytes through a per-shard
@@ -292,6 +294,8 @@ class WorkerPool:
     def __init__(
         self,
         n_shards: int,
+        min_flows: int = 1,
+        agg: Optional[SketchParams] = None,
         start_method: Optional[str] = None,
         ipc: str = "pipe",
         ring_bytes: int = shm.DEFAULT_RING_BYTES,
@@ -301,6 +305,8 @@ class WorkerPool:
                 f"unknown ipc mode {ipc!r}; expected one of {IPC_MODES}"
             )
         self.n_shards = n_shards
+        self.min_flows = min_flows
+        self.agg = agg
         self.ipc = ipc
         self.ring_bytes = int(ring_bytes)
         if start_method is None:
@@ -313,10 +319,10 @@ class WorkerPool:
         self._rings: list = [None] * n_shards
         self._ring_seq = [0] * n_shards
         self._model_message: Optional[tuple] = None
-        # Reap orphaned workers (and unlink their rings) if the owner
-        # never calls close(). The finalizer captures the slot *lists*
-        # (mutated in place by _start_worker and the supervisor's
-        # restart path), never self.
+        # The one teardown: close() runs it, and so does the GC if the
+        # owner never calls close(). The finalizer captures the slot
+        # *lists* (mutated in place by _start_worker and the
+        # supervisor's restart path), never self.
         self._finalizer = weakref.finalize(
             self, _reap_orphans, self._conns, self._procs, self._rings
         )
@@ -342,7 +348,10 @@ class WorkerPool:
         # no OS resources to release; terminate() on it would be a no-op
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, shard, None if ring is None else ring.name, inherited),
+            args=(
+                child_conn, self.min_flows, self.agg,
+                None if ring is None else ring.name, inherited,
+            ),
             daemon=True,
         )
         proc.start()
@@ -385,14 +394,7 @@ class WorkerPool:
         obs.counter(names.C_PARALLEL_IPC_RING_BYTES).inc(ref.nbytes)
         return seqno, ref
 
-    def _send_classify(
-        self,
-        shard: int,
-        flows: FlowDataset,
-        min_flows: int,
-        directive,
-        agg: Optional[SketchParams],
-    ) -> None:
+    def _send_classify(self, shard: int, flows: FlowDataset, directive) -> None:
         """Send one classify request: ring frame + doorbell, or pipe.
 
         Either way the worker sees an identical batch.
@@ -400,10 +402,9 @@ class WorkerPool:
         frame = self._write_frame(shard, flows)
         if frame is not None:
             seqno, ref = frame
-            message = ("classify_shm", seqno, ref.offset, ref.nbytes,
-                       min_flows, directive, agg)
+            message = ("classify_shm", seqno, ref.offset, ref.nbytes, directive)
         else:
-            message = ("classify", flows.to_columns(), min_flows, directive, agg)
+            message = ("classify", flows.to_columns(), directive)
         self._conns[shard].send(message)
 
     def echo(
@@ -447,55 +448,26 @@ class WorkerPool:
     def close(self) -> None:
         """Stop all workers, reap them, unlink every shared segment.
 
-        Idempotent, and safe after a partially failed ``__init__``:
-        slots that never spawned are skipped, started workers are
-        stopped and joined, rings created so far are destroyed. Detaches
-        the orphan-reaper finalizer first — an explicit close supersedes
-        the garbage-collection fallback.
+        Runs the finalizer, :func:`_reap_orphans`, now. A finalizer runs
+        at most once, and ``__init__`` creates it before anything that
+        can fail, so close is idempotent and safe after a partial
+        ``__init__``.
         """
-        finalizer = getattr(self, "_finalizer", None)
-        if finalizer is not None:
-            finalizer.detach()
-        for conn in self._conns:
-            if conn is None:
-                continue
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            if proc is None:
-                continue
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=1)
-        for conn in self._conns:
-            if conn is None:
-                continue
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-        for ring in self._rings:
-            if ring is not None:
-                ring.destroy()
-        self._conns = []
-        self._procs = []
-        self._rings = []
+        self._finalizer()
 
 
 def _reap_orphans(conns: list, procs: list, rings: list) -> None:
-    """Last-resort cleanup for workers whose backend was never closed.
+    """The pool's one teardown: stop, join, close pipes, unlink rings.
 
-    Runs from a ``weakref.finalize`` when the backend is garbage
-    collected (and, via finalize's atexit hook, at interpreter exit),
-    so an engine that was never ``close()``d cannot leak live worker
-    processes — or linked shared-memory segments, which would otherwise
-    outlive the interpreter in ``/dev/shm``. Deliberately takes the
-    *slot lists*, not the backend — holding ``self`` in the finalizer
-    would keep the backend alive forever. Best effort: ask nicely over
-    the pipe, then terminate; workers go down before their segments.
+    A ``weakref.finalize``: besides :meth:`WorkerPool.close`, it runs
+    when the backend is garbage collected (and, via finalize's atexit
+    hook, at interpreter exit), so an engine that was never ``close()``d
+    cannot leak live worker processes — or linked shared-memory
+    segments, which would otherwise outlive the interpreter in
+    ``/dev/shm``. Deliberately takes the *slot lists*, not the backend —
+    holding ``self`` in the finalizer would keep the backend alive
+    forever. Ask nicely over the pipe, then terminate a worker still
+    alive after 5 s; workers go down before their segments.
     """
     for conn in conns:
         if conn is None:
@@ -508,8 +480,8 @@ def _reap_orphans(conns: list, procs: list, rings: list) -> None:
         if proc is None:
             continue
         try:
-            proc.join(timeout=1)
-            if proc.is_alive():
+            proc.join(timeout=5)
+            if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=1)
         except (OSError, ValueError, AssertionError):
@@ -529,33 +501,31 @@ def _reap_orphans(conns: list, procs: list, rings: list) -> None:
                 pass
 
 
-def _supervised_backend(*args, **kwargs):
-    # Imported lazily: repro.core.resilience imports this module.
-    from repro.core.resilience.supervisor import SupervisedProcessBackend
+def make_backend(
+    name: str,
+    n_shards: int,
+    min_flows: int = 1,
+    agg: Optional[SketchParams] = None,
+    **options,
+):
+    """Instantiate a backend by name, binding the engine's constants.
 
-    return SupervisedProcessBackend(*args, **kwargs)
-
-
-BACKENDS = {
-    SerialBackend.name: SerialBackend,
-    "supervised": _supervised_backend,
-}
-
-
-def make_backend(name: str, n_shards: int, **kwargs):
-    """Instantiate a backend by name, forwarding backend kwargs.
-
-    ``serial`` takes no extra options; ``supervised`` accepts the
-    worker-pool options ``start_method`` (``"fork"``/``"spawn"``),
-    ``ipc`` (``"pipe"``/``"shm"``) and ``ring_bytes`` plus the
-    supervision knobs ``shard_timeout``, ``max_restarts`` and
-    ``fault_plan`` (see
+    ``min_flows`` and ``agg`` go to every backend. ``serial`` takes no
+    other options; ``supervised`` accepts the worker-pool options
+    ``start_method`` (``"fork"``/``"spawn"``), ``ipc``
+    (``"pipe"``/``"shm"``) and ``ring_bytes`` plus the supervision
+    knobs ``shard_timeout``, ``max_restarts`` and ``fault_plan`` (see
     :class:`~repro.core.resilience.SupervisedProcessBackend`).
     """
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {sorted(BACKENDS)}"
-        ) from None
-    return cls(n_shards, **kwargs)
+    if name == "serial":
+        if options:
+            raise ValueError(
+                f"backend 'serial' takes no options; got {sorted(options)}"
+            )
+        return SerialBackend(n_shards, min_flows, agg)
+    if name == "supervised":
+        # Imported lazily: repro.core.resilience imports this module.
+        from repro.core.resilience.supervisor import SupervisedProcessBackend
+
+        return SupervisedProcessBackend(n_shards, min_flows, agg, **options)
+    raise ValueError(f"unknown backend {name!r}; expected 'serial' or 'supervised'")

@@ -38,27 +38,9 @@ AGG_MODES = ("exact", "sketch")
 
 __all__ = ["ShardedStreamingScrubber", "EquivalenceError", "AGG_MODES"]
 
-#: Metric-name prefix owned by the coordinator. Shard registries are
-#: stripped of any such entries before merging so stream-level counts
-#: (``streaming.flows_ingested`` etc.) are never double-counted in the
-#: merged operator snapshot.
-_COORDINATOR_PREFIX = "streaming."
-
 
 class EquivalenceError(AssertionError):
     """Sharded and serial execution disagreed on a verdict."""
-
-
-def _strip_coordinator_names(snap: dict) -> dict:
-    """Drop coordinator-owned metric names from a shard snapshot."""
-    out = dict(snap)
-    for kind in ("counters", "gauges", "histograms", "spans"):
-        out[kind] = [
-            entry
-            for entry in snap.get(kind, ())
-            if not entry["name"].startswith(_COORDINATOR_PREFIX)
-        ]
-    return out
 
 
 class ShardedStreamingScrubber(StreamingScrubber):
@@ -74,11 +56,8 @@ class ShardedStreamingScrubber(StreamingScrubber):
         supervisor of :mod:`repro.core.resilience`). Verdicts do not
         depend on this.
     backend_options:
-        Extra keyword arguments forwarded to the ``supervised`` backend
-        constructor — ``start_method``, ``ipc`` (``"pipe"``/``"shm"`` —
-        per-shard shared-memory batch rings, see ``docs/IPC.md``),
-        ``ring_bytes``, ``shard_timeout``,
-        ``max_restarts`` and ``fault_plan``.
+        Options of the ``supervised`` backend, as listed by
+        :func:`~repro.core.parallel.backends.make_backend`.
     equivalence_check:
         Run a shadow serial engine on the same input and assert verdict
         equality on every call. Debug aid — it doubles the work. Exact
@@ -131,16 +110,13 @@ class ShardedStreamingScrubber(StreamingScrubber):
         # worker processes and shared segments, and an __init__ that
         # raised after creating it would strand them until the GC.
         self._backend = make_backend(
-            backend, self.plan.n_shards, **(backend_options or {})
+            backend, self.plan.n_shards, self.min_flows_per_verdict,
+            self._sketch_params, **(backend_options or {})
         )
 
     @property
     def n_shards(self) -> int:
         return self.plan.n_shards
-
-    @property
-    def ipc_mode(self) -> str:
-        return getattr(self._backend, "ipc", "inline")
 
     def warm_start(self, scrubber: IXPScrubber) -> "ShardedStreamingScrubber":
         super().warm_start(scrubber)
@@ -196,20 +172,20 @@ class ShardedStreamingScrubber(StreamingScrubber):
                 FlowDataset.concat(p) if p else None for p in parts
             ]
             obs.counter(names.C_PARALLEL_FLOWS_DISPATCHED).inc(total)
+            # The protocol's one epoch decision: a backend ships every
+            # model it is given.
             if scrubber is not self._broadcast_model:
                 self._backend.broadcast(scrubber)
                 self._broadcast_model = scrubber
                 obs.counter(names.C_PARALLEL_MODEL_BROADCASTS).inc()
-            results = self._backend.classify(
-                shard_flows,
-                self.min_flows_per_verdict,
-                agg=self._sketch_params,
-            )
+            results = self._backend.classify(shard_flows)
             with obs.span(names.SPAN_PARALLEL_MERGE):
                 if self._sketch_params is not None:
                     merged = self._merge_sketch_states(results, scrubber)
                 else:
-                    merged = [v for shard_verdicts in results for v in shard_verdicts]
+                    merged = [
+                        v for shard_verdicts in results for v in shard_verdicts or ()
+                    ]
                     merged.sort(key=lambda v: (v.bin, v.target_ip))
             self._count_verdicts(merged)
         return merged
@@ -264,9 +240,7 @@ class ShardedStreamingScrubber(StreamingScrubber):
         # bookkeeping during the fetch (deadline misses on a dead
         # worker) lands in the coordinator's series, not the default's.
         with obs.use_registry(self.registry):
-            shard_snaps = [
-                _strip_coordinator_names(snap) for snap in self._backend.snapshots()
-            ]
+            shard_snaps = self._backend.snapshots()
         return obs.merge_snapshots([obs.snapshot(self.registry), *shard_snaps])
 
     # -- lifecycle ------------------------------------------------------

@@ -298,10 +298,6 @@ def capture_sharded_state(engine) -> dict:
     return {
         "agg": "exact" if params is None else "sketch",
         "sketch_params": None if params is None else dataclasses.asdict(params),
-        # Informational only: the worker transport shapes no verdict, so
-        # a run may resume under a different --ipc than it was captured
-        # with (restore does not validate it).
-        "ipc": engine.ipc_mode,
         "plan": _plan_params(engine.n_shards),
         "coordinator": capture_engine_state(engine),
         "shadow": (

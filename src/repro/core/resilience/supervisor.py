@@ -44,7 +44,6 @@ from typing import Optional, Sequence
 
 from repro import obs
 from repro.core.features.sketches import SketchParams
-from repro.core.parallel import shm
 from repro.core.parallel.backends import (
     WorkerPool,
     _is_ipc_error,
@@ -83,7 +82,7 @@ class SupervisedProcessBackend(WorkerPool):
 
     Parameters
     ----------
-    n_shards, start_method, ipc, ring_bytes:
+    n_shards, min_flows, agg, and the pool options start_method, ipc, ring_bytes:
         As for :class:`~repro.core.parallel.backends.WorkerPool`.
         With ``ipc="shm"`` a restarted worker re-attaches its shard's
         ring (reclaimed first, so a frame orphaned by the crash can
@@ -106,17 +105,15 @@ class SupervisedProcessBackend(WorkerPool):
     the ``resilience.*`` names documented in ``docs/METRICS.md``.
     """
 
-    name = "supervised"
-
     def __init__(
         self,
         n_shards: int,
-        start_method: Optional[str] = None,
+        min_flows: int = 1,
+        agg: Optional[SketchParams] = None,
         shard_timeout: float = 30.0,
         max_restarts: int = 3,
         fault_plan: Optional[FaultPlan] = None,
-        ipc: str = "pipe",
-        ring_bytes: int = shm.DEFAULT_RING_BYTES,
+        **pool_options,
     ):
         if shard_timeout <= 0:
             raise ValueError("shard_timeout must be > 0 seconds")
@@ -135,9 +132,7 @@ class SupervisedProcessBackend(WorkerPool):
         # worker's registry would have seen (shard_classify span,
         # shard_flows counter), and is merged into snapshots().
         self._fallback_registries = [obs.MetricRegistry() for _ in range(n_shards)]
-        super().__init__(
-            n_shards, start_method=start_method, ipc=ipc, ring_bytes=ring_bytes
-        )
+        super().__init__(n_shards, min_flows, agg, **pool_options)
 
     # -- model distribution --------------------------------------------
     def broadcast(self, scrubber: IXPScrubber) -> None:
@@ -145,16 +140,10 @@ class SupervisedProcessBackend(WorkerPool):
 
         Never raises on a dead worker — the restart path re-sends the
         model, and a shard past its restart budget degrades instead. The
-        model is serialised exactly once. An unchanged model (same
-        object as the last broadcast) is not re-serialised: dead
-        workers are still resurrected — and re-receive the current
-        model through the restart path — but live ones already hold it
-        (``parallel.broadcast_skipped``).
+        model is serialised exactly once.
         """
         self._epoch_seq = [0] * self.n_shards
-        message = (
-            None if scrubber is self._scrubber else self._publish_model(scrubber)
-        )
+        message = self._publish_model(scrubber)
         for shard in range(self.n_shards):
             if self._degraded[shard]:
                 continue
@@ -162,33 +151,27 @@ class SupervisedProcessBackend(WorkerPool):
             if proc is None or not proc.is_alive():
                 # _restart_worker re-sends the model message itself.
                 self._restart_worker(shard, "worker found dead at model broadcast")
-            elif message is not None:
+            else:
                 try:
                     self._conns[shard].send(message)
                 except (BrokenPipeError, OSError):
                     self._restart_worker(shard, "pipe broke during model broadcast")
-        if message is None:
-            obs.counter(names.C_PARALLEL_BROADCAST_SKIPPED).inc()
         self._scrubber = scrubber
 
     # -- classification -------------------------------------------------
-    def classify(
-        self,
-        shard_flows: Sequence[Optional[FlowDataset]],
-        min_flows: int,
-        agg: Optional[SketchParams] = None,
-    ) -> list:
+    def classify(self, shard_flows: Sequence[Optional[FlowDataset]]) -> list:
         """Deadline-supervised dispatch/collect with retry and fallback.
 
-        Sketch mode (``agg`` given) supervises identically — restarts,
-        quarantine and degradation all rebuild the shard's sketch state
-        in-process from the same batch, which reproduces the worker's
-        reply bit-for-bit (sketch builds are deterministic).
+        Empty shards reply ``None``. Sketch mode (``agg`` given)
+        supervises identically — restarts, quarantine and degradation
+        all rebuild the shard's sketch state in-process from the same
+        batch, which reproduces the worker's reply bit-for-bit (sketch
+        builds are deterministic).
         """
         if self._scrubber is None:
             raise RuntimeError("no model broadcast to shards yet")
         self._tick += 1
-        out: list = [None if agg is not None else [] for _ in shard_flows]
+        out: list = [None] * len(shard_flows)
         pending: list[tuple[int, FlowDataset, int, int]] = []
         local: list[int] = []
         for shard, flows in enumerate(shard_flows):
@@ -199,28 +182,19 @@ class SupervisedProcessBackend(WorkerPool):
             self._epoch_seq[shard] += 1
             if self._degraded[shard]:
                 local.append(shard)
-            elif self._dispatch(shard, flows, min_flows, run_seq, epoch_seq, 0, agg):
+            elif self._dispatch(shard, flows, run_seq, epoch_seq, 0):
                 pending.append((shard, flows, run_seq, epoch_seq))
             else:
                 local.append(shard)  # degraded during dispatch
         # Degraded shards compute while live workers chew their batches.
         for shard in local:
-            out[shard] = self._classify_fallback(
-                shard, shard_flows[shard], min_flows, agg
-            )
+            out[shard] = self._classify_fallback(shard, shard_flows[shard])
         for shard, flows, run_seq, epoch_seq in pending:
-            out[shard] = self._collect(shard, flows, min_flows, run_seq, epoch_seq, agg)
+            out[shard] = self._collect(shard, flows, run_seq, epoch_seq)
         return out
 
     def _dispatch(
-        self,
-        shard: int,
-        flows: FlowDataset,
-        min_flows: int,
-        run_seq: int,
-        epoch_seq: int,
-        attempt: int,
-        agg: Optional[SketchParams] = None,
+        self, shard: int, flows: FlowDataset, run_seq: int, epoch_seq: int, attempt: int
     ) -> bool:
         """Send one classify request; False once the shard is degraded."""
         while not self._degraded[shard]:
@@ -235,22 +209,14 @@ class SupervisedProcessBackend(WorkerPool):
                 if directive is not None:
                     obs.counter(names.C_RESILIENCE_FAULTS_INJECTED).inc()
             try:
-                self._send_classify(shard, flows, min_flows, directive, agg)
+                self._send_classify(shard, flows, directive)
                 return True
             except (BrokenPipeError, OSError):
                 if not self._restart_worker(shard, "pipe broke during dispatch"):
                     return False
         return False
 
-    def _collect(
-        self,
-        shard: int,
-        flows: FlowDataset,
-        min_flows: int,
-        run_seq: int,
-        epoch_seq: int,
-        agg: Optional[SketchParams] = None,
-    ):
+    def _collect(self, shard: int, flows: FlowDataset, run_seq: int, epoch_seq: int):
         """Await one shard's reply, retrying through restarts."""
         attempt = 0
         while True:
@@ -259,15 +225,13 @@ class SupervisedProcessBackend(WorkerPool):
                 return reply
             attempt += 1
             if self._degraded[shard]:
-                return self._classify_fallback(shard, flows, min_flows, agg)
+                return self._classify_fallback(shard, flows)
             if attempt >= BATCH_ATTEMPTS:
-                return self._quarantine(shard, flows, min_flows, agg)
+                return self._quarantine(shard, flows)
             obs.counter(names.C_RESILIENCE_BATCH_RETRIES).inc()
             time.sleep(RETRY_BACKOFF * attempt)
-            if not self._dispatch(
-                shard, flows, min_flows, run_seq, epoch_seq, attempt, agg
-            ):
-                return self._classify_fallback(shard, flows, min_flows, agg)
+            if not self._dispatch(shard, flows, run_seq, epoch_seq, attempt):
+                return self._classify_fallback(shard, flows)
 
     def _await_reply(self, shard: int):
         """One deadline-bounded read; ``_FAILED`` (+ restart) on trouble."""
@@ -367,13 +331,7 @@ class SupervisedProcessBackend(WorkerPool):
         )
 
     # -- in-process fallback --------------------------------------------
-    def _classify_fallback(
-        self,
-        shard: int,
-        flows: FlowDataset,
-        min_flows: int,
-        agg: Optional[SketchParams] = None,
-    ):
+    def _classify_fallback(self, shard: int, flows: FlowDataset):
         """Handle a shard batch in the coordinator process.
 
         The same :func:`~repro.core.parallel.backends.classify_shard`
@@ -381,16 +339,11 @@ class SupervisedProcessBackend(WorkerPool):
         and quarantined batches keep verdicts bit-identical.
         """
         return classify_shard(
-            self._scrubber, self._fallback_registries[shard], flows, min_flows, agg
+            self._scrubber, self._fallback_registries[shard], flows,
+            self.min_flows, self.agg,
         )
 
-    def _quarantine(
-        self,
-        shard: int,
-        flows: FlowDataset,
-        min_flows: int,
-        agg: Optional[SketchParams] = None,
-    ):
+    def _quarantine(self, shard: int, flows: FlowDataset):
         """Poison batch: handle in-process and record the quarantine."""
         obs.counter(names.C_RESILIENCE_BATCHES_QUARANTINED).inc()
         log.error(
@@ -398,7 +351,7 @@ class SupervisedProcessBackend(WorkerPool):
             "quarantining — classifying in the coordinator process",
             shard, len(flows), BATCH_ATTEMPTS,
         )
-        return self._classify_fallback(shard, flows, min_flows, agg)
+        return self._classify_fallback(shard, flows)
 
     # -- observability --------------------------------------------------
     def snapshots(self) -> list[dict]:

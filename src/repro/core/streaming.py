@@ -182,15 +182,6 @@ class StreamingScrubber:
         self._scrubber = scrubber
         return self
 
-    @property
-    def ipc_mode(self) -> str:
-        """Transport moving shard batches: ``"inline"`` when in-process.
-
-        The sharded coordinator reports its backend's transport
-        (``"pipe"`` or ``"shm"`` — see ``docs/IPC.md``).
-        """
-        return "inline"
-
     def close(self) -> None:
         """Release execution resources (idempotent).
 

@@ -52,7 +52,6 @@ C_PARALLEL_FLOWS_DISPATCHED = "parallel.flows_dispatched"
 C_PARALLEL_SHARD_FLOWS = "parallel.shard_flows"
 C_PARALLEL_MODEL_BROADCASTS = "parallel.model_broadcasts"
 C_PARALLEL_BROADCAST_BYTES = "parallel.broadcast_bytes"
-C_PARALLEL_BROADCAST_SKIPPED = "parallel.broadcast_skipped"
 C_PARALLEL_EQUIVALENCE_CHECKS = "parallel.equivalence_checks"
 C_PARALLEL_IPC_RING_BYTES = "parallel.ipc_ring_bytes"
 C_PARALLEL_IPC_FALLBACKS = "parallel.ipc_fallbacks"

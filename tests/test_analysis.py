@@ -1055,7 +1055,8 @@ def test_mutation_backend_before_validation_in_engine_init(tmp_path):
     created before the arguments that can still be rejected."""
     acquire = (
         "        self._backend = make_backend(\n"
-        "            backend, self.plan.n_shards, **(backend_options or {})\n"
+        "            backend, self.plan.n_shards, self.min_flows_per_verdict,\n"
+        "            self._sketch_params, **(backend_options or {})\n"
         "        )\n"
     )
     validate = "        if agg not in AGG_MODES:\n"
@@ -1095,7 +1096,7 @@ def test_mutation_module_dict_write_in_classify_shard(tmp_path):
         tmp_path,
         "repro/core/parallel/backends.py",
         span,
-        '    BACKENDS["last"] = flows\n' + span,
+        "    obs.last_batch = flows\n" + span,
         ("RS201", "RS202", "RS203"),
     )
     assert finding.rule == "RS201"

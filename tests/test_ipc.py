@@ -217,14 +217,14 @@ class TestLeakDiscipline:
             scrubber = IXPScrubber(
                 ScrubberConfig(model="XGB", model_params={"n_estimators": 4})
             ).fit(balanced)
-            backend = SupervisedProcessBackend(2, ipc="shm")
+            backend = SupervisedProcessBackend(2, min_flows=3, ipc="shm")
             names = [r.name for r in backend._rings]
             backend.broadcast(scrubber)
             shard_flows = ShardPlan(2).split(
                 strategies.flows(strategies.rng_for(5), n_flows=200)
             )
-            backend.classify(shard_flows, min_flows=3)
-            backend.broadcast(scrubber)  # identity skip: no republish
+            backend.classify(shard_flows)
+            backend.broadcast(scrubber)  # a second epoch, then close
             backend.close()
             import os
             for name in names:

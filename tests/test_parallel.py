@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from tests import strategies
+from tests.conftest import TINY_PROFILE
 from repro import obs
 from repro.core.labeling.balancer import balance
 from repro.core.parallel import (
-    BACKENDS,
     EquivalenceError,
     SerialBackend,
     ShardPlan,
@@ -22,10 +22,13 @@ from repro.core.parallel import (
     make_backend,
 )
 from repro.core.parallel.backends import WorkerPool
+from repro.core.recovery import iter_chunks
 from repro.core.resilience import FaultPlan, SupervisedProcessBackend
 from repro.core.scrubber import IXPScrubber, ScrubberConfig
+from repro.ixp.fabric import IXPFabric
 from repro.netflow.dataset import FlowDataset
 from repro.obs import names
+from repro.traffic.workload import WorkloadGenerator
 
 ENGINE_KWARGS = dict(
     window_days=2,
@@ -92,7 +95,9 @@ class TestShardPlan:
 
 def _supervised(n_shards=2, **kwargs):
     """The process backend with faults forced off, whatever the env says."""
-    return SupervisedProcessBackend(n_shards, fault_plan=FaultPlan(), **kwargs)
+    return SupervisedProcessBackend(
+        n_shards, min_flows=3, fault_plan=FaultPlan(), **kwargs
+    )
 
 
 #: Every way shard work can run. The conformance suite below holds
@@ -102,7 +107,7 @@ BACKEND_CONFIGS = ["serial", "supervised-pipe", "supervised-shm"]
 
 def _make(config: str):
     if config == "serial":
-        return make_backend("serial", 2)
+        return make_backend("serial", 2, min_flows=3)
     return _supervised(ipc=config.split("-")[1])
 
 
@@ -113,9 +118,9 @@ def _segment_names(backend) -> list[str]:
 
 def _serial_verdicts(fitted_scrubber, shard_flows):
     """The oracle: what ``SerialBackend`` says about the same batches."""
-    serial = make_backend("serial", 2)
+    serial = make_backend("serial", 2, min_flows=3)
     serial.broadcast(fitted_scrubber)
-    return serial.classify(shard_flows, min_flows=3)
+    return serial.classify(shard_flows)
 
 
 def _assert_matches_serial(backend, fitted_scrubber, workload):
@@ -123,26 +128,11 @@ def _assert_matches_serial(backend, fitted_scrubber, workload):
     expected = _serial_verdicts(fitted_scrubber, shard_flows)
     try:
         backend.broadcast(fitted_scrubber)
-        actual = backend.classify(shard_flows, min_flows=3)
+        actual = backend.classify(shard_flows)
     finally:
         backend.close()
     assert actual == expected
-    assert any(len(v) for v in expected)
-
-
-def _assert_unchanged_broadcast_skipped(backend, fitted_scrubber):
-    registry = obs.MetricRegistry()
-    with obs.use_registry(registry):
-        try:
-            backend.broadcast(fitted_scrubber)
-            sent = registry.get(names.C_PARALLEL_BROADCAST_BYTES)
-            first = None if sent is None else sent.value
-            backend.broadcast(fitted_scrubber)  # same object: skip
-        finally:
-            backend.close()
-    if first is not None:  # process backend: nothing was re-serialised
-        assert registry.get(names.C_PARALLEL_BROADCAST_BYTES).value == first
-    assert registry.get(names.C_PARALLEL_BROADCAST_SKIPPED).value == 1
+    assert any(expected)
 
 
 @pytest.mark.parametrize("config", BACKEND_CONFIGS)
@@ -151,9 +141,6 @@ class TestBackendConformance:
 
     def test_matches_serial_backend(self, config, fitted_scrubber, workload):
         _assert_matches_serial(_make(config), fitted_scrubber, workload)
-
-    def test_unchanged_model_broadcast_is_skipped(self, config, fitted_scrubber):
-        _assert_unchanged_broadcast_skipped(_make(config), fitted_scrubber)
 
     def test_close_is_idempotent_and_unlinks_segments(
         self, config, fitted_scrubber
@@ -209,7 +196,6 @@ class TestBackendConformance:
 
 class TestBackends:
     def test_make_backend_names_and_unknown(self):
-        assert set(BACKENDS) == {"serial", "supervised"}
         assert isinstance(make_backend("serial", 2), SerialBackend)
         with pytest.raises(ValueError, match="thread"):
             make_backend("thread", 2)
@@ -217,15 +203,26 @@ class TestBackends:
         with pytest.raises(ValueError, match="unknown backend 'process'"):
             make_backend("process", 2)
 
+    def test_serial_backend_rejects_options(self):
+        """Regression: ``backend_options`` on the serial backend used to
+        raise a ``TypeError`` from the constructor, naming no option."""
+        with pytest.raises(ValueError, match=r"no options; got \['ipc'\]"):
+            make_backend("serial", 2, ipc="shm")
+        with pytest.raises(ValueError, match=r"no options; got \['ipc'\]"):
+            ShardedStreamingScrubber(
+                n_shards=2, backend="serial", backend_options={"ipc": "shm"},
+                **ENGINE_KWARGS,
+            )
+
     def test_classify_before_broadcast_raises(self, workload):
         backend = make_backend("serial", 2)
         with pytest.raises(RuntimeError):
-            backend.classify(ShardPlan(2).split(workload), min_flows=1)
+            backend.classify(ShardPlan(2).split(workload))
 
     def test_process_matches_serial_backend(self, fitted_scrubber, workload):
         # The default construction path (make_backend, ipc default).
         _assert_matches_serial(
-            make_backend("supervised", 2, fault_plan=FaultPlan()),
+            make_backend("supervised", 2, min_flows=3, fault_plan=FaultPlan()),
             fitted_scrubber, workload,
         )
 
@@ -243,7 +240,9 @@ class TestShmBackend:
         registry = obs.MetricRegistry()
         with obs.use_registry(registry):
             _assert_matches_serial(
-                make_backend("supervised", 2, ipc="shm", fault_plan=FaultPlan()),
+                make_backend(
+                    "supervised", 2, min_flows=3, ipc="shm", fault_plan=FaultPlan()
+                ),
                 fitted_scrubber, workload,
             )
         # Both batches travelled the ring, not the pipe.
@@ -261,30 +260,24 @@ class TestShmBackend:
         fallbacks = registry.get(names.C_PARALLEL_IPC_FALLBACKS)
         assert fallbacks is not None and fallbacks.value == 2
 
-    def test_unchanged_model_broadcast_is_skipped(self, fitted_scrubber):
-        # A dead worker does not defeat the skip: it is resurrected and
-        # re-receives the model through the restart path, live workers
-        # are not re-sent anything.
+    def test_dead_worker_is_respawned_at_broadcast(self, fitted_scrubber, workload):
+        # The respawned worker receives the new model through the
+        # restart path and classifies with it.
+        shard_flows = ShardPlan(2).split(workload)
         registry = obs.MetricRegistry()
         with obs.use_registry(registry):
             backend = _supervised(ipc="shm")
             try:
-                backend.broadcast(fitted_scrubber)
-                first = registry.get(names.C_PARALLEL_BROADCAST_BYTES).value
+                backend.broadcast(copy.copy(fitted_scrubber))
                 backend._procs[1].terminate()
                 backend._procs[1].join(timeout=5)
                 backend.broadcast(fitted_scrubber)
                 assert all(p.is_alive() for p in backend._procs)
+                actual = backend.classify(shard_flows)
             finally:
                 backend.close()
-        assert registry.get(names.C_PARALLEL_BROADCAST_BYTES).value == first
-        assert registry.get(names.C_PARALLEL_BROADCAST_SKIPPED).value == 1
+        assert actual == _serial_verdicts(fitted_scrubber, shard_flows)
         assert registry.get(names.C_RESILIENCE_WORKER_RESTARTS).value == 1
-
-    def test_serial_backend_also_skips_unchanged_model(self, fitted_scrubber):
-        _assert_unchanged_broadcast_skipped(
-            make_backend("serial", 2), fitted_scrubber
-        )
 
     def test_segments_are_the_rings_through_two_models_and_a_crash(
         self, fitted_scrubber, workload
@@ -298,18 +291,18 @@ class TestShmBackend:
         registry = obs.MetricRegistry()
         with obs.use_registry(registry):
             backend = SupervisedProcessBackend(
-                2, ipc="shm", fault_plan=FaultPlan.parse("crash@0:batch=0")
+                2, min_flows=3, ipc="shm", fault_plan=FaultPlan.parse("crash@0:batch=0")
             )
             try:
                 backend.broadcast(fitted_scrubber)
                 backend.broadcast(copy.copy(fitted_scrubber))  # a second model
                 # Shard 0's worker dies on its batch; the respawn gets the
                 # kept model message and the retried batch over its ring.
-                actual = backend.classify(shard_flows, min_flows=3)
+                actual = backend.classify(shard_flows)
                 alive = set(glob.glob(mine)) - before
             finally:
                 backend.close()
-        assert actual == expected and any(len(v) for v in expected)
+        assert actual == expected and any(expected)
         assert registry.get(names.C_RESILIENCE_WORKER_RESTARTS).value == 1
         assert len(alive) == 2
         assert all(os.path.basename(p).startswith("repro-ring-") for p in alive)
@@ -341,7 +334,8 @@ class TestShardedEngine:
         ) as engine:
             engine.warm_start(fitted_scrubber)
             assert engine.is_ready and engine.model is fitted_scrubber
-            assert engine.n_shards == 2 and engine._backend.name == "serial"
+            assert engine.n_shards == 2
+            assert isinstance(engine._backend, SerialBackend)
             verdicts = engine.ingest(workload) + engine.flush()
             assert verdicts
         engine.close()  # second close is a no-op
@@ -427,3 +421,55 @@ class TestShardedEngine:
             n_shards=2, **{**ENGINE_KWARGS, "min_flows_per_verdict": 10**9}
         ).warm_start(fitted_scrubber)
         assert engine.ingest(workload) + engine.flush() == []
+
+
+@pytest.fixture(scope="module", params=BACKEND_CONFIGS)
+def driven_engine(request, fitted_scrubber):
+    """An engine driven over three days of the tiny capture.
+
+    Warm-started, retrained daily, and restored from its own snapshot
+    halfway. Returns the merged counters, the retrain count and the
+    shard snapshots.
+    """
+    capture = WorkloadGenerator(IXPFabric(TINY_PROFILE)).generate(0, 3)
+    backend, _, ipc = request.param.partition("-")
+    options = dict(ipc=ipc, fault_plan=FaultPlan()) if ipc else {}
+    with ShardedStreamingScrubber(
+        config=ScrubberConfig(model="XGB", model_params={"n_estimators": 5}),
+        window_days=2, bins_per_day=TINY_PROFILE.bins_per_day, seed=1,
+        n_shards=2, backend=backend, backend_options=options,
+    ) as engine:
+        engine.warm_start(fitted_scrubber)
+        chunks = list(iter_chunks(capture.flows, capture.updates))
+        for tick, chunk, updates in chunks:
+            if tick == len(chunks) // 2:
+                engine.restore_state(engine.capture_state())
+            engine.ingest(chunk, updates)
+        engine.flush()
+        snap = engine.merged_snapshot()
+        shard_snaps = engine._backend.snapshots()
+    counters = {c["name"]: c["value"] for c in snap["counters"]}
+    return counters, engine.stats.retrainings, shard_snaps
+
+
+class TestShardedEngineProtocol:
+    """What the backend protocol looks like from a driven engine."""
+
+    def test_one_broadcast_per_deployed_model(self, driven_engine):
+        counters, retrainings, _ = driven_engine
+        assert retrainings >= 2
+        # The warm start, every retrain, and the model restore_state
+        # brought back: the engine's epoch check is the only one.
+        assert counters[names.C_PARALLEL_MODEL_BROADCASTS] == 1 + retrainings + 1
+
+    def test_shard_snapshots_carry_no_coordinator_names(self, driven_engine):
+        """Stream totals are the coordinator's alone, so the merged
+        snapshot counts each of them once."""
+        _, _, shard_snaps = driven_engine
+        seen = set()
+        for snap in shard_snaps:
+            for kind in ("counters", "gauges", "histograms", "spans"):
+                entries = {entry["name"] for entry in snap[kind]}
+                assert not any(n.startswith("streaming.") for n in entries), kind
+                seen |= entries
+        assert names.SPAN_PARALLEL_SHARD_CLASSIFY in seen

@@ -17,7 +17,6 @@ from tests import strategies
 from repro import obs
 from repro.core.labeling.balancer import balance
 from repro.core.parallel import (
-    BACKENDS,
     ShardPlan,
     ShardedStreamingScrubber,
     make_backend,
@@ -76,9 +75,9 @@ def workload():
 def expected(fitted_scrubber, workload):
     """The serial-backend verdicts every chaos run must reproduce."""
     shard_flows = ShardPlan(2).split(workload)
-    backend = make_backend("serial", 2)
+    backend = make_backend("serial", 2, min_flows=3)
     backend.broadcast(fitted_scrubber)
-    verdicts = backend.classify(shard_flows, min_flows=3)
+    verdicts = backend.classify(shard_flows)
     assert any(v for v in verdicts)
     return verdicts
 
@@ -86,7 +85,7 @@ def expected(fitted_scrubber, workload):
 def _supervised(plan=None, **kwargs):
     kwargs.setdefault("shard_timeout", SAFE_TIMEOUT)
     return SupervisedProcessBackend(
-        2, fault_plan=plan if plan is not None else FaultPlan(), **kwargs
+        2, min_flows=3, fault_plan=plan if plan is not None else FaultPlan(), **kwargs
     )
 
 
@@ -175,7 +174,6 @@ class TestProcessBackendHardening:
             backend.close()
 
     def test_make_backend_knows_supervised(self):
-        assert set(BACKENDS) == {"serial", "supervised"}
         backend = make_backend(
             "supervised", 1, shard_timeout=5.0, fault_plan=FaultPlan()
         )
@@ -222,7 +220,7 @@ class TestSupervisedBackend:
             try:
                 backend.broadcast(fitted_scrubber)
                 results = [
-                    backend.classify(shard_flows, min_flows=3)
+                    backend.classify(shard_flows)
                     for _ in range(n_calls)
                 ]
             finally:
@@ -238,7 +236,7 @@ class TestSupervisedBackend:
         backend = _supervised()
         try:
             with pytest.raises(RuntimeError):
-                backend.classify(ShardPlan(2).split(workload), min_flows=3)
+                backend.classify(ShardPlan(2).split(workload))
         finally:
             backend.close()
 
@@ -311,7 +309,7 @@ class TestSupervisedBackend:
             backend = _supervised(plan, max_restarts=0)
             try:
                 backend.broadcast(fitted_scrubber)
-                backend.classify(shard_flows, min_flows=3)
+                backend.classify(shard_flows)
                 snaps = backend.snapshots()
             finally:
                 backend.close()
@@ -454,7 +452,7 @@ class TestShmResilience:
             try:
                 backend.broadcast(fitted_scrubber)
                 results = [
-                    backend.classify(shard_flows, min_flows=3)
+                    backend.classify(shard_flows)
                     for _ in range(n_calls)
                 ]
             finally:
@@ -491,10 +489,10 @@ class TestShmResilience:
             backend = _supervised(plan, ipc="shm")
             try:
                 backend.broadcast(fitted_scrubber)
-                backend.classify(shard_flows, min_flows=3)
+                backend.classify(shard_flows)
                 backend.broadcast(second_scrubber)  # epoch 2, version 2
-                second = backend.classify(shard_flows, min_flows=3)
-                third = backend.classify(shard_flows, min_flows=3)
+                second = backend.classify(shard_flows)
+                third = backend.classify(shard_flows)
             finally:
                 backend.close()
         assert second == third
@@ -550,7 +548,7 @@ class TestShmResilience:
             **ENGINE_KWARGS,
         ) as engine:
             engine.warm_start(fitted_scrubber)
-            assert engine.ipc_mode == "shm"
+            assert engine._backend.ipc == "shm"
             actual = []
             for b in range(int(bins.min()), int(bins.max()) + 1):
                 if b in redeploy:
