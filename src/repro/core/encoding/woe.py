@@ -143,6 +143,17 @@ class WoEEncoder:
         self._n_neg = 0.0
         self._fitted = False
 
+    def __getstate__(self) -> dict[str, object]:
+        # The evidence counts are fit scratch: a saved or broadcast
+        # encoder carries its tables (as a list, so a checkpoint keeps
+        # their order) and cannot be updated, only refitted.
+        return {"min_count": self.min_count, "tables": list(self.tables.values()), "fitted": self._fitted}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__init__(state["min_count"])  # type: ignore[arg-type, misc]
+        self.tables = {table.domain: table for table in state["tables"]}  # type: ignore[attr-defined]
+        self._fitted = bool(state["fitted"])
+
     @property
     def is_fitted(self) -> bool:
         return self._fitted
@@ -168,16 +179,16 @@ class WoEEncoder:
         only within the table they were set on and are lost on update;
         re-apply them after updating.
 
-        An encoder restored from a persisted scrubber carries its tables
-        but not the evidence counts behind them, so it cannot be
-        updated: :meth:`fit` it instead.
+        An encoder restored from a persisted, checkpointed or broadcast
+        scrubber carries its tables but not the evidence counts behind
+        them, so it cannot be updated: :meth:`fit` it instead.
         """
         if not 0.0 < decay <= 1.0:
             raise ValueError("decay must be in (0, 1]")
         if self._fitted and not self._counts:
             raise RuntimeError(
-                "this WoEEncoder was restored from its tables only (the "
-                "persisted format keeps no evidence counts), so update() "
+                "this WoEEncoder was restored from its tables only (its "
+                "pickled state keeps no evidence counts), so update() "
                 "would rebuild them from the new batch alone; refit with fit()"
             )
         labels = data.labels

@@ -27,10 +27,6 @@ class Classifier:
         """Probability of the positive class; default thresholds labels."""
         return self.predict(X).astype(np.float64)
 
-    def get_params(self) -> dict[str, object]:
-        """Hyperparameters, for grid-search bookkeeping."""
-        return {}
-
     def compact(self) -> tuple[Optional[np.ndarray], "Classifier"]:
         """The input columns the fitted model reads, and a model that
         reads just those (as its columns 0, 1, ...) to the same outputs.

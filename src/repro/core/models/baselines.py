@@ -26,9 +26,6 @@ class DummyClassifier(Classifier):
         self.seed = seed
         self._fitted = False
 
-    def get_params(self) -> dict[str, object]:
-        return {"seed": self.seed}
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DummyClassifier":
         # No check_fit_inputs: the dummy ignores features entirely, so
         # NaNs (pre-imputation matrices) are acceptable here.

@@ -25,9 +25,6 @@ class GaussianNB(Classifier):
         self.var_: np.ndarray | None = None  # (2, d) variances
         self.class_log_prior_: np.ndarray | None = None
 
-    def get_params(self) -> dict[str, object]:
-        return {"var_smoothing": self.var_smoothing}
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianNB":
         X, y = check_fit_inputs(X, y)
         d = X.shape[1]
@@ -80,9 +77,6 @@ class _DiscreteNB(Classifier):
         self.alpha = alpha
         self.feature_log_prob_: np.ndarray | None = None  # (2, d)
         self.class_log_prior_: np.ndarray | None = None
-
-    def get_params(self) -> dict[str, object]:
-        return {"alpha": self.alpha}
 
     @staticmethod
     def _check_non_negative(X: np.ndarray) -> np.ndarray:
@@ -176,9 +170,6 @@ class BernoulliNB(_DiscreteNB):
         super().__init__(alpha=alpha)
         self.binarize = binarize
         self.class_count_: np.ndarray | None = None
-
-    def get_params(self) -> dict[str, object]:
-        return {"alpha": self.alpha, "binarize": self.binarize}
 
     def _binarize(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) > self.binarize).astype(np.float64)

@@ -85,21 +85,13 @@ class GradientBoostedTrees(Classifier):
         self.reg_lambda = reg_lambda
         self.min_child_weight = min_child_weight
         self.max_bins = max_bins
-        self._binner = QuantileBinner(max_bins)
+        QuantileBinner(max_bins)  # validates max_bins; each fit bins afresh
         #: Compiled flat-array ensemble — the fitted state.
         self.forest_: Optional[ForestKernel] = None
         self.base_score_ = 0.0
         #: Per-feature accumulated split gain and split count (Fig. 10).
         self.feature_gain_: Optional[np.ndarray] = None
         self.feature_splits_: Optional[np.ndarray] = None
-
-    def get_params(self) -> dict[str, object]:
-        return {
-            "n_estimators": self.n_estimators,
-            "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-            "reg_lambda": self.reg_lambda,
-        }
 
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
@@ -113,7 +105,9 @@ class GradientBoostedTrees(Classifier):
         return self
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        binned = self._binner.fit_transform(X)
+        # The binner is fit scratch: a local, so it is never shipped.
+        binner = QuantileBinner(self.max_bins)
+        binned = binner.fit_transform(X)
         n, n_features = X.shape
         self.feature_gain_ = np.zeros(n_features, dtype=np.float64)
         self.feature_splits_ = np.zeros(n_features, dtype=np.int64)
@@ -122,14 +116,14 @@ class GradientBoostedTrees(Classifier):
         self.base_score_ = float(np.log(pos_rate / (1.0 - pos_rate)))
         margin = np.full(n, self.base_score_, dtype=np.float64)
 
-        scratch = HistogramScratch(binned, self._binner.n_bins_)
+        scratch = HistogramScratch(binned, binner.n_bins_)
         yf = y.astype(np.float64)
         kernels = []
         for _ in range(self.n_estimators):
             p = _sigmoid(margin)
             grad = p - yf
             hess = np.maximum(p * (1.0 - p), 1e-12)
-            kernel, node_of = self._grow_tree(binned, grad, hess, scratch)
+            kernel, node_of = self._grow_tree(binner, binned, grad, hess, scratch)
             kernels.append(kernel)
             # The per-sample node-membership array makes the round's
             # margin update one gather — no re-traversal of the tree.
@@ -140,6 +134,7 @@ class GradientBoostedTrees(Classifier):
     # ------------------------------------------------------------------
     def _grow_tree(
         self,
+        binner: QuantileBinner,
         binned: np.ndarray,
         grad: np.ndarray,
         hess: np.ndarray,
@@ -246,7 +241,7 @@ class GradientBoostedTrees(Classifier):
                 lid = len(feat_l)
                 feat_l[nid] = route_feat[nid] = feature
                 sbin_l[nid] = route_bin[nid] = kbin
-                thr_l[nid] = self._binner.threshold(feature, kbin)
+                thr_l[nid] = binner.threshold(feature, kbin)
                 left_l[nid] = route_left[nid] = lid
                 left_g, left_h = float(gl[best]), float(hl[best])
                 for child_g, child_h in ((left_g, left_h), (g_l[nid] - left_g, h_l[nid] - left_h)):

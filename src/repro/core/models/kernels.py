@@ -36,10 +36,10 @@ Python node graphs walked one recursive call per node:
   histograms are derived by subtraction (``child = parent − other
   child``), so only the smaller child of every split is ever scanned.
 
-Compiled kernels are also the wire format: pickling a fitted tree model
-ships these compact arrays (a few contiguous numpy buffers) instead of
-thousands of node objects, which is what the sharded engine's model
-re-broadcast sends to workers, and what ``persistence.py`` serialises.
+Compiled kernels are also the wire format: a fitted tree model's pickled
+state is these compact arrays (fit scratch and routing cache left out),
+not thousands of node objects. The sharded engine's model re-broadcast
+sends it to workers; ``persistence.py`` and checkpoints write it.
 """
 
 from __future__ import annotations
@@ -248,6 +248,10 @@ class ForestKernel:
     offsets: np.ndarray  # int64, shape (n_trees + 1,)
     _depth: Optional[int] = field(default=None, repr=False, compare=False)
     _route: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> dict[str, object]:
+        # The routing tables are rebuilt on first use, never shipped.
+        return {**self.__dict__, "_route": None}
 
     @property
     def n_trees(self) -> int:

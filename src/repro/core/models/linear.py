@@ -39,9 +39,6 @@ class LinearSVM(Classifier):
         self.coef_: np.ndarray | None = None
         self.intercept_ = 0.0
 
-    def get_params(self) -> dict[str, object]:
-        return {"C": self.C, "loss": self.loss, "class_weight": self.class_weight}
-
     def _sample_weights(self, y: np.ndarray) -> np.ndarray:
         if self.class_weight is None:
             return np.ones(y.shape[0], dtype=np.float64)

@@ -45,14 +45,6 @@ class NeuralNetwork(Classifier):
         self.seed = seed
         self._params: dict[str, np.ndarray] | None = None
 
-    def get_params(self) -> dict[str, object]:
-        return {
-            "n_hidden": self.n_hidden,
-            "dropout": self.dropout,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-        }
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "NeuralNetwork":
         X, y = check_fit_inputs(X, y)
         rng = np.random.default_rng(self.seed)

@@ -81,30 +81,23 @@ class DecisionTree(Classifier):
         self.min_impurity_decrease = min_impurity_decrease
         self.ccp_alpha = ccp_alpha
         self.max_bins = max_bins
-        self._binner = QuantileBinner(max_bins)
+        QuantileBinner(max_bins)  # validates max_bins; each fit bins afresh
         #: Compiled flat-array tree — the fitted state.
         self.kernel_: Optional[TreeKernel] = None
         self._n_train = 0
-
-    def get_params(self) -> dict[str, object]:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "min_impurity_decrease": self.min_impurity_decrease,
-            "ccp_alpha": self.ccp_alpha,
-        }
 
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
         X, y = check_fit_inputs(X, y)
         with obs.span(names.SPAN_MODELS_FIT):
-            binned = self._binner.fit_transform(X)
+            # The binner is fit scratch: a local, so it is never shipped.
+            binner = QuantileBinner(self.max_bins)
+            binned = binner.fit_transform(X)
             self._n_train = X.shape[0]
-            scratch = HistogramScratch(binned, self._binner.n_bins_)
+            scratch = HistogramScratch(binned, binner.n_bins_)
             index = np.arange(X.shape[0])
             yf = y.astype(np.float64)
-            root = self._build(binned, yf, index, 0, scratch, None, float(yf.sum()))
+            root = self._build(binner, binned, yf, index, 0, scratch, None, float(yf.sum()))
             if self.ccp_alpha > 0:
                 self._prune(root)
             self.kernel_ = TreeKernel.from_cart_root(root)
@@ -117,6 +110,7 @@ class DecisionTree(Classifier):
 
     def _build(
         self,
+        binner: QuantileBinner,
         binned: np.ndarray,
         y: np.ndarray,
         index: np.ndarray,
@@ -169,7 +163,7 @@ class DecisionTree(Classifier):
 
         feature, split_bin = int(scratch.feature[cells[best]]), int(scratch.bin[cells[best]])
         node.feature = feature
-        node.threshold = self._binner.threshold(feature, split_bin)
+        node.threshold = binner.threshold(feature, split_bin)
         go_left = binned[index, feature] <= split_bin
         left_index = index[go_left]
         right_index = index[~go_left]
@@ -198,8 +192,8 @@ class DecisionTree(Classifier):
                 hist_l = None
             if not wants_hist(n - n_l, pos - pos_l):
                 hist_r = None
-        node.left = self._build(binned, y, left_index, depth + 1, scratch, hist_l, pos_l)
-        node.right = self._build(binned, y, right_index, depth + 1, scratch, hist_r, pos - pos_l)
+        node.left = self._build(binner, binned, y, left_index, depth + 1, scratch, hist_l, pos_l)
+        node.right = self._build(binner, binned, y, right_index, depth + 1, scratch, hist_r, pos - pos_l)
         return node
 
     # ------------------------------------------------------------------

@@ -16,7 +16,8 @@ The subsystem (see ``docs/RECOVERY.md``) has four small parts:
   crash/resume sequence bit-identical to an uninterrupted run.
 
 Errors and the durable writer import eagerly (persistence depends on
-them); everything else loads lazily to keep the
+them, and on the value codec); everything else loads lazily, and the
+codec reaches persistence only inside functions, to keep the
 persistence ↔ recovery dependency a one-way street at import time.
 """
 

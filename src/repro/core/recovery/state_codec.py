@@ -4,16 +4,24 @@ Checkpoints are JSON, not pickle: a snapshot must be inspectable,
 diffable, and safe to load from an untrusted disk. The price is that
 engine state is full of things JSON cannot carry natively — numpy
 arrays, tuples, dicts with integer keys whose *insertion order* is
-semantic (``OrderedDict`` bin buffers), RNG bit-generator state. The
-tagged encoding here closes that gap while staying bit-exact:
+semantic (``OrderedDict`` bin buffers), RNG bit-generator state, the
+fitted model. The tagged encoding here closes that gap while staying
+bit-exact:
 
 * ``ndarray`` → ``{"__repro__": "ndarray", dtype, shape, base64 bytes}``
   — the raw buffer round-trips to the identical array;
 * ``tuple`` → tagged item list (decode restores tuple-ness);
 * ``dict`` with any non-string key → tagged key/value *pair list*, so
   integer keys and insertion order survive (a plain string-keyed dict
-  stays a plain JSON object for readability);
-* ``set`` → tagged sorted item list (engine sets are order-free);
+  stays a plain JSON object, whose key order the writer sorts);
+* ``set`` / ``frozenset`` → tagged sorted item list (sets are order-free);
+* an instance of a class in the caller's allowlist (``types``, name →
+  class; :mod:`repro.core.persistence` passes the model classes), or
+  of a subclass, saved as that class →
+  ``{"__repro__": "object", type, state}``, the state pickle saves,
+  rebuilt by ``cls.__new__`` and ``__setstate__`` (else a ``__dict__``
+  update); an enum member → ``{"__repro__": "enum", type, value}``. Any
+  other name is refused before anything is built: nothing is imported;
 * floats ride on Python's ``repr``-based JSON formatting, which
   round-trips every finite float64 exactly; ints are arbitrary
   precision in JSON, so 128-bit PCG64 state is safe.
@@ -23,18 +31,20 @@ functions for :class:`~repro.core.streaming.StreamingScrubber` and
 :class:`~repro.core.parallel.engine.ShardedStreamingScrubber`. They are
 deliberately *constructive*: restore validates that the live engine was
 built with the same parameters the snapshot was taken under
-(:class:`CheckpointConfigError` otherwise), then overwrites its mutable
-state wholesale. Per-bin part lists are stored concatenated —
-``FlowDataset.concat`` is plain ``np.concatenate``, so collapsing a
-part list to one part is bitwise-neutral for every later concat.
+(:class:`CheckpointConfigError` otherwise, also for a model saved in
+another format version), then overwrites its mutable state wholesale.
+Per-bin part lists are stored concatenated — ``FlowDataset.concat`` is
+plain ``np.concatenate``, so collapsing a part list to one part is
+bitwise-neutral for every later concat.
 """
 
 from __future__ import annotations
 
 import base64
 import dataclasses
+import enum
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -52,12 +62,16 @@ __all__ = [
 
 _TAG = "__repro__"
 
+#: The default allowlist: no class may be encoded or built.
+_NO_TYPES: Mapping[str, type] = {}
+
 
 # ----------------------------------------------------------------------
 # Value codec
 # ----------------------------------------------------------------------
-def encode_value(value: Any) -> Any:
-    """Encode a state value into JSON-safe form (see module docstring)."""
+def encode_value(value: Any, types: Mapping[str, type] = _NO_TYPES) -> Any:
+    """Encode a state value into JSON-safe form (see module docstring);
+    ``types`` allowlists the classes whose instances may be encoded."""
     if value is None or isinstance(value, (bool, int, str, float)):
         return value
     if isinstance(value, (np.bool_, np.integer, np.floating)):
@@ -66,41 +80,82 @@ def encode_value(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         return _encode_array(value)
     if isinstance(value, tuple):
-        return {_TAG: "tuple", "items": [encode_value(v) for v in value]}
+        return {_TAG: "tuple", "items": [encode_value(v, types) for v in value]}
     if isinstance(value, list):
-        return [encode_value(v) for v in value]
+        return [encode_value(v, types) for v in value]
     if isinstance(value, (set, frozenset)):
-        return {_TAG: "set", "items": [encode_value(v) for v in sorted(value)]}
+        tag = "frozenset" if isinstance(value, frozenset) else "set"
+        return {_TAG: tag, "items": [encode_value(v, types) for v in sorted(value)]}
     if isinstance(value, dict):
         if all(isinstance(k, str) for k in value) and _TAG not in value:
-            return {k: encode_value(v) for k, v in value.items()}
+            return {k: encode_value(v, types) for k, v in value.items()}
         return {
             _TAG: "map",
-            "items": [[encode_value(k), encode_value(v)] for k, v in value.items()],
+            "items": [[encode_value(k, types), encode_value(v, types)] for k, v in value.items()],
         }
+    # A subclass (a test double, say) is saved as its allowlisted base.
+    for cls in type(value).__mro__:
+        if types.get(cls.__name__) is not cls:
+            continue
+        if isinstance(value, enum.Enum):
+            return {_TAG: "enum", "type": cls.__name__, "value": encode_value(value.value, types)}
+        state = encode_value(_pickled_state(value), types)
+        return {_TAG: "object", "type": cls.__name__, "state": state}
     raise TypeError(f"cannot encode {type(value).__name__} for checkpointing")
 
 
-def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
+def decode_value(value: Any, types: Mapping[str, type] = _NO_TYPES) -> Any:
+    """Inverse of :func:`encode_value` under the same allowlist."""
     if isinstance(value, list):
-        return [decode_value(v) for v in value]
+        return [decode_value(v, types) for v in value]
     if isinstance(value, dict):
         tag = value.get(_TAG)
         if tag is None:
-            return {k: decode_value(v) for k, v in value.items()}
+            return {k: decode_value(v, types) for k, v in value.items()}
         if tag == "ndarray":
             return _decode_array(value)
         if tag == "tuple":
-            return tuple(decode_value(v) for v in value["items"])
-        if tag == "set":
-            return set(decode_value(v) for v in value["items"])
+            return tuple(decode_value(v, types) for v in value["items"])
+        if tag in ("set", "frozenset"):
+            items = (decode_value(v, types) for v in value["items"])
+            return set(items) if tag == "set" else frozenset(items)
         if tag == "map":
             return {
-                decode_value(k): decode_value(v) for k, v in value["items"]
+                decode_value(k, types): decode_value(v, types) for k, v in value["items"]
             }
+        if tag in ("enum", "object"):
+            return _decode_instance(tag, value, types)
         raise CorruptSnapshotError(f"unknown state tag {tag!r}")
     return value
+
+
+def _pickled_state(obj: Any) -> Any:
+    """What pickle saves of ``obj``: its ``__getstate__()``, else its
+    ``__dict__`` (Python before 3.11 has no default ``__getstate__``)."""
+    getstate = getattr(obj, "__getstate__", None)
+    state = vars(obj) if getstate is None else getstate()
+    return {} if state is None else state
+
+
+def _decode_instance(tag: str, value: dict, types: Mapping[str, type]) -> Any:
+    """An allowlisted enum member or object, as pickle would rebuild it."""
+    name = value.get("type")
+    cls = types.get(name) if isinstance(name, str) else None
+    if cls is None or (tag == "enum") != issubclass(cls, enum.Enum):
+        raise CorruptSnapshotError(f"snapshot names a disallowed {tag} type {name!r}")
+    try:
+        if tag == "enum":
+            return cls(decode_value(value["value"], types))
+        state = decode_value(value["state"], types)
+        obj = cls.__new__(cls)
+        setstate = getattr(obj, "__setstate__", None)
+        if setstate is None:
+            obj.__dict__.update(state)
+        else:
+            setstate(state)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CorruptSnapshotError(f"undecodable {name} in snapshot: {exc!r}") from exc
+    return obj
 
 
 def _encode_array(array: np.ndarray) -> dict:
@@ -241,7 +296,6 @@ def restore_engine_state(engine, state: dict) -> None:
     that matches neither the old run nor a fresh one.
     """
     from repro.core.drift import DriftTracker
-    from repro.core.persistence import scrubber_from_dict
 
     expected = _engine_params(engine)
     if state["params"] != expected:
@@ -251,9 +305,7 @@ def restore_engine_state(engine, state: dict) -> None:
         )
     engine._rng.bit_generator.state = decode_value(state["rng"])
     engine._blackholes = _restore_blackholes(state["blackholes"])
-    engine._scrubber = (
-        None if state["model"] is None else scrubber_from_dict(state["model"])
-    )
+    engine._scrubber = _restore_model(state["model"])
     engine._open_bins = OrderedDict(
         (int(b), [_decode_flows(flows)]) for b, flows in state["open_bins"]
     )
@@ -272,6 +324,21 @@ def restore_engine_state(engine, state: dict) -> None:
         (int(b), int(t)) for b, t in state["counted_verdicts"]
     )
     engine._drift = DriftTracker.from_state(state["drift"])
+
+
+def _restore_model(document: Optional[dict]):
+    """The snapshot's model, or a typed refusal: another format version
+    (or bin width) is a config mismatch, an undecodable document corrupt."""
+    from repro.core.persistence import scrubber_from_dict
+
+    if document is None:
+        return None
+    try:
+        return scrubber_from_dict(document)
+    except ValueError as exc:
+        raise CheckpointConfigError(f"snapshot model: {exc}") from exc
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise CorruptSnapshotError(f"undecodable model in snapshot: {exc!r}") from exc
 
 
 def _concat(parts: list):

@@ -174,6 +174,14 @@ class RuleSet:
         for rule in rules:
             self.add(rule)
 
+    def __getstate__(self) -> dict[str, object]:
+        # The rules as a list: their order is the set's, and a saved or
+        # checkpointed state must not sort it by id.
+        return {"rules": list(self)}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__init__(state["rules"])  # type: ignore[arg-type, misc]
+
     def __len__(self) -> int:
         return len(self._rules)
 

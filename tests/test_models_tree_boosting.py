@@ -93,10 +93,6 @@ class TestDecisionTree:
         with pytest.raises(ValueError):
             DecisionTree().fit(np.array([[np.nan]]), np.array([1]))
 
-    def test_get_params(self):
-        params = DecisionTree(max_depth=7).get_params()
-        assert params["max_depth"] == 7
-
 
 class TestGradientBoostedTrees:
     def test_learns_threshold(self):

@@ -140,6 +140,7 @@ nested_values = st.recursive(
         st.dictionaries(st.text(max_size=8), children, max_size=4),
         st.dictionaries(st.integers(-10**6, 10**6), children, max_size=4),
         st.sets(st.integers(-10**6, 10**6), max_size=6),
+        st.frozensets(st.integers(-10**6, 10**6), max_size=6),
     ),
     max_leaves=12,
 )
