@@ -245,8 +245,8 @@ class DriftTracker:
 
     The tracker is purely observational — it never changes verdicts —
     and purely deterministic: float arithmetic only, no clocks, no RNG,
-    so resumed runs reproduce trips bit-for-bit. State round-trips
-    through :meth:`to_state` / :meth:`from_state` for checkpointing.
+    so resumed runs reproduce trips bit-for-bit. A checkpoint carries
+    its fields as they are (see :mod:`repro.core.recovery.state_codec`).
     """
 
     def __init__(
@@ -300,32 +300,7 @@ class DriftTracker:
             self._baseline = self._ewma
         self._streak = 0
 
-    # -- checkpoint state ------------------------------------------------
-    def to_state(self) -> dict:
-        """JSON-safe state; floats round-trip exactly via repr."""
-        return {
-            "alpha": self.alpha,
-            "threshold": self.threshold,
-            "warmup_bins": self.warmup_bins,
-            "consecutive": self.consecutive,
-            "ewma": self._ewma,
-            "baseline": self._baseline,
-            "bins_seen": self._bins_seen,
-            "streak": self._streak,
-            "trips": self.trips,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "DriftTracker":
-        tracker = cls(
-            alpha=state["alpha"],
-            threshold=state["threshold"],
-            warmup_bins=int(state["warmup_bins"]),
-            consecutive=int(state["consecutive"]),
-        )
-        tracker._ewma = state["ewma"]
-        tracker._baseline = state["baseline"]
-        tracker._bins_seen = int(state["bins_seen"])
-        tracker._streak = int(state["streak"])
-        tracker.trips = int(state["trips"])
-        return tracker
+    def __setstate__(self, state: dict) -> None:
+        # Through the constructor, so a checkpoint's settings are checked.
+        self.__init__(*(state[k] for k in ("alpha", "threshold", "warmup_bins", "consecutive")))
+        vars(self).update(state)

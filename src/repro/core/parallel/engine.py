@@ -124,18 +124,18 @@ class ShardedStreamingScrubber(StreamingScrubber):
             self._shadow.warm_start(scrubber)
         return self
 
-    def capture_state(self) -> dict:
-        """JSON-safe snapshot of coordinator + shadow state."""
-        from repro.core.recovery.state_codec import capture_sharded_state
+    _PARAMS = (*StreamingScrubber._PARAMS, "plan", "_sketch_params")
 
-        return capture_sharded_state(self)
+    def __getstate__(self) -> dict:
+        """Coordinator and shadow; not the backend or its broadcast handle."""
+        state = super().__getstate__()
+        del state["_backend"], state["_broadcast_model"]
+        return state
 
-    def restore_state(self, state: dict) -> "ShardedStreamingScrubber":
-        """Restore a snapshot; the model re-broadcasts on the next bin."""
-        from repro.core.recovery.state_codec import restore_sharded_state
-
-        restore_sharded_state(self, state)
-        return self
+    def __setstate__(self, state: dict) -> None:
+        # A restored model re-broadcasts on the next classify.
+        super().__setstate__(state)
+        self._broadcast_model = None
 
     def ingest(
         self, flows: FlowDataset, updates: Iterable[Update] = ()

@@ -6,7 +6,8 @@ The subsystem (see ``docs/RECOVERY.md``) has four small parts:
   temp + fsync + rename write idiom (lint rules RS501/RS502 enforce
   that recovery/persistence paths go through it);
 * :mod:`~repro.core.recovery.state_codec` — bitwise-faithful JSON
-  capture/restore of engine state (no pickle on disk);
+  value codec, and the one engine checkpoint document (no pickle on
+  disk);
 * :mod:`~repro.core.recovery.journal` /
   :mod:`~repro.core.recovery.snapshot` — the append-only verdict
   journal (source of truth) and the sha256-manifested snapshot store
@@ -53,10 +54,8 @@ __all__ = [
     "RecoverySession",
     "iter_chunks",
     "drive_engine",
-    "capture_engine_state",
-    "restore_engine_state",
-    "capture_sharded_state",
-    "restore_sharded_state",
+    "capture",
+    "restore",
     "encode_value",
     "decode_value",
 ]
@@ -69,10 +68,8 @@ _LAZY = {
     "RecoverySession": "repro.core.recovery.session",
     "iter_chunks": "repro.core.recovery.session",
     "drive_engine": "repro.core.recovery.session",
-    "capture_engine_state": "repro.core.recovery.state_codec",
-    "restore_engine_state": "repro.core.recovery.state_codec",
-    "capture_sharded_state": "repro.core.recovery.state_codec",
-    "restore_sharded_state": "repro.core.recovery.state_codec",
+    "capture": "repro.core.recovery.state_codec",
+    "restore": "repro.core.recovery.state_codec",
     "encode_value": "repro.core.recovery.state_codec",
     "decode_value": "repro.core.recovery.state_codec",
 }

@@ -197,10 +197,7 @@ class RecoverySession:
                 obs.counter(names.C_CHECKPOINT_FAILURES).inc()
                 return False
             obs.counter(names.C_CHECKPOINT_SAVES).inc()
-            payload = self.directory / f"ckpt-{tick:012d}.state.json"
-            obs.gauge(names.G_CHECKPOINT_STATE_BYTES).set(
-                payload.stat().st_size if payload.exists() else 0
-            )
+            obs.gauge(names.G_CHECKPOINT_STATE_BYTES).set(self._store.payload_bytes)
         return True
 
     def close(self) -> None:

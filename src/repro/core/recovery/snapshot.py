@@ -55,6 +55,12 @@ CRASH_EXIT_CODE = 70
 _MANIFEST_RE = re.compile(r"^ckpt-(\d{12})\.manifest\.json$")
 
 
+def _file_names(tick: int) -> tuple[str, str]:
+    """The (payload, manifest) file names of the snapshot at ``tick``."""
+    stem = f"ckpt-{tick:012d}"
+    return f"{stem}.state.json", f"{stem}.manifest.json"
+
+
 def _canonical_json(obj) -> bytes:
     return json.dumps(
         obj, sort_keys=True, separators=(",", ":"), allow_nan=False
@@ -102,6 +108,8 @@ class CheckpointStore:
         self._crash = crash_handler or _default_crash
         self._keep = keep
         self._saves = 0
+        #: Size of the last committed payload, in bytes.
+        self.payload_bytes = 0
 
     # -- writing --------------------------------------------------------
     def save(self, tick: int, state: dict) -> Path:
@@ -109,14 +117,14 @@ class CheckpointStore:
 
         Raises :class:`CheckpointWriteError` when the disk fails (real
         or injected ``enospc``); older snapshots are untouched in that
-        case. Returns the manifest path on success.
+        case. Returns the manifest path on success, and sets
+        :attr:`payload_bytes`.
         """
         ordinal = self._saves
         self._saves += 1
         fault = self._injector.fault_for(ordinal)
         payload = _canonical_json(state)
-        payload_path = self.directory / f"ckpt-{tick:012d}.state.json"
-        manifest_path = self.directory / f"ckpt-{tick:012d}.manifest.json"
+        payload_path, manifest_path = (self.directory / n for n in _file_names(tick))
         durable_write(
             payload_path,
             payload,
@@ -132,6 +140,7 @@ class CheckpointStore:
             "bytes": len(payload),
         }
         durable_write(manifest_path, _canonical_json(manifest))
+        self.payload_bytes = len(payload)
         self._retain()
         return manifest_path
 
@@ -141,10 +150,7 @@ class CheckpointStore:
         payload)."""
         ticks = self.ticks()
         for tick in ticks[: -self._keep]:
-            for name in (
-                f"ckpt-{tick:012d}.manifest.json",
-                f"ckpt-{tick:012d}.state.json",
-            ):
+            for name in reversed(_file_names(tick)):
                 try:
                     os.unlink(self.directory / name)
                 except OSError:
@@ -167,7 +173,7 @@ class CheckpointStore:
         unparsable or wrong-format manifest, missing payload, size or
         sha256 mismatch.
         """
-        manifest_path = self.directory / f"ckpt-{tick:012d}.manifest.json"
+        manifest_path = self.directory / _file_names(tick)[1]
         try:
             manifest = json.loads(manifest_path.read_text())
         except FileNotFoundError as exc:

@@ -4,9 +4,8 @@ Checkpoints are JSON, not pickle: a snapshot must be inspectable,
 diffable, and safe to load from an untrusted disk. The price is that
 engine state is full of things JSON cannot carry natively — numpy
 arrays, tuples, dicts with integer keys whose *insertion order* is
-semantic (``OrderedDict`` bin buffers), RNG bit-generator state, the
-fitted model. The tagged encoding here closes that gap while staying
-bit-exact:
+semantic (bin buffers), RNG bit-generator state, the fitted model. The
+tagged encoding here closes that gap while staying bit-exact:
 
 * ``ndarray`` → ``{"__repro__": "ndarray", dtype, shape, base64 bytes}``
   — the raw buffer round-trips to the identical array;
@@ -16,26 +15,30 @@ bit-exact:
   stays a plain JSON object, whose key order the writer sorts);
 * ``set`` / ``frozenset`` → tagged sorted item list (sets are order-free);
 * an instance of a class in the caller's allowlist (``types``, name →
-  class; :mod:`repro.core.persistence` passes the model classes), or
-  of a subclass, saved as that class →
-  ``{"__repro__": "object", type, state}``, the state pickle saves,
-  rebuilt by ``cls.__new__`` and ``__setstate__`` (else a ``__dict__``
-  update); an enum member → ``{"__repro__": "enum", type, value}``. Any
-  other name is refused before anything is built: nothing is imported;
+  class), or of a subclass, saved as that class →
+  ``{"__repro__": "object", type, state}``, the state pickle saves.
+  A frozen dataclass is rebuilt through its constructor, so its
+  validation runs; any other object by ``cls.__new__`` and
+  ``__setstate__`` (else a ``__dict__`` update). An enum member →
+  ``{"__repro__": "enum", type, value}``. Any other name is refused
+  before anything is built: nothing is imported;
 * floats ride on Python's ``repr``-based JSON formatting, which
   round-trips every finite float64 exactly; ints are arbitrary
   precision in JSON, so 128-bit PCG64 state is safe.
 
-On top of the value codec sit the engine-level capture/restore
-functions for :class:`~repro.core.streaming.StreamingScrubber` and
-:class:`~repro.core.parallel.engine.ShardedStreamingScrubber`. They are
-deliberately *constructive*: restore validates that the live engine was
-built with the same parameters the snapshot was taken under
-(:class:`CheckpointConfigError` otherwise, also for a model saved in
-another format version), then overwrites its mutable state wholesale.
-Per-bin part lists are stored concatenated — ``FlowDataset.concat`` is
-plain ``np.concatenate``, so collapsing a part list to one part is
-bitwise-neutral for every later concat.
+On top of the value codec sit :func:`capture` and :func:`restore`, the
+one checkpoint of a :class:`~repro.core.streaming.StreamingScrubber` or
+a :class:`~repro.core.parallel.engine.ShardedStreamingScrubber`:
+``{format, bin_seconds, engine, model, shadow}``, where ``engine`` is
+the engine's pickled state under the engine allowlist (its
+``__getstate__`` leaves out what is derived), ``model`` the model
+document of :mod:`repro.core.persistence` and ``shadow`` the
+equivalence shadow's own document. Restore decodes and checks the whole
+document before it assigns anything: another format or bin width, other
+construction parameters (the engine's ``_PARAMS``) or a shadow on one
+side only raise :class:`CheckpointConfigError`; a document that does
+not decode, lacks a field or holds one of another type raises
+:class:`CorruptSnapshotError`.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import enum
-from collections import OrderedDict
+import functools
 from typing import Any, Mapping, Optional
 
 import numpy as np
@@ -51,14 +54,10 @@ import numpy as np
 from repro.core.recovery.errors import CheckpointConfigError, CorruptSnapshotError
 from repro.netflow.dataset import BIN_SECONDS
 
-__all__ = [
-    "encode_value",
-    "decode_value",
-    "capture_engine_state",
-    "restore_engine_state",
-    "capture_sharded_state",
-    "restore_sharded_state",
-]
+__all__ = ["encode_value", "decode_value", "capture", "restore"]
+
+#: Engine document layout; a snapshot of any other (or none) is refused.
+ENGINE_FORMAT = 1
 
 _TAG = "__repro__"
 
@@ -147,6 +146,8 @@ def _decode_instance(tag: str, value: dict, types: Mapping[str, type]) -> Any:
         if tag == "enum":
             return cls(decode_value(value["value"], types))
         state = decode_value(value["state"], types)
+        if dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen:
+            return cls(**state)
         obj = cls.__new__(cls)
         setstate = getattr(obj, "__setstate__", None)
         if setstate is None:
@@ -182,148 +183,95 @@ def _decode_array(value: dict) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# FlowDataset / registry helpers
+# Engine capture / restore
 # ----------------------------------------------------------------------
-def _encode_flows(flows) -> dict:
-    return encode_value({name: flows.column(name) for name in _schema_names()})
-
-
-def _decode_flows(state: dict):
-    from repro.netflow.dataset import FlowDataset
-
-    return FlowDataset(decode_value(state))
-
-
-def _schema_names() -> tuple:
-    from repro.netflow.dataset import SCHEMA
-
-    return tuple(SCHEMA)
-
-
-def _capture_blackholes(registry) -> dict:
-    open_entries = [
-        [key[0].network, key[0].length, key[1], start]
-        for key, start in registry._open.items()  # insertion order is semantic
-    ]
-    events = [
-        [e.prefix.network, e.prefix.length, e.origin_asn, e.start, e.end]
-        for e in registry._events
-    ]
-    return {
-        "open": open_entries,
-        "events": events,
-        "last_time": registry._last_time,
-    }
-
-
-def _restore_blackholes(state: dict):
+@functools.cache
+def _engine_types() -> dict[str, type]:
+    """The engine allowlist: the model's classes and the engine's own."""
     from repro.bgp.blackhole import BlackholeEvent, BlackholeRegistry
     from repro.bgp.prefix import Prefix
+    from repro.core.drift import DriftTracker
+    from repro.core.features.sketches import SketchParams
+    from repro.core.parallel.sharding import ShardPlan
+    from repro.core.persistence import MODEL_TYPES
+    from repro.netflow.dataset import FlowDataset
 
-    registry = BlackholeRegistry()
-    for network, length, origin, start in state["open"]:
-        key = (Prefix(network=int(network), length=int(length)), int(origin))
-        registry._open[key] = int(start)
-    for network, length, origin, start, end in state["events"]:
-        registry._events.append(
-            BlackholeEvent(
-                prefix=Prefix(network=int(network), length=int(length)),
-                origin_asn=int(origin),
-                start=int(start),
-                end=None if end is None else int(end),
-            )
-        )
-    registry._last_time = (
-        None if state["last_time"] is None else int(state["last_time"])
-    )
-    return registry
+    own = (BlackholeRegistry, BlackholeEvent, Prefix, DriftTracker, FlowDataset, SketchParams,
+           ShardPlan)
+    return {**MODEL_TYPES, **{cls.__name__: cls for cls in own}}
 
 
-# ----------------------------------------------------------------------
-# StreamingScrubber capture / restore
-# ----------------------------------------------------------------------
-def _engine_params(engine) -> dict:
-    return {
-        "window_days": engine.window_days,
-        "bins_per_day": engine.bins_per_day,
-        "min_flows_per_verdict": engine.min_flows_per_verdict,
-        "label_grace_bins": engine.label_grace_bins,
-        # The bin width is a constant, not a config field; the format
-        # carries it so a snapshot cut at any other width is refused.
-        "config": encode_value(
-            {**dataclasses.asdict(engine.config), "bin_seconds": BIN_SECONDS}
-        ),
-    }
-
-
-def capture_engine_state(engine) -> dict:
-    """Capture the full mutable state of a :class:`StreamingScrubber`."""
+def capture(engine) -> dict:
+    """The checkpoint document of ``engine`` (see module docstring)."""
     from repro.core.persistence import scrubber_to_dict
 
+    state = engine.__getstate__()
+    model = state.pop("_scrubber")
+    shadow = state.pop("_shadow", None)
     return {
-        "params": _engine_params(engine),
-        "rng": encode_value(engine._rng.bit_generator.state),
-        "blackholes": _capture_blackholes(engine._blackholes),
-        "model": (
-            None if engine._scrubber is None else scrubber_to_dict(engine._scrubber)
-        ),
-        "open_bins": [
-            [int(b), _encode_flows(_concat(parts))]
-            for b, parts in engine._open_bins.items()
-        ],
-        "pending_label": [
-            [int(b), _encode_flows(flows)]
-            for b, flows in engine._pending_label.items()
-        ],
-        "day_buffers": [
-            [int(d), _encode_flows(_concat(parts))]
-            for d, parts in engine._day_buffers.items()
-        ],
-        "last_trained_day": engine._last_trained_day,
-        "horizon": engine._horizon,
-        "counted_bins": sorted(engine._counted_bins),
-        "counted_verdicts": [list(t) for t in sorted(engine._counted_verdicts)],
-        "drift": engine._drift.to_state(),
+        "format": ENGINE_FORMAT,
+        "bin_seconds": BIN_SECONDS,
+        "engine": encode_value(state, _engine_types()),
+        "model": None if model is None else scrubber_to_dict(model),
+        "shadow": None if shadow is None else capture(shadow),
     }
 
 
-def restore_engine_state(engine, state: dict) -> None:
-    """Overwrite ``engine``'s mutable state from a captured snapshot.
+def restore(engine, document: dict) -> None:
+    """Overwrite ``engine``'s state from a :func:`capture` document, or
+    refuse it and leave the engine as it was. Each snapshot is unpickled
+    into a scratch instance whose fields the live engine then adopts: it
+    keeps what is not captured (registry, backend, shadow object)."""
+    for target, scratch in _staged(engine, document):
+        vars(target).update(vars(scratch))
 
-    The engine must have been constructed with the same parameters the
-    snapshot was taken under; anything else raises
-    :class:`CheckpointConfigError` rather than resuming into a stream
-    that matches neither the old run nor a fresh one.
-    """
-    from repro.core.drift import DriftTracker
 
-    expected = _engine_params(engine)
-    if state["params"] != expected:
+def _staged(engine, document: Any) -> list:
+    """``[(engine, scratch)]`` for ``engine`` and its shadow, or a refusal."""
+    if not isinstance(document, dict) or not document:
+        raise CorruptSnapshotError("snapshot holds no engine document")
+    layout = document.get("format"), document.get("bin_seconds")
+    if layout != (ENGINE_FORMAT, BIN_SECONDS):
         raise CheckpointConfigError(
-            "snapshot was taken under different engine parameters: "
-            f"snapshot={state['params']!r} engine={expected!r}"
+            f"snapshot engine format and bin width {layout} are not this "
+            f"build's {ENGINE_FORMAT, BIN_SECONDS}; start the run afresh"
         )
-    engine._rng.bit_generator.state = decode_value(state["rng"])
-    engine._blackholes = _restore_blackholes(state["blackholes"])
-    engine._scrubber = _restore_model(state["model"])
-    engine._open_bins = OrderedDict(
-        (int(b), [_decode_flows(flows)]) for b, flows in state["open_bins"]
-    )
-    engine._pending_label = OrderedDict(
-        (int(b), _decode_flows(flows)) for b, flows in state["pending_label"]
-    )
-    engine._day_buffers = OrderedDict(
-        (int(d), [_decode_flows(flows)]) for d, flows in state["day_buffers"]
-    )
-    engine._last_trained_day = (
-        None if state["last_trained_day"] is None else int(state["last_trained_day"])
-    )
-    engine._horizon = int(state["horizon"])
-    engine._counted_bins = set(int(b) for b in state["counted_bins"])
-    engine._counted_verdicts = set(
-        (int(b), int(t)) for b, t in state["counted_verdicts"]
-    )
-    engine._drift = DriftTracker.from_state(state["drift"])
+    types = _engine_types()
+    live = engine.__getstate__()
+    del live["_scrubber"]
+    shadow = live.pop("_shadow", None)
+    try:
+        state = decode_value(document["engine"], types)
+        model_document, shadow_document = document["model"], document["shadow"]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CorruptSnapshotError(f"undecodable engine snapshot: {exc!r}") from exc
+    if not isinstance(state, dict) or state.keys() != live.keys():
+        raise CorruptSnapshotError(
+            f"snapshot engine state is not the engine's fields {sorted(live)}"
+        )
+    taken = {k: encode_value(state[k], types) for k in engine._PARAMS}
+    built = {k: encode_value(live[k], types) for k in engine._PARAMS}
+    if taken != built or (shadow_document is None) != (shadow is None):
+        raise CheckpointConfigError(
+            f"snapshot was taken under other engine parameters: {taken!r} (shadow: "
+            f"{shadow_document is not None}) != {built!r} (shadow: {shadow is not None})"
+        )
+    for key, value in state.items():
+        if live[key] is not None and type(value) is not type(live[key]):
+            raise CorruptSnapshotError(
+                f"snapshot field {key} holds a {type(value).__name__}, "
+                f"not a {type(live[key]).__name__}"
+            )
+    model = _restore_model(model_document)
+    scratch = type(engine).__new__(type(engine))
+    try:
+        scratch.__setstate__({**state, "_scrubber": model})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptSnapshotError(f"engine snapshot does not load: {exc!r}") from exc
+    staged = [(engine, scratch)]
+    if shadow is not None:
+        staged += _staged(shadow, shadow_document)
+    return staged
 
 
 def _restore_model(document: Optional[dict]):
@@ -339,69 +287,3 @@ def _restore_model(document: Optional[dict]):
         raise CheckpointConfigError(f"snapshot model: {exc}") from exc
     except (KeyError, TypeError, AttributeError) as exc:
         raise CorruptSnapshotError(f"undecodable model in snapshot: {exc!r}") from exc
-
-
-def _concat(parts: list):
-    from repro.netflow.dataset import FlowDataset
-
-    return FlowDataset.concat(parts)
-
-
-# ----------------------------------------------------------------------
-# ShardedStreamingScrubber capture / restore
-# ----------------------------------------------------------------------
-def _plan_params(n_shards: int) -> dict:
-    """The shard plan entry of a snapshot. Only ``n_shards`` varies; the
-    granularity and the empty pin list are written so that snapshots
-    from before they became constants still compare equal."""
-    from repro.core.parallel.sharding import PREFIX_BITS
-
-    return {"n_shards": n_shards, "prefix_bits": PREFIX_BITS, "pins": []}
-
-
-def capture_sharded_state(engine) -> dict:
-    """Capture a sharded engine: coordinator, plan, agg mode, shadow."""
-    params = engine._sketch_params
-    return {
-        "agg": "exact" if params is None else "sketch",
-        "sketch_params": None if params is None else dataclasses.asdict(params),
-        "plan": _plan_params(engine.n_shards),
-        "coordinator": capture_engine_state(engine),
-        "shadow": (
-            None if engine._shadow is None else capture_engine_state(engine._shadow)
-        ),
-    }
-
-
-def restore_sharded_state(engine, state: dict) -> None:
-    """Restore a sharded engine from :func:`capture_sharded_state` output.
-
-    Aggregation mode, sketch parameters, and shard plan must match the
-    live engine — they shape the verdict stream. The restored model is
-    *not* pushed to workers here; clearing ``_broadcast_model`` makes
-    the next classify re-broadcast it through the normal path.
-    """
-    params = engine._sketch_params
-    agg = "exact" if params is None else "sketch"
-    sketch_params = None if params is None else dataclasses.asdict(params)
-    if state["agg"] != agg or state["sketch_params"] != sketch_params:
-        raise CheckpointConfigError(
-            f"snapshot aggregation mode ({state['agg']!r}, "
-            f"{state['sketch_params']!r}) does not match the engine "
-            f"({agg!r}, {sketch_params!r})"
-        )
-    plan = _plan_params(engine.n_shards)
-    if state["plan"] != plan:
-        raise CheckpointConfigError(
-            "snapshot shard plan does not match the engine: "
-            f"snapshot={state['plan']!r} engine={plan!r}"
-        )
-    restore_engine_state(engine, state["coordinator"])
-    if engine._shadow is not None:
-        if state["shadow"] is None:
-            raise CheckpointConfigError(
-                "engine has an equivalence shadow but the snapshot was "
-                "taken without one; the shadow cannot catch up mid-stream"
-            )
-        restore_engine_state(engine._shadow, state["shadow"])
-    engine._broadcast_model = None

@@ -19,7 +19,6 @@ The engine is deterministic given its seed and the input streams.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterable, Optional
 
 import numpy as np
@@ -142,11 +141,11 @@ class StreamingScrubber:
         self._blackholes = BlackholeRegistry()
         self._scrubber: Optional[IXPScrubber] = None
         #: Open per-bin flow buffers, keyed by bin index (time // 60).
-        self._open_bins: "OrderedDict[int, list[FlowDataset]]" = OrderedDict()
+        self._open_bins: dict[int, list[FlowDataset]] = {}
         #: Closed-but-unlabeled bins awaiting the grace period.
-        self._pending_label: "OrderedDict[int, FlowDataset]" = OrderedDict()
+        self._pending_label: dict[int, FlowDataset] = {}
         #: Balanced training flows per day index.
-        self._day_buffers: "OrderedDict[int, list[FlowDataset]]" = OrderedDict()
+        self._day_buffers: dict[int, list[FlowDataset]] = {}
         #: What a retrain reads of each day's buffer, built by the first
         #: retrain that needs it (derived state: never captured).
         self._day_summaries: dict[int, DaySummary] = {}
@@ -155,11 +154,10 @@ class StreamingScrubber:
         #: Observational drift detector over the per-bin verdict mix.
         self._drift = DriftTracker()
         # Metric dedupe state: a bin can close more than once when late
-        # flows re-open it at a bin boundary; the counters below must
-        # count each bin / (bin, target) verdict once. One int / small
-        # tuple per unit over the engine lifetime — negligible here.
-        self._counted_bins: set[int] = set()
-        self._counted_verdicts: set[tuple[int, int]] = set()
+        # flows re-open it at a bin boundary; the counters must count
+        # each bin and each (bin, target) verdict once. Every closed bin
+        # maps to the targets whose verdicts were counted in it.
+        self._counted: dict[int, set[int]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -196,23 +194,45 @@ class StreamingScrubber:
         self.close()
 
     # ------------------------------------------------------------------
+    #: Fields fixed at construction: a snapshot restores only onto an
+    #: engine built with equal ones.
+    _PARAMS = ("config", "window_days", "bins_per_day", "min_flows_per_verdict", "label_grace_bins")
+
+    def __getstate__(self) -> dict:
+        """What a checkpoint carries: every field but the metric views and
+        the day summaries a retrain derives; each buffered bin or day as
+        one dataset (``concat`` is ``np.concatenate``, so collapsing the
+        parts is bitwise-neutral), the RNG as its bit generator's state."""
+        state = dict(vars(self))
+        for derived in ("registry", "stats", "_day_summaries"):
+            del state[derived]
+        state["_rng"] = self._rng.bit_generator.state
+        state["_open_bins"] = {b: [FlowDataset.concat(p)] for b, p in self._open_bins.items()}
+        state["_day_buffers"] = {d: [FlowDataset.concat(p)] for d, p in self._day_buffers.items()}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state["_rng"]
+        vars(self).update(state, _rng=rng, _day_summaries={})
+
     def capture_state(self) -> dict:
         """JSON-safe snapshot of all mutable state (see ``core.recovery``)."""
-        from repro.core.recovery.state_codec import capture_engine_state
+        from repro.core.recovery.state_codec import capture
 
-        return capture_engine_state(self)
+        return capture(self)
 
     def restore_state(self, state: dict) -> "StreamingScrubber":
         """Restore a :meth:`capture_state` snapshot onto this engine.
 
-        The engine must be freshly constructed with the same parameters
+        The engine must have been constructed with the same parameters
         the snapshot was taken under; raises
         :class:`~repro.core.recovery.errors.CheckpointConfigError`
-        otherwise.
+        otherwise, and leaves the engine untouched on any refusal.
         """
-        from repro.core.recovery.state_codec import restore_engine_state
+        from repro.core.recovery.state_codec import restore
 
-        restore_engine_state(self, state)
+        restore(self, state)
         return self
 
     # ------------------------------------------------------------------
@@ -301,8 +321,8 @@ class StreamingScrubber:
             with obs.span(names.SPAN_STREAMING_CLOSE_BIN):
                 parts = self._open_bins.pop(bin_id)
                 bin_flows = FlowDataset.concat(parts)
-                if bin_id not in self._counted_bins:
-                    self._counted_bins.add(bin_id)
+                if bin_id not in self._counted:
+                    self._counted[bin_id] = set()
                     obs.counter(names.C_STREAMING_BINS_CLOSED).inc()
                 # A bin that re-closes while still pending labels all of
                 # its flows, but is classified on its late part alone.
@@ -341,10 +361,9 @@ class StreamingScrubber:
         """
         if not verdicts:
             return
-        fresh = [
-            v for v in verdicts if (v.bin, v.target_ip) not in self._counted_verdicts
-        ]
-        self._counted_verdicts.update((v.bin, v.target_ip) for v in fresh)
+        fresh = [v for v in verdicts if v.target_ip not in self._counted[v.bin]]
+        for v in fresh:
+            self._counted[v.bin].add(v.target_ip)
         obs.counter(names.C_STREAMING_VERDICTS_EMITTED).inc(len(fresh))
         obs.counter(names.C_STREAMING_DDOS_VERDICTS).inc(
             sum(1 for v in fresh if v.is_ddos)

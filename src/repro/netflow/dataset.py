@@ -69,8 +69,12 @@ class FlowDataset:
             array.flags.writeable = False
         self._columns = converted
 
-    def __reduce__(self):
-        return FlowDataset, (self._columns,)
+    def __getstate__(self) -> dict[str, np.ndarray]:
+        return self._columns
+
+    def __setstate__(self, columns: Mapping[str, np.ndarray]) -> None:
+        # Through __init__: the schema is checked, the columns read-only.
+        self.__init__(columns)
 
     # ------------------------------------------------------------------
     # Constructors

@@ -505,7 +505,7 @@ class TestSnapshotModelRefusal:
         assert main(argv) == 0
         store = CheckpointStore(tmp_path)
         tick, state, _ = store.latest()
-        state["coordinator"]["model"]["format_version"] = 2
+        state["model"]["format_version"] = 2
         store.save(tick, state)
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:

@@ -29,6 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests import strategies as local
+from repro.bgp.community import BLACKHOLE
+from repro.bgp.messages import Announcement
+from repro.bgp.prefix import Prefix
 from repro.core.labeling.balancer import balance
 from repro.core.parallel.engine import ShardedStreamingScrubber
 from repro.core.recovery import (
@@ -51,6 +54,8 @@ from repro.core.recovery.journal import canonical_entry
 from repro.core.resilience import FaultPlan, SupervisedProcessBackend
 from repro.core.scrubber import IXPScrubber, ScrubberConfig, TargetVerdict
 from repro.core.streaming import StreamingScrubber
+from repro.netflow.dataset import SCHEMA
+from repro.obs import names
 
 # ----------------------------------------------------------------------
 # Shared fixtures: a fitted model and a multi-bin workload.
@@ -237,21 +242,29 @@ class TestEngineStateRoundTrip:
             other.restore_state(state)
 
     def test_snapshot_keeps_the_bin_width_key(self, scrubber):
-        # The width is a constant now; the format did not move, so a
-        # parent-written checkpoint resumes and any other width is refused.
+        # The width is a constant, not a config field: the document
+        # carries it so that a snapshot cut at any other width is refused.
         engine = make_engine(scrubber)
         state = engine.capture_state()
-        assert state["params"]["config"]["bin_seconds"] == 60
+        assert state["bin_seconds"] == 60
         make_engine(scrubber).restore_state(json.loads(json.dumps(state)))
-        state["params"]["config"]["bin_seconds"] = 30
+        state["bin_seconds"] = 30
         with pytest.raises(CheckpointConfigError):
+            make_engine(scrubber).restore_state(state)
+
+    @pytest.mark.parametrize("fmt", [None, 0, 2])
+    def test_other_engine_format_is_a_config_error(self, scrubber, fmt):
+        state = make_engine(scrubber).capture_state()
+        state["format"] = fmt
+        if fmt is None:
+            del state["format"]  # a document written before the format number
+        with pytest.raises(CheckpointConfigError, match="engine format"):
             make_engine(scrubber).restore_state(state)
 
     def test_sharded_restore_rejects_plan_mismatch(self, scrubber):
         engine = make_sharded(scrubber, n_shards=2)
         state = engine.capture_state()
-        # The entry keeps the shape older checkpoints were written with.
-        assert state["plan"] == {"n_shards": 2, "prefix_bits": 24, "pins": []}
+        assert state["engine"]["plan"]["state"] == {"n_shards": 2}
         other = make_sharded(scrubber, n_shards=4)
         try:
             with pytest.raises(CheckpointConfigError):
@@ -259,6 +272,148 @@ class TestEngineStateRoundTrip:
         finally:
             engine.close()
             other.close()
+
+
+def blackholes(workload, n=3):
+    """Announcements blackholing ``n`` of the workload's attacked targets."""
+    targets = np.unique(workload.dst_ip[workload.blackhole])[:n]
+    return [
+        Announcement(prefix=Prefix(network=int(ip), length=32), origin_asn=64500,
+                     time=0, communities=frozenset({BLACKHOLE}))
+        for ip in targets
+    ]
+
+
+def _open_bin_flows(state):
+    """The encoded dataset of the snapshot's first open bin."""
+    return state["engine"]["_open_bins"]["items"][0][1][0]
+
+
+def _drop_all(state):
+    state.clear()
+
+
+def _null_drift(state):
+    state["engine"]["_drift"] = None
+
+
+def _no_horizon(state):
+    del state["engine"]["_horizon"]
+
+
+def _one_column_open_bin(state):
+    columns = _open_bin_flows(state)["state"]
+    for name in list(columns):
+        if name != "time":
+            del columns[name]
+
+
+def _foreign_rng(state):
+    state["engine"]["_rng"]["bit_generator"] = "MT19937"
+
+
+class TestMalformedSnapshot:
+    """A snapshot whose sha256 is valid but whose document is not an
+    engine's is a typed refusal (exit 3 in the CLI), not a traceback."""
+
+    @pytest.fixture
+    def state(self, scrubber, workload):
+        engine = make_engine(scrubber)
+        engine.ingest(workload.select(workload.time // 60 < 6))
+        return json.loads(json.dumps(engine.capture_state()))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [_drop_all, _null_drift, _no_horizon, _one_column_open_bin, _foreign_rng],
+        ids=lambda d: d.__name__.strip("_"),
+    )
+    def test_is_corrupt(self, scrubber, state, damage):
+        damage(state)
+        with pytest.raises(CorruptSnapshotError):
+            make_engine(scrubber).restore_state(state)
+
+    def test_out_of_range_prefix_is_refused(self, scrubber, workload):
+        engine = make_engine(scrubber)
+        engine.ingest(workload.select(workload.time // 60 < 2), blackholes(workload))
+        state = json.loads(json.dumps(engine.capture_state()))
+        key = state["engine"]["_blackholes"]["state"]["_open"]["items"][0][0]
+        prefix = key["items"][0]["state"]
+        assert prefix["length"] == 32
+        make_engine(scrubber).restore_state(json.loads(json.dumps(state)))
+        prefix["length"] = 33
+        with pytest.raises(CorruptSnapshotError, match="prefix length out of range"):
+            make_engine(scrubber).restore_state(state)
+
+
+class TestRefusedRestore:
+    """Refusal is decided on the whole document before any assignment."""
+
+    def test_model_refusal_leaves_engine_untouched(self, scrubber, workload):
+        bins = workload.time // 60
+        source = make_engine(scrubber, label_grace_bins=2)
+        # Labeling and balancing bins against a blackhole moves the RNG.
+        source.ingest(workload.select(bins < 12), blackholes(workload))
+        state = json.loads(json.dumps(source.capture_state()))
+        state["model"]["format_version"] = 2
+
+        target = make_engine(scrubber, label_grace_bins=2)
+        target.ingest(workload.select(bins < 4))
+        before = json.dumps(target.capture_state(), sort_keys=True)
+        with pytest.raises(CheckpointConfigError):
+            target.restore_state(state)
+        assert json.dumps(target.capture_state(), sort_keys=True) == before
+
+    def test_shadow_refusal_leaves_coordinator_untouched(self, scrubber, workload):
+        bins = workload.time // 60
+        source = make_sharded(scrubber, equivalence_check=True)
+        target = make_sharded(scrubber, equivalence_check=True)
+        try:
+            source.ingest(workload.select(bins < 12))
+            state = json.loads(json.dumps(source.capture_state()))
+            state["shadow"]["engine"]["_drift"] = None
+            before = json.dumps(target.capture_state(), sort_keys=True)
+            with pytest.raises(CorruptSnapshotError):
+                target.restore_state(state)
+            assert json.dumps(target.capture_state(), sort_keys=True) == before
+        finally:
+            source.close()
+            target.close()
+
+
+class TestShadowRestore:
+    def test_shadow_engine_refuses_a_snapshot_without_one(self, scrubber):
+        plain = make_sharded(scrubber)
+        shadowed = make_sharded(scrubber, equivalence_check=True)
+        try:
+            with pytest.raises(CheckpointConfigError, match="shadow"):
+                shadowed.restore_state(plain.capture_state())
+        finally:
+            plain.close()
+            shadowed.close()
+
+    def test_restored_datasets_are_read_only(self, scrubber, workload):
+        engine = make_sharded(scrubber, label_grace_bins=2, equivalence_check=True)
+        twin = make_sharded(scrubber, label_grace_bins=2, equivalence_check=True)
+        try:
+            engine.ingest(workload.select(workload.time // 60 < 12),
+                          blackholes(workload))
+            twin.restore_state(json.loads(json.dumps(engine.capture_state())))
+            datasets = [
+                flows
+                for restored in (twin, twin._shadow)
+                for flows in (
+                    *(f for parts in restored._open_bins.values() for f in parts),
+                    *restored._pending_label.values(),
+                    *(f for parts in restored._day_buffers.values() for f in parts),
+                )
+            ]
+            assert len(datasets) >= 6  # open, pending and training data, twice
+            for flows in datasets:
+                for name in SCHEMA:
+                    assert not flows.column(name).flags.writeable
+        finally:
+            engine.close()
+            twin.close()
 
 
 # ----------------------------------------------------------------------
@@ -369,6 +524,16 @@ class TestSnapshotStore:
         tick, state, rejected = CheckpointStore(tmp_path).latest()
         assert (tick, rejected) == (2, 0)
 
+    def test_state_bytes_gauge_is_the_payload_size(self, scrubber, workload,
+                                                  tmp_path):
+        engine = make_engine(scrubber)
+        with RecoverySession(engine, tmp_path, every=3) as session:
+            drive_engine(engine, workload, chunk_bins=4, session=session)
+        tick = CheckpointStore(tmp_path).ticks()[-1]
+        payload = tmp_path / f"ckpt-{tick:012d}.state.json"
+        gauge = engine.registry.get(names.G_CHECKPOINT_STATE_BYTES)
+        assert gauge.value == payload.stat().st_size > 0
+
     def test_load_unknown_tick_raises(self, tmp_path):
         with pytest.raises(NoCheckpointError):
             CheckpointStore(tmp_path).load(3)
@@ -433,6 +598,23 @@ class TestCrashResume:
         session.close()
         run_with_crash(lambda: make_engine(scrubber), workload,
                        crash_dir, crash_tick=3)
+        name = VerdictJournal.FILENAME
+        assert (crash_dir / name).read_bytes() == (ref_dir / name).read_bytes()
+
+    def test_equivalence_shadow_journal_matches(self, scrubber, workload,
+                                                tmp_path):
+        ref_dir, crash_dir = tmp_path / "ref", tmp_path / "crash"
+
+        def factory():
+            return make_sharded(scrubber, n_shards=2, equivalence_check=True)
+
+        engine = factory()
+        try:
+            with RecoverySession(engine, ref_dir, every=3) as session:
+                drive_engine(engine, workload, chunk_bins=4, session=session)
+        finally:
+            engine.close()
+        run_with_crash(factory, workload, crash_dir, crash_tick=4)
         name = VerdictJournal.FILENAME
         assert (crash_dir / name).read_bytes() == (ref_dir / name).read_bytes()
 
