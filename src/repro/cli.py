@@ -31,7 +31,7 @@ import json
 import sys
 import time
 
-from repro.experiments import EXPERIMENTS, SCALES
+from repro.experiments import SCALES
 
 
 def _positive_int(text: str) -> int:
@@ -73,6 +73,8 @@ def _fault_plan(text: str):
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
+    from repro.experiments import EXPERIMENTS
+
     for name, module in EXPERIMENTS.items():
         doc = (module.__doc__ or "").strip().splitlines()[0]
         print(f"{name:10s} {doc}")
@@ -80,6 +82,8 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments import EXPERIMENTS
+
     targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     unknown = [t for t in targets if t not in EXPERIMENTS]
     if unknown:

@@ -350,9 +350,11 @@ class ForestKernel:
         """Raw ensemble margin, bit-identical to the recursive reference.
 
         Per-tree leaf values come from the blocked propagation; the
-        shrinkage accumulation then runs tree-by-tree in ensemble order,
-        exactly like ``margin += lr * tree_output(t)`` over recursive
-        traversals, so no floating-point reassociation can creep in.
+        shrinkage accumulation is one ``cumsum`` along the tree axis of
+        ``[base, lr * values]``. An accumulate adds strictly in sequence
+        (never pairwise), so each row sums ``base + lr * tree_output(t)``
+        in ensemble order exactly like the recursive traversals, and no
+        floating-point reassociation can creep in.
         """
         X = np.asarray(X, dtype=np.float64)
         n = X.shape[0]
@@ -362,9 +364,8 @@ class ForestKernel:
         for lo in range(0, n, _BLOCK_ROWS):
             hi = min(n, lo + _BLOCK_ROWS)
             values = self.value.take(self._propagate(X, lo, hi))
-            acc = margin[lo:hi]
-            for t in range(self.n_trees):
-                acc += learning_rate * values[:, t]
+            steps = np.concatenate((margin[lo:hi, None], learning_rate * values), axis=1)
+            margin[lo:hi] = np.cumsum(steps, axis=1, out=steps)[:, -1]
         return margin
 
 

@@ -9,7 +9,6 @@ The ``C``/``loss``/``class_weight`` parameters mirror the paper's grid
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.models.base import Classifier, check_fit_inputs
 
@@ -55,6 +54,10 @@ class LinearSVM(Classifier):
         weights = self._sample_weights(y)
         n, d = X.shape
         squared = self.loss == "squared_hinge"
+        # Imported here, not at the top: the streaming engine reaches this
+        # module through ``repro.core.models`` but never fits an LSVM, and
+        # scipy.optimize would double its resident set and start-up time.
+        from scipy import optimize
 
         def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
             w, b = theta[:d], theta[d]

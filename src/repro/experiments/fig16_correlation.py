@@ -12,7 +12,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.core.encoding.matrix import assemble
 from repro.core.encoding.pca import explained_variance_curve
@@ -31,6 +30,8 @@ def _spearman_cdf(X: np.ndarray) -> np.ndarray:
     pairs anyway. So constant columns leave before the correlation, and
     no reported value is a NaN.
     """
+    from scipy import stats  # not at import: `repro list` only reads the docstring
+
     X = X[:, np.ptp(X, axis=0) > 0]
     corr, _ = stats.spearmanr(X)
     corr = np.atleast_2d(corr)

@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.experiments.common import ExperimentResult, check_scale
 from repro.experiments.datasets import DAYS_BY_SCALE, balanced_corpus, build_capture
@@ -48,6 +47,10 @@ def run(scale: str = "small") -> ExperimentResult:
                 "pearson_r": balanced.report.pearson_r(),
             }
         )
+
+    # scipy loads here, not at import: `repro list` reads this module's
+    # docstring and should not pay for scipy.stats.
+    from scipy import stats
 
     bh_all = np.concatenate(bh_per_ip_all)
     benign_all = np.concatenate(benign_per_ip_all)

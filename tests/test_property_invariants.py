@@ -338,6 +338,26 @@ class TestKernelEquivalence:
                     f"seed {seed}: GBT kernel drifted on n_test={n_test}"
                 )
 
+    @pytest.mark.parametrize("n_trees", [1, 10, 60])
+    def test_gbt_margin_accumulates_trees_in_ensemble_order(self, n_trees):
+        """One ``cumsum`` over the tree axis sums each row exactly as the
+        per-tree ``margin += lr * tree_output`` loop does, also across a
+        propagation-block boundary (4096 rows)."""
+        rng = strategies.rng_for(n_trees)
+        X, y = self._dataset(rng, 300, 5)
+        model = GradientBoostedTrees(
+            n_estimators=n_trees, max_depth=4, learning_rate=0.3
+        ).fit(X, y)
+        assert model.forest_.n_trees == n_trees
+        for n_test in (1, 22, 4096 + 37):
+            Xt = rng.normal(size=(n_test, 5))
+            recursive = reference_forest_margin(
+                model.forest_, model.base_score_, model.learning_rate, Xt
+            )
+            assert np.array_equal(model.decision_function(Xt), recursive), (
+                f"{n_trees} trees: margin drifted on n_test={n_test}"
+            )
+
     def test_cart_kernel_matches_recursive_reference(self):
         for seed in range(10):
             rng = strategies.rng_for(seed)
