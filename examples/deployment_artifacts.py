@@ -31,7 +31,7 @@ def main() -> None:
     balanced = balance(capture.labeled_flows(), np.random.default_rng(5))
     scrubber = IXPScrubber().fit(balanced.flows)
     print(f"{len(scrubber.accepted_rules)} accepted rules, "
-          f"{sum(len(t.mapping) for t in scrubber.woe.tables.values()):,} WoE entries")
+          f"{sum(len(t.values) for t in scrubber.woe.tables.values()):,} WoE entries")
 
     with tempfile.TemporaryDirectory() as tmp:
         model_path = Path(tmp) / "ixp-se-scrubber-v1.json"

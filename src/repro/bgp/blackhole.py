@@ -82,15 +82,12 @@ class BlackholeRegistry:
                 BlackholeEvent(prefix=prefix, origin_asn=origin, start=start, end=time)
             )
 
-    def events(self, include_open: bool = True) -> list[BlackholeEvent]:
+    def events(self) -> list[BlackholeEvent]:
         """All recorded blackhole intervals, closed first, then open ones."""
-        out = list(self._events)
-        if include_open:
-            for (prefix, origin), start in self._open.items():
-                out.append(
-                    BlackholeEvent(prefix=prefix, origin_asn=origin, start=start, end=None)
-                )
-        return out
+        return self._events + [
+            BlackholeEvent(prefix=prefix, origin_asn=origin, start=start, end=None)
+            for (prefix, origin), start in self._open.items()
+        ]
 
     def match_flows(self, flows: FlowDataset, horizon: Optional[int] = None) -> np.ndarray:
         """Return a boolean mask of flows destined to blackholed space.

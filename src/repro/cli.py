@@ -183,15 +183,26 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_stream_backend(args: argparse.Namespace) -> tuple[str, dict]:
-    """Pick the backend + options for ``repro stream``.
+def _stream_fault_plan(args: argparse.Namespace):
+    """``--faults``, else the ``REPRO_FAULTS`` plan: a stream run reads
+    the variable here, once; the library never reads it."""
+    from repro.core.resilience import FaultPlan
+
+    return args.faults if args.faults is not None else FaultPlan.from_env()
+
+
+def _resolve_stream_backend(args: argparse.Namespace, plan) -> tuple[str, dict]:
+    """Pick the backend + options for ``repro stream``; the worker specs
+    of the fault ``plan`` go to a supervised backend.
 
     Worker ``--faults``, ``--shard-timeout``, ``--max-restarts`` and
     ``--ipc shm`` only make sense with worker processes to supervise
     and share memory with, so on the serial backend they are rejected
     as a usage error. A ``REPRO_FAULTS`` environment plan is not: CI
-    exports it globally, and the supervised backend reads it itself.
+    exports it globally, and a serial run has no workers to fault.
     """
+    from repro.core.resilience import FaultPlan
+
     if args.backend == "serial":
         # Disk faults are the checkpoint store's business, not the
         # workers': a plan with only disk specs is fine without workers.
@@ -207,8 +218,9 @@ def _resolve_stream_backend(args: argparse.Namespace) -> tuple[str, dict]:
             raise SystemExit(2)
         return args.backend, {}
     options: dict = {"ipc": args.ipc}
-    if args.faults is not None:
-        options["fault_plan"] = args.faults  # replaces any $REPRO_FAULTS plan
+    workers = FaultPlan(plan.worker_specs())
+    if workers:
+        options["fault_plan"] = workers
     if args.shard_timeout is not None:
         options["shard_timeout"] = args.shard_timeout
     if args.max_restarts is not None:
@@ -249,16 +261,15 @@ def _resolve_stream_agg(args: argparse.Namespace):
     return SketchParams(**overrides)
 
 
-def _resolve_stream_recovery(args: argparse.Namespace):
-    """``RecoverySession`` keyword arguments for ``repro stream``, or None.
+def _resolve_stream_recovery(args: argparse.Namespace, plan):
+    """``RecoverySession`` keyword arguments for ``repro stream``, or None;
+    the disk specs of the fault ``plan`` go to the session.
 
     ``--checkpoint-every``/``--resume`` without ``--checkpoint-dir`` are
     usage errors. Needs no engine, so it runs before one (and its
     worker processes) exists.
     """
     from pathlib import Path
-
-    from repro.core.resilience import FaultPlan
 
     if args.checkpoint_dir is None:
         if args.resume or args.checkpoint_every is not None:
@@ -268,7 +279,6 @@ def _resolve_stream_recovery(args: argparse.Namespace):
             )
             raise SystemExit(2)
         return None
-    plan = args.faults if args.faults is not None else FaultPlan.from_env()
     return dict(
         directory=Path(args.checkpoint_dir),
         every=8 if args.checkpoint_every is None else args.checkpoint_every,
@@ -283,9 +293,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.core.recovery import RecoveryError, RecoverySession
     from repro.core.scrubber import ScrubberConfig
 
-    backend, backend_options = _resolve_stream_backend(args)
+    plan = _stream_fault_plan(args)
+    backend, backend_options = _resolve_stream_backend(args, plan)
     sketch_params = _resolve_stream_agg(args)
-    recovery = _resolve_stream_recovery(args)
+    recovery = _resolve_stream_recovery(args, plan)
     profile, capture = _stream_workload(args.days, args.seed)
     engine = ShardedStreamingScrubber(
         config=ScrubberConfig(model="XGB", model_params={"n_estimators": 10}),
@@ -374,6 +385,7 @@ def _cmd_scenarios_list(_: argparse.Namespace) -> int:
 
 def _cmd_scenarios_run(args: argparse.Namespace) -> int:
     """Conduct one scenario; print its scorecard. Exit 1 on oracle fail."""
+    from repro.core.resilience import FaultPlan
     from repro.scenarios import get_scenario, run_scenario, scorecard_json
 
     try:
@@ -388,6 +400,9 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
         shards=args.shards,
         backend=args.backend,
         agg=args.agg,
+        backend_options=(
+            {"fault_plan": FaultPlan.from_env()} if args.backend == "supervised" else None
+        ),
     )
     scorecard = result.scorecard
     rendered = scorecard_json(scorecard)
@@ -655,7 +670,7 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         choices=("serial", "supervised"),
         default="serial",
-        help="shard execution backend (supervised reads $REPRO_FAULTS)",
+        help="shard execution backend (supervised injects the $REPRO_FAULTS plan)",
     )
     scen_run.add_argument(
         "--agg",

@@ -227,6 +227,16 @@ def reflector_overlap_matrix(
 # ----------------------------------------------------------------------
 # Online drift tracking (streaming engine)
 # ----------------------------------------------------------------------
+#: EWMA weight of the newest bin's DDoS-verdict share.
+DRIFT_ALPHA = 0.25
+#: Distance of the EWMA from its baseline that counts toward a trip.
+DRIFT_THRESHOLD = 0.08
+#: Observed bins before the EWMA is frozen as the first baseline.
+DRIFT_WARMUP_BINS = 12
+#: Bins in a row past :data:`DRIFT_THRESHOLD` that trip the tracker.
+DRIFT_CONSECUTIVE = 3
+
+
 class DriftTracker:
     """Streaming detector for drift in the per-bin verdict mix.
 
@@ -238,10 +248,11 @@ class DriftTracker:
 
     Mechanics: the share is smoothed with a deterministic EWMA; after a
     warmup period the smoothed value is frozen as the baseline, and the
-    tracker *trips* once the EWMA stays more than ``threshold`` away
-    from the baseline for ``consecutive`` observed bins. On a trip (and
-    on every retrain) the baseline re-anchors to the current EWMA so a
-    persistent shift is reported once, not every bin thereafter.
+    tracker *trips* once the EWMA stays more than :data:`DRIFT_THRESHOLD`
+    away from the baseline for :data:`DRIFT_CONSECUTIVE` observed bins.
+    On a trip (and on every retrain) the baseline re-anchors to the
+    current EWMA so a persistent shift is reported once, not every bin
+    thereafter.
 
     The tracker is purely observational — it never changes verdicts —
     and purely deterministic: float arithmetic only, no clocks, no RNG,
@@ -249,23 +260,7 @@ class DriftTracker:
     its fields as they are (see :mod:`repro.core.recovery.state_codec`).
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.25,
-        threshold: float = 0.08,
-        warmup_bins: int = 12,
-        consecutive: int = 3,
-    ):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if warmup_bins < 1:
-            raise ValueError("warmup_bins must be >= 1")
-        if consecutive < 1:
-            raise ValueError("consecutive must be >= 1")
-        self.alpha = alpha
-        self.threshold = threshold
-        self.warmup_bins = warmup_bins
-        self.consecutive = consecutive
+    def __init__(self) -> None:
         self._ewma: Optional[float] = None
         self._baseline: Optional[float] = None
         self._bins_seen = 0
@@ -278,16 +273,16 @@ class DriftTracker:
         if self._ewma is None:
             self._ewma = float(ddos_share)
         else:
-            self._ewma = self.alpha * float(ddos_share) + (1.0 - self.alpha) * self._ewma
+            self._ewma = DRIFT_ALPHA * float(ddos_share) + (1.0 - DRIFT_ALPHA) * self._ewma
         if self._baseline is None:
-            if self._bins_seen >= self.warmup_bins:
+            if self._bins_seen >= DRIFT_WARMUP_BINS:
                 self._baseline = self._ewma
             return False
-        if abs(self._ewma - self._baseline) > self.threshold:
+        if abs(self._ewma - self._baseline) > DRIFT_THRESHOLD:
             self._streak += 1
         else:
             self._streak = 0
-        if self._streak >= self.consecutive:
+        if self._streak >= DRIFT_CONSECUTIVE:
             self.trips += 1
             self._streak = 0
             self._baseline = self._ewma
@@ -299,8 +294,3 @@ class DriftTracker:
         if self._ewma is not None and self._baseline is not None:
             self._baseline = self._ewma
         self._streak = 0
-
-    def __setstate__(self, state: dict) -> None:
-        # Through the constructor, so a checkpoint's settings are checked.
-        self.__init__(*(state[k] for k in ("alpha", "threshold", "warmup_bins", "consecutive")))
-        vars(self).update(state)

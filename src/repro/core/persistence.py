@@ -45,8 +45,9 @@ from repro.core.scrubber import IXPScrubber, ScrubberConfig
 from repro.netflow.dataset import BIN_SECONDS
 
 #: Format version; bump on breaking layout changes. Version 3 writes
-#: each object's pickled state through the checkpoint value codec.
-FORMAT_VERSION = 3
+#: each object's pickled state through the checkpoint value codec;
+#: version 4 writes each WoE table as its sorted key / WoE arrays.
+FORMAT_VERSION = 4
 
 #: Every class a saved scrubber is built from, by name: the codec's
 #: allowlist, on the way out and on the way in.
@@ -77,8 +78,9 @@ def scrubber_from_dict(data: dict[str, Any]) -> IXPScrubber:
     """Rebuild a scrubber from :func:`scrubber_to_dict` output.
 
     A document of another format version or bin width raises
-    ``ValueError``; one that does not decode to a scrubber raises
-    :class:`~repro.core.recovery.errors.CorruptSnapshotError`.
+    ``ValueError``; one that does not decode to a scrubber, or holds a
+    WoE table :meth:`~repro.core.encoding.woe.WoETable.check` refuses,
+    raises :class:`~repro.core.recovery.errors.CorruptSnapshotError`.
     """
     version = data.get("format_version")
     if version != FORMAT_VERSION:
@@ -93,6 +95,11 @@ def scrubber_from_dict(data: dict[str, Any]) -> IXPScrubber:
         raise CorruptSnapshotError(
             f"model document holds a {type(scrubber).__name__}, not an IXPScrubber"
         )
+    try:
+        for table in scrubber.woe.tables.values():
+            table.check()
+    except (AttributeError, ValueError) as exc:
+        raise CorruptSnapshotError(f"model document holds a malformed WoE table: {exc}") from exc
     return scrubber
 
 

@@ -44,9 +44,14 @@ from repro.core.recovery.errors import (
     NoCheckpointError,
 )
 
-__all__ = ["CheckpointStore", "DiskFaultInjector", "MANIFEST_FORMAT", "CRASH_EXIT_CODE"]
+__all__ = [
+    "CheckpointStore", "DiskFaultInjector", "MANIFEST_FORMAT", "KEEP_SNAPSHOTS", "CRASH_EXIT_CODE",
+]
 
 MANIFEST_FORMAT = 1
+
+#: Committed snapshots a store retains; older ones are deleted on save.
+KEEP_SNAPSHOTS = 3
 
 #: Process exit status of an injected ``crash-at-checkpoint`` death, so
 #: harnesses can tell the simulated crash from a real failure.
@@ -98,15 +103,11 @@ class CheckpointStore:
         directory: Path,
         injector: Optional[DiskFaultInjector] = None,
         crash_handler: Optional[Callable[[], None]] = None,
-        keep: int = 3,
     ):
-        if keep < 1:
-            raise ValueError("keep must be >= 1")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._injector = injector or DiskFaultInjector()
         self._crash = crash_handler or _default_crash
-        self._keep = keep
         self._saves = 0
         #: Size of the last committed payload, in bytes.
         self.payload_bytes = 0
@@ -145,11 +146,11 @@ class CheckpointStore:
         return manifest_path
 
     def _retain(self) -> None:
-        """Drop all but the newest ``keep`` snapshots (manifest first,
-        so a crash mid-retention never leaves a manifest without its
-        payload)."""
+        """Drop all but the newest :data:`KEEP_SNAPSHOTS` snapshots
+        (manifest first, so a crash mid-retention never leaves a
+        manifest without its payload)."""
         ticks = self.ticks()
-        for tick in ticks[: -self._keep]:
+        for tick in ticks[:-KEEP_SNAPSHOTS]:
             for name in reversed(_file_names(tick)):
                 try:
                     os.unlink(self.directory / name)

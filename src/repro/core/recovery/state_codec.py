@@ -57,7 +57,8 @@ from repro.netflow.dataset import BIN_SECONDS
 __all__ = ["encode_value", "decode_value", "capture", "restore"]
 
 #: Engine document layout; a snapshot of any other (or none) is refused.
-ENGINE_FORMAT = 1
+#: Format 2 leaves the drift tracker's settings out (they are constants).
+ENGINE_FORMAT = 2
 
 _TAG = "__repro__"
 

@@ -13,8 +13,9 @@ corrupt the reply frame). Two runs with the same plan and workload fail
 identically.
 
 Plans come from code (tests build :class:`FaultSpec` objects directly)
-or from the ``REPRO_FAULTS`` environment variable / ``repro stream
---faults`` flag, using a compact grammar::
+or from the ``repro stream --faults`` flag / ``REPRO_FAULTS``
+environment variable, which only the CLI reads (:meth:`FaultPlan.from_env`),
+using a compact grammar::
 
     spec      := kind "@" position (":" key "=" value)*
     plan      := spec (";" spec)*
@@ -234,10 +235,9 @@ class FaultPlan:
         return cls(specs)
 
     @classmethod
-    def from_env(cls, environ: Optional[dict] = None) -> "FaultPlan":
+    def from_env(cls) -> "FaultPlan":
         """Plan from the ``REPRO_FAULTS`` environment variable."""
-        environ = os.environ if environ is None else environ
-        return cls.parse(environ.get(FAULTS_ENV))
+        return cls.parse(os.environ.get(FAULTS_ENV))
 
     @staticmethod
     def _parse_spec(raw: str) -> FaultSpec:

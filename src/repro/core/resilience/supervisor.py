@@ -28,10 +28,11 @@ use, so verdicts stay **bit-identical** to the serial engine no
 matter which failures occurred — the property the chaos tests assert.
 
 Failures can be injected deterministically with a
-:class:`~repro.core.resilience.faults.FaultPlan` (or the
-``REPRO_FAULTS`` environment variable); the supervisor evaluates the
-plan per dispatch attempt and ships directives to the worker, which
-executes them in :func:`~repro.core.parallel.backends._worker_main`.
+:class:`~repro.core.resilience.faults.FaultPlan` the caller passes in
+(the CLI builds it from ``--faults`` or ``REPRO_FAULTS``; the library
+never reads the environment); the supervisor evaluates the plan per
+dispatch attempt and ships directives to the worker, which executes
+them in :func:`~repro.core.parallel.backends._worker_main`.
 """
 
 from __future__ import annotations
@@ -96,9 +97,8 @@ class SupervisedProcessBackend(WorkerPool):
         :data:`RESTART_WINDOW` classify calls degrades the shard to
         serial in-process execution for the rest of the run.
     fault_plan:
-        Deterministic fault injection plan. Defaults to parsing the
-        ``REPRO_FAULTS`` environment variable; pass ``FaultPlan()`` to
-        force faults off regardless of the environment.
+        Deterministic fault injection plan; ``None`` (the default)
+        injects no faults, whatever the environment holds.
 
     Resilience metrics are recorded into the *active* registry (the
     coordinator engine activates its own around classification), under
@@ -121,7 +121,7 @@ class SupervisedProcessBackend(WorkerPool):
             raise ValueError("max_restarts must be >= 0")
         self.shard_timeout = float(shard_timeout)
         self.max_restarts = int(max_restarts)
-        self.fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
+        self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self._scrubber: Optional[IXPScrubber] = None
         self._tick = 0  # classify-call counter; the restart-window clock
         self._seq = [0] * n_shards  # per-shard lifetime dispatch counter

@@ -1,12 +1,11 @@
-"""The dict loop the WoE group-by must equal, counts and order included.
+"""The dict loop the one-pass WoE fit must equal, bit for bit.
 
-``WoEEncoder.update`` once counted evidence with one ``np.unique`` per
-(metric, rank, class) column and a ``setdefault`` per value into a
-``value -> [pos, neg]`` dict, and rebuilt each table value by value. It
-now counts a domain in one group-by into arrays; this module keeps the
-loop, so a test can check that both hold the same counts, in the same
-order of first appearance, and the same ``mapping`` dicts, insertion
-order included (persisted models write ``mapping`` in it).
+``WoEEncoder.fit`` counts a domain's evidence in one group-by and keeps
+each table as sorted key / WoE arrays. This module keeps the plain
+loop it replaced: one ``np.unique`` per (metric, rank, class) column, a
+``setdefault`` per value into a ``value -> [pos, neg]`` dict, and the
+smoothed log odds value by value. A test compares its sorted
+``(value, WoE)`` pairs with the arrays, each WoE by ``float.hex``.
 """
 
 from __future__ import annotations
@@ -23,30 +22,17 @@ from repro.core.features.aggregation import AggregatedDataset
 class ReferenceWoE:
     def __init__(self, min_count: int = 5) -> None:
         self.min_count = min_count
-        self.counts: dict[str, dict[int, list[float]]] = {}
         self.mappings: dict[str, dict[int, float]] = {}
-        self.n_pos = 0.0
-        self.n_neg = 0.0
 
     def fit(self, data: AggregatedDataset) -> "ReferenceWoE":
-        self.counts = {}
-        self.n_pos = 0.0
-        self.n_neg = 0.0
-        return self.update(data)
-
-    def update(self, data: AggregatedDataset, decay: float = 1.0) -> "ReferenceWoE":
         labels = data.labels
-        if decay < 1.0:
-            self.n_pos *= decay
-            self.n_neg *= decay
-            for counts in self.counts.values():
-                for pair in counts.values():
-                    pair[0] *= decay
-                    pair[1] *= decay
-        self.n_pos += float(labels.sum())
-        self.n_neg += float((~labels).sum())
+        n_pos = float(labels.sum())
+        n_neg = float((~labels).sum())
+        slots = schema.RANKS * len(schema.METRICS)
+        denom_pos = max(n_pos, 1.0) * slots
+        denom_neg = max(n_neg, 1.0) * slots
         for domain in schema.CATEGORICALS:
-            counts = self.counts.setdefault(domain, {})
+            counts: dict[int, list[float]] = {}
             for metric in schema.METRICS:
                 for rank in range(schema.RANKS):
                     column = data.categorical[schema.key_column(domain, metric, rank)]
@@ -55,12 +41,8 @@ class ReferenceWoE:
                         for v, c in zip(values, value_counts):
                             pair = counts.setdefault(int(v), [0.0, 0.0])
                             pair[class_index] += float(c)
-        slots = schema.RANKS * len(schema.METRICS)
-        denom_pos = max(self.n_pos, 1.0) * slots
-        denom_neg = max(self.n_neg, 1.0) * slots
-        for domain in schema.CATEGORICALS:
             mapping = self.mappings[domain] = {}
-            for value, (pos, neg) in self.counts.get(domain, {}).items():
+            for value, (pos, neg) in counts.items():
                 if pos + neg < self.min_count:
                     continue
                 p_pos = (pos + 1.0) / (denom_pos + 1.0)
@@ -69,21 +51,18 @@ class ReferenceWoE:
         return self
 
 
-def counts_as_dicts(encoder: WoEEncoder) -> dict[str, dict[int, list[float]]]:
-    """The encoder's evidence arrays as the reference's dicts."""
+def woe_items(encoder: WoEEncoder) -> dict[str, list[tuple[int, str]]]:
+    """Each table of ``encoder`` as ``(value, float.hex(WoE))`` pairs."""
     return {
-        domain: dict(zip(values.tolist(), counts.tolist()))
-        for domain, (values, counts) in encoder._counts.items()
+        domain: list(zip(table.values.tolist(), map(float.hex, table.woes.tolist())))
+        for domain, table in encoder.tables.items()
     }
 
 
-def assert_same_evidence(encoder: WoEEncoder, reference: ReferenceWoE) -> None:
-    """Counts, tables and class totals equal bit for bit, order included."""
-    assert (encoder._n_pos, encoder._n_neg) == (reference.n_pos, reference.n_neg)
-    counts = counts_as_dicts(encoder)
-    assert list(counts) == list(reference.counts)
-    for domain, expected in reference.counts.items():
-        assert list(counts[domain].items()) == list(expected.items()), domain
-    assert list(encoder.tables) == list(reference.mappings)
-    for domain, expected in reference.mappings.items():
-        assert list(encoder.tables[domain].mapping.items()) == list(expected.items()), domain
+def assert_same_tables(encoder: WoEEncoder, reference: ReferenceWoE) -> None:
+    """Every table holds the reference's values and WoE, bit for bit."""
+    assert encoder.tables.keys() == reference.mappings.keys()
+    got = woe_items(encoder)
+    for domain, mapping in reference.mappings.items():
+        want = [(v, float.hex(w)) for v, w in sorted(mapping.items())]
+        assert got[domain] == want, domain

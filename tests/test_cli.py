@@ -443,46 +443,57 @@ class TestStreamBackendResolution:
         defaults.update(overrides)
         return argparse.Namespace(**defaults)
 
-    def test_plain_backends_pass_through(self, monkeypatch):
-        from repro.cli import _resolve_stream_backend
+    def _resolve(self, monkeypatch, env=None, **overrides):
+        """``_resolve_stream_backend`` under ``$REPRO_FAULTS=env``."""
+        from repro.cli import _resolve_stream_backend, _stream_fault_plan
         from repro.core.resilience import FAULTS_ENV
 
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
-        assert _resolve_stream_backend(self._args()) == ("serial", {})
-        # No fault_plan forwarded: the supervised backend reads
-        # $REPRO_FAULTS itself.
-        assert _resolve_stream_backend(
-            self._args(backend="supervised", ipc="shm")
-        ) == ("supervised", {"ipc": "shm"})
+        if env is None:
+            monkeypatch.delenv(FAULTS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(FAULTS_ENV, env)
+        args = self._args(**overrides)
+        return _resolve_stream_backend(args, _stream_fault_plan(args))
+
+    def test_plain_backends_pass_through(self, monkeypatch):
+        assert self._resolve(monkeypatch) == ("serial", {})
+        # No faults planned, no fault_plan forwarded.
+        assert self._resolve(monkeypatch, backend="supervised", ipc="shm") == (
+            "supervised", {"ipc": "shm"}
+        )
 
     def test_env_plan_is_ignored_on_serial(self, monkeypatch):
         # CI exports REPRO_FAULTS globally; a serial run has no workers
         # to supervise and must not fail because of it.
-        from repro.cli import _resolve_stream_backend
-        from repro.core.resilience import FAULTS_ENV
-
-        monkeypatch.setenv(FAULTS_ENV, "crash@0")
-        assert _resolve_stream_backend(self._args()) == ("serial", {})
+        assert self._resolve(monkeypatch, env="crash@0") == ("serial", {})
 
     def test_supervision_knobs_forwarded(self, monkeypatch):
-        from repro.cli import _resolve_stream_backend
-        from repro.core.resilience import FAULTS_ENV
-
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
-        backend, options = _resolve_stream_backend(
-            self._args(backend="supervised", shard_timeout=5.0, max_restarts=1)
+        backend, options = self._resolve(
+            monkeypatch, backend="supervised", shard_timeout=5.0, max_restarts=1
         )
         assert backend == "supervised"
         assert options["shard_timeout"] == 5.0 and options["max_restarts"] == 1
         assert "fault_plan" not in options
 
-    def test_explicit_faults_replace_env_plan(self, monkeypatch):
-        from repro.cli import _resolve_stream_backend
-        from repro.core.resilience import FAULTS_ENV, FaultPlan
+    def test_env_plan_reaches_the_workers(self, monkeypatch):
+        from repro.core.resilience import FaultPlan
 
-        monkeypatch.setenv(FAULTS_ENV, "crash@0:batch=1")
-        plan = FaultPlan.parse("enospc@1")  # disk-only, still explicit
-        _, options = _resolve_stream_backend(
-            self._args(backend="supervised", faults=plan)
+        _, options = self._resolve(
+            monkeypatch, env="crash@0:batch=1;enospc@2", backend="supervised"
         )
-        assert options["fault_plan"] is plan
+        assert options["fault_plan"] == FaultPlan.parse("crash@0:batch=1")
+
+    def test_explicit_faults_replace_env_plan(self, monkeypatch):
+        from repro.core.resilience import FaultPlan
+
+        # Disk-only, still explicit: the env's worker crash is gone.
+        plan = FaultPlan.parse("enospc@1")
+        _, options = self._resolve(
+            monkeypatch, env="crash@0:batch=1", backend="supervised", faults=plan
+        )
+        assert "fault_plan" not in options
+        plan = FaultPlan.parse("slow@1;enospc@1")
+        _, options = self._resolve(
+            monkeypatch, env="crash@0:batch=1", backend="supervised", faults=plan
+        )
+        assert options["fault_plan"] == FaultPlan.parse("slow@1")

@@ -27,28 +27,41 @@ def build_data(n_attack=30, n_benign=30, attack_port=123, benign_port=443):
     return aggregate(FlowDataset.from_records(records))
 
 
+def table_of(domain, mapping):
+    """A table from a ``value -> WoE`` dict."""
+    items = sorted(mapping.items())
+    return WoETable(
+        domain,
+        np.array([v for v, _ in items], dtype=np.int64),
+        np.array([w for _, w in items], dtype=np.float64),
+    )
+
+
 class TestWoETable:
     def test_unknown_is_neutral(self):
-        table = WoETable(domain="src_port", mapping={123: 2.0})
+        table = table_of("src_port", {123: 2.0})
         assert table.encode_value(9999) == UNKNOWN_WOE
 
     def test_encode_vectorised(self):
-        table = WoETable(domain="src_port", mapping={1: 1.5, 2: -0.5})
+        table = table_of("src_port", {1: 1.5, 2: -0.5})
         values = table.encode(np.array([1, 2, 3, 1], dtype=np.int64))
         np.testing.assert_allclose(values, [1.5, -0.5, 0.0, 1.5])
 
     def test_high_evidence_values(self):
-        table = WoETable(domain="src_ip", mapping={1: 2.0, 2: 0.5, 3: 1.01})
+        table = table_of("src_ip", {1: 2.0, 2: 0.5, 3: 1.01})
         assert table.high_evidence_values(1.0) == {1, 3}
 
     def test_override(self):
-        table = WoETable(domain="src_port", mapping={80: 1.0})
-        ports = np.array([80, 81], dtype=np.int64)
-        np.testing.assert_array_equal(table.encode(ports), [1.0, 0.0])
+        table = table_of("src_port", {80: 1.0, 443: -1.0})
+        ports = np.array([80, 81, 443], dtype=np.int64)
+        np.testing.assert_array_equal(table.encode(ports), [1.0, 0.0, -1.0])
         table.set_override(80, -5.0)
         table.set_override(81, 2.0)
         assert table.encode_value(80) == -5.0
-        np.testing.assert_array_equal(table.encode(ports), [-5.0, 2.0])
+        np.testing.assert_array_equal(table.encode(ports), [-5.0, 2.0, -1.0])
+        # Still one sorted key per value: what check() asks of a loaded table.
+        assert table.values.tolist() == [80, 81, 443]
+        table.check()
 
 
 class TestWoEEncoder:
@@ -94,10 +107,8 @@ class TestWoEEncoder:
     def test_transform_shapes(self):
         data = build_data()
         encoder = WoEEncoder(min_count=1).fit(data)
-        encoded = encoder.transform(data)
-        assert set(encoded) == set(data.categorical)
-        for name, values in encoded.items():
-            assert values.shape == (len(data),)
+        for name, values in data.categorical.items():
+            assert encoder.encode_column(name, values).shape == (len(data),)
 
     def test_encode_column_rejects_value_columns(self):
         data = build_data()
@@ -118,54 +129,10 @@ class TestWoEEncoder:
         assert encoder.is_fitted
 
 
-class TestIncrementalUpdate:
-    def test_update_equals_fit_on_union(self):
-        """fit(A) + update(B) must equal fit(A+B) with decay 1."""
-        from repro.core.features.aggregation import AggregatedDataset
-
-        a = build_data(n_attack=20, n_benign=20)
-        b = build_data(n_attack=10, n_benign=10, attack_port=53, benign_port=80)
-        both = AggregatedDataset.concat([a, b])
-
-        incremental = WoEEncoder(min_count=1).fit(a).update(b)
-        batch = WoEEncoder(min_count=1).fit(both)
-        for domain in incremental.tables:
-            assert incremental.tables[domain].mapping == pytest.approx(
-                batch.tables[domain].mapping
-            )
-
-    def test_decay_forgets_old_evidence(self):
-        """Heavy decay lets fresh counter-evidence flip a value's WoE."""
-        old = build_data(n_attack=40, n_benign=40, attack_port=123, benign_port=443)
-        # Port 123 is now benign (repurposed), 9999 attacks instead.
-        fresh = build_data(n_attack=40, n_benign=40, attack_port=9999, benign_port=123)
-
-        sticky = WoEEncoder(min_count=1).fit(old).update(fresh, decay=1.0)
-        forgetful = WoEEncoder(min_count=1).fit(old).update(fresh, decay=0.05)
-        woe_sticky = sticky.table("src_port").encode_value(123)
-        woe_forgetful = forgetful.table("src_port").encode_value(123)
-        assert woe_forgetful < woe_sticky
-        assert woe_forgetful < 0.0  # fully flipped to benign evidence
-
-    def test_decay_validation(self):
-        data = build_data()
-        encoder = WoEEncoder(min_count=1).fit(data)
-        with pytest.raises(ValueError):
-            encoder.update(data, decay=0.0)
-        with pytest.raises(ValueError):
-            encoder.update(data, decay=1.5)
-
-    def test_update_marks_fitted(self):
-        data = build_data()
-        encoder = WoEEncoder(min_count=1)
-        encoder.update(data)
-        assert encoder.is_fitted
-
-
 class TestGroupByEqualsLoop:
-    """One group-by per domain against the per-column dict loop of
-    ``tests/reference_woe.py``: counts, tables, and both in the order of
-    first appearance, bit for bit."""
+    """The one-pass fit against the per-column dict loop of
+    ``tests/reference_woe.py``: every table's sorted (value, WoE) pairs,
+    bit for bit."""
 
     @staticmethod
     def _data(seed):
@@ -176,33 +143,11 @@ class TestGroupByEqualsLoop:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fit(self, seed):
-        from tests.reference_woe import ReferenceWoE, assert_same_evidence
+        from tests.reference_woe import ReferenceWoE, assert_same_tables
 
         data = self._data(seed)
         for min_count in (1, 5):
-            assert_same_evidence(
-                WoEEncoder(min_count).fit(data), ReferenceWoE(min_count).fit(data)
-            )
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_update_with_decay(self, seed):
-        from tests.reference_woe import ReferenceWoE, assert_same_evidence
-
-        old, fresh = self._data(seed), self._data(seed + 100)
-        encoder, reference = WoEEncoder(min_count=2).fit(old), ReferenceWoE(2).fit(old)
-        for batch, decay in ((fresh, 0.7), (old, 1 / 7), (fresh, 1.0), (old, 0.7)):
-            encoder.update(batch, decay=decay)
-            reference.update(batch, decay=decay)
-            assert_same_evidence(encoder, reference)
-
-    def test_decayed_counts_take_one_column_at_a_time(self):
-        from tests.reference_woe import ReferenceWoE, assert_same_evidence
-
-        # Port 123 holds rank 0 of all three metrics of the one blackholed
-        # record: 3/7 after decay 1/7, and ((3/7 + 1) + 1) + 1 != 3/7 + 3.
-        data = build_data(n_attack=1, n_benign=1)
-        encoder = WoEEncoder(min_count=1).fit(data).update(data, decay=1 / 7)
-        assert_same_evidence(encoder, ReferenceWoE(1).fit(data).update(data, decay=1 / 7))
+            assert_same_tables(WoEEncoder(min_count).fit(data), ReferenceWoE(min_count).fit(data))
 
     @pytest.mark.parametrize(
         "data",
@@ -214,9 +159,18 @@ class TestGroupByEqualsLoop:
         ],
     )
     def test_edge_cases(self, data):
-        from tests.reference_woe import ReferenceWoE, assert_same_evidence
+        from tests.reference_woe import ReferenceWoE, assert_same_tables
 
-        assert_same_evidence(WoEEncoder(min_count=1).fit(data), ReferenceWoE(1).fit(data))
-        encoder = WoEEncoder(min_count=1).fit(build_data()).update(data, decay=0.7)
-        reference = ReferenceWoE(1).fit(build_data()).update(data, decay=0.7)
-        assert_same_evidence(encoder, reference)
+        encoder = WoEEncoder(min_count=1).fit(data)
+        assert_same_tables(encoder, ReferenceWoE(1).fit(data))
+        for table in encoder.tables.values():
+            table.check()
+
+    def test_refit_replaces_every_table(self):
+        from tests.reference_woe import ReferenceWoE, assert_same_tables
+
+        old = build_data(attack_port=123, benign_port=443)
+        fresh = build_data(attack_port=53, benign_port=80)
+        encoder = WoEEncoder(min_count=1).fit(old)
+        encoder.table("src_port").set_override(9999, 3.0)
+        assert_same_tables(encoder.fit(fresh), ReferenceWoE(1).fit(fresh))

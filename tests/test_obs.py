@@ -458,7 +458,6 @@ def test_supervised_merged_snapshot_spans_equal_their_histograms():
     from tests import strategies
     from repro.core.labeling.balancer import balance
     from repro.core.parallel import ShardedStreamingScrubber
-    from repro.core.resilience import FaultPlan
     from repro.core.scrubber import IXPScrubber, ScrubberConfig
 
     rng = strategies.rng_for(41)
@@ -474,7 +473,6 @@ def test_supervised_merged_snapshot_spans_equal_their_histograms():
     )
     with ShardedStreamingScrubber(
         n_shards=2, backend="supervised",
-        backend_options={"fault_plan": FaultPlan()},
         min_flows_per_verdict=3, label_grace_bins=10**6,
     ) as engine:
         engine.warm_start(scrubber)

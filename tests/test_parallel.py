@@ -94,10 +94,8 @@ class TestShardPlan:
 
 
 def _supervised(n_shards=2, **kwargs):
-    """The process backend with faults forced off, whatever the env says."""
-    return SupervisedProcessBackend(
-        n_shards, min_flows=3, fault_plan=FaultPlan(), **kwargs
-    )
+    """The process backend, no faults planned."""
+    return SupervisedProcessBackend(n_shards, min_flows=3, **kwargs)
 
 
 #: Every way shard work can run. The conformance suite below holds
@@ -222,7 +220,7 @@ class TestBackends:
     def test_process_matches_serial_backend(self, fitted_scrubber, workload):
         # The default construction path (make_backend, ipc default).
         _assert_matches_serial(
-            make_backend("supervised", 2, min_flows=3, fault_plan=FaultPlan()),
+            make_backend("supervised", 2, min_flows=3),
             fitted_scrubber, workload,
         )
 
@@ -240,9 +238,7 @@ class TestShmBackend:
         registry = obs.MetricRegistry()
         with obs.use_registry(registry):
             _assert_matches_serial(
-                make_backend(
-                    "supervised", 2, min_flows=3, ipc="shm", fault_plan=FaultPlan()
-                ),
+                make_backend("supervised", 2, min_flows=3, ipc="shm"),
                 fitted_scrubber, workload,
             )
         # Both batches travelled the ring, not the pipe.
@@ -433,7 +429,7 @@ def driven_engine(request, fitted_scrubber):
     """
     capture = WorkloadGenerator(IXPFabric(TINY_PROFILE)).generate(0, 3)
     backend, _, ipc = request.param.partition("-")
-    options = dict(ipc=ipc, fault_plan=FaultPlan()) if ipc else {}
+    options = dict(ipc=ipc) if ipc else {}
     with ShardedStreamingScrubber(
         config=ScrubberConfig(model="XGB", model_params={"n_estimators": 5}),
         window_days=2, bins_per_day=TINY_PROFILE.bins_per_day, seed=1,

@@ -29,6 +29,7 @@ from repro.core.models.nn import NeuralNetwork
 from repro.core.models.pipeline import ModelPipeline
 from repro.core.models.tree import DecisionTree
 from repro.core.persistence import (
+    FORMAT_VERSION,
     MODEL_TYPES,
     load_scrubber,
     save_scrubber,
@@ -175,25 +176,19 @@ class TestScrubberRoundtrip:
         }
 
     def test_woe_preserved(self, fitted):
+        from tests.reference_woe import woe_items
+
         scrubber, _ = fitted
         restored = scrubber_from_dict(scrubber_to_dict(scrubber))
-        for domain, table in scrubber.woe.tables.items():
-            assert restored.woe.tables[domain].mapping == table.mapping
+        assert woe_items(restored.woe) == woe_items(scrubber.woe)
 
-    def test_restored_woe_refuses_update_and_refits(self, fitted):
-        """The format keeps the tables, not the evidence counts behind
-        them: ``update`` would rebuild every table from the new batch
-        alone, dropping what the first window taught it."""
-        scrubber, flows = fitted
-        restored = scrubber_from_dict(scrubber_to_dict(scrubber))
-        data = scrubber.aggregate_flows(flows)
-        before = {d: dict(t.mapping) for d, t in restored.woe.tables.items()}
-        with pytest.raises(RuntimeError, match="refit"):
-            restored.woe.update(data)
-        assert {d: t.mapping for d, t in restored.woe.tables.items()} == before
-        restored.woe.fit(data)  # the way out, and updatable again after it
-        restored.woe.update(data, decay=0.5)
-        assert restored.woe.tables.keys() == before.keys()
+    def test_parent_format_is_refused(self, fitted):
+        """A version-3 document (WoE tables as value -> WoE dicts) is
+        another format: refused, not read into array tables."""
+        data = scrubber_to_dict(fitted[0])
+        data["format_version"] = 3
+        with pytest.raises(ValueError, match="format version: 3"):
+            scrubber_from_dict(data)
 
     def test_file_roundtrip(self, fitted, tmp_path):
         scrubber, flows = fitted
@@ -391,6 +386,8 @@ class TestOneModelState:
 
     @pytest.mark.parametrize("restore", RESTORES, ids=lambda r: r.__name__)
     def test_rules_woe_and_scores_are_bit_exact(self, fitted, restore, tmp_path):
+        from tests.reference_woe import woe_items
+
         scrubber, flows = fitted
         copy = restore(scrubber, tmp_path)
 
@@ -398,9 +395,7 @@ class TestOneModelState:
             return [(r.rule_id, r.confidence.hex(), r.support.hex(), r.status) for r in s.rule_set]
 
         assert rules(copy) == rules(scrubber)
-        assert list(copy.woe.tables) == list(scrubber.woe.tables)
-        for domain, table in scrubber.woe.tables.items():
-            assert list(copy.woe.tables[domain].mapping.items()) == list(table.mapping.items())
+        assert woe_items(copy.woe) == woe_items(scrubber.woe)
         data = scrubber.aggregate_flows(flows)
         assert copy.score_aggregated(data).tobytes() == scrubber.score_aggregated(data).tobytes()
 
@@ -412,8 +407,30 @@ class TestOneModelState:
         assert scrubber.pipeline.classifier.forest_._route is not None
         copy = pickle.loads(pickle.dumps(scrubber))
         assert not hasattr(copy.pipeline.classifier, "_binner")
-        assert copy.woe._counts == {} and copy.woe.is_fitted
+        assert vars(copy.woe).keys() == {"min_count", "tables"} and copy.woe.is_fitted
         assert copy.pipeline.classifier.forest_._route is None
+
+    @pytest.mark.parametrize("restore", RESTORES, ids=lambda r: r.__name__)
+    def test_overrides_encode_the_same_after_restore(self, fitted, restore, tmp_path):
+        """§6.6: a WoE pinned before a save, load or pickle survives it,
+        and one pinned after it encodes as on the original."""
+        scrubber, flows = fitted
+        data = scrubber.aggregate_flows(flows)
+        original = pickle.loads(pickle.dumps(scrubber))  # the fixture stays unpinned
+        known = int(data.categorical["src_port/bytes/0"][0])
+        original.woe.table("src_port").set_override(known, -4.0)
+        copy = restore(original, tmp_path)
+        for model in (original, copy):
+            model.woe.table("src_port").set_override(987654, 2.5)  # unseen before
+            model.woe.table("src_ip").set_override(known, 1.25)
+
+        def encoded(model):
+            return {name: model.woe.encode_column(name, values).tobytes()
+                    for name, values in data.categorical.items()}
+
+        assert copy.woe.table("src_port").encode_value(known) == -4.0
+        assert encoded(copy) == encoded(original)
+        assert copy.score_aggregated(data).tobytes() == original.score_aggregated(data).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -431,7 +448,7 @@ class TestAllowlist:
                     "value": {"__repro__": "mystery"}}
         with pytest.raises(CorruptSnapshotError, match="disallowed"):
             decode_value(document, MODEL_TYPES)
-        data = {"format_version": 3, "bin_seconds": 60, "scrubber": document}
+        data = {"format_version": FORMAT_VERSION, "bin_seconds": 60, "scrubber": document}
         with pytest.raises(CorruptSnapshotError, match="disallowed"):
             scrubber_from_dict(data)
 
@@ -478,7 +495,7 @@ class TestSnapshotModelRefusal:
         engine = StreamingScrubber().warm_start(fitted[0])
         return json.loads(_canonical_json(engine.capture_state()))
 
-    @pytest.mark.parametrize("version", [1, 2, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_foreign_format_version_is_a_config_error(self, state, version):
         state["model"]["format_version"] = version
         with pytest.raises(CheckpointConfigError, match=f"format version: {version}"):
@@ -512,3 +529,48 @@ class TestSnapshotModelRefusal:
             main(argv + ["--resume"])
         assert exc.value.code == 3
         assert "unsupported scrubber format version: 2" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# A model document whose WoE table encode() would misread is refused.
+# ----------------------------------------------------------------------
+def _unsorted(values, woes):
+    return values[::-1], woes[::-1]
+
+
+def _duplicate_key(values, woes):
+    values[1] = values[0]
+    return values, woes
+
+
+def _unequal_lengths(values, woes):
+    return values, woes[:-1]
+
+
+def _float_keys(values, woes):
+    return values.astype(np.float64), woes
+
+
+def _non_finite_woe(values, woes):
+    woes[0] = np.nan
+    return values, woes
+
+
+class TestWoETableRefusal:
+    @pytest.mark.parametrize(
+        "damage",
+        [_unsorted, _duplicate_key, _unequal_lengths, _float_keys, _non_finite_woe],
+        ids=lambda d: d.__name__.strip("_"),
+    )
+    def test_malformed_table_is_refused(self, fitted, damage, tmp_path):
+        document = scrubber_to_dict(fitted[0])
+        table = document["scrubber"]["state"]["woe"]["state"]["tables"]["src_port"]["state"]
+        values, woes = damage(decode_value(table["values"]), decode_value(table["woes"]))
+        table["values"], table["woes"] = encode_value(values), encode_value(woes)
+        with pytest.raises(CorruptSnapshotError, match="WoE table 'src_port'"):
+            scrubber_from_dict(document)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(CorruptSnapshotError, match="WoE table 'src_port'"):
+            load_scrubber(path)
+

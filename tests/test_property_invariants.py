@@ -177,31 +177,36 @@ class TestWoEInvariants:
                             pair = counts.setdefault(int(value), [0.0, 0.0])
                             pair[0 if label else 1] += 1.0
                 table = encoder.table(domain)
-                values = sorted(table.mapping)
+                mapping = dict(zip(table.values.tolist(), table.woes.tolist()))
+                values = sorted(mapping)
                 odds = {
                     v: (counts[v][0] + 1.0) / (counts[v][1] + 1.0) for v in values
                 }
                 for u, v in zip(values, values[1:]):
-                    assert (table.mapping[u] > table.mapping[v]) == (
+                    assert (mapping[u] > mapping[v]) == (
                         odds[u] > odds[v]
                     ), f"seed {seed}: WoE not monotone in odds for {domain}"
 
     def test_scalar_and_vector_encodes_agree(self):
-        """``encode_value`` (the dict probe) is the array lookup's oracle,
-        before and after an update replaces the tables."""
+        """The array lookup against a dict probe of the same table,
+        before and after overrides insert and replace values."""
         for seed in range(5):
             rng = strategies.rng_for(seed)
             data = aggregate(strategies.labeled_flows(rng, n_flows=600))
             encoder = WoEEncoder().fit(data)
             for _ in range(2):
-                encoded = encoder.transform(data)
                 for name, values in data.categorical.items():
                     table = encoder.table(schema.parse_column(name)[0])
-                    scalar = np.array([table.encode_value(v) for v in values])
-                    assert np.array_equal(encoded[name], scalar), (
+                    probe = dict(zip(table.values.tolist(), table.woes.tolist()))
+                    scalar = np.array([probe.get(v, UNKNOWN_WOE) for v in values.tolist()])
+                    assert np.array_equal(encoder.encode_column(name, values), scalar), (
                         f"seed {seed}: array lookup differs on {name}"
                     )
-                encoder.update(data, decay=0.5)
+                    assert table.encode_value(values[0]) == scalar[0]
+                for domain in schema.CATEGORICALS:
+                    table = encoder.table(domain)
+                    for value in rng.choice(data.categorical[schema.key_column(domain, "bytes", 0)], 3):
+                        table.set_override(value, float(rng.normal()))
 
     def test_lookup_unknowns(self):
         rng = strategies.rng_for(0)

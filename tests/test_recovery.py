@@ -51,6 +51,7 @@ from repro.core.recovery import (
     iter_chunks,
 )
 from repro.core.recovery.journal import canonical_entry
+from repro.core.recovery.snapshot import KEEP_SNAPSHOTS
 from repro.core.resilience import FaultPlan, SupervisedProcessBackend
 from repro.core.scrubber import IXPScrubber, ScrubberConfig, TargetVerdict
 from repro.core.streaming import StreamingScrubber
@@ -252,7 +253,7 @@ class TestEngineStateRoundTrip:
         with pytest.raises(CheckpointConfigError):
             make_engine(scrubber).restore_state(state)
 
-    @pytest.mark.parametrize("fmt", [None, 0, 2])
+    @pytest.mark.parametrize("fmt", [None, 0, 1])
     def test_other_engine_format_is_a_config_error(self, scrubber, fmt):
         state = make_engine(scrubber).capture_state()
         state["format"] = fmt
@@ -485,10 +486,10 @@ class TestJournal:
 
 class TestSnapshotStore:
     def test_save_load_latest_and_retention(self, tmp_path):
-        store = CheckpointStore(tmp_path, keep=2)
+        store = CheckpointStore(tmp_path)
         for tick in (2, 5, 8, 11):
             store.save(tick, {"tick": tick, "payload": list(range(tick))})
-        assert store.ticks() == [8, 11]  # keep=2
+        assert store.ticks() == [2, 5, 8, 11][-KEEP_SNAPSHOTS:]
         tick, state, rejected = store.latest()
         assert (tick, rejected) == (11, 0)
         assert state["payload"] == list(range(11))
@@ -499,7 +500,7 @@ class TestSnapshotStore:
             CheckpointStore(tmp_path).latest()
 
     def test_torn_payload_is_rejected_for_older(self, tmp_path):
-        store = CheckpointStore(tmp_path, keep=3)
+        store = CheckpointStore(tmp_path)
         store.save(2, {"v": 1})
         path = store.save(5, {"v": 2})
         data = path.read_bytes()
@@ -508,7 +509,7 @@ class TestSnapshotStore:
         assert (tick, state["v"], rejected) == (2, 1, 1)
 
     def test_corrupt_manifest_is_rejected(self, tmp_path):
-        store = CheckpointStore(tmp_path, keep=3)
+        store = CheckpointStore(tmp_path)
         store.save(2, {"v": 1})
         store.save(5, {"v": 2})
         manifest = tmp_path / "ckpt-000000000005.manifest.json"
@@ -517,7 +518,7 @@ class TestSnapshotStore:
         assert (tick, state["v"], rejected) == (2, 1, 1)
 
     def test_orphan_payload_without_manifest_is_ignored(self, tmp_path):
-        store = CheckpointStore(tmp_path, keep=3)
+        store = CheckpointStore(tmp_path)
         store.save(2, {"v": 1})
         orphan = tmp_path / "ckpt-000000000009.state.json"
         orphan.write_text('{"v": 9}', encoding="utf-8")

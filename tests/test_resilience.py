@@ -84,9 +84,7 @@ def expected(fitted_scrubber, workload):
 
 def _supervised(plan=None, **kwargs):
     kwargs.setdefault("shard_timeout", SAFE_TIMEOUT)
-    return SupervisedProcessBackend(
-        2, min_flows=3, fault_plan=plan if plan is not None else FaultPlan(), **kwargs
-    )
+    return SupervisedProcessBackend(2, min_flows=3, fault_plan=plan, **kwargs)
 
 
 def _counter(registry, name):
@@ -138,6 +136,16 @@ class TestFaultPlanParsing:
         monkeypatch.delenv(FAULTS_ENV)
         assert not FaultPlan.from_env()
 
+    def test_supervisor_does_not_read_the_env(self, monkeypatch):
+        """Only the CLI turns ``REPRO_FAULTS`` into a plan: a backend
+        built without one injects nothing, whatever the env holds."""
+        monkeypatch.setenv(FAULTS_ENV, "crash@*")
+        backend = _supervised()
+        try:
+            assert not backend.fault_plan
+        finally:
+            backend.close()
+
     def test_directive_matching(self):
         plan = FaultPlan.parse("crash@0:batch=3:count=2")
         assert plan.directive(0, 3, 0, 0) == ("crash", 0.0)
@@ -164,9 +172,7 @@ class TestProcessBackendHardening:
     """Construction and teardown hardening of the process backend."""
 
     def test_make_backend_forwards_start_method(self):
-        backend = make_backend(
-            "supervised", 1, start_method="spawn", fault_plan=FaultPlan()
-        )
+        backend = make_backend("supervised", 1, start_method="spawn")
         try:
             spawn_cls = multiprocessing.get_context("spawn").Process
             assert isinstance(backend._procs[0], spawn_cls)
@@ -174,9 +180,7 @@ class TestProcessBackendHardening:
             backend.close()
 
     def test_make_backend_knows_supervised(self):
-        backend = make_backend(
-            "supervised", 1, shard_timeout=5.0, fault_plan=FaultPlan()
-        )
+        backend = make_backend("supervised", 1, shard_timeout=5.0)
         try:
             assert isinstance(backend, SupervisedProcessBackend)
             assert backend.shard_timeout == 5.0

@@ -174,8 +174,6 @@ class TestCompiledRules:
 
         scrubber, flows = fitted_scrubber_and_flows
         scrubber._matcher = scrubber._scorer = None
-        for table in scrubber.woe.tables.values():
-            table._lookup = None
         before = (
             len(pickle.dumps(scrubber)),
             json.dumps(scrubber_to_dict(scrubber)),
@@ -185,7 +183,6 @@ class TestCompiledRules:
         assert scrubber._scorer is not None
         encoded = {c.split("/")[0] for c in scrubber._scorer.columns if not c.endswith("/value")}
         assert encoded  # the forest reads at least one WoE column
-        assert all(scrubber.woe.table(domain)._lookup is not None for domain in encoded)
         assert before == (
             len(pickle.dumps(scrubber)),
             json.dumps(scrubber_to_dict(scrubber)),
@@ -197,7 +194,6 @@ class TestCompiledRules:
         for copy in copies:
             # all rebuilt on first use
             assert copy._matcher is None and copy._scorer is None
-            assert all(t._lookup is None for t in copy.woe.tables.values())
             assert copy.classify_flows_batch(flows) == verdicts
             assert copy._scorer is not None
             assert copy._scorer.columns == scrubber._scorer.columns

@@ -30,6 +30,7 @@ from repro.netflow.dataset import FlowDataset
 from repro.traffic.workload import WorkloadGenerator
 from tests import strategies
 from tests.reference_aggregate import assert_bitwise_equal
+from tests.reference_woe import woe_items
 
 CONFIG = ScrubberConfig(model="XGB", model_params={"n_estimators": 6})
 BINS_PER_DAY = 4
@@ -49,9 +50,7 @@ def window_flows(window: TrainingWindow) -> FlowDataset:
 def assert_same_fit(got: IXPScrubber, want: IXPScrubber) -> None:
     assert got.item_encoder == want.item_encoder
     assert [r.rule_id for r in got.accepted_rules] == [r.rule_id for r in want.accepted_rules]
-    assert list(got.woe.tables) == list(want.woe.tables)
-    for domain, table in want.woe.tables.items():
-        assert list(got.woe.tables[domain].mapping.items()) == list(table.mapping.items())
+    assert woe_items(got.woe) == woe_items(want.woe)
     assert json.dumps(scrubber_to_dict(got)) == json.dumps(scrubber_to_dict(want))
 
 
