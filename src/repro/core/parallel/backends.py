@@ -198,11 +198,11 @@ def _worker_main(
 
     With ``ipc="shm"`` the worker attaches its shard's ring once at
     startup and one extra message kind arrives: ``("classify_shm",
-    seqno, offset, nbytes, directive)`` (read the framed batch out of
-    the ring as zero-copy views, classify, ack the seqno, reply over the
-    pipe). A frame that fails validation is
-    answered with an ``__ipc_error__`` tuple instead of verdicts — and
-    *not* acked, so the supervisor's reclaim owns the cleanup.
+    seqno, nbytes, directive)`` (read the framed batch out of the
+    ring's slot as zero-copy views, classify, ack the seqno, reply over
+    the pipe). A frame that fails validation is answered with an
+    ``__ipc_error__`` tuple instead of verdicts — and *not* acked, so
+    the supervisor's reclaim owns the cleanup.
     """
     for parent_end in inherited:
         parent_end.close()
@@ -231,9 +231,9 @@ def _worker_main(
                 if kind == "classify":
                     flows = FlowDataset(message[1])
                 else:
-                    seqno, offset, nbytes = message[1:4]
+                    seqno, nbytes = message[1:3]
                     try:
-                        flows = ring.read_flows(seqno, offset, nbytes)
+                        flows = ring.read_flows(seqno, nbytes)
                     except shm.ShmProtocolError as exc:
                         conn.send((_IPC_ERROR, str(exc)))
                         continue
@@ -252,9 +252,9 @@ def _worker_main(
                     flows = FlowDataset(message[1])
                     conn.send(len(flows))
                 else:
-                    seqno, offset, nbytes = message[1], message[2], message[3]
+                    seqno, nbytes = message[1:3]
                     try:
-                        flows = ring.read_flows(seqno, offset, nbytes)
+                        flows = ring.read_flows(seqno, nbytes)
                     except shm.ShmProtocolError as exc:
                         conn.send((_IPC_ERROR, str(exc)))
                         continue
@@ -374,8 +374,8 @@ class WorkerPool:
         self._model_message = ("model", blob)
         return self._model_message
 
-    def _write_frame(self, shard: int, flows: FlowDataset):
-        """Frame a batch into the shard's ring; ``(seqno, ref)`` or None.
+    def _write_frame(self, shard: int, flows: FlowDataset) -> Optional[shm.FrameRef]:
+        """Frame a batch into the shard's ring; its ``FrameRef`` or None.
 
         None means the caller sends the batch over the pipe instead:
         pipe mode, or the frame did not fit (oversized batch, or an
@@ -392,17 +392,16 @@ class WorkerPool:
             obs.counter(names.C_PARALLEL_IPC_FALLBACKS).inc()
             return None
         obs.counter(names.C_PARALLEL_IPC_RING_BYTES).inc(ref.nbytes)
-        return seqno, ref
+        return ref
 
     def _send_classify(self, shard: int, flows: FlowDataset, directive) -> None:
         """Send one classify request: ring frame + doorbell, or pipe.
 
         Either way the worker sees an identical batch.
         """
-        frame = self._write_frame(shard, flows)
-        if frame is not None:
-            seqno, ref = frame
-            message = ("classify_shm", seqno, ref.offset, ref.nbytes, directive)
+        ref = self._write_frame(shard, flows)
+        if ref is not None:
+            message = ("classify_shm", ref.seqno, ref.nbytes, directive)
         else:
             message = ("classify", flows.to_columns(), directive)
         self._conns[shard].send(message)
@@ -427,10 +426,9 @@ class WorkerPool:
         for shard, flows in enumerate(shard_flows):
             if flows is None or len(flows) == 0:
                 continue
-            frame = self._write_frame(shard, flows)
-            if frame is not None:
-                seqno, ref = frame
-                message = ("echo_shm", seqno, ref.offset, ref.nbytes)
+            ref = self._write_frame(shard, flows)
+            if ref is not None:
+                message = ("echo_shm", ref.seqno, ref.nbytes)
             else:
                 message = ("echo", flows.to_columns())
             self._conns[shard].send(message)

@@ -9,23 +9,26 @@ the batch bytes move through ``multiprocessing.shared_memory`` and the
 pipe carries the doorbell, the reply and everything else — control
 messages and, once per retrain, the pickled model:
 
-* :class:`ShmRing` — one single-producer/single-consumer ring per
-  shard. The coordinator writes each batch as a framed blob (header:
-  generation, seqno, bin, row count, payload bytes, crc32; payload:
-  each schema column's raw bytes, 8-aligned), then sends a tiny
-  ``("classify_shm", seqno, offset, nbytes, ...)`` doorbell over the
-  pipe. The worker reconstructs read-only column views with
-  ``np.frombuffer`` — no pickle, no copy — classifies, acks the seqno
-  in the ring's control block and replies over the pipe. The protocol
-  keeps **at most one frame in flight per shard** (strict
-  request→reply), so space accounting degenerates to a produced/
-  consumed seqno pair; a frame that does not fit (oversized batch, or
-  an unacked frame left by a crashed worker) makes the caller fall
-  back to the pickled-pipe message instead of blocking — the ring can
-  never deadlock the stream. After a worker crash the supervisor calls
+* :class:`ShmRing` — one single-producer/single-consumer frame slot
+  per shard. The coordinator writes each batch as a framed blob
+  (header: generation, seqno, bin, row count, payload bytes, crc32;
+  payload: each schema column's raw bytes, 8-aligned) at the start of
+  the data region, then sends a tiny ``("classify_shm", seqno, nbytes,
+  ...)`` doorbell over the pipe. The worker reconstructs read-only
+  column views with ``np.frombuffer`` — no pickle, no copy —
+  classifies, acks the seqno in the ring's control block and replies
+  over the pipe. The protocol keeps **at most one frame in flight per
+  shard** (strict request→reply), so every frame reuses the same slot
+  and space accounting degenerates to a produced/consumed seqno pair;
+  a frame that does not fit (oversized batch, or an unacked frame left
+  by a crashed worker) makes the caller fall back to the pickled-pipe
+  message instead of blocking — the ring can never deadlock the
+  stream. After a worker crash the supervisor calls
   :meth:`ShmRing.reclaim`, which bumps the ring's generation and marks
   the orphaned frame consumed; stale frames are rejected by the
-  generation check on the next read.
+  generation check on the next read. Pages are never pre-faulted: a
+  ring maps its capacity but holds resident only the largest frame
+  written so far.
 
 Lifetimes: the creating process (the backend) owns every ring and must
 ``destroy()`` it — on ``close()`` or from the orphan reaper. Attachers
@@ -63,12 +66,13 @@ __all__ = [
     "DEFAULT_RING_BYTES",
 ]
 
-#: Default per-shard ring capacity. 16 MiB holds a ~360k-flow batch
-#: (46 B/flow, see docs/IPC.md for the sizing math); larger batches
-#: fall back to the pipe rather than failing.
+#: Default per-shard ring capacity: the largest frame it takes. 16 MiB
+#: holds a ~360k-flow batch (46 B/flow, see docs/IPC.md for the sizing
+#: math); larger batches fall back to the pipe rather than failing.
+#: Only the pages a frame touches become resident.
 DEFAULT_RING_BYTES = 16 * 1024 * 1024
 
-#: Frame magic ("RPRF" little-endian) — catches offset/layout bugs.
+#: Frame magic ("RPRF" little-endian) — catches layout bugs.
 _FRAME_MAGIC = 0x46525052
 #: Ring control-block magic ("RPRC").
 _CTRL_MAGIC = 0x43525052
@@ -83,10 +87,13 @@ _CTRL_SLOTS = 8
 _CTRL_BYTES = _CTRL_SLOTS * 8
 _C_MAGIC = 0  # _CTRL_MAGIC, written last during init
 _C_GEN = 1  # reclaim generation; stale frames fail the read check
-_C_HEAD = 2  # producer byte cursor into the data region
-_C_PRODUCED = 3  # seqno of the last frame written
-_C_CONSUMED = 4  # seqno of the last frame acked by the worker
-_C_CAPACITY = 5  # data-region bytes (redundant with the segment size)
+_C_PRODUCED = 2  # seqno of the last frame written
+_C_CONSUMED = 3  # seqno of the last frame acked by the worker
+_C_CAPACITY = 4  # data-region bytes: the largest frame the slot takes
+
+#: Every frame's header sits right after the control block, its
+#: payload right after the header: one slot, reused by every frame.
+_PAYLOAD_AT = _CTRL_BYTES + _FRAME_HEADER_BYTES
 
 
 def _align8(n: int) -> int:
@@ -102,9 +109,9 @@ def _payload_crc(buf, offset: int, length: int) -> int:
     into one 64-bit lane with ``np.bitwise_xor.reduce`` (~8x faster)
     and crc32-ing the 8-byte digest keeps the guard at memory
     bandwidth. Any single corrupted byte flips its lane and therefore
-    the digest; structural failures (stale frame, wrong offset, torn
-    header) are caught by the magic/generation/seqno/length checks
-    before the crc is even consulted. Payload regions are 8-aligned by
+    the digest; structural failures (stale frame, torn header) are
+    caught by the magic/generation/seqno/length checks before the crc
+    is even consulted. Payload regions are 8-aligned by
     construction (:func:`_align8` per column), so the uint64 view is
     exact.
     """
@@ -158,10 +165,9 @@ def _segment_name(kind: str, token: str) -> str:
 
 @dataclass(frozen=True)
 class FrameRef:
-    """Doorbell payload for one ring frame: where it is, how big."""
+    """Doorbell payload for one ring frame: its seqno and size."""
 
     seqno: int
-    offset: int
     nbytes: int
 
 
@@ -172,15 +178,15 @@ def frame_bytes_for(n_rows: int) -> int:
 
 
 class ShmRing:
-    """One shard's SPSC batch ring over a shared-memory segment.
+    """One shard's SPSC batch slot over a shared-memory segment.
 
     The coordinator (producer) constructs it; the worker (consumer)
     attaches by name. Layout: a 64-byte control block of int64 slots,
-    then the circular data region. The request→reply discipline of the
-    backends keeps at most one frame in flight, so "is there room"
-    reduces to "is the previous frame acked" — :meth:`write_flows`
-    returns ``None`` (caller falls back to the pipe) instead of ever
-    waiting on the consumer.
+    then the data region, where every frame starts. The request→reply
+    discipline of the backends keeps at most one frame in flight, so
+    "is there room" reduces to "is the previous frame acked" —
+    :meth:`write_flows` returns ``None`` (caller falls back to the
+    pipe) instead of ever waiting on the consumer.
     """
 
     def __init__(
@@ -198,14 +204,8 @@ class ShmRing:
                 name=name, create=True, size=_CTRL_BYTES + capacity
             )
             try:
-                # Pre-fault the data region: first-touch page allocation
-                # is a kernel zeroing pass that would otherwise stall the
-                # first dispatch cycle through each ring position
-                # mid-stream.
-                np.frombuffer(self._shm.buf, dtype=np.uint8)[:] = 0
                 ctrl = self._ctrl_view()
                 ctrl[_C_GEN] = 0
-                ctrl[_C_HEAD] = 0
                 ctrl[_C_PRODUCED] = 0
                 ctrl[_C_CONSUMED] = 0
                 ctrl[_C_CAPACITY] = capacity
@@ -271,11 +271,7 @@ class ShmRing:
         capacity = int(ctrl[_C_CAPACITY])
         if nbytes > capacity:
             return None
-        pos = int(ctrl[_C_HEAD]) % capacity
-        if pos + nbytes > capacity:
-            pos = 0  # frames never wrap: skip the tail remainder
-        base = _CTRL_BYTES + pos
-        offset = base + _FRAME_HEADER_BYTES
+        offset = _PAYLOAD_AT
         first_bin = int(flows.column("time")[0]) // BIN_SECONDS if rows else -1
         for name, dtype in SCHEMA.items():
             column = np.ascontiguousarray(flows.column(name))
@@ -285,44 +281,40 @@ class ShmRing:
             dst[:] = column
             offset += _align8(column.nbytes)
         payload = nbytes - _FRAME_HEADER_BYTES
-        crc = _payload_crc(self._shm.buf, base + _FRAME_HEADER_BYTES, payload)
+        crc = _payload_crc(self._shm.buf, _PAYLOAD_AT, payload)
         _FRAME_HEADER.pack_into(
-            self._shm.buf, base,
+            self._shm.buf, _CTRL_BYTES,
             _FRAME_MAGIC, int(ctrl[_C_GEN]), seqno, first_bin, rows, payload, crc,
         )
-        ctrl[_C_HEAD] = pos + nbytes
         ctrl[_C_PRODUCED] = seqno
-        return FrameRef(seqno=seqno, offset=pos, nbytes=nbytes)
+        return FrameRef(seqno=seqno, nbytes=nbytes)
 
     def reclaim(self) -> None:
         """Reset after a worker death: orphaned frames are abandoned.
 
         Bumps the generation (any frame written before the reclaim
-        fails the consumer's generation check), rewinds the cursor and
-        marks the in-flight frame consumed so the next
-        :meth:`write_flows` has the whole ring again. Producer-side
-        only; the respawned worker re-attaches the same segment and
-        simply resumes at the next doorbell seqno.
+        fails the consumer's generation check) and marks the in-flight
+        frame consumed so the next :meth:`write_flows` may reuse the
+        slot. Producer-side only; the respawned worker re-attaches the
+        same segment and simply resumes at the next doorbell seqno.
         """
         ctrl = self._ctrl
         ctrl[_C_GEN] = int(ctrl[_C_GEN]) + 1
-        ctrl[_C_HEAD] = 0
         ctrl[_C_CONSUMED] = int(ctrl[_C_PRODUCED])
 
     # -- consumer side --------------------------------------------------
-    def read_flows(self, ref_seqno: int, offset: int, nbytes: int) -> FlowDataset:
+    def read_flows(self, ref_seqno: int, nbytes: int) -> FlowDataset:
         """Rebuild the framed batch as zero-copy read-only views.
 
         Validates magic, generation, seqno, and the payload crc32
         before handing the columns to :class:`FlowDataset`; any
         mismatch raises :class:`ShmProtocolError`.
         """
-        base = _CTRL_BYTES + int(offset)
         magic, gen, seqno, _bin, rows, payload, crc = _FRAME_HEADER.unpack_from(
-            self._shm.buf, base
+            self._shm.buf, _CTRL_BYTES
         )
         if magic != _FRAME_MAGIC:
-            raise ShmProtocolError(f"bad frame magic {magic:#x} at offset {offset}")
+            raise ShmProtocolError(f"bad frame magic {magic:#x}")
         if gen != int(self._ctrl[_C_GEN]):
             raise ShmProtocolError(
                 f"stale frame generation {gen} (ring at {self.generation})"
@@ -335,13 +327,13 @@ class ShmRing:
             raise ShmProtocolError(
                 f"frame length {payload} disagrees with doorbell {nbytes}"
             )
-        check = _payload_crc(self._shm.buf, base + _FRAME_HEADER_BYTES, payload)
+        check = _payload_crc(self._shm.buf, _PAYLOAD_AT, payload)
         if check != crc:
             raise ShmProtocolError(
                 f"frame crc mismatch: header {crc:#x}, payload {check:#x}"
             )
         columns: dict[str, np.ndarray] = {}
-        position = base + _FRAME_HEADER_BYTES
+        position = _PAYLOAD_AT
         for name, dtype in SCHEMA.items():
             array = np.frombuffer(
                 self._shm.buf, dtype=dtype, count=rows, offset=position
@@ -351,7 +343,7 @@ class ShmRing:
         return FlowDataset(columns)
 
     def ack(self, seqno: int) -> None:
-        """Mark the frame consumed; its space is reusable immediately.
+        """Mark the frame consumed; its slot is reusable immediately.
 
         Call only after the reply no longer references the frame's
         views (verdicts and sketch states copy out of the batch).

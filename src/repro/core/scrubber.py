@@ -72,16 +72,16 @@ def build_verdicts(
     """
     labels = scores >= threshold
     tags = data.rule_tags or [()] * len(data)
-    return [
-        TargetVerdict(
-            bin=int(data.bins[i]),
-            target_ip=int(data.targets[i]),
-            is_ddos=bool(labels[i]),
-            score=float(scores[i]),
-            matched_rules=tags[i],
-        )
-        for i in range(len(data))
-    ]
+    # tolist() hands back Python ints, bools and floats in one pass each,
+    # the values int()/bool()/float() would take from numpy scalars.
+    return list(map(
+        TargetVerdict,
+        data.bins.tolist(),
+        data.targets.tolist(),
+        labels.tolist(),
+        scores.tolist(),
+        tags,
+    ))
 
 
 @dataclass(frozen=True)

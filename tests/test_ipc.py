@@ -25,6 +25,7 @@ from tests import strategies
 from repro.core.parallel import shm
 from repro.core.resilience import SupervisedProcessBackend
 from repro.core.parallel.shm import (
+    DEFAULT_RING_BYTES,
     FrameRef,
     ShmProtocolError,
     ShmRing,
@@ -41,7 +42,15 @@ def batch():
 def _roundtrip(ring, consumer, seqno, flows):
     ref = ring.write_flows(seqno, flows)
     assert isinstance(ref, FrameRef) and ref.seqno == seqno
-    return consumer.read_flows(ref.seqno, ref.offset, ref.nbytes)
+    return consumer.read_flows(ref.seqno, ref.nbytes)
+
+
+def _rss_shmem_kb() -> int:
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("RssShmem:"):
+                return int(line.split()[1])
+    pytest.skip("the kernel reports no RssShmem")
 
 
 class TestShmRing:
@@ -82,20 +91,44 @@ class TestShmRing:
         finally:
             ring.destroy()
 
-    def test_frames_never_wrap_the_tail(self, batch):
-        # Capacity fits one frame plus change: the second write must
-        # restart at offset 0 instead of wrapping mid-frame.
-        nbytes = frame_bytes_for(len(batch))
-        ring = ShmRing(nbytes + nbytes // 2)
+    def test_every_frame_reuses_the_one_slot(self, batch):
+        # Capacity is exactly one frame: acked consecutive frames, and a
+        # frame written after a reclaim, only fit if each starts where
+        # the last one did.
+        ring = ShmRing(frame_bytes_for(len(batch)))
         consumer = ShmRing.attach(ring.name)
         try:
-            first = _roundtrip(ring, consumer, 1, batch)
-            ring.ack(1)
-            ref = ring.write_flows(2, batch)
-            assert ref is not None and ref.offset == 0
-            again = consumer.read_flows(ref.seqno, ref.offset, ref.nbytes)
-            assert np.array_equal(again.column("time"), first.column("time"))
-            del first, again  # release views before unmapping
+            for seqno in range(1, 6):
+                shifted = batch.select(np.roll(np.arange(len(batch)), seqno))
+                got = _roundtrip(ring, consumer, seqno, shifted)
+                assert np.array_equal(got.column("src_ip"), shifted.column("src_ip"))
+                del got  # the worker's del-before-ack
+                ring.ack(seqno)
+            assert ring.write_flows(6, batch) is not None  # never acked: "crash"
+            ring.reclaim()
+            got = _roundtrip(ring, consumer, 7, batch)
+            assert np.array_equal(got.column("time"), batch.column("time"))
+            del got  # release views before unmapping
+        finally:
+            consumer.close()
+            ring.destroy()
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads Linux /proc"
+    )
+    def test_resident_shared_memory_is_the_frame_not_the_ring(self, batch):
+        # A ring maps DEFAULT_RING_BYTES but only the pages its frames
+        # touch become resident: 100 frames of 300 flows are ~14 kB.
+        before = _rss_shmem_kb()
+        ring = ShmRing(DEFAULT_RING_BYTES)
+        consumer = ShmRing.attach(ring.name)
+        try:
+            for seqno in range(1, 101):
+                got = _roundtrip(ring, consumer, seqno, batch)
+                assert len(got) == len(batch)
+                del got
+                ring.ack(seqno)
+            assert _rss_shmem_kb() - before < 1024
         finally:
             consumer.close()
             ring.destroy()
@@ -107,10 +140,9 @@ class TestShmRing:
             ref = ring.write_flows(1, batch)
             # Flip one payload byte through the protocol module's own
             # segment handle.
-            position = shm._CTRL_BYTES + ref.offset + shm._FRAME_HEADER_BYTES
-            ring._shm.buf[position] ^= 0xFF
+            ring._shm.buf[shm._PAYLOAD_AT] ^= 0xFF
             with pytest.raises(ShmProtocolError, match="crc"):
-                consumer.read_flows(ref.seqno, ref.offset, ref.nbytes)
+                consumer.read_flows(ref.seqno, ref.nbytes)
         finally:
             consumer.close()
             ring.destroy()
@@ -121,7 +153,7 @@ class TestShmRing:
         try:
             ref = ring.write_flows(7, batch)
             with pytest.raises(ShmProtocolError, match="seqno"):
-                consumer.read_flows(8, ref.offset, ref.nbytes)
+                consumer.read_flows(8, ref.nbytes)
         finally:
             consumer.close()
             ring.destroy()
@@ -136,7 +168,7 @@ class TestShmRing:
             assert ring.generation == 1
             # The orphaned frame is now from a dead generation.
             with pytest.raises(ShmProtocolError, match="generation"):
-                consumer.read_flows(ref.seqno, ref.offset, ref.nbytes)
+                consumer.read_flows(ref.seqno, ref.nbytes)
             # And the ring is immediately usable again.
             got = _roundtrip(ring, consumer, 2, batch)
             assert np.array_equal(got.column("dst_ip"), batch.column("dst_ip"))

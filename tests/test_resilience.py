@@ -480,6 +480,34 @@ class TestShmResilience:
         # really did free the orphaned frame.
         assert _counter(registry, names.C_PARALLEL_IPC_FALLBACKS) == 0
 
+    def test_hang_kills_reclaims_and_reuses_the_slot(
+        self, fitted_scrubber, workload, expected
+    ):
+        # Shard 0 hangs on its second batch with that batch's frame in
+        # the ring: the deadline must kill the worker, reclaim the ring,
+        # and the respawn must read the retry and the next call's frames
+        # from the same slot.
+        registry = obs.MetricRegistry()
+        shard_flows = ShardPlan(2).split(workload)
+        plan = FaultPlan.parse("hang@0:batch=1")
+        with obs.use_registry(registry):
+            backend = _supervised(plan, ipc="shm", shard_timeout=0.5)
+            try:
+                backend.broadcast(fitted_scrubber)
+                results = [backend.classify(shard_flows)]
+                hung = backend._procs[0]
+                results += [backend.classify(shard_flows) for _ in range(2)]
+                assert hung.exitcode is not None and not hung.is_alive()
+                assert backend._procs[0] is not hung
+                assert backend._rings[0].generation == 1
+                assert backend._rings[1].generation == 0
+            finally:
+                backend.close()
+        assert results == [expected] * 3
+        assert _counter(registry, names.C_RESILIENCE_DEADLINE_MISSES) == 1
+        assert _counter(registry, names.C_RESILIENCE_WORKER_RESTARTS) == 1
+        assert _counter(registry, names.C_PARALLEL_IPC_FALLBACKS) == 0
+
     def test_respawned_worker_maps_live_model_segment(
         self, fitted_scrubber, second_scrubber, workload, expected
     ):
