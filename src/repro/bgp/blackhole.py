@@ -10,7 +10,6 @@ timestamp — the crowdsourced label of §3.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -42,17 +41,8 @@ class BlackholeEvent:
         return self.end - self.start
 
 
-def _end(event: BlackholeEvent) -> int:
-    return event.end
-
-
 class BlackholeRegistry:
-    """Tracks blackhole intervals derived from a BGP update feed.
-
-    Closed events are kept sorted by end time, so a batch is labelled
-    against the events still live at its first second, not every event
-    the feed ever closed.
-    """
+    """Tracks blackhole intervals derived from a BGP update feed."""
 
     def __init__(self) -> None:
         self._open: dict[tuple[Prefix, int], int] = {}
@@ -88,28 +78,16 @@ class BlackholeRegistry:
         start = self._open.pop(key, None)
         if start is not None:
             prefix, origin = key
-            # apply() takes the feed in time order, so this appends; the
-            # insort keeps match_flows' bisection sound regardless.
-            bisect.insort_right(
-                self._events,
-                BlackholeEvent(prefix=prefix, origin_asn=origin, start=start, end=time),
-                key=_end,
+            self._events.append(
+                BlackholeEvent(prefix=prefix, origin_asn=origin, start=start, end=time)
             )
 
     def events(self) -> list[BlackholeEvent]:
         """All recorded blackhole intervals, closed first, then open ones."""
-        return self._events + self._open_events()
-
-    def _open_events(self) -> list[BlackholeEvent]:
-        return [
+        return self._events + [
             BlackholeEvent(prefix=prefix, origin_asn=origin, start=start, end=None)
             for (prefix, origin), start in self._open.items()
         ]
-
-    def _events_ending_after(self, first: int) -> list[BlackholeEvent]:
-        """The closed events that end after ``first``, then the open ones."""
-        live = bisect.bisect_right(self._events, first, key=_end)
-        return self._events[live:] + self._open_events()
 
     def match_flows(self, flows: FlowDataset, horizon: Optional[int] = None) -> np.ndarray:
         """Return a boolean mask of flows destined to blackholed space.
@@ -118,11 +96,10 @@ class BlackholeRegistry:
         prefix whose interval covers the flow timestamp. Open intervals
         are clipped at ``horizon`` if given, else treated as unbounded.
 
-        Only events that end after the batch's first second are visited
-        (a bisection over the closed events, then the open ones); each
+        Only events overlapping the batch's time span are visited; each
         reads its window off the batch's time order, sorted on first
-        need. A batch costs O(flows log flows + log events) once, plus
-        O(window flows) per visited event.
+        need. A batch costs O(flows log flows) once, plus O(window flows)
+        per overlapping event.
         """
         n = len(flows)
         mask = np.zeros(n, dtype=bool)
@@ -131,7 +108,7 @@ class BlackholeRegistry:
         times, dsts = flows.time, flows.dst_ip
         first, last = int(times.min()), int(times.max())
         order = None
-        for event in self._events_ending_after(first):
+        for event in self.events():
             end = event.end
             if end is None:
                 end = horizon if horizon is not None else last + 1

@@ -165,34 +165,6 @@ class TestMatchFlows:
         mask = registry.match_flows(flows)
         np.testing.assert_array_equal(mask, [False, True])
 
-    def test_expired_history_is_not_visited(self):
-        # 5 000 events that ended before the batch, then three live ones:
-        # the mask is the point queries' and only the live ones are read.
-        registry = BlackholeRegistry()
-        for i in range(5000):
-            registry.apply(bh_announce(f"0.0.{i % 200}.{i % 250}/32", 2 * i))
-            registry.apply(withdraw(f"0.0.{i % 200}.{i % 250}/32", 2 * i + 1))
-        registry.apply(bh_announce("0.0.0.100/32", 19_990))
-        registry.apply(bh_announce("0.0.0.0/28", 19_995))
-        registry.apply(withdraw("0.0.0.0/28", 20_030))
-        registry.apply(bh_announce("0.0.0.200/30", 20_040))
-        first = 20_000
-        flows = FlowDataset.from_records(
-            [make_flow(time=first + t % 60, dst_ip=ip) for t, ip in enumerate(range(0, 256, 3))]
-        )
-        mask = registry.match_flows(flows)
-        expected = [
-            is_blackholed(registry, int(flows.dst_ip[i]), int(flows.time[i]))
-            for i in range(len(flows))
-        ]
-        np.testing.assert_array_equal(mask, expected)
-        assert mask.any()
-        visited = registry._events_ending_after(first)
-        assert sorted(visited, key=repr) == sorted(
-            (e for e in registry.events() if e.end is None or e.end > first), key=repr
-        )
-        assert len(visited) == 3 and len(registry.events()) == 5003
-
     def test_label_flows_sets_column(self):
         registry = BlackholeRegistry()
         registry.apply(bh_announce("0.0.0.100/32", 0))
