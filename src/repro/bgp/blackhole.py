@@ -82,6 +82,15 @@ class BlackholeRegistry:
                 BlackholeEvent(prefix=prefix, origin_asn=origin, start=start, end=time)
             )
 
+    def prune(self, before: int) -> None:
+        """Forget the closed events that end at or before ``before``.
+
+        They cover no flow at or after it: a streaming engine calls this
+        with the first time it may still label, so its history stays as
+        long as its lateness. Offline labelling never prunes.
+        """
+        self._events = [event for event in self._events if event.end > before]
+
     def events(self) -> list[BlackholeEvent]:
         """All recorded blackhole intervals, closed first, then open ones."""
         return self._events + [

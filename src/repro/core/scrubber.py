@@ -128,8 +128,8 @@ class DaySummary:
     of a day precedes every bin of the next, so a window's records are
     its days' records concatenated in day order, and its header table is
     theirs stacked. Derived state, never captured: it is rebuilt when
-    its day's buffer grows (a late bin adds a part) or is replaced (a
-    restore).
+    its day's buffer grows (the bootstrap fit reads a day still filling)
+    or is replaced (a restore).
     """
 
     parts: tuple[FlowDataset, ...]

@@ -6,7 +6,8 @@ live traffic per minute. :class:`StreamingScrubber` operationalises
 exactly that loop:
 
 * **ingest(flows, updates)** — feed captured flows and the BGP feed as
-  they arrive (any chunking, in time order);
+  they arrive (any chunking, in time order); a flow may arrive up to
+  ``label_grace_bins`` bins late, and a later one is dropped;
 * per closed one-minute bin, the engine classifies all significant
   target aggregates with the current model and emits
   :class:`~repro.core.scrubber.TargetVerdict`s;
@@ -15,6 +16,15 @@ exactly that loop:
   window — entirely from the blackholing signal, no operator input.
 
 The engine is deterministic given its seed and the input streams.
+
+**Lateness.** A bin is labelled once ``label_grace_bins`` later bins
+have closed; the last labelled bin is the *watermark* (the allowed
+lateness of Akidau et al., "The Dataflow Model", VLDB 2015). A flow of
+a bin at or behind it is dropped and counted in
+``streaming.late_flows``, so a labelled bin never re-opens, and the
+engine forgets what only such a bin could need: its dedupe entries and
+the blackhole events that end before the next bin. Its state is a
+function of the window and the grace, not of the uptime.
 """
 
 from __future__ import annotations
@@ -116,7 +126,8 @@ class StreamingScrubber:
         label_grace_bins:
             A bin's flows only enter the training buffer after this many
             further bins have closed, so late blackhole announcements
-            (reaction delay) can still label them.
+            (reaction delay) can still label them. It is also the allowed
+            lateness of a flow (see the module docstring).
         registry:
             Metric registry this engine records into. Defaults to a
             private registry per engine so independent engines never mix
@@ -154,9 +165,10 @@ class StreamingScrubber:
         #: Observational drift detector over the per-bin verdict mix.
         self._drift = DriftTracker()
         # Metric dedupe state: a bin can close more than once when late
-        # flows re-open it at a bin boundary; the counters must count
+        # flows re-open it within the grace; the counters must count
         # each bin and each (bin, target) verdict once. Every closed bin
-        # maps to the targets whose verdicts were counted in it.
+        # ahead of the watermark maps to the targets whose verdicts were
+        # counted in it.
         self._counted: dict[int, set[int]] = {}
 
     # ------------------------------------------------------------------
@@ -245,18 +257,26 @@ class StreamingScrubber:
 
         Flows and updates must arrive in (approximately) time order
         across calls: a bin closes when a strictly later bin receives
-        traffic. Returns the verdicts for all bins closed by this chunk.
+        traffic, and flows of a bin at or behind the watermark (see the
+        module docstring) are dropped as late. Returns the verdicts for
+        all bins closed by this chunk.
         A one-bin chunk is kept by reference (its columns are read-only),
         so the caller must not write to the arrays it was built from.
         """
         with obs.use_registry(self.registry), obs.span(names.SPAN_STREAMING_INGEST):
+            watermark = self._watermark()
             for update in updates:
                 self._blackholes.apply(update)
             verdicts: list[TargetVerdict] = []
             if len(flows):
                 obs.counter(names.C_STREAMING_FLOWS_INGESTED).inc(len(flows))
-                self._horizon = max(self._horizon, int(flows.time.max()) + 1)
                 bins = flows.time // BIN_SECONDS
+                late = bins <= watermark
+                if late.any():
+                    obs.counter(names.C_STREAMING_LATE_FLOWS).inc(int(late.sum()))
+                    flows, bins = flows.select(~late), bins[~late]
+            if len(flows):
+                self._horizon = max(self._horizon, int(flows.time.max()) + 1)
                 first, last = int(bins.min()), int(bins.max())
                 if first == last:
                     self._open_bins.setdefault(first, []).append(flows)
@@ -275,6 +295,11 @@ class StreamingScrubber:
             self._label_pending(force=True)
             self._update_level_gauges()
         return verdicts
+
+    def _watermark(self) -> int:
+        """The last labelled bin: ``label_grace_bins`` behind the newest,
+        which is still open."""
+        return (self._horizon - 1) // BIN_SECONDS - max(self.label_grace_bins, 1)
 
     def _update_level_gauges(self) -> None:
         obs.gauge(names.G_STREAMING_OPEN_BINS).set(len(self._open_bins))
@@ -355,9 +380,9 @@ class StreamingScrubber:
     def _count_verdicts(self, verdicts: list[TargetVerdict]) -> None:
         """Bump verdict counters, once per (bin, target) ever seen.
 
-        A re-opened bin is re-classified on its late flows and the
-        revised verdicts are still *returned*, but the counters must not
-        count the same (bin, target) record twice.
+        A bin re-opened within the grace is re-classified on its late
+        flows and the revised verdicts are still *returned*, but the
+        counters must not count the same (bin, target) record twice.
         """
         if not verdicts:
             return
@@ -389,6 +414,12 @@ class StreamingScrubber:
             day = bin_id // self.bins_per_day
             self._day_buffers.setdefault(day, []).append(balanced.flows)
             self._maybe_retrain(day)
+        # A bin at or behind the watermark never closes again, and no
+        # flow before the next bin is labelled again.
+        watermark = self._watermark()
+        for bin_id in [b for b in self._counted if b <= watermark]:
+            del self._counted[bin_id]
+        self._blackholes.prune((watermark + 1) * BIN_SECONDS)
 
     def _maybe_retrain(self, day: int) -> None:
         """Retrain once per day on the trailing window."""

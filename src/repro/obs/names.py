@@ -21,6 +21,7 @@ __all__ = ["ALL_COUNTERS", "ALL_GAUGES", "ALL_SPANS", "ALL_NAMES"]
 
 # -- counters ----------------------------------------------------------
 C_STREAMING_FLOWS_INGESTED = "streaming.flows_ingested"
+C_STREAMING_LATE_FLOWS = "streaming.late_flows"
 C_STREAMING_BINS_CLOSED = "streaming.bins_closed"
 C_STREAMING_VERDICTS_EMITTED = "streaming.verdicts_emitted"
 C_STREAMING_DDOS_VERDICTS = "streaming.ddos_verdicts"

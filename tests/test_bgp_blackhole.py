@@ -173,6 +173,39 @@ class TestMatchFlows:
         assert labeled.blackhole.all()
 
 
+class TestPrune:
+    @staticmethod
+    def feed() -> BlackholeRegistry:
+        registry = BlackholeRegistry()
+        registry.apply(bh_announce("0.0.0.1/32", 0))
+        registry.apply(bh_announce("0.0.0.2/32", 10))
+        registry.apply(bh_announce("0.0.0.3/32", 20))
+        registry.apply(bh_announce("0.0.0.4/32", 30))  # never withdrawn
+        registry.apply(withdraw("0.0.0.1/32", 50))
+        registry.apply(withdraw("0.0.0.2/32", 60))  # ends exactly at `before`
+        registry.apply(withdraw("0.0.0.3/32", 70))
+        return registry
+
+    def test_drops_only_closed_events_ending_at_or_before(self):
+        registry = self.feed()
+        registry.prune(60)
+        assert [(e.prefix, e.end) for e in registry.events()] == [
+            (Prefix.parse("0.0.0.3/32"), 70),
+            (Prefix.parse("0.0.0.4/32"), None),
+        ]
+
+    def test_matching_after_before_is_unchanged(self):
+        flows = FlowDataset.from_records(
+            [make_flow(time=t, dst_ip=ip) for t in (60, 65, 69, 70, 200) for ip in range(1, 5)]
+        )
+        full, pruned = self.feed(), self.feed()
+        pruned.prune(60)
+        for horizon in (None, 100):
+            np.testing.assert_array_equal(
+                pruned.match_flows(flows, horizon), full.match_flows(flows, horizon)
+            )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     events=st.lists(

@@ -181,3 +181,95 @@ def test_read_only_chunks_give_the_same_verdicts(stream_capture, sharding):
     frozen = run(read_only)
     assert frozen, "the stream produced no verdicts"
     assert frozen == run(lambda chunk: chunk)
+
+
+# ----------------------------------------------------------------------
+# The watermark: the last labelled bin bounds what the engine keeps.
+# ----------------------------------------------------------------------
+def assert_nothing_behind_the_watermark(engine):
+    """At most ``label_grace_bins + 1`` closed bins are remembered, none
+    of them labelled, and no closed blackhole event ends before the
+    first bin still to be labelled."""
+    watermark = (engine._horizon - 1) // 60 - max(engine.label_grace_bins, 1)
+    assert len(engine._counted) <= engine.label_grace_bins + 1
+    assert all(bin_id > watermark for bin_id in engine._counted)
+    assert all(e.end > (watermark + 1) * 60 for e in engine._blackholes._events)
+
+
+@pytest.mark.parametrize("grace, held", [(0, {5: 3}), (2, {4: 2, 5: 2})])
+def test_flows_behind_the_watermark_are_dropped(grace, held):
+    from tests.conftest import make_flow
+
+    def at(*bins):
+        return FlowDataset.from_records([make_flow(time=60 * b + 1) for b in bins])
+
+    engine = StreamingScrubber(label_grace_bins=grace)
+    for bin_id in range(6):
+        engine.ingest(at(bin_id))
+    watermark = 5 - max(grace, 1)  # bin 5 is still open
+    engine.ingest(at(watermark, watermark + 1, 5))
+    assert engine.registry.counter("streaming.late_flows").value == 1
+    assert engine.stats.flows_ingested == 9
+    # The bin ahead of the watermark re-opens, and the open bin takes
+    # its flow: each bin's flows, open or waiting for labels.
+    flows = {b: len(FlowDataset.concat(p)) for b, p in engine._open_bins.items()}
+    assert {**flows, **{b: len(f) for b, f in engine._pending_label.items()}} == held
+
+
+def test_a_snapshot_with_history_behind_the_watermark_sheds_it(stream_capture):
+    """A snapshot taken before the engine kept a watermark holds dedupe
+    keys and closed blackhole events behind it: it restores, and the
+    next tick forgets them."""
+    from repro.bgp.blackhole import BlackholeEvent
+    from repro.bgp.prefix import Prefix
+    from repro.core.recovery.session import iter_chunks
+
+    profile, capture = stream_capture
+
+    def make():
+        return StreamingScrubber(window_days=2, bins_per_day=profile.bins_per_day, seed=1)
+
+    engine = make()
+    ticks = iter_chunks(capture.flows, capture.updates)
+    for tick, chunk, updates in ticks:
+        engine.ingest(chunk, updates)
+        if tick == 12:
+            break
+    engine._counted[0] = {1}
+    engine._blackholes._events.insert(0, BlackholeEvent(Prefix.host(1), 64512, 0, 30))
+    restored = make().restore_state(engine.capture_state())
+    assert 0 in restored._counted and len(restored._blackholes._events) > 0
+    _, chunk, updates = next(ticks)
+    restored.ingest(chunk, updates)
+    assert_nothing_behind_the_watermark(restored)
+
+
+@pytest.mark.slow
+def test_state_is_bounded_by_the_watermark_not_the_uptime():
+    """Sixty days of the ``repro stream`` profile: the dedupe state and
+    the blackhole history stay as long as the grace, at day 10 and at
+    day 60 alike (both grew by the day before the watermark)."""
+    from repro.core.recovery.session import iter_chunks
+
+    profile = IXPProfile(
+        name="IXP-STATS", region=11, n_members=8, traffic_scale=0.01,
+        attacks_per_day=14.0, attack_intensity=25.0,
+        benign_flows_per_target=5.0, benign_targets_per_minute=24,
+        bins_per_day=48, seed=1,
+    )
+    capture = WorkloadGenerator(IXPFabric(profile)).generate(0, 60)
+    engine = StreamingScrubber(
+        config=ScrubberConfig(model="XGB", model_params={"n_estimators": 10}),
+        window_days=2,
+        bins_per_day=profile.bins_per_day,
+        seed=1,
+    )
+    checked = []
+    for tick, chunk, updates in iter_chunks(capture.flows, capture.updates, start_bin=0):
+        engine.ingest(chunk, updates)
+        day, rest = divmod((tick + 1) * 8, profile.bins_per_day)
+        if rest == 0 and day in (10, 60):
+            assert_nothing_behind_the_watermark(engine)
+            checked.append(day)
+    assert checked == [10, 60]
+    assert engine.stats.retrainings >= 59
