@@ -246,10 +246,6 @@ class ShmRing:
         return self._shm.name
 
     @property
-    def capacity(self) -> int:
-        return int(self._ctrl[_C_CAPACITY])
-
-    @property
     def generation(self) -> int:
         return int(self._ctrl[_C_GEN])
 

@@ -228,7 +228,9 @@ class ItemEncoder:
             counts = np.bincount(ports, weights=headers.count, minlength=0x10000)
             values = np.flatnonzero(counts > 0)
             counts = counts[values].astype(np.int64)
-            order = np.argsort(counts)[::-1][:top_k]
+            # Stable, so a tie at the cut goes to the lower port whatever
+            # sort kernel numpy dispatches on this CPU.
+            order = np.argsort(-counts, kind="stable")[:top_k]
             threshold = max(1, int(min_share * n_flows))
             return frozenset(int(v) for v, c in zip(values[order], counts[order]) if c >= threshold)
 

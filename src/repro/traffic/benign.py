@@ -87,10 +87,6 @@ class BenignTrafficGenerator:
             member_macs = np.arange(1, 9, dtype=np.uint64)
         self._member_macs = np.asarray(member_macs, dtype=np.uint64)
 
-    @property
-    def services(self) -> tuple[BenignService, ...]:
-        return self._services
-
     def generate(
         self,
         rng: np.random.Generator,

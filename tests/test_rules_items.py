@@ -53,6 +53,16 @@ class TestItemEncoder:
         encoder = ItemEncoder.fit(flows, top_k=5)
         assert 123 in encoder.src_ports and 53 in encoder.src_ports
 
+    def test_ties_at_the_top_k_cut_go_to_the_lowest_ports(self):
+        # Sixty ports tie at two flows each across the cut: the order
+        # must not depend on the sort kernel numpy dispatches per CPU.
+        flows = FlowDataset.from_records(
+            [make_flow(src_port=53, dst_port=80) for _ in range(10)]
+            + [make_flow(src_port=53, dst_port=port) for port in range(1059, 999, -1)] * 2
+        )
+        encoder = ItemEncoder.fit(flows, top_k=5)
+        assert encoder.dst_ports == {80, 1000, 1001, 1002, 1003}
+
     def test_rare_ports_become_other(self):
         flows = FlowDataset.from_records(
             [make_flow(src_port=123, dst_port=10000 + i) for i in range(100)]
