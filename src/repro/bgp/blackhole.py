@@ -83,12 +83,9 @@ class BlackholeRegistry:
             )
 
     def prune(self, before: int) -> None:
-        """Forget the closed events that end at or before ``before``.
-
-        They cover no flow at or after it: a streaming engine calls this
-        with the first time it may still label, so its history stays as
-        long as its lateness. Offline labelling never prunes.
-        """
+        """Forget the closed events that end at or before ``before``: the
+        streaming engine's first time still to label (offline labelling
+        keeps the full history)."""
         self._events = [event for event in self._events if event.end > before]
 
     def events(self) -> list[BlackholeEvent]:

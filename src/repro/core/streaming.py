@@ -17,14 +17,10 @@ exactly that loop:
 
 The engine is deterministic given its seed and the input streams.
 
-**Lateness.** A bin is labelled once ``label_grace_bins`` later bins
-have closed; the last labelled bin is the *watermark* (the allowed
-lateness of Akidau et al., "The Dataflow Model", VLDB 2015). A flow of
-a bin at or behind it is dropped and counted in
-``streaming.late_flows``, so a labelled bin never re-opens, and the
-engine forgets what only such a bin could need: its dedupe entries and
-the blackhole events that end before the next bin. Its state is a
-function of the window and the grace, not of the uptime.
+The *watermark* is the last labelled bin. A flow at or behind it is
+dropped (``streaming.late_flows``), so the engine forgets what only such
+a bin could need: its dedupe entries and the blackhole events that end
+before the next bin. Its state is set by window and grace, not uptime.
 """
 
 from __future__ import annotations
@@ -126,8 +122,7 @@ class StreamingScrubber:
         label_grace_bins:
             A bin's flows only enter the training buffer after this many
             further bins have closed, so late blackhole announcements
-            (reaction delay) can still label them. It is also the allowed
-            lateness of a flow (see the module docstring).
+            (reaction delay) can still label them; so a flow may be late.
         registry:
             Metric registry this engine records into. Defaults to a
             private registry per engine so independent engines never mix
@@ -257,9 +252,8 @@ class StreamingScrubber:
 
         Flows and updates must arrive in (approximately) time order
         across calls: a bin closes when a strictly later bin receives
-        traffic, and flows of a bin at or behind the watermark (see the
-        module docstring) are dropped as late. Returns the verdicts for
-        all bins closed by this chunk.
+        traffic; a flow at or behind the watermark is dropped as late.
+        Returns the verdicts for all bins closed by this chunk.
         A one-bin chunk is kept by reference (its columns are read-only),
         so the caller must not write to the arrays it was built from.
         """
