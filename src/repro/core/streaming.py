@@ -122,7 +122,7 @@ class StreamingScrubber:
         label_grace_bins:
             A bin's flows only enter the training buffer after this many
             further bins have closed, so late blackhole announcements
-            (reaction delay) can still label them; so a flow may be late.
+            (reaction delay) can still label them; it bounds a flow's lateness too.
         registry:
             Metric registry this engine records into. Defaults to a
             private registry per engine so independent engines never mix
