@@ -187,7 +187,6 @@ class ShardedStreamingScrubber(StreamingScrubber):
                         v for shard_verdicts in results for v in shard_verdicts or ()
                     ]
                     merged.sort(key=lambda v: (v.bin, v.target_ip))
-            self._count_verdicts(merged)
         return merged
 
     def _merge_sketch_states(

@@ -57,8 +57,9 @@ from repro.netflow.dataset import BIN_SECONDS
 __all__ = ["encode_value", "decode_value", "capture", "restore"]
 
 #: Engine document layout; a snapshot of any other (or none) is refused.
-#: Format 2 leaves the drift tracker's settings out (they are constants).
-ENGINE_FORMAT = 2
+#: Format 2 left the drift tracker's settings out (they are constants);
+#: format 3 the verdict-dedupe state (each bin is counted once).
+ENGINE_FORMAT = 3
 
 _TAG = "__repro__"
 

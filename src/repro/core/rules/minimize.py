@@ -41,7 +41,7 @@ def _proper_subsets(table: RuleTable, length: np.ndarray) -> tuple[np.ndarray, n
     weight = np.where(chosen == 1, places[np.cumsum(chosen, axis=1) - 1], 0)
     padding = len(table.vocabulary) * (places.sum() - weight.sum(axis=1))
     cuts = (table.antecedents @ weight.T + padding).ravel()
-    by, keys = np.argsort(cuts), table.antecedents @ places
+    by, keys = np.argsort(cuts, kind="stable"), table.antecedents @ places
     low, high = (np.searchsorted(cuts[by], keys, side=side) for side in ("left", "right"))
     matches = high - low
     starts = np.repeat(low - np.cumsum(matches) + matches, matches)

@@ -8,9 +8,9 @@ exactly that loop:
 * **ingest(flows, updates)** — feed captured flows and the BGP feed as
   they arrive (any chunking, in time order); a flow may arrive up to
   ``label_grace_bins`` bins late, and a later one is dropped;
-* per closed one-minute bin, the engine classifies all significant
-  target aggregates with the current model and emits
-  :class:`~repro.core.scrubber.TargetVerdict`s;
+* each one-minute bin closes once, when a later bin receives traffic:
+  the engine classifies all its significant target aggregates with the
+  current model and emits :class:`~repro.core.scrubber.TargetVerdict`s;
 * labeled + balanced training data accumulates in a ring of daily
   buffers; once per (simulated) day the model retrains on the trailing
   window — entirely from the blackholing signal, no operator input.
@@ -18,9 +18,11 @@ exactly that loop:
 The engine is deterministic given its seed and the input streams.
 
 The *watermark* is the last labelled bin. A flow at or behind it is
-dropped (``streaming.late_flows``), so the engine forgets what only such
-a bin could need: its dedupe entries and the blackhole events that end
-before the next bin. Its state is set by window and grace, not uptime.
+dropped (``streaming.late_flows``). A *straggler*, a flow of a closed
+bin ahead of it, joins that bin's pending labels: it is labelled and
+trained on, never classified, so one (bin, target) gets one verdict.
+The engine forgets the blackhole events that end before the next bin to
+label, so its state is set by window and grace, not uptime.
 """
 
 from __future__ import annotations
@@ -122,7 +124,9 @@ class StreamingScrubber:
         label_grace_bins:
             A bin's flows only enter the training buffer after this many
             further bins have closed, so late blackhole announcements
-            (reaction delay) can still label them; it bounds a flow's lateness too.
+            (reaction delay) can still label them. It is the allowed
+            lateness too: a flow of a closed bin within it joins that
+            bin's labels unclassified, and a later one is dropped.
         registry:
             Metric registry this engine records into. Defaults to a
             private registry per engine so independent engines never mix
@@ -159,12 +163,6 @@ class StreamingScrubber:
         self._horizon = 0
         #: Observational drift detector over the per-bin verdict mix.
         self._drift = DriftTracker()
-        # Metric dedupe state: a bin can close more than once when late
-        # flows re-open it within the grace; the counters must count
-        # each bin and each (bin, target) verdict once. Every closed bin
-        # ahead of the watermark maps to the targets whose verdicts were
-        # counted in it.
-        self._counted: dict[int, set[int]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -252,13 +250,14 @@ class StreamingScrubber:
 
         Flows and updates must arrive in (approximately) time order
         across calls: a bin closes when a strictly later bin receives
-        traffic; a flow at or behind the watermark is dropped as late.
+        traffic; a flow of a closed bin joins its pending labels, and
+        one at or behind the watermark is dropped as late.
         Returns the verdicts for all bins closed by this chunk.
         A one-bin chunk is kept by reference (its columns are read-only),
         so the caller must not write to the arrays it was built from.
         """
         with obs.use_registry(self.registry), obs.span(names.SPAN_STREAMING_INGEST):
-            watermark = self._watermark()
+            newest, watermark = self._newest_bin(), self._watermark()
             for update in updates:
                 self._blackholes.apply(update)
             verdicts: list[TargetVerdict] = []
@@ -273,27 +272,36 @@ class StreamingScrubber:
                 self._horizon = max(self._horizon, int(flows.time.max()) + 1)
                 first, last = int(bins.min()), int(bins.max())
                 if first == last:
-                    self._open_bins.setdefault(first, []).append(flows)
+                    parts = [(first, flows)]
                 else:
-                    for bin_id in np.unique(bins):
-                        chunk = flows.select(bins == bin_id)
-                        self._open_bins.setdefault(int(bin_id), []).append(chunk)
-                verdicts.extend(self._close_bins(last))
+                    parts = [(int(b), flows.select(bins == b)) for b in np.unique(bins)]
+                for bin_id, part in parts:
+                    if bin_id >= newest:
+                        self._open_bins.setdefault(bin_id, []).append(part)
+                    else:  # a straggler: labelled with its bin, never classified
+                        pending = self._pending_label.get(bin_id, FlowDataset.empty())
+                        self._pending_label[bin_id] = FlowDataset.concat([pending, part])
+                verdicts.extend(self._close_bins())
             self._update_level_gauges()
         return verdicts
 
     def flush(self) -> list[TargetVerdict]:
-        """Close all open bins (end of stream)."""
+        """Close all open bins and label all pending ones.
+
+        This ends the stream: nothing is ingested after it.
+        """
         with obs.use_registry(self.registry), obs.span(names.SPAN_STREAMING_INGEST):
-            verdicts = self._close_bins(None)
-            self._label_pending(force=True)
+            verdicts = self._close_bins(final=True)
             self._update_level_gauges()
         return verdicts
 
+    def _newest_bin(self) -> int:
+        """The newest bin seen, the only one still open."""
+        return (self._horizon - 1) // BIN_SECONDS
+
     def _watermark(self) -> int:
-        """The last labelled bin: ``label_grace_bins`` behind the newest,
-        which is still open."""
-        return (self._horizon - 1) // BIN_SECONDS - max(self.label_grace_bins, 1)
+        """The last labelled bin: ``label_grace_bins`` behind the newest."""
+        return self._newest_bin() - max(self.label_grace_bins, 1)
 
     def _update_level_gauges(self) -> None:
         obs.gauge(names.G_STREAMING_OPEN_BINS).set(len(self._open_bins))
@@ -301,11 +309,26 @@ class StreamingScrubber:
         obs.gauge(names.G_STREAMING_DAY_BUFFERS).set(len(self._day_buffers))
 
     # ------------------------------------------------------------------
-    def _close_bins(self, current_bin: Optional[int]) -> list[TargetVerdict]:
-        closed = self._pop_closeable(current_bin)
+    def _close_bins(self, final: bool = False) -> list[TargetVerdict]:
+        """Close every open bin older than the newest (every one if
+        ``final``), classify and count each once, then label the bins
+        the watermark has passed (every pending one if ``final``)."""
+        newest = self._newest_bin()
+        closed: list[tuple[int, FlowDataset]] = []
+        for bin_id in sorted(b for b in self._open_bins if final or b < newest):
+            with obs.span(names.SPAN_STREAMING_CLOSE_BIN):
+                bin_flows = FlowDataset.concat(self._open_bins.pop(bin_id))
+                self._pending_label[bin_id] = bin_flows
+                closed.append((bin_id, bin_flows))
+                obs.counter(names.C_STREAMING_BINS_CLOSED).inc()
         verdicts = self._classify_closed(closed)
+        if verdicts:
+            obs.counter(names.C_STREAMING_VERDICTS_EMITTED).inc(len(verdicts))
+            obs.counter(names.C_STREAMING_DDOS_VERDICTS).inc(
+                sum(1 for v in verdicts if v.is_ddos)
+            )
         self._observe_drift(verdicts)
-        self._label_pending(force=False, current_bin=current_bin)
+        self._label_pending(force=final)
         return verdicts
 
     @property
@@ -326,32 +349,6 @@ class StreamingScrubber:
             if self._drift.observe(share):
                 obs.counter(names.C_STREAMING_DRIFT_TRIPS).inc()
 
-    def _pop_closeable(
-        self, current_bin: Optional[int]
-    ) -> list[tuple[int, FlowDataset]]:
-        """Pop every bin older than ``current_bin`` and enqueue for labeling."""
-        closed: list[tuple[int, FlowDataset]] = []
-        closeable = [
-            b
-            for b in self._open_bins
-            if current_bin is None or b < current_bin
-        ]
-        for bin_id in sorted(closeable):
-            with obs.span(names.SPAN_STREAMING_CLOSE_BIN):
-                parts = self._open_bins.pop(bin_id)
-                bin_flows = FlowDataset.concat(parts)
-                if bin_id not in self._counted:
-                    self._counted[bin_id] = set()
-                    obs.counter(names.C_STREAMING_BINS_CLOSED).inc()
-                # A bin that re-closes while still pending labels all of
-                # its flows, but is classified on its late part alone.
-                earlier = self._pending_label.get(bin_id)
-                self._pending_label[bin_id] = (
-                    bin_flows if earlier is None else FlowDataset.concat([earlier, bin_flows])
-                )
-                closed.append((bin_id, bin_flows))
-        return closed
-
     def _classify_closed(
         self, closed: list[tuple[int, FlowDataset]]
     ) -> list[TargetVerdict]:
@@ -365,39 +362,14 @@ class StreamingScrubber:
         if self._scrubber is None or len(bin_flows) == 0:
             return []
         with obs.span(names.SPAN_STREAMING_CLASSIFY_BIN):
-            out = self._scrubber.classify_flows_batch(
+            return self._scrubber.classify_flows_batch(
                 bin_flows, min_flows=self.min_flows_per_verdict
             )
-            self._count_verdicts(out)
-        return out
-
-    def _count_verdicts(self, verdicts: list[TargetVerdict]) -> None:
-        """Bump verdict counters, once per (bin, target) ever seen.
-
-        A bin re-opened within the grace is re-classified on its late
-        flows and the revised verdicts are still *returned*, but the
-        counters must not count the same (bin, target) record twice.
-        """
-        if not verdicts:
-            return
-        fresh = [v for v in verdicts if v.target_ip not in self._counted[v.bin]]
-        for v in fresh:
-            self._counted[v.bin].add(v.target_ip)
-        obs.counter(names.C_STREAMING_VERDICTS_EMITTED).inc(len(fresh))
-        obs.counter(names.C_STREAMING_DDOS_VERDICTS).inc(
-            sum(1 for v in fresh if v.is_ddos)
-        )
 
     # ------------------------------------------------------------------
-    def _label_pending(
-        self, force: bool, current_bin: Optional[int] = None
-    ) -> None:
-        ready = [
-            b
-            for b in self._pending_label
-            if force
-            or (current_bin is not None and b + self.label_grace_bins <= current_bin)
-        ]
+    def _label_pending(self, force: bool) -> None:
+        watermark = self._watermark()
+        ready = [b for b in self._pending_label if force or b <= watermark]
         for bin_id in sorted(ready):
             with obs.span(names.SPAN_STREAMING_LABEL_BIN):
                 bin_flows = self._pending_label.pop(bin_id)
@@ -408,11 +380,7 @@ class StreamingScrubber:
             day = bin_id // self.bins_per_day
             self._day_buffers.setdefault(day, []).append(balanced.flows)
             self._maybe_retrain(day)
-        # A bin at or behind the watermark never closes again, and no
-        # flow before the next bin is labelled again.
-        watermark = self._watermark()
-        for bin_id in [b for b in self._counted if b <= watermark]:
-            del self._counted[bin_id]
+        # No flow before the next bin is labelled again.
         self._blackholes.prune((watermark + 1) * BIN_SECONDS)
 
     def _maybe_retrain(self, day: int) -> None:

@@ -32,7 +32,7 @@ def run(scale: str = "small", top: int = 10) -> ExperimentResult:
     model = GradientBoostedTrees()
     model.fit(X, matrix.y)
     gains = model.average_gain()
-    order = np.argsort(gains)[::-1][:top]
+    order = np.argsort(-gains, kind="stable")[:top]
 
     result = ExperimentResult(experiment="fig10-features")
     for rank, j in enumerate(order):

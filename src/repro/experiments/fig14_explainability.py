@@ -77,7 +77,7 @@ def run(scale: str = "small", seed: int = 5) -> ExperimentResult:
     key_count = len(schema.key_columns())
     key_features = [
         (matrix_test.columns[kept[j]], gains[j])
-        for j in np.argsort(gains)[::-1]
+        for j in np.argsort(-gains, kind="stable")
         if kept[j] < key_count  # key (WoE) columns only
     ][:4]
     columns = [name for name, _ in key_features]

@@ -13,6 +13,7 @@ Two contracts are enforced:
    the regex used to match.
 """
 
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -82,11 +83,48 @@ def test_metric_names_emissions_and_docs_agree():
     assert result.findings == [], format_human(result)
 
 
+#: A metrics-table row: its name, then ``file.py:Symbol`` pointers.
+_METRIC_ROW = re.compile(r"^\| `([\w.]+)` \|")
+_POINTER = re.compile(r"`(src/repro/[\w/]+\.py):([\w.]+)`")
+
+
+def _resolve(path, symbol):
+    """The ``def``/``class`` node ``symbol`` (``func`` or
+    ``Class.method``) names in ``path``, or None."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    scope = ast.parse((REPO_ROOT / path).read_text(encoding="utf-8"))
+    for part in symbol.split("."):
+        scope = next(
+            (n for n in getattr(scope, "body", ()) if isinstance(n, defs) and n.name == part),
+            None,
+        )
+    return scope
+
+
+def _names_metric(node, metric):
+    """Whether ``node``'s body spells ``metric``: as a ``names`` constant
+    or as the literal."""
+    constants = {k for k, v in vars(names).items() if k.isupper() and v == metric}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id in constants:
+            return True
+        if isinstance(sub, ast.Attribute) and sub.attr in constants:
+            return True
+        if isinstance(sub, ast.Constant) and sub.value == metric:
+            return True
+    return False
+
+
 def test_documented_metrics_point_back_at_real_code():
-    """Every `file.py:symbol` pointer in the metrics tables exists."""
-    doc_text = METRICS_DOC.read_text(encoding="utf-8")
-    pointers = re.findall(r"`(src/repro/[\w/]+\.py):", doc_text)
-    missing = sorted(
-        {p for p in pointers if not (REPO_ROOT / p).is_file()}
-    )
-    assert not missing, f"docs/METRICS.md points at missing files: {missing}"
+    """Every `file.py:symbol` pointer in the metrics tables names a
+    function or method whose body emits that row's metric."""
+    wrong = []
+    for line in METRICS_DOC.read_text(encoding="utf-8").splitlines():
+        row = _METRIC_ROW.match(line)
+        if row is None:
+            continue
+        for path, symbol in _POINTER.findall(line):
+            node = _resolve(path, symbol) if (REPO_ROOT / path).is_file() else None
+            if node is None or not _names_metric(node, row.group(1)):
+                wrong.append(f"{row.group(1)} -> {path}:{symbol}")
+    assert not wrong, f"docs/METRICS.md points at code that does not emit: {wrong}"

@@ -336,8 +336,9 @@ class TestStreamingStatsCompat:
 class TestBinRecloseDedupe:
     """Regression: late flows re-opening a closed bin at a bin boundary
     used to double-count ``streaming.bins_closed`` and the verdict
-    counters when the bin closed a second time. Each bin and each
-    (bin, target) verdict must be counted exactly once."""
+    counters when the bin closed a second time. Now a bin closes once:
+    a late flow of a closed bin joins its pending labels, so each bin
+    and each (bin, target) verdict is emitted and counted exactly once."""
 
     @staticmethod
     def _chunk(times, dst_ip=20):
@@ -355,13 +356,13 @@ class TestBinRecloseDedupe:
         engine.ingest(self._chunk([5, 15]))     # bin 0 open
         engine.ingest(self._chunk([65]))        # bin 1 arrives -> closes bin 0
         assert engine.stats.bins_closed == 1
-        engine.ingest(self._chunk([30]))        # late flow re-opens bin 0
-        engine.ingest(self._chunk([130]))       # bin 2 -> re-closes 0, closes 1
+        engine.ingest(self._chunk([30]))        # a straggler for closed bin 0
+        engine.ingest(self._chunk([130]))       # bin 2 -> closes bin 1
         assert engine.stats.bins_closed == 2    # not 3: bin 0 counted once
         engine.flush()                          # closes bin 2
         assert engine.stats.bins_closed == 3
 
-    def test_verdict_counters_deduped_by_bin_and_target(self):
+    def test_a_straggler_gets_no_verdict_and_reaches_its_label_pass(self, monkeypatch):
         from tests import strategies
         from repro.core.labeling.balancer import balance
         from repro.core.scrubber import IXPScrubber, ScrubberConfig
@@ -376,24 +377,32 @@ class TestBinRecloseDedupe:
             ScrubberConfig(model="XGB", model_params={"n_estimators": 5})
         ).fit(balanced)
         engine = StreamingScrubber(
-            min_flows_per_verdict=1, label_grace_bins=10**6
+            min_flows_per_verdict=1, label_grace_bins=2
         ).warm_start(scrubber)
 
         first = engine.ingest(self._chunk([5, 15, 25]))  # bin 0 open
         first += engine.ingest(self._chunk([65]))        # closes bin 0
         assert {(v.bin, v.target_ip) for v in first} == {(0, 20)}
-        emitted_once = engine.stats.verdicts_emitted
+        assert engine.stats.verdicts_emitted == 1
         ddos_once = engine.stats.ddos_verdicts
-        assert emitted_once == 1
 
-        engine.ingest(self._chunk([40]))                 # re-opens bin 0
-        again = engine.ingest(self._chunk([130]))        # re-closes 0, closes 1
-        # The late re-classification is still *returned* to the caller...
-        assert (0, 20) in {(v.bin, v.target_ip) for v in again}
-        # ...but the metrics count each (bin, target) exactly once; only
-        # the genuinely new (1, 20) verdict increments the counters.
-        assert engine.stats.verdicts_emitted == emitted_once + 1
-        assert engine.stats.ddos_verdicts <= ddos_once + 1
+        assert engine.ingest(self._chunk([40])) == []    # straggler for bin 0
+        assert engine._pending_label[0].time.tolist() == [5, 15, 25, 40]
+        labelled = []
+        label_flows = engine._blackholes.label_flows
+
+        def spy(flows, **kwargs):
+            labelled.append(flows.time.tolist())
+            return label_flows(flows, **kwargs)
+
+        monkeypatch.setattr(engine._blackholes, "label_flows", spy)
+        again = engine.ingest(self._chunk([130]))        # closes 1, labels 0
+        assert {(v.bin, v.target_ip) for v in again} == {(1, 20)}
+        assert labelled == [[5, 15, 25, 40]]
+        # Each (bin, target) was emitted once, so counted once.
+        assert engine.stats.bins_closed == 2
+        assert engine.stats.verdicts_emitted == 2
+        assert engine.stats.ddos_verdicts == ddos_once + again[0].is_ddos
 
 
 class TestMergeSnapshots:

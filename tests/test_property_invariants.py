@@ -291,6 +291,8 @@ class TestShardMergeDeterminism:
             serial = StreamingScrubber(**engine_kwargs).warm_start(fitted_scrubber)
             expected = serial.ingest(workload) + serial.flush()
             assert expected, f"seed {seed}: workload produced no verdicts"
+            keys = [(v.bin, v.target_ip) for v in expected]
+            assert len(set(keys)) == len(keys), f"seed {seed}: a (bin, target) got two verdicts"
             for n_shards in (1, 2, 4):
                 sharded = ShardedStreamingScrubber(
                     n_shards=n_shards, backend="serial", **engine_kwargs

@@ -253,7 +253,7 @@ class TestEngineStateRoundTrip:
         with pytest.raises(CheckpointConfigError):
             make_engine(scrubber).restore_state(state)
 
-    @pytest.mark.parametrize("fmt", [None, 0, 1])
+    @pytest.mark.parametrize("fmt", [None, 0, 1, 2])
     def test_other_engine_format_is_a_config_error(self, scrubber, fmt):
         state = make_engine(scrubber).capture_state()
         state["format"] = fmt

@@ -187,12 +187,13 @@ def test_read_only_chunks_give_the_same_verdicts(stream_capture, sharding):
 # The watermark: the last labelled bin bounds what the engine keeps.
 # ----------------------------------------------------------------------
 def assert_nothing_behind_the_watermark(engine):
-    """At most ``label_grace_bins + 1`` closed bins are remembered, none
-    of them labelled, and no closed blackhole event ends before the
-    first bin still to be labelled."""
+    """At most ``label_grace_bins + 1`` bins are open or waiting for
+    labels, none of them labelled, and no closed blackhole event ends
+    before the first bin still to be labelled."""
     watermark = (engine._horizon - 1) // 60 - max(engine.label_grace_bins, 1)
-    assert len(engine._counted) <= engine.label_grace_bins + 1
-    assert all(bin_id > watermark for bin_id in engine._counted)
+    held = {*engine._pending_label, *engine._open_bins}
+    assert len(held) <= engine.label_grace_bins + 1
+    assert all(bin_id > watermark for bin_id in held)
     assert all(e.end > (watermark + 1) * 60 for e in engine._blackholes._events)
 
 
@@ -210,16 +211,15 @@ def test_flows_behind_the_watermark_are_dropped(grace, held):
     engine.ingest(at(watermark, watermark + 1, 5))
     assert engine.registry.counter("streaming.late_flows").value == 1
     assert engine.stats.flows_ingested == 9
-    # The bin ahead of the watermark re-opens, and the open bin takes
-    # its flow: each bin's flows, open or waiting for labels.
+    # The straggler ahead of the watermark joins its bin's pending
+    # labels, and the open bin takes its flow.
     flows = {b: len(FlowDataset.concat(p)) for b, p in engine._open_bins.items()}
     assert {**flows, **{b: len(f) for b, f in engine._pending_label.items()}} == held
 
 
 def test_a_snapshot_with_history_behind_the_watermark_sheds_it(stream_capture):
-    """A snapshot taken before the engine kept a watermark holds dedupe
-    keys and closed blackhole events behind it: it restores, and the
-    next tick forgets them."""
+    """A snapshot whose registry holds closed blackhole events behind
+    the watermark restores, and the next tick forgets them."""
     from repro.bgp.blackhole import BlackholeEvent
     from repro.bgp.prefix import Prefix
     from repro.core.recovery.session import iter_chunks
@@ -235,10 +235,9 @@ def test_a_snapshot_with_history_behind_the_watermark_sheds_it(stream_capture):
         engine.ingest(chunk, updates)
         if tick == 12:
             break
-    engine._counted[0] = {1}
     engine._blackholes._events.insert(0, BlackholeEvent(Prefix.host(1), 64512, 0, 30))
     restored = make().restore_state(engine.capture_state())
-    assert 0 in restored._counted and restored._blackholes._events[0].end == 30
+    assert restored._blackholes._events[0].end == 30
     _, chunk, updates = next(ticks)
     restored.ingest(chunk, updates)
     assert_nothing_behind_the_watermark(restored)
@@ -246,9 +245,10 @@ def test_a_snapshot_with_history_behind_the_watermark_sheds_it(stream_capture):
 
 @pytest.mark.slow
 def test_state_is_bounded_by_the_watermark_not_the_uptime():
-    """Sixty days of the ``repro stream`` profile: the dedupe state and
-    the blackhole history stay within the grace at day 10 and at day 60
-    alike; without the watermark both grow by the day."""
+    """Sixty days of the ``repro stream`` profile: the bins held for
+    labelling and the blackhole history stay within the grace at day 10
+    and at day 60 alike; without the watermark the history grows by the
+    day."""
     from repro.core.recovery.session import iter_chunks
 
     profile = IXPProfile(

@@ -242,8 +242,8 @@ class TestEngineRetrains:
 
 
 def test_reclosed_pending_bin_keeps_its_earlier_flows():
-    """A bin that closes, takes a late flow and closes again while it
-    still waits for its labels is labeled on all of its flows."""
+    """A bin that closes and then takes a late flow while it still waits
+    for its labels is labeled on all of its flows."""
     from tests.conftest import make_flow
 
     def at(*times):
@@ -252,7 +252,7 @@ def test_reclosed_pending_bin_keeps_its_earlier_flows():
     engine = StreamingScrubber(label_grace_bins=10)
     engine.ingest(at(60, 61, 62))  # bin 1
     engine.ingest(at(120))  # bin 2 closes bin 1: three flows pending
-    engine.ingest(at(63))  # a late flow re-opens bin 1
-    engine.ingest(at(121))  # and bin 2 closes it again
+    engine.ingest(at(63))  # a straggler joins bin 1's pending labels
+    engine.ingest(at(121))  # bin 2 grows: nothing closes again
     assert len(engine._pending_label[1]) == 4
     assert engine._pending_label[1].time.tolist() == [60, 61, 62, 63]
