@@ -102,24 +102,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stream_workload(days: int, seed: int):
-    """Generate the synthetic capture the stats/stream commands drive."""
-    from repro.ixp.fabric import IXPFabric
+def _stream_profile(seed: int):
+    """The IXP profile of the synthetic capture stats/stream drive."""
     from repro.ixp.profiles import IXPProfile
-    from repro.traffic.workload import WorkloadGenerator
 
-    profile = IXPProfile(
+    return IXPProfile(
         name="IXP-STATS", region=11, n_members=8, traffic_scale=0.01,
         attacks_per_day=14.0, attack_intensity=25.0,
         benign_flows_per_target=5.0, benign_targets_per_minute=24,
         bins_per_day=48, seed=seed,
     )
+
+
+def _stream_workload(profile, days: int):
+    """Generate ``days`` of ``profile``'s synthetic capture."""
+    from repro.ixp.fabric import IXPFabric
+    from repro.traffic.workload import WorkloadGenerator
+
     print(
         f"generating {days} synthetic day(s) at {profile.name} "
-        f"(seed {seed})...",
+        f"(seed {profile.seed})...",
         file=sys.stderr,
     )
-    return profile, WorkloadGenerator(IXPFabric(profile)).generate(0, days)
+    return WorkloadGenerator(IXPFabric(profile)).generate(0, days)
 
 
 def _drive_engine(engine, capture, chunk_bins: int = 8, session=None) -> tuple[int, float]:
@@ -161,7 +166,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.core.scrubber import ScrubberConfig
     from repro.core.streaming import StreamingScrubber
 
-    profile, capture = _stream_workload(args.days, args.seed)
+    profile = _stream_profile(args.seed)
+    capture = _stream_workload(profile, args.days)
     engine = StreamingScrubber(
         config=ScrubberConfig(model="XGB", model_params={"n_estimators": 10}),
         window_days=2,
@@ -297,7 +303,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     backend, backend_options = _resolve_stream_backend(args, plan)
     sketch_params = _resolve_stream_agg(args)
     recovery = _resolve_stream_recovery(args, plan)
-    profile, capture = _stream_workload(args.days, args.seed)
+    profile = _stream_profile(args.seed)
     engine = ShardedStreamingScrubber(
         config=ScrubberConfig(model="XGB", model_params={"n_estimators": 10}),
         n_shards=args.shards,
@@ -316,8 +322,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         # history, incompatible snapshot, divergent replay) exit 3 with
         # the typed error's message rather than a traceback.
         try:
+            # The session reads the checkpoint before the capture is
+            # generated, so a refused resume exits at once.
             if recovery is not None:
                 session = RecoverySession(engine, **recovery)
+            capture = _stream_workload(profile, args.days)
             n_verdicts, elapsed = _drive_engine(engine, capture, session=session)
         except RecoveryError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ from repro.obs import names as metric_names
 from repro.core.rules.matcher import CompiledMatcher
 from repro.core.rules.model import TaggingRule
 from repro.netflow.dataset import FlowDataset
+from repro.netflow.grouping import stable_argsort
 
 
 @dataclass
@@ -146,42 +147,6 @@ def aggregate(
 
 #: The name the batch/shard classification path looks the kernel up by.
 aggregate_batch = aggregate
-
-
-_SIGN_BIT = np.int64(-1 << 63)
-
-
-def _ordinals(values: np.ndarray) -> np.ndarray:
-    """uint64 keys that sort like ``values``: integers as the int64 they
-    cast to, float64 as numbers (NaN-free; -0.0 equals 0.0)."""
-    if values.dtype.kind == "f":
-        bits = (values + 0.0).view(np.int64)
-        return (bits ^ ((bits >> 63) | _SIGN_BIT)).view(np.uint64)
-    return (values.astype(np.int64) ^ _SIGN_BIT).view(np.uint64)
-
-
-def stable_argsort(*columns: np.ndarray) -> np.ndarray:
-    """Stable argsort by ``columns``, the last the most significant.
-
-    Both aggregation kernels sort with it: this module's, and
-    :mod:`.sketches`, which admits candidates and orders their segments.
-    It is ``np.lexsort`` without its merge sorts: numpy's stable sort of
-    16-bit integers is a radix sort (25 µs for 5000 keys; a merge sort
-    of float64 takes 300), so sort digit by digit, least significant
-    first, skipping digits equal in every key (a port has one that
-    varies, the bin of a one-bin batch none).
-    """
-    order = None
-    for key in map(_ordinals, columns):
-        varying = int(np.bitwise_or.reduce(key) ^ np.bitwise_and.reduce(key))
-        digits = key.astype("<u8", copy=False).view("<u2").reshape(-1, 4)
-        for d in range(4):
-            if (varying >> 16 * d) & 0xFFFF:
-                if order is None:
-                    order = np.argsort(digits[:, d], kind="stable")
-                else:
-                    order = order.take(np.argsort(digits[:, d].take(order), kind="stable"))
-    return np.arange(columns[0].shape[0]) if order is None else order
 
 
 #: Most segments one ranking pass stacks. Stacking amortises numpy's

@@ -56,9 +56,9 @@ from repro.core.features.aggregation import (
     AggregatedDataset,
     column_plan,
     rank_segments,
-    stable_argsort,
 )
 from repro.netflow.dataset import FlowDataset
+from repro.netflow.grouping import stable_argsort
 from repro.obs import names as metric_names
 
 __all__ = [

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro import obs
 from repro.netflow.dataset import FlowDataset
+from repro.netflow.grouping import group_rows
 from repro.obs import names as metric_names
 
 
@@ -129,10 +130,14 @@ def _balance(
     rep_be_ips: list[int] = []
     rep_be_flows: list[int] = []
 
-    for bin_id in np.unique(bins[labels]):
-        in_bin = bins == bin_id
-        bh_idx = np.flatnonzero(in_bin & labels)
-        be_idx = np.flatnonzero(in_bin & ~labels)
+    # One grouping pass, then one slice per bin (no sort for one bin).
+    order, groups = group_rows(bins)
+    for bin_id, lo, hi in groups:
+        rows = np.arange(lo, hi) if order is None else order[lo:hi]
+        bin_labels = labels.take(rows)
+        if not bin_labels.any():
+            continue
+        bh_idx, be_idx = rows[bin_labels], rows[~bin_labels]
         keep_index_parts.append(bh_idx)
 
         bh_ips, bh_counts = _per_ip_counts(dst[bh_idx])

@@ -271,10 +271,7 @@ class StreamingScrubber:
             if len(flows):
                 self._horizon = max(self._horizon, int(flows.time.max()) + 1)
                 first, last = int(bins.min()), int(bins.max())
-                if first == last:
-                    parts = [(first, flows)]
-                else:
-                    parts = [(int(b), flows.select(bins == b)) for b in np.unique(bins)]
+                parts = [(first, flows)] if first == last else flows.groups(bins)
                 for bin_id, part in parts:
                     if bin_id >= newest:
                         self._open_bins.setdefault(bin_id, []).append(part)

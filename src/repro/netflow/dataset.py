@@ -13,6 +13,7 @@ from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from repro.netflow.grouping import group_rows, stable_argsort
 from repro.netflow.record import FlowRecord
 
 #: Canonical column schema: name -> dtype.
@@ -216,10 +217,23 @@ class FlowDataset:
         columns["blackhole"] = flags
         return FlowDataset(columns)
 
+    def groups(self, key: np.ndarray) -> Iterator[tuple[int, "FlowDataset"]]:
+        """Yield ``(k, the rows whose key is k)`` per distinct integer
+        ``key``, ascending: one grouping pass (:func:`group_rows`), then
+        one copy per group, its rows in this dataset's order."""
+        order, groups = group_rows(key)
+        for value, lo, hi in groups:
+            if order is None:
+                yield value, FlowDataset(
+                    {name: array[lo:hi].copy() for name, array in self._columns.items()}
+                )
+            else:
+                yield value, self.select(order[lo:hi])
+
     def sort_by_time(self) -> "FlowDataset":
-        """Return a copy sorted by timestamp (stable)."""
-        order = np.argsort(self._columns["time"], kind="stable")
-        return self.select(order)
+        """Return a copy sorted by timestamp (stable), by radix passes
+        over the 16-bit digits that vary (:func:`stable_argsort`)."""
+        return self.select(stable_argsort(self._columns["time"]))
 
     def time_slice(self, start: int, end: int) -> "FlowDataset":
         """Return flows with ``start <= time < end``."""

@@ -23,6 +23,7 @@ import numpy as np
 from repro.netflow import fields
 from repro.netflow.dataset import FlowDataset
 from repro.netflow.fields import PROTO_TCP, PROTO_UDP
+from repro.netflow.grouping import group_rows
 from repro.traffic.address_space import CLIENTS, SERVERS
 
 
@@ -110,35 +111,39 @@ class BenignTrafficGenerator:
         service_idx = rng.choice(len(self._services), size=n, p=self._service_p)
         ephemeral = rng.random(n) < EPHEMERAL_SHARE
 
+        # Group the flows by class once (ephemeral is the last class), fill
+        # each class's contiguous slice, draws in class order, and put the
+        # rows back in flow order at the end.
+        n_services = len(self._services)
+        order, classes = group_rows(np.where(ephemeral, n_services, service_idx))
         src_ip = np.empty(n, dtype=np.uint32)
         src_port = np.empty(n, dtype=np.uint16)
         dst_port = np.empty(n, dtype=np.uint16)
         protocol = np.empty(n, dtype=np.uint8)
         pkt_size = np.empty(n, dtype=np.float64)
 
-        for i, service in enumerate(self._services):
-            mask = (service_idx == i) & ~ephemeral
-            count = int(mask.sum())
-            if count == 0:
+        for i, lo, hi in classes:
+            count, rows = hi - lo, slice(lo, hi)
+            if i == n_services:
+                src_ip[rows] = CLIENTS.sample(rng, count)
+                src_port[rows] = rng.integers(1024, 65536, size=count)
+                dst_port[rows] = rng.integers(1024, 65536, size=count)
+                protocol[rows] = np.where(rng.random(count) < 0.6, PROTO_UDP, PROTO_TCP)
+                pkt_size[rows] = np.clip(rng.normal(500.0, 300.0, size=count), 64.0, 1500.0)
                 continue
-            pool = self._server_pools[service.name]
-            src_ip[mask] = rng.choice(pool, size=count)
-            src_port[mask] = service.src_port
-            dst_port[mask] = rng.integers(1024, 65536, size=count)
-            protocol[mask] = service.protocol
-            pkt_size[mask] = np.clip(
+            service = self._services[i]
+            src_ip[rows] = rng.choice(self._server_pools[service.name], size=count)
+            src_port[rows] = service.src_port
+            dst_port[rows] = rng.integers(1024, 65536, size=count)
+            protocol[rows] = service.protocol
+            pkt_size[rows] = np.clip(
                 rng.normal(service.packet_size_mean, service.packet_size_std, size=count),
                 64.0,
                 1500.0,
             )
-
-        n_eph = int(ephemeral.sum())
-        if n_eph:
-            src_ip[ephemeral] = CLIENTS.sample(rng, n_eph)
-            src_port[ephemeral] = rng.integers(1024, 65536, size=n_eph)
-            dst_port[ephemeral] = rng.integers(1024, 65536, size=n_eph)
-            protocol[ephemeral] = np.where(rng.random(n_eph) < 0.6, PROTO_UDP, PROTO_TCP)
-            pkt_size[ephemeral] = np.clip(rng.normal(500.0, 300.0, size=n_eph), 64.0, 1500.0)
+        if order is not None:
+            for column in (src_ip, src_port, dst_port, protocol, pkt_size):
+                column[order] = column.copy()
 
         packets = rng.geometric(0.25, size=n).astype(np.int64)
         bytes_ = np.maximum((pkt_size * packets).astype(np.int64), packets * 64)

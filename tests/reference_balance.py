@@ -1,11 +1,12 @@
 """The per-pick scan the balancer's prefix draw must equal call for call.
 
 ``repro.core.labeling.balancer._balance`` once found the benign IPs that
-qualify for a quota by scanning every IP still available, per pick. The
-balancer now bisects for the same set, which is a prefix of the
-descending-count order; this module keeps the scan, so a test can check
-that both keep the same flows, report the same bins and leave the
-generator in the same state.
+qualify for a quota by scanning every IP still available, per pick, and
+found each bin's flows by one full-length mask per bin. The balancer now
+bisects for the same set, which is a prefix of the descending-count
+order, and groups the flows by bin once; this module keeps the scan and
+the masks, so a test can check that both keep the same flows, report
+the same bins and leave the generator in the same state.
 """
 
 from __future__ import annotations

@@ -116,6 +116,19 @@ def labeled_flows(
     return data
 
 
+def shuffled(rng: np.random.Generator, flows: FlowDataset) -> FlowDataset:
+    """``flows`` in a random row order: a stream nobody time-sorted."""
+    return flows.select(rng.permutation(len(flows)))
+
+
+def assert_same_flows(got: FlowDataset, want: FlowDataset) -> None:
+    """Equal column for column: the same dtypes and the same bytes."""
+    assert len(got) == len(want)
+    for name, array in want.to_columns().items():
+        assert got.column(name).dtype == array.dtype, name
+        assert got.column(name).tobytes() == array.tobytes(), name
+
+
 def without_packets(flows: FlowDataset, rows) -> FlowDataset:
     """``flows`` with the packet and byte counters of ``rows`` zeroed: what
     an exporter sends for a flow it saw no sampled packet of."""

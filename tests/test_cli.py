@@ -221,6 +221,29 @@ class TestStreamFailedStartLeavesNoWorkers:
         assert "corrupt" in capsys.readouterr().err
         assert not stranded
 
+    def test_refused_resume_generates_no_capture(self, capsys, tmp_path, monkeypatch):
+        from repro.core.recovery import CheckpointStore
+        from repro.core.streaming import StreamingScrubber
+        from repro.traffic.workload import WorkloadGenerator
+
+        # A snapshot of an older engine format: the session refuses it,
+        # and it must do so before a single synthetic day is generated.
+        state = StreamingScrubber(bins_per_day=48).capture_state()
+        state["format"] = 2
+        CheckpointStore(tmp_path).save(0, state)
+
+        def generate(*_):
+            raise AssertionError("generated a capture for a refused resume")
+
+        monkeypatch.setattr(WorkloadGenerator, "generate", generate)
+        code, stranded = self._exit_code_and_stranded(
+            self.ARGV + ["--checkpoint-dir", str(tmp_path), "--resume"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "engine format" in err and "generating" not in err
+        assert not stranded
+
 
 class TestAbbreviationRejection:
     """Prefix abbreviation is off: flag typos are usage errors.

@@ -214,3 +214,32 @@ class TestPrefixDraw:
     )
     def test_equals_the_scan(self, bins, order_seed, seed):
         _assert_matches_reference(_numbered_flows(bins, order_seed), seed)
+
+
+class TestGroupedBins:
+    """``balance`` groups the flows by bin once and takes one slice per
+    bin; over many bins it must equal the mask per bin of
+    ``tests/reference_balance.py``: kept rows, report and draws."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "shape", ["sorted", "shuffled", "bins-without-blackholes", "far-apart-bins"]
+    )
+    def test_multi_bin_equals_the_reference(self, seed, shape):
+        from tests import strategies
+
+        rng = strategies.rng_for(seed)
+        # Mostly benign, so most picked IPs are subsampled: the rows a
+        # permutation keeps depend on the order of each bin's rows.
+        flows = strategies.labeled_flows(
+            rng, n_flows=1500, n_targets=12, n_bins=12, start_bin=-3, attack_share=0.1
+        )
+        if shape == "bins-without-blackholes":
+            flows = flows.with_blackhole(flows.blackhole & (flows.time // 60 % 3 != 0))
+        if shape == "far-apart-bins":
+            columns = flows.to_columns()
+            columns["time"] = flows.time + np.where(flows.time // 60 % 2, 60 * 10**9, 0)
+            flows = FlowDataset(columns)
+        if shape != "sorted":
+            flows = strategies.shuffled(rng, flows)
+        _assert_matches_reference(flows, seed)

@@ -178,3 +178,80 @@ def test_select_mask_equals_select_index(n, fill, seed):
         assert column.dtype == dtype
         np.testing.assert_array_equal(column, by_index.column(name))
         np.testing.assert_array_equal(column, dataset.column(name)[mask])
+
+
+def _numbered(times) -> FlowDataset:
+    """Flows at ``times`` whose ``src_ip`` numbers the rows."""
+    n = len(times)
+    columns = {name: np.zeros(n, dtype=dtype) for name, dtype in SCHEMA.items()}
+    columns["time"] = np.asarray(times, dtype=np.int64)
+    columns["src_ip"] = np.arange(n, dtype=np.uint32)
+    return FlowDataset(columns)
+
+
+class TestRadixSortByTime:
+    """``sort_by_time`` sorts by 16-bit radix passes; it must give the
+    rows of ``np.argsort(time, kind="stable")``, ties in stream order."""
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            [],
+            [42],
+            [7] * 40,
+            [5, -3, 5, -3, 0, -70_000, 5, 0, -3] * 5,
+            [2**32 + 5, 3, 2**32 + 5, 2**33, 2**32, 3, -(2**40), 2**62] * 5,
+            list(range(100, 0, -1)) * 2,
+        ],
+        ids=["empty", "one-row", "all-equal", "negative-ties", "past-2^32", "reversed"],
+    )
+    def test_equals_a_stable_argsort(self, times):
+        dataset = _numbered(times)
+        expected = np.argsort(np.asarray(times, dtype=np.int64), kind="stable")
+        ordered = dataset.sort_by_time()
+        assert ordered.src_ip.tolist() == expected.tolist()
+        assert ordered.time.dtype == np.int64
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        times=st.lists(
+            st.one_of(
+                st.integers(-(2**62), 2**62),
+                st.integers(-200, 200),
+                st.sampled_from([0, 2**16, 2**32 - 1, 2**32, -1]),
+            ),
+            max_size=300,
+        )
+    )
+    def test_equals_a_stable_argsort_on_any_times(self, times):
+        expected = np.argsort(np.asarray(times, dtype=np.int64), kind="stable")
+        assert _numbered(times).sort_by_time().src_ip.tolist() == expected.tolist()
+
+
+class TestGroups:
+    """``group_rows`` and ``FlowDataset.groups``: one stable grouping
+    pass, then one copy per group, rows in stream order."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", ["shuffled", "sorted", "constant", "empty"])
+    def test_each_group_equals_its_mask(self, seed, shape):
+        from repro.netflow.grouping import group_rows
+
+        rng = np.random.default_rng(seed)
+        key = {
+            "shuffled": rng.integers(-3, 9, size=500),
+            "sorted": np.sort(rng.integers(0, 40, size=500)),
+            "constant": np.full(200, 6),
+            "empty": np.empty(0, dtype=np.int64),
+        }[shape]
+        dataset = _numbered(rng.integers(0, 10**6, size=key.shape[0]))
+        order, groups = group_rows(key)
+        assert (order is None) == (shape != "shuffled")
+        values, counts = np.unique(key, return_counts=True)
+        his = np.cumsum(counts).tolist()
+        assert groups == list(zip(values.tolist(), [0, *his[:-1]], his))
+        datasets = list(dataset.groups(key))
+        assert [value for value, _ in datasets] == values.tolist()
+        for value, group in datasets:
+            assert group.src_ip.tolist() == np.flatnonzero(key == value).tolist()
+            assert not np.shares_memory(group.time, dataset.time)

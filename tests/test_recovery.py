@@ -789,6 +789,65 @@ class TestIterChunks:
                                               start_bin=0, end_bin=24)]
         assert ticks == list(range(6))
 
+    @staticmethod
+    def _assert_matches_the_mask_chunker(flows, updates, **kwargs):
+        from tests.reference_chunks import reference_iter_chunks
+
+        got = list(iter_chunks(flows, updates, **kwargs))
+        want = list(reference_iter_chunks(flows, updates, **kwargs))
+        assert [t for t, _, _ in got] == [t for t, _, _ in want]
+        for (tick, chunk, chunk_updates), (_, expected, expected_updates) in zip(got, want):
+            local.assert_same_flows(chunk, expected)
+            assert chunk_updates == expected_updates, tick
+            assert not np.shares_memory(chunk.time, flows.time)  # chunks are copies
+        return got
+
+    @pytest.mark.parametrize("chunk_bins", [1, 3, 8])
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "shuffled"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_mask_chunker(self, chunk_bins, shuffle, seed):
+        rng = local.rng_for(seed)
+        flows = local.flows(rng, n_flows=700, n_bins=23, start_bin=5)
+        if shuffle:
+            flows = local.shuffled(rng, flows)
+        updates = [
+            Announcement(prefix=Prefix.host(int(ip)), origin_asn=64500, time=int(t),
+                         communities=frozenset({BLACKHOLE}))
+            for ip, t in zip(rng.integers(1, 2**32, size=12), rng.integers(0, 40 * 60, size=12))
+        ]
+        self._assert_matches_the_mask_chunker(flows, updates, chunk_bins=chunk_bins)
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "shuffled"])
+    @pytest.mark.parametrize("chunk_bins", [1, 3, 8])
+    def test_explicit_range_with_flows_outside_it(self, shuffle, chunk_bins):
+        rng = local.rng_for(chunk_bins)
+        flows = local.flows(rng, n_flows=600, n_bins=30, start_bin=0)
+        if shuffle:
+            flows = local.shuffled(rng, flows)
+        got = self._assert_matches_the_mask_chunker(
+            flows, (), chunk_bins=chunk_bins, start_bin=8, end_bin=19
+        )
+        # The last chunk runs to its own end: for 3 and 8, which do not
+        # divide the 11 bins, that is past ``end_bin``.
+        last_bin = int((got[-1][1].time // 60).max())
+        assert last_bin == 8 + len(got) * chunk_bins - 1
+        assert (last_bin >= 19) == (chunk_bins > 1)
+
+    def test_a_multi_bin_chunk_keeps_stream_order(self):
+        rng = local.rng_for(11)
+        flows = local.shuffled(rng, local.flows(rng, n_flows=300, n_bins=4))
+        ((_, chunk, _),) = iter_chunks(flows, (), chunk_bins=4)
+        assert chunk.src_ip.tolist() == flows.src_ip.tolist()
+        assert not np.shares_memory(chunk.src_ip, flows.src_ip)
+
+    def test_empty_stream_and_empty_ticks(self):
+        rng = local.rng_for(5)
+        flows = local.flows(rng, n_flows=50, n_bins=2, start_bin=0)
+        self._assert_matches_the_mask_chunker(flows.select(np.zeros(50, bool)), ())
+        # Ticks 2 to 5 hold no flow: each yields an empty, typed chunk.
+        got = self._assert_matches_the_mask_chunker(flows, (), chunk_bins=1, end_bin=6)
+        assert [len(chunk) for _, chunk, _ in got[2:]] == [0] * 4
+
 
 # ----------------------------------------------------------------------
 # Orphan-worker reaper (satellite regression).

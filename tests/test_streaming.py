@@ -217,6 +217,29 @@ def test_flows_behind_the_watermark_are_dropped(grace, held):
     assert {**flows, **{b: len(f) for b, f in engine._pending_label.items()}} == held
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_shuffled_multi_bin_chunk_splits_per_bin_in_stream_order(seed):
+    """``ingest`` groups a multi-bin chunk by bin once; each bin's part,
+    stragglers included, must be that bin's flows in chunk order."""
+    from tests import strategies
+
+    rng = strategies.rng_for(seed)
+    first = strategies.flows(rng, n_flows=300, n_bins=6, start_bin=0)
+    # Bins 2-4 are stragglers (closed, still waiting for labels), bin 5
+    # is the open one, bins 6-8 are new.
+    chunk = strategies.shuffled(rng, strategies.flows(rng, n_flows=500, n_bins=7, start_bin=2))
+    engine = StreamingScrubber(label_grace_bins=10**6)
+    engine.ingest(first)
+    assert engine.ingest(chunk) == []
+    held = {**engine._pending_label,
+            **{b: FlowDataset.concat(parts) for b, parts in engine._open_bins.items()}}
+    assert sorted(held) == list(range(9))
+    for bin_id, flows in held.items():
+        strategies.assert_same_flows(flows, FlowDataset.concat(
+            [part.select(part.time // 60 == bin_id) for part in (first, chunk)]
+        ))
+
+
 def test_a_snapshot_with_history_behind_the_watermark_sheds_it(stream_capture):
     """A snapshot whose registry holds closed blackhole events behind
     the watermark restores, and the next tick forgets them."""

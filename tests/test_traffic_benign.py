@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netflow import fields
 from repro.netflow.dataset import FlowDataset
@@ -82,3 +84,57 @@ class TestGenerate:
         generator = BenignTrafficGenerator(seed=1, member_macs=macs)
         flows = generator.generate(rng, np.full(50, 7, dtype=np.uint32), 0, 600)
         assert np.isin(flows.src_mac, macs).all()
+
+
+class TestGroupedEqualsMaskLoop:
+    """``generate`` groups the flows by service class once and fills one
+    slice per class; the mask per class it replaced
+    (``tests/reference_benign.py``) must give the same columns, dtypes
+    and draws."""
+
+    @staticmethod
+    def _assert_matches(generator, seed, targets, **kwargs):
+        from tests.reference_benign import reference_generate
+        from tests.strategies import assert_same_flows
+
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = generator.generate(rng, targets, 60, 660, **kwargs)
+        want = reference_generate(generator, reference_rng, targets, 60, 660, **kwargs)
+        assert_same_flows(got, want)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("n_targets", [0, 1, 300])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_default_mix(self, n_targets, seed):
+        targets = np.arange(1, n_targets + 1, dtype=np.uint32)
+        self._assert_matches(BenignTrafficGenerator(seed=seed), seed, targets)
+
+    def test_a_service_without_flows(self):
+        services = (
+            BenignService("HTTPS", fields.PROTO_TCP, fields.PORT_HTTPS, 1200.0, 300.0, 0.6),
+            BenignService("NTP", fields.PROTO_UDP, fields.PORT_NTP, 76.0, 8.0, 0.0),
+            BenignService("DNS", fields.PROTO_UDP, fields.PORT_DNS, 120.0, 40.0, 0.4),
+        )
+        generator = BenignTrafficGenerator(seed=3, services=services)
+        flows = self._assert_matches(generator, 9, np.arange(1, 200, dtype=np.uint32))
+        assert fields.PORT_NTP not in flows.src_port.tolist()
+
+    def test_one_class_only(self):
+        # Every flow is HTTPS or ephemeral: at most two groups.
+        https = BenignService("HTTPS", fields.PROTO_TCP, fields.PORT_HTTPS, 1200.0, 300.0, 1.0)
+        for seed in range(6):
+            generator = BenignTrafficGenerator(seed=seed, services=(https,))
+            self._assert_matches(generator, seed, np.full(3, 7, dtype=np.uint32))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_targets=st.integers(0, 120),
+        mean=st.floats(0.5, 8.0),
+    )
+    def test_equals_the_mask_loop(self, seed, n_targets, mean):
+        macs = np.arange(3, 9, dtype=np.uint64)
+        generator = BenignTrafficGenerator(seed=seed % 7, member_macs=macs)
+        targets = np.random.default_rng(seed).integers(1, 2**32, size=n_targets, dtype=np.uint32)
+        self._assert_matches(generator, seed, targets, flows_per_target_mean=mean)
